@@ -7,7 +7,7 @@ g.  Configuration comes from an optional flat key=value file, overridable by
 TQD3D_<KEY> environment variables.
 
 Exit codes: 0 success, 1 verification failure, 2 config error,
-3 numerical instability, 4 resource cap exceeded.
+3 numerical instability (also: failed sweep cells), 4 resource cap exceeded.
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ from .experiments import GridCapError
 from .model import ModelParams
 from .pulses import FittedPulse, GaussianTerm, PulseKind, StirapParams
 
+_FIT = pulses.default_fitted_pulse().terms
+
 ENV_PREFIX = "TQD3D_"
 
 EXIT_OK = 0
@@ -44,23 +46,23 @@ class ConfigError(ValueError):
 class RunConfig:
     """Scalar settings; g is fixed to 1 as the unit."""
 
-    delta: float = 3.6
-    t_f: float = 50.0
-    omega0: float = 0.35
-    tau_frac: float = 0.12
-    width_frac: float = 0.16
-    kappa: float = 0.0
-    gamma: float = 0.0
-    dt: float = 0.002
-    record_every: int = 50
-    sweep_dt: float = 0.01
+    delta: float = ModelParams.delta
+    t_f: float = ModelParams.t_f
+    omega0: float = StirapParams.omega0
+    tau_frac: float = pulses.TAU_FRAC
+    width_frac: float = pulses.WIDTH_FRAC
+    kappa: float = ModelParams.kappa
+    gamma: float = ModelParams.gamma
+    dt: float = IntegratorConfig.dt
+    record_every: int = IntegratorConfig.record_every
+    sweep_dt: float = experiments.SWEEP_DT
     threads: int = 1
-    fit_amp1: float = 0.3861
-    fit_center1: float = 25.6816
-    fit_width1: float = 12.2827
-    fit_amp2: float = 0.3227
-    fit_center2: float = 25.6808
-    fit_width2: float = 5.7835
+    fit_amp1: float = _FIT[0].amplitude
+    fit_center1: float = _FIT[0].center
+    fit_width1: float = _FIT[0].width
+    fit_amp2: float = _FIT[1].amplitude
+    fit_center2: float = _FIT[1].center
+    fit_width2: float = _FIT[1].width
     # sweep ranges as "min:max:count"
     surface_tf: str = "10:100:46"
     surface_delta: str = "0.5:10:39"
@@ -69,10 +71,8 @@ class RunConfig:
     decoherence_gamma: str = "0:0.05:26"
 
     def stirap_params(self) -> StirapParams:
-        return StirapParams(
-            omega0=self.omega0, t_f=self.t_f,
-            tau=self.tau_frac * self.t_f, width=self.width_frac * self.t_f,
-        )
+        return StirapParams.for_duration(self.t_f, self.omega0, self.tau_frac,
+                                         self.width_frac)
 
     def fitted_pulse(self) -> FittedPulse:
         return FittedPulse((
@@ -139,7 +139,15 @@ def load_config(path: str | None) -> tuple[RunConfig, str]:
         if env is not None:
             setattr(cfg, key, _coerce(key, env))
             source_lines.append(f"{key} = {env}  # env")
+    check_threads(cfg.threads, "threads")
     return cfg, "\n".join(source_lines)
+
+
+def check_threads(threads: int, source: str):
+    """Worker count must lie in 1..cpu_count; checked before any work starts."""
+    cpus = os.cpu_count() or 1
+    if not 1 <= threads <= cpus:
+        raise ConfigError(f"{source} = {threads} outside 1..{cpus} (cpu count)")
 
 
 def parse_range(text: str) -> np.ndarray:
@@ -232,38 +240,28 @@ def cmd_simulate(cfg: RunConfig, cfg_text: str, out: Path, method: str,
     return EXIT_OK
 
 
+_SURFACES = {  # figure: (output name, plot mode, swept t_f, swept delta)
+    "4a": ("fidelity_surface", "map", True, True),
+    "4b": ("fidelity_vs_delta", "lines", False, True),
+    "4c": ("fidelity_vs_tf", "lines", True, False),
+}
+
+
 def cmd_sweep(cfg: RunConfig, cfg_text: str, out: Path, figure: str,
               threads: int) -> int:
-    if figure == "4a":
+    if figure in _SURFACES:
+        name, mode, sweep_tf, sweep_delta = _SURFACES[figure]
         grid = experiments.run_fidelity_surface(
-            parse_range(cfg.surface_tf), parse_range(cfg.surface_delta),
-            omega0=cfg.omega0, dt=cfg.sweep_dt, threads=threads,
+            parse_range(cfg.surface_tf) if sweep_tf else cfg.t_f,
+            parse_range(cfg.surface_delta) if sweep_delta else cfg.delta,
+            omega0=cfg.omega0, tau_frac=cfg.tau_frac, width_frac=cfg.width_frac,
+            dt=cfg.sweep_dt, threads=threads,
         )
-        name, mode = "fidelity_surface", "map"
-    elif figure == "4b":
-        grid = experiments.run_fidelity_surface(
-            np.array([cfg.t_f]), parse_range(cfg.surface_delta),
-            omega0=cfg.omega0, dt=cfg.sweep_dt, threads=threads,
-        )
-        grid = experiments.SweepGrid(
-            x_name="delta/g", x_values=grid.y_values, values=grid.values[0],
-            annotations=grid.annotations, provenance=grid.provenance,
-        )
-        name, mode = "fidelity_vs_delta", "lines"
-    elif figure == "4c":
-        grid = experiments.run_fidelity_surface(
-            parse_range(cfg.surface_tf), np.array([cfg.delta]),
-            omega0=cfg.omega0, dt=cfg.sweep_dt, threads=threads,
-        )
-        grid = experiments.SweepGrid(
-            x_name="t_f*g", x_values=grid.x_values, values=grid.values[:, 0],
-            annotations=grid.annotations, provenance=grid.provenance,
-        )
-        name, mode = "fidelity_vs_tf", "lines"
     elif figure == "8":
         scan = experiments.run_robustness_scan(
             parse_range(cfg.robustness_dev), params=cfg.model_params(),
             cfg=IntegratorConfig(dt=cfg.sweep_dt, record_every=cfg.record_every),
+            pulse_set=cfg.pulse_set(PulseKind.TQD_FITTED),
         )
         header = ["deviation"] + [f"F_{n}" for n in experiments.ROBUSTNESS_PARAMETERS]
         rows = zip(scan["deviation"],
@@ -280,6 +278,7 @@ def cmd_sweep(cfg: RunConfig, cfg_text: str, out: Path, figure: str,
         grid = experiments.run_decoherence_surface(
             parse_range(cfg.decoherence_kappa), parse_range(cfg.decoherence_gamma),
             params=cfg.model_params(), dt=cfg.sweep_dt, threads=threads,
+            pulse_set=cfg.pulse_set(PulseKind.TQD_FITTED),
         )
         name, mode = "decoherence_surface", "map"
     else:
@@ -288,6 +287,12 @@ def cmd_sweep(cfg: RunConfig, cfg_text: str, out: Path, figure: str,
     experiments.write_plot_script(out / f"{name}.gp", f"{name}.csv",
                                   f"Final fidelity ({name})", mode=mode)
     _write_manifest(out, cfg_text, cfg, [f"{name}.csv"])
+    if grid.annotations:
+        failed = sorted(grid.annotations.items())
+        print(f"{len(failed)} of {grid.values.size} cells failed", file=sys.stderr)
+        for idx, note in failed[:3]:
+            print(f"  cell {','.join(map(str, idx))}: {note}", file=sys.stderr)
+        return EXIT_INSTABILITY
     return EXIT_OK
 
 
@@ -331,6 +336,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg, cfg_text = load_config(args.config)
+        if getattr(args, "threads", None) is not None:
+            check_threads(args.threads, "--threads")
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         if args.command == "pulses":

@@ -73,6 +73,79 @@ def fidelity(state: np.ndarray, target: np.ndarray) -> float:
     raise ValueError("state must be a vector or a square matrix")
 
 
+def _rk4(
+    h_of_t: Callable[[float], np.ndarray],
+    state: np.ndarray,
+    t_f: float,
+    cfg: IntegratorConfig,
+    target: np.ndarray | None,
+    rhs: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    record: Callable[[float, np.ndarray], np.ndarray],
+    drift: Callable[[np.ndarray], float],
+    drift_name: str,
+    tol: float,
+    post_step: Callable[[np.ndarray], np.ndarray] | None = None,
+) -> SimResult:
+    """Classic fixed-step RK4 from 0 to t_f, shared by both equations of motion.
+
+    H is evaluated at t, t + dt/2 and t + dt; rhs(h, state) is d/dt state.
+    post_step maps each new state. At every recorded point drift(state) must
+    stay within tol, record(t, state) gives the population row, and the
+    fidelity against target (default: first basis state) is stored.
+    """
+    if target is None:
+        target = np.zeros(state.shape[0], dtype=complex)
+        target[0] = 1.0
+    n_steps = int(round(t_f / cfg.dt))
+    dt = t_f / n_steps  # land exactly on t_f
+    rec_set = set(range(0, n_steps + 1, cfg.record_every)) | {n_steps}
+    times, pops, fids = [], [], []
+
+    def keep(step, state):
+        times.append(step * dt)
+        pops.append(record(step * dt, state))
+        fids.append(fidelity(state, target))
+
+    h_next = h_of_t(0.0)
+    max_drift = 0.0
+    keep(0, state)
+    for step in range(n_steps):
+        t = step * dt
+        h0 = h_next
+        h_half = h_of_t(t + dt / 2)
+        h_next = h_of_t(t + dt)
+        k1 = rhs(h0, state)
+        k2 = rhs(h_half, state + 0.5 * dt * k1)
+        k3 = rhs(h_half, state + 0.5 * dt * k2)
+        k4 = rhs(h_next, state + dt * k3)
+        state = state + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if post_step is not None:
+            state = post_step(state)
+        if (step + 1) in rec_set:
+            d = drift(state)
+            max_drift = max(max_drift, d)
+            if d > tol:
+                raise IntegratorInstabilityError(
+                    f"{drift_name} drift {d:.2e} > {tol:.0e} at t={t + dt:.4g}; "
+                    "reduce dt"
+                )
+            keep(step + 1, state)
+
+    return SimResult(
+        times=np.array(times),
+        populations=np.array(pops),
+        fidelity=np.array(fids),
+        final_state=state,
+        metadata={f"max_{drift_name}_drift": max_drift, "dt": dt, "n_steps": n_steps},
+    )
+
+
+def _leaked_row(weights: np.ndarray, tracked: np.ndarray | None) -> np.ndarray:
+    """Tracked populations plus the untracked remainder as the last column."""
+    p = weights if tracked is None else weights[tracked]
+    return np.concatenate([p, [max(0.0, weights.sum() - p.sum())]])
+
+
 def evolve_schrodinger(
     h_of_t: Callable[[float], np.ndarray],
     psi0: np.ndarray,
@@ -90,57 +163,12 @@ def evolve_schrodinger(
     psi = np.array(psi0, dtype=complex)
     if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
         raise ValueError("psi0 must be normalized")
-    dim = psi.size
-    if tracked is None:
-        tracked = np.arange(dim)
-    if target is None:
-        target = np.zeros(dim, dtype=complex)
-        target[0] = 1.0
-
-    n_steps = int(round(t_f / cfg.dt))
-    dt = t_f / n_steps  # land exactly on t_f
-    rec_idx = list(range(0, n_steps + 1, cfg.record_every))
-    if rec_idx[-1] != n_steps:
-        rec_idx.append(n_steps)
-    times, pops, fids = [], [], []
-
-    def record(step, psi):
-        times.append(step * dt)
-        p = np.abs(psi[tracked]) ** 2
-        total = float(np.sum(np.abs(psi) ** 2))
-        pops.append(np.concatenate([p, [max(0.0, total - p.sum())]]))
-        fids.append(fidelity(psi, target))
-
-    h_next = h_of_t(0.0)
-    max_drift = 0.0
-    rec_set = set(rec_idx)
-    record(0, psi)
-    for step in range(n_steps):
-        t = step * dt
-        h0 = h_next
-        h_half = h_of_t(t + dt / 2)
-        h_next = h_of_t(t + dt)
-        k1 = -1j * (h0 @ psi)
-        k2 = -1j * (h_half @ (psi + 0.5 * dt * k1))
-        k3 = -1j * (h_half @ (psi + 0.5 * dt * k2))
-        k4 = -1j * (h_next @ (psi + dt * k3))
-        psi = psi + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if (step + 1) in rec_set:
-            drift = abs(np.linalg.norm(psi) - 1.0)
-            max_drift = max(max_drift, drift)
-            if drift > norm_tol:
-                raise IntegratorInstabilityError(
-                    f"norm drift {drift:.2e} > {norm_tol:.0e} at t={t + dt:.4g}; "
-                    "reduce dt"
-                )
-            record(step + 1, psi)
-
-    return SimResult(
-        times=np.array(times),
-        populations=np.array(pops),
-        fidelity=np.array(fids),
-        final_state=psi,
-        metadata={"max_norm_drift": max_drift, "dt": dt, "n_steps": n_steps},
+    return _rk4(
+        h_of_t, psi, t_f, cfg, target,
+        rhs=lambda h, psi: -1j * (h @ psi),
+        record=lambda t, psi: _leaked_row(np.abs(psi) ** 2, tracked),
+        drift=lambda psi: abs(np.linalg.norm(psi) - 1.0),
+        drift_name="norm", tol=norm_tol,
     )
 
 
@@ -187,11 +215,6 @@ def evolve_lindblad(
     dim = rho.shape[0]
     if hilbert.max_nonhermiticity(rho) > 1e-9 or abs(np.trace(rho).real - 1.0) > 1e-6:
         raise ValueError("rho0 must be Hermitian with unit trace")
-    if tracked is None:
-        tracked = np.arange(dim)
-    if target is None:
-        target = np.zeros(dim, dtype=complex)
-        target[0] = 1.0
 
     dissipator = dissipator_superoperator(channels, dim)
     has_dissipation = dissipator.nnz > 0
@@ -202,65 +225,25 @@ def evolve_lindblad(
             out += (dissipator @ rho.reshape(-1)).reshape(dim, dim)
         return out
 
-    n_steps = int(round(t_f / cfg.dt))
-    dt = t_f / n_steps
-    rec_idx = list(range(0, n_steps + 1, cfg.record_every))
-    if rec_idx[-1] != n_steps:
-        rec_idx.append(n_steps)
-    rec_set = set(rec_idx)
-    times, pops, fids = [], [], []
     warnings: list[str] = []
-    max_trace_drift = 0.0
     min_eigenvalue = 0.0
 
-    def record(step, rho):
+    def record(t, rho):
         nonlocal min_eigenvalue
-        times.append(step * dt)
-        diag = np.real(np.diag(rho))
-        p = diag[tracked]
-        pops.append(np.concatenate([p, [max(0.0, diag.sum() - p.sum())]]))
-        fids.append(fidelity(rho, target))
         if check_positivity:
             lam_min = float(np.linalg.eigvalsh(rho)[0])
             min_eigenvalue = min(min_eigenvalue, lam_min)
             if lam_min < -positivity_tol:
                 warnings.append(
-                    f"eigenvalue {lam_min:.2e} < -{positivity_tol:.0e} at t={step * dt:.4g}"
+                    f"eigenvalue {lam_min:.2e} < -{positivity_tol:.0e} at t={t:.4g}"
                 )
+        return _leaked_row(np.real(np.diag(rho)), tracked)
 
-    h_next = h_of_t(0.0)
-    record(0, rho)
-    for step in range(n_steps):
-        t = step * dt
-        h0 = h_next
-        h_half = h_of_t(t + dt / 2)
-        h_next = h_of_t(t + dt)
-        k1 = rhs(h0, rho)
-        k2 = rhs(h_half, rho + 0.5 * dt * k1)
-        k3 = rhs(h_half, rho + 0.5 * dt * k2)
-        k4 = rhs(h_next, rho + dt * k3)
-        rho = rho + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        rho = 0.5 * (rho + rho.conj().T)
-        if (step + 1) in rec_set:
-            drift = abs(np.trace(rho).real - 1.0)
-            max_trace_drift = max(max_trace_drift, drift)
-            if drift > trace_tol:
-                raise IntegratorInstabilityError(
-                    f"trace drift {drift:.2e} > {trace_tol:.0e} at t={t + dt:.4g}; "
-                    "reduce dt"
-                )
-            record(step + 1, rho)
-
-    return SimResult(
-        times=np.array(times),
-        populations=np.array(pops),
-        fidelity=np.array(fids),
-        final_state=rho,
-        metadata={
-            "max_trace_drift": max_trace_drift,
-            "min_eigenvalue": min_eigenvalue,
-            "positivity_warnings": warnings,
-            "dt": dt,
-            "n_steps": n_steps,
-        },
+    result = _rk4(
+        h_of_t, rho, t_f, cfg, target, rhs=rhs, record=record,
+        drift=lambda rho: abs(np.trace(rho).real - 1.0),
+        drift_name="trace", tol=trace_tol,
+        post_step=lambda rho: 0.5 * (rho + rho.conj().T),
     )
+    result.metadata.update(min_eigenvalue=min_eigenvalue, positivity_warnings=warnings)
+    return result

@@ -8,6 +8,8 @@ placed by index, so re-running a scan reproduces the output byte for byte.
 
 from __future__ import annotations
 
+import itertools
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -15,11 +17,14 @@ from pathlib import Path
 import numpy as np
 
 from . import dynamics, hilbert, model, pulses
-from .dynamics import IntegratorConfig, SimResult
+from .dynamics import IntegratorConfig, IntegratorInstabilityError, SimResult
 from .model import ModelParams
-from .pulses import FittedPulse, PulseKind, PulseSet, StirapParams
+from .pulses import (
+    TAU_FRAC, WIDTH_FRAC, PulseKind, PulseSet, PulseSynthesisError, StirapParams,
+)
 
 GRID_CAP = 200 * 200
+SWEEP_DT = 0.01  # coarser step for sweep cells, which keep only the final fidelity
 
 # Cavity-QED rate predictions used for the physical benchmark, as fractions of g
 # (g, gamma, kappa) = 2*pi*(750, 3.5, 2.62) MHz.
@@ -42,14 +47,12 @@ class SweepGrid:
     provenance: dict = field(default_factory=dict)
 
 
-def default_pulse_set(kind: PulseKind, params: ModelParams | None = None,
-                      stirap: StirapParams | None = None,
-                      fitted: FittedPulse | None = None) -> PulseSet:
+def default_pulse_set(kind: PulseKind, params: ModelParams | None = None) -> PulseSet:
+    """Library-default pulses of one kind (reference fit for TQD_FITTED)."""
     params = params or ModelParams()
-    stirap = stirap or StirapParams(t_f=params.t_f)
-    if kind is PulseKind.TQD_FITTED and fitted is None:
-        fitted = pulses.default_fitted_pulse()
-    return PulseSet(kind=kind, stirap=stirap, delta=params.delta, fitted=fitted)
+    fitted = pulses.default_fitted_pulse() if kind is PulseKind.TQD_FITTED else None
+    return PulseSet(kind=kind, stirap=StirapParams(t_f=params.t_f), delta=params.delta,
+                    fitted=fitted)
 
 
 def _initial_state(space: hilbert.HilbertSpace) -> np.ndarray:
@@ -89,51 +92,78 @@ def simulate_open(params: ModelParams, pulse_set: PulseSet,
     )
 
 
-def _surface_cell(args) -> tuple[float, str]:
-    t_f, delta, omega0, dt = args
+def _guarded_cell(task) -> tuple[float, str]:
+    """Run one sweep cell; an expected numerical failure becomes an annotated NaN.
+
+    Any other exception is a bug and propagates.
+    """
+    cell, kwargs = task
     try:
-        params = ModelParams(delta=delta, t_f=t_f)
-        ps = PulseSet(PulseKind.TQD_EXACT, StirapParams(omega0=omega0, t_f=t_f),
-                      delta=delta)
-        cfg = IntegratorConfig(dt=dt)
-        return simulate_closed(params, ps, cfg).final_fidelity, ""
-    except Exception as exc:  # annotate the cell, never abort the sweep
+        return cell(**kwargs), ""
+    except (IntegratorInstabilityError, PulseSynthesisError) as exc:
         return float("nan"), f"{type(exc).__name__}: {exc}"
 
 
-def _run_cells(cells, worker, threads: int):
+def _run_cells(cells, threads: int):
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(worker, cells))
-    return [worker(c) for c in cells]
+            return list(pool.map(_guarded_cell, cells))
+    return [_guarded_cell(c) for c in cells]
+
+
+def _run_grid(cell, axes, fixed: dict, threads: int, provenance: dict) -> SweepGrid:
+    """Final fidelity cell(**fixed, **point) over the product of the swept axes.
+
+    axes are (column name, cell keyword, values), outermost first. An axis
+    given a scalar is held fixed and dropped, so a surface also yields its
+    1-D cuts. Results are placed by index, whatever the thread count.
+    """
+    swept = [(name, key, np.asarray(v, dtype=float)) for name, key, v in axes if np.ndim(v)]
+    fixed = {**fixed, **{key: v for _, key, v in axes if not np.ndim(v)}}
+    shape = tuple(values.size for _, _, values in swept)
+    if math.prod(shape) > GRID_CAP:
+        raise GridCapError(f"grid exceeds {GRID_CAP} cells")
+    keys = [key for _, key, _ in swept]
+    points = itertools.product(*(values for _, _, values in swept))
+    results = _run_cells([(cell, {**fixed, **dict(zip(keys, pt))}) for pt in points],
+                         threads)
+    index = itertools.product(*(range(n) for n in shape))
+    (x_name, _, x_values), *rest = swept
+    y_name, _, y_values = rest[0] if rest else (None, None, None)
+    return SweepGrid(
+        x_name=x_name, x_values=x_values, y_name=y_name, y_values=y_values,
+        values=np.array([f for f, _ in results]).reshape(shape),
+        annotations={ij: note for ij, (_, note) in zip(index, results) if note},
+        provenance=provenance,
+    )
+
+
+def _surface_cell(t_f, delta, omega0, tau_frac, width_frac, dt) -> float:
+    params = ModelParams(delta=delta, t_f=t_f)
+    stirap = StirapParams.for_duration(t_f, omega0, tau_frac, width_frac)
+    ps = PulseSet(PulseKind.TQD_EXACT, stirap, delta=delta)
+    return simulate_closed(params, ps, IntegratorConfig(dt=dt)).final_fidelity
 
 
 def run_fidelity_surface(
-    t_f_values: np.ndarray,
-    delta_values: np.ndarray,
-    omega0: float = 0.35,
-    dt: float = 0.01,
+    t_f_values: np.ndarray | float,
+    delta_values: np.ndarray | float,
+    omega0: float = StirapParams.omega0,
+    dt: float = SWEEP_DT,
     threads: int = 1,
+    tau_frac: float = TAU_FRAC,
+    width_frac: float = WIDTH_FRAC,
 ) -> SweepGrid:
-    """Final fidelity of the exact-pulse detuned model over (t_f, delta)."""
-    t_f_values = np.asarray(t_f_values, dtype=float)
-    delta_values = np.asarray(delta_values, dtype=float)
-    if t_f_values.size * delta_values.size > GRID_CAP:
-        raise GridCapError(f"grid exceeds {GRID_CAP} cells")
-    cells = [(tf, d, omega0, dt) for tf in t_f_values for d in delta_values]
-    results = _run_cells(cells, _surface_cell, threads)
-    values = np.array([f for f, _ in results]).reshape(
-        t_f_values.size, delta_values.size
-    )
-    annotations = {
-        (i, j): results[i * delta_values.size + j][1]
-        for i in range(t_f_values.size)
-        for j in range(delta_values.size)
-        if results[i * delta_values.size + j][1]
-    }
-    return SweepGrid(
-        x_name="t_f*g", x_values=t_f_values, y_name="delta/g", y_values=delta_values,
-        values=values, annotations=annotations,
+    """Final fidelity of the exact-pulse detuned model over (t_f, delta).
+
+    The pulse delay and width scale with each cell's t_f. A scalar t_f or
+    delta is held fixed, giving the 1-D cut along the other axis.
+    """
+    return _run_grid(
+        _surface_cell,
+        [("t_f*g", "t_f", t_f_values), ("delta/g", "delta", delta_values)],
+        {"omega0": omega0, "tau_frac": tau_frac, "width_frac": width_frac, "dt": dt},
+        threads,
         provenance={"pulse_kind": "tqd", "omega0": omega0, "dt": dt},
     )
 
@@ -172,17 +202,19 @@ def run_robustness_scan(
     parameters: tuple[str, ...] = ROBUSTNESS_PARAMETERS,
     params: ModelParams | None = None,
     cfg: IntegratorConfig = IntegratorConfig(),
+    pulse_set: PulseSet | None = None,
 ) -> dict[str, np.ndarray]:
     """Final fidelity vs relative deviation of one parameter at a time.
 
-    The fitted pulse stays as designed; only the actual system parameter (or,
-    for "amplitude", both Gaussian amplitudes jointly) takes the deviated value.
+    The fitted pulse (default: the reference fit) stays as designed; only the
+    actual system parameter (or, for "amplitude", both Gaussian amplitudes
+    jointly) takes the deviated value.
     """
     deviations = np.asarray(deviations, dtype=float)
     if np.any(np.abs(deviations) > 0.5):
         raise ValueError("relative deviations must stay within +-0.5")
     params = params or ModelParams()
-    base_pulse = default_pulse_set(PulseKind.TQD_FITTED, params)
+    base_pulse = pulse_set or default_pulse_set(PulseKind.TQD_FITTED, params)
     out: dict[str, np.ndarray] = {"deviation": deviations}
     for name in parameters:
         if name not in ROBUSTNESS_PARAMETERS:
@@ -205,55 +237,34 @@ def run_robustness_scan(
     return out
 
 
-def _decoherence_cell(args) -> tuple[float, str]:
-    kappa, gamma, delta, t_f, dt = args
-    try:
-        params = ModelParams(delta=delta, t_f=t_f, kappa=kappa, gamma=gamma)
-        ps = default_pulse_set(PulseKind.TQD_FITTED, params)
-        cfg = IntegratorConfig(dt=dt)
-        return simulate_open(params, ps, cfg, check_positivity=False).final_fidelity, ""
-    except Exception as exc:
-        return float("nan"), f"{type(exc).__name__}: {exc}"
+def _decoherence_cell(kappa, gamma, params, pulse_set, dt) -> float:
+    params = replace(params, kappa=kappa, gamma=gamma)
+    return simulate_open(params, pulse_set, IntegratorConfig(dt=dt),
+                         check_positivity=False).final_fidelity
 
 
 def run_decoherence_surface(
     kappa_values: np.ndarray,
     gamma_values: np.ndarray,
     params: ModelParams | None = None,
-    dt: float = 0.01,
+    dt: float = SWEEP_DT,
     threads: int = 1,
+    pulse_set: PulseSet | None = None,
 ) -> SweepGrid:
-    """Open-system final fidelity over the (kappa, gamma) grid."""
+    """Open-system final fidelity over the (kappa, gamma) grid.
+
+    pulse_set defaults to the reference fitted pulse.
+    """
     params = params or ModelParams()
-    kappa_values = np.asarray(kappa_values, dtype=float)
-    gamma_values = np.asarray(gamma_values, dtype=float)
-    if kappa_values.size * gamma_values.size > GRID_CAP:
-        raise GridCapError(f"grid exceeds {GRID_CAP} cells")
-    cells = [
-        (k, g, params.delta, params.t_f, dt) for k in kappa_values for g in gamma_values
-    ]
-    results = _run_cells(cells, _decoherence_cell, threads)
-    values = np.array([f for f, _ in results]).reshape(
-        kappa_values.size, gamma_values.size
-    )
-    annotations = {
-        (i, j): results[i * gamma_values.size + j][1]
-        for i in range(kappa_values.size)
-        for j in range(gamma_values.size)
-        if results[i * gamma_values.size + j][1]
-    }
-    return SweepGrid(
-        x_name="kappa/g", x_values=kappa_values, y_name="gamma/g", y_values=gamma_values,
-        values=values, annotations=annotations,
+    pulse_set = pulse_set or default_pulse_set(PulseKind.TQD_FITTED, params)
+    return _run_grid(
+        _decoherence_cell,
+        [("kappa/g", "kappa", kappa_values), ("gamma/g", "gamma", gamma_values)],
+        {"params": params, "pulse_set": pulse_set, "dt": dt},
+        threads,
         provenance={"pulse_kind": "tqd-fitted", "delta": params.delta,
                     "t_f": params.t_f, "dt": dt},
     )
-
-
-def run_physical_benchmark(cfg: IntegratorConfig = IntegratorConfig()) -> SimResult:
-    """Open-system run at the predicted cavity-QED rates (fitted pulses)."""
-    params = ModelParams(kappa=BENCHMARK_KAPPA, gamma=BENCHMARK_GAMMA)
-    return simulate_open(params, default_pulse_set(PulseKind.TQD_FITTED, params), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +311,8 @@ def write_sweep_grid(path: Path, grid: SweepGrid):
             for i, x in enumerate(grid.x_values)
             for j, y in enumerate(grid.y_values)
         ]
-        for (i, j), note in sorted(grid.annotations.items()):
-            prov[f"cell_{i}_{j}_error"] = note
+    for idx, note in sorted(grid.annotations.items()):
+        prov[f"cell_{'_'.join(map(str, idx))}_error"] = note
     write_csv(path, header, rows, prov)
 
 

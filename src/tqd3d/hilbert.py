@@ -167,11 +167,6 @@ def embed(vec: np.ndarray, sub: HilbertSpace, full: HilbertSpace) -> np.ndarray:
     return out
 
 
-def project(vec: np.ndarray, full: HilbertSpace, sub: HilbertSpace) -> np.ndarray:
-    """Restrict a full-space vector to the sub-space amplitudes."""
-    return np.array([vec[full.index[s]] for s in sub.basis], dtype=complex)
-
-
 def subspace_indices(sub: HilbertSpace, full: HilbertSpace) -> np.ndarray:
     """Positions of the sub-space basis states inside the full space."""
     return np.array([full.index[s] for s in sub.basis])

@@ -109,19 +109,6 @@ def h_resonant(
     return assemble_hamiltonian(terms, omega_a, omega_b, g=params.g)
 
 
-def h_detuned(
-    terms: HamiltonianTerms,
-    params: ModelParams,
-    omega_a_of_t: Callable,
-    omega_b_of_t: Callable,
-    t: float,
-) -> np.ndarray:
-    """Detuned alternative-system Hamiltonian with the counterdiabatic drives."""
-    return assemble_hamiltonian(
-        terms, omega_a_of_t(t), omega_b_of_t(t), g=params.g, delta=params.delta
-    )
-
-
 def make_h_of_t(terms: HamiltonianTerms, params: ModelParams, pulse_set: PulseSet) -> Callable:
     """Callable t -> H(t) for the full model matching the pulse kind.
 

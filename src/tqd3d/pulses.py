@@ -19,6 +19,10 @@ from scipy.optimize import least_squares
 
 SQRT2 = np.sqrt(2.0)
 
+# Default Gaussian delay and width of the adiabatic pair, as fractions of t_f.
+TAU_FRAC = 0.12
+WIDTH_FRAC = 0.16
+
 
 class PulseSynthesisError(ValueError):
     """Raised when the counterdiabatic amplitude would be imaginary (sign clash)."""
@@ -43,13 +47,19 @@ class StirapParams:
 
     def __post_init__(self):
         if self.tau is None:
-            object.__setattr__(self, "tau", 0.12 * self.t_f)
+            object.__setattr__(self, "tau", TAU_FRAC * self.t_f)
         if self.width is None:
-            object.__setattr__(self, "width", 0.16 * self.t_f)
+            object.__setattr__(self, "width", WIDTH_FRAC * self.t_f)
         if self.omega0 <= 0 or self.width <= 0:
             raise ValueError("omega0 and width must be positive")
         if not 0 < self.tau < self.t_f / 2:
             raise ValueError("tau must lie in (0, t_f/2)")
+
+    @classmethod
+    def for_duration(cls, t_f: float, omega0: float, tau_frac: float,
+                     width_frac: float) -> "StirapParams":
+        """Pulse pair whose delay and width are the given fractions of t_f."""
+        return cls(omega0=omega0, t_f=t_f, tau=tau_frac * t_f, width=width_frac * t_f)
 
 
 def stirap_amplitudes(p: StirapParams, t):

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -136,3 +138,76 @@ def test_sweep_grid_cap_exit_code(tmp_path, monkeypatch, capsys):
     code = cli.main(["--out", str(tmp_path), "sweep", "--figure", "4a"])
     assert code == cli.EXIT_CAP
     assert "resource cap" in capsys.readouterr().err
+
+
+def _simulated_fidelity(out, method) -> float:
+    return read_csv(out / f"simulate_{method}_closed.csv")[1][-1, -1]
+
+
+def test_sweep_4b_honours_pulse_shape(tmp_path, monkeypatch):
+    monkeypatch.setenv("TQD3D_SURFACE_DELTA", "3.6:3.6:1")
+    monkeypatch.setenv("TQD3D_SWEEP_DT", "0.05")
+    monkeypatch.setenv("TQD3D_DT", "0.05")
+    fids = {}
+    for tau_frac in ("0.12", "0.2"):
+        monkeypatch.setenv("TQD3D_TAU_FRAC", tau_frac)
+        out = tmp_path / tau_frac
+        assert cli.main(["--out", str(out), "sweep", "--figure", "4b"]) == 0
+        fids[tau_frac] = read_csv(out / "fidelity_vs_delta.csv")[1][0, 1]
+        assert cli.main(["--out", str(out), "simulate", "--method", "tqd"]) == 0
+        # the 4b cell at the configured t_f and delta is the closed tqd run
+        assert fids[tau_frac] == _simulated_fidelity(out, "tqd")
+    assert abs(fids["0.12"] - fids["0.2"]) > 1e-3
+
+
+def test_sweep_8_honours_fitted_pulse(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("dt = 0.05\nsweep_dt = 0.05\nfit_amp1 = 0.7722\n"
+                      "robustness_dev = 0:0:1\n")
+    assert cli.main(["--config", str(config), "--out", str(tmp_path),
+                     "sweep", "--figure", "8"]) == 0
+    header, data = read_csv(tmp_path / "robustness.csv")
+    assert cli.main(["--config", str(config), "--out", str(tmp_path),
+                     "simulate", "--method", "tqd-fitted"]) == 0
+    fidelity = _simulated_fidelity(tmp_path, "tqd-fitted")
+    assert fidelity < 0.95
+    for column in range(1, len(header)):
+        assert data[0, column] == fidelity
+
+
+def test_sweep_failed_cells_exit_code(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("TQD3D_SURFACE_DELTA", "-1:3.6:2")
+    monkeypatch.setenv("TQD3D_SWEEP_DT", "0.05")
+    code = cli.main(["--out", str(tmp_path), "sweep", "--figure", "4b"])
+    assert code == cli.EXIT_INSTABILITY
+    assert "1 of 2 cells failed" in capsys.readouterr().err
+    text = (tmp_path / "fidelity_vs_delta.csv").read_text()
+    assert "# cell_0_error = PulseSynthesisError: " in text
+    data = read_csv(tmp_path / "fidelity_vs_delta.csv")[1]
+    assert np.isnan(data[0, 1])
+    assert data[1, 1] > 0.99
+
+
+def test_sweep_cell_bug_propagates(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("bug in a cell")
+
+    monkeypatch.setattr(cli.experiments, "simulate_closed", broken)
+    monkeypatch.setenv("TQD3D_SURFACE_DELTA", "3:4:2")
+    with pytest.raises(TypeError, match="bug in a cell"):
+        cli.main(["--out", str(tmp_path), "sweep", "--figure", "4b", "--threads", "1"])
+
+
+@pytest.mark.parametrize("threads", [0, (os.cpu_count() or 1) + 1])
+def test_threads_validated_before_work(tmp_path, monkeypatch, capsys, threads):
+    def no_work(*args, **kwargs):
+        raise AssertionError("sweep started despite an invalid thread count")
+
+    monkeypatch.setattr(cli.experiments, "_run_cells", no_work)
+    argv = ["--out", str(tmp_path), "sweep", "--figure", "4b"]
+    assert cli.main(argv + ["--threads", str(threads)]) == cli.EXIT_CONFIG
+    assert "--threads" in capsys.readouterr().err
+    monkeypatch.setenv("TQD3D_THREADS", str(threads))
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert cli.main(argv + ["--threads", "1"]) == cli.EXIT_CONFIG
+    assert "threads" in capsys.readouterr().err

@@ -171,3 +171,24 @@ def test_write_manifest(tmp_path):
     path = tmp_path / "manifest.txt"
     experiments.write_manifest(path, {"b": 2, "a": 1})
     assert path.read_text() == "a = 1\nb = 2\n"
+
+
+def test_write_sweep_grid_one_dimensional_annotations(tmp_path):
+    grid = SweepGrid(
+        x_name="delta/g", x_values=np.array([-1.0, 3.6]),
+        values=np.array([np.nan, 0.99]),
+        annotations={(0,): "PulseSynthesisError: boom"},
+    )
+    path = tmp_path / "cut.csv"
+    experiments.write_sweep_grid(path, grid)
+    lines = path.read_text().splitlines()
+    assert lines == ["# cell_0_error = PulseSynthesisError: boom", "delta/g,F",
+                     "-1,nan", "3.6,0.99"]
+
+
+def test_fidelity_surface_scalar_axis_gives_cut():
+    deltas = np.array([3.0, 3.6])
+    cut = experiments.run_fidelity_surface(50.0, deltas, dt=0.05)
+    surface = experiments.run_fidelity_surface(np.array([50.0]), deltas, dt=0.05)
+    assert (cut.x_name, cut.y_name) == ("delta/g", None)
+    assert np.array_equal(cut.values, surface.values[0])
