@@ -25,7 +25,7 @@ from . import experiments, pulses
 from .dynamics import IntegratorConfig, IntegratorInstabilityError
 from .experiments import GridCapError
 from .model import ModelParams
-from .pulses import FittedPulse, GaussianTerm, PulseKind, StirapParams
+from .pulses import FittedPulse, GaussianTerm, PulseKind, PulseSynthesisError, StirapParams
 
 _FIT = pulses.default_fitted_pulse().terms
 
@@ -140,6 +140,12 @@ def load_config(path: str | None) -> tuple[RunConfig, str]:
             setattr(cfg, key, _coerce(key, env))
             source_lines.append(f"{key} = {env}  # env")
     check_threads(cfg.threads, "threads")
+    try:  # physical settings are checked before any work starts
+        cfg.model_params()
+        cfg.stirap_params()
+        cfg.fitted_pulse()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return cfg, "\n".join(source_lines)
 
 
@@ -257,35 +263,28 @@ def cmd_sweep(cfg: RunConfig, cfg_text: str, out: Path, figure: str,
             omega0=cfg.omega0, tau_frac=cfg.tau_frac, width_frac=cfg.width_frac,
             dt=cfg.sweep_dt, threads=threads,
         )
+        plot = {"title": f"Final fidelity ({name})", "mode": mode}
     elif figure == "8":
-        scan = experiments.run_robustness_scan(
+        grid = experiments.run_robustness_scan(
             parse_range(cfg.robustness_dev), params=cfg.model_params(),
             cfg=IntegratorConfig(dt=cfg.sweep_dt, record_every=cfg.record_every),
-            pulse_set=cfg.pulse_set(PulseKind.TQD_FITTED),
+            pulse_set=cfg.pulse_set(PulseKind.TQD_FITTED), threads=threads,
         )
-        header = ["deviation"] + [f"F_{n}" for n in experiments.ROBUSTNESS_PARAMETERS]
-        rows = zip(scan["deviation"],
-                   *[scan[n] for n in experiments.ROBUSTNESS_PARAMETERS])
-        experiments.write_csv(out / "robustness.csv", header, rows, _provenance(cfg))
-        experiments.write_plot_script(
-            out / "robustness.gp", "robustness.csv", "Robustness to parameter deviations",
-            columns=(1, 2, 3, 4, 5),
-            labels=tuple(experiments.ROBUSTNESS_PARAMETERS),
-        )
-        _write_manifest(out, cfg_text, cfg, ["robustness.csv"])
-        return EXIT_OK
+        name = "robustness"
+        plot = {"title": "Robustness to parameter deviations", "columns": (1, 2, 3, 4, 5),
+                "labels": experiments.ROBUSTNESS_PARAMETERS}
     elif figure == "9":
         grid = experiments.run_decoherence_surface(
             parse_range(cfg.decoherence_kappa), parse_range(cfg.decoherence_gamma),
             params=cfg.model_params(), dt=cfg.sweep_dt, threads=threads,
             pulse_set=cfg.pulse_set(PulseKind.TQD_FITTED),
         )
-        name, mode = "decoherence_surface", "map"
+        name = "decoherence_surface"
+        plot = {"title": f"Final fidelity ({name})", "mode": "map"}
     else:
         raise ConfigError(f"unknown figure {figure!r}")
     experiments.write_sweep_grid(out / f"{name}.csv", grid)
-    experiments.write_plot_script(out / f"{name}.gp", f"{name}.csv",
-                                  f"Final fidelity ({name})", mode=mode)
+    experiments.write_plot_script(out / f"{name}.gp", f"{name}.csv", **plot)
     _write_manifest(out, cfg_text, cfg, [f"{name}.csv"])
     if grid.annotations:
         failed = sorted(grid.annotations.items())
@@ -352,6 +351,10 @@ def main(argv=None) -> int:
         raise AssertionError(f"unhandled command {args.command}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except PulseSynthesisError as exc:
+        print(f"config error: no counterdiabatic pulse for these settings: {exc}",
+              file=sys.stderr)
         return EXIT_CONFIG
     except IntegratorInstabilityError as exc:
         print(f"numerical instability: {exc}", file=sys.stderr)

@@ -1,7 +1,8 @@
 """Fixed-step RK4 evolution for pure states and density matrices, plus observables.
 
-Pure-state runs live on the 8-dim invariant subspace; open-system runs use the
-full 80-dim space because spontaneous emission leaves the subspace.  The
+Pure-state runs live on the 8-dim invariant subspace; open-system runs need
+more, because spontaneous emission leaves it, and use the 16 states reachable
+from |phi_1> once the collapse operators are added (model.open_space).  The
 dissipator is precomputed once as a sparse superoperator acting on the
 row-major vectorization of rho, so each right-hand side costs two dense
 matrix products plus one sparse matvec.
@@ -53,8 +54,6 @@ def target_state(space: HilbertSpace) -> np.ndarray:
     sub = hilbert.build_subspace()
     vec = np.zeros(sub.dim, dtype=complex)
     vec[[0, 6, 7]] = 1.0 / np.sqrt(3.0)
-    if space.dim == sub.dim:
-        return vec
     return hilbert.embed(vec, sub, space)
 
 

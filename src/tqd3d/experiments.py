@@ -76,18 +76,22 @@ def simulate_closed(params: ModelParams, pulse_set: PulseSet,
 def simulate_open(params: ModelParams, pulse_set: PulseSet,
                   cfg: IntegratorConfig = IntegratorConfig(),
                   check_positivity: bool = True) -> SimResult:
-    """Master-equation run on the full 80-dim space."""
-    full = hilbert.build_full_space()
+    """Master-equation run on the 16 states reachable from |phi_1> (model.open_space).
+
+    The couplings and every collapse operator keep rho inside that space, so
+    the run equals one on the full 80-dim product space.
+    """
+    space = model.open_space()
     sub = hilbert.build_subspace()
-    terms = model.hamiltonian_terms(full)
+    terms = model.hamiltonian_terms(space)
     h_of_t = model.make_h_of_t(terms, params, pulse_set)
-    channels = model.collapse_channels(params, full)
-    psi0 = _initial_state(full)
+    channels = model.collapse_channels(params, space)
+    psi0 = _initial_state(space)
     rho0 = np.outer(psi0, psi0.conj())
     return dynamics.evolve_lindblad(
         h_of_t, channels, rho0, params.t_f, cfg,
-        tracked=hilbert.subspace_indices(sub, full),
-        target=dynamics.target_state(full),
+        tracked=hilbert.subspace_indices(sub, space),
+        target=dynamics.target_state(space),
         check_positivity=check_positivity,
     )
 
@@ -118,7 +122,7 @@ def _run_grid(cell, axes, fixed: dict, threads: int, provenance: dict) -> SweepG
     given a scalar is held fixed and dropped, so a surface also yields its
     1-D cuts. Results are placed by index, whatever the thread count.
     """
-    swept = [(name, key, np.asarray(v, dtype=float)) for name, key, v in axes if np.ndim(v)]
+    swept = [(name, key, np.asarray(v)) for name, key, v in axes if np.ndim(v)]
     fixed = {**fixed, **{key: v for _, key, v in axes if not np.ndim(v)}}
     shape = tuple(values.size for _, _, values in swept)
     if math.prod(shape) > GRID_CAP:
@@ -136,6 +140,15 @@ def _run_grid(cell, axes, fixed: dict, threads: int, provenance: dict) -> SweepG
         annotations={ij: note for ij, (_, note) in zip(index, results) if note},
         provenance=provenance,
     )
+
+
+def _pulse_provenance(pulse_set: PulseSet) -> dict:
+    """Pulse kind plus, for a fitted pulse, its terms under their config-key names."""
+    info = {"pulse_kind": pulse_set.kind.value}
+    for k, term in enumerate(pulse_set.fitted.terms if pulse_set.fitted else (), start=1):
+        info.update({f"fit_amp{k}": term.amplitude, f"fit_center{k}": term.center,
+                     f"fit_width{k}": term.width})
+    return info
 
 
 def _surface_cell(t_f, delta, omega0, tau_frac, width_frac, dt) -> float:
@@ -164,7 +177,8 @@ def run_fidelity_surface(
         [("t_f*g", "t_f", t_f_values), ("delta/g", "delta", delta_values)],
         {"omega0": omega0, "tau_frac": tau_frac, "width_frac": width_frac, "dt": dt},
         threads,
-        provenance={"pulse_kind": "tqd", "omega0": omega0, "dt": dt},
+        provenance={"pulse_kind": PulseKind.TQD_EXACT.value, "omega0": omega0,
+                    "tau_frac": tau_frac, "width_frac": width_frac, "dt": dt},
     )
 
 
@@ -197,44 +211,50 @@ def run_method_comparison(
 ROBUSTNESS_PARAMETERS = ("t_f", "g", "delta", "amplitude")
 
 
+def _robustness_cell(deviation, parameter, params, pulse_set, cfg) -> float:
+    run_params, run_pulse, t_final = params, pulse_set, None
+    if parameter == "t_f":
+        t_final = params.t_f * (1 + deviation)
+    elif parameter == "g":
+        run_params = replace(params, g=params.g * (1 + deviation))
+    elif parameter == "delta":
+        run_params = replace(params, delta=params.delta * (1 + deviation))
+    elif parameter == "amplitude":
+        run_pulse = replace(pulse_set, fitted=pulse_set.fitted.scaled(1 + deviation))
+    return simulate_closed(run_params, run_pulse, cfg, t_final=t_final).final_fidelity
+
+
 def run_robustness_scan(
     deviations: np.ndarray,
     parameters: tuple[str, ...] = ROBUSTNESS_PARAMETERS,
     params: ModelParams | None = None,
     cfg: IntegratorConfig = IntegratorConfig(),
     pulse_set: PulseSet | None = None,
-) -> dict[str, np.ndarray]:
+    threads: int = 1,
+) -> SweepGrid:
     """Final fidelity vs relative deviation of one parameter at a time.
 
     The fitted pulse (default: the reference fit) stays as designed; only the
     actual system parameter (or, for "amplitude", both Gaussian amplitudes
-    jointly) takes the deviated value.
+    jointly) takes the deviated value. Rows are deviations, columns parameters.
     """
     deviations = np.asarray(deviations, dtype=float)
     if np.any(np.abs(deviations) > 0.5):
         raise ValueError("relative deviations must stay within +-0.5")
-    params = params or ModelParams()
-    base_pulse = pulse_set or default_pulse_set(PulseKind.TQD_FITTED, params)
-    out: dict[str, np.ndarray] = {"deviation": deviations}
     for name in parameters:
         if name not in ROBUSTNESS_PARAMETERS:
             raise ValueError(f"unknown robustness parameter {name!r}")
-        fids = []
-        for d in deviations:
-            run_params, run_pulse, t_final = params, base_pulse, None
-            if name == "t_f":
-                t_final = params.t_f * (1 + d)
-            elif name == "g":
-                run_params = replace(params, g=params.g * (1 + d))
-            elif name == "delta":
-                run_params = replace(params, delta=params.delta * (1 + d))
-            elif name == "amplitude":
-                run_pulse = replace(base_pulse, fitted=base_pulse.fitted.scaled(1 + d))
-            fids.append(
-                simulate_closed(run_params, run_pulse, cfg, t_final=t_final).final_fidelity
-            )
-        out[name] = np.array(fids)
-    return out
+    params = params or ModelParams()
+    pulse_set = pulse_set or default_pulse_set(PulseKind.TQD_FITTED, params)
+    return _run_grid(
+        _robustness_cell,
+        [("deviation", "deviation", deviations),
+         ("parameter", "parameter", np.array(parameters))],
+        {"params": params, "pulse_set": pulse_set, "cfg": cfg},
+        threads,
+        provenance={**_pulse_provenance(pulse_set), "delta": params.delta,
+                    "t_f": params.t_f, "dt": cfg.dt},
+    )
 
 
 def _decoherence_cell(kappa, gamma, params, pulse_set, dt) -> float:
@@ -262,7 +282,7 @@ def run_decoherence_surface(
         [("kappa/g", "kappa", kappa_values), ("gamma/g", "gamma", gamma_values)],
         {"params": params, "pulse_set": pulse_set, "dt": dt},
         threads,
-        provenance={"pulse_kind": "tqd-fitted", "delta": params.delta,
+        provenance={**_pulse_provenance(pulse_set), "delta": params.delta,
                     "t_f": params.t_f, "dt": dt},
     )
 
@@ -300,10 +320,14 @@ def write_sim_result(path: Path, result: SimResult, provenance: dict | None = No
 
 
 def write_sweep_grid(path: Path, grid: SweepGrid):
+    """One row per x; a numeric y axis is written long (x, y, F), a named one wide (F_<y>)."""
     prov = dict(grid.provenance)
     if grid.y_values is None:
         header = [grid.x_name, "F"]
         rows = [[x, f] for x, f in zip(grid.x_values, grid.values)]
+    elif grid.y_values.dtype.kind == "U":
+        header = [grid.x_name] + [f"F_{y}" for y in grid.y_values]
+        rows = [[x, *fs] for x, fs in zip(grid.x_values, grid.values)]
     else:
         header = [grid.x_name, grid.y_name, "F"]
         rows = [

@@ -4,7 +4,11 @@ Atom A has ground levels gL, g0, gR and one excited level e0.  Atom B has the
 same ground levels and two excited levels eL, eR.  Each cavity mode (left- and
 right-circular polarization) is truncated at one photon, which is exact here:
 the drives exchange at most one quantum and dissipation only removes quanta,
-so the 4*5*2*2 = 80 dimensional space is closed under the dynamics.
+so the 4*5*2*2 = 80 dimensional product space is closed under the dynamics.
+Runs use only the part of it reachable from |g0, g0, vac>: reachable_space
+closes a start state under couplings (both ways) and jumps (one way), which
+gives the 8-dim chain for the Hamiltonian alone and 16 states once the
+collapse operators are added.
 
 States are plain complex ndarrays and operators are dense complex matrices;
 the HilbertSpace object carries the basis labels and index maps.
@@ -100,6 +104,29 @@ _SUBSPACE_LABELS = (
 def build_subspace() -> HilbertSpace:
     """The 8-dimensional single-excitation-chain subspace, ordered phi_1..phi_8."""
     return HilbertSpace(_SUBSPACE_LABELS)
+
+
+def reachable_space(space: HilbertSpace, couplings, jumps, start: BasisState) -> HilbertSpace:
+    """Basis states of space reachable from start.
+
+    A nonzero entry <i|op|j> of a coupling (Hamiltonian term) links i and j
+    both ways; of a jump operator it leads from j to i only. Chain states come
+    first in phi_1..phi_8 order, then the rest in the order of space.
+    """
+    links = np.zeros((space.dim, space.dim), dtype=bool)  # links[j, i]: j leads to i
+    for op in couplings:
+        links |= (op != 0) | (op != 0).T
+    for op in jumps:
+        links |= (op != 0).T
+    seen = {space.index[start]}
+    frontier = list(seen)
+    while frontier:
+        new = set(np.flatnonzero(links[frontier].any(axis=0)).tolist()) - seen
+        seen |= new
+        frontier = list(new)
+    chain = {s: k for k, s in enumerate(_SUBSPACE_LABELS)}
+    order = sorted(seen, key=lambda i: chain.get(space.basis[i], len(chain) + i))
+    return HilbertSpace(tuple(space.basis[i] for i in order))
 
 
 def transition_operator(space: HilbertSpace, atom: str, from_level, to_level) -> np.ndarray:

@@ -3,8 +3,9 @@
 Builds the interaction-picture Hamiltonians of the two-atom bimodal-cavity
 system at three levels of description:
 
-* full (8- or 80-dim): laser drives + cavity couplings, resonant or with a
-  common detuning on all excited levels;
+* full (on any basis subset: the 8-dim chain, the 16-dim open-system space or
+  all 80 states): laser drives + cavity couplings, resonant or with a common
+  detuning on all excited levels;
 * effective Lambda (3-dim, basis |phi_1>, |Psi_d>, |psi_3>): after dropping
   the fast +-sqrt(3)g sectors;
 * two-level (basis |phi_1>, |psi_3>): after adiabatic elimination of |Psi_d>.
@@ -16,6 +17,7 @@ and its numerical cross-check from the instantaneous-eigenvector formula.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -62,8 +64,9 @@ class HamiltonianTerms:
 
 
 def hamiltonian_terms(space: HilbertSpace) -> HamiltonianTerms:
-    # Operator products pass through states outside the 8-dim subspace, so the
-    # structure matrices are always assembled in the full space and restricted.
+    # Operator products pass through states outside a subspace, so the structure
+    # matrices are always assembled in the full space and restricted by basis
+    # lookup (which also follows any reordering of the full space).
     full = hilbert.build_full_space()
     drive_a = hilbert.transition_operator(full, "A", LevelA.e0, LevelA.g0)
     drive_b = hilbert.transition_operator(
@@ -75,17 +78,14 @@ def hamiltonian_terms(space: HilbertSpace) -> HamiltonianTerms:
         cavity += a_op @ hilbert.transition_operator(full, "A", lvl_a, LevelA.e0)
         cavity += a_op @ hilbert.transition_operator(full, "B", LevelB.g0, lvl_b)
     excited = hilbert.excited_projector(full)
-    if space.dim != full.dim:
-        idx = hilbert.subspace_indices(space, full)
-        sel = np.ix_(idx, idx)
-        drive_a, drive_b = drive_a[sel], drive_b[sel]
-        cavity, excited = cavity[sel], excited[sel]
+    idx = hilbert.subspace_indices(space, full)
+    sel = np.ix_(idx, idx)
     return HamiltonianTerms(
         space=space,
-        drive_a=drive_a,
-        drive_b=drive_b,
-        cavity=cavity,
-        excited=excited,
+        drive_a=drive_a[sel],
+        drive_b=drive_b[sel],
+        cavity=cavity[sel],
+        excited=excited[sel],
     )
 
 
@@ -284,3 +284,19 @@ def collapse_channels(
                 (hilbert.transition_operator(space, "B", e_lvl, g_lvl), params.gamma / 2)
             )
     return channels
+
+
+@lru_cache(maxsize=None)
+def open_space() -> HilbertSpace:
+    """The 16 states reachable from |phi_1> under the couplings and collapse operators.
+
+    Every channel counts whatever its rate, so the space is the same for all
+    kappa and gamma (including zero).
+    """
+    full = hilbert.build_full_space()
+    terms = hamiltonian_terms(full)
+    jumps = [op for op, _ in collapse_channels(ModelParams(), full)]
+    return hilbert.reachable_space(
+        full, (terms.drive_a, terms.drive_b, terms.cavity), jumps,
+        hilbert.build_subspace().basis[0],
+    )

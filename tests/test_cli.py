@@ -211,3 +211,48 @@ def test_threads_validated_before_work(tmp_path, monkeypatch, capsys, threads):
     assert cli.main(argv) == cli.EXIT_CONFIG
     assert cli.main(argv + ["--threads", "1"]) == cli.EXIT_CONFIG
     assert "threads" in capsys.readouterr().err
+
+
+def test_sweep_8_threads_match(tmp_path, monkeypatch):
+    monkeypatch.setenv("TQD3D_ROBUSTNESS_DEV", "-0.1:0.1:3")
+    monkeypatch.setenv("TQD3D_SWEEP_DT", "0.05")
+    rows = {}
+    for threads in (1, min(2, os.cpu_count() or 1)):
+        out = tmp_path / str(threads)
+        assert cli.main(["--out", str(out), "sweep", "--figure", "8",
+                         "--threads", str(threads)]) == 0
+        lines = (out / "robustness.csv").read_text().splitlines()
+        rows[threads] = [line for line in lines if not line.startswith("#")]
+    assert rows[1][0] == "deviation,F_t_f,F_g,F_delta,F_amplitude"
+    assert len(rows[1]) == 4
+    assert len(set(map(tuple, rows.values()))) == 1
+
+
+def test_sweep_provenance_names_pulse_shape(tmp_path, monkeypatch):
+    monkeypatch.setenv("TQD3D_SWEEP_DT", "0.05")
+    monkeypatch.setenv("TQD3D_SURFACE_DELTA", "3.6:3.6:1")
+    monkeypatch.setenv("TQD3D_TAU_FRAC", "0.2")
+    assert cli.main(["--out", str(tmp_path), "sweep", "--figure", "4b"]) == 0
+    text = (tmp_path / "fidelity_vs_delta.csv").read_text()
+    assert "# tau_frac = 0.2\n" in text and "# width_frac = 0.16\n" in text
+
+    monkeypatch.setenv("TQD3D_DECOHERENCE_KAPPA", "0:0:1")
+    monkeypatch.setenv("TQD3D_DECOHERENCE_GAMMA", "0:0:1")
+    monkeypatch.setenv("TQD3D_FIT_AMP1", "0.39")
+    assert cli.main(["--out", str(tmp_path), "sweep", "--figure", "9"]) == 0
+    text = (tmp_path / "decoherence_surface.csv").read_text()
+    assert "# pulse_kind = tqd-fitted\n" in text and "# fit_amp1 = 0.39\n" in text
+
+
+@pytest.mark.parametrize("setting, argv", [
+    ("TQD3D_DELTA=-1", ["simulate", "--method", "tqd"]),
+    ("TQD3D_TAU_FRAC=0.6", ["pulses"]),
+    ("TQD3D_KAPPA=-1", ["simulate", "--open"]),
+], ids=["negative_delta", "tau_frac", "negative_kappa"])
+def test_bad_physical_setting_exit_code(tmp_path, monkeypatch, capsys, setting, argv):
+    key, _, value = setting.partition("=")
+    monkeypatch.setenv(key, value)
+    monkeypatch.setenv("TQD3D_DT", "0.05")
+    assert cli.main(["--out", str(tmp_path), *argv]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1

@@ -79,7 +79,9 @@ def test_grid_cap():
 
 def test_robustness_scan():
     devs = np.array([-0.1, 0.0, 0.1])
-    out = experiments.run_robustness_scan(devs, cfg=COARSE)
+    scan = experiments.run_robustness_scan(devs, cfg=COARSE)
+    assert scan.annotations == {}
+    out = dict(zip(scan.y_values, scan.values.T))
     baseline = experiments.simulate_closed(
         ModelParams(), experiments.default_pulse_set(PulseKind.TQD_FITTED), COARSE
     ).final_fidelity

@@ -52,6 +52,15 @@ def test_full_space_projection_consistent(
     assert np.allclose(h80[np.ix_(idx, idx)], h8)
 
 
+def test_terms_follow_basis_order(terms80, full_space, rng):
+    # A reordered 80-state space gets the canonical terms reordered the same way.
+    perm = rng.permutation(full_space.dim)
+    permuted = hilbert.HilbertSpace(tuple(full_space.basis[i] for i in perm))
+    terms = model.hamiltonian_terms(permuted)
+    for name in ("drive_a", "drive_b", "cavity", "excited"):
+        assert np.array_equal(getattr(terms, name), getattr(terms80, name)[np.ix_(perm, perm)])
+
+
 def test_detuned_diagonal_and_phase(terms8, default_pulses):
     t = 20.0
     omega_a, omega_b = pulses.tqd_amplitudes(default_pulses, 3.6, t)
