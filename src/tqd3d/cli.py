@@ -16,7 +16,7 @@ import argparse
 import hashlib
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -162,6 +162,8 @@ def parse_range(text: str) -> np.ndarray:
         values = np.linspace(float(lo), float(hi), int(n))
     except ValueError as exc:
         raise ConfigError(f"bad range {text!r}, expected min:max:count") from exc
+    if values.size < 1:
+        raise ConfigError(f"range {text!r} must have a count of at least 1")
     if values.size > 1 and not np.all(np.diff(values) > 0):
         raise ConfigError(f"range {text!r} must be strictly increasing")
     return values
@@ -253,20 +255,39 @@ _SURFACES = {  # figure: (output name, plot mode, swept t_f, swept delta)
 }
 
 
+def _checked_axis(name: str, values, build):
+    """values (an array or a scalar) once build(value) has made every cell's settings.
+
+    As in load_config, a value outside the physical domain is a config error,
+    raised before any cell runs.
+    """
+    for value in np.atleast_1d(values):
+        try:
+            build(float(value))
+        except ValueError as exc:
+            raise ConfigError(f"{name} = {value:g}: {exc}") from exc
+    return values
+
+
 def cmd_sweep(cfg: RunConfig, cfg_text: str, out: Path, figure: str,
               threads: int) -> int:
     if figure in _SURFACES:
         name, mode, sweep_tf, sweep_delta = _SURFACES[figure]
+        t_f = parse_range(cfg.surface_tf) if sweep_tf else cfg.t_f
+        delta = parse_range(cfg.surface_delta) if sweep_delta else cfg.delta
         grid = experiments.run_fidelity_surface(
-            parse_range(cfg.surface_tf) if sweep_tf else cfg.t_f,
-            parse_range(cfg.surface_delta) if sweep_delta else cfg.delta,
+            _checked_axis("t_f", t_f, lambda v: replace(cfg, t_f=v).stirap_params()),
+            _checked_axis("delta", delta,
+                          lambda v: replace(cfg, delta=v).pulse_set(PulseKind.TQD_EXACT)),
             omega0=cfg.omega0, tau_frac=cfg.tau_frac, width_frac=cfg.width_frac,
             dt=cfg.sweep_dt, threads=threads,
         )
         plot = {"title": f"Final fidelity ({name})", "mode": mode}
     elif figure == "8":
         grid = experiments.run_robustness_scan(
-            parse_range(cfg.robustness_dev), params=cfg.model_params(),
+            _checked_axis("deviation", parse_range(cfg.robustness_dev),
+                          experiments.check_deviation),
+            params=cfg.model_params(),
             cfg=IntegratorConfig(dt=cfg.sweep_dt, record_every=cfg.record_every),
             pulse_set=cfg.pulse_set(PulseKind.TQD_FITTED), threads=threads,
         )
@@ -275,7 +296,10 @@ def cmd_sweep(cfg: RunConfig, cfg_text: str, out: Path, figure: str,
                 "labels": experiments.ROBUSTNESS_PARAMETERS}
     elif figure == "9":
         grid = experiments.run_decoherence_surface(
-            parse_range(cfg.decoherence_kappa), parse_range(cfg.decoherence_gamma),
+            _checked_axis("kappa", parse_range(cfg.decoherence_kappa),
+                          lambda kappa: cfg.model_params(kappa=kappa)),
+            _checked_axis("gamma", parse_range(cfg.decoherence_gamma),
+                          lambda gamma: cfg.model_params(gamma=gamma)),
             params=cfg.model_params(), dt=cfg.sweep_dt, threads=threads,
             pulse_set=cfg.pulse_set(PulseKind.TQD_FITTED),
         )

@@ -20,6 +20,13 @@ from . import hilbert
 from .hilbert import HilbertSpace
 
 
+# Drift allowed at a recorded point before the run raises IntegratorInstabilityError.
+NORM_TOL = 1e-6  # | ||psi|| - 1 |
+TRACE_TOL = 1e-4  # | tr(rho) - 1 |
+# Most negative eigenvalue of rho recorded without a positivity warning.
+POSITIVITY_TOL = 1e-5
+
+
 class IntegratorInstabilityError(RuntimeError):
     """Norm or trace drift beyond tolerance; reduce dt."""
 
@@ -152,7 +159,6 @@ def evolve_schrodinger(
     cfg: IntegratorConfig = IntegratorConfig(),
     tracked: np.ndarray | None = None,
     target: np.ndarray | None = None,
-    norm_tol: float = 1e-6,
 ) -> SimResult:
     """Integrate i d/dt psi = H(t) psi with classic RK4.
 
@@ -167,7 +173,7 @@ def evolve_schrodinger(
         rhs=lambda h, psi: -1j * (h @ psi),
         record=lambda t, psi: _leaked_row(np.abs(psi) ** 2, tracked),
         drift=lambda psi: abs(np.linalg.norm(psi) - 1.0),
-        drift_name="norm", tol=norm_tol,
+        drift_name="norm", tol=NORM_TOL,
     )
 
 
@@ -201,14 +207,12 @@ def evolve_lindblad(
     cfg: IntegratorConfig = IntegratorConfig(),
     tracked: np.ndarray | None = None,
     target: np.ndarray | None = None,
-    trace_tol: float = 1e-4,
-    positivity_tol: float = 1e-5,
-    check_positivity: bool = True,
 ) -> SimResult:
     """Integrate the master equation with RK4, symmetrizing rho each step.
 
-    Trace drift beyond trace_tol raises; negative eigenvalues beyond
-    positivity_tol are recorded as warnings in the metadata, not fixed up.
+    Trace drift beyond TRACE_TOL raises; negative eigenvalues beyond
+    POSITIVITY_TOL at recorded points are kept as warnings in the metadata,
+    not fixed up.
     """
     rho = np.array(rho0, dtype=complex)
     dim = rho.shape[0]
@@ -229,19 +233,16 @@ def evolve_lindblad(
 
     def record(t, rho):
         nonlocal min_eigenvalue
-        if check_positivity:
-            lam_min = float(np.linalg.eigvalsh(rho)[0])
-            min_eigenvalue = min(min_eigenvalue, lam_min)
-            if lam_min < -positivity_tol:
-                warnings.append(
-                    f"eigenvalue {lam_min:.2e} < -{positivity_tol:.0e} at t={t:.4g}"
-                )
+        lam_min = float(np.linalg.eigvalsh(rho)[0])
+        min_eigenvalue = min(min_eigenvalue, lam_min)
+        if lam_min < -POSITIVITY_TOL:
+            warnings.append(f"eigenvalue {lam_min:.2e} < -{POSITIVITY_TOL:.0e} at t={t:.4g}")
         return _leaked_row(np.real(np.diag(rho)), tracked)
 
     result = _rk4(
         h_of_t, rho, t_f, cfg, target, rhs=rhs, record=record,
         drift=lambda rho: abs(np.trace(rho).real - 1.0),
-        drift_name="trace", tol=trace_tol,
+        drift_name="trace", tol=TRACE_TOL,
         post_step=lambda rho: 0.5 * (rho + rho.conj().T),
     )
     result.metadata.update(min_eigenvalue=min_eigenvalue, positivity_warnings=warnings)

@@ -1,4 +1,4 @@
-"""Scenario runners: traces, parameter sweeps, robustness and decoherence scans.
+"""Scenario runners: single runs, parameter sweeps, robustness and decoherence scans.
 
 Each runner is a pure function of its inputs and returns plain data; CSV and
 plot-script emission lives in the writer helpers at the bottom.  Sweep cells
@@ -74,8 +74,7 @@ def simulate_closed(params: ModelParams, pulse_set: PulseSet,
 
 
 def simulate_open(params: ModelParams, pulse_set: PulseSet,
-                  cfg: IntegratorConfig = IntegratorConfig(),
-                  check_positivity: bool = True) -> SimResult:
+                  cfg: IntegratorConfig = IntegratorConfig()) -> SimResult:
     """Master-equation run on the 16 states reachable from |phi_1> (model.open_space).
 
     The couplings and every collapse operator keep rho inside that space, so
@@ -92,7 +91,6 @@ def simulate_open(params: ModelParams, pulse_set: PulseSet,
         h_of_t, channels, rho0, params.t_f, cfg,
         tracked=hilbert.subspace_indices(sub, space),
         target=dynamics.target_state(space),
-        check_positivity=check_positivity,
     )
 
 
@@ -182,33 +180,13 @@ def run_fidelity_surface(
     )
 
 
-def run_population_trace(
-    params: ModelParams | None = None,
-    pulse_set: PulseSet | None = None,
-    cfg: IntegratorConfig = IntegratorConfig(),
-) -> SimResult:
-    """Populations of the eight chain states under the fitted-pulse detuned model."""
-    params = params or ModelParams()
-    pulse_set = pulse_set or default_pulse_set(PulseKind.TQD_FITTED, params)
-    return simulate_closed(params, pulse_set, cfg)
-
-
-def run_method_comparison(
-    params: ModelParams | None = None, cfg: IntegratorConfig = IntegratorConfig()
-) -> dict[str, SimResult]:
-    """Fidelity traces for adiabatic, exact-TQD and fitted-TQD driving at equal t_f."""
-    params = params or ModelParams()
-    out = {}
-    for name, kind in (
-        ("stirap", PulseKind.STIRAP),
-        ("tqd", PulseKind.TQD_EXACT),
-        ("tqd_fitted", PulseKind.TQD_FITTED),
-    ):
-        out[name] = simulate_closed(params, default_pulse_set(kind, params), cfg)
-    return out
-
-
 ROBUSTNESS_PARAMETERS = ("t_f", "g", "delta", "amplitude")
+
+
+def check_deviation(deviation: float):
+    """A relative robustness deviation must lie within +-0.5."""
+    if abs(deviation) > 0.5:
+        raise ValueError(f"relative deviation {deviation:g} outside +-0.5")
 
 
 def _robustness_cell(deviation, parameter, params, pulse_set, cfg) -> float:
@@ -226,30 +204,26 @@ def _robustness_cell(deviation, parameter, params, pulse_set, cfg) -> float:
 
 def run_robustness_scan(
     deviations: np.ndarray,
-    parameters: tuple[str, ...] = ROBUSTNESS_PARAMETERS,
     params: ModelParams | None = None,
     cfg: IntegratorConfig = IntegratorConfig(),
     pulse_set: PulseSet | None = None,
     threads: int = 1,
 ) -> SweepGrid:
-    """Final fidelity vs relative deviation of one parameter at a time.
+    """Final fidelity vs relative deviation of each ROBUSTNESS_PARAMETERS entry in turn.
 
     The fitted pulse (default: the reference fit) stays as designed; only the
     actual system parameter (or, for "amplitude", both Gaussian amplitudes
     jointly) takes the deviated value. Rows are deviations, columns parameters.
     """
     deviations = np.asarray(deviations, dtype=float)
-    if np.any(np.abs(deviations) > 0.5):
-        raise ValueError("relative deviations must stay within +-0.5")
-    for name in parameters:
-        if name not in ROBUSTNESS_PARAMETERS:
-            raise ValueError(f"unknown robustness parameter {name!r}")
+    for deviation in deviations:
+        check_deviation(deviation)
     params = params or ModelParams()
     pulse_set = pulse_set or default_pulse_set(PulseKind.TQD_FITTED, params)
     return _run_grid(
         _robustness_cell,
         [("deviation", "deviation", deviations),
-         ("parameter", "parameter", np.array(parameters))],
+         ("parameter", "parameter", np.array(ROBUSTNESS_PARAMETERS))],
         {"params": params, "pulse_set": pulse_set, "cfg": cfg},
         threads,
         provenance={**_pulse_provenance(pulse_set), "delta": params.delta,
@@ -259,8 +233,7 @@ def run_robustness_scan(
 
 def _decoherence_cell(kappa, gamma, params, pulse_set, dt) -> float:
     params = replace(params, kappa=kappa, gamma=gamma)
-    return simulate_open(params, pulse_set, IntegratorConfig(dt=dt),
-                         check_positivity=False).final_fidelity
+    return simulate_open(params, pulse_set, IntegratorConfig(dt=dt)).final_fidelity
 
 
 def run_decoherence_surface(

@@ -129,27 +129,20 @@ def reachable_space(space: HilbertSpace, couplings, jumps, start: BasisState) ->
     return HilbertSpace(tuple(space.basis[i] for i in order))
 
 
-def transition_operator(space: HilbertSpace, atom: str, from_level, to_level) -> np.ndarray:
-    """|to><from| on one atom, identity on everything else.
+def transition_operator(space: HilbertSpace, from_level, to_level) -> np.ndarray:
+    """|to><from| on the atom both levels belong to, identity on everything else.
 
-    atom is "A" or "B"; levels must belong to that atom.
+    LevelA levels act on atom A and LevelB levels on atom B.
     """
-    if atom == "A":
-        enum = LevelA
-    elif atom == "B":
-        enum = LevelB
-    else:
-        raise ValueError(f"atom must be 'A' or 'B', got {atom!r}")
-    if not isinstance(from_level, enum) or not isinstance(to_level, enum):
-        raise ValueError(f"levels {from_level}, {to_level} invalid for atom {atom}")
+    atom = {LevelA: "a", LevelB: "b"}.get(type(from_level))
+    if atom is None or type(to_level) is not type(from_level):
+        raise ValueError(f"levels {from_level}, {to_level} do not belong to one atom")
 
     op = np.zeros((space.dim, space.dim), dtype=complex)
     for j, s in enumerate(space.basis):
-        cur = s.a if atom == "A" else s.b
-        if cur is not from_level:
+        if getattr(s, atom) is not from_level:
             continue
-        dst = s._replace(a=to_level) if atom == "A" else s._replace(b=to_level)
-        i = space.index.get(dst)
+        i = space.index.get(s._replace(**{atom: to_level}))
         if i is not None:
             op[i, j] = 1.0
     return op

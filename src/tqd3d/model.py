@@ -28,6 +28,10 @@ from .pulses import SQRT2, PulseKind, PulseSet, StirapParams
 
 SQRT3 = np.sqrt(3.0)
 
+# Largest |omega_b' - i*omega_a'/sqrt(2)|, relative to max(|omega_a'|, 1), that
+# h_two_level accepts as the phase lock.
+PHASE_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -68,15 +72,15 @@ def hamiltonian_terms(space: HilbertSpace) -> HamiltonianTerms:
     # matrices are always assembled in the full space and restricted by basis
     # lookup (which also follows any reordering of the full space).
     full = hilbert.build_full_space()
-    drive_a = hilbert.transition_operator(full, "A", LevelA.e0, LevelA.g0)
+    drive_a = hilbert.transition_operator(full, LevelA.e0, LevelA.g0)
     drive_b = hilbert.transition_operator(
-        full, "B", LevelB.eL, LevelB.gL
-    ) + hilbert.transition_operator(full, "B", LevelB.eR, LevelB.gR)
+        full, LevelB.eL, LevelB.gL
+    ) + hilbert.transition_operator(full, LevelB.eR, LevelB.gR)
     cavity = np.zeros((full.dim, full.dim), dtype=complex)
     for lvl_a, lvl_b, mode in ((LevelA.gL, LevelB.eL, "L"), (LevelA.gR, LevelB.eR, "R")):
         a_op = hilbert.annihilation_operator(full, mode)
-        cavity += a_op @ hilbert.transition_operator(full, "A", lvl_a, LevelA.e0)
-        cavity += a_op @ hilbert.transition_operator(full, "B", LevelB.g0, lvl_b)
+        cavity += a_op @ hilbert.transition_operator(full, lvl_a, LevelA.e0)
+        cavity += a_op @ hilbert.transition_operator(full, LevelB.g0, lvl_b)
     excited = hilbert.excited_projector(full)
     idx = hilbert.subspace_indices(space, full)
     sel = np.ix_(idx, idx)
@@ -101,14 +105,6 @@ def assemble_hamiltonian(
     return lower + lower.conj().T + delta * terms.excited
 
 
-def h_resonant(
-    terms: HamiltonianTerms, params: ModelParams, p: StirapParams, t: float
-) -> np.ndarray:
-    """Resonant Hamiltonian with the adiabatic Gaussian pulse pair."""
-    omega_a, omega_b = pulses.stirap_amplitudes(p, t)
-    return assemble_hamiltonian(terms, omega_a, omega_b, g=params.g)
-
-
 def make_h_of_t(terms: HamiltonianTerms, params: ModelParams, pulse_set: PulseSet) -> Callable:
     """Callable t -> H(t) for the full model matching the pulse kind.
 
@@ -125,7 +121,7 @@ def make_h_of_t(terms: HamiltonianTerms, params: ModelParams, pulse_set: PulseSe
     return h_of_t
 
 
-def symmetric_vectors(sub: HilbertSpace) -> dict[str, np.ndarray]:
+def symmetric_vectors() -> dict[str, np.ndarray]:
     """Even/odd combinations of the degenerate L/R pairs (8-dim vectors)."""
     e = np.eye(8, dtype=complex)
     out = {
@@ -139,10 +135,10 @@ def symmetric_vectors(sub: HilbertSpace) -> dict[str, np.ndarray]:
     return out
 
 
-def bright_dark_vectors(sub: HilbertSpace) -> dict[str, np.ndarray]:
+def bright_dark_vectors() -> dict[str, np.ndarray]:
     """Dark and bright combinations of |phi_2> and |psi_2> with |psi_1| (8-dim)."""
     e = np.eye(8, dtype=complex)
-    sym = symmetric_vectors(sub)
+    sym = symmetric_vectors()
     dark = (e[1] - SQRT2 * sym["psi2"]) / SQRT3
     plus = (SQRT2 * e[1] + SQRT3 * sym["psi1"] + sym["psi2"]) / np.sqrt(6.0)
     minus = (SQRT2 * e[1] - SQRT3 * sym["psi1"] + sym["psi2"]) / np.sqrt(6.0)
@@ -169,9 +165,7 @@ def h_effective_detuned(
     return h
 
 
-def h_two_level(
-    omega_a_prime: complex, omega_b_prime: complex, delta: float, phase_tol: float = 1e-9
-) -> np.ndarray:
+def h_two_level(omega_a_prime: complex, omega_b_prime: complex, delta: float) -> np.ndarray:
     """2-dim Hamiltonian on (|phi_1>, |psi_3>) after eliminating |Psi_d>.
 
     Requires the phase lock omega_b' = i*omega_a'/sqrt(2), which makes both
@@ -180,7 +174,7 @@ def h_two_level(
     """
     expected_b = 1j * omega_a_prime / SQRT2
     scale = max(abs(omega_a_prime), 1.0)
-    if abs(omega_b_prime - expected_b) > phase_tol * scale:
+    if abs(omega_b_prime - expected_b) > PHASE_TOL * scale:
         raise ValueError(
             "amplitudes violate the phase lock omega_b' = i*omega_a'/sqrt(2)"
         )
@@ -276,12 +270,12 @@ def collapse_channels(
     ]
     for g_lvl in hilbert.GROUND_A:
         channels.append(
-            (hilbert.transition_operator(space, "A", LevelA.e0, g_lvl), params.gamma / 2)
+            (hilbert.transition_operator(space, LevelA.e0, g_lvl), params.gamma / 2)
         )
     for e_lvl in hilbert.EXCITED_B:
         for g_lvl in hilbert.GROUND_B:
             channels.append(
-                (hilbert.transition_operator(space, "B", e_lvl, g_lvl), params.gamma / 2)
+                (hilbert.transition_operator(space, e_lvl, g_lvl), params.gamma / 2)
             )
     return channels
 

@@ -23,6 +23,14 @@ SQRT2 = np.sqrt(2.0)
 TAU_FRAC = 0.12
 WIDTH_FRAC = 0.16
 
+# Largest delta*theta_dot that tqd_amplitudes treats as zero rather than a sign clash.
+SIGN_TOL = 1e-12
+
+# Levenberg-Marquardt limits of fit_two_gaussians: evaluations per fitted
+# parameter and the gradient tolerance.
+FIT_MAX_ITER = 500
+FIT_GRADIENT_TOL = 1e-10
+
 
 class PulseSynthesisError(ValueError):
     """Raised when the counterdiabatic amplitude would be imaginary (sign clash)."""
@@ -112,7 +120,7 @@ def mixing_angle_rate(p: StirapParams, t):
     return SQRT2 * (omega_a * domega_b - domega_a * omega_b) / norm_sq
 
 
-def tqd_amplitudes(p: StirapParams, delta: float, t, sign_tol: float = 1e-12):
+def tqd_amplitudes(p: StirapParams, delta: float, t):
     """Counterdiabatic drive amplitudes (Omega_A', Omega_B') on the detuned system.
 
     The two-level reduction ties the drive to the mixing-angle rate through
@@ -122,7 +130,7 @@ def tqd_amplitudes(p: StirapParams, delta: float, t, sign_tol: float = 1e-12):
     """
     theta_dot = mixing_angle_rate(p, t)
     product = delta * np.asarray(theta_dot)
-    if np.any(product > sign_tol):
+    if np.any(product > SIGN_TOL):
         t_arr = np.broadcast_to(np.asarray(t, dtype=float), product.shape)
         bad = float(np.atleast_1d(t_arr)[np.argmax(np.atleast_1d(product))])
         raise PulseSynthesisError(
@@ -179,12 +187,7 @@ def default_fitted_pulse() -> FittedPulse:
     )
 
 
-def fit_two_gaussians(
-    times: np.ndarray,
-    values: np.ndarray,
-    max_iter: int = 500,
-    gradient_tol: float = 1e-10,
-) -> tuple[FittedPulse, float]:
+def fit_two_gaussians(times: np.ndarray, values: np.ndarray) -> tuple[FittedPulse, float]:
     """Least-squares fit of two Gaussians to sampled data.
 
     Deterministic Levenberg-Marquardt start: both centers at mid-span, widths
@@ -208,7 +211,7 @@ def fit_two_gaussians(
         return model(x, times) - values
 
     result = least_squares(
-        residual, x0, method="lm", max_nfev=max_iter * len(x0), gtol=gradient_tol,
+        residual, x0, method="lm", max_nfev=FIT_MAX_ITER * len(x0), gtol=FIT_GRADIENT_TOL,
         xtol=1e-14, ftol=1e-14,
     )
     rms = float(np.sqrt(np.mean(result.fun**2)))
@@ -240,7 +243,6 @@ class PulseSet:
     stirap: StirapParams
     delta: float = 0.0
     fitted: FittedPulse | None = None
-    amplitude_scale: float = 1.0
 
     def __post_init__(self):
         if self.kind is not PulseKind.STIRAP and self.delta == 0.0:
@@ -256,7 +258,7 @@ class PulseSet:
         else:
             omega_b = self.fitted(t)
             omega_a = -1j * SQRT2 * omega_b
-        return self.amplitude_scale * omega_a, self.amplitude_scale * omega_b
+        return omega_a, omega_b
 
 
 def sample_grid(t_f: float, n: int = 1001) -> np.ndarray:

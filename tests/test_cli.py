@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -254,5 +255,38 @@ def test_bad_physical_setting_exit_code(tmp_path, monkeypatch, capsys, setting, 
     monkeypatch.setenv(key, value)
     monkeypatch.setenv("TQD3D_DT", "0.05")
     assert cli.main(["--out", str(tmp_path), *argv]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+def test_verify_writes_report(tmp_path, monkeypatch, capsys):
+    from tqd3d import verify
+
+    monkeypatch.setattr(verify, "CRITERIA", (verify.check_boundary_conditions,
+                                             verify.check_oracle_equivalence))
+    assert cli.main(["--out", str(tmp_path), "verify"]) == cli.EXIT_OK
+    assert capsys.readouterr().out.count("PASS ") == 2
+    report = json.loads((tmp_path / "verify_report.json").read_text())
+    assert report["passed"] is True
+    assert [c["passed"] for c in report["criteria"]] == [True, True]
+
+
+@pytest.mark.parametrize("setting, figure", [
+    ("TQD3D_ROBUSTNESS_DEV=-0.6:0.1:3", "8"),
+    ("TQD3D_DECOHERENCE_KAPPA=-0.1:0:2", "9"),
+    ("TQD3D_SURFACE_DELTA=-1:1:3", "4b"),
+    ("TQD3D_SURFACE_TF=-10:50:2", "4c"),
+    ("TQD3D_SURFACE_DELTA=0.5:10:0", "4b"),
+    ("TQD3D_DELTA=0", "4c"),
+], ids=["deviation", "negative_kappa", "zero_delta", "negative_tf", "empty_range",
+        "fixed_zero_delta"])
+def test_sweep_axis_outside_domain_exit_code(tmp_path, monkeypatch, capsys, setting, figure):
+    def no_work(*args, **kwargs):
+        raise AssertionError("sweep started despite an invalid axis value")
+
+    monkeypatch.setattr(cli.experiments, "_run_cells", no_work)
+    key, _, value = setting.partition("=")
+    monkeypatch.setenv(key, value)
+    assert cli.main(["--out", str(tmp_path), "sweep", "--figure", figure]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1

@@ -120,21 +120,21 @@ def test_lindblad_invalid_rho0():
         )
 
 
-def test_lindblad_hermiticity_and_positivity_metadata(full_space, subspace, terms80,
-                                                      default_pulses):
+def test_lindblad_hermiticity_and_positivity_metadata(subspace, default_pulses):
     params = ModelParams(kappa=0.02, gamma=0.04)
+    space = model.open_space()
     ps = pulses.PulseSet(
         PulseKind.TQD_FITTED, default_pulses, delta=3.6,
         fitted=pulses.default_fitted_pulse(),
     )
-    h_of_t = model.make_h_of_t(terms80, params, ps)
-    psi0 = full_space.ket(subspace.basis[0])
+    h_of_t = model.make_h_of_t(model.hamiltonian_terms(space), params, ps)
+    psi0 = space.ket(subspace.basis[0])
     result = dynamics.evolve_lindblad(
-        h_of_t, model.collapse_channels(params, full_space),
+        h_of_t, model.collapse_channels(params, space),
         np.outer(psi0, psi0.conj()), 50.0,
         IntegratorConfig(dt=0.01, record_every=500),
-        tracked=hilbert.subspace_indices(subspace, full_space),
-        target=dynamics.target_state(full_space),
+        tracked=hilbert.subspace_indices(subspace, space),
+        target=dynamics.target_state(space),
     )
     rho = result.final_state
     assert hilbert.max_nonhermiticity(rho) < 1e-9
@@ -144,21 +144,23 @@ def test_lindblad_hermiticity_and_positivity_metadata(full_space, subspace, term
     assert 0.9 < result.final_fidelity < 1.0
 
 
-def test_excitation_decay_monotone_without_pulses(full_space, subspace, terms80):
+def test_excitation_decay_monotone_without_pulses(subspace):
     # pulses off: coherent part conserves excitation number, dissipation removes it
     params = ModelParams(kappa=0.05, gamma=0.05)
-    h_of_t = lambda t: model.assemble_hamiltonian(terms80, 0.0, 0.0, g=1.0, delta=3.6)
-    psi0 = full_space.ket(subspace.basis[2])  # one photon present
-    number = hilbert.excited_projector(full_space)
+    space = model.open_space()
+    terms = model.hamiltonian_terms(space)
+    h_of_t = lambda t: model.assemble_hamiltonian(terms, 0.0, 0.0, g=1.0, delta=3.6)
+    psi0 = space.ket(subspace.basis[2])  # one photon present
+    number = hilbert.excited_projector(space)
     for mode in ("L", "R"):
-        a = hilbert.annihilation_operator(full_space, mode)
+        a = hilbert.annihilation_operator(space, mode)
         number = number + a.conj().T @ a
     result = dynamics.evolve_lindblad(
-        h_of_t, model.collapse_channels(params, full_space),
+        h_of_t, model.collapse_channels(params, space),
         np.outer(psi0, psi0.conj()), 30.0,
         IntegratorConfig(dt=0.01, record_every=100),
         tracked=np.flatnonzero(np.diag(number).real > 0.5),
-        target=dynamics.target_state(full_space),
+        target=dynamics.target_state(space),
     )
     excited_pop = result.populations[:, :-1].sum(axis=1)
     assert np.all(np.diff(excited_pop) <= 1e-10)
@@ -183,7 +185,7 @@ def test_target_state(subspace):
     assert pops[6] == pytest.approx(1 / 3)
     assert pops[7] == pytest.approx(1 / 3)
     # equivalent form via the symmetric vector psi_3
-    sym = model.symmetric_vectors(subspace)
+    sym = model.symmetric_vectors()
     e = np.eye(8)
     alt = (e[0] + math.sqrt(2.0) * sym["psi3"]) / math.sqrt(3.0)
     assert dynamics.fidelity(alt.astype(complex), target) == pytest.approx(1.0)

@@ -12,12 +12,18 @@ COARSE = IntegratorConfig(dt=0.01)
 
 @pytest.fixture(scope="module")
 def comparison():
-    return experiments.run_method_comparison(cfg=COARSE)
+    kinds = {"stirap": PulseKind.STIRAP, "tqd": PulseKind.TQD_EXACT,
+             "tqd_fitted": PulseKind.TQD_FITTED}
+    return {
+        name: experiments.simulate_closed(
+            ModelParams(), experiments.default_pulse_set(kind), COARSE)
+        for name, kind in kinds.items()
+    }
 
 
 @pytest.fixture(scope="module")
-def trace():
-    return experiments.run_population_trace(cfg=COARSE)
+def trace(comparison):
+    return comparison["tqd_fitted"]
 
 
 def test_population_trace_boundaries(trace):
@@ -98,8 +104,6 @@ def test_robustness_scan():
 def test_robustness_validation():
     with pytest.raises(ValueError):
         experiments.run_robustness_scan(np.array([0.6]))
-    with pytest.raises(ValueError):
-        experiments.run_robustness_scan(np.array([0.0]), parameters=("bogus",))
 
 
 def test_decoherence_surface_small_grid():

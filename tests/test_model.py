@@ -5,7 +5,7 @@ import pytest
 
 from tqd3d import dynamics, hilbert, model, pulses
 from tqd3d.model import ModelParams
-from tqd3d.pulses import StirapParams
+from tqd3d.pulses import PulseKind, PulseSet, StirapParams
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -21,16 +21,21 @@ def reference_subspace_matrix(omega_a, omega_b, g=1.0):
     return h + h.conj().T
 
 
+def h_stirap(terms, params, p):
+    """t -> H(t) of the resonant model under the adiabatic Gaussian pair."""
+    return model.make_h_of_t(terms, params, PulseSet(PulseKind.STIRAP, p))
+
+
 def test_resonant_matches_reference(terms8, default_params, default_pulses):
     for t in (0.0, 12.5, 23.1, 40.0):
         omega_a, omega_b = pulses.stirap_amplitudes(default_pulses, t)
-        got = model.h_resonant(terms8, default_params, default_pulses, t)
+        got = h_stirap(terms8, default_params, default_pulses)(t)
         assert np.allclose(got, reference_subspace_matrix(omega_a, omega_b), atol=1e-15)
 
 
 def test_resonant_couplings(terms8, default_params, default_pulses):
     t = 23.1
-    h = model.h_resonant(terms8, default_params, default_pulses, t)
+    h = h_stirap(terms8, default_params, default_pulses)(t)
     omega_a, _ = pulses.stirap_amplitudes(default_pulses, t)
     assert h[1, 2] == pytest.approx(1.0)  # g coupling phi_2 <-> phi_3
     assert h[1, 3] == pytest.approx(1.0)
@@ -47,8 +52,8 @@ def test_full_space_projection_consistent(
 ):
     t = 17.3
     idx = hilbert.subspace_indices(subspace, full_space)
-    h80 = model.h_resonant(terms80, default_params, default_pulses, t)
-    h8 = model.h_resonant(terms8, default_params, default_pulses, t)
+    h80 = h_stirap(terms80, default_params, default_pulses)(t)
+    h8 = h_stirap(terms8, default_params, default_pulses)(t)
     assert np.allclose(h80[np.ix_(idx, idx)], h8)
 
 
@@ -82,16 +87,16 @@ def test_detuned_hermitian_random_times(terms80, default_pulses, rng):
         assert hilbert.max_nonhermiticity(h) < 1e-12
 
 
-def test_symmetric_vectors(subspace):
-    sym = model.symmetric_vectors(subspace)
+def test_symmetric_vectors():
+    sym = model.symmetric_vectors()
     e = np.eye(8)
     assert np.allclose(sym["psi3"], (e[6] + e[7]) / SQRT2)
     assert np.allclose(sym["psi1_minus"], (e[2] - e[3]) / SQRT2)
 
 
-def test_bright_dark_vectors(subspace):
-    vecs = model.bright_dark_vectors(subspace)
-    sym = model.symmetric_vectors(subspace)
+def test_bright_dark_vectors():
+    vecs = model.bright_dark_vectors()
+    sym = model.symmetric_vectors()
     e = np.eye(8)
     assert np.allclose(vecs["dark"], (e[1] - SQRT2 * sym["psi2"]) / SQRT3)
     for a in ("dark", "plus", "minus"):
@@ -100,21 +105,21 @@ def test_bright_dark_vectors(subspace):
     assert abs(np.vdot(vecs["dark"], vecs["minus"])) < 1e-14
 
 
-def test_odd_sector_decoupled(terms8, default_params, default_pulses, subspace):
-    sym = model.symmetric_vectors(subspace)
+def test_odd_sector_decoupled(terms8, default_params, default_pulses):
+    sym = model.symmetric_vectors()
     e = np.eye(8)
     even = [e[0], e[1], sym["psi1"], sym["psi2"], sym["psi3"]]
     odd = [sym["psi1_minus"], sym["psi2_minus"], sym["psi3_minus"]]
     for t in (0.0, 10.0, 25.0, 42.0):
-        h = model.h_resonant(terms8, default_params, default_pulses, t)
+        h = h_stirap(terms8, default_params, default_pulses)(t)
         for o in odd:
             for v in even:
                 assert abs(np.vdot(o, h @ v)) < 1e-14
 
 
-def test_bright_sector_block(terms8, default_params, default_pulses, subspace):
+def test_bright_sector_block(terms8, default_params, default_pulses):
     # conjugating by the dark/bright frame exposes the +-sqrt(3)g static block
-    vecs = model.bright_dark_vectors(subspace)
+    vecs = model.bright_dark_vectors()
     h = model.assemble_hamiltonian(terms8, 0.0, 0.0, g=1.0)
     assert np.vdot(vecs["plus"], h @ vecs["plus"]) == pytest.approx(SQRT3)
     assert np.vdot(vecs["minus"], h @ vecs["minus"]) == pytest.approx(-SQRT3)
@@ -259,7 +264,7 @@ def test_subspace_closure(terms80, subspace, full_space, default_params, default
     for t in rng.uniform(0.0, 50.0, 200):
         omega_a, omega_b = pulses.tqd_amplitudes(default_pulses, 3.6, t)
         for h in (
-            model.h_resonant(terms80, default_params, default_pulses, t),
+            h_stirap(terms80, default_params, default_pulses)(t),
             model.assemble_hamiltonian(terms80, complex(omega_a), complex(omega_b),
                                        g=1.0, delta=3.6),
         ):
