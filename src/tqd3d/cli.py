@@ -7,7 +7,8 @@ g.  Configuration comes from an optional flat key=value file, overridable by
 TQD3D_<KEY> environment variables.
 
 Exit codes: 0 success, 1 verification failure, 2 config error,
-3 numerical instability (also: failed sweep cells), 4 resource cap exceeded.
+3 numerical instability (also: failed sweep cells), 4 resource cap exceeded,
+5 i/o error.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ EXIT_VERIFY = 1
 EXIT_CONFIG = 2
 EXIT_INSTABILITY = 3
 EXIT_CAP = 4
+EXIT_IO = 5
 
 
 class ConfigError(ValueError):
@@ -92,8 +94,11 @@ class RunConfig:
 
     def pulse_set(self, kind: PulseKind):
         fitted = self.fitted_pulse() if kind is PulseKind.TQD_FITTED else None
-        return pulses.PulseSet(kind=kind, stirap=self.stirap_params(),
-                               delta=self.delta, fitted=fitted)
+        try:  # e.g. a TQD kind at zero detuning
+            return pulses.PulseSet(kind=kind, stirap=self.stirap_params(),
+                                   delta=self.delta, fitted=fitted)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
@@ -388,7 +393,7 @@ def main(argv=None) -> int:
         return EXIT_CAP
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return EXIT_IO
 
 
 if __name__ == "__main__":

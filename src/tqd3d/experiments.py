@@ -2,8 +2,10 @@
 
 Each runner is a pure function of its inputs and returns plain data; CSV and
 plot-script emission lives in the writer helpers at the bottom.  Sweep cells
-are independent work items executed (optionally in parallel) with results
-placed by index, so re-running a scan reproduces the output byte for byte.
+are independent work items with results placed by index.  Closed cells that
+share a step schedule run as one batch, whose cells each get the same numbers
+as in any other batch, so re-running a scan (with any thread count)
+reproduces the output byte for byte.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -25,6 +28,7 @@ from .pulses import (
 
 GRID_CAP = 200 * 200
 SWEEP_DT = 0.01  # coarser step for sweep cells, which keep only the final fidelity
+BATCH_CELLS = 64  # most closed cells integrated as one batch
 
 # Cavity-QED rate predictions used for the physical benchmark, as fractions of g
 # (g, gamma, kappa) = 2*pi*(750, 3.5, 2.62) MHz.
@@ -94,27 +98,76 @@ def simulate_open(params: ModelParams, pulse_set: PulseSet,
     )
 
 
-def _guarded_cell(task) -> tuple[float, str]:
-    """Run one sweep cell; an expected numerical failure becomes an annotated NaN.
+def simulate_closed_batch(cells: Sequence[tuple[ModelParams, PulseSet]], t_final: float,
+                          cfg: IntegratorConfig = IntegratorConfig()) -> list[tuple[float, str]]:
+    """Final fidelity and failure note of each (params, pulse_set) closed run to t_final.
 
-    Any other exception is a bug and propagates.
+    The cells share the step schedule, so they run as one batch on the 8-dim
+    subspace. A cell whose pulse synthesis fails or whose norm drifts beyond
+    dynamics.NORM_TOL gets NaN and the note simulate_closed's exception would
+    give; the other cells run on unaffected. Healthy cells get an empty note.
     """
-    cell, kwargs = task
-    try:
-        return cell(**kwargs), ""
-    except (IntegratorInstabilityError, PulseSynthesisError) as exc:
-        return float("nan"), f"{type(exc).__name__}: {exc}"
+    sub = hilbert.build_subspace()
+    drives = model.CellDrives(model.hamiltonian_terms(sub), cells)
+    psi0 = np.tile(_initial_state(sub), (len(drives.cells), 1))
+    result = dynamics.evolve_schrodinger(drives, psi0, t_final, cfg,
+                                         target=dynamics.target_state(sub))
+    # A cell that drifted became NaN before it could meet a later pulse failure.
+    errors = {**drives.errors, **result.metadata["failures"]}
+    return [(float("nan"), _note(errors[b])) if b in errors else (float(f), "")
+            for b, f in enumerate(result.fidelity[-1])]
 
 
-def _run_cells(cells, threads: int):
+def _note(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _run_closed(cells) -> list[tuple[float, str]]:
+    """(F, note) of each closed cell (params, pulse_set, t_final, cfg), by index.
+
+    Cells with the same t_final and cfg (so the same step schedule) run in
+    batches of up to BATCH_CELLS through simulate_closed_batch.
+    """
+    schedules: dict = {}
+    for i, (_, _, t_final, cfg) in enumerate(cells):
+        schedules.setdefault((t_final, cfg), []).append(i)
+    results = [None] * len(cells)
+    for (t_final, cfg), members in schedules.items():
+        for first in range(0, len(members), BATCH_CELLS):
+            batch = members[first:first + BATCH_CELLS]
+            outcomes = simulate_closed_batch([cells[i][:2] for i in batch], t_final, cfg)
+            for i, outcome in zip(batch, outcomes):
+                results[i] = outcome
+    return results
+
+
+def _run_open(cells) -> list[tuple[float, str]]:
+    """(F, note) of open cells (params, pulse_set, cfg), one simulate_open run each.
+
+    An expected numerical failure becomes an annotated NaN; any other
+    exception is a bug and propagates.
+    """
+    results = []
+    for params, pulse_set, cfg in cells:
+        try:
+            results.append((simulate_open(params, pulse_set, cfg).final_fidelity, ""))
+        except (IntegratorInstabilityError, PulseSynthesisError) as exc:
+            results.append((float("nan"), _note(exc)))
+    return results
+
+
+def _run_cells(run, cells: list, threads: int) -> list[tuple[float, str]]:
+    """run(cells), split into contiguous chunks over worker processes when threads > 1."""
     if threads > 1:
+        size = -(-len(cells) // threads)
+        chunks = [cells[i:i + size] for i in range(0, len(cells), size)]
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(_guarded_cell, cells))
-    return [_guarded_cell(c) for c in cells]
+            return [result for chunk in pool.map(run, chunks) for result in chunk]
+    return run(cells)
 
 
-def _run_grid(cell, axes, fixed: dict, threads: int, provenance: dict) -> SweepGrid:
-    """Final fidelity cell(**fixed, **point) over the product of the swept axes.
+def _run_grid(cell, run, axes, fixed: dict, threads: int, provenance: dict) -> SweepGrid:
+    """Final fidelities run(cells) of the cells cell(**fixed, **point) over the swept axes.
 
     axes are (column name, cell keyword, values), outermost first. An axis
     given a scalar is held fixed and dropped, so a surface also yields its
@@ -127,7 +180,7 @@ def _run_grid(cell, axes, fixed: dict, threads: int, provenance: dict) -> SweepG
         raise GridCapError(f"grid exceeds {GRID_CAP} cells")
     keys = [key for _, key, _ in swept]
     points = itertools.product(*(values for _, _, values in swept))
-    results = _run_cells([(cell, {**fixed, **dict(zip(keys, pt))}) for pt in points],
+    results = _run_cells(run, [cell(**fixed, **dict(zip(keys, pt))) for pt in points],
                          threads)
     index = itertools.product(*(range(n) for n in shape))
     (x_name, _, x_values), *rest = swept
@@ -149,11 +202,11 @@ def _pulse_provenance(pulse_set: PulseSet) -> dict:
     return info
 
 
-def _surface_cell(t_f, delta, omega0, tau_frac, width_frac, dt) -> float:
+def _surface_cell(t_f, delta, omega0, tau_frac, width_frac, dt):
     params = ModelParams(delta=delta, t_f=t_f)
     stirap = StirapParams.for_duration(t_f, omega0, tau_frac, width_frac)
     ps = PulseSet(PulseKind.TQD_EXACT, stirap, delta=delta)
-    return simulate_closed(params, ps, IntegratorConfig(dt=dt)).final_fidelity
+    return params, ps, t_f, IntegratorConfig(dt=dt)
 
 
 def run_fidelity_surface(
@@ -171,7 +224,7 @@ def run_fidelity_surface(
     delta is held fixed, giving the 1-D cut along the other axis.
     """
     return _run_grid(
-        _surface_cell,
+        _surface_cell, _run_closed,
         [("t_f*g", "t_f", t_f_values), ("delta/g", "delta", delta_values)],
         {"omega0": omega0, "tau_frac": tau_frac, "width_frac": width_frac, "dt": dt},
         threads,
@@ -189,8 +242,8 @@ def check_deviation(deviation: float):
         raise ValueError(f"relative deviation {deviation:g} outside +-0.5")
 
 
-def _robustness_cell(deviation, parameter, params, pulse_set, cfg) -> float:
-    run_params, run_pulse, t_final = params, pulse_set, None
+def _robustness_cell(deviation, parameter, params, pulse_set, cfg):
+    run_params, run_pulse, t_final = params, pulse_set, params.t_f
     if parameter == "t_f":
         t_final = params.t_f * (1 + deviation)
     elif parameter == "g":
@@ -199,7 +252,7 @@ def _robustness_cell(deviation, parameter, params, pulse_set, cfg) -> float:
         run_params = replace(params, delta=params.delta * (1 + deviation))
     elif parameter == "amplitude":
         run_pulse = replace(pulse_set, fitted=pulse_set.fitted.scaled(1 + deviation))
-    return simulate_closed(run_params, run_pulse, cfg, t_final=t_final).final_fidelity
+    return run_params, run_pulse, t_final, cfg
 
 
 def run_robustness_scan(
@@ -221,7 +274,7 @@ def run_robustness_scan(
     params = params or ModelParams()
     pulse_set = pulse_set or default_pulse_set(PulseKind.TQD_FITTED, params)
     return _run_grid(
-        _robustness_cell,
+        _robustness_cell, _run_closed,
         [("deviation", "deviation", deviations),
          ("parameter", "parameter", np.array(ROBUSTNESS_PARAMETERS))],
         {"params": params, "pulse_set": pulse_set, "cfg": cfg},
@@ -231,9 +284,8 @@ def run_robustness_scan(
     )
 
 
-def _decoherence_cell(kappa, gamma, params, pulse_set, dt) -> float:
-    params = replace(params, kappa=kappa, gamma=gamma)
-    return simulate_open(params, pulse_set, IntegratorConfig(dt=dt)).final_fidelity
+def _decoherence_cell(kappa, gamma, params, pulse_set, dt):
+    return replace(params, kappa=kappa, gamma=gamma), pulse_set, IntegratorConfig(dt=dt)
 
 
 def run_decoherence_surface(
@@ -251,7 +303,7 @@ def run_decoherence_surface(
     params = params or ModelParams()
     pulse_set = pulse_set or default_pulse_set(PulseKind.TQD_FITTED, params)
     return _run_grid(
-        _decoherence_cell,
+        _decoherence_cell, _run_open,
         [("kappa/g", "kappa", kappa_values), ("gamma/g", "gamma", gamma_values)],
         {"params": params, "pulse_set": pulse_set, "dt": dt},
         threads,

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import hilbert, pulses
 from .hilbert import HilbertSpace, LevelA, LevelB
-from .pulses import SQRT2, PulseKind, PulseSet, StirapParams
+from .pulses import SQRT2, PulseKind, PulseSet, PulseSynthesisError, StirapParams
 
 SQRT3 = np.sqrt(3.0)
 
@@ -110,7 +110,7 @@ def make_h_of_t(terms: HamiltonianTerms, params: ModelParams, pulse_set: PulseSe
 
     STIRAP pulses get the resonant Hamiltonian; TQD pulses get the detuned one.
     """
-    detuning = 0.0 if pulse_set.kind is PulseKind.STIRAP else params.delta
+    detuning = _detuning(params, pulse_set)
 
     def h_of_t(t):
         omega_a, omega_b = pulse_set.amplitudes(t)
@@ -119,6 +119,63 @@ def make_h_of_t(terms: HamiltonianTerms, params: ModelParams, pulse_set: PulseSe
         )
 
     return h_of_t
+
+
+class CellDrives:
+    """Time-dependent coefficients of a batch of cells on one space.
+
+    Cell b evolves under H_b(t) = sum_k c[t, b, k] * operators[k], the terms
+    of assemble_hamiltonian split into drive_a, drive_a+, drive_b, drive_b+,
+    cavity + cavity+ and the excited projector, with coefficients omega_a,
+    conj(omega_a), omega_b, conj(omega_b), g and the detuning of make_h_of_t.
+    A call evaluates each cell's pulses at all the given times at once
+    (dynamics.evolve_schrodinger runs the batch). A cell whose pulse synthesis
+    fails gets NaN coefficients from the first failing time on, and its
+    PulseSynthesisError is kept in `errors`.
+    """
+
+    def __init__(self, terms: HamiltonianTerms,
+                 cells: Sequence[tuple[ModelParams, PulseSet]]):
+        self.operators = np.stack([
+            terms.drive_a, terms.drive_a.conj().T, terms.drive_b, terms.drive_b.conj().T,
+            terms.cavity + terms.cavity.conj().T, terms.excited,
+        ])
+        self.cells = list(cells)
+        self.errors: dict[int, PulseSynthesisError] = {}
+
+    def __call__(self, times: np.ndarray) -> np.ndarray:
+        out = np.full((len(times), len(self.cells), len(self.operators)), np.nan,
+                      dtype=complex)
+        for b, (params, pulse_set) in enumerate(self.cells):
+            if b in self.errors:
+                continue
+            try:
+                omega_a, omega_b = pulse_set.amplitudes(times)
+            except PulseSynthesisError as exc:
+                self.errors[b] = exc
+                omega_a, omega_b = pulse_set.amplitudes(
+                    times[:_synthesizable_prefix(pulse_set, times)])
+            c = out[:len(omega_b), b]
+            c[:, 0], c[:, 1] = omega_a, np.conj(omega_a)
+            c[:, 2], c[:, 3] = omega_b, np.conj(omega_b)
+            c[:, 4] = params.g
+            c[:, 5] = _detuning(params, pulse_set)
+        return out
+
+
+def _detuning(params: ModelParams, pulse_set: PulseSet) -> float:
+    """STIRAP pulses drive the resonant model; TQD pulses the detuned one."""
+    return 0.0 if pulse_set.kind is PulseKind.STIRAP else params.delta
+
+
+def _synthesizable_prefix(pulse_set: PulseSet, times: np.ndarray) -> int:
+    """Number of leading times at which pulse_set's amplitudes exist, one call each."""
+    for n, t in enumerate(times):
+        try:
+            pulse_set.amplitudes(t)
+        except PulseSynthesisError:
+            return n
+    return len(times)
 
 
 def symmetric_vectors() -> dict[str, np.ndarray]:

@@ -131,8 +131,9 @@ def tqd_amplitudes(p: StirapParams, delta: float, t):
     theta_dot = mixing_angle_rate(p, t)
     product = delta * np.asarray(theta_dot)
     if np.any(product > SIGN_TOL):
+        # Name the first offending time in array order, as a call per time would.
         t_arr = np.broadcast_to(np.asarray(t, dtype=float), product.shape)
-        bad = float(np.atleast_1d(t_arr)[np.argmax(np.atleast_1d(product))])
+        bad = float(np.atleast_1d(t_arr)[np.argmax(np.atleast_1d(product) > SIGN_TOL)])
         raise PulseSynthesisError(
             f"delta*theta_dot > 0 at t={bad:.6g}; cannot take a real amplitude root"
         )

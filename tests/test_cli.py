@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,6 +121,18 @@ def test_sweep_figure_4b(tmp_path, monkeypatch):
     assert (tmp_path / "manifest.txt").exists()
 
 
+def test_sweep_figure_4b_default_grid_matches_references(tmp_path):
+    # The figure's own grid (0.5:10:39 at sweep_dt 0.01) against the recorded
+    # benchmark fidelities, which were taken from the per-cell runner.
+    references = json.loads(
+        (Path(__file__).parents[1] / "perfbench" / "references.json").read_text())
+    assert cli.main(["--out", str(tmp_path), "sweep", "--figure", "4b"]) == 0
+    _, data = read_csv(tmp_path / "fidelity_vs_delta.csv")
+    expected = references["sweep_4b"]["values"][:39]
+    assert np.allclose(data[:, 0], 0.5 + 0.25 * np.arange(39))
+    assert np.max(np.abs(data[:, 1] - expected)) <= references["tolerance"]
+
+
 def test_sweep_figure_9(tmp_path, monkeypatch):
     monkeypatch.setenv("TQD3D_DECOHERENCE_KAPPA", "0:0.02:2")
     monkeypatch.setenv("TQD3D_DECOHERENCE_GAMMA", "0:0.02:2")
@@ -193,7 +206,7 @@ def test_sweep_cell_bug_propagates(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("bug in a cell")
 
-    monkeypatch.setattr(cli.experiments, "simulate_closed", broken)
+    monkeypatch.setattr(cli.experiments, "simulate_closed_batch", broken)
     monkeypatch.setenv("TQD3D_SURFACE_DELTA", "3:4:2")
     with pytest.raises(TypeError, match="bug in a cell"):
         cli.main(["--out", str(tmp_path), "sweep", "--figure", "4b", "--threads", "1"])
@@ -249,7 +262,10 @@ def test_sweep_provenance_names_pulse_shape(tmp_path, monkeypatch):
     ("TQD3D_DELTA=-1", ["simulate", "--method", "tqd"]),
     ("TQD3D_TAU_FRAC=0.6", ["pulses"]),
     ("TQD3D_KAPPA=-1", ["simulate", "--open"]),
-], ids=["negative_delta", "tau_frac", "negative_kappa"])
+    ("TQD3D_DELTA=0", ["simulate", "--method", "tqd"]),
+    ("TQD3D_DELTA=0", ["sweep", "--figure", "8"]),
+], ids=["negative_delta", "tau_frac", "negative_kappa", "zero_delta_simulate",
+        "zero_delta_sweep_8"])
 def test_bad_physical_setting_exit_code(tmp_path, monkeypatch, capsys, setting, argv):
     key, _, value = setting.partition("=")
     monkeypatch.setenv(key, value)
@@ -257,6 +273,17 @@ def test_bad_physical_setting_exit_code(tmp_path, monkeypatch, capsys, setting, 
     assert cli.main(["--out", str(tmp_path), *argv]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+def test_io_error_exit_code(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("a file, not a directory\n")
+    assert cli.main(["--out", str(out), "pulses"]) == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and err.count("\n") == 1
+    # an unreadable config file stays a configuration error
+    assert cli.main(["--config", str(tmp_path), "--out", str(tmp_path / "o"),
+                     "pulses"]) == cli.EXIT_CONFIG
 
 
 def test_verify_writes_report(tmp_path, monkeypatch, capsys):

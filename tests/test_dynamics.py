@@ -189,3 +189,24 @@ def test_target_state(subspace):
     e = np.eye(8)
     alt = (e[0] + math.sqrt(2.0) * sym["psi3"]) / math.sqrt(3.0)
     assert dynamics.fidelity(alt.astype(complex), target) == pytest.approx(1.0)
+
+
+def test_batch_matches_single_states_on_open_space(rng):
+    # Two of the 16 states have no coupling at all, so their rows of H are empty.
+    space = model.open_space()
+    terms = model.hamiltonian_terms(space)
+    cells = [(ModelParams(), pulses.PulseSet(PulseKind.STIRAP, pulses.StirapParams())),
+             (ModelParams(g=1.1), pulses.PulseSet(PulseKind.TQD_EXACT, pulses.StirapParams(),
+                                                  delta=3.6))]
+    psi0 = rng.normal(size=(2, space.dim)) + 1j * rng.normal(size=(2, space.dim))
+    psi0 /= np.linalg.norm(psi0, axis=1, keepdims=True)
+    cfg = IntegratorConfig(dt=0.01)
+    batch = dynamics.evolve_schrodinger(model.CellDrives(terms, cells), psi0, 50.0, cfg)
+    assert batch.metadata["failures"] == {}
+    for b, (params, pulse_set) in enumerate(cells):
+        alone = dynamics.evolve_schrodinger(
+            model.make_h_of_t(terms, params, pulse_set), psi0[b], 50.0, cfg)
+        assert np.max(np.abs(batch.final_state[b] - alone.final_state)) < 1e-12
+        assert np.max(np.abs(batch.fidelity[:, b] - alone.fidelity)) < 1e-12
+        assert np.max(np.abs(batch.populations[:, b] - alone.populations)) < 1e-12
+

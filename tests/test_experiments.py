@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from tqd3d import experiments, pulses
-from tqd3d.dynamics import IntegratorConfig
+from tqd3d.dynamics import IntegratorConfig, IntegratorInstabilityError
 from tqd3d.experiments import GridCapError, SweepGrid
 from tqd3d.model import ModelParams
-from tqd3d.pulses import PulseKind
+from tqd3d.pulses import PulseKind, PulseSet, PulseSynthesisError, StirapParams
 
 COARSE = IntegratorConfig(dt=0.01)
 
@@ -198,3 +198,75 @@ def test_fidelity_surface_scalar_axis_gives_cut():
     surface = experiments.run_fidelity_surface(np.array([50.0]), deltas, dt=0.05)
     assert (cut.x_name, cut.y_name) == ("delta/g", None)
     assert np.array_equal(cut.values, surface.values[0])
+
+
+def _closed_cell_alone(params, pulse_set, t_final, cfg):
+    """One cell as its own simulate_closed run: (F, note) as a sweep reports it."""
+    try:
+        return experiments.simulate_closed(params, pulse_set, cfg, t_final).final_fidelity, ""
+    except (IntegratorInstabilityError, PulseSynthesisError) as exc:
+        return float("nan"), f"{type(exc).__name__}: {exc}"
+
+
+def test_batched_cut_matches_single_runs():
+    # delta = -1 has no counterdiabatic pulse; delta = 60 at dt 0.05 drifts
+    # (norm drift 9.3e5 at t = 2.5); the others are healthy.
+    deltas = np.array([-1.0, 2.0, 3.6, 60.0, 5.0])
+    grid = experiments.run_fidelity_surface(50.0, deltas, dt=0.05)
+    alone = [_closed_cell_alone(*experiments._surface_cell(
+        50.0, d, StirapParams.omega0, pulses.TAU_FRAC, pulses.WIDTH_FRAC, 0.05))
+        for d in deltas]
+    assert set(grid.annotations) == {(0,), (3,)}
+    assert grid.annotations[(0,)].startswith("PulseSynthesisError: ")
+    assert grid.annotations[(3,)].startswith("IntegratorInstabilityError: norm drift")
+    for i, (f, note) in enumerate(alone):
+        assert grid.annotations.get((i,), "") == note
+        if note:
+            assert np.isnan(grid.values[i])
+        else:
+            assert abs(grid.values[i] - f) <= 1e-12
+
+
+def _cells(deltas, dt=0.05):
+    return [(ModelParams(delta=d), PulseSet(PulseKind.TQD_EXACT, StirapParams(), delta=d))
+            for d in deltas]
+
+
+def test_batch_size_does_not_change_a_cell():
+    # 8 cells: as many as the state has components, so a (cells, 8) batch
+    # must not be read as a density matrix
+    cells = _cells([-1.0, 1.0, 2.0, 3.0, 3.6, 4.5, 6.0, 60.0])
+    cfg = IntegratorConfig(dt=0.05)
+    whole = experiments.simulate_closed_batch(cells, 50.0, cfg)
+    single = [r for cell in cells for r in experiments.simulate_closed_batch([cell], 50.0, cfg)]
+    split = (experiments.simulate_closed_batch(cells[:3], 50.0, cfg)
+             + experiments.simulate_closed_batch(cells[3:], 50.0, cfg))
+    values = np.array([f for f, _ in whole])
+    for other in (single, split):
+        assert np.array_equal(np.array([f for f, _ in other]), values, equal_nan=True)
+        assert [n for _, n in other] == [n for _, n in whole]
+    for (f, note), cell in zip(whole, cells):
+        f_alone, note_alone = _closed_cell_alone(*cell, 50.0, cfg)
+        assert note == note_alone
+        assert note or abs(f - f_alone) <= 1e-12
+
+
+def test_batch_of_every_pulse_kind_matches_single_runs():
+    cfg = IntegratorConfig(dt=0.05)
+    cells = [(ModelParams(), experiments.default_pulse_set(kind)) for kind in PulseKind]
+    for (f, note), cell in zip(experiments.simulate_closed_batch(cells, 50.0, cfg), cells):
+        assert note == "" and abs(f - _closed_cell_alone(*cell, 50.0, cfg)[0]) <= 1e-12
+
+
+def test_batched_robustness_matches_single_runs():
+    devs = np.array([-0.1, 0.05])
+    params = ModelParams()
+    pulse_set = experiments.default_pulse_set(PulseKind.TQD_FITTED, params)
+    cfg = IntegratorConfig(dt=0.05)
+    scan = experiments.run_robustness_scan(devs, params=params, cfg=cfg, pulse_set=pulse_set)
+    assert scan.annotations == {}
+    for i, dev in enumerate(devs):
+        for j, name in enumerate(experiments.ROBUSTNESS_PARAMETERS):
+            cell = experiments._robustness_cell(dev, name, params, pulse_set, cfg)
+            f, note = _closed_cell_alone(*cell)
+            assert note == "" and abs(scan.values[i, j] - f) <= 1e-12

@@ -143,6 +143,23 @@ def test_tqd_sign_violation(default_pulses):
         pulses.tqd_amplitudes(default_pulses, -3.6, 25.0)
 
 
+def test_tqd_sign_violation_names_first_time(default_pulses):
+    # Before t = -40 the sign clash is below SIGN_TOL, so the first offending
+    # time is neither the first time nor the largest violation (near t = 25).
+    times = np.linspace(-60.0, 50.0, 221)
+    first = None
+    for t in times:  # one call per time, in order, as a step-by-step run makes them
+        try:
+            pulses.tqd_amplitudes(default_pulses, -1.0, t)
+        except PulseSynthesisError as exc:
+            first = str(exc)
+            break
+    with pytest.raises(PulseSynthesisError) as vector:
+        pulses.tqd_amplitudes(default_pulses, -1.0, times)
+    assert first is not None and "t=-60" not in first
+    assert str(vector.value) == first
+
+
 def test_fitted_pulse_values():
     pulse = pulses.default_fitted_pulse()
     assert float(pulse(25.68)) == pytest.approx(0.7087999872, abs=1e-8)
