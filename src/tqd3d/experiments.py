@@ -159,7 +159,7 @@ def _run_open(cells) -> list[tuple[float, str]]:
 def _run_cells(run, cells: list, threads: int) -> list[tuple[float, str]]:
     """run(cells), split into contiguous chunks over worker processes when threads > 1."""
     if threads > 1:
-        size = -(-len(cells) // threads)
+        size = max(1, -(-len(cells) // threads))
         chunks = [cells[i:i + size] for i in range(0, len(cells), size)]
         with ProcessPoolExecutor(max_workers=threads) as pool:
             return [result for chunk in pool.map(run, chunks) for result in chunk]
