@@ -2,12 +2,15 @@
 
 Pure-state runs live on the 8-dim invariant subspace; open-system runs need
 more, because spontaneous emission leaves it, and use the 16 states reachable
-from |phi_1> once the collapse operators are added (model.open_space).  The
-dissipator is precomputed once as a sparse superoperator acting on the
-row-major vectorization of rho, so each right-hand side costs two dense
-matrix products plus one sparse matvec.  A batch of pure states that share a
-step schedule (the cells of a sweep) runs as one (B, d) state through the
-same RK4 driver.
+from |phi_1> once the collapse operators are added (model.open_space).  A
+batch of cells that share a step schedule (the cells of a sweep) runs as one
+(B, n) state through the same RK4 driver: cell b evolves under
+sum_k c[t, b, k] G_k, fixed structure operators G_k with per-cell
+coefficients, applied entry by entry, so a cell's numbers do not depend on
+its batch.  The master equation is one such batch: its state is the
+row-major vectorization of rho restricted to the entries its Liouvillian
+reaches from rho0 (84 of 256 on the open-system space), and its structure
+operators are the commutators -i[G_k, .] and the dissipators at unit rate.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ class SimResult:
     times: np.ndarray
     populations: np.ndarray  # (n_times, n_tracked + 1); last column = leaked
     fidelity: np.ndarray
-    final_state: np.ndarray  # vector (pure), matrix (density) or (cells, d) batch
+    final_state: np.ndarray  # vector or matrix, with a leading cell axis for a batch
     metadata: dict = field(default_factory=dict)
 
     @property
@@ -73,7 +76,7 @@ def fidelity(state: np.ndarray, target: np.ndarray):
 
     A state shaped like target is a vector, or a batch of vectors with one
     target row each (one fidelity per row); a state with one more axis than a
-    1-D target is a density matrix.
+    1-D target is a density matrix, and one with two more a batch of them.
     """
     target = np.asarray(target)
     state = np.asarray(state)
@@ -87,7 +90,9 @@ def fidelity(state: np.ndarray, target: np.ndarray):
         return np.abs(np.einsum("...i,...i->...", target.conj(), state)) ** 2
     if state.ndim == 2 and target.ndim == 1:
         return float(np.real(target.conj() @ state @ target))
-    raise ValueError("state must be a vector, a batch of vectors or a square matrix")
+    if state.ndim == 3 and target.ndim == 1:  # one matrix at a time: a cell's F is its own
+        return np.array([np.real(target.conj() @ rho @ target) for rho in state])
+    raise ValueError("state must be a vector, a batch of vectors or square matrices")
 
 
 def _rk4(
@@ -102,6 +107,7 @@ def _rk4(
     drift_name: str,
     tol: float,
     post_step: Callable[[np.ndarray], np.ndarray] | None = None,
+    unpack: Callable[[np.ndarray], np.ndarray] = lambda state: state,
 ) -> SimResult:
     """Classic fixed-step RK4 from 0 to t_f, shared by both equations of motion.
 
@@ -109,10 +115,13 @@ def _rk4(
     at each of the given times, in order. It is called on t = 0 and then on
     the t + dt/2 and t + dt of BLOCK_STEPS steps at a time. rhs(h, state) is
     d/dt state; post_step maps each new state. At every recorded point
-    record(t, state) gives the population row, the fidelity against target is
-    stored, and drift(state) must stay within tol. A single state raises
-    IntegratorInstabilityError; drift gives one value per cell of a batch, and
-    a drifting cell continues as NaN with the error in metadata["failures"].
+    record(t, unpack(state)) gives the population row, the fidelity of
+    unpack(state) against target is stored, and drift(state) must stay within
+    tol (NaN is beyond it). A single state raises IntegratorInstabilityError;
+    drift gives one value per cell of a batch, and a drifting cell continues
+    as NaN with the error in metadata["failures"]. A batch cell whose inputs
+    turned NaN failed in the caller, which reports it. final_state is
+    unpack(state) at t_f.
     """
     n_steps = int(round(t_f / cfg.dt))
     dt = t_f / n_steps  # land exactly on t_f
@@ -121,9 +130,10 @@ def _rk4(
     failures: dict[int, IntegratorInstabilityError] = {}
 
     def keep(step, state):
+        shown = unpack(state)
         times.append(step * dt)
-        pops.append(record(step * dt, state))
-        fids.append(fidelity(state, target))
+        pops.append(record(step * dt, shown))
+        fids.append(fidelity(shown, target))
 
     (h_next,) = inputs(np.zeros(1))
     max_drift = 0.0
@@ -145,7 +155,11 @@ def _rk4(
             if (step + 1) in rec_set:
                 d = drift(state)
                 drifts = np.atleast_1d(d)
-                for cell in np.flatnonzero(drifts > tol):
+                bad = ~(drifts <= tol)  # a NaN drift too: the state overflowed
+                if np.ndim(d):  # skip cells that failed already or whose inputs failed
+                    bad &= ~np.isnan(h_next).any(axis=-1)
+                    bad[list(failures)] = False
+                for cell in np.flatnonzero(bad):
                     error = IntegratorInstabilityError(
                         f"{drift_name} drift {drifts[cell]:.2e} > {tol:.0e} "
                         f"at t={t + dt:.4g}; reduce dt"
@@ -162,8 +176,9 @@ def _rk4(
         times=np.array(times),
         populations=np.array(pops),
         fidelity=np.array(fids),
-        final_state=state,
+        final_state=unpack(state),
         metadata={f"max_{drift_name}_drift": max_drift, "dt": dt, "n_steps": n_steps,
+                  "rhs_evals": 4 * n_steps, "state_shape": state.shape,
                   "failures": failures},
     )
 
@@ -175,25 +190,32 @@ def _leaked_row(weights: np.ndarray, tracked: np.ndarray | None) -> np.ndarray:
     return np.concatenate([p, leaked[..., None]], axis=-1)
 
 
-def _batch_inputs_and_rhs(drives):
-    """inputs and rhs of a batch: -i H psi per cell from the operators' nonzero entries.
+def _batch_inputs_and_rhs(coefficients, operators):
+    """inputs and rhs of a batch: d/dt x = sum_k c[t, b, k] operators[k] x per cell.
 
-    Entry e of operator k adds coefficient[k] * value_e * psi[col_e] to row_e,
-    so each right-hand side is one gather, one product and one sum per row.
-    Every cell's arithmetic is the same whatever else is in its batch.
+    coefficients(times) gives c as (times, cells, K); operators are K dense or
+    sparse (n, n) matrices. Entry e of operator k adds c[k] * value_e *
+    x[col_e] to row_e, entries ordered by row, operator and column, so each
+    right-hand side is one gather, one product and one sum per row. Every
+    cell's arithmetic is the same whatever else is in its batch.
     """
-    mask = (drives.operators != 0).transpose(1, 0, 2)  # (row, operator, column)
-    empty = np.flatnonzero(~mask.any(axis=(1, 2)))
-    mask[empty, 0, empty] = True  # a zero entry, so every row has a sum
-    rows, ks, cols = np.nonzero(mask)
-    values = -1j * drives.operators[ks, rows, cols]
+    parts = [sp.coo_matrix(op) for op in operators]
+    rows = np.concatenate([p.row for p in parts])
+    # A zero entry on each row that no operator touches, so every row has a sum.
+    empty = np.setdiff1d(np.arange(parts[0].shape[0]), rows)
+    rows = np.concatenate([rows, empty])
+    ks = np.concatenate([np.full(p.nnz, k) for k, p in enumerate(parts)] + [0 * empty])
+    cols = np.concatenate([p.col for p in parts] + [empty])
+    values = np.concatenate([p.data for p in parts] + [np.zeros(empty.size, complex)])
+    order = np.lexsort((cols, ks, rows))
+    rows, ks, cols, values = rows[order], ks[order], cols[order], values[order]
     starts = np.flatnonzero(np.diff(rows, prepend=-1))
 
     def inputs(times):
-        return (c[:, ks] * values for c in drives(times))  # (cells, entries) per time
+        return (c[:, ks] * values for c in coefficients(times))  # (cells, entries) per time
 
-    def rhs(weights, psi):
-        return np.add.reduceat(weights * psi[:, cols], starts, axis=1)
+    def rhs(weights, x):
+        return np.add.reduceat(weights * x.take(cols, axis=1, mode="clip"), starts, axis=1)
 
     return inputs, rhs
 
@@ -228,7 +250,7 @@ def evolve_schrodinger(
     if psi.ndim == 1:
         inputs, rhs = (lambda times: map(h_of_t, times)), (lambda h, psi: -1j * (h @ psi))
     else:
-        inputs, rhs = _batch_inputs_and_rhs(h_of_t)
+        inputs, rhs = _batch_inputs_and_rhs(h_of_t, -1j * h_of_t.operators)
     return _rk4(
         inputs, psi, t_f, cfg, np.broadcast_to(target, psi.shape), rhs=rhs,
         record=lambda t, psi: _leaked_row(np.abs(psi) ** 2, tracked),
@@ -259,53 +281,115 @@ def dissipator_superoperator(
     return total.tocsr()
 
 
+@dataclass(frozen=True)
+class Liouvillian:
+    """Structure superoperators of a master equation on the entries of rho they reach.
+
+    entries are the row-major positions i*dim + j of the entries of rho that
+    can be nonzero, ascending; operators[k] acts on rho's values there.
+    """
+
+    dim: int
+    entries: np.ndarray
+    operators: tuple[sp.csr_matrix, ...]
+
+    @classmethod
+    def reachable(cls, hamiltonians, dissipators, rho0: np.ndarray) -> "Liouvillian":
+        """-i[H_k, .] for each operator H_k, then each dissipator, on rho0's closed support.
+
+        dissipators are superoperators on the row-major vec(rho)
+        (dissipator_superoperator). A nonzero <i|S|j> of any operator leads
+        from entry j to entry i; the support is every entry reachable from
+        the nonzero entries of rho0 (hilbert.closure), so it is closed under
+        each operator whatever its coefficient. Built from sparse patterns only.
+        """
+        dim = rho0.shape[-1]
+        eye = sp.identity(dim, dtype=complex, format="csr")
+        full = [-1j * (sp.kron(h, eye) - sp.kron(eye, np.transpose(h))) for h in hamiltonians]
+        full = [sp.csr_matrix(op) for op in full + list(dissipators)]
+        for op in full:
+            op.eliminate_zeros()  # a stored zero links no entries
+        links = sum(abs(op) for op in full).T  # links[j, i]: entry j feeds entry i
+        start = np.flatnonzero(np.reshape(rho0, (-1, dim * dim)).any(axis=0))
+        entries = hilbert.closure(links, start)
+        return cls(dim, entries, tuple(op[entries][:, entries] for op in full))
+
+
 def evolve_lindblad(
-    h_of_t: Callable[[float], np.ndarray],
-    channels: list[tuple[np.ndarray, float]],
+    liouvillian: Liouvillian,
+    coefficients: Callable[[np.ndarray], np.ndarray],
     rho0: np.ndarray,
     t_f: float,
     cfg: IntegratorConfig = IntegratorConfig(),
     tracked: np.ndarray | None = None,
     target: np.ndarray | None = None,
 ) -> SimResult:
-    """Integrate the master equation with RK4, symmetrizing rho each step.
+    """Integrate d/dt rho = sum_k c[t, b, k] operators[k] rho with RK4, one run or a batch.
 
-    Trace drift beyond TRACE_TOL raises; negative eigenvalues beyond
-    POSITIVITY_TOL at recorded points are kept as warnings in the metadata,
-    not fixed up.
+    rho0 (d, d) is one run and rho0 (B, d, d) a batch of B cells; either runs
+    as a (B, n) state on the n liouvillian.entries, to which rho0 must be
+    confined (Liouvillian.reachable). coefficients(times) gives c as
+    (times, cells, K). Each step symmetrizes rho to (rho + rho+)/2. Trace
+    drift beyond TRACE_TOL raises for one run; a batch cell that drifts
+    continues as NaN with its error in metadata["failures"]. Negative
+    eigenvalues beyond POSITIVITY_TOL at recorded points are kept as warnings
+    in the metadata, not fixed up. final_state, populations and fidelity
+    carry a cell axis for a batch only.
     """
+    dim, entries = liouvillian.dim, liouvillian.entries
     rho = np.array(rho0, dtype=complex)
-    dim = rho.shape[0]
-    if hilbert.max_nonhermiticity(rho) > 1e-9 or abs(np.trace(rho).real - 1.0) > 1e-6:
+    single = rho.ndim == 2
+    cells = rho.reshape(-1, dim, dim)
+    flat = cells.reshape(len(cells), dim * dim)
+    position = np.full(dim * dim, -1)
+    position[entries] = np.arange(entries.size)
+    rows, cols = np.divmod(entries, dim)
+    transpose = position[cols * dim + rows]
+    if (any(hilbert.max_nonhermiticity(c) > 1e-9 for c in cells)
+            or np.any(np.abs(np.trace(cells, axis1=1, axis2=2).real - 1.0) > 1e-6)):
         raise ValueError("rho0 must be Hermitian with unit trace")
+    if np.any(transpose < 0):
+        raise ValueError("the Liouvillian's support is not closed under transposition")
+    if np.any(np.delete(flat, entries, axis=1)):
+        raise ValueError("rho0 must lie on the Liouvillian's support")
+    diagonal = np.flatnonzero(rows == cols)
 
-    dissipator = dissipator_superoperator(channels, dim)
-    has_dissipation = dissipator.nnz > 0
-
-    def rhs(h, rho):
-        out = -1j * (h @ rho - rho @ h)
-        if has_dissipation:
-            out += (dissipator @ rho.reshape(-1)).reshape(dim, dim)
-        return out
+    def unpack(state):
+        out = np.zeros((len(state), dim * dim), dtype=complex)
+        out[:, entries] = state
+        out = out.reshape(-1, dim, dim)
+        return out[0] if single else out
 
     warnings: list[str] = []
     min_eigenvalue = 0.0
 
     def record(t, rho):
         nonlocal min_eigenvalue
-        lam_min = float(np.linalg.eigvalsh(rho)[0])
-        min_eigenvalue = min(min_eigenvalue, lam_min)
-        if lam_min < -POSITIVITY_TOL:
-            warnings.append(f"eigenvalue {lam_min:.2e} < -{POSITIVITY_TOL:.0e} at t={t:.4g}")
-        return _leaked_row(np.real(np.diag(rho)), tracked)
+        stack = rho.reshape(-1, dim, dim)
+        finite = np.flatnonzero(np.isfinite(stack).all(axis=(1, 2)))
+        lam_min = np.linalg.eigvalsh(stack[finite])[:, 0]
+        min_eigenvalue = min(min_eigenvalue, float(np.min(lam_min, initial=0.0)))
+        for b, lam in zip(finite, lam_min):
+            if lam < -POSITIVITY_TOL:
+                warnings.append(("" if single else f"cell {b}: ")
+                                + f"eigenvalue {lam:.2e} < -{POSITIVITY_TOL:.0e} at t={t:.4g}")
+        # Reductions go cell by cell, so that no cell's numbers depend on its batch.
+        pops = np.array([_leaked_row(np.real(np.diag(cell)), tracked) for cell in stack])
+        return pops[0] if single else pops
+
+    def drift(state):
+        drifts = np.array([abs(cell[diagonal].real.sum() - 1.0) for cell in state])
+        return drifts[0] if single else drifts
 
     if target is None:
         target = np.eye(dim, dtype=complex)[0]
+    inputs, rhs = _batch_inputs_and_rhs(coefficients, liouvillian.operators)
     result = _rk4(
-        lambda times: map(h_of_t, times), rho, t_f, cfg, target, rhs=rhs, record=record,
-        drift=lambda rho: abs(np.trace(rho).real - 1.0),
-        drift_name="trace", tol=TRACE_TOL,
-        post_step=lambda rho: 0.5 * (rho + rho.conj().T),
+        inputs, flat[:, entries], t_f, cfg, target, rhs=rhs, record=record,
+        drift=drift, drift_name="trace", tol=TRACE_TOL,
+        post_step=lambda state: 0.5 * (state + state.take(transpose, axis=1, mode="clip").conj()),
+        unpack=unpack,
     )
-    result.metadata.update(min_eigenvalue=min_eigenvalue, positivity_warnings=warnings)
+    result.metadata.update(min_eigenvalue=min_eigenvalue, positivity_warnings=warnings,
+                           support=int(entries.size), cells=len(cells))
     return result

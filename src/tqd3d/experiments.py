@@ -2,10 +2,11 @@
 
 Each runner is a pure function of its inputs and returns plain data; CSV and
 plot-script emission lives in the writer helpers at the bottom.  Sweep cells
-are independent work items with results placed by index.  Closed cells that
-share a step schedule run as one batch, whose cells each get the same numbers
-as in any other batch, so re-running a scan (with any thread count)
-reproduces the output byte for byte.
+are independent work items with results placed by index.  Cells that share a
+step schedule run as one batch (closed cells as pure states, open cells on
+the Liouville support), whose cells each get the same numbers as in any
+other batch, so re-running a scan (with any thread count) reproduces the
+output byte for byte.
 """
 
 from __future__ import annotations
@@ -20,15 +21,14 @@ from typing import Sequence
 import numpy as np
 
 from . import dynamics, hilbert, model, pulses
-from .dynamics import IntegratorConfig, IntegratorInstabilityError, SimResult
+from .dynamics import IntegratorConfig, SimResult
 from .model import ModelParams
-from .pulses import (
-    TAU_FRAC, WIDTH_FRAC, PulseKind, PulseSet, PulseSynthesisError, StirapParams,
-)
+from .pulses import TAU_FRAC, WIDTH_FRAC, PulseKind, PulseSet, StirapParams
 
 GRID_CAP = 200 * 200
 SWEEP_DT = 0.01  # coarser step for sweep cells, which keep only the final fidelity
 BATCH_CELLS = 64  # most closed cells integrated as one batch
+OPEN_BATCH_CELLS = 32  # most open cells integrated as one batch
 
 # Cavity-QED rate predictions used for the physical benchmark, as fractions of g
 # (g, gamma, kappa) = 2*pi*(750, 3.5, 2.62) MHz.
@@ -82,18 +82,32 @@ def simulate_open(params: ModelParams, pulse_set: PulseSet,
     """Master-equation run on the 16 states reachable from |phi_1> (model.open_space).
 
     The couplings and every collapse operator keep rho inside that space, so
-    the run equals one on the full 80-dim product space.
+    the run equals one on the full 80-dim product space. It runs as a batch of
+    one on the Liouville support (model.open_liouvillian); a failing pulse
+    synthesis raises as soon as it is met.
     """
+    drives = model.CellDrives(model.hamiltonian_terms(model.open_space()),
+                              [(params, pulse_set)])
+
+    def coefficients(times):
+        c = drives(times)
+        if drives.errors:
+            raise drives.errors[0]
+        return c
+
+    return _evolve_open(coefficients, _initial_density(), params.t_f, cfg)
+
+
+def _initial_density() -> np.ndarray:
+    psi0 = _initial_state(model.open_space())
+    return np.outer(psi0, psi0.conj())
+
+
+def _evolve_open(coefficients, rho0, t_final, cfg) -> SimResult:
     space = model.open_space()
-    sub = hilbert.build_subspace()
-    terms = model.hamiltonian_terms(space)
-    h_of_t = model.make_h_of_t(terms, params, pulse_set)
-    channels = model.collapse_channels(params, space)
-    psi0 = _initial_state(space)
-    rho0 = np.outer(psi0, psi0.conj())
     return dynamics.evolve_lindblad(
-        h_of_t, channels, rho0, params.t_f, cfg,
-        tracked=hilbert.subspace_indices(sub, space),
+        model.open_liouvillian(), coefficients, rho0, t_final, cfg,
+        tracked=hilbert.subspace_indices(hilbert.build_subspace(), space),
         target=dynamics.target_state(space),
     )
 
@@ -112,6 +126,25 @@ def simulate_closed_batch(cells: Sequence[tuple[ModelParams, PulseSet]], t_final
     psi0 = np.tile(_initial_state(sub), (len(drives.cells), 1))
     result = dynamics.evolve_schrodinger(drives, psi0, t_final, cfg,
                                          target=dynamics.target_state(sub))
+    return _outcomes(drives, result)
+
+
+def simulate_open_batch(cells: Sequence[tuple[ModelParams, PulseSet]], t_final: float,
+                        cfg: IntegratorConfig = IntegratorConfig()) -> list[tuple[float, str]]:
+    """Final fidelity and failure note of each (params, pulse_set) open run to t_final.
+
+    The cells share the step schedule, so they run as one batch on the
+    Liouville support. A cell whose pulse synthesis fails or whose trace
+    drifts beyond dynamics.TRACE_TOL gets NaN and the note simulate_open's
+    exception would give; the other cells run on unaffected.
+    """
+    drives = model.CellDrives(model.hamiltonian_terms(model.open_space()), cells)
+    rho0 = np.tile(_initial_density(), (len(drives.cells), 1, 1))
+    return _outcomes(drives, _evolve_open(drives, rho0, t_final, cfg))
+
+
+def _outcomes(drives: model.CellDrives, result: SimResult) -> list[tuple[float, str]]:
+    """(F, note) of each cell of a batch; healthy cells get an empty note."""
     # A cell that drifted became NaN before it could meet a later pulse failure.
     errors = {**drives.errors, **result.metadata["failures"]}
     return [(float("nan"), _note(errors[b])) if b in errors else (float(f), "")
@@ -122,38 +155,35 @@ def _note(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _run_closed(cells) -> list[tuple[float, str]]:
-    """(F, note) of each closed cell (params, pulse_set, t_final, cfg), by index.
+def _run_batches(cells, schedule, simulate, size: int) -> list[tuple[float, str]]:
+    """(F, note) of each cell, by index.
 
-    Cells with the same t_final and cfg (so the same step schedule) run in
-    batches of up to BATCH_CELLS through simulate_closed_batch.
+    Cells with the same schedule(cell) = (t_final, cfg), so the same step
+    schedule, run in batches of up to size through
+    simulate([(params, pulse_set), ...], t_final, cfg).
     """
     schedules: dict = {}
-    for i, (_, _, t_final, cfg) in enumerate(cells):
-        schedules.setdefault((t_final, cfg), []).append(i)
+    for i, cell in enumerate(cells):
+        schedules.setdefault(schedule(cell), []).append(i)
     results = [None] * len(cells)
     for (t_final, cfg), members in schedules.items():
-        for first in range(0, len(members), BATCH_CELLS):
-            batch = members[first:first + BATCH_CELLS]
-            outcomes = simulate_closed_batch([cells[i][:2] for i in batch], t_final, cfg)
+        for first in range(0, len(members), size):
+            batch = members[first:first + size]
+            outcomes = simulate([cells[i][:2] for i in batch], t_final, cfg)
             for i, outcome in zip(batch, outcomes):
                 results[i] = outcome
     return results
 
 
-def _run_open(cells) -> list[tuple[float, str]]:
-    """(F, note) of open cells (params, pulse_set, cfg), one simulate_open run each.
+def _run_closed(cells) -> list[tuple[float, str]]:
+    """(F, note) of each closed cell (params, pulse_set, t_final, cfg), by index."""
+    return _run_batches(cells, lambda cell: cell[2:], simulate_closed_batch, BATCH_CELLS)
 
-    An expected numerical failure becomes an annotated NaN; any other
-    exception is a bug and propagates.
-    """
-    results = []
-    for params, pulse_set, cfg in cells:
-        try:
-            results.append((simulate_open(params, pulse_set, cfg).final_fidelity, ""))
-        except (IntegratorInstabilityError, PulseSynthesisError) as exc:
-            results.append((float("nan"), _note(exc)))
-    return results
+
+def _run_open(cells) -> list[tuple[float, str]]:
+    """(F, note) of each open cell (params, pulse_set, cfg), run to params.t_f, by index."""
+    return _run_batches(cells, lambda cell: (cell[0].t_f, cell[2]), simulate_open_batch,
+                        OPEN_BATCH_CELLS)
 
 
 def _run_cells(run, cells: list, threads: int) -> list[tuple[float, str]]:

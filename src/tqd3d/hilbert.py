@@ -8,7 +8,8 @@ so the 4*5*2*2 = 80 dimensional product space is closed under the dynamics.
 Runs use only the part of it reachable from |g0, g0, vac>: reachable_space
 closes a start state under couplings (both ways) and jumps (one way), which
 gives the 8-dim chain for the Hamiltonian alone and 16 states once the
-collapse operators are added.
+collapse operators are added. The same closure finds the entries of rho a
+master equation can reach (dynamics.Liouvillian.reachable).
 
 States are plain complex ndarrays and operators are dense complex matrices;
 the HilbertSpace object carries the basis labels and index maps.
@@ -22,6 +23,7 @@ from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
 
 class LevelA(Enum):
@@ -106,6 +108,21 @@ def build_subspace() -> HilbertSpace:
     return HilbertSpace(_SUBSPACE_LABELS)
 
 
+def closure(links, start) -> np.ndarray:
+    """Ascending indices reachable from the start indices, start included.
+
+    A nonzero links[j, i] (a dense or scipy.sparse matrix) leads from j to i.
+    """
+    links = sp.csr_matrix(links)
+    seen = np.zeros(links.shape[0], dtype=bool)
+    frontier = np.unique(np.asarray(start, dtype=int))
+    while frontier.size:
+        seen[frontier] = True
+        reached = np.unique(links[frontier].indices)
+        frontier = reached[~seen[reached]]
+    return np.flatnonzero(seen)
+
+
 def reachable_space(space: HilbertSpace, couplings, jumps, start: BasisState) -> HilbertSpace:
     """Basis states of space reachable from start.
 
@@ -118,14 +135,9 @@ def reachable_space(space: HilbertSpace, couplings, jumps, start: BasisState) ->
         links |= (op != 0) | (op != 0).T
     for op in jumps:
         links |= (op != 0).T
-    seen = {space.index[start]}
-    frontier = list(seen)
-    while frontier:
-        new = set(np.flatnonzero(links[frontier].any(axis=0)).tolist()) - seen
-        seen |= new
-        frontier = list(new)
     chain = {s: k for k, s in enumerate(_SUBSPACE_LABELS)}
-    order = sorted(seen, key=lambda i: chain.get(space.basis[i], len(chain) + i))
+    order = sorted(closure(links, [space.index[start]]),
+                   key=lambda i: chain.get(space.basis[i], len(chain) + i))
     return HilbertSpace(tuple(space.basis[i] for i in order))
 
 

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import hilbert, pulses
+from . import dynamics, hilbert, pulses
 from .hilbert import HilbertSpace, LevelA, LevelB
 from .pulses import SQRT2, PulseKind, PulseSet, PulseSynthesisError, StirapParams
 
@@ -128,39 +128,57 @@ class CellDrives:
     of assemble_hamiltonian split into drive_a, drive_a+, drive_b, drive_b+,
     cavity + cavity+ and the excited projector, with coefficients omega_a,
     conj(omega_a), omega_b, conj(omega_b), g and the detuning of make_h_of_t.
-    A call evaluates each cell's pulses at all the given times at once
-    (dynamics.evolve_schrodinger runs the batch). A cell whose pulse synthesis
-    fails gets NaN coefficients from the first failing time on, and its
-    PulseSynthesisError is kept in `errors`.
+    Two more columns carry the cell's kappa and gamma, the weights of the
+    unit-rate dissipators of open_liouvillian. A call evaluates the pulses
+    of each distinct PulseSet once at all the given times
+    (dynamics.evolve_schrodinger and evolve_lindblad run the batch). A cell
+    whose pulse synthesis fails gets NaN coefficients from the first failing
+    time on, and its PulseSynthesisError is kept in `errors`.
     """
 
     def __init__(self, terms: HamiltonianTerms,
                  cells: Sequence[tuple[ModelParams, PulseSet]]):
-        self.operators = np.stack([
-            terms.drive_a, terms.drive_a.conj().T, terms.drive_b, terms.drive_b.conj().T,
-            terms.cavity + terms.cavity.conj().T, terms.excited,
-        ])
+        self.operators = _drive_operators(terms)
         self.cells = list(cells)
         self.errors: dict[int, PulseSynthesisError] = {}
+        first: dict[PulseSet, int] = {}  # each cell's first cell with an equal PulseSet
+        self._first = [first.setdefault(ps, b) for b, (_, ps) in enumerate(self.cells)]
+        self._constants = np.array([[p.g, _detuning(p, ps), p.kappa, p.gamma]
+                                    for p, ps in self.cells]).reshape(-1, 4)
 
     def __call__(self, times: np.ndarray) -> np.ndarray:
-        out = np.full((len(times), len(self.cells), len(self.operators)), np.nan,
+        out = np.full((len(times), len(self.cells), len(self.operators) + 2), np.nan,
                       dtype=complex)
-        for b, (params, pulse_set) in enumerate(self.cells):
-            if b in self.errors:
+        out[:, :, 4:] = self._constants
+        drives: dict[int, tuple] = {}
+        for b, (first, (_, pulse_set)) in enumerate(zip(self._first, self.cells)):
+            if b in self.errors:  # failed in an earlier call
+                out[:, b] = np.nan
                 continue
-            try:
-                omega_a, omega_b = pulse_set.amplitudes(times)
-            except PulseSynthesisError as exc:
-                self.errors[b] = exc
-                omega_a, omega_b = pulse_set.amplitudes(
-                    times[:_synthesizable_prefix(pulse_set, times)])
-            c = out[:len(omega_b), b]
-            c[:, 0], c[:, 1] = omega_a, np.conj(omega_a)
-            c[:, 2], c[:, 3] = omega_b, np.conj(omega_b)
-            c[:, 4] = params.g
-            c[:, 5] = _detuning(params, pulse_set)
+            if first not in drives:
+                try:
+                    omega_a, omega_b = pulse_set.amplitudes(times)
+                    error = None
+                except PulseSynthesisError as exc:
+                    omega_a, omega_b = pulse_set.amplitudes(
+                        times[:_synthesizable_prefix(pulse_set, times)])
+                    error = exc
+                drives[first] = (omega_a, np.conj(omega_a), omega_b, np.conj(omega_b)), error
+            columns, error = drives[first]
+            if error is not None:
+                self.errors[b] = error
+                out[len(columns[0]):, b] = np.nan
+            for k, column in enumerate(columns):
+                out[:len(column), b, k] = column
         return out
+
+
+def _drive_operators(terms: HamiltonianTerms) -> np.ndarray:
+    """The structure operators of CellDrives, (6, d, d)."""
+    return np.stack([
+        terms.drive_a, terms.drive_a.conj().T, terms.drive_b, terms.drive_b.conj().T,
+        terms.cavity + terms.cavity.conj().T, terms.excited,
+    ])
 
 
 def _detuning(params: ModelParams, pulse_set: PulseSet) -> float:
@@ -351,3 +369,19 @@ def open_space() -> HilbertSpace:
         full, (terms.drive_a, terms.drive_b, terms.cavity), jumps,
         hilbert.build_subspace().basis[0],
     )
+
+
+@lru_cache(maxsize=None)
+def open_liouvillian() -> dynamics.Liouvillian:
+    """The master equation on open_space as structure superoperators for CellDrives.
+
+    Operators -i[G_k, .] for the 6 drive operators, then the kappa and gamma
+    dissipators at unit rate, on the entries of rho reachable from
+    |phi_1><phi_1|. Like open_space, the support holds for every rate.
+    """
+    space = open_space()
+    psi0 = space.ket(hilbert.build_subspace().basis[0])
+    dissipators = [dynamics.dissipator_superoperator(collapse_channels(rates, space), space.dim)
+                   for rates in (ModelParams(kappa=1.0), ModelParams(gamma=1.0))]
+    return dynamics.Liouvillian.reachable(_drive_operators(hamiltonian_terms(space)),
+                                          dissipators, np.outer(psi0, psi0.conj()))

@@ -10,6 +10,7 @@ via module-level caches.
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -28,6 +29,7 @@ class CriterionResult:
     passed: bool
     measured: dict = field(default_factory=dict)
     tolerance: str = ""
+    wall_s: float = 0.0  # run_all's timing, with any cached run this check was first to need
 
     def __post_init__(self):
         # Checks compute with NumPy scalars; the JSON report needs plain Python values.
@@ -272,7 +274,12 @@ CRITERIA = (
 
 
 def run_all() -> list[CriterionResult]:
-    return [check() for check in CRITERIA]
+    results = []
+    for check in CRITERIA:
+        start = time.perf_counter()
+        results.append(check())
+        results[-1].wall_s = time.perf_counter() - start
+    return results
 
 
 def report_json(results: list[CriterionResult]) -> str:
@@ -285,6 +292,7 @@ def report_json(results: list[CriterionResult]) -> str:
                 "passed": r.passed,
                 "measured": r.measured,
                 "tolerance": r.tolerance,
+                "wall_s": r.wall_s,
             }
             for r in results
         ],

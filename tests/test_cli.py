@@ -296,6 +296,7 @@ def test_verify_writes_report(tmp_path, monkeypatch, capsys):
     report = json.loads((tmp_path / "verify_report.json").read_text())
     assert report["passed"] is True
     assert [c["passed"] for c in report["criteria"]] == [True, True]
+    assert all(c["wall_s"] > 0 for c in report["criteria"])
 
 
 @pytest.mark.parametrize("setting, figure", [

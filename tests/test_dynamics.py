@@ -86,14 +86,20 @@ def test_subspace_confinement_full_space(terms80, subspace, full_space, default_
     assert np.all(result.populations[:, -1] <= 1e-10)
 
 
+def _constant(*values):
+    """Coefficients c[t, 0, k] = values[k] of a one-cell master equation."""
+    return lambda times: np.tile(np.array(values, dtype=complex), (len(times), 1, 1))
+
+
 def test_lindblad_unitary_limit_matches_schrodinger():
     h = lambda t: 0.35 * SIGMA_X
     psi0 = np.array([1.0, 0.0], dtype=complex)
     target = np.array([0.0, 1.0], dtype=complex)
     cfg = IntegratorConfig(dt=0.002, record_every=100)
     pure = dynamics.evolve_schrodinger(h, psi0, 20.0, cfg, target=target)
+    rho0 = np.outer(psi0, psi0.conj())
     mixed = dynamics.evolve_lindblad(
-        h, [(np.zeros((2, 2), complex), 0.0)], np.outer(psi0, psi0.conj()), 20.0,
+        dynamics.Liouvillian.reachable([SIGMA_X], [], rho0), _constant(0.35), rho0, 20.0,
         cfg, target=target,
     )
     assert abs(pure.final_fidelity - mixed.final_fidelity) < 1e-6
@@ -103,8 +109,11 @@ def test_exponential_decay_closed_form():
     rate = 0.3
     lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     rho0 = np.diag([0.0, 1.0]).astype(complex)  # excited state
+    decay = dynamics.Liouvillian.reachable(
+        [], [dynamics.dissipator_superoperator([(lower, 1.0)], 2)], rho0)
+    assert list(decay.entries) == [0, 3]  # decay never creates coherences
     result = dynamics.evolve_lindblad(
-        lambda t: np.zeros((2, 2), dtype=complex), [(lower, rate)], rho0, 10.0,
+        decay, _constant(rate), rho0, 10.0,
         IntegratorConfig(dt=0.002, record_every=100),
         tracked=np.array([1]), target=np.array([0.0, 1.0], dtype=complex),
     )
@@ -114,10 +123,13 @@ def test_exponential_decay_closed_form():
 
 
 def test_lindblad_invalid_rho0():
+    lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    decay = dynamics.Liouvillian.reachable(
+        [], [dynamics.dissipator_superoperator([(lower, 1.0)], 2)], np.diag([0.0, 1.0]))
     with pytest.raises(ValueError):
-        dynamics.evolve_lindblad(
-            lambda t: np.zeros((2, 2), dtype=complex), [], np.diag([2.0, 0.0]), 1.0
-        )
+        dynamics.evolve_lindblad(decay, _constant(1.0), np.diag([2.0, 0.0]), 1.0)
+    with pytest.raises(ValueError):  # a coherence outside the support
+        dynamics.evolve_lindblad(decay, _constant(1.0), np.full((2, 2), 0.5), 1.0)
 
 
 def test_lindblad_hermiticity_and_positivity_metadata(subspace, default_pulses):
@@ -127,10 +139,9 @@ def test_lindblad_hermiticity_and_positivity_metadata(subspace, default_pulses):
         PulseKind.TQD_FITTED, default_pulses, delta=3.6,
         fitted=pulses.default_fitted_pulse(),
     )
-    h_of_t = model.make_h_of_t(model.hamiltonian_terms(space), params, ps)
     psi0 = space.ket(subspace.basis[0])
     result = dynamics.evolve_lindblad(
-        h_of_t, model.collapse_channels(params, space),
+        model.open_liouvillian(), model.CellDrives(model.hamiltonian_terms(space), [(params, ps)]),
         np.outer(psi0, psi0.conj()), 50.0,
         IntegratorConfig(dt=0.01, record_every=500),
         tracked=hilbert.subspace_indices(subspace, space),
@@ -142,21 +153,25 @@ def test_lindblad_hermiticity_and_positivity_metadata(subspace, default_pulses):
     assert result.metadata["min_eigenvalue"] > -1e-7
     assert result.metadata["positivity_warnings"] == []
     assert 0.9 < result.final_fidelity < 1.0
+    # cheap telemetry: counts and shapes, nothing per step
+    meta = result.metadata
+    assert meta["rhs_evals"] == 4 * meta["n_steps"] == 4 * 5000
+    assert meta["state_shape"] == (1, 84)
+    assert (meta["support"], meta["cells"]) == (84, 1)
 
 
 def test_excitation_decay_monotone_without_pulses(subspace):
     # pulses off: coherent part conserves excitation number, dissipation removes it
     params = ModelParams(kappa=0.05, gamma=0.05)
     space = model.open_space()
-    terms = model.hamiltonian_terms(space)
-    h_of_t = lambda t: model.assemble_hamiltonian(terms, 0.0, 0.0, g=1.0, delta=3.6)
     psi0 = space.ket(subspace.basis[2])  # one photon present
     number = hilbert.excited_projector(space)
     for mode in ("L", "R"):
         a = hilbert.annihilation_operator(space, mode)
         number = number + a.conj().T @ a
+    # CellDrives' coefficient order: drives a, a+, b, b+, cavity, detuning, kappa, gamma
     result = dynamics.evolve_lindblad(
-        h_of_t, model.collapse_channels(params, space),
+        model.open_liouvillian(), _constant(0, 0, 0, 0, 1.0, 3.6, params.kappa, params.gamma),
         np.outer(psi0, psi0.conj()), 30.0,
         IntegratorConfig(dt=0.01, record_every=100),
         tracked=np.flatnonzero(np.diag(number).real > 0.5),

@@ -270,3 +270,50 @@ def test_batched_robustness_matches_single_runs():
             cell = experiments._robustness_cell(dev, name, params, pulse_set, cfg)
             f, note = _closed_cell_alone(*cell)
             assert note == "" and abs(scan.values[i, j] - f) <= 1e-12
+
+
+def _open_cell_alone(params, pulse_set, cfg):
+    """One open cell as its own simulate_open run: (F, note) as a sweep reports it."""
+    try:
+        return experiments.simulate_open(params, pulse_set, cfg).final_fidelity, ""
+    except (IntegratorInstabilityError, PulseSynthesisError) as exc:
+        return float("nan"), f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_open_batch_size_does_not_change_a_cell():
+    # Fig-9 cells; kappa = 60 at dt 0.05 leaves RK4's stability region
+    # (trace drift 9.0 at t = 10), kappa = 5000 overflows to NaN before its
+    # first recorded point, and the rest of their batch runs on.
+    rates = [(0.0, 0.0), (0.01, 0.02), (60.0, 0.0), (0.05, 0.05), (0.0, 0.08),
+             (0.02, 0.0), (5000.0, 0.0), (0.04, 0.04)]
+    pulse_set = experiments.default_pulse_set(PulseKind.TQD_FITTED)
+    cells = [(ModelParams(kappa=k, gamma=g), pulse_set) for k, g in rates]
+    cfg = IntegratorConfig(dt=0.05)
+    whole = experiments.simulate_open_batch(cells, 50.0, cfg)
+    single = [r for cell in cells for r in experiments.simulate_open_batch([cell], 50.0, cfg)]
+    split = (experiments.simulate_open_batch(cells[:3], 50.0, cfg)
+             + experiments.simulate_open_batch(cells[3:], 50.0, cfg))
+    values = np.array([f for f, _ in whole])
+    for other in (single, split):
+        assert np.array_equal(np.array([f for f, _ in other]), values, equal_nan=True)
+        assert [n for _, n in other] == [n for _, n in whole]
+    assert [bool(n) for _, n in whole] == [k >= 60.0 for k, _ in rates]
+    assert whole[2][1].startswith("IntegratorInstabilityError: trace drift 9.00e+00")
+    assert whole[6][1].startswith("IntegratorInstabilityError: trace drift nan")
+    for (f, note), cell in zip(whole, cells):  # a single simulate_open run agrees exactly
+        f_alone, note_alone = _open_cell_alone(*cell, cfg)
+        assert note == note_alone
+        assert np.array_equal(f, f_alone, equal_nan=True)
+
+
+def test_open_batch_pulse_failure_is_per_cell():
+    cfg = IntegratorConfig(dt=0.05)
+    bad = PulseSet(PulseKind.TQD_EXACT, StirapParams(), delta=-1.0)
+    good = experiments.default_pulse_set(PulseKind.TQD_FITTED)
+    cells = [(ModelParams(delta=-1.0, kappa=0.01), bad), (ModelParams(kappa=0.01), good)]
+    (f_bad, note), (f_good, healthy) = experiments.simulate_open_batch(cells, 50.0, cfg)
+    assert np.isnan(f_bad) and note == _open_cell_alone(*cells[0], cfg)[1]
+    assert note.startswith("PulseSynthesisError: delta*theta_dot > 0 at t=0;")
+    assert healthy == "" and f_good == _open_cell_alone(*cells[1], cfg)[0]

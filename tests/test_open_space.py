@@ -79,39 +79,147 @@ def test_open_space_operators_are_restrictions(full_space, terms80):
         assert not np.any(op80[outside][:, idx])
 
 
+def _unit_dissipators(space):
+    """The kappa and the gamma dissipator of space at unit rate."""
+    return [dynamics.dissipator_superoperator(model.collapse_channels(rates, space), space.dim)
+            for rates in (ModelParams(kappa=1.0), ModelParams(gamma=1.0))]
+
+
 def test_open_run_matches_full_space_run(full_space, subspace, terms80):
     cfg = IntegratorConfig(dt=0.01)
     pulse_set = experiments.default_pulse_set(PulseKind.TQD_FITTED, BENCHMARK)
     reduced = experiments.simulate_open(BENCHMARK, pulse_set, cfg)
 
+    # The same master equation on the 80-dim product space, support closed there.
     psi0 = full_space.ket(subspace.basis[0])
+    rho0 = np.outer(psi0, psi0.conj())
+    drives = model.CellDrives(terms80, [(BENCHMARK, pulse_set)])
     full = dynamics.evolve_lindblad(
-        model.make_h_of_t(terms80, BENCHMARK, pulse_set),
-        model.collapse_channels(BENCHMARK, full_space),
-        np.outer(psi0, psi0.conj()), BENCHMARK.t_f, cfg,
+        dynamics.Liouvillian.reachable(drives.operators, _unit_dissipators(full_space), rho0),
+        drives, rho0, BENCHMARK.t_f, cfg,
         tracked=hilbert.subspace_indices(subspace, full_space),
         target=dynamics.target_state(full_space),
     )
     assert reduced.final_state.shape == (16, 16)
+    assert full.metadata["support"] == reduced.metadata["support"] == 84
     assert np.array_equal(reduced.times, full.times)
     assert np.max(np.abs(reduced.fidelity - full.fidelity)) < 1e-12
     assert np.max(np.abs(reduced.populations - full.populations)) < 1e-12
     assert reduced.metadata["positivity_warnings"] == []
 
 
-def _midpoint_exponential(h_of_t, channels, rho0, t_f, n_steps):
-    """rho(t_f) from exact exponentials of the Liouvillian frozen at each step's midpoint.
+def test_open_run_matches_per_step_hamiltonian_run(subspace):
+    """The support run against RK4 on the dense 16x16 rho with H(t) built at each stage.
 
-    Column-stacked vectorization, vec(A X B) = (B^T kron A) vec(X), so the
-    superoperator is built independently of dynamics.dissipator_superoperator.
+    That is the master equation as -i[H(t), rho] plus the sparse dissipator
+    matvec, symmetrized after each step, sharing no right-hand side with the
+    support run; both integrate the same RK4 steps, so they agree to rounding.
     """
-    dim = rho0.shape[0]
+    space = model.open_space()
+    cfg = IntegratorConfig(dt=0.01)
+    pulse_set = experiments.default_pulse_set(PulseKind.TQD_FITTED, BENCHMARK)
+    run = experiments.simulate_open(BENCHMARK, pulse_set, cfg)
+
+    h_of_t = model.make_h_of_t(model.hamiltonian_terms(space), BENCHMARK, pulse_set)
+    dissipator = dynamics.dissipator_superoperator(model.collapse_channels(BENCHMARK, space),
+                                                   space.dim)
+
+    def rhs(h, rho):
+        return -1j * (h @ rho - rho @ h) + (dissipator @ rho.ravel()).reshape(rho.shape)
+
+    rho = np.zeros((space.dim, space.dim), dtype=complex)
+    rho[0, 0] = 1.0
+    target = dynamics.target_state(space)
+    dt, fids, pops = cfg.dt, [], []
+    for step in range(round(BENCHMARK.t_f / dt) + 1):
+        if step % cfg.record_every == 0:
+            fids.append(np.real(target.conj() @ rho @ target))
+            pops.append(np.real(np.diag(rho))[:8])
+        h0, h_half, h1 = (h_of_t(step * dt + s) for s in (0.0, dt / 2, dt))
+        k1 = rhs(h0, rho)
+        k2 = rhs(h_half, rho + 0.5 * dt * k1)
+        k3 = rhs(h_half, rho + 0.5 * dt * k2)
+        k4 = rhs(h1, rho + dt * k3)
+        rho = rho + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        rho = 0.5 * (rho + rho.conj().T)
+    assert np.max(np.abs(run.fidelity - np.array(fids))) < 1e-12
+    assert np.max(np.abs(run.populations[:, :8] - np.array(pops))) < 1e-12
+
+
+def _h_blocks(space):
+    """Connected components of the open space under the Hamiltonian terms, in space order."""
+    terms = model.hamiltonian_terms(space)
+    links = sum(np.abs(op) + np.abs(op.T) for op in
+                (terms.drive_a, terms.drive_b, terms.cavity, terms.excited))
+    blocks, seen = [], set()
+    for i in range(space.dim):
+        if i not in seen:
+            block = hilbert.closure(links, [i])
+            seen.update(block.tolist())
+            blocks.append(block)
+    return blocks
+
+
+def test_liouville_support_closure():
+    space = model.open_space()
+    support = model.open_liouvillian()
+    dim = space.dim
+    assert support.dim == dim and support.entries.size == 84
+    assert sum(op.nnz for op in support.operators) == 416
+
+    # Closed under the full 256x256 pattern of every structure operator, built
+    # here with dense column-stacked krons and read back in row-major order.
+    rows, cols = np.divmod(np.arange(dim * dim), dim)
+    colmajor = cols * dim + rows  # row-major position -> column-stacked position
+    eye = np.eye(dim)
+    drives = model.CellDrives(model.hamiltonian_terms(space), []).operators
+    full = [-1j * (np.kron(eye, op) - np.kron(op.T, eye)) for op in drives]
+    full += [_column_stacked_dissipator(model.collapse_channels(rates, space), dim)
+             for rates in (ModelParams(kappa=1.0), ModelParams(gamma=1.0))]
+    inside = np.zeros(dim * dim, dtype=bool)
+    inside[support.entries] = True
+    for op, restricted in zip(full, support.operators):
+        op = op[np.ix_(colmajor, colmajor)]
+        assert not np.any(op[~inside][:, inside])
+        assert np.allclose(restricted.toarray(), op[np.ix_(support.entries, support.entries)],
+                           rtol=0, atol=1e-15)
+
+    # rho stays block-diagonal over the H-connected blocks of the open space.
+    blocks = _h_blocks(space)
+    assert sorted(b.size for b in blocks) == [1, 1, 3, 3, 8]
+    expected = sorted(i * dim + j for b in blocks for i in b for j in b)
+    assert support.entries.tolist() == expected
+
+    # Atom B's e_R -> g_L decay feeds |phi_7><phi_7| from the {9, 10, 11} block,
+    # so the chain block alone (a chain-only support) is not closed.
+    phi7 = space.index[BasisState(LevelA.gL, LevelB.gL, 0, 0)]
+    source = space.index[BasisState(LevelA.gL, LevelB.eR, 0, 0)]
+    assert phi7 == 6 and [9, 10, 11] in [b.tolist() for b in blocks]
+    assert source in (9, 10, 11)
+    d_gamma = full[-1][np.ix_(colmajor, colmajor)]
+    assert d_gamma[phi7 * dim + phi7, source * dim + source] != 0
+
+
+def _column_stacked_dissipator(channels, dim):
+    """Dense sum_c rate_c (L rho L+ - {L+L, rho}/2) on the column-stacked vec(rho).
+
+    vec(A X B) = (B^T kron A) vec(X), so the superoperator is built
+    independently of dynamics.dissipator_superoperator.
+    """
     eye = np.eye(dim)
     dissipator = np.zeros((dim * dim, dim * dim), dtype=complex)
     for op, rate in channels:
         decay = op.conj().T @ op
         dissipator += rate * (np.kron(op.conj(), op) - 0.5 * np.kron(eye, decay)
                               - 0.5 * np.kron(decay.T, eye))
+    return dissipator
+
+
+def _midpoint_exponential(h_of_t, channels, rho0, t_f, n_steps):
+    """rho(t_f) from exact exponentials of the Liouvillian frozen at each step's midpoint."""
+    dim = rho0.shape[0]
+    eye = np.eye(dim)
+    dissipator = _column_stacked_dissipator(channels, dim)
     h = t_f / n_steps
     vec = rho0.reshape(-1, order="F")
     for k in range(n_steps):

@@ -29,11 +29,11 @@ def test_open_run_keeps_a_density_matrix(kappa, gamma, scale, start, duration):
     reference = experiments.default_pulse_set(PulseKind.TQD_FITTED, params)
     pulse_set = replace(reference, fitted=reference.fitted.scaled(scale))
     space = model.open_space()
-    h_of_t = model.make_h_of_t(model.hamiltonian_terms(space), params, pulse_set)
+    drives = model.CellDrives(model.hamiltonian_terms(space), [(params, pulse_set)])
     rho0 = np.zeros((space.dim, space.dim), dtype=complex)
     rho0[0, 0] = 1.0
     result = dynamics.evolve_lindblad(
-        lambda t: h_of_t(start + t), model.collapse_channels(params, space), rho0,
+        model.open_liouvillian(), lambda times: drives(start + times), rho0,
         duration, IntegratorConfig(dt=0.01, record_every=10),
     )
     rho = result.final_state
