@@ -205,7 +205,7 @@ def _batch_inputs_and_rhs(coefficients, operators):
     empty = np.setdiff1d(np.arange(parts[0].shape[0]), rows)
     rows = np.concatenate([rows, empty])
     ks = np.concatenate([np.full(p.nnz, k) for k, p in enumerate(parts)] + [0 * empty])
-    cols = np.concatenate([p.col for p in parts] + [empty])
+    cols = np.concatenate([p.col for p in parts] + [empty]).astype(np.intp)  # take's own type
     values = np.concatenate([p.data for p in parts] + [np.zeros(empty.size, complex)])
     order = np.lexsort((cols, ks, rows))
     rows, ks, cols, values = rows[order], ks[order], cols[order], values[order]

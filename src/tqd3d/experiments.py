@@ -95,7 +95,7 @@ def simulate_open(params: ModelParams, pulse_set: PulseSet,
             raise drives.errors[0]
         return c
 
-    return _evolve_open(coefficients, _initial_density(), params.t_f, cfg)
+    return _evolve_open(coefficients, [params], _initial_density(), params.t_f, cfg)
 
 
 def _initial_density() -> np.ndarray:
@@ -103,10 +103,11 @@ def _initial_density() -> np.ndarray:
     return np.outer(psi0, psi0.conj())
 
 
-def _evolve_open(coefficients, rho0, t_final, cfg) -> SimResult:
+def _evolve_open(drive_coefficients, params, rho0, t_final, cfg) -> SimResult:
     space = model.open_space()
     return dynamics.evolve_lindblad(
-        model.open_liouvillian(), coefficients, rho0, t_final, cfg,
+        model.open_liouvillian(), model.open_coefficients(drive_coefficients, params),
+        rho0, t_final, cfg,
         tracked=hilbert.subspace_indices(hilbert.build_subspace(), space),
         target=dynamics.target_state(space),
     )
@@ -140,7 +141,8 @@ def simulate_open_batch(cells: Sequence[tuple[ModelParams, PulseSet]], t_final: 
     """
     drives = model.CellDrives(model.hamiltonian_terms(model.open_space()), cells)
     rho0 = np.tile(_initial_density(), (len(drives.cells), 1, 1))
-    return _outcomes(drives, _evolve_open(drives, rho0, t_final, cfg))
+    result = _evolve_open(drives, [p for p, _ in drives.cells], rho0, t_final, cfg)
+    return _outcomes(drives, result)
 
 
 def _outcomes(drives: model.CellDrives, result: SimResult) -> list[tuple[float, str]]:

@@ -128,12 +128,11 @@ class CellDrives:
     of assemble_hamiltonian split into drive_a, drive_a+, drive_b, drive_b+,
     cavity + cavity+ and the excited projector, with coefficients omega_a,
     conj(omega_a), omega_b, conj(omega_b), g and the detuning of make_h_of_t.
-    Two more columns carry the cell's kappa and gamma, the weights of the
-    unit-rate dissipators of open_liouvillian. A call evaluates the pulses
-    of each distinct PulseSet once at all the given times
-    (dynamics.evolve_schrodinger and evolve_lindblad run the batch). A cell
-    whose pulse synthesis fails gets NaN coefficients from the first failing
-    time on, and its PulseSynthesisError is kept in `errors`.
+    A call evaluates the pulses of each distinct PulseSet once at all the
+    given times (dynamics.evolve_schrodinger runs the batch; open runs add
+    the rates of open_liouvillian's dissipators). A cell whose pulse
+    synthesis fails gets NaN coefficients from the first failing time on,
+    and its PulseSynthesisError is kept in `errors`.
     """
 
     def __init__(self, terms: HamiltonianTerms,
@@ -143,19 +142,22 @@ class CellDrives:
         self.errors: dict[int, PulseSynthesisError] = {}
         first: dict[PulseSet, int] = {}  # each cell's first cell with an equal PulseSet
         self._first = [first.setdefault(ps, b) for b, (_, ps) in enumerate(self.cells)]
-        self._constants = np.array([[p.g, _detuning(p, ps), p.kappa, p.gamma]
-                                    for p, ps in self.cells]).reshape(-1, 4)
+        self._shared = {f for b, f in enumerate(self._first) if f != b}
+        self._constants = np.array([[p.g, _detuning(p, ps)]
+                                    for p, ps in self.cells]).reshape(-1, 2)
 
     def __call__(self, times: np.ndarray) -> np.ndarray:
-        out = np.full((len(times), len(self.cells), len(self.operators) + 2), np.nan,
+        out = np.full((len(times), len(self.cells), len(self.operators)), np.nan,
                       dtype=complex)
         out[:, :, 4:] = self._constants
-        drives: dict[int, tuple] = {}
+        shared: dict[int, tuple] = {}  # pulses of the PulseSets later cells reuse
         for b, (first, (_, pulse_set)) in enumerate(zip(self._first, self.cells)):
             if b in self.errors:  # failed in an earlier call
                 out[:, b] = np.nan
                 continue
-            if first not in drives:
+            if first in shared:
+                columns, error = shared[first]
+            else:
                 try:
                     omega_a, omega_b = pulse_set.amplitudes(times)
                     error = None
@@ -163,8 +165,9 @@ class CellDrives:
                     omega_a, omega_b = pulse_set.amplitudes(
                         times[:_synthesizable_prefix(pulse_set, times)])
                     error = exc
-                drives[first] = (omega_a, np.conj(omega_a), omega_b, np.conj(omega_b)), error
-            columns, error = drives[first]
+                columns = (omega_a, np.conj(omega_a), omega_b, np.conj(omega_b))
+                if b in self._shared:
+                    shared[b] = columns, error
             if error is not None:
                 self.errors[b] = error
                 out[len(columns[0]):, b] = np.nan
@@ -373,11 +376,11 @@ def open_space() -> HilbertSpace:
 
 @lru_cache(maxsize=None)
 def open_liouvillian() -> dynamics.Liouvillian:
-    """The master equation on open_space as structure superoperators for CellDrives.
+    """The master equation on open_space as structure superoperators.
 
-    Operators -i[G_k, .] for the 6 drive operators, then the kappa and gamma
-    dissipators at unit rate, on the entries of rho reachable from
-    |phi_1><phi_1|. Like open_space, the support holds for every rate.
+    Operators -i[G_k, .] for the 6 drive operators of CellDrives, then the
+    kappa and gamma dissipators at unit rate, on the entries of rho reachable
+    from |phi_1><phi_1|. Like open_space, the support holds for every rate.
     """
     space = open_space()
     psi0 = space.ket(hilbert.build_subspace().basis[0])
@@ -385,3 +388,18 @@ def open_liouvillian() -> dynamics.Liouvillian:
                    for rates in (ModelParams(kappa=1.0), ModelParams(gamma=1.0))]
     return dynamics.Liouvillian.reachable(_drive_operators(hamiltonian_terms(space)),
                                           dissipators, np.outer(psi0, psi0.conj()))
+
+
+def open_coefficients(drive_coefficients: Callable, params: Sequence[ModelParams]) -> Callable:
+    """Coefficients of open_liouvillian's operators: the drives', then kappa and gamma.
+
+    drive_coefficients(times) gives a batch's CellDrives coefficients
+    (times, cells, 6); params are the cells' ModelParams, in order.
+    """
+    rates = np.array([[p.kappa, p.gamma] for p in params], dtype=complex).reshape(-1, 2)
+
+    def coefficients(times):
+        c = drive_coefficients(times)
+        return np.concatenate([c, np.broadcast_to(rates, c.shape[:-1] + (2,))], axis=-1)
+
+    return coefficients

@@ -141,7 +141,9 @@ def test_lindblad_hermiticity_and_positivity_metadata(subspace, default_pulses):
     )
     psi0 = space.ket(subspace.basis[0])
     result = dynamics.evolve_lindblad(
-        model.open_liouvillian(), model.CellDrives(model.hamiltonian_terms(space), [(params, ps)]),
+        model.open_liouvillian(),
+        model.open_coefficients(model.CellDrives(model.hamiltonian_terms(space), [(params, ps)]),
+                                [params]),
         np.outer(psi0, psi0.conj()), 50.0,
         IntegratorConfig(dt=0.01, record_every=500),
         tracked=hilbert.subspace_indices(subspace, space),
@@ -169,7 +171,7 @@ def test_excitation_decay_monotone_without_pulses(subspace):
     for mode in ("L", "R"):
         a = hilbert.annihilation_operator(space, mode)
         number = number + a.conj().T @ a
-    # CellDrives' coefficient order: drives a, a+, b, b+, cavity, detuning, kappa, gamma
+    # open_liouvillian's operator order: drives a, a+, b, b+, cavity, detuning, kappa, gamma
     result = dynamics.evolve_lindblad(
         model.open_liouvillian(), _constant(0, 0, 0, 0, 1.0, 3.6, params.kappa, params.gamma),
         np.outer(psi0, psi0.conj()), 30.0,

@@ -285,8 +285,8 @@ def test_cell_drives_share_pulse_synthesis(monkeypatch, terms8):
     fitted = PulseSet(PulseKind.TQD_FITTED, StirapParams(), delta=3.6,
                       fitted=pulses.default_fitted_pulse())
     bad = PulseSet(PulseKind.TQD_EXACT, StirapParams(), delta=-1.0)
-    cells = [(ModelParams(kappa=k), fitted) for k in (0.0, 0.01, 0.02)]
-    cells += [(ModelParams(delta=-1.0), bad), (ModelParams(delta=-1.0, gamma=0.1), bad)]
+    cells = [(ModelParams(g=g), fitted) for g in (1.0, 0.9, 1.1)]
+    cells += [(ModelParams(delta=-1.0), bad), (ModelParams(delta=-1.0, g=1.2), bad)]
     times = np.linspace(0.0, 50.0, 7)
     alone = np.concatenate([model.CellDrives(terms8, [cell])(times) for cell in cells], axis=1)
     calls = []
@@ -298,6 +298,6 @@ def test_cell_drives_share_pulse_synthesis(monkeypatch, terms8):
     assert calls[:2] == [fitted, bad]  # then the failing set's prefix search
     assert calls.count(fitted) == 1
     assert np.array_equal(together, alone, equal_nan=True)
-    assert np.all(together[:, 1, 6:] == [0.01, 0.0])  # kappa and gamma columns
+    assert np.all(together[:, 1, 4] == 0.9)  # the cells' own couplings
     assert np.all(np.isnan(together[:, 3:]))  # the failing set fails at t = 0
     assert set(drives.errors) == {3, 4} and drives.errors[3] is drives.errors[4]

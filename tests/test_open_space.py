@@ -96,7 +96,7 @@ def test_open_run_matches_full_space_run(full_space, subspace, terms80):
     drives = model.CellDrives(terms80, [(BENCHMARK, pulse_set)])
     full = dynamics.evolve_lindblad(
         dynamics.Liouvillian.reachable(drives.operators, _unit_dissipators(full_space), rho0),
-        drives, rho0, BENCHMARK.t_f, cfg,
+        model.open_coefficients(drives, [BENCHMARK]), rho0, BENCHMARK.t_f, cfg,
         tracked=hilbert.subspace_indices(subspace, full_space),
         target=dynamics.target_state(full_space),
     )

@@ -33,7 +33,8 @@ def test_open_run_keeps_a_density_matrix(kappa, gamma, scale, start, duration):
     rho0 = np.zeros((space.dim, space.dim), dtype=complex)
     rho0[0, 0] = 1.0
     result = dynamics.evolve_lindblad(
-        model.open_liouvillian(), lambda times: drives(start + times), rho0,
+        model.open_liouvillian(),
+        model.open_coefficients(lambda times: drives(start + times), [params]), rho0,
         duration, IntegratorConfig(dt=0.01, record_every=10),
     )
     rho = result.final_state
