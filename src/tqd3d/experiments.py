@@ -86,8 +86,7 @@ def simulate_open(params: ModelParams, pulse_set: PulseSet,
     one on the Liouville support (model.open_liouvillian); a failing pulse
     synthesis raises as soon as it is met.
     """
-    drives = model.CellDrives(model.hamiltonian_terms(model.open_space()),
-                              [(params, pulse_set)])
+    drives = model.CellDrives(model.open_terms(), [(params, pulse_set)])
 
     def coefficients(times):
         c = drives(times)
@@ -139,7 +138,7 @@ def simulate_open_batch(cells: Sequence[tuple[ModelParams, PulseSet]], t_final: 
     drifts beyond dynamics.TRACE_TOL gets NaN and the note simulate_open's
     exception would give; the other cells run on unaffected.
     """
-    drives = model.CellDrives(model.hamiltonian_terms(model.open_space()), cells)
+    drives = model.CellDrives(model.open_terms(), cells)
     rho0 = np.tile(_initial_density(), (len(drives.cells), 1, 1))
     result = _evolve_open(drives, [p for p, _ in drives.cells], rho0, t_final, cfg)
     return _outcomes(drives, result)

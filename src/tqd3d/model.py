@@ -16,6 +16,7 @@ and its numerical cross-check from the instantaneous-eigenvector formula.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -129,7 +130,9 @@ class CellDrives:
     cavity + cavity+ and the excited projector, with coefficients omega_a,
     conj(omega_a), omega_b, conj(omega_b), g and the detuning of make_h_of_t.
     A call evaluates the pulses of each distinct PulseSet once at all the
-    given times (dynamics.evolve_schrodinger runs the batch; open runs add
+    given times, and theta_dot once for the StirapParams that several exact
+    TQD PulseSets share (a cut along delta), each of which then takes only
+    its own root (dynamics.evolve_schrodinger runs the batch; open runs add
     the rates of open_liouvillian's dissipators). A cell whose pulse
     synthesis fails gets NaN coefficients from the first failing time on,
     and its PulseSynthesisError is kept in `errors`.
@@ -143,14 +146,16 @@ class CellDrives:
         first: dict[PulseSet, int] = {}  # each cell's first cell with an equal PulseSet
         self._first = [first.setdefault(ps, b) for b, (_, ps) in enumerate(self.cells)]
         self._shared = {f for b, f in enumerate(self._first) if f != b}
+        exact = Counter(ps.stirap for ps in first if ps.kind is PulseKind.TQD_EXACT)
+        self._shared_rates = {stirap for stirap, n in exact.items() if n > 1}
         self._constants = np.array([[p.g, _detuning(p, ps)]
                                     for p, ps in self.cells]).reshape(-1, 2)
 
     def __call__(self, times: np.ndarray) -> np.ndarray:
-        out = np.full((len(times), len(self.cells), len(self.operators)), np.nan,
-                      dtype=complex)
+        out = np.empty((len(times), len(self.cells), len(self.operators)), dtype=complex)
         out[:, :, 4:] = self._constants
         shared: dict[int, tuple] = {}  # pulses of the PulseSets later cells reuse
+        rates: dict[StirapParams, np.ndarray] = {}  # theta_dot of the shared StirapParams
         for b, (first, (_, pulse_set)) in enumerate(zip(self._first, self.cells)):
             if b in self.errors:  # failed in an earlier call
                 out[:, b] = np.nan
@@ -158,22 +163,28 @@ class CellDrives:
             if first in shared:
                 columns, error = shared[first]
             else:
-                try:
-                    omega_a, omega_b = pulse_set.amplitudes(times)
-                    error = None
-                except PulseSynthesisError as exc:
-                    omega_a, omega_b = pulse_set.amplitudes(
-                        times[:_synthesizable_prefix(pulse_set, times)])
-                    error = exc
+                omega_a, omega_b, error = self._amplitudes(pulse_set, times, rates)
                 columns = (omega_a, np.conj(omega_a), omega_b, np.conj(omega_b))
                 if b in self._shared:
                     shared[b] = columns, error
+            for k, column in enumerate(columns):
+                out[:, b, k] = column
             if error is not None:
                 self.errors[b] = error
-                out[len(columns[0]):, b] = np.nan
-            for k, column in enumerate(columns):
-                out[:len(column), b, k] = column
+                out[np.isnan(columns[0]), b] = np.nan  # the whole cell, from that time on
         return out
+
+    def _amplitudes(self, pulse_set: PulseSet, times: np.ndarray, rates: dict):
+        """(omega_a, omega_b, PulseSynthesisError or None), NaN from a failing time on."""
+        stirap = pulse_set.stirap
+        if pulse_set.kind is not PulseKind.TQD_EXACT or stirap not in self._shared_rates:
+            try:
+                return (*pulse_set.amplitudes(times), None)
+            except PulseSynthesisError:  # only exact TQD pulses fail: find where below
+                pass
+        if stirap not in rates:
+            rates[stirap] = pulses.mixing_angle_rate(stirap, times)
+        return pulses.counterdiabatic_amplitudes(rates[stirap], pulse_set.delta, times)
 
 
 def _drive_operators(terms: HamiltonianTerms) -> np.ndarray:
@@ -187,16 +198,6 @@ def _drive_operators(terms: HamiltonianTerms) -> np.ndarray:
 def _detuning(params: ModelParams, pulse_set: PulseSet) -> float:
     """STIRAP pulses drive the resonant model; TQD pulses the detuned one."""
     return 0.0 if pulse_set.kind is PulseKind.STIRAP else params.delta
-
-
-def _synthesizable_prefix(pulse_set: PulseSet, times: np.ndarray) -> int:
-    """Number of leading times at which pulse_set's amplitudes exist, one call each."""
-    for n, t in enumerate(times):
-        try:
-            pulse_set.amplitudes(t)
-        except PulseSynthesisError:
-            return n
-    return len(times)
 
 
 def symmetric_vectors() -> dict[str, np.ndarray]:
@@ -375,6 +376,12 @@ def open_space() -> HilbertSpace:
 
 
 @lru_cache(maxsize=None)
+def open_terms() -> HamiltonianTerms:
+    """hamiltonian_terms on open_space, assembled once per process."""
+    return hamiltonian_terms(open_space())
+
+
+@lru_cache(maxsize=None)
 def open_liouvillian() -> dynamics.Liouvillian:
     """The master equation on open_space as structure superoperators.
 
@@ -386,7 +393,7 @@ def open_liouvillian() -> dynamics.Liouvillian:
     psi0 = space.ket(hilbert.build_subspace().basis[0])
     dissipators = [dynamics.dissipator_superoperator(collapse_channels(rates, space), space.dim)
                    for rates in (ModelParams(kappa=1.0), ModelParams(gamma=1.0))]
-    return dynamics.Liouvillian.reachable(_drive_operators(hamiltonian_terms(space)),
+    return dynamics.Liouvillian.reachable(_drive_operators(open_terms()),
                                           dissipators, np.outer(psi0, psi0.conj()))
 
 

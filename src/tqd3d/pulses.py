@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import least_squares
 
 SQRT2 = np.sqrt(2.0)
 
@@ -127,20 +126,36 @@ def tqd_amplitudes(p: StirapParams, delta: float, t):
     |Omega_A'|^2 = -3*delta*theta_dot, which requires delta*theta_dot <= 0.
     Omega_B' is taken real and nonnegative; the relative phase is fixed by
     Omega_A' = -i*sqrt(2)*Omega_B' so the Stark shifts cancel as a global phase.
+    Raises PulseSynthesisError where delta*theta_dot > 0 (see
+    counterdiabatic_amplitudes).
     """
-    theta_dot = mixing_angle_rate(p, t)
+    omega_a_prime, omega_b_prime, error = counterdiabatic_amplitudes(
+        mixing_angle_rate(p, t), delta, t)
+    if error is not None:
+        raise error
+    return omega_a_prime, omega_b_prime
+
+
+def counterdiabatic_amplitudes(theta_dot, delta: float, t):
+    """tqd_amplitudes from the mixing-angle rate theta_dot at times t, and its failure.
+
+    The failure is None, or the PulseSynthesisError of the first time in
+    array order (as a call per time would meet it) at which delta*theta_dot
+    exceeds SIGN_TOL; from that time on both amplitudes are NaN.
+    """
     product = delta * np.asarray(theta_dot)
-    if np.any(product > SIGN_TOL):
-        # Name the first offending time in array order, as a call per time would.
-        t_arr = np.broadcast_to(np.asarray(t, dtype=float), product.shape)
-        bad = float(np.atleast_1d(t_arr)[np.argmax(np.atleast_1d(product) > SIGN_TOL)])
-        raise PulseSynthesisError(
+    magnitude = np.sqrt(np.maximum(-3.0 * product, 0.0))
+    failing = np.flatnonzero(product > SIGN_TOL)
+    error = None
+    if failing.size:
+        first = failing[0]
+        bad = float(np.broadcast_to(np.asarray(t, dtype=float), product.shape).flat[first])
+        error = PulseSynthesisError(
             f"delta*theta_dot > 0 at t={bad:.6g}; cannot take a real amplitude root"
         )
-    magnitude = np.sqrt(np.maximum(-3.0 * product, 0.0))
-    omega_b_prime = magnitude / SQRT2
-    omega_a_prime = -1j * magnitude
-    return omega_a_prime, omega_b_prime
+        magnitude = np.where(np.arange(product.size).reshape(product.shape) < first,
+                             magnitude, np.nan)
+    return -1j * magnitude, magnitude / SQRT2, error
 
 
 @dataclass(frozen=True)
@@ -195,6 +210,9 @@ def fit_two_gaussians(times: np.ndarray, values: np.ndarray) -> tuple[FittedPuls
     0.16*span and half that, amplitudes each half the sampled peak. Returns the
     fitted pulse and the rms residual.
     """
+    # Imported here: scipy.optimize is a third of the import time of tqd3d.cli.
+    from scipy.optimize import least_squares
+
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     if times.size < 50:

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -318,3 +320,13 @@ def test_sweep_axis_outside_domain_exit_code(tmp_path, monkeypatch, capsys, sett
     assert cli.main(["--out", str(tmp_path), "sweep", "--figure", figure]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+def test_import_leaves_out_the_fitter():
+    # scipy.optimize is a third of the import time; only pulse fitting needs it.
+    code = "import sys, tqd3d.cli; print('scipy.optimize' in sys.modules)"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "False"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tqd3d import experiments, pulses
+from tqd3d import dynamics, experiments, pulses
 from tqd3d.dynamics import IntegratorConfig, IntegratorInstabilityError
 from tqd3d.experiments import GridCapError, SweepGrid
 from tqd3d.model import ModelParams
@@ -251,6 +251,31 @@ def test_batch_size_does_not_change_a_cell():
         assert note or abs(f - f_alone) <= 1e-12
 
 
+@pytest.fixture(scope="module")
+def cut_alone():
+    """40 cells along delta, each run as a batch of one, which builds a block's weights at once."""
+    cells = _cells(np.linspace(0.5, 10.0, 40))
+    cfg = IntegratorConfig(dt=0.05)
+    return cells, cfg, [r for cell in cells
+                        for r in experiments.simulate_closed_batch([cell], 50.0, cfg)]
+
+
+@pytest.mark.parametrize("chunk_bytes", [dynamics.WEIGHT_CHUNK_BYTES, 1, 3 * 40 * 17 * 16])
+def test_weight_chunks_do_not_change_a_cell(cut_alone, monkeypatch, chunk_bytes):
+    # With 17 weights per cell and time, a 40-cell chunk holds 12 of a block's
+    # 200 times by default, one for 1 byte, and 3, which do not divide a block.
+    cells, cfg, alone = cut_alone
+    monkeypatch.setattr(dynamics, "WEIGHT_CHUNK_BYTES", chunk_bytes)
+    whole = experiments.simulate_closed_batch(cells, 50.0, cfg)
+    assert whole == alone and not any(note for _, note in whole)
+
+
+def test_empty_batches_run():
+    cfg = IntegratorConfig(dt=0.1)
+    assert experiments.simulate_closed_batch([], 1.0, cfg) == []
+    assert experiments.simulate_open_batch([], 1.0, cfg) == []
+
+
 def test_batch_of_every_pulse_kind_matches_single_runs():
     cfg = IntegratorConfig(dt=0.05)
     cells = [(ModelParams(), experiments.default_pulse_set(kind)) for kind in PulseKind]
@@ -284,8 +309,9 @@ def _open_cell_alone(params, pulse_set, cfg):
                             "ignore:invalid value encountered:RuntimeWarning")
 def test_open_batch_size_does_not_change_a_cell():
     # Fig-9 cells; kappa = 60 at dt 0.05 leaves RK4's stability region
-    # (trace drift 9.0 at t = 10), kappa = 5000 overflows to NaN before its
-    # first recorded point, and the rest of their batch runs on.
+    # (trace drift 17 at t = 10: rounding on entries near 1.5e16, since RK4
+    # keeps the trace), kappa = 5000 overflows to NaN before its first
+    # recorded point, and the rest of their batch runs on.
     rates = [(0.0, 0.0), (0.01, 0.02), (60.0, 0.0), (0.05, 0.05), (0.0, 0.08),
              (0.02, 0.0), (5000.0, 0.0), (0.04, 0.04)]
     pulse_set = experiments.default_pulse_set(PulseKind.TQD_FITTED)
@@ -300,7 +326,7 @@ def test_open_batch_size_does_not_change_a_cell():
         assert np.array_equal(np.array([f for f, _ in other]), values, equal_nan=True)
         assert [n for _, n in other] == [n for _, n in whole]
     assert [bool(n) for _, n in whole] == [k >= 60.0 for k, _ in rates]
-    assert whole[2][1].startswith("IntegratorInstabilityError: trace drift 9.00e+00")
+    assert whole[2][1].startswith("IntegratorInstabilityError: trace drift 1.70e+01")
     assert whole[6][1].startswith("IntegratorInstabilityError: trace drift nan")
     for (f, note), cell in zip(whole, cells):  # a single simulate_open run agrees exactly
         f_alone, note_alone = _open_cell_alone(*cell, cfg)

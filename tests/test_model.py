@@ -295,9 +295,36 @@ def test_cell_drives_share_pulse_synthesis(monkeypatch, terms8):
                         lambda self, t: calls.append(self) or amplitudes(self, t))
     drives = model.CellDrives(terms8, cells)
     together = drives(times)
-    assert calls[:2] == [fitted, bad]  # then the failing set's prefix search
+    assert calls[:2] == [fitted, bad]  # the failing set's NaN tail comes from its theta_dot
     assert calls.count(fitted) == 1
     assert np.array_equal(together, alone, equal_nan=True)
     assert np.all(together[:, 1, 4] == 0.9)  # the cells' own couplings
     assert np.all(np.isnan(together[:, 3:]))  # the failing set fails at t = 0
     assert set(drives.errors) == {3, 4} and drives.errors[3] is drives.errors[4]
+
+
+def test_cell_drives_share_theta_dot(monkeypatch, terms8):
+    # Exact-TQD cells that differ only in delta get one theta_dot evaluation per
+    # call, the coefficients each cell gets alone, and tqd_amplitudes's note.
+    deltas = [2.0, 3.6, -1.0, 3.6, 5.0]
+    cells = [(ModelParams(delta=d), PulseSet(PulseKind.TQD_EXACT, StirapParams(), delta=d))
+             for d in deltas]
+    times = np.linspace(-60.0, 50.0, 23)  # delta = -1 fails from t = -40 on
+    alone = np.concatenate([model.CellDrives(terms8, [cell])(times) for cell in cells], axis=1)
+    with pytest.raises(pulses.PulseSynthesisError) as single:
+        pulses.tqd_amplitudes(StirapParams(), -1.0, times)
+    calls = []
+    rate = pulses.mixing_angle_rate
+    monkeypatch.setattr(pulses, "mixing_angle_rate",
+                        lambda p, t: calls.append(p) or rate(p, t))
+    drives = model.CellDrives(terms8, cells)
+    together = drives(times)
+    assert calls == [StirapParams()]
+    assert np.array_equal(together, alone, equal_nan=True)
+    failing = np.isnan(together[:, 2]).all(axis=1)
+    assert np.array_equal(failing, times >= -40.0) and not np.isnan(together[~failing]).any()
+    assert not np.isnan(np.delete(together, 2, axis=1)).any()
+    assert set(drives.errors) == {2} and str(drives.errors[2]) == str(single.value)
+    assert "at t=-40;" in str(single.value)
+    assert np.isnan(drives(times + 110.0)[:, 2]).all()  # a failed cell stays NaN
+    assert calls == [StirapParams()] * 2
