@@ -16,7 +16,6 @@ and its numerical cross-check from the instantaneous-eigenvector formula.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -130,12 +129,12 @@ class CellDrives:
     cavity + cavity+ and the excited projector, with coefficients omega_a,
     conj(omega_a), omega_b, conj(omega_b), g and the detuning of make_h_of_t.
     A call evaluates the pulses of each distinct PulseSet once at all the
-    given times, and theta_dot once for the StirapParams that several exact
-    TQD PulseSets share (a cut along delta), each of which then takes only
-    its own root (dynamics.evolve_schrodinger runs the batch; open runs add
-    the rates of open_liouvillian's dissipators). A cell whose pulse
-    synthesis fails gets NaN coefficients from the first failing time on,
-    and its PulseSynthesisError is kept in `errors`.
+    given times; exact TQD PulseSets share theta_dot per StirapParams (a cut
+    along delta has one) and take only their own root
+    (dynamics.evolve_schrodinger runs the batch; open runs add the rates of
+    open_liouvillian's dissipators). A cell whose pulse synthesis fails gets
+    NaN coefficients from the first failing time on, and its
+    PulseSynthesisError is kept in `errors`.
     """
 
     def __init__(self, terms: HamiltonianTerms,
@@ -146,8 +145,6 @@ class CellDrives:
         first: dict[PulseSet, int] = {}  # each cell's first cell with an equal PulseSet
         self._first = [first.setdefault(ps, b) for b, (_, ps) in enumerate(self.cells)]
         self._shared = {f for b, f in enumerate(self._first) if f != b}
-        exact = Counter(ps.stirap for ps in first if ps.kind is PulseKind.TQD_EXACT)
-        self._shared_rates = {stirap for stirap, n in exact.items() if n > 1}
         self._constants = np.array([[p.g, _detuning(p, ps)]
                                     for p, ps in self.cells]).reshape(-1, 2)
 
@@ -155,7 +152,7 @@ class CellDrives:
         out = np.empty((len(times), len(self.cells), len(self.operators)), dtype=complex)
         out[:, :, 4:] = self._constants
         shared: dict[int, tuple] = {}  # pulses of the PulseSets later cells reuse
-        rates: dict[StirapParams, np.ndarray] = {}  # theta_dot of the shared StirapParams
+        rates: dict[StirapParams, np.ndarray] = {}  # theta_dot of exact TQD PulseSets
         for b, (first, (_, pulse_set)) in enumerate(zip(self._first, self.cells)):
             if b in self.errors:  # failed in an earlier call
                 out[:, b] = np.nan
@@ -163,7 +160,7 @@ class CellDrives:
             if first in shared:
                 columns, error = shared[first]
             else:
-                omega_a, omega_b, error = self._amplitudes(pulse_set, times, rates)
+                omega_a, omega_b, error = _cell_amplitudes(pulse_set, times, rates)
                 columns = (omega_a, np.conj(omega_a), omega_b, np.conj(omega_b))
                 if b in self._shared:
                     shared[b] = columns, error
@@ -174,17 +171,19 @@ class CellDrives:
                 out[np.isnan(columns[0]), b] = np.nan  # the whole cell, from that time on
         return out
 
-    def _amplitudes(self, pulse_set: PulseSet, times: np.ndarray, rates: dict):
-        """(omega_a, omega_b, PulseSynthesisError or None), NaN from a failing time on."""
-        stirap = pulse_set.stirap
-        if pulse_set.kind is not PulseKind.TQD_EXACT or stirap not in self._shared_rates:
-            try:
-                return (*pulse_set.amplitudes(times), None)
-            except PulseSynthesisError:  # only exact TQD pulses fail: find where below
-                pass
-        if stirap not in rates:
-            rates[stirap] = pulses.mixing_angle_rate(stirap, times)
-        return pulses.counterdiabatic_amplitudes(rates[stirap], pulse_set.delta, times)
+
+def _cell_amplitudes(pulse_set: PulseSet, times: np.ndarray, rates: dict):
+    """(omega_a, omega_b, PulseSynthesisError or None), NaN from a failing time on.
+
+    rates caches theta_dot at times per StirapParams for exact TQD pulses,
+    the only ones that can fail.
+    """
+    if pulse_set.kind is not PulseKind.TQD_EXACT:
+        return (*pulse_set.amplitudes(times), None)
+    stirap = pulse_set.stirap
+    if stirap not in rates:
+        rates[stirap] = pulses.mixing_angle_rate(stirap, times)
+    return pulses.counterdiabatic_amplitudes(rates[stirap], pulse_set.delta, times)
 
 
 def _drive_operators(terms: HamiltonianTerms) -> np.ndarray:

@@ -295,8 +295,7 @@ def test_cell_drives_share_pulse_synthesis(monkeypatch, terms8):
                         lambda self, t: calls.append(self) or amplitudes(self, t))
     drives = model.CellDrives(terms8, cells)
     together = drives(times)
-    assert calls[:2] == [fitted, bad]  # the failing set's NaN tail comes from its theta_dot
-    assert calls.count(fitted) == 1
+    assert calls == [fitted]  # exact TQD sets take their pulses from theta_dot
     assert np.array_equal(together, alone, equal_nan=True)
     assert np.all(together[:, 1, 4] == 0.9)  # the cells' own couplings
     assert np.all(np.isnan(together[:, 3:]))  # the failing set fails at t = 0
