@@ -15,7 +15,12 @@ operators are the commutators -i[G_k, .] and the dissipators at unit rate.
 A step costs few numpy calls: the per-entry weights c[t, b, k] * value come
 already multiplied by dt/2, built for as many times at once as fit in
 WEIGHT_CHUNK_BYTES, so each right-hand side gives a stage increment
-(dt/2) k_i directly and the stages are summed in place.
+(dt/2) k_i directly and the stages are summed in place.  A batch's
+right-hand side is one call to scipy's compiled CSR matrix-vector product:
+the weights of one time are the data of a block-diagonal (B n, B n) CSR
+matrix, one block per cell, whose index arrays are built once per batch.
+The routine is called directly because at B = 1 the dispatch of a
+csr_array's `@` costs more than the product.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec
 
 from . import hilbert
 from .hilbert import HilbertSpace
@@ -206,29 +212,39 @@ def _leaked_row(weights: np.ndarray, tracked: np.ndarray | None) -> np.ndarray:
     return np.concatenate([p, leaked[..., None]], axis=-1)
 
 
-def _batch_inputs_and_rhs(coefficients, operators):
+def _batch_inputs_and_rhs(coefficients, operators, cells: int):
     """inputs and rhs of a batch: d/dt x = sum_k c[t, b, k] operators[k] x per cell.
 
     coefficients(times) gives c as (times, cells, K); operators are K dense or
     sparse (n, n) matrices. Entry e of operator k adds c[k] * value_e *
-    x[col_e] to row_e, entries ordered by row, operator and column, so each
-    right-hand side is one gather, one product and one sum per row.
+    x[col_e] to row_e, entries ordered by row, operator and column.
     inputs(times, scale) evaluates c once and yields the weights
-    c[k_e] * (value_e * scale) of each time, built for as many times at once
-    as fit in WEIGHT_CHUNK_BYTES. Every cell's arithmetic is the same
-    whatever else is in its batch.
+    c[k_e] * (value_e * scale) of each time as a (cells, E) array, built for
+    as many times at once as fit in WEIGHT_CHUNK_BYTES.
+
+    Those weights, cell after cell, are the data of one block-diagonal
+    (cells * n, cells * n) CSR matrix whose indptr and indices are built here
+    once, so each right-hand side is one CSR matrix-vector product; a row
+    with no entries gets zero. scipy's compiled csr_matvec is called
+    directly: at one cell, a csr_array's `@` spends longer on dispatch than
+    the product takes. The product sums each row on its own, in entry order,
+    so every cell's arithmetic is the same whatever else is in its batch.
     """
     parts = [sp.coo_matrix(op) for op in operators]
+    n = parts[0].shape[0]
     rows = np.concatenate([p.row for p in parts])
-    # A zero entry on each row that no operator touches, so every row has a sum.
-    empty = np.setdiff1d(np.arange(parts[0].shape[0]), rows)
-    rows = np.concatenate([rows, empty])
-    ks = np.concatenate([np.full(p.nnz, k) for k, p in enumerate(parts)] + [0 * empty])
-    cols = np.concatenate([p.col for p in parts] + [empty]).astype(np.intp)  # take's own type
-    values = np.concatenate([p.data for p in parts] + [np.zeros(empty.size, complex)])
+    ks = np.concatenate([np.full(p.nnz, k) for k, p in enumerate(parts)])
+    cols = np.concatenate([p.col for p in parts])
+    values = np.concatenate([p.data for p in parts])
     order = np.lexsort((cols, ks, rows))
     rows, ks, cols, values = rows[order], ks[order], cols[order], values[order]
-    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    size = cells * n
+    offsets = np.arange(cells)[:, None]
+    indptr = np.append(np.searchsorted(rows, np.arange(n)) + values.size * offsets,
+                       values.size * cells).astype(np.int32)
+    indices = (cols + n * offsets).ravel().astype(np.int32)
+    if indptr[-1] != values.size * cells or not np.all((indices >= 0) & (indices < size)):
+        raise ValueError(f"a batch of {cells} cells overflows 32-bit CSR indices")
 
     def inputs(times, scale):
         c = coefficients(times)  # (times, cells, K)
@@ -240,9 +256,9 @@ def _batch_inputs_and_rhs(coefficients, operators):
             yield from weights  # (cells, entries) per time
 
     def rhs(weights, x):
-        terms = x.take(cols, axis=1, mode="clip")
-        terms *= weights
-        return np.add.reduceat(terms, starts, axis=1)
+        out = np.zeros(x.shape, complex)
+        csr_matvec(size, size, indptr, indices, weights, x, out)
+        return out
 
     return inputs, rhs
 
@@ -257,13 +273,14 @@ def evolve_schrodinger(
 ) -> SimResult:
     """Integrate i d/dt psi = H(t) psi with classic RK4, for one state or a batch.
 
-    One state psi0 (d,) evolves under h_of_t: t -> H(t). A batch psi0 (B, d)
-    runs its cells side by side: h_of_t then has the structure operators
-    `operators` (K, d, d) and maps an array of times to coefficients
-    (times, B, K), and cell b evolves under sum_k c[t, b, k] operators[k]
-    (model.CellDrives). The operators act on the batch entry by entry, with
-    no H(t) stored. A batch cell whose norm drifts beyond NORM_TOL continues
-    as NaN, its IntegratorInstabilityError in metadata["failures"].
+    A plain h_of_t maps t to H(t), and psi0 (d,) evolves under it. An h_of_t
+    with structure operators `operators` (K, d, d) maps an array of times to
+    coefficients (times, B, K), and cell b evolves under
+    sum_k c[t, b, k] operators[k] (model.CellDrives), applied entry by entry
+    with no H(t) stored. psi0 (B, d) is then a batch of B cells: a cell whose
+    norm drifts beyond NORM_TOL continues as NaN, its
+    IntegratorInstabilityError in metadata["failures"]. psi0 (d,) runs as a
+    batch of one and gives results without the cell axis; its drift raises.
 
     tracked: indices whose |amplitude|^2 is recorded (defaults to all);
     target: state against which the fidelity trace is computed (default: the
@@ -274,7 +291,9 @@ def evolve_schrodinger(
         raise ValueError("psi0 must be normalized")
     if target is None:
         target = np.eye(psi.shape[-1], dtype=complex)[0]
-    if psi.ndim == 1:
+    if not hasattr(h_of_t, "operators"):
+        state = psi
+
         def inputs(times, scale):
             return ((-1j * scale) * h_of_t(t) for t in times)
 
@@ -282,12 +301,17 @@ def evolve_schrodinger(
             return h @ psi
 
     else:
-        inputs, rhs = _batch_inputs_and_rhs(h_of_t, -1j * h_of_t.operators)
+        state = psi.reshape(-1, psi.shape[-1])
+        inputs, rhs = _batch_inputs_and_rhs(h_of_t, -1j * h_of_t.operators, len(state))
+
+    def unpack(state):
+        return state.reshape(psi.shape)
+
     return _rk4(
-        inputs, psi, t_f, cfg, np.broadcast_to(target, psi.shape), rhs=rhs,
+        inputs, state, t_f, cfg, np.broadcast_to(target, psi.shape), rhs=rhs,
         record=lambda t, psi: _leaked_row(np.abs(psi) ** 2, tracked),
-        drift=lambda psi: np.abs(np.linalg.norm(psi, axis=-1) - 1.0),
-        drift_name="norm", tol=NORM_TOL,
+        drift=lambda state: np.abs(np.linalg.norm(unpack(state), axis=-1) - 1.0),
+        drift_name="norm", tol=NORM_TOL, unpack=unpack,
     )
 
 
@@ -415,7 +439,7 @@ def evolve_lindblad(
 
     if target is None:
         target = np.eye(dim, dtype=complex)[0]
-    inputs, rhs = _batch_inputs_and_rhs(coefficients, liouvillian.operators)
+    inputs, rhs = _batch_inputs_and_rhs(coefficients, liouvillian.operators, len(cells))
     result = _rk4(
         inputs, flat[:, entries], t_f, cfg, target, rhs=rhs, record=record,
         drift=drift, drift_name="trace", tol=TRACE_TOL,

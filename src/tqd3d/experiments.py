@@ -67,13 +67,17 @@ def _initial_state(space: hilbert.HilbertSpace) -> np.ndarray:
 def simulate_closed(params: ModelParams, pulse_set: PulseSet,
                     cfg: IntegratorConfig = IntegratorConfig(),
                     t_final: float | None = None) -> SimResult:
-    """Pure-state run on the 8-dim subspace."""
+    """Pure-state run on the 8-dim subspace.
+
+    It runs as a batch of one on simulate_closed_batch's path; a failing
+    pulse synthesis raises as soon as it is met.
+    """
     sub = hilbert.build_subspace()
-    terms = model.hamiltonian_terms(sub)
-    h_of_t = model.make_h_of_t(terms, params, pulse_set)
+    drives = model.CellDrives(model.hamiltonian_terms(sub), [(params, pulse_set)])
     return dynamics.evolve_schrodinger(
-        h_of_t, _initial_state(sub), t_final if t_final is not None else params.t_f,
-        cfg, target=dynamics.target_state(sub),
+        _raising(drives), _initial_state(sub),
+        t_final if t_final is not None else params.t_f, cfg,
+        target=dynamics.target_state(sub),
     )
 
 
@@ -87,14 +91,19 @@ def simulate_open(params: ModelParams, pulse_set: PulseSet,
     synthesis raises as soon as it is met.
     """
     drives = model.CellDrives(model.open_terms(), [(params, pulse_set)])
+    return _evolve_open(_raising(drives), [params], _initial_density(), params.t_f, cfg)
 
+
+def _raising(drives: model.CellDrives):
+    """drives' coefficients and operators, raising a pulse-synthesis failure when met."""
     def coefficients(times):
         c = drives(times)
         if drives.errors:
             raise drives.errors[0]
         return c
 
-    return _evolve_open(coefficients, [params], _initial_density(), params.t_f, cfg)
+    coefficients.operators = drives.operators
+    return coefficients
 
 
 def _initial_density() -> np.ndarray:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from tqd3d import dynamics, hilbert, model, pulses
 from tqd3d.dynamics import IntegratorConfig, IntegratorInstabilityError
@@ -227,3 +228,68 @@ def test_batch_matches_single_states_on_open_space(rng):
         assert np.max(np.abs(batch.fidelity[:, b] - alone.fidelity)) < 1e-12
         assert np.max(np.abs(batch.populations[:, b] - alone.populations)) < 1e-12
 
+
+
+def _reduceat_inputs_and_rhs(coefficients, operators):
+    """Reference batch RHS: one gather, one product and one sum per row.
+
+    Entry e of operator k adds c[k] * value_e * x[col_e] to row_e; a zero
+    entry on every row no operator touches gives each row a sum.
+    """
+    parts = [sp.coo_matrix(op) for op in operators]
+    rows = np.concatenate([p.row for p in parts])
+    empty = np.setdiff1d(np.arange(parts[0].shape[0]), rows)
+    rows = np.concatenate([rows, empty])
+    ks = np.concatenate([np.full(p.nnz, k) for k, p in enumerate(parts)] + [0 * empty])
+    cols = np.concatenate([p.col for p in parts] + [empty])
+    values = np.concatenate([p.data for p in parts] + [np.zeros(empty.size, complex)])
+    order = np.lexsort((cols, ks, rows))
+    rows, ks, cols, values = rows[order], ks[order], cols[order], values[order]
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+
+    def inputs(times, scale):
+        weights = coefficients(times).take(ks, axis=2)
+        weights *= values * scale
+        return weights
+
+    def rhs(weights, x):
+        terms = x.take(cols, axis=1)
+        terms *= weights
+        return np.add.reduceat(terms, starts, axis=1)
+
+    return inputs, rhs
+
+
+@pytest.mark.parametrize("cells", [0, 1, 5])
+def test_csr_rhs_matches_reduceat_reference(rng, cells):
+    n, nan_cell = 7, 3
+    mats = [rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.4) for _ in range(3)]
+    for m in mats:
+        m[4] = 0.0  # a row no operator touches
+    operators = [-1j * mats[0], mats[1] + 0.5j * mats[2], sp.csr_matrix(mats[2])]
+    c = rng.normal(size=(1, cells, 3)) + 1j * rng.normal(size=(1, cells, 3))
+    c[:, nan_cell:nan_cell + 1] = np.nan  # a cell whose pulses failed
+    x = rng.normal(size=(cells, n)) + 1j * rng.normal(size=(cells, n))
+    scale = 0.01
+
+    inputs, rhs = dynamics._batch_inputs_and_rhs(lambda times: c, operators, cells)
+    (w,) = inputs(np.zeros(1), scale)
+    got = rhs(w, x)
+    ref_inputs, ref_rhs = _reduceat_inputs_and_rhs(lambda times: c, operators)
+    (w_ref,) = ref_inputs(np.zeros(1), scale)
+    want = ref_rhs(w_ref, x)
+    # Each product and sum rounds within eps of the terms' magnitudes, per row.
+    bound = 8 * np.finfo(float).eps * ref_rhs(np.abs(w_ref), np.abs(x)).real
+
+    assert got.shape == want.shape == (cells, n)
+    healthy = np.arange(cells) != nan_cell
+    assert np.all(np.abs(got - want)[healthy] <= bound[healthy])
+    assert np.all(got[healthy, 4] == 0.0)
+    if cells > nan_cell:
+        touched = np.arange(n) != 4
+        assert np.isnan(got[nan_cell, touched]).all()
+        assert np.isnan(want[nan_cell, touched]).all()
+    for b in range(cells):  # a cell alone gets the same bits as in its batch
+        inputs, rhs = dynamics._batch_inputs_and_rhs(lambda times: c[:, b:b + 1], operators, 1)
+        (w_alone,) = inputs(np.zeros(1), scale)
+        assert np.array_equal(rhs(w_alone, x[b:b + 1])[0], got[b], equal_nan=True)
