@@ -16,13 +16,15 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import platform
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
+import scipy
 
-from . import experiments, pulses
+from . import __version__, experiments, pulses
 from .dynamics import IntegratorConfig, IntegratorInstabilityError
 from .experiments import GridCapError
 from .model import ModelParams
@@ -182,7 +184,10 @@ def _provenance(cfg: RunConfig, **extra) -> dict:
 
 def _write_manifest(out: Path, cfg_text: str, cfg: RunConfig, outputs: list[str]):
     digest = hashlib.sha256(cfg_text.encode()).hexdigest()
-    entries = {"config_sha256": digest, "outputs": ";".join(outputs)}
+    entries = {"config_sha256": digest, "outputs": ";".join(outputs),
+               "tqd3d_version": __version__, "numpy_version": np.__version__,
+               "scipy_version": scipy.__version__,
+               "python_version": platform.python_version()}
     entries.update({f.name: getattr(cfg, f.name) for f in fields(RunConfig)})
     experiments.write_manifest(out / "manifest.txt", entries)
 

@@ -7,24 +7,29 @@ batch of cells that share a step schedule (the cells of a sweep) runs as one
 (B, n) state through the same RK4 driver: cell b evolves under
 sum_k c[t, b, k] G_k, fixed structure operators G_k with per-cell
 coefficients, applied entry by entry, so a cell's numbers do not depend on
-its batch.  The master equation is one such batch: its state is the
-row-major vectorization of rho restricted to the entries its Liouvillian
-reaches from rho0 (84 of 256 on the open-system space), and its structure
-operators are the commutators -i[G_k, .] and the dissipators at unit rate.
+its batch.  The master equation is one such batch with real coefficients:
+its state is the real coordinates of rho on the entries its Liouvillian
+reaches from rho0 (Re rho_ii, and Re and Im rho_ij for i < j: 84 numbers
+for 84 of 256 entries on the open-system space), and its structure
+operators are the commutators -i[G_k, .] with Hermitian G_k and the
+dissipators at unit rate, as real matrices.  rho is Hermitian by
+construction.
 
 A step costs few numpy calls: the per-entry weights c[t, b, k] * value come
 already multiplied by dt/2, built for as many times at once as fit in
-WEIGHT_CHUNK_BYTES, so each right-hand side gives a stage increment
-(dt/2) k_i directly and the stages are summed in place.  A batch's
-right-hand side is one call to scipy's compiled CSR matrix-vector product:
-the weights of one time are the data of a block-diagonal (B n, B n) CSR
-matrix, one block per cell, whose index arrays are built once per batch.
-The routine is called directly because at B = 1 the dispatch of a
-csr_array's `@` costs more than the product.
+WEIGHT_CHUNK_BYTES, so each right-hand side adds a stage increment
+(dt/2) k_i to the array it is given, and the last stage adds its own to the
+sum of the others.  A batch's right-hand side is one call to scipy's
+compiled CSR matrix-vector product: the weights of one time are the data
+of a block-diagonal (B n, B n) CSR matrix, one block per cell, whose index
+arrays are built once per batch.  The routine is called directly because
+at B = 1 the dispatch of a csr_array's `@` costs more than the product.
 """
-
 from __future__ import annotations
 
+import functools
+import itertools
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -117,30 +122,36 @@ def _rk4(
     t_f: float,
     cfg: IntegratorConfig,
     target: np.ndarray,
-    rhs: Callable[[object, np.ndarray], np.ndarray],
+    rhs: Callable[[object, np.ndarray, np.ndarray], None],
     record: Callable[[float, np.ndarray], np.ndarray],
     drift: Callable[[np.ndarray], float | np.ndarray],
     drift_name: str,
     tol: float,
-    post_step: Callable[[np.ndarray], np.ndarray] | None = None,
     unpack: Callable[[np.ndarray], np.ndarray] = lambda state: state,
 ) -> SimResult:
     """Classic fixed-step RK4 from 0 to t_f, shared by both equations of motion.
 
     inputs(times, scale) gives rhs's time-dependent input (H, or a batch's
     weights) at each of the given times, in order, multiplied by scale =
-    dt/2, so that rhs(w, state) is the stage increment (dt/2) d/dt state. It
-    is called on t = 0 and then on the t + dt/2 and t + dt of BLOCK_STEPS
-    steps at a time. With a_i = (dt/2) k_i a step is
-    state + (a1 + 2 a2 + 2 a3 + a4) / 3, summed in place on the arrays rhs
-    returned, which must be new; post_step maps each new state. At every
-    recorded point record(t, unpack(state)) gives the population row, the
-    fidelity of unpack(state) against target is stored, and drift(state)
-    must stay within tol (NaN is beyond it). A single state raises
+    dt/2, so that rhs(w, x, out) adds the stage increment (dt/2) d/dt x to
+    out. It is called on t = 0 and then on the t + dt/2 and t + dt of
+    BLOCK_STEPS steps at a time. With a_i = (dt/2) k_i a step is
+    state + (a1 + 2 a2 + 2 a3 + a4) / 3. The sum is collected in its own
+    array, away from the state's magnitude, and the last stage's product
+    is added to it directly; the equation being linear, the third stage
+    takes 2 (state + a2) and gives 2 a3. Summing the stages into copies of
+    the state instead would round each a_i at the state's magnitude, which
+    moved closed 25 000-step runs by 1e-12. At every recorded point
+    record(t, unpack(state)) gives the population row, the fidelity of
+    unpack(state) against target is stored, and drift(state) must stay
+    within tol (NaN is beyond it). A single state raises
     IntegratorInstabilityError; drift gives one value per cell of a batch,
     and a drifting cell continues as NaN with the error in
     metadata["failures"]. A batch cell whose inputs turned NaN failed in the
     caller, which reports it. final_state is unpack(state) at t_f.
+    metadata["integrate_s"] and ["record_s"] split the wall time between
+    the steps and the recorded points; the clock is read at recorded points
+    only.
     """
     n_steps = int(round(t_f / cfg.dt))
     dt = t_f / n_steps  # land exactly on t_f
@@ -155,8 +166,11 @@ def _rk4(
         fids.append(fidelity(shown, target))
 
     (w_next,) = inputs(np.zeros(1), dt / 2)
-    max_drift = 0.0
+    max_drift = integrate_s = 0.0
+    clock = time.perf_counter()
     keep(0, state)
+    record_s = time.perf_counter() - clock
+    clock += record_s
     for first in range(0, n_steps, BLOCK_STEPS):
         steps = range(first, min(first + BLOCK_STEPS, n_steps))
         t = np.arange(steps.start, steps.stop) * dt
@@ -164,17 +178,24 @@ def _rk4(
         for step in steps:
             t = step * dt
             w0, w_half, w_next = w_next, next(block), next(block)
-            a1 = rhs(w0, state)
-            a2 = rhs(w_half, state + a1)
-            a3 = rhs(w_half, state + a2)
-            a4 = rhs(w_next, state + a3 + a3)
-            a2 += a3
-            a1 += a4
-            a1 += 2 * a2
-            state = state + a1 / 3
-            if post_step is not None:
-                state = post_step(state)
+            total = np.zeros(state.shape, state.dtype)
+            rhs(w0, state, total)  # a1
+            a = np.zeros(state.shape, state.dtype)
+            rhs(w_half, state + total, a)  # a2
+            total += a
+            total += a
+            y = state + a
+            y += y
+            a = np.zeros(state.shape, state.dtype)
+            rhs(w_half, y, a)  # 2 a3
+            total += a
+            rhs(w_next, state + a, total)  # a1 + 2 a2 + 2 a3 + a4
+            total /= 3
+            total += state
+            state = total
             if (step + 1) in rec_set:
+                now = time.perf_counter()
+                integrate_s += now - clock
                 d = drift(state)
                 drifts = np.atleast_1d(d)
                 bad = ~(drifts <= tol)  # a NaN drift too: the state overflowed
@@ -193,6 +214,8 @@ def _rk4(
                 max_drift = max(max_drift, float(np.max(drifts, initial=0.0,
                                                         where=drifts <= tol)))
                 keep(step + 1, state)
+                clock = time.perf_counter()
+                record_s += clock - now
 
     return SimResult(
         times=np.array(times),
@@ -201,7 +224,7 @@ def _rk4(
         final_state=unpack(state),
         metadata={f"max_{drift_name}_drift": max_drift, "dt": dt, "n_steps": n_steps,
                   "rhs_evals": 4 * n_steps, "state_shape": state.shape,
-                  "failures": failures},
+                  "failures": failures, "integrate_s": integrate_s, "record_s": record_s},
     )
 
 
@@ -224,11 +247,13 @@ def _batch_inputs_and_rhs(coefficients, operators, cells: int):
 
     Those weights, cell after cell, are the data of one block-diagonal
     (cells * n, cells * n) CSR matrix whose indptr and indices are built here
-    once, so each right-hand side is one CSR matrix-vector product; a row
-    with no entries gets zero. scipy's compiled csr_matvec is called
-    directly: at one cell, a csr_array's `@` spends longer on dispatch than
-    the product takes. The product sums each row on its own, in entry order,
-    so every cell's arithmetic is the same whatever else is in its batch.
+    once, so rhs(weights, x, out) is one CSR matrix-vector product, added to
+    out; a row with no entries adds nothing. Weights and x are complex, or
+    both real for real coefficients and operators. scipy's compiled
+    csr_matvec is called directly: at one cell, a csr_array's `@` spends
+    longer on dispatch than the product takes. The product adds each row's
+    terms to out on its own, in entry order, so every cell's arithmetic is
+    the same whatever else is in its batch.
     """
     parts = [sp.coo_matrix(op) for op in operators]
     n = parts[0].shape[0]
@@ -250,17 +275,17 @@ def _batch_inputs_and_rhs(coefficients, operators, cells: int):
         c = coefficients(times)  # (times, cells, K)
         scaled = values * scale
         chunk = max(1, WEIGHT_CHUNK_BYTES // (max(c.shape[1], 1) * scaled.nbytes))
-        for first in range(0, len(c), chunk):
-            weights = c[first:first + chunk].take(ks, axis=2)
-            weights *= scaled
-            yield from weights  # (cells, entries) per time
 
-    def rhs(weights, x):
-        out = np.zeros(x.shape, complex)
-        csr_matvec(size, size, indptr, indices, weights, x, out)
-        return out
+        def chunks():
+            for first in range(0, len(c), chunk):
+                weights = c[first:first + chunk].take(ks, axis=2)
+                weights *= scaled
+                yield weights
 
-    return inputs, rhs
+        return itertools.chain.from_iterable(chunks())  # (cells, entries) per time
+
+    # rhs(weights, x, out) adds the product to out, as csr_matvec does.
+    return inputs, functools.partial(csr_matvec, size, size, indptr, indices)
 
 
 def evolve_schrodinger(
@@ -297,8 +322,8 @@ def evolve_schrodinger(
         def inputs(times, scale):
             return ((-1j * scale) * h_of_t(t) for t in times)
 
-        def rhs(h, psi):
-            return h @ psi
+        def rhs(h, psi, out):
+            out += h @ psi
 
     else:
         state = psi.reshape(-1, psi.shape[-1])
@@ -339,25 +364,35 @@ def dissipator_superoperator(
 
 @dataclass(frozen=True)
 class Liouvillian:
-    """Structure superoperators of a master equation on the entries of rho they reach.
+    """Structure superoperators of a master equation on real coordinates of rho.
 
     entries are the row-major positions i*dim + j of the entries of rho that
-    can be nonzero, ascending; operators[k] acts on rho's values there.
+    can be nonzero, ascending. rho is Hermitian, so its values there are
+    fixed by real coordinates x: Re rho_ii for each diagonal entry, and
+    Re rho_ij then Im rho_ij for each entry i < j, in the order of entries.
+    rho's value at entries[e] is x[real_of[e]] + i imag_sign[e] x[imag_of[e]]
+    (imag_sign is 1 above the diagonal, -1 below it and 0 on it).
+    operators[k] is the real matrix of the k-th superoperator on x.
     """
 
     dim: int
     entries: np.ndarray
     operators: tuple[sp.csr_matrix, ...]
+    real_of: np.ndarray
+    imag_of: np.ndarray
+    imag_sign: np.ndarray
 
     @classmethod
     def reachable(cls, hamiltonians, dissipators, rho0: np.ndarray) -> "Liouvillian":
-        """-i[H_k, .] for each operator H_k, then each dissipator, on rho0's closed support.
+        """-i[H_k, .] for each Hermitian H_k, then each dissipator, on rho0's closed support.
 
         dissipators are superoperators on the row-major vec(rho)
         (dissipator_superoperator). A nonzero <i|S|j> of any operator leads
         from entry j to entry i; the support is every entry reachable from
         the nonzero entries of rho0 (hilbert.closure), so it is closed under
-        each operator whatever its coefficient. Built from sparse patterns only.
+        each operator whatever its coefficient. Built from sparse patterns
+        only. ValueError if the support is not closed under transposition or
+        an operator does not map Hermitian rho to Hermitian rho.
         """
         dim = rho0.shape[-1]
         eye = sp.identity(dim, dtype=complex, format="csr")
@@ -368,7 +403,51 @@ class Liouvillian:
         links = sum(abs(op) for op in full).T  # links[j, i]: entry j feeds entry i
         start = np.flatnonzero(np.reshape(rho0, (-1, dim * dim)).any(axis=0))
         entries = hilbert.closure(links, start)
-        return cls(dim, entries, tuple(op[entries][:, entries] for op in full))
+
+        rows, cols = np.divmod(entries, dim)
+        position = np.full(dim * dim, -1)
+        position[entries] = np.arange(entries.size)
+        mirror = position[cols * dim + rows]  # entry j, i of entry i, j
+        if np.any(mirror < 0):
+            raise ValueError("the Liouvillian's support is not closed under transposition")
+        sign = np.sign(cols - rows)
+        width = sign + 1  # own coordinates: none below the diagonal, 1 on it, 2 above it
+        first = np.cumsum(width) - width
+        real_of = np.where(sign >= 0, first, first[mirror])
+        imag_of = real_of + (sign != 0)
+
+        # basis @ x are rho's values on entries. dual, basis+ over its column
+        # norms, maps them back: x = Re(dual @ values), and Im(dual @ values)
+        # is zero exactly when the values are those of a Hermitian rho.
+        shape, at = (entries.size, entries.size), np.arange(entries.size)
+        basis = sp.csr_matrix((np.ones(entries.size), (at, real_of)), shape)
+        basis += sp.csr_matrix((1j * sign, (at, imag_of)), shape)
+        dual = (basis.conj().T / abs(basis).power(2).sum(axis=0).T).tocsr()
+        operators = []
+        for op in full:
+            real = dual @ op[entries][:, entries] @ basis
+            if np.max(abs(real.data.imag), initial=0.0) > 1e-12 * np.max(abs(real.data),
+                                                                         initial=1.0):
+                raise ValueError("a structure operator does not preserve Hermiticity")
+            real = sp.csr_matrix(real.real)
+            real.eliminate_zeros()
+            operators.append(real)
+        return cls(dim, entries, tuple(operators), real_of, imag_of, sign)
+
+    def coordinates(self, rho: np.ndarray) -> np.ndarray:
+        """The real coordinates (..., n) of Hermitian rho (..., dim, dim)."""
+        values = np.reshape(rho, np.shape(rho)[:-2] + (self.dim * self.dim,))[..., self.entries]
+        x = np.empty(values.shape)
+        x[..., self.real_of] = values.real
+        x[..., self.imag_of[self.imag_sign > 0]] = values[..., self.imag_sign > 0].imag
+        return x
+
+    def density(self, x: np.ndarray) -> np.ndarray:
+        """rho (..., dim, dim) from its real coordinates x (..., n)."""
+        rho = np.zeros(x.shape[:-1] + (self.dim * self.dim,), dtype=complex)
+        rho[..., self.entries] = x[..., self.real_of] + 1j * (self.imag_sign
+                                                              * x[..., self.imag_of])
+        return rho.reshape(x.shape[:-1] + (self.dim, self.dim))
 
 
 def evolve_lindblad(
@@ -383,38 +462,36 @@ def evolve_lindblad(
     """Integrate d/dt rho = sum_k c[t, b, k] operators[k] rho with RK4, one run or a batch.
 
     rho0 (d, d) is one run and rho0 (B, d, d) a batch of B cells; either runs
-    as a (B, n) state on the n liouvillian.entries, to which rho0 must be
-    confined (Liouvillian.reachable). coefficients(times) gives c as
-    (times, cells, K). Each step symmetrizes rho to (rho + rho+)/2. Trace
-    drift beyond TRACE_TOL raises for one run; a batch cell that drifts
-    continues as NaN with its error in metadata["failures"]. Negative
-    eigenvalues beyond POSITIVITY_TOL at recorded points are kept as warnings
-    in the metadata, not fixed up. final_state, populations and fidelity
-    carry a cell axis for a batch only.
+    as a (B, n) real state, the coordinates of rho on liouvillian.entries, to
+    which rho0 must be confined (Liouvillian.reachable). coefficients(times)
+    gives c as (times, cells, K), real (ValueError for a nonzero imaginary
+    part); rho stays Hermitian by construction. Trace drift beyond TRACE_TOL
+    raises for one run; a batch cell that drifts continues as NaN with its
+    error in metadata["failures"]. Negative eigenvalues beyond
+    POSITIVITY_TOL at recorded points are kept as warnings in the metadata,
+    not fixed up. final_state, populations and fidelity carry a cell axis
+    for a batch only.
     """
     dim, entries = liouvillian.dim, liouvillian.entries
     rho = np.array(rho0, dtype=complex)
     single = rho.ndim == 2
     cells = rho.reshape(-1, dim, dim)
-    flat = cells.reshape(len(cells), dim * dim)
-    position = np.full(dim * dim, -1)
-    position[entries] = np.arange(entries.size)
-    rows, cols = np.divmod(entries, dim)
-    transpose = position[cols * dim + rows]
     if (any(hilbert.max_nonhermiticity(c) > 1e-9 for c in cells)
             or np.any(np.abs(np.trace(cells, axis1=1, axis2=2).real - 1.0) > 1e-6)):
         raise ValueError("rho0 must be Hermitian with unit trace")
-    if np.any(transpose < 0):
-        raise ValueError("the Liouvillian's support is not closed under transposition")
-    if np.any(np.delete(flat, entries, axis=1)):
+    if np.any(np.delete(cells.reshape(len(cells), dim * dim), entries, axis=1)):
         raise ValueError("rho0 must lie on the Liouvillian's support")
-    diagonal = np.flatnonzero(rows == cols)
+    diagonal = liouvillian.real_of[entries // dim == entries % dim]
 
     def unpack(state):
-        out = np.zeros((len(state), dim * dim), dtype=complex)
-        out[:, entries] = state
-        out = out.reshape(-1, dim, dim)
+        out = liouvillian.density(state)
         return out[0] if single else out
+
+    def real_coefficients(times):
+        c = coefficients(times)
+        if np.iscomplexobj(c) and np.any(np.abs(c.imag) > 0):
+            raise ValueError("master-equation coefficients must be real")
+        return c.real
 
     warnings: list[str] = []
     min_eigenvalue = 0.0
@@ -434,17 +511,15 @@ def evolve_lindblad(
         return pops[0] if single else pops
 
     def drift(state):
-        drifts = np.array([abs(cell[diagonal].real.sum() - 1.0) for cell in state])
+        drifts = np.array([abs(cell[diagonal].sum() - 1.0) for cell in state])
         return drifts[0] if single else drifts
 
     if target is None:
         target = np.eye(dim, dtype=complex)[0]
-    inputs, rhs = _batch_inputs_and_rhs(coefficients, liouvillian.operators, len(cells))
+    inputs, rhs = _batch_inputs_and_rhs(real_coefficients, liouvillian.operators, len(cells))
     result = _rk4(
-        inputs, flat[:, entries], t_f, cfg, target, rhs=rhs, record=record,
-        drift=drift, drift_name="trace", tol=TRACE_TOL,
-        post_step=lambda state: 0.5 * (state + state.take(transpose, axis=1, mode="clip").conj()),
-        unpack=unpack,
+        inputs, liouvillian.coordinates(cells), t_f, cfg, target, rhs=rhs, record=record,
+        drift=drift, drift_name="trace", tol=TRACE_TOL, unpack=unpack,
     )
     result.metadata.update(min_eigenvalue=min_eigenvalue, positivity_warnings=warnings,
                            support=int(entries.size), cells=len(cells))

@@ -131,9 +131,9 @@ class CellDrives:
     A call evaluates the pulses of each distinct PulseSet once at all the
     given times; exact TQD PulseSets share theta_dot per StirapParams (a cut
     along delta has one) and take only their own root
-    (dynamics.evolve_schrodinger runs the batch; open runs add the rates of
-    open_liouvillian's dissipators). A cell whose pulse synthesis fails gets
-    NaN coefficients from the first failing time on, and its
+    (dynamics.evolve_schrodinger runs the batch; open runs turn them into
+    open_coefficients). A cell whose pulse synthesis fails gets NaN
+    coefficients from the first failing time on, and its
     PulseSynthesisError is kept in `errors`.
     """
 
@@ -380,11 +380,24 @@ def open_terms() -> HamiltonianTerms:
     return hamiltonian_terms(open_space())
 
 
+def hermitian_drive_operators(terms: HamiltonianTerms) -> np.ndarray:
+    """CellDrives' operators as Hermitian generators, (6, d, d).
+
+    Each drive D with its adjoint becomes X = D + D+ and Y = i(D - D+), with
+    the real coefficients Re omega and Im omega, since
+    omega D + conj(omega) D+ = Re omega X + Im omega Y; cavity and excited
+    are Hermitian already. open_coefficients gives the coefficients.
+    """
+    ops = _drive_operators(terms)
+    return np.stack([ops[0] + ops[1], 1j * (ops[0] - ops[1]),
+                     ops[2] + ops[3], 1j * (ops[2] - ops[3]), ops[4], ops[5]])
+
+
 @lru_cache(maxsize=None)
 def open_liouvillian() -> dynamics.Liouvillian:
-    """The master equation on open_space as structure superoperators.
+    """The master equation on open_space as real structure superoperators.
 
-    Operators -i[G_k, .] for the 6 drive operators of CellDrives, then the
+    Operators -i[G_k, .] for the 6 hermitian_drive_operators, then the
     kappa and gamma dissipators at unit rate, on the entries of rho reachable
     from |phi_1><phi_1|. Like open_space, the support holds for every rate.
     """
@@ -392,20 +405,27 @@ def open_liouvillian() -> dynamics.Liouvillian:
     psi0 = space.ket(hilbert.build_subspace().basis[0])
     dissipators = [dynamics.dissipator_superoperator(collapse_channels(rates, space), space.dim)
                    for rates in (ModelParams(kappa=1.0), ModelParams(gamma=1.0))]
-    return dynamics.Liouvillian.reachable(_drive_operators(open_terms()),
+    return dynamics.Liouvillian.reachable(hermitian_drive_operators(open_terms()),
                                           dissipators, np.outer(psi0, psi0.conj()))
 
 
 def open_coefficients(drive_coefficients: Callable, params: Sequence[ModelParams]) -> Callable:
-    """Coefficients of open_liouvillian's operators: the drives', then kappa and gamma.
+    """Real coefficients of open_liouvillian's operators: the drives', then kappa and gamma.
 
     drive_coefficients(times) gives a batch's CellDrives coefficients
-    (times, cells, 6); params are the cells' ModelParams, in order.
+    (times, cells, 6); params are the cells' ModelParams, in order. The
+    drives' become Re omega_a, Im omega_a, Re omega_b, Im omega_b, g and the
+    detuning (hermitian_drive_operators).
     """
-    rates = np.array([[p.kappa, p.gamma] for p in params], dtype=complex).reshape(-1, 2)
+    rates = np.array([[p.kappa, p.gamma] for p in params], dtype=float).reshape(-1, 2)
 
     def coefficients(times):
         c = drive_coefficients(times)
-        return np.concatenate([c, np.broadcast_to(rates, c.shape[:-1] + (2,))], axis=-1)
+        out = np.empty(c.shape[:-1] + (8,))
+        out[..., 0:4:2] = c[..., 0:4:2].real  # omega_a and omega_b are columns 0 and 2
+        out[..., 1:4:2] = c[..., 0:4:2].imag
+        out[..., 4:6] = c[..., 4:6].real
+        out[..., 6:] = rates
+        return out
 
     return coefficients

@@ -1,12 +1,15 @@
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
+import tqd3d
 from tqd3d import cli
 
 
@@ -49,6 +52,16 @@ def test_pulses_outputs(tmp_path):
     manifest = (tmp_path / "manifest.txt").read_text()
     assert "config_sha256 = " in manifest
     assert "outputs = stirap_pulses.csv;tqd_pulses.csv" in manifest
+
+
+def test_manifest_records_versions(tmp_path):
+    assert cli.main(["--out", str(tmp_path), "pulses"]) == 0
+    lines = (tmp_path / "manifest.txt").read_text().splitlines()
+    entries = dict(line.split(" = ", 1) for line in lines)
+    assert entries["tqd3d_version"] == tqd3d.__version__
+    assert entries["numpy_version"] == np.__version__
+    assert entries["scipy_version"] == scipy.__version__
+    assert entries["python_version"] == platform.python_version()
 
 
 def test_config_file_and_env_override(tmp_path, monkeypatch):

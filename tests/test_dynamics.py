@@ -133,6 +133,35 @@ def test_lindblad_invalid_rho0():
         dynamics.evolve_lindblad(decay, _constant(1.0), np.full((2, 2), 0.5), 1.0)
 
 
+def test_lindblad_rejects_what_breaks_hermiticity():
+    lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    rho0 = np.full((2, 2), 0.5, dtype=complex)
+    with pytest.raises(ValueError, match="Hermiticity"):  # -i[D, .] with D not Hermitian
+        dynamics.Liouvillian.reachable([lower], [], rho0)
+    with pytest.raises(ValueError, match="Hermiticity"):  # rho -> i rho
+        dynamics.Liouvillian.reachable([], [1j * sp.identity(4, format="csr")], rho0)
+    with pytest.raises(ValueError, match="transposition"):  # a coherence without its mirror
+        dynamics.Liouvillian.reachable([np.diag([1.0, -1.0])], [],
+                                       np.array([[0.0, 1.0], [0.0, 0.0]]))
+    rabi = dynamics.Liouvillian.reachable([SIGMA_X], [], np.diag([1.0, 0.0]))
+    with pytest.raises(ValueError, match="real"):
+        dynamics.evolve_lindblad(rabi, _constant(0.35 + 0.1j), np.diag([1.0, 0.0]), 1.0)
+
+
+def test_phase_times_in_metadata():
+    closed = dynamics.evolve_schrodinger(
+        model.CellDrives(model.hamiltonian_terms(hilbert.build_subspace()),
+                         [(ModelParams(), pulses.PulseSet(PulseKind.STIRAP,
+                                                          pulses.StirapParams()))]),
+        np.eye(8, dtype=complex)[0], 1.0, IntegratorConfig(dt=0.01, record_every=10))
+    rabi = dynamics.Liouvillian.reachable([SIGMA_X], [], np.diag([1.0, 0.0]))
+    open_run = dynamics.evolve_lindblad(rabi, _constant(0.35), np.diag([1.0, 0.0]), 1.0,
+                                        IntegratorConfig(dt=0.01, record_every=10))
+    for result in (closed, open_run):
+        assert result.metadata["integrate_s"] >= 0.0
+        assert result.metadata["record_s"] >= 0.0
+
+
 def test_lindblad_hermiticity_and_positivity_metadata(subspace, default_pulses):
     params = ModelParams(kappa=0.02, gamma=0.04)
     space = model.open_space()
@@ -172,7 +201,7 @@ def test_excitation_decay_monotone_without_pulses(subspace):
     for mode in ("L", "R"):
         a = hilbert.annihilation_operator(space, mode)
         number = number + a.conj().T @ a
-    # open_liouvillian's operator order: drives a, a+, b, b+, cavity, detuning, kappa, gamma
+    # open_liouvillian's operator order: X_a, Y_a, X_b, Y_b, cavity, detuning, kappa, gamma
     result = dynamics.evolve_lindblad(
         model.open_liouvillian(), _constant(0, 0, 0, 0, 1.0, 3.6, params.kappa, params.gamma),
         np.outer(psi0, psi0.conj()), 30.0,
@@ -242,7 +271,7 @@ def _reduceat_inputs_and_rhs(coefficients, operators):
     rows = np.concatenate([rows, empty])
     ks = np.concatenate([np.full(p.nnz, k) for k, p in enumerate(parts)] + [0 * empty])
     cols = np.concatenate([p.col for p in parts] + [empty])
-    values = np.concatenate([p.data for p in parts] + [np.zeros(empty.size, complex)])
+    values = np.concatenate([p.data for p in parts] + [np.zeros(empty.size)])
     order = np.lexsort((cols, ks, rows))
     rows, ks, cols, values = rows[order], ks[order], cols[order], values[order]
     starts = np.flatnonzero(np.diff(rows, prepend=-1))
@@ -262,34 +291,51 @@ def _reduceat_inputs_and_rhs(coefficients, operators):
 
 @pytest.mark.parametrize("cells", [0, 1, 5])
 def test_csr_rhs_matches_reduceat_reference(rng, cells):
+    """The batch RHS adds the reference's sums to a nonzero out, complex and real."""
     n, nan_cell = 7, 3
     mats = [rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.4) for _ in range(3)]
     for m in mats:
         m[4] = 0.0  # a row no operator touches
-    operators = [-1j * mats[0], mats[1] + 0.5j * mats[2], sp.csr_matrix(mats[2])]
-    c = rng.normal(size=(1, cells, 3)) + 1j * rng.normal(size=(1, cells, 3))
-    c[:, nan_cell:nan_cell + 1] = np.nan  # a cell whose pulses failed
-    x = rng.normal(size=(cells, n)) + 1j * rng.normal(size=(cells, n))
     scale = 0.01
-
-    inputs, rhs = dynamics._batch_inputs_and_rhs(lambda times: c, operators, cells)
-    (w,) = inputs(np.zeros(1), scale)
-    got = rhs(w, x)
-    ref_inputs, ref_rhs = _reduceat_inputs_and_rhs(lambda times: c, operators)
-    (w_ref,) = ref_inputs(np.zeros(1), scale)
-    want = ref_rhs(w_ref, x)
-    # Each product and sum rounds within eps of the terms' magnitudes, per row.
-    bound = 8 * np.finfo(float).eps * ref_rhs(np.abs(w_ref), np.abs(x)).real
-
-    assert got.shape == want.shape == (cells, n)
     healthy = np.arange(cells) != nan_cell
-    assert np.all(np.abs(got - want)[healthy] <= bound[healthy])
-    assert np.all(got[healthy, 4] == 0.0)
-    if cells > nan_cell:
-        touched = np.arange(n) != 4
-        assert np.isnan(got[nan_cell, touched]).all()
-        assert np.isnan(want[nan_cell, touched]).all()
-    for b in range(cells):  # a cell alone gets the same bits as in its batch
-        inputs, rhs = dynamics._batch_inputs_and_rhs(lambda times: c[:, b:b + 1], operators, 1)
-        (w_alone,) = inputs(np.zeros(1), scale)
-        assert np.array_equal(rhs(w_alone, x[b:b + 1])[0], got[b], equal_nan=True)
+    touched = np.arange(n) != 4
+
+    def draw(real, *shape):
+        values = rng.normal(size=shape)
+        return values if real else values + 1j * rng.normal(size=shape)
+
+    for real in (False, True):
+        if real:  # real weights on a real state, as the master equation has
+            operators = [mats[0], mats[1] - 0.5 * mats[2], sp.csr_matrix(mats[2])]
+        else:
+            operators = [-1j * mats[0], mats[1] + 0.5j * mats[2], sp.csr_matrix(mats[2])]
+        c = draw(real, 1, cells, 3)
+        c[:, nan_cell:nan_cell + 1] = np.nan  # a cell whose pulses failed
+        x = draw(real, cells, n)
+        start = draw(real, cells, n)
+
+        inputs, rhs = dynamics._batch_inputs_and_rhs(lambda times: c, operators, cells)
+        (w,) = inputs(np.zeros(1), scale)
+        got = start.copy()
+        rhs(w, x, got)
+        ref_inputs, ref_rhs = _reduceat_inputs_and_rhs(lambda times: c, operators)
+        (w_ref,) = ref_inputs(np.zeros(1), scale)
+        want = start + ref_rhs(w_ref, x)
+        # Each product and sum rounds within eps of the terms' magnitudes, per row.
+        bound = 8 * np.finfo(float).eps * (ref_rhs(np.abs(w_ref), np.abs(x)).real
+                                           + np.abs(start))
+
+        assert got.dtype == want.dtype == (float if real else complex)
+        assert got.shape == want.shape == (cells, n)
+        assert np.all(np.abs(got - want)[healthy] <= bound[healthy])
+        assert np.array_equal(got[:, 4], start[:, 4])  # an empty row adds nothing
+        if cells > nan_cell:
+            assert np.isnan(got[nan_cell, touched]).all()
+            assert np.isnan(want[nan_cell, touched]).all()
+        for b in range(cells):  # a cell alone gets the same bits as in its batch
+            inputs, rhs = dynamics._batch_inputs_and_rhs(lambda times: c[:, b:b + 1],
+                                                         operators, 1)
+            (w_alone,) = inputs(np.zeros(1), scale)
+            alone = start[b:b + 1].copy()
+            rhs(w_alone, x[b:b + 1], alone)
+            assert np.array_equal(alone[0], got[b], equal_nan=True)

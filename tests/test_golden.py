@@ -3,16 +3,18 @@
 Each file under tests/golden/ is a CLI output preceded by two `# golden`
 lines: the command that wrote it (OUT standing for the output directory)
 and its exit code. A rerun must give the same exit code, the same `#` lines
-and header, and every data field within DATA_TOL. A deliberate change
-regenerates a file with its own command; a regression is never hidden that
-way.
+and header, and every data field within DATA_TOL. Fields are compared as
+the decimals they print, so that a one-unit change in the 12th decimal
+(exactly 1e-12) passes, which binary floats cannot promise. A deliberate
+change regenerates a file with its own command; a regression is never
+hidden that way.
 """
 
 import os
 import shlex
+from decimal import Decimal
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from tqd3d import cli
@@ -48,7 +50,29 @@ def _run(words, out: Path, monkeypatch, *extra) -> int:
 def _split(lines):
     comments = [line for line in lines if line.startswith("#")]
     header, *rows = [line for line in lines if not line.startswith("#")]
-    return comments, header, np.array([[float(x) for x in row.split(",")] for row in rows])
+    return comments, header, [[Decimal(x) for x in row.split(",")] for row in rows]
+
+
+def _field_matches(got: Decimal, want: Decimal) -> bool:
+    """Both NaN, or within DATA_TOL of each other in exact decimal arithmetic."""
+    if got.is_nan() or want.is_nan():
+        return got.is_nan() and want.is_nan()
+    return abs(got - want) <= Decimal(repr(DATA_TOL))
+
+
+def _mismatches(data, want) -> list[tuple[int, int, Decimal, Decimal]]:
+    return [(i, j, g, w) for i, (got_row, want_row) in enumerate(zip(data, want))
+            for j, (g, w) in enumerate(zip(got_row, want_row)) if not _field_matches(g, w)]
+
+
+def test_field_comparison_is_decimal():
+    want = [[Decimal("0.97251917475"), Decimal("nan")]]
+    one_unit = [[Decimal("0.972519174749"), Decimal("nan")]]  # 1e-12 exactly
+    two_units = [[Decimal("0.972519174748"), Decimal("nan")]]
+    assert abs(0.972519174749 - 0.97251917475) > DATA_TOL  # what binary floats make of it
+    assert _mismatches(one_unit, want) == []
+    assert len(_mismatches(two_units, want)) == 1
+    assert len(_mismatches([[Decimal("0.97251917475"), Decimal("0.5")]], want)) == 1
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.glob("*.csv")))
@@ -59,9 +83,8 @@ def test_golden_output(name, tmp_path, monkeypatch):
     want_comments, want_header, want = _split(expected)
     assert comments == want_comments
     assert header == want_header
-    assert data.shape == want.shape
-    assert np.array_equal(np.isnan(data), np.isnan(want))
-    assert np.max(np.abs(data - want), initial=0.0, where=~np.isnan(want)) <= DATA_TOL
+    assert [len(row) for row in data] == [len(row) for row in want]
+    assert _mismatches(data, want) == []
 
 
 def test_open_sweep_threads_byte_identical(tmp_path, monkeypatch):

@@ -95,7 +95,8 @@ def test_open_run_matches_full_space_run(full_space, subspace, terms80):
     rho0 = np.outer(psi0, psi0.conj())
     drives = model.CellDrives(terms80, [(BENCHMARK, pulse_set)])
     full = dynamics.evolve_lindblad(
-        dynamics.Liouvillian.reachable(drives.operators, _unit_dissipators(full_space), rho0),
+        dynamics.Liouvillian.reachable(model.hermitian_drive_operators(terms80),
+                                       _unit_dissipators(full_space), rho0),
         model.open_coefficients(drives, [BENCHMARK]), rho0, BENCHMARK.t_f, cfg,
         tracked=hilbert.subspace_indices(subspace, full_space),
         target=dynamics.target_state(full_space),
@@ -160,29 +161,71 @@ def _h_blocks(space):
     return blocks
 
 
+def _real_coordinates(entries, dim):
+    """(to_values, from_values) between rho's values on entries and its real coordinates.
+
+    The coordinates are Re rho_ii for a diagonal entry, and Re rho_ij then
+    Im rho_ij for an entry i < j, in the order of entries: rho's values are
+    to_values @ x, and x = from_values @ values for a Hermitian rho.
+    """
+    where = {int(e): k for k, e in enumerate(entries)}
+    upper = [(i, j) for i, j in (divmod(int(e), dim) for e in entries) if i <= j]
+    n = sum(1 if i == j else 2 for i, j in upper)
+    to_values = np.zeros((len(entries), n), dtype=complex)
+    from_values = np.zeros((n, len(entries)), dtype=complex)
+    c = 0
+    for i, j in upper:
+        ij, ji = where[i * dim + j], where[j * dim + i]
+        if i == j:
+            to_values[ij, c] = from_values[c, ij] = 1.0
+            c += 1
+            continue
+        to_values[[ij, ji], c] = 1.0
+        from_values[c, [ij, ji]] = 0.5
+        to_values[[ij, ji], c + 1] = 1j, -1j
+        from_values[c + 1, [ij, ji]] = -0.5j, 0.5j
+        c += 2
+    return to_values, from_values
+
+
+def _column_stacked_liouvillian(space):
+    """The open Liouvillian's operators as dense superoperators on the column-stacked vec(rho).
+
+    -i[G, .] for each of model.hermitian_drive_operators, then the kappa and
+    gamma dissipators at unit rate, built without dynamics.
+    """
+    eye = np.eye(space.dim)
+    drives = model.hermitian_drive_operators(model.hamiltonian_terms(space))
+    full = [-1j * (np.kron(eye, op) - np.kron(op.T, eye)) for op in drives]
+    full += [_column_stacked_dissipator(model.collapse_channels(rates, space), space.dim)
+             for rates in (ModelParams(kappa=1.0), ModelParams(gamma=1.0))]
+    return full
+
+
 def test_liouville_support_closure():
     space = model.open_space()
     support = model.open_liouvillian()
     dim = space.dim
     assert support.dim == dim and support.entries.size == 84
-    assert sum(op.nnz for op in support.operators) == 416
+    # 416 complex entries on rho's values; on the real coordinates a value
+    # that links an entry to a pair (Re, Im) links up to two coordinates.
+    assert sum(op.nnz for op in support.operators) == 472
 
     # Closed under the full 256x256 pattern of every structure operator, built
-    # here with dense column-stacked krons and read back in row-major order.
+    # here with dense column-stacked krons, read back in row-major order and
+    # taken to the real coordinates.
     rows, cols = np.divmod(np.arange(dim * dim), dim)
     colmajor = cols * dim + rows  # row-major position -> column-stacked position
-    eye = np.eye(dim)
-    drives = model.CellDrives(model.hamiltonian_terms(space), []).operators
-    full = [-1j * (np.kron(eye, op) - np.kron(op.T, eye)) for op in drives]
-    full += [_column_stacked_dissipator(model.collapse_channels(rates, space), dim)
-             for rates in (ModelParams(kappa=1.0), ModelParams(gamma=1.0))]
+    full = _column_stacked_liouvillian(space)
     inside = np.zeros(dim * dim, dtype=bool)
     inside[support.entries] = True
+    to_values, from_values = _real_coordinates(support.entries, dim)
     for op, restricted in zip(full, support.operators):
         op = op[np.ix_(colmajor, colmajor)]
         assert not np.any(op[~inside][:, inside])
-        assert np.allclose(restricted.toarray(), op[np.ix_(support.entries, support.entries)],
-                           rtol=0, atol=1e-15)
+        real = from_values @ op[np.ix_(support.entries, support.entries)] @ to_values
+        assert np.allclose(real.imag, 0.0, rtol=0, atol=1e-15)
+        assert np.allclose(restricted.toarray(), real.real, rtol=0, atol=1e-15)
 
     # rho stays block-diagonal over the H-connected blocks of the open space.
     blocks = _h_blocks(space)
@@ -198,6 +241,26 @@ def test_liouville_support_closure():
     assert source in (9, 10, 11)
     d_gamma = full[-1][np.ix_(colmajor, colmajor)]
     assert d_gamma[phi7 * dim + phi7, source * dim + source] != 0
+
+
+def test_real_coordinates_reproduce_liouvillian(rng):
+    """Each real operator acts on a random Hermitian rho as the dense Liouvillian does."""
+    space = model.open_space()
+    support = model.open_liouvillian()
+    dim = space.dim
+    inside = np.zeros(dim * dim, dtype=bool)
+    inside[support.entries] = True
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = np.where(inside.reshape(dim, dim), a + a.conj().T, 0.0)
+    to_values, from_values = _real_coordinates(support.entries, dim)
+    x = (from_values @ rho.ravel()[support.entries]).real
+    assert np.array_equal(support.coordinates(rho), x)
+    assert np.array_equal(support.density(x), rho)
+    for op, real in zip(_column_stacked_liouvillian(space), support.operators):
+        want = (op @ rho.ravel(order="F")).reshape(dim, dim, order="F")
+        got = np.zeros(dim * dim, dtype=complex)
+        got[support.entries] = to_values @ (real @ x)
+        assert np.allclose(got.reshape(dim, dim), want, rtol=0, atol=1e-13)
 
 
 def _column_stacked_dissipator(channels, dim):
