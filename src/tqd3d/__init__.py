@@ -2,7 +2,7 @@
 qutrit entanglement in a bimodal cavity."""
 
 from .dynamics import IntegratorConfig, SimResult, evolve_lindblad, evolve_schrodinger, fidelity, target_state
-from .hilbert import BasisState, HilbertSpace, LevelA, LevelB, build_full_space, build_subspace
+from .hilbert import BasisState, HilbertSpace, LevelA, LevelB, build_subspace
 from .model import ModelParams
 from .pulses import FittedPulse, GaussianTerm, PulseKind, PulseSet, StirapParams
 
@@ -19,7 +19,6 @@ __all__ = [
     "PulseSet",
     "SimResult",
     "StirapParams",
-    "build_full_space",
     "build_subspace",
     "evolve_lindblad",
     "evolve_schrodinger",

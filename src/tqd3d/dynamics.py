@@ -2,18 +2,19 @@
 
 Pure-state runs live on the 8-dim invariant subspace; open-system runs need
 more, because spontaneous emission leaves it, and use the 16 states reachable
-from |phi_1> once the collapse operators are added (model.open_space).  A
-batch of cells that share a step schedule (the cells of a sweep) runs as one
-(B, n) state through the same RK4 driver: cell b evolves under
+from |phi_1> once the collapse operators are added (model.open_space).  The
+RK4 driver integrates one thing: a (B, n) state whose cell b evolves under
 sum_k c[t, b, k] G_k, fixed structure operators G_k with per-cell
 coefficients, applied entry by entry, so a cell's numbers do not depend on
-its batch.  The master equation is one such batch with real coefficients:
-its state is the real coordinates of rho on the entries its Liouvillian
-reaches from rho0 (Re rho_ii, and Re and Im rho_ij for i < j: 84 numbers
-for 84 of 256 entries on the open-system space), and its structure
-operators are the commutators -i[G_k, .] with Hermitian G_k and the
-dissipators at unit rate, as real matrices.  rho is Hermitian by
-construction.
+its batch.  The cells of a sweep share a step schedule and run as one batch;
+a single run is a batch of one, and a plain t -> H(t) is one cell whose
+coefficients are the entries of H(t) on the d*d matrix units.  The master
+equation is such a batch with real coefficients: its state is the real
+coordinates of rho on the entries its Liouvillian reaches from rho0
+(Re rho_ii, and Re and Im rho_ij for i < j: 84 numbers for 84 of 256
+entries on the open-system space), and its structure operators are the
+commutators -i[G_k, .] with Hermitian G_k and the dissipators at unit rate,
+as real matrices.  rho is Hermitian by construction.
 
 A step costs few numpy calls: the per-entry weights c[t, b, k] * value come
 already multiplied by dt/2, built for as many times at once as fit in
@@ -30,8 +31,8 @@ from __future__ import annotations
 import functools
 import itertools
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -93,11 +94,11 @@ def target_state(space: HilbertSpace) -> np.ndarray:
 
 
 def fidelity(state: np.ndarray, target: np.ndarray):
-    """|<target|psi>|^2 for a state vector, <target|rho|target> for a density matrix.
+    """|<target|psi>|^2 for state vectors, <target|rho|target> for density matrices.
 
-    A state shaped like target is a vector, or a batch of vectors with one
-    target row each (one fidelity per row); a state with one more axis than a
-    1-D target is a density matrix, and one with two more a batch of them.
+    A state shaped like target holds vectors, one target vector each; a state
+    (..., d, d) with a 1-D target holds density matrices. Leading axes are
+    batch axes, with one fidelity per vector or matrix.
     """
     target = np.asarray(target)
     state = np.asarray(state)
@@ -106,58 +107,55 @@ def fidelity(state: np.ndarray, target: np.ndarray):
             f"dimension mismatch: state {state.shape} vs target {target.shape}"
         )
     if state.shape == target.shape:
-        if state.ndim == 1:
-            return float(np.abs(np.vdot(target, state)) ** 2)
         return np.abs(np.einsum("...i,...i->...", target.conj(), state)) ** 2
-    if state.ndim == 2 and target.ndim == 1:
-        return float(np.real(target.conj() @ state @ target))
-    if state.ndim == 3 and target.ndim == 1:  # one matrix at a time: a cell's F is its own
-        return np.array([np.real(target.conj() @ rho @ target) for rho in state])
-    raise ValueError("state must be a vector, a batch of vectors or square matrices")
+    if target.ndim == 1 and state.ndim >= 2 and state.shape[-2] == state.shape[-1]:
+        return np.einsum("i,...ij,j->...", target.conj(), state, target).real
+    raise ValueError("state must be vectors shaped like target or square matrices")
 
 
 def _rk4(
-    inputs: Callable[[np.ndarray, float], Iterable],
+    coefficients: Callable[[np.ndarray], np.ndarray],
+    operators,
     state: np.ndarray,
     t_f: float,
     cfg: IntegratorConfig,
     target: np.ndarray,
-    rhs: Callable[[object, np.ndarray, np.ndarray], None],
     record: Callable[[float, np.ndarray], np.ndarray],
-    drift: Callable[[np.ndarray], float | np.ndarray],
+    drift: Callable[[np.ndarray], np.ndarray],
     drift_name: str,
     tol: float,
     unpack: Callable[[np.ndarray], np.ndarray] = lambda state: state,
 ) -> SimResult:
-    """Classic fixed-step RK4 from 0 to t_f, shared by both equations of motion.
+    """Classic fixed-step RK4 from 0 to t_f of d/dt x_b = sum_k c[t, b, k] operators[k] x_b.
 
-    inputs(times, scale) gives rhs's time-dependent input (H, or a batch's
-    weights) at each of the given times, in order, multiplied by scale =
-    dt/2, so that rhs(w, x, out) adds the stage increment (dt/2) d/dt x to
-    out. It is called on t = 0 and then on the t + dt/2 and t + dt of
-    BLOCK_STEPS steps at a time. With a_i = (dt/2) k_i a step is
-    state + (a1 + 2 a2 + 2 a3 + a4) / 3. The sum is collected in its own
-    array, away from the state's magnitude, and the last stage's product
-    is added to it directly; the equation being linear, the third stage
-    takes 2 (state + a2) and gives 2 a3. Summing the stages into copies of
-    the state instead would round each a_i at the state's magnitude, which
-    moved closed 25 000-step runs by 1e-12. At every recorded point
-    record(t, unpack(state)) gives the population row, the fidelity of
-    unpack(state) against target is stored, and drift(state) must stay
-    within tol (NaN is beyond it). A single state raises
-    IntegratorInstabilityError; drift gives one value per cell of a batch,
-    and a drifting cell continues as NaN with the error in
-    metadata["failures"]. A batch cell whose inputs turned NaN failed in the
-    caller, which reports it. final_state is unpack(state) at t_f.
-    metadata["integrate_s"] and ["record_s"] split the wall time between
-    the steps and the recorded points; the clock is read at recorded points
-    only.
+    state is (cells, n), one row x_b per cell, and coefficients(times) gives c
+    as (times, cells, K) (_batch_inputs_and_rhs, which scales the weights by
+    dt/2, so that each right-hand side adds the stage increment (dt/2) d/dt x
+    to the array it is given). The weights are built for t = 0 and then for
+    the t + dt/2 and t + dt of BLOCK_STEPS steps at a time. With
+    a_i = (dt/2) k_i a step is state + (a1 + 2 a2 + 2 a3 + a4) / 3. The sum
+    is collected in its own array, away from the state's magnitude, and the
+    last stage's product is added to it directly; the equation being linear,
+    the third stage takes 2 (state + a2) and gives 2 a3. Summing the stages
+    into copies of the state instead would round each a_i at the state's
+    magnitude, which moved closed 25 000-step runs by 1e-12.
+
+    At every recorded point record(t, unpack(state)) gives the population
+    rows and the fidelity of unpack(state) against target is stored, each
+    with a cell axis after time; drift(state) gives one value per cell, which
+    must stay within tol (NaN is beyond it). A drifting cell continues as NaN
+    and its IntegratorInstabilityError goes into metadata["failures"]; a cell
+    whose coefficients turned NaN failed in the caller, which reports it.
+    final_state is unpack(state) at t_f. metadata["integrate_s"] and
+    ["record_s"] split the wall time between the steps and the recorded
+    points; the clock is read at recorded points only.
     """
     n_steps = int(round(t_f / cfg.dt))
     dt = t_f / n_steps  # land exactly on t_f
     rec_set = set(range(0, n_steps + 1, cfg.record_every)) | {n_steps}
     times, pops, fids = [], [], []
     failures: dict[int, IntegratorInstabilityError] = {}
+    inputs, rhs = _batch_inputs_and_rhs(coefficients, operators, len(state))
 
     def keep(step, state):
         shown = unpack(state)
@@ -196,20 +194,16 @@ def _rk4(
             if (step + 1) in rec_set:
                 now = time.perf_counter()
                 integrate_s += now - clock
-                d = drift(state)
-                drifts = np.atleast_1d(d)
+                drifts = drift(state)
                 bad = ~(drifts <= tol)  # a NaN drift too: the state overflowed
-                if np.ndim(d):  # skip cells that failed already or whose inputs failed
-                    bad &= ~np.isnan(w_next).any(axis=-1)
-                    bad[list(failures)] = False
+                # skip cells that failed already or whose inputs failed
+                bad &= ~np.isnan(w_next).any(axis=-1)
+                bad[list(failures)] = False
                 for cell in np.flatnonzero(bad):
-                    error = IntegratorInstabilityError(
+                    failures[int(cell)] = IntegratorInstabilityError(
                         f"{drift_name} drift {drifts[cell]:.2e} > {tol:.0e} "
                         f"at t={t + dt:.4g}; reduce dt"
                     )
-                    if np.ndim(d) == 0:
-                        raise error
-                    failures[int(cell)] = error
                     state[cell] = np.nan
                 max_drift = max(max_drift, float(np.max(drifts, initial=0.0,
                                                         where=drifts <= tol)))
@@ -229,8 +223,13 @@ def _rk4(
 
 
 def _leaked_row(weights: np.ndarray, tracked: np.ndarray | None) -> np.ndarray:
-    """Tracked populations plus the untracked remainder as the last column (per cell)."""
-    p = weights if tracked is None else weights[..., tracked]
+    """Tracked populations plus the untracked remainder as the last column (per cell).
+
+    take keeps p in C order, so each row is summed as a cell alone would be;
+    a fancy index can lay a batch out column-major, and its rows are then
+    summed in another order.
+    """
+    p = weights if tracked is None else weights.take(tracked, axis=-1)
     leaked = np.maximum(0.0, weights.sum(axis=-1) - p.sum(axis=-1))
     return np.concatenate([p, leaked[..., None]], axis=-1)
 
@@ -273,6 +272,9 @@ def _batch_inputs_and_rhs(coefficients, operators, cells: int):
 
     def inputs(times, scale):
         c = coefficients(times)  # (times, cells, K)
+        if c.shape[1:] != (cells, len(parts)):  # csr_matvec reads cells * E weights per time
+            raise ValueError(f"coefficients {c.shape[1:]} for {cells} cells of "
+                             f"{len(parts)} operators")
         scaled = values * scale
         chunk = max(1, WEIGHT_CHUNK_BYTES // (max(c.shape[1], 1) * scaled.nbytes))
 
@@ -288,8 +290,26 @@ def _batch_inputs_and_rhs(coefficients, operators, cells: int):
     return inputs, functools.partial(csr_matvec, size, size, indptr, indices)
 
 
+def _one_cell(result: SimResult) -> SimResult:
+    """The only cell of a batch of one without its cell axis; a drift failure is raised."""
+    failures = result.metadata["failures"]
+    if failures:
+        raise failures[0]
+    return replace(result, populations=result.populations[:, 0],
+                   fidelity=result.fidelity[:, 0], final_state=result.final_state[0])
+
+
+def _matrix_units(h_of_t: Callable[[float], np.ndarray], d: int):
+    """A plain t -> H(t) as one cell's coefficients on the d*d matrix units E_ij, -1j folded in."""
+    def coefficients(times):
+        return np.array([h_of_t(t) for t in times], dtype=complex).reshape(len(times), 1, d * d)
+
+    units = [sp.coo_matrix(([-1j], ([i], [j])), shape=(d, d)) for i in range(d) for j in range(d)]
+    return coefficients, units
+
+
 def evolve_schrodinger(
-    h_of_t: Callable[[float], np.ndarray],
+    h_of_t: Callable,
     psi0: np.ndarray,
     t_f: float,
     cfg: IntegratorConfig = IntegratorConfig(),
@@ -298,46 +318,38 @@ def evolve_schrodinger(
 ) -> SimResult:
     """Integrate i d/dt psi = H(t) psi with classic RK4, for one state or a batch.
 
-    A plain h_of_t maps t to H(t), and psi0 (d,) evolves under it. An h_of_t
-    with structure operators `operators` (K, d, d) maps an array of times to
-    coefficients (times, B, K), and cell b evolves under
+    An h_of_t with structure operators `operators` (K, d, d) maps an array of
+    times to coefficients (times, B, K), and cell b evolves under
     sum_k c[t, b, k] operators[k] (model.CellDrives), applied entry by entry
-    with no H(t) stored. psi0 (B, d) is then a batch of B cells: a cell whose
-    norm drifts beyond NORM_TOL continues as NaN, its
-    IntegratorInstabilityError in metadata["failures"]. psi0 (d,) runs as a
-    batch of one and gives results without the cell axis; its drift raises.
+    with no H(t) stored. A plain h_of_t maps t to H(t); its entries are the
+    coefficients of one cell on the d*d matrix units. psi0 (B, d) is a batch
+    of B cells: a cell whose norm drifts beyond NORM_TOL continues as NaN,
+    its IntegratorInstabilityError in metadata["failures"]. psi0 (d,) runs as
+    a batch of one and gives results without the cell axis; its drift
+    failure is raised when the run ends.
 
     tracked: indices whose |amplitude|^2 is recorded (defaults to all);
     target: state against which the fidelity trace is computed (default: the
     first basis state).
     """
     psi = np.array(psi0, dtype=complex)
+    d = psi.shape[-1]
     if np.any(np.abs(np.linalg.norm(psi, axis=-1) - 1.0) > 1e-9):
         raise ValueError("psi0 must be normalized")
     if target is None:
-        target = np.eye(psi.shape[-1], dtype=complex)[0]
-    if not hasattr(h_of_t, "operators"):
-        state = psi
-
-        def inputs(times, scale):
-            return ((-1j * scale) * h_of_t(t) for t in times)
-
-        def rhs(h, psi, out):
-            out += h @ psi
-
+        target = np.eye(d, dtype=complex)[0]
+    if hasattr(h_of_t, "operators"):
+        coefficients, operators = h_of_t, -1j * h_of_t.operators
     else:
-        state = psi.reshape(-1, psi.shape[-1])
-        inputs, rhs = _batch_inputs_and_rhs(h_of_t, -1j * h_of_t.operators, len(state))
-
-    def unpack(state):
-        return state.reshape(psi.shape)
-
-    return _rk4(
-        inputs, state, t_f, cfg, np.broadcast_to(target, psi.shape), rhs=rhs,
+        coefficients, operators = _matrix_units(h_of_t, d)
+    state = psi.reshape(-1, d)
+    result = _rk4(
+        coefficients, operators, state, t_f, cfg, np.broadcast_to(target, state.shape),
         record=lambda t, psi: _leaked_row(np.abs(psi) ** 2, tracked),
-        drift=lambda state: np.abs(np.linalg.norm(unpack(state), axis=-1) - 1.0),
-        drift_name="norm", tol=NORM_TOL, unpack=unpack,
+        drift=lambda psi: np.abs(np.linalg.norm(psi, axis=-1) - 1.0),
+        drift_name="norm", tol=NORM_TOL,
     )
+    return _one_cell(result) if psi.ndim == 1 else result
 
 
 def dissipator_superoperator(
@@ -461,20 +473,20 @@ def evolve_lindblad(
 ) -> SimResult:
     """Integrate d/dt rho = sum_k c[t, b, k] operators[k] rho with RK4, one run or a batch.
 
-    rho0 (d, d) is one run and rho0 (B, d, d) a batch of B cells; either runs
-    as a (B, n) real state, the coordinates of rho on liouvillian.entries, to
-    which rho0 must be confined (Liouvillian.reachable). coefficients(times)
-    gives c as (times, cells, K), real (ValueError for a nonzero imaginary
-    part); rho stays Hermitian by construction. Trace drift beyond TRACE_TOL
-    raises for one run; a batch cell that drifts continues as NaN with its
-    error in metadata["failures"]. Negative eigenvalues beyond
-    POSITIVITY_TOL at recorded points are kept as warnings in the metadata,
-    not fixed up. final_state, populations and fidelity carry a cell axis
-    for a batch only.
+    rho0 (B, d, d) is a batch of B cells and rho0 (d, d) a batch of one;
+    either runs as a (B, n) real state, the coordinates of rho on
+    liouvillian.entries, to which rho0 must be confined
+    (Liouvillian.reachable). coefficients(times) gives c as (times, cells, K),
+    real (ValueError for a nonzero imaginary part); rho stays Hermitian by
+    construction. A cell whose trace drifts beyond TRACE_TOL continues as NaN
+    with its error in metadata["failures"]; one run raises it when the run
+    ends. Negative eigenvalues beyond POSITIVITY_TOL at recorded points are
+    kept as warnings in the metadata ("cell b: " first in a batch), not
+    fixed up. final_state, populations and fidelity carry a cell axis for a
+    batch only.
     """
     dim, entries = liouvillian.dim, liouvillian.entries
     rho = np.array(rho0, dtype=complex)
-    single = rho.ndim == 2
     cells = rho.reshape(-1, dim, dim)
     if (any(hilbert.max_nonhermiticity(c) > 1e-9 for c in cells)
             or np.any(np.abs(np.trace(cells, axis1=1, axis2=2).real - 1.0) > 1e-6)):
@@ -483,44 +495,37 @@ def evolve_lindblad(
         raise ValueError("rho0 must lie on the Liouvillian's support")
     diagonal = liouvillian.real_of[entries // dim == entries % dim]
 
-    def unpack(state):
-        out = liouvillian.density(state)
-        return out[0] if single else out
-
     def real_coefficients(times):
         c = coefficients(times)
         if np.iscomplexobj(c) and np.any(np.abs(c.imag) > 0):
             raise ValueError("master-equation coefficients must be real")
         return c.real
 
-    warnings: list[str] = []
+    warnings: list[tuple[int, str]] = []  # (cell, text)
     min_eigenvalue = 0.0
 
     def record(t, rho):
         nonlocal min_eigenvalue
-        stack = rho.reshape(-1, dim, dim)
-        finite = np.flatnonzero(np.isfinite(stack).all(axis=(1, 2)))
-        lam_min = np.linalg.eigvalsh(stack[finite])[:, 0]
+        finite = np.flatnonzero(np.isfinite(rho).all(axis=(1, 2)))
+        lam_min = np.linalg.eigvalsh(rho[finite])[:, 0]
         min_eigenvalue = min(min_eigenvalue, float(np.min(lam_min, initial=0.0)))
         for b, lam in zip(finite, lam_min):
             if lam < -POSITIVITY_TOL:
-                warnings.append(("" if single else f"cell {b}: ")
-                                + f"eigenvalue {lam:.2e} < -{POSITIVITY_TOL:.0e} at t={t:.4g}")
-        # Reductions go cell by cell, so that no cell's numbers depend on its batch.
-        pops = np.array([_leaked_row(np.real(np.diag(cell)), tracked) for cell in stack])
-        return pops[0] if single else pops
+                warnings.append((b, f"eigenvalue {lam:.2e} < -{POSITIVITY_TOL:.0e} at t={t:.4g}"))
+        return _leaked_row(np.diagonal(rho, axis1=1, axis2=2).real, tracked)
 
-    def drift(state):
-        drifts = np.array([abs(cell[diagonal].sum() - 1.0) for cell in state])
-        return drifts[0] if single else drifts
+    def drift(state):  # cell by cell, so that no cell's sum depends on its batch
+        return np.array([abs(cell[diagonal].sum() - 1.0) for cell in state])
 
     if target is None:
         target = np.eye(dim, dtype=complex)[0]
-    inputs, rhs = _batch_inputs_and_rhs(real_coefficients, liouvillian.operators, len(cells))
     result = _rk4(
-        inputs, liouvillian.coordinates(cells), t_f, cfg, target, rhs=rhs, record=record,
-        drift=drift, drift_name="trace", tol=TRACE_TOL, unpack=unpack,
+        real_coefficients, liouvillian.operators, liouvillian.coordinates(cells), t_f, cfg,
+        target, record=record, drift=drift, drift_name="trace", tol=TRACE_TOL,
+        unpack=liouvillian.density,
     )
-    result.metadata.update(min_eigenvalue=min_eigenvalue, positivity_warnings=warnings,
-                           support=int(entries.size), cells=len(cells))
-    return result
+    result.metadata.update(
+        min_eigenvalue=min_eigenvalue, support=int(entries.size), cells=len(cells),
+        positivity_warnings=[f"cell {b}: {text}" if rho.ndim == 3 else text
+                             for b, text in warnings])
+    return _one_cell(result) if rho.ndim == 2 else result

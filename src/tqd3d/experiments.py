@@ -70,15 +70,14 @@ def simulate_closed(params: ModelParams, pulse_set: PulseSet,
     """Pure-state run on the 8-dim subspace.
 
     It runs as a batch of one on simulate_closed_batch's path; a failing
-    pulse synthesis raises as soon as it is met.
+    pulse synthesis or norm drift is raised when the run ends.
     """
     sub = hilbert.build_subspace()
     drives = model.CellDrives(model.hamiltonian_terms(sub), [(params, pulse_set)])
-    return dynamics.evolve_schrodinger(
-        _raising(drives), _initial_state(sub),
-        t_final if t_final is not None else params.t_f, cfg,
+    return _raising(drives, dynamics.evolve_schrodinger(
+        drives, _initial_state(sub), t_final if t_final is not None else params.t_f, cfg,
         target=dynamics.target_state(sub),
-    )
+    ))
 
 
 def simulate_open(params: ModelParams, pulse_set: PulseSet,
@@ -88,22 +87,17 @@ def simulate_open(params: ModelParams, pulse_set: PulseSet,
     The couplings and every collapse operator keep rho inside that space, so
     the run equals one on the full 80-dim product space. It runs as a batch of
     one on the Liouville support (model.open_liouvillian); a failing pulse
-    synthesis raises as soon as it is met.
+    synthesis or trace drift is raised when the run ends.
     """
     drives = model.CellDrives(model.open_terms(), [(params, pulse_set)])
-    return _evolve_open(_raising(drives), [params], _initial_density(), params.t_f, cfg)
+    return _raising(drives, _evolve_open(drives, [params], _initial_density(), params.t_f, cfg))
 
 
-def _raising(drives: model.CellDrives):
-    """drives' coefficients and operators, raising a pulse-synthesis failure when met."""
-    def coefficients(times):
-        c = drives(times)
-        if drives.errors:
-            raise drives.errors[0]
-        return c
-
-    coefficients.operators = drives.operators
-    return coefficients
+def _raising(drives: model.CellDrives, result: SimResult) -> SimResult:
+    """result of a single run, unless its pulse synthesis failed: then that error."""
+    if drives.errors:
+        raise drives.errors[0]
+    return result
 
 
 def _initial_density() -> np.ndarray:

@@ -1,6 +1,8 @@
 import json
+import math
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,7 @@ import pytest
 import scipy
 
 import tqd3d
-from tqd3d import cli
+from tqd3d import cli, dynamics, experiments
 
 
 @pytest.fixture(autouse=True)
@@ -288,6 +290,43 @@ def test_bad_physical_setting_exit_code(tmp_path, monkeypatch, capsys, setting, 
     assert cli.main(["--out", str(tmp_path), *argv]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("setting, method, open_system, message", [
+    ("TQD3D_DELTA=60", "tqd", False,
+     r"norm drift 9\.30e\+05 > 1e-06 at t=2\.5; reduce dt"),
+    ("TQD3D_KAPPA=60", "tqd-fitted", True,
+     r"trace drift (?P<drift>\S+) > 1e-04 at t=10; reduce dt"),
+], ids=["closed", "open"])
+def test_simulate_instability_exit_code(tmp_path, monkeypatch, capsys, setting, method,
+                                        open_system, message):
+    """A single run that drifts exits 3 with the note its cell gets in a sweep."""
+    key, _, value = setting.partition("=")
+    monkeypatch.setenv(key, value)
+    monkeypatch.setenv("TQD3D_DT", "0.05")
+    argv = ["simulate", "--method", method, "--open" if open_system else "--closed"]
+    assert cli.main(["--out", str(tmp_path), *argv]) == cli.EXIT_INSTABILITY
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    match = re.fullmatch(f"numerical instability: ({message})\n", err)
+    assert match
+    if open_system:
+        drift = float(match["drift"])
+        assert math.isfinite(drift) and drift > dynamics.TRACE_TOL
+
+    cfg, _ = cli.load_config(None)
+    kind = cli._METHODS[method]
+    if open_system:
+        params = cfg.model_params()
+        batch = experiments.simulate_open_batch
+    else:
+        params = cfg.model_params(kappa=0.0, gamma=0.0)
+        batch = experiments.simulate_closed_batch
+    ((f, note),) = batch([(params, cfg.pulse_set(kind))], params.t_f, cfg.integrator())
+    assert math.isnan(f)
+    assert note == f"IntegratorInstabilityError: {match[1]}"
 
 
 def test_io_error_exit_code(tmp_path, capsys):

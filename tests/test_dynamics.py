@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from tqd3d import dynamics, hilbert, model, pulses
+from tqd3d import dynamics, experiments, hilbert, model, pulses
 from tqd3d.dynamics import IntegratorConfig, IntegratorInstabilityError
 from tqd3d.model import ModelParams
 from tqd3d.pulses import PulseKind
@@ -87,6 +87,38 @@ def test_subspace_confinement_full_space(terms80, subspace, full_space, default_
     assert np.all(result.populations[:, -1] <= 1e-10)
 
 
+@pytest.mark.parametrize("kind", list(PulseKind), ids=lambda kind: kind.value)
+def test_closed_run_matches_per_step_hamiltonian_run(subspace, kind):
+    """A closed run against classic RK4 on -i H(t) psi with the dense H(t) built at each stage.
+
+    That RK4 shares no right-hand side with the batch run (coefficients on
+    structure operators, one CSR matvec per stage); both integrate the same
+    steps, so they agree to rounding at every recorded point.
+    """
+    cfg = IntegratorConfig(dt=0.01)
+    params = ModelParams()
+    pulse_set = experiments.default_pulse_set(kind, params)
+    run = experiments.simulate_closed(params, pulse_set, cfg)
+
+    h_of_t = model.make_h_of_t(model.hamiltonian_terms(subspace), params, pulse_set)
+    psi = np.eye(subspace.dim, dtype=complex)[0]
+    target = dynamics.target_state(subspace)
+    dt, fids, pops = cfg.dt, [], []
+    for step in range(round(params.t_f / dt) + 1):
+        if step % cfg.record_every == 0:
+            fids.append(abs(np.vdot(target, psi)) ** 2)
+            pops.append(np.abs(psi) ** 2)
+        h0, h_half, h1 = (h_of_t(step * dt + s) for s in (0.0, dt / 2, dt))
+        k1 = -1j * h0 @ psi
+        k2 = -1j * h_half @ (psi + 0.5 * dt * k1)
+        k3 = -1j * h_half @ (psi + 0.5 * dt * k2)
+        k4 = -1j * h1 @ (psi + dt * k3)
+        psi = psi + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    assert run.fidelity.shape == (len(fids),)
+    assert np.max(np.abs(run.fidelity - np.array(fids))) < 1e-12
+    assert np.max(np.abs(run.populations[:, :8] - np.array(pops))) < 1e-12
+
+
 def _constant(*values):
     """Coefficients c[t, 0, k] = values[k] of a one-cell master equation."""
     return lambda times: np.tile(np.array(values, dtype=complex), (len(times), 1, 1))
@@ -131,6 +163,20 @@ def test_lindblad_invalid_rho0():
         dynamics.evolve_lindblad(decay, _constant(1.0), np.diag([2.0, 0.0]), 1.0)
     with pytest.raises(ValueError):  # a coherence outside the support
         dynamics.evolve_lindblad(decay, _constant(1.0), np.full((2, 2), 0.5), 1.0)
+
+
+def test_positivity_warnings_name_the_cells_of_a_batch():
+    lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    rho0 = np.diag([-0.5, 1.5]).astype(complex)  # unit trace, not positive
+    decay = dynamics.Liouvillian.reachable(
+        [], [dynamics.dissipator_superoperator([(lower, 1.0)], 2)], rho0)
+    cfg = IntegratorConfig(dt=0.1, record_every=10)
+    one = dynamics.evolve_lindblad(decay, _constant(0.0), rho0, 1.0, cfg)
+    text = ["eigenvalue -5.00e-01 < -1e-05 at t=0", "eigenvalue -5.00e-01 < -1e-05 at t=1"]
+    assert one.metadata["positivity_warnings"] == text
+    batch = dynamics.evolve_lindblad(decay, lambda times: np.zeros((len(times), 2, 1)),
+                                     np.stack([np.diag([0.5, 0.5]), rho0]), 1.0, cfg)
+    assert batch.metadata["positivity_warnings"] == [f"cell 1: {line}" for line in text]
 
 
 def test_lindblad_rejects_what_breaks_hermiticity():
@@ -190,6 +236,35 @@ def test_lindblad_hermiticity_and_positivity_metadata(subspace, default_pulses):
     assert meta["rhs_evals"] == 4 * meta["n_steps"] == 4 * 5000
     assert meta["state_shape"] == (1, 84)
     assert (meta["support"], meta["cells"]) == (84, 1)
+
+
+def test_open_batch_rows_do_not_depend_on_the_batch(subspace):
+    # 33 cells: enough for a fancy-indexed (cells, tracked) population array
+    # to be laid out column-major and summed across cells in another order.
+    space = model.open_space()
+    pulse_set = experiments.default_pulse_set(PulseKind.TQD_FITTED)
+    params = [ModelParams(kappa=k, gamma=0.02) for k in np.linspace(0.0, 0.1, 33)]
+    drives = model.CellDrives(model.hamiltonian_terms(space), [(p, pulse_set) for p in params])
+    psi0 = space.ket(subspace.basis[0])
+    rho0 = np.outer(psi0, psi0.conj())
+    cfg = IntegratorConfig(dt=0.05, record_every=20)
+
+    def run(cells, rho0):
+        return dynamics.evolve_lindblad(
+            model.open_liouvillian(),
+            model.open_coefficients(lambda times: drives(times)[:, cells], params[cells]),
+            rho0, 10.0, cfg, tracked=hilbert.subspace_indices(subspace, space),
+            target=dynamics.target_state(space))
+
+    batch = run(slice(None), np.tile(rho0, (len(params), 1, 1)))
+    assert batch.populations.shape == (len(batch.times), len(params), 9)
+    for b in (0, 17, 32):
+        alone = run(slice(b, b + 1), rho0)
+        assert np.array_equal(batch.populations[:, b], alone.populations)
+        assert np.array_equal(batch.fidelity[:, b], alone.fidelity)
+        assert np.array_equal(batch.final_state[b], alone.final_state)
+    with pytest.raises(ValueError, match="33 cells"):  # one cell's coefficients for 33
+        run(slice(0, 1), np.tile(rho0, (len(params), 1, 1)))
 
 
 def test_excitation_decay_monotone_without_pulses(subspace):

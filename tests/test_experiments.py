@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -308,11 +311,11 @@ def _open_cell_alone(params, pulse_set, cfg):
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                             "ignore:invalid value encountered:RuntimeWarning")
 def test_open_batch_size_does_not_change_a_cell():
-    # Fig-9 cells; kappa = 60 at dt 0.05 leaves RK4's stability region
-    # (trace drift 7 at t = 10: rounding on entries near 1.5e16, since RK4
-    # keeps the trace, so the digit follows the order of the arithmetic),
-    # kappa = 5000 overflows to NaN before its first recorded point, and the
-    # rest of their batch runs on.
+    # Fig-9 cells; kappa = 60 at dt 0.05 leaves RK4's stability region and
+    # drifts at t = 10 (the drift's digits are rounding on entries near
+    # 1.5e16, since RK4 keeps the trace, so they follow the order of the
+    # arithmetic and are not pinned), kappa = 5000 overflows to NaN before its
+    # first recorded point, and the rest of their batch runs on.
     rates = [(0.0, 0.0), (0.01, 0.02), (60.0, 0.0), (0.05, 0.05), (0.0, 0.08),
              (0.02, 0.0), (5000.0, 0.0), (0.04, 0.04)]
     pulse_set = experiments.default_pulse_set(PulseKind.TQD_FITTED)
@@ -327,7 +330,9 @@ def test_open_batch_size_does_not_change_a_cell():
         assert np.array_equal(np.array([f for f, _ in other]), values, equal_nan=True)
         assert [n for _, n in other] == [n for _, n in whole]
     assert [bool(n) for _, n in whole] == [k >= 60.0 for k, _ in rates]
-    assert whole[2][1].startswith("IntegratorInstabilityError: trace drift 7.00e+00")
+    drift = re.fullmatch(r"IntegratorInstabilityError: trace drift (\S+) > 1e-04 at t=10; "
+                         r"reduce dt", whole[2][1])
+    assert drift and math.isfinite(float(drift[1])) and float(drift[1]) > dynamics.TRACE_TOL
     assert whole[6][1].startswith("IntegratorInstabilityError: trace drift nan")
     for (f, note), cell in zip(whole, cells):  # a single simulate_open run agrees exactly
         f_alone, note_alone = _open_cell_alone(*cell, cfg)
