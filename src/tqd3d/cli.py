@@ -94,6 +94,9 @@ class RunConfig:
     def integrator(self) -> IntegratorConfig:
         return IntegratorConfig(dt=self.dt, record_every=self.record_every)
 
+    def sweep_integrator(self) -> IntegratorConfig:
+        return IntegratorConfig(dt=self.sweep_dt, record_every=self.record_every)
+
     def pulse_set(self, kind: PulseKind):
         fitted = self.fitted_pulse() if kind is PulseKind.TQD_FITTED else None
         try:  # e.g. a TQD kind at zero detuning
@@ -147,13 +150,21 @@ def load_config(path: str | None) -> tuple[RunConfig, str]:
             setattr(cfg, key, _coerce(key, env))
             source_lines.append(f"{key} = {env}  # env")
     check_threads(cfg.threads, "threads")
-    try:  # physical settings are checked before any work starts
+    try:  # physical and step settings are checked before any work starts
         cfg.model_params()
         cfg.stirap_params()
         cfg.fitted_pulse()
+        check_steps(cfg.t_f, cfg.integrator().dt, "dt")
+        check_steps(cfg.t_f, cfg.sweep_integrator().dt, "sweep_dt")
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return cfg, "\n".join(source_lines)
+
+
+def check_steps(t_f: float, dt: float, name: str):
+    """ValueError unless a run to t_f makes at least one step of dt, as dynamics rounds it."""
+    if not t_f / dt > 0.5:
+        raise ValueError(f"{name} = {dt:g} makes no step of t_f = {t_f:g}")
 
 
 def check_threads(threads: int, source: str):
@@ -286,7 +297,8 @@ def cmd_sweep(cfg: RunConfig, cfg_text: str, out: Path, figure: str,
         t_f = parse_range(cfg.surface_tf) if sweep_tf else cfg.t_f
         delta = parse_range(cfg.surface_delta) if sweep_delta else cfg.delta
         grid = experiments.run_fidelity_surface(
-            _checked_axis("t_f", t_f, lambda v: replace(cfg, t_f=v).stirap_params()),
+            _checked_axis("t_f", t_f, lambda v: (replace(cfg, t_f=v).stirap_params(),
+                                                 check_steps(v, cfg.sweep_dt, "sweep_dt"))),
             _checked_axis("delta", delta,
                           lambda v: replace(cfg, delta=v).pulse_set(PulseKind.TQD_EXACT)),
             omega0=cfg.omega0, tau_frac=cfg.tau_frac, width_frac=cfg.width_frac,
@@ -296,9 +308,11 @@ def cmd_sweep(cfg: RunConfig, cfg_text: str, out: Path, figure: str,
     elif figure == "8":
         grid = experiments.run_robustness_scan(
             _checked_axis("deviation", parse_range(cfg.robustness_dev),
-                          experiments.check_deviation),
+                          lambda dev: (experiments.check_deviation(dev),
+                                       check_steps(cfg.t_f * (1 + dev), cfg.sweep_dt,
+                                                   "sweep_dt"))),
             params=cfg.model_params(),
-            cfg=IntegratorConfig(dt=cfg.sweep_dt, record_every=cfg.record_every),
+            cfg=cfg.sweep_integrator(),
             pulse_set=cfg.pulse_set(PulseKind.TQD_FITTED), threads=threads,
         )
         name = "robustness"

@@ -16,6 +16,7 @@ and its numerical cross-check from the instantaneous-eigenvector formula.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -44,10 +45,14 @@ class ModelParams:
     gamma: float = 0.0
 
     def __post_init__(self):
-        if self.g <= 0:
-            raise ValueError("g must be positive")
-        if self.kappa < 0 or self.gamma < 0:
-            raise ValueError("decay rates must be nonnegative")
+        if not 0 < self.g < math.inf:
+            raise ValueError("g must be positive and finite")
+        if not 0 < self.t_f < math.inf:
+            raise ValueError("t_f must be positive and finite")
+        if not abs(self.delta) < math.inf:
+            raise ValueError("delta must be finite")
+        if not (0 <= self.kappa < math.inf and 0 <= self.gamma < math.inf):
+            raise ValueError("decay rates must be nonnegative and finite")
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ Functions are vectorized over t.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -57,10 +58,10 @@ class StirapParams:
             object.__setattr__(self, "tau", TAU_FRAC * self.t_f)
         if self.width is None:
             object.__setattr__(self, "width", WIDTH_FRAC * self.t_f)
-        if self.omega0 <= 0 or self.width <= 0:
-            raise ValueError("omega0 and width must be positive")
-        if not 0 < self.tau < self.t_f / 2:
-            raise ValueError("tau must lie in (0, t_f/2)")
+        if not (0 < self.omega0 < math.inf and 0 < self.width < math.inf):
+            raise ValueError("omega0 and width must be positive and finite")
+        if not (self.t_f < math.inf and 0 < self.tau < self.t_f / 2):
+            raise ValueError("tau must lie in (0, t_f/2) for a finite t_f")
 
     @classmethod
     def for_duration(cls, t_f: float, omega0: float, tau_frac: float,
@@ -165,8 +166,10 @@ class GaussianTerm:
     width: float
 
     def __post_init__(self):
-        if self.width <= 0:
-            raise ValueError("width must be positive")
+        if not (abs(self.amplitude) < math.inf and abs(self.center) < math.inf):
+            raise ValueError("amplitude and center must be finite")
+        if not 0 < self.width < math.inf:
+            raise ValueError("width must be positive and finite")
 
 
 @dataclass(frozen=True)

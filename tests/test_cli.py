@@ -382,3 +382,45 @@ def test_import_leaves_out_the_fitter():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("setting, argv", [
+    ("TQD3D_DT=100", ["simulate"]),
+    ("TQD3D_DT=nan", ["simulate"]),
+    ("TQD3D_DT=inf", ["simulate"]),
+    ("TQD3D_RECORD_EVERY=0", ["simulate"]),
+    ("TQD3D_SWEEP_DT=100", ["sweep", "--figure", "4b"]),
+    ("TQD3D_SWEEP_DT=30", ["sweep", "--figure", "4c"]),  # the swept t_f = 10
+    ("TQD3D_SWEEP_DT=60", ["sweep", "--figure", "8"]),  # deviation -0.5: t_f 25
+], ids=["dt_100", "dt_nan", "dt_inf", "record_every_0", "sweep_dt_100", "swept_tf",
+        "tf_deviation"])
+def test_step_settings_exit_2_before_work(tmp_path, monkeypatch, capsys, setting, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started despite a step setting that cannot run")
+
+    monkeypatch.setattr(cli.experiments, "_run_cells", no_work)
+    monkeypatch.setattr(cli.experiments, "simulate_closed", no_work)
+    key, _, value = setting.partition("=")
+    monkeypatch.setenv(key, value)
+    if key == "TQD3D_SWEEP_DT" and value == "60":
+        monkeypatch.setenv("TQD3D_ROBUSTNESS_DEV", "-0.5:0:3")
+    assert cli.main(["--out", str(tmp_path), *argv]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+_NUMERIC_KEYS = [f.name for f in cli.fields(cli.RunConfig) if f.type in ("float", "int")]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", _NUMERIC_KEYS)
+def test_non_finite_setting_gives_no_nan_output(tmp_path, monkeypatch, key, value):
+    """A run with a non-finite setting exits nonzero, or exits 0 with no NaN in any CSV."""
+    monkeypatch.setenv(cli.ENV_PREFIX + key.upper(), value)
+    if key != "dt":
+        monkeypatch.setenv("TQD3D_DT", "0.05")
+    code = cli.main(["--out", str(tmp_path), "simulate", "--open", "--method", "tqd-fitted"])
+    fields = [field for csv in tmp_path.glob("*.csv")
+              for line in csv.read_text().splitlines() if not line.startswith("#")
+              for field in line.split(",")]
+    assert code != cli.EXIT_OK or "nan" not in fields

@@ -389,10 +389,10 @@ def test_csr_rhs_matches_reduceat_reference(rng, cells):
         x = draw(real, cells, n)
         start = draw(real, cells, n)
 
-        inputs, rhs = dynamics._batch_inputs_and_rhs(lambda times: c, operators, cells)
-        (w,) = inputs(np.zeros(1), scale)
+        weights, indptr, indices = dynamics._batch_csr(operators, cells, scale)
+        (w,) = weights(c)
         got = start.copy()
-        rhs(w, x, got)
+        dynamics._rhs(indptr, indices)(w, x, got)
         ref_inputs, ref_rhs = _reduceat_inputs_and_rhs(lambda times: c, operators)
         (w_ref,) = ref_inputs(np.zeros(1), scale)
         want = start + ref_rhs(w_ref, x)
@@ -408,9 +408,52 @@ def test_csr_rhs_matches_reduceat_reference(rng, cells):
             assert np.isnan(got[nan_cell, touched]).all()
             assert np.isnan(want[nan_cell, touched]).all()
         for b in range(cells):  # a cell alone gets the same bits as in its batch
-            inputs, rhs = dynamics._batch_inputs_and_rhs(lambda times: c[:, b:b + 1],
-                                                         operators, 1)
-            (w_alone,) = inputs(np.zeros(1), scale)
+            weights, indptr, indices = dynamics._batch_csr(operators, 1, scale)
+            (w_alone,) = weights(c[:, b:b + 1])
             alone = start[b:b + 1].copy()
-            rhs(w_alone, x[b:b + 1], alone)
+            dynamics._rhs(indptr, indices)(w_alone, x[b:b + 1], alone)
             assert np.array_equal(alone[0], got[b], equal_nan=True)
+
+
+def test_integrator_config_needs_a_finite_positive_step():
+    for dt in (math.nan, math.inf, -math.inf, -0.01):
+        with pytest.raises(ValueError, match="finite"):
+            IntegratorConfig(dt=dt)
+
+
+def test_run_shorter_than_half_a_step_is_rejected():
+    h = lambda t: 0.35 * SIGMA_X  # noqa: E731
+    psi0 = np.array([1.0, 0.0], dtype=complex)
+    with pytest.raises(ValueError, match="makes no step"):
+        dynamics.evolve_schrodinger(h, psi0, 0.005, IntegratorConfig(dt=0.01))
+    assert dynamics.evolve_schrodinger(h, psi0, 0.006, IntegratorConfig(dt=0.01)
+                                       ).metadata["n_steps"] == 1
+
+
+def test_step_program_needs_an_in_place_matvec(monkeypatch):
+    """The program reads rows written earlier in the same csr_matvec call; a copy of x fails it."""
+    def run():
+        return dynamics.evolve_schrodinger(lambda t: 0.35 * SIGMA_X,
+                                           np.array([1.0, 0.0], dtype=complex), 1.0,
+                                           IntegratorConfig(dt=0.01))
+
+    real_matvec = dynamics.csr_matvec
+    dynamics._check_in_place.cache_clear()
+    dynamics._check_in_place()  # this scipy's kernel passes
+    assert run().metadata["executor"] == "step program"
+    expected = run().final_state
+
+    def copying(n_row, n_col, indptr, indices, data, x, y):
+        real_matvec(n_row, n_col, indptr, indices, data, x.copy(), y)
+
+    monkeypatch.setattr(dynamics, "csr_matvec", copying)
+    dynamics._check_in_place.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="does not read the rows it has written"):
+            dynamics._check_in_place()
+        with pytest.raises(RuntimeError, match="step program"):
+            run()
+        monkeypatch.setattr(dynamics, "PROGRAM_STEP_BYTES", 0)  # the loop does not need it
+        assert np.array_equal(run().final_state, expected)
+    finally:
+        dynamics._check_in_place.cache_clear()

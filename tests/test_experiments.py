@@ -263,14 +263,45 @@ def cut_alone():
                         for r in experiments.simulate_closed_batch([cell], 50.0, cfg)]
 
 
-@pytest.mark.parametrize("chunk_bytes", [dynamics.WEIGHT_CHUNK_BYTES, 1, 3 * 40 * 17 * 16])
-def test_weight_chunks_do_not_change_a_cell(cut_alone, monkeypatch, chunk_bytes):
-    # With 17 weights per cell and time, a 40-cell chunk holds 12 of a block's
-    # 200 times by default, one for 1 byte, and 3, which do not divide a block.
+def _captured(monkeypatch) -> list:
+    """The SimResult of every evolve_* call made from here on, in order."""
+    results = []
+    for name in ("evolve_schrodinger", "evolve_lindblad"):
+        def capturing(*args, evolve=getattr(dynamics, name), **kwargs):
+            results.append(evolve(*args, **kwargs))
+            return results[-1]
+        monkeypatch.setattr(dynamics, name, capturing)
+    return results
+
+
+# The step program of 40 closed cells, 17 weights and 8 amplitudes each, per step.
+CUT_PROGRAM_BYTES = dynamics._program_bytes(40 * 17, 40 * 8, 16)
+
+
+@pytest.mark.parametrize("executor, chunk_bytes, steps", [
+    pytest.param("step loop", dynamics.WEIGHT_CHUNK_BYTES, 6,
+                 id=str(dynamics.WEIGHT_CHUNK_BYTES)),
+    pytest.param("step loop", 1, 1, id="1"),
+    pytest.param("step loop", 3 * 40 * 17 * 16, 1, id=str(3 * 40 * 17 * 16)),
+    pytest.param("step program", 1, 1, id="program-1"),
+    pytest.param("step program", 3 * CUT_PROGRAM_BYTES, 3, id="program-3"),
+])
+def test_weight_chunks_do_not_change_a_cell(cut_alone, monkeypatch, executor, chunk_bytes,
+                                            steps):
+    # With 17 weights per cell and time, a 40-cell chunk of the step loop
+    # holds 6 of a block's 100 steps by default (12 times), which divide
+    # neither a block nor record_every = 50, and one step for 1 byte or for
+    # the weights of 3 times. The step program runs 1 or 3 steps per call.
+    # Each cell alone runs as a step program of its own.
     cells, cfg, alone = cut_alone
-    monkeypatch.setattr(dynamics, "WEIGHT_CHUNK_BYTES", chunk_bytes)
+    program = executor == "step program"
+    monkeypatch.setattr(dynamics, "PROGRAM_STEP_BYTES", math.inf if program else 0)
+    monkeypatch.setattr(dynamics, "PROGRAM_BYTES" if program else "WEIGHT_CHUNK_BYTES",
+                        chunk_bytes)
+    runs = _captured(monkeypatch)
     whole = experiments.simulate_closed_batch(cells, 50.0, cfg)
     assert whole == alone and not any(note for _, note in whole)
+    assert (runs[0].metadata["executor"], runs[0].metadata["chunk_steps"]) == (executor, steps)
 
 
 def test_empty_batches_run():
@@ -349,3 +380,53 @@ def test_open_batch_pulse_failure_is_per_cell():
     assert np.isnan(f_bad) and note == _open_cell_alone(*cells[0], cfg)[1]
     assert note.startswith("PulseSynthesisError: delta*theta_dot > 0 at t=0;")
     assert healthy == "" and f_good == _open_cell_alone(*cells[1], cfg)[0]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("threshold", [0, math.inf], ids=["step_loop", "step_program"])
+def test_batch_size_tests_hold_for_each_executor(monkeypatch, threshold):
+    # Every batch, split and single cell of the two tests on one executor.
+    monkeypatch.setattr(dynamics, "PROGRAM_STEP_BYTES", threshold)
+    test_batch_size_does_not_change_a_cell()
+    test_open_batch_size_does_not_change_a_cell()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_step_program_matches_step_loop(monkeypatch):
+    # Closed: a failed pulse synthesis (delta = -1), a drift (60), a norm that
+    # overflows while the state is finite (1000: "norm drift inf") and a state
+    # that overflows (2000: "norm drift nan"). Open: the fig-9 cells of the
+    # open batch-size test with a drift (kappa = 60) and an overflow (5000),
+    # and a failed pulse synthesis.
+    cfg = IntegratorConfig(dt=0.05)
+    closed = _cells([-1.0, 2.0, 3.6, 60.0, 1000.0, 2000.0, 5.0])
+    fitted = experiments.default_pulse_set(PulseKind.TQD_FITTED)
+    open_cells = [(ModelParams(kappa=k, gamma=g), fitted)
+                  for k, g in [(0.0, 0.0), (0.01, 0.02), (60.0, 0.0), (5000.0, 0.0)]]
+    open_cells.append((ModelParams(delta=-1.0, kappa=0.01),
+                       PulseSet(PulseKind.TQD_EXACT, StirapParams(), delta=-1.0)))
+    outcomes, results = {}, {}
+    for threshold, executor in [(0, "step loop"), (math.inf, "step program")]:
+        monkeypatch.setattr(dynamics, "PROGRAM_STEP_BYTES", threshold)
+        runs = _captured(monkeypatch)
+        outcomes[executor] = (experiments.simulate_closed_batch(closed, 50.0, cfg)
+                              + experiments.simulate_open_batch(open_cells, 50.0, cfg))
+        assert [run.metadata["executor"] for run in runs] == [executor] * 2
+        results[executor] = runs
+    loop, program = outcomes["step loop"], outcomes["step program"]
+    assert [note for _, note in loop] == [note for _, note in program]
+    assert np.array_equal([f for f, _ in loop], [f for f, _ in program], equal_nan=True)
+    notes = [note.split(" > ")[0] for _, note in loop]
+    assert notes[0].startswith("PulseSynthesisError: ") and notes[-1] == notes[0]
+    assert notes[3:6] == ["IntegratorInstabilityError: norm drift 9.30e+05",
+                          "IntegratorInstabilityError: norm drift inf",
+                          "IntegratorInstabilityError: norm drift nan"]
+    assert math.isfinite(float(notes[9].rsplit(" ", 1)[1]))  # digits not pinned, as above
+    assert notes[10] == "IntegratorInstabilityError: trace drift nan"
+    for a, b in zip(results["step loop"], results["step program"]):
+        for name in ("fidelity", "populations", "final_state"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and np.array_equal(x, y, equal_nan=True)
+            assert np.array_equal(x.view(np.uint8), y.view(np.uint8))  # bit for bit
