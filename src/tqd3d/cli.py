@@ -25,7 +25,7 @@ import numpy as np
 import scipy
 
 from . import __version__, experiments, pulses
-from .dynamics import IntegratorConfig, IntegratorInstabilityError
+from .dynamics import STEP_CAP, IntegratorConfig, IntegratorInstabilityError, StepCapError
 from .experiments import GridCapError
 from .model import ModelParams
 from .pulses import FittedPulse, GaussianTerm, PulseKind, PulseSynthesisError, StirapParams
@@ -156,15 +156,22 @@ def load_config(path: str | None) -> tuple[RunConfig, str]:
         cfg.fitted_pulse()
         check_steps(cfg.t_f, cfg.integrator().dt, "dt")
         check_steps(cfg.t_f, cfg.sweep_integrator().dt, "sweep_dt")
+    except StepCapError:
+        raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return cfg, "\n".join(source_lines)
 
 
 def check_steps(t_f: float, dt: float, name: str):
-    """ValueError unless a run to t_f makes at least one step of dt, as dynamics rounds it."""
+    """ValueError unless a run to t_f makes at least one step of dt, as dynamics rounds it.
+
+    StepCapError (exit 4) if it makes more than dynamics.STEP_CAP, as dynamics checks it.
+    """
     if not t_f / dt > 0.5:
         raise ValueError(f"{name} = {dt:g} makes no step of t_f = {t_f:g}")
+    if not t_f / dt <= STEP_CAP:
+        raise StepCapError(f"{name} = {dt:g} takes more than {STEP_CAP} steps of t_f = {t_f:g}")
 
 
 def check_threads(threads: int, source: str):
@@ -279,12 +286,14 @@ _SURFACES = {  # figure: (output name, plot mode, swept t_f, swept delta)
 def _checked_axis(name: str, values, build):
     """values (an array or a scalar) once build(value) has made every cell's settings.
 
-    As in load_config, a value outside the physical domain is a config error,
-    raised before any cell runs.
+    As in load_config, a value outside the physical domain is a config error
+    and one over the step cap a StepCapError, raised before any cell runs.
     """
     for value in np.atleast_1d(values):
         try:
             build(float(value))
+        except StepCapError:
+            raise
         except ValueError as exc:
             raise ConfigError(f"{name} = {value:g}: {exc}") from exc
     return values
@@ -407,7 +416,7 @@ def main(argv=None) -> int:
     except IntegratorInstabilityError as exc:
         print(f"numerical instability: {exc}", file=sys.stderr)
         return EXIT_INSTABILITY
-    except GridCapError as exc:
+    except (GridCapError, StepCapError) as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_CAP
     except OSError as exc:

@@ -6,9 +6,10 @@ from |phi_1> once the collapse operators are added (model.open_space).  The
 RK4 driver integrates one thing: a (B, n) state whose cell b evolves under
 sum_k c[t, b, k] G_k, fixed structure operators G_k with per-cell
 coefficients, applied entry by entry, so a cell's numbers do not depend on
-its batch.  The cells of a sweep share a step schedule and run as one batch;
-a single run is a batch of one, and a plain t -> H(t) is one cell whose
-coefficients are the entries of H(t) on the d*d matrix units.  The master
+its batch.  The cells of a sweep share a step schedule and run as one batch,
+and a single run is a batch of one; every Schrodinger run, the reduced
+three- and two-level models included, comes as structure operators and
+coefficients (model.CellDrives, model.DETUNED_LAMBDA_OPERATORS).  The master
 equation is such a batch with real coefficients: its state is the real
 coordinates of rho on the entries its Liouvillian reaches from rho0
 (Re rho_ii, and Re and Im rho_ij for i < j: 84 numbers for 84 of 256
@@ -72,10 +73,17 @@ WEIGHT_CHUNK_BYTES = 128 * 1024
 PROGRAM_STEP_BYTES = 128 * 1024
 PROGRAM_BYTES = 1024 * 1024
 THIRD = 1.0 / 3.0
+# Most RK4 steps one run may take: 400 times the 25 000 of a run at the
+# default dt and t_f, 200 times the 50 000 of verify's half-step run.
+STEP_CAP = 10_000_000
 
 
 class IntegratorInstabilityError(RuntimeError):
     """Norm or trace drift beyond tolerance; reduce dt."""
+
+
+class StepCapError(ValueError):
+    """A run of more than STEP_CAP steps (t_f / dt above it, infinite included)."""
 
 
 @dataclass(frozen=True)
@@ -172,10 +180,13 @@ def _rk4(
     ["record_s"] split the wall time between the steps and the recorded
     points; the clock is read at recorded points only, and ["executor"] and
     ["chunk_steps"] name the executor and the steps of a chunk. ValueError
-    if t_f is less than half a step.
+    if t_f is less than half a step, StepCapError (a ValueError) if it is
+    more than STEP_CAP steps.
     """
     if not t_f / cfg.dt > 0.5:  # round(t_f / dt) >= 1, and not NaN
         raise ValueError(f"t_f = {t_f:g} makes no step of dt = {cfg.dt:g}")
+    if not t_f / cfg.dt <= STEP_CAP:  # and finite
+        raise StepCapError(f"t_f = {t_f:g} takes more than {STEP_CAP} steps of dt = {cfg.dt:g}")
     n_steps = int(round(t_f / cfg.dt))
     dt = t_f / n_steps  # land exactly on t_f
     every = cfg.record_every
@@ -462,17 +473,9 @@ def _one_cell(result: SimResult) -> SimResult:
                    fidelity=result.fidelity[:, 0], final_state=result.final_state[0])
 
 
-def _matrix_units(h_of_t: Callable[[float], np.ndarray], d: int):
-    """A plain t -> H(t) as one cell's coefficients on the d*d matrix units E_ij, -1j folded in."""
-    def coefficients(times):
-        return np.array([h_of_t(t) for t in times], dtype=complex).reshape(len(times), 1, d * d)
-
-    units = [sp.coo_matrix(([-1j], ([i], [j])), shape=(d, d)) for i in range(d) for j in range(d)]
-    return coefficients, units
-
-
 def evolve_schrodinger(
-    h_of_t: Callable,
+    operators: np.ndarray,
+    coefficients: Callable[[np.ndarray], np.ndarray],
     psi0: np.ndarray,
     t_f: float,
     cfg: IntegratorConfig = IntegratorConfig(),
@@ -481,15 +484,13 @@ def evolve_schrodinger(
 ) -> SimResult:
     """Integrate i d/dt psi = H(t) psi with classic RK4, for one state or a batch.
 
-    An h_of_t with structure operators `operators` (K, d, d) maps an array of
-    times to coefficients (times, B, K), and cell b evolves under
-    sum_k c[t, b, k] operators[k] (model.CellDrives), applied entry by entry
-    with no H(t) stored. A plain h_of_t maps t to H(t); its entries are the
-    coefficients of one cell on the d*d matrix units. psi0 (B, d) is a batch
-    of B cells: a cell whose norm drifts beyond NORM_TOL continues as NaN,
-    its IntegratorInstabilityError in metadata["failures"]. psi0 (d,) runs as
-    a batch of one and gives results without the cell axis; its drift
-    failure is raised when the run ends.
+    Cell b evolves under H_b(t) = sum_k c[t, b, k] operators[k]: operators
+    are K fixed structure operators (K, d, d), and coefficients(times) gives
+    c as (times, B, K) (model.CellDrives), applied entry by entry with no
+    H(t) stored. psi0 (B, d) is a batch of B cells: a cell whose norm drifts
+    beyond NORM_TOL continues as NaN, its IntegratorInstabilityError in
+    metadata["failures"]. psi0 (d,) runs as a batch of one and gives results
+    without the cell axis; its drift failure is raised when the run ends.
 
     tracked: indices whose |amplitude|^2 is recorded (defaults to all);
     target: state against which the fidelity trace is computed (default: the
@@ -501,13 +502,10 @@ def evolve_schrodinger(
         raise ValueError("psi0 must be normalized")
     if target is None:
         target = np.eye(d, dtype=complex)[0]
-    if hasattr(h_of_t, "operators"):
-        coefficients, operators = h_of_t, -1j * h_of_t.operators
-    else:
-        coefficients, operators = _matrix_units(h_of_t, d)
     state = psi.reshape(-1, d)
     result = _rk4(
-        coefficients, operators, state, t_f, cfg, np.broadcast_to(target, state.shape),
+        coefficients, -1j * np.asarray(operators), state, t_f, cfg,
+        np.broadcast_to(target, state.shape),
         record=lambda t, psi: _leaked_row(np.abs(psi) ** 2, tracked),
         drift=lambda psi: np.abs(np.linalg.norm(psi, axis=-1) - 1.0),
         drift_name="norm", tol=NORM_TOL,

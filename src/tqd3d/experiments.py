@@ -75,8 +75,8 @@ def simulate_closed(params: ModelParams, pulse_set: PulseSet,
     sub = hilbert.build_subspace()
     drives = model.CellDrives(model.hamiltonian_terms(sub), [(params, pulse_set)])
     return _raising(drives, dynamics.evolve_schrodinger(
-        drives, _initial_state(sub), t_final if t_final is not None else params.t_f, cfg,
-        target=dynamics.target_state(sub),
+        drives.operators, drives, _initial_state(sub),
+        t_final if t_final is not None else params.t_f, cfg, target=dynamics.target_state(sub),
     ))
 
 
@@ -127,7 +127,7 @@ def simulate_closed_batch(cells: Sequence[tuple[ModelParams, PulseSet]], t_final
     sub = hilbert.build_subspace()
     drives = model.CellDrives(model.hamiltonian_terms(sub), cells)
     psi0 = np.tile(_initial_state(sub), (len(drives.cells), 1))
-    result = dynamics.evolve_schrodinger(drives, psi0, t_final, cfg,
+    result = dynamics.evolve_schrodinger(drives.operators, drives, psi0, t_final, cfg,
                                          target=dynamics.target_state(sub))
     return _outcomes(drives, result)
 

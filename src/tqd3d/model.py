@@ -1,4 +1,4 @@
-"""Hamiltonians, basis transforms, eigensystem, and collapse channels.
+"""Hamiltonians, basis transforms, and collapse channels.
 
 Builds the interaction-picture Hamiltonians of the two-atom bimodal-cavity
 system at three levels of description:
@@ -9,6 +9,10 @@ system at three levels of description:
 * effective Lambda (3-dim, basis |phi_1>, |Psi_d>, |psi_3>): after dropping
   the fast +-sqrt(3)g sectors;
 * two-level (basis |phi_1>, |psi_3>): after adiabatic elimination of |Psi_d>.
+
+The reduced models of the detuned system come as fixed structure operators
+and coefficients vectorized over times, the form dynamics.evolve_schrodinger
+integrates.
 
 Also provides the counterdiabatic generator i*theta_dot(|phi_1><psi_3| - h.c.)
 and its numerical cross-check from the instantaneous-eigenvector formula.
@@ -30,7 +34,7 @@ from .pulses import SQRT2, PulseKind, PulseSet, PulseSynthesisError, StirapParam
 SQRT3 = np.sqrt(3.0)
 
 # Largest |omega_b' - i*omega_a'/sqrt(2)|, relative to max(|omega_a'|, 1), that
-# h_two_level accepts as the phase lock.
+# two_level_coefficients accepts as the phase lock.
 PHASE_TOL = 1e-9
 
 
@@ -218,16 +222,6 @@ def symmetric_vectors() -> dict[str, np.ndarray]:
     return out
 
 
-def bright_dark_vectors() -> dict[str, np.ndarray]:
-    """Dark and bright combinations of |phi_2> and |psi_2> with |psi_1| (8-dim)."""
-    e = np.eye(8, dtype=complex)
-    sym = symmetric_vectors()
-    dark = (e[1] - SQRT2 * sym["psi2"]) / SQRT3
-    plus = (SQRT2 * e[1] + SQRT3 * sym["psi1"] + sym["psi2"]) / np.sqrt(6.0)
-    minus = (SQRT2 * e[1] - SQRT3 * sym["psi1"] + sym["psi2"]) / np.sqrt(6.0)
-    return {"dark": dark, "plus": plus, "minus": minus}
-
-
 def h_effective_lambda(omega_a: float, omega_b: float) -> np.ndarray:
     """3-dim effective Hamiltonian on (|phi_1>, |Psi_d>, |psi_3>)."""
     h = np.zeros((3, 3), dtype=complex)
@@ -236,36 +230,52 @@ def h_effective_lambda(omega_a: float, omega_b: float) -> np.ndarray:
     return h + h.conj().T
 
 
-def h_effective_detuned(
-    omega_a_prime: complex, omega_b_prime: complex, delta: float
-) -> np.ndarray:
-    """3-dim effective Hamiltonian of the detuned system (adds delta on |Psi_d>)."""
-    h = np.zeros((3, 3), dtype=complex)
-    h[0, 1] = omega_a_prime / SQRT3
-    h[1, 2] = -SQRT2 * omega_b_prime / SQRT3
-    h = h + h.conj().T
-    h[1, 1] = delta
-    return h
+# Structure operators of the reduced models of the detuned system: H(t) is
+# sum_k c[k] operators[k] with the coefficients c of detuned_lambda_coefficients
+# and two_level_coefficients: the matrix units E_01, E_10, E_12, E_21, E_11
+# and E_01, E_10 (E_ij is row i*d + j of the d*d identity, reshaped).
+DETUNED_LAMBDA_OPERATORS = np.eye(9, dtype=complex).reshape(9, 3, 3)[[1, 3, 5, 7, 4]]
+TWO_LEVEL_OPERATORS = np.eye(4, dtype=complex).reshape(4, 2, 2)[[1, 2]]
 
 
-def h_two_level(omega_a_prime: complex, omega_b_prime: complex, delta: float) -> np.ndarray:
-    """2-dim Hamiltonian on (|phi_1>, |psi_3>) after eliminating |Psi_d>.
+def detuned_lambda_coefficients(omega_a_prime, omega_b_prime, delta: float) -> np.ndarray:
+    """(..., 5) coefficients of the 3-dim effective Hamiltonian of the detuned system.
 
-    Requires the phase lock omega_b' = i*omega_a'/sqrt(2), which makes both
-    Stark shifts equal (dropped as a global phase) and the coupling
-    i*omega_a'^2/(3*delta) purely counterdiabatic.
+    On (|phi_1>, |Psi_d>, |psi_3>), with DETUNED_LAMBDA_OPERATORS:
+    omega_a'/sqrt(3), its conjugate, -sqrt(2)*omega_b'/sqrt(3), its
+    conjugate, and delta on |Psi_d>; the amplitudes are arrays over times.
     """
-    expected_b = 1j * omega_a_prime / SQRT2
-    scale = max(abs(omega_a_prime), 1.0)
-    if abs(omega_b_prime - expected_b) > PHASE_TOL * scale:
+    a = np.asarray(omega_a_prime, dtype=complex) / SQRT3
+    b = -SQRT2 * np.asarray(omega_b_prime, dtype=complex) / SQRT3
+    return np.stack([a, a.conj(), b, b.conj(), np.full(a.shape, delta, dtype=complex)], axis=-1)
+
+
+def two_level_coefficients(omega_a_prime, omega_b_prime, delta: float) -> np.ndarray:
+    """(..., 2) coefficients of the 2-dim Hamiltonian after eliminating |Psi_d>.
+
+    On (|phi_1>, |psi_3>), with TWO_LEVEL_OPERATORS: the coupling
+    i*omega_a'^2/(3*delta) and its conjugate. Requires the phase lock
+    omega_b' = i*omega_a'/sqrt(2) at every time, which makes both Stark
+    shifts equal (dropped as a global phase) and the coupling purely
+    counterdiabatic; ValueError if any time breaks it.
+    """
+    omega_a = np.asarray(omega_a_prime, dtype=complex)
+    scale = np.maximum(np.abs(omega_a), 1.0)
+    if np.any(np.abs(omega_b_prime - 1j * omega_a / SQRT2) > PHASE_TOL * scale):
         raise ValueError(
             "amplitudes violate the phase lock omega_b' = i*omega_a'/sqrt(2)"
         )
-    coupling = 1j * omega_a_prime**2 / (3.0 * delta)
-    h = np.zeros((2, 2), dtype=complex)
-    h[0, 1] = coupling
-    h[1, 0] = np.conj(coupling)
-    return h
+    coupling = 1j * omega_a**2 / (3.0 * delta)
+    return np.stack([coupling, coupling.conj()], axis=-1)
+
+
+def reduced_drives(coefficients: Callable, p: StirapParams, delta: float) -> Callable:
+    """times -> (times, 1, K): one cell of a reduced model under the exact TQD pulses.
+
+    coefficients is detuned_lambda_coefficients or two_level_coefficients;
+    each call takes one pulses.tqd_amplitudes call for all its times.
+    """
+    return lambda times: coefficients(*pulses.tqd_amplitudes(p, delta, times), delta)[:, None]
 
 
 def h_counterdiabatic(theta_dot: float) -> np.ndarray:
@@ -274,29 +284,6 @@ def h_counterdiabatic(theta_dot: float) -> np.ndarray:
     h[0, 2] = 1j * theta_dot
     h[2, 0] = -1j * theta_dot
     return h
-
-
-@dataclass(frozen=True)
-class Eigensystem:
-    """Instantaneous eigensystem of the 3-dim effective Hamiltonian."""
-
-    values: np.ndarray  # (lambda_minus, lambda_0, lambda_plus)
-    vectors: np.ndarray  # columns n_minus, n_0, n_plus
-
-
-def effective_eigensystem(p: StirapParams, t: float) -> Eigensystem:
-    """Analytic dark/bright eigensystem parametrized by the mixing angle."""
-    theta = float(pulses.mixing_angle(p, t))
-    norm = float(pulses.rabi_norm(p, t))
-    lam = norm / SQRT3
-    # Dark vector (-cos, 0, sin); bright vectors carry the sign assignment that
-    # pairs each with its eigenvalue for the branch theta in (-pi/2, pi/2).
-    n0 = np.array([-np.cos(theta), 0.0, np.sin(theta)], dtype=complex)
-    n_plus = np.array([-np.sin(theta), 1.0, -np.cos(theta)], dtype=complex) / SQRT2
-    n_minus = np.array([np.sin(theta), 1.0, np.cos(theta)], dtype=complex) / SQRT2
-    values = np.array([-lam, 0.0, lam])
-    vectors = np.column_stack([n_minus, n0, n_plus])
-    return Eigensystem(values=values, vectors=vectors)
 
 
 class EigenvectorContinuityError(RuntimeError):

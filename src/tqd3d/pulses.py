@@ -168,8 +168,9 @@ class GaussianTerm:
     def __post_init__(self):
         if not (abs(self.amplitude) < math.inf and abs(self.center) < math.inf):
             raise ValueError("amplitude and center must be finite")
-        if not 0 < self.width < math.inf:
-            raise ValueError("width must be positive and finite")
+        # __call__ divides by width**2, which must neither underflow nor overflow
+        if not (0 < self.width < math.inf and 0 < self.width * self.width < math.inf):
+            raise ValueError("width must be positive, with a finite nonzero square")
 
 
 @dataclass(frozen=True)

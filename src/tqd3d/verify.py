@@ -213,20 +213,16 @@ def check_model_hierarchy() -> CriterionResult:
     target3 = np.array([1.0, 0.0, np.sqrt(2.0)]) / np.sqrt(3.0)
     target2 = np.array([1.0, np.sqrt(2.0)]) / np.sqrt(3.0)
 
-    def h3(t):
-        omega_a, omega_b = pulses.tqd_amplitudes(p, params.delta, t)
-        return model.h_effective_detuned(complex(omega_a), complex(omega_b), params.delta)
+    def final_fidelity(operators, coefficients, psi0, target):
+        drives = model.reduced_drives(coefficients, p, params.delta)
+        return dynamics.evolve_schrodinger(
+            operators, drives, np.array(psi0, dtype=complex), p.t_f, cfg, target=target
+        ).final_fidelity
 
-    def h2(t):
-        omega_a, omega_b = pulses.tqd_amplitudes(p, params.delta, t)
-        return model.h_two_level(complex(omega_a), complex(omega_b), params.delta)
-
-    f3 = dynamics.evolve_schrodinger(
-        h3, np.array([1, 0, 0], dtype=complex), p.t_f, cfg, target=target3
-    ).final_fidelity
-    f2 = dynamics.evolve_schrodinger(
-        h2, np.array([1, 0], dtype=complex), p.t_f, cfg, target=target2
-    ).final_fidelity
+    f3 = final_fidelity(model.DETUNED_LAMBDA_OPERATORS, model.detuned_lambda_coefficients,
+                        [1, 0, 0], target3)
+    f2 = final_fidelity(model.TWO_LEVEL_OPERATORS, model.two_level_coefficients,
+                        [1, 0], target2)
     spread = max(f_full, f3, f2) - min(f_full, f3, f2)
     return CriterionResult(
         "model-hierarchy",

@@ -384,17 +384,21 @@ def test_import_leaves_out_the_fitter():
     assert proc.stdout.strip() == "False"
 
 
-@pytest.mark.parametrize("setting, argv", [
-    ("TQD3D_DT=100", ["simulate"]),
-    ("TQD3D_DT=nan", ["simulate"]),
-    ("TQD3D_DT=inf", ["simulate"]),
-    ("TQD3D_RECORD_EVERY=0", ["simulate"]),
-    ("TQD3D_SWEEP_DT=100", ["sweep", "--figure", "4b"]),
-    ("TQD3D_SWEEP_DT=30", ["sweep", "--figure", "4c"]),  # the swept t_f = 10
-    ("TQD3D_SWEEP_DT=60", ["sweep", "--figure", "8"]),  # deviation -0.5: t_f 25
+@pytest.mark.parametrize("setting, argv, code", [
+    ("TQD3D_DT=100", ["simulate"], cli.EXIT_CONFIG),
+    ("TQD3D_DT=nan", ["simulate"], cli.EXIT_CONFIG),
+    ("TQD3D_DT=inf", ["simulate"], cli.EXIT_CONFIG),
+    ("TQD3D_RECORD_EVERY=0", ["simulate"], cli.EXIT_CONFIG),
+    ("TQD3D_SWEEP_DT=100", ["sweep", "--figure", "4b"], cli.EXIT_CONFIG),
+    ("TQD3D_SWEEP_DT=30", ["sweep", "--figure", "4c"], cli.EXIT_CONFIG),  # the swept t_f = 10
+    ("TQD3D_SWEEP_DT=60", ["sweep", "--figure", "8"], cli.EXIT_CONFIG),  # deviation -0.5: t_f 25
+    ("TQD3D_DT=1e-320", ["simulate"], cli.EXIT_CAP),  # t_f / dt overflows to inf
+    ("TQD3D_SWEEP_DT=1e-320", ["sweep", "--figure", "4b"], cli.EXIT_CAP),
+    ("TQD3D_SURFACE_TF=10:1e9:2", ["sweep", "--figure", "4c"], cli.EXIT_CAP),  # 1e11 steps
 ], ids=["dt_100", "dt_nan", "dt_inf", "record_every_0", "sweep_dt_100", "swept_tf",
-        "tf_deviation"])
-def test_step_settings_exit_2_before_work(tmp_path, monkeypatch, capsys, setting, argv):
+        "tf_deviation", "dt_subnormal_cap", "sweep_dt_subnormal_cap", "swept_tf_cap"])
+def test_step_settings_exit_2_before_work(tmp_path, monkeypatch, capsys, setting, argv, code):
+    """A step setting that cannot run exits 2, one over dynamics.STEP_CAP exits 4."""
     def no_work(*args, **kwargs):
         raise AssertionError("work started despite a step setting that cannot run")
 
@@ -404,18 +408,22 @@ def test_step_settings_exit_2_before_work(tmp_path, monkeypatch, capsys, setting
     monkeypatch.setenv(key, value)
     if key == "TQD3D_SWEEP_DT" and value == "60":
         monkeypatch.setenv("TQD3D_ROBUSTNESS_DEV", "-0.5:0:3")
-    assert cli.main(["--out", str(tmp_path), *argv]) == cli.EXIT_CONFIG
+    assert cli.main(["--out", str(tmp_path), *argv]) == code
     err = capsys.readouterr().err
-    assert err.startswith("config error: ") and err.count("\n") == 1
+    prefix = "config error: " if code == cli.EXIT_CONFIG else "resource cap: "
+    assert err.startswith(prefix) and err.count("\n") == 1
 
 
 _NUMERIC_KEYS = [f.name for f in cli.fields(cli.RunConfig) if f.type in ("float", "int")]
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1", "1e-320", "1e300"])
 @pytest.mark.parametrize("key", _NUMERIC_KEYS)
 def test_non_finite_setting_gives_no_nan_output(tmp_path, monkeypatch, key, value):
-    """A run with a non-finite setting exits nonzero, or exits 0 with no NaN in any CSV."""
+    """A run with a non-finite, zero, negative, tiny or huge setting exits 0, 2, 3 or 4.
+
+    Exit 0 means no NaN in any CSV.
+    """
     monkeypatch.setenv(cli.ENV_PREFIX + key.upper(), value)
     if key != "dt":
         monkeypatch.setenv("TQD3D_DT", "0.05")
@@ -423,4 +431,5 @@ def test_non_finite_setting_gives_no_nan_output(tmp_path, monkeypatch, key, valu
     fields = [field for csv in tmp_path.glob("*.csv")
               for line in csv.read_text().splitlines() if not line.startswith("#")
               for field in line.split(",")]
+    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_INSTABILITY, cli.EXIT_CAP)
     assert code != cli.EXIT_OK or "nan" not in fields

@@ -22,7 +22,7 @@ def test_config_validation():
 def test_zero_hamiltonian_is_identity():
     psi0 = np.array([0.6, 0.8j], dtype=complex)
     result = dynamics.evolve_schrodinger(
-        lambda t: np.zeros((2, 2), dtype=complex), psi0, 1.0,
+        [SIGMA_X], _constant(0.0), psi0, 1.0,
         IntegratorConfig(dt=0.01), target=psi0,
     )
     assert np.allclose(result.final_state, psi0)
@@ -33,7 +33,7 @@ def test_rabi_oscillation_closed_form():
     omega0 = 0.35
     t_f = 30.0
     result = dynamics.evolve_schrodinger(
-        lambda t: omega0 * SIGMA_X, np.array([1.0, 0.0], dtype=complex), t_f,
+        [SIGMA_X], _constant(omega0), np.array([1.0, 0.0], dtype=complex), t_f,
         IntegratorConfig(dt=0.002, record_every=100),
         target=np.array([0.0, 1.0], dtype=complex),
     )
@@ -45,7 +45,7 @@ def test_rabi_oscillation_closed_form():
 def test_unnormalized_initial_state_rejected():
     with pytest.raises(ValueError):
         dynamics.evolve_schrodinger(
-            lambda t: np.zeros((2, 2), dtype=complex),
+            [SIGMA_X], _constant(0.0),
             np.array([1.0, 1.0], dtype=complex), 1.0,
         )
 
@@ -53,18 +53,18 @@ def test_unnormalized_initial_state_rejected():
 def test_instability_detected():
     with pytest.raises(IntegratorInstabilityError):
         dynamics.evolve_schrodinger(
-            lambda t: 100.0 * SIGMA_X, np.array([1.0, 0.0], dtype=complex), 10.0,
+            [SIGMA_X], _constant(100.0), np.array([1.0, 0.0], dtype=complex), 10.0,
             IntegratorConfig(dt=0.05, record_every=1),
         )
 
 
 def test_population_rows_and_fidelity_range(default_pulses, default_params, terms8):
     ps = pulses.PulseSet(PulseKind.TQD_EXACT, default_pulses, delta=3.6)
-    h_of_t = model.make_h_of_t(terms8, default_params, ps)
+    drives = model.CellDrives(terms8, [(default_params, ps)])
     psi0 = np.zeros(8, dtype=complex)
     psi0[0] = 1.0
     result = dynamics.evolve_schrodinger(
-        h_of_t, psi0, 50.0, IntegratorConfig(dt=0.01),
+        drives.operators, drives, psi0, 50.0, IntegratorConfig(dt=0.01),
         target=dynamics.target_state(hilbert.build_subspace()),
     )
     sums = result.populations.sum(axis=1)
@@ -77,10 +77,10 @@ def test_subspace_confinement_full_space(terms80, subspace, full_space, default_
                                          default_params):
     # pure-state run on the 80-dim space stays inside the embedded chain subspace
     ps = pulses.PulseSet(PulseKind.TQD_EXACT, default_pulses, delta=3.6)
-    h_of_t = model.make_h_of_t(terms80, default_params, ps)
+    drives = model.CellDrives(terms80, [(default_params, ps)])
     psi0 = full_space.ket(subspace.basis[0])
     result = dynamics.evolve_schrodinger(
-        h_of_t, psi0, 50.0, IntegratorConfig(dt=0.01, record_every=500),
+        drives.operators, drives, psi0, 50.0, IntegratorConfig(dt=0.01, record_every=500),
         tracked=hilbert.subspace_indices(subspace, full_space),
         target=dynamics.target_state(full_space),
     )
@@ -101,35 +101,47 @@ def test_closed_run_matches_per_step_hamiltonian_run(subspace, kind):
     run = experiments.simulate_closed(params, pulse_set, cfg)
 
     h_of_t = model.make_h_of_t(model.hamiltonian_terms(subspace), params, pulse_set)
-    psi = np.eye(subspace.dim, dtype=complex)[0]
-    target = dynamics.target_state(subspace)
+    fids, pops, _ = _dense_rk4(h_of_t, np.eye(subspace.dim, dtype=complex)[0], params.t_f,
+                               cfg, dynamics.target_state(subspace))
+    assert run.fidelity.shape == (len(fids),)
+    assert np.max(np.abs(run.fidelity - fids)) < 1e-12
+    assert np.max(np.abs(run.populations[:, :8] - pops)) < 1e-12
+
+
+def _dense_rk4(h_of_t, psi, t_f, cfg, target):
+    """Classic RK4 on -i H(t) psi with the dense H(t) built at each stage, independent of _rk4.
+
+    Returns the fidelities against target and the populations |psi|^2 at the
+    multiples of cfg.record_every steps, and the state at t_f.
+    """
     dt, fids, pops = cfg.dt, [], []
-    for step in range(round(params.t_f / dt) + 1):
+    n_steps = round(t_f / dt)
+    for step in range(n_steps + 1):
         if step % cfg.record_every == 0:
             fids.append(abs(np.vdot(target, psi)) ** 2)
             pops.append(np.abs(psi) ** 2)
+        if step == n_steps:
+            break
         h0, h_half, h1 = (h_of_t(step * dt + s) for s in (0.0, dt / 2, dt))
         k1 = -1j * h0 @ psi
         k2 = -1j * h_half @ (psi + 0.5 * dt * k1)
         k3 = -1j * h_half @ (psi + 0.5 * dt * k2)
         k4 = -1j * h1 @ (psi + dt * k3)
         psi = psi + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    assert run.fidelity.shape == (len(fids),)
-    assert np.max(np.abs(run.fidelity - np.array(fids))) < 1e-12
-    assert np.max(np.abs(run.populations[:, :8] - np.array(pops))) < 1e-12
+    return np.array(fids), np.array(pops), psi
 
 
 def _constant(*values):
-    """Coefficients c[t, 0, k] = values[k] of a one-cell master equation."""
+    """Coefficients c[t, 0, k] = values[k] of a one-cell run."""
     return lambda times: np.tile(np.array(values, dtype=complex), (len(times), 1, 1))
 
 
 def test_lindblad_unitary_limit_matches_schrodinger():
-    h = lambda t: 0.35 * SIGMA_X
     psi0 = np.array([1.0, 0.0], dtype=complex)
     target = np.array([0.0, 1.0], dtype=complex)
     cfg = IntegratorConfig(dt=0.002, record_every=100)
-    pure = dynamics.evolve_schrodinger(h, psi0, 20.0, cfg, target=target)
+    pure = dynamics.evolve_schrodinger([SIGMA_X], _constant(0.35), psi0, 20.0, cfg,
+                                       target=target)
     rho0 = np.outer(psi0, psi0.conj())
     mixed = dynamics.evolve_lindblad(
         dynamics.Liouvillian.reachable([SIGMA_X], [], rho0), _constant(0.35), rho0, 20.0,
@@ -195,11 +207,11 @@ def test_lindblad_rejects_what_breaks_hermiticity():
 
 
 def test_phase_times_in_metadata():
-    closed = dynamics.evolve_schrodinger(
-        model.CellDrives(model.hamiltonian_terms(hilbert.build_subspace()),
-                         [(ModelParams(), pulses.PulseSet(PulseKind.STIRAP,
-                                                          pulses.StirapParams()))]),
-        np.eye(8, dtype=complex)[0], 1.0, IntegratorConfig(dt=0.01, record_every=10))
+    drives = model.CellDrives(model.hamiltonian_terms(hilbert.build_subspace()),
+                              [(ModelParams(), pulses.PulseSet(PulseKind.STIRAP,
+                                                               pulses.StirapParams()))])
+    closed = dynamics.evolve_schrodinger(drives.operators, drives, np.eye(8, dtype=complex)[0],
+                                         1.0, IntegratorConfig(dt=0.01, record_every=10))
     rabi = dynamics.Liouvillian.reachable([SIGMA_X], [], np.diag([1.0, 0.0]))
     open_run = dynamics.evolve_lindblad(rabi, _constant(0.35), np.diag([1.0, 0.0]), 1.0,
                                         IntegratorConfig(dt=0.01, record_every=10))
@@ -323,14 +335,17 @@ def test_batch_matches_single_states_on_open_space(rng):
     psi0 = rng.normal(size=(2, space.dim)) + 1j * rng.normal(size=(2, space.dim))
     psi0 /= np.linalg.norm(psi0, axis=1, keepdims=True)
     cfg = IntegratorConfig(dt=0.01)
-    batch = dynamics.evolve_schrodinger(model.CellDrives(terms, cells), psi0, 50.0, cfg)
+    drives = model.CellDrives(terms, cells)
+    batch = dynamics.evolve_schrodinger(drives.operators, drives, psi0, 50.0, cfg)
     assert batch.metadata["failures"] == {}
+    first = np.eye(space.dim, dtype=complex)[0]  # evolve_schrodinger's default target
     for b, (params, pulse_set) in enumerate(cells):
-        alone = dynamics.evolve_schrodinger(
-            model.make_h_of_t(terms, params, pulse_set), psi0[b], 50.0, cfg)
-        assert np.max(np.abs(batch.final_state[b] - alone.final_state)) < 1e-12
-        assert np.max(np.abs(batch.fidelity[:, b] - alone.fidelity)) < 1e-12
-        assert np.max(np.abs(batch.populations[:, b] - alone.populations)) < 1e-12
+        fids, pops, final = _dense_rk4(model.make_h_of_t(terms, params, pulse_set), psi0[b],
+                                       50.0, cfg, first)
+        assert np.max(np.abs(batch.final_state[b] - final)) < 1e-12
+        assert np.max(np.abs(batch.fidelity[:, b] - fids)) < 1e-12
+        leaked = np.zeros((len(pops), 1))  # nothing is untracked
+        assert np.max(np.abs(batch.populations[:, b] - np.hstack([pops, leaked]))) < 1e-12
 
 
 
@@ -422,18 +437,18 @@ def test_integrator_config_needs_a_finite_positive_step():
 
 
 def test_run_shorter_than_half_a_step_is_rejected():
-    h = lambda t: 0.35 * SIGMA_X  # noqa: E731
     psi0 = np.array([1.0, 0.0], dtype=complex)
     with pytest.raises(ValueError, match="makes no step"):
-        dynamics.evolve_schrodinger(h, psi0, 0.005, IntegratorConfig(dt=0.01))
-    assert dynamics.evolve_schrodinger(h, psi0, 0.006, IntegratorConfig(dt=0.01)
-                                       ).metadata["n_steps"] == 1
+        dynamics.evolve_schrodinger([SIGMA_X], _constant(0.35), psi0, 0.005,
+                                    IntegratorConfig(dt=0.01))
+    assert dynamics.evolve_schrodinger([SIGMA_X], _constant(0.35), psi0, 0.006,
+                                       IntegratorConfig(dt=0.01)).metadata["n_steps"] == 1
 
 
 def test_step_program_needs_an_in_place_matvec(monkeypatch):
     """The program reads rows written earlier in the same csr_matvec call; a copy of x fails it."""
     def run():
-        return dynamics.evolve_schrodinger(lambda t: 0.35 * SIGMA_X,
+        return dynamics.evolve_schrodinger([SIGMA_X], _constant(0.35),
                                            np.array([1.0, 0.0], dtype=complex), 1.0,
                                            IntegratorConfig(dt=0.01))
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -24,6 +25,51 @@ def reference_subspace_matrix(omega_a, omega_b, g=1.0):
 def h_stirap(terms, params, p):
     """t -> H(t) of the resonant model under the adiabatic Gaussian pair."""
     return model.make_h_of_t(terms, params, PulseSet(PulseKind.STIRAP, p))
+
+
+def detuned_lambda(omega_a, omega_b, delta):
+    """The 3-dim detuned Hamiltonian: its coefficients contracted with its structure operators."""
+    c = model.detuned_lambda_coefficients(omega_a, omega_b, delta)
+    return np.tensordot(c, model.DETUNED_LAMBDA_OPERATORS, axes=1)
+
+
+def two_level(omega_a, omega_b, delta):
+    """The 2-dim Hamiltonian: its coefficients contracted with its structure operators."""
+    return np.tensordot(model.two_level_coefficients(omega_a, omega_b, delta),
+                        model.TWO_LEVEL_OPERATORS, axes=1)
+
+
+def bright_dark_vectors() -> dict[str, np.ndarray]:
+    """Dark and bright combinations of |phi_2> and |psi_2> with |psi_1| (8-dim)."""
+    e = np.eye(8, dtype=complex)
+    sym = model.symmetric_vectors()
+    dark = (e[1] - SQRT2 * sym["psi2"]) / SQRT3
+    plus = (SQRT2 * e[1] + SQRT3 * sym["psi1"] + sym["psi2"]) / np.sqrt(6.0)
+    minus = (SQRT2 * e[1] - SQRT3 * sym["psi1"] + sym["psi2"]) / np.sqrt(6.0)
+    return {"dark": dark, "plus": plus, "minus": minus}
+
+
+@dataclass(frozen=True)
+class Eigensystem:
+    """Instantaneous eigensystem of the 3-dim effective Hamiltonian."""
+
+    values: np.ndarray  # (lambda_minus, lambda_0, lambda_plus)
+    vectors: np.ndarray  # columns n_minus, n_0, n_plus
+
+
+def effective_eigensystem(p: StirapParams, t: float) -> Eigensystem:
+    """Analytic dark/bright eigensystem parametrized by the mixing angle."""
+    theta = float(pulses.mixing_angle(p, t))
+    norm = float(pulses.rabi_norm(p, t))
+    lam = norm / SQRT3
+    # Dark vector (-cos, 0, sin); bright vectors carry the sign assignment that
+    # pairs each with its eigenvalue for the branch theta in (-pi/2, pi/2).
+    n0 = np.array([-np.cos(theta), 0.0, np.sin(theta)], dtype=complex)
+    n_plus = np.array([-np.sin(theta), 1.0, -np.cos(theta)], dtype=complex) / SQRT2
+    n_minus = np.array([np.sin(theta), 1.0, np.cos(theta)], dtype=complex) / SQRT2
+    values = np.array([-lam, 0.0, lam])
+    vectors = np.column_stack([n_minus, n0, n_plus])
+    return Eigensystem(values=values, vectors=vectors)
 
 
 def test_resonant_matches_reference(terms8, default_params, default_pulses):
@@ -95,7 +141,7 @@ def test_symmetric_vectors():
 
 
 def test_bright_dark_vectors():
-    vecs = model.bright_dark_vectors()
+    vecs = bright_dark_vectors()
     sym = model.symmetric_vectors()
     e = np.eye(8)
     assert np.allclose(vecs["dark"], (e[1] - SQRT2 * sym["psi2"]) / SQRT3)
@@ -119,7 +165,7 @@ def test_odd_sector_decoupled(terms8, default_params, default_pulses):
 
 def test_bright_sector_block(terms8, default_params, default_pulses):
     # conjugating by the dark/bright frame exposes the +-sqrt(3)g static block
-    vecs = model.bright_dark_vectors()
+    vecs = bright_dark_vectors()
     h = model.assemble_hamiltonian(terms8, 0.0, 0.0, g=1.0)
     assert np.vdot(vecs["plus"], h @ vecs["plus"]) == pytest.approx(SQRT3)
     assert np.vdot(vecs["minus"], h @ vecs["minus"]) == pytest.approx(-SQRT3)
@@ -144,7 +190,7 @@ def test_eigensystem_identity(default_pulses, rng):
     for t in rng.uniform(0.0, 50.0, 100):
         omega_a, omega_b = pulses.stirap_amplitudes(default_pulses, t)
         h = model.h_effective_lambda(float(omega_a), float(omega_b))
-        es = model.effective_eigensystem(default_pulses, t)
+        es = effective_eigensystem(default_pulses, t)
         assert es.values[1] == 0.0
         for k in range(3):
             resid = h @ es.vectors[:, k] - es.values[k] * es.vectors[:, k]
@@ -154,7 +200,7 @@ def test_eigensystem_identity(default_pulses, rng):
 
 
 def test_dark_vector_at_final_angle(default_pulses):
-    es = model.effective_eigensystem(default_pulses, 50.0)
+    es = effective_eigensystem(default_pulses, 50.0)
     dark = es.vectors[:, 1]
     target = np.array([1.0, 0.0, SQRT2]) / SQRT3
     assert abs(abs(np.vdot(target, dark)) - 1.0) < 1e-5
@@ -163,19 +209,19 @@ def test_dark_vector_at_final_angle(default_pulses):
 def test_effective_detuned_structure(default_pulses, rng):
     for t in rng.uniform(0.5, 49.5, 20):
         omega_a, omega_b = pulses.tqd_amplitudes(default_pulses, 3.6, t)
-        h = model.h_effective_detuned(complex(omega_a), complex(omega_b), 3.6)
+        h = detuned_lambda(complex(omega_a), complex(omega_b), 3.6)
         assert np.allclose(np.diag(h), [0.0, 3.6, 0.0])
         assert h[0, 1] == pytest.approx(complex(omega_a) / SQRT3)
         assert h[1, 2] == pytest.approx(-SQRT2 * complex(omega_b) / SQRT3)
         assert h[0, 2] == 0.0
-    h0 = model.h_effective_detuned(0.0, 0.0, 3.6)
+    h0 = detuned_lambda(0.0, 0.0, 3.6)
     assert np.allclose(np.linalg.eigvalsh(h0), [0.0, 0.0, 3.6])
 
 
 def test_two_level_coupling_magnitude(default_pulses, rng):
     for t in rng.uniform(0.5, 49.5, 50):
         omega_a, omega_b = pulses.tqd_amplitudes(default_pulses, 3.6, t)
-        h = model.h_two_level(complex(omega_a), complex(omega_b), 3.6)
+        h = two_level(complex(omega_a), complex(omega_b), 3.6)
         theta_dot = float(pulses.mixing_angle_rate(default_pulses, t))
         assert abs(h[0, 1]) == pytest.approx(abs(theta_dot), abs=1e-12)
         assert h[0, 1] == pytest.approx(1j * theta_dot)
@@ -183,23 +229,19 @@ def test_two_level_coupling_magnitude(default_pulses, rng):
 
 
 def test_two_level_zero_pulses():
-    assert np.allclose(model.h_two_level(0.0, 0.0, 3.6), 0.0)
+    assert np.allclose(two_level(0.0, 0.0, 3.6), 0.0)
 
 
 def test_two_level_phase_violation():
     with pytest.raises(ValueError):
-        model.h_two_level(0.5, 0.5 / SQRT2, 3.6)  # real pair breaks the phase lock
+        two_level(0.5, 0.5 / SQRT2, 3.6)  # real pair breaks the phase lock
 
 
 def test_two_level_propagator_is_rotation(default_pulses):
     cfg = dynamics.IntegratorConfig(dt=0.005)
-
-    def h2(t):
-        omega_a, omega_b = pulses.tqd_amplitudes(default_pulses, 3.6, t)
-        return model.h_two_level(complex(omega_a), complex(omega_b), 3.6)
-
+    h2 = model.reduced_drives(model.two_level_coefficients, default_pulses, 3.6)
     result = dynamics.evolve_schrodinger(
-        h2, np.array([1.0, 0.0], dtype=complex), 50.0, cfg,
+        model.TWO_LEVEL_OPERATORS, h2, np.array([1.0, 0.0], dtype=complex), 50.0, cfg,
         target=np.array([1.0, SQRT2]) / SQRT3,
     )
     theta_span = float(
