@@ -9,7 +9,13 @@ coefficients, applied entry by entry, so a cell's numbers do not depend on
 its batch.  The cells of a sweep share a step schedule and run as one batch,
 and a single run is a batch of one; every Schrodinger run, the reduced
 three- and two-level models included, comes as structure operators and
-coefficients (model.CellDrives, model.DETUNED_LAMBDA_OPERATORS).  The master
+coefficients (model.CellDrives, model.DETUNED_LAMBDA_OPERATORS).  A
+Schrodinger run integrates the lumped state: amplitudes that start equal in
+every cell and that every structure operator keeps equal (hilbert.lump)
+are one amplitude.  On the chain from |phi_1> the L and R members of each
+pair are equal for all t, the paper's symmetric states, so 5 amplitudes and
+10 weights per cell carry 8 amplitudes and 17 weights; populations,
+fidelity and norm drift are taken on the full psi.  The master
 equation is such a batch with real coefficients: its state is the real
 coordinates of rho on the entries its Liouvillian reaches from rho0
 (Re rho_ii, and Re and Im rho_ij for i < j: 84 numbers for 84 of 256
@@ -31,7 +37,7 @@ as much as its arithmetic.  The step program writes a whole chunk of steps
 as one CSR matrix whose rows are the stages, each row reading only rows
 before it, and runs it as one product written into its own input vector:
 one compiled call per chunk.  Small batches (up to PROGRAM_STEP_BYTES of
-program per step: one to three open cells, up to about 30 closed cells)
+program per step: one to three open cells, up to about 49 closed cells)
 take the program, larger ones the loop, on which the program's constant
 rows cost more than the numpy calls they replace.
 """
@@ -41,7 +47,7 @@ import functools
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, Container
 
 import numpy as np
 import scipy.sparse as sp
@@ -67,9 +73,11 @@ WEIGHT_CHUNK_BYTES = 128 * 1024
 # takes at most PROGRAM_STEP_BYTES per step runs as step programs of about
 # PROGRAM_BYTES per call, a larger one through the step loop. Per step, with
 # weights prebuilt: one open cell 12-19 -> 4-5 us, three 16-23 -> 12-17 us,
-# four 23-32 -> 31-34 us; one closed cell 12 -> 0.6 us, 24 cells 27-29 ->
-# 11-12 us, 32 about even, 39 cells 34 -> 39 us. 1 MB per call beat 256 KB,
-# 512 KB and 2 MB from one to 24 cells.
+# four 23-32 -> 31-34 us; 8-amplitude closed cells: one 12 -> 0.6 us, 24
+# cells 27-29 -> 11-12 us, 32 about even, 39 cells 34 -> 39 us; lumped
+# 5-amplitude closed cells: 39 cells 27-28 -> 20-22 us (103 KB per step),
+# 64 cells 32-34 -> 36-38 us. 1 MB per call beat 256 KB, 512 KB and 2 MB
+# from one to 24 cells.
 PROGRAM_STEP_BYTES = 128 * 1024
 PROGRAM_BYTES = 1024 * 1024
 THIRD = 1.0 / 3.0
@@ -79,7 +87,7 @@ STEP_CAP = 10_000_000
 
 
 class IntegratorInstabilityError(RuntimeError):
-    """Norm or trace drift beyond tolerance; reduce dt."""
+    """Norm or trace drift beyond tolerance (reduce dt), or coefficients that are not finite."""
 
 
 class StepCapError(ValueError):
@@ -151,6 +159,7 @@ def _rk4(
     drift_name: str,
     tol: float,
     unpack: Callable[[np.ndarray], np.ndarray] = lambda state: state,
+    reported: Container[int] = (),
 ) -> SimResult:
     """Classic fixed-step RK4 from 0 to t_f of d/dt x_b = sum_k c[t, b, k] operators[k] x_b.
 
@@ -174,8 +183,9 @@ def _rk4(
     rows and the fidelity of unpack(state) against target is stored, each
     with a cell axis after time; drift(state) gives one value per cell, which
     must stay within tol (NaN is beyond it). A drifting cell continues as NaN
-    and its IntegratorInstabilityError goes into metadata["failures"]; a cell
-    whose coefficients turned NaN failed in the caller, which reports it.
+    and its IntegratorInstabilityError goes into metadata["failures"], and so
+    does one for a cell whose coefficients are no longer finite, unless the
+    cell is in reported: the caller reports its failure (model.CellDrives).
     final_state is unpack(state) at t_f. metadata["integrate_s"] and
     ["record_s"] split the wall time between the steps and the recorded
     points; the clock is read at recorded points only, and ["executor"] and
@@ -236,14 +246,17 @@ def _rk4(
             if healthy.all():
                 max_drift = max(max_drift, float(np.max(drifts, initial=0.0)))
             else:
-                # skip cells that failed already or whose inputs failed
-                bad = ~healthy & ~np.isnan(w_next).any(axis=-1)
-                bad[list(failures)] = False
-                for cell in np.flatnonzero(bad):
-                    failures[int(cell)] = IntegratorInstabilityError(
-                        f"{drift_name} drift {drifts[cell]:.2e} > {tol:.0e} "
-                        f"at t={(step - 1) * dt + dt:.4g}; reduce dt"
-                    )
+                bad = ~healthy
+                bad[list(failures)] = False  # failed already
+                nonfinite = ~np.isfinite(w_next).all(axis=-1)  # the cell's coefficients
+                for cell in map(int, np.flatnonzero(bad)):
+                    if nonfinite[cell] and cell in reported:
+                        continue
+                    t = (step - 1) * dt + dt
+                    failures[cell] = IntegratorInstabilityError(
+                        f"coefficients not finite by t={t:.4g}" if nonfinite[cell] else
+                        f"{drift_name} drift {drifts[cell]:.2e} > {tol:.0e} at t={t:.4g}; "
+                        "reduce dt")
                     state[cell] = np.nan
                 max_drift = max(max_drift, float(np.max(drifts, initial=0.0, where=healthy)))
             keep(step, state)
@@ -481,16 +494,26 @@ def evolve_schrodinger(
     cfg: IntegratorConfig = IntegratorConfig(),
     tracked: np.ndarray | None = None,
     target: np.ndarray | None = None,
+    reported: Container[int] = (),
 ) -> SimResult:
     """Integrate i d/dt psi = H(t) psi with classic RK4, for one state or a batch.
 
     Cell b evolves under H_b(t) = sum_k c[t, b, k] operators[k]: operators
     are K fixed structure operators (K, d, d), and coefficients(times) gives
-    c as (times, B, K) (model.CellDrives), applied entry by entry with no
-    H(t) stored. psi0 (B, d) is a batch of B cells: a cell whose norm drifts
-    beyond NORM_TOL continues as NaN, its IntegratorInstabilityError in
+    c as (times, B, K) (model.CellDrives), complex or real, applied entry by
+    entry with no H(t) stored. psi0 (B, d) is a batch of B cells: a cell
+    whose norm drifts beyond NORM_TOL, or whose coefficients stop being
+    finite while it is not in reported (the cells whose failure the caller
+    reports), continues as NaN with its IntegratorInstabilityError in
     metadata["failures"]. psi0 (d,) runs as a batch of one and gives results
-    without the cell axis; its drift failure is raised when the run ends.
+    without the cell axis; its failure is raised when the run ends.
+
+    The run integrates one amplitude per block of hilbert.lump: amplitudes
+    that start equal in every cell and that every operator keeps equal stay
+    equal, so the lumped state y holds one of each and psi is
+    y[:, labels]. From |phi_1> on the chain that is the paper's symmetric
+    grouping, 5 amplitudes for 8. Populations, fidelity, norm drift and
+    final_state come from psi.
 
     tracked: indices whose |amplitude|^2 is recorded (defaults to all);
     target: state against which the fidelity trace is computed (default: the
@@ -498,17 +521,24 @@ def evolve_schrodinger(
     """
     psi = np.array(psi0, dtype=complex)
     d = psi.shape[-1]
-    if np.any(np.abs(np.linalg.norm(psi, axis=-1) - 1.0) > 1e-9):
+    if not np.all(np.abs(np.linalg.norm(psi, axis=-1) - 1.0) <= 1e-9):  # NaN is not
         raise ValueError("psi0 must be normalized")
     if target is None:
         target = np.eye(d, dtype=complex)[0]
     state = psi.reshape(-1, d)
+    labels, lumped = hilbert.lump(operators, state)
+    firsts = np.unique(labels, return_index=True)[1]  # each block's first amplitude
+
+    def unpack(y):
+        return y.take(labels, axis=-1)
+
     result = _rk4(
-        coefficients, -1j * np.asarray(operators), state, t_f, cfg,
+        lambda times: np.asarray(coefficients(times), dtype=complex), -1j * lumped,
+        state[:, firsts], t_f, cfg,
         np.broadcast_to(target, state.shape),
         record=lambda t, psi: _leaked_row(np.abs(psi) ** 2, tracked),
-        drift=lambda psi: np.abs(np.linalg.norm(psi, axis=-1) - 1.0),
-        drift_name="norm", tol=NORM_TOL,
+        drift=lambda y: np.abs(np.linalg.norm(unpack(y), axis=-1) - 1.0),
+        drift_name="norm", tol=NORM_TOL, unpack=unpack, reported=reported,
     )
     return _one_cell(result) if psi.ndim == 1 else result
 
@@ -641,6 +671,7 @@ def evolve_lindblad(
     cfg: IntegratorConfig = IntegratorConfig(),
     tracked: np.ndarray | None = None,
     target: np.ndarray | None = None,
+    reported: Container[int] = (),
 ) -> SimResult:
     """Integrate d/dt rho = sum_k c[t, b, k] operators[k] rho with RK4, one run or a batch.
 
@@ -649,9 +680,10 @@ def evolve_lindblad(
     liouvillian.entries, to which rho0 must be confined
     (Liouvillian.reachable). coefficients(times) gives c as (times, cells, K),
     real (ValueError for a nonzero imaginary part); rho stays Hermitian by
-    construction. A cell whose trace drifts beyond TRACE_TOL continues as NaN
-    with its error in metadata["failures"]; one run raises it when the run
-    ends. Negative eigenvalues beyond POSITIVITY_TOL at recorded points are
+    construction. A cell whose trace drifts beyond TRACE_TOL, or whose
+    coefficients stop being finite while it is not in reported, continues as
+    NaN with its error in metadata["failures"]; one run raises it when the
+    run ends. Negative eigenvalues beyond POSITIVITY_TOL at recorded points are
     kept as warnings in the metadata ("cell b: " first in a batch), not
     fixed up. final_state, populations and fidelity carry a cell axis for a
     batch only.
@@ -694,7 +726,7 @@ def evolve_lindblad(
     result = _rk4(
         real_coefficients, liouvillian.operators, liouvillian.coordinates(cells), t_f, cfg,
         target, record=record, drift=drift, drift_name="trace", tol=TRACE_TOL,
-        unpack=liouvillian.density,
+        unpack=liouvillian.density, reported=reported,
     )
     result.metadata.update(
         min_eigenvalue=min_eigenvalue, support=int(entries.size), cells=len(cells),

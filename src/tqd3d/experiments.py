@@ -73,10 +73,11 @@ def simulate_closed(params: ModelParams, pulse_set: PulseSet,
     pulse synthesis or norm drift is raised when the run ends.
     """
     sub = hilbert.build_subspace()
-    drives = model.CellDrives(model.hamiltonian_terms(sub), [(params, pulse_set)])
+    drives = model.CellDrives(model.chain_terms(), [(params, pulse_set)])
     return _raising(drives, dynamics.evolve_schrodinger(
         drives.operators, drives, _initial_state(sub),
         t_final if t_final is not None else params.t_f, cfg, target=dynamics.target_state(sub),
+        reported=drives.errors,
     ))
 
 
@@ -105,13 +106,13 @@ def _initial_density() -> np.ndarray:
     return np.outer(psi0, psi0.conj())
 
 
-def _evolve_open(drive_coefficients, params, rho0, t_final, cfg) -> SimResult:
+def _evolve_open(drives: model.CellDrives, params, rho0, t_final, cfg) -> SimResult:
     space = model.open_space()
     return dynamics.evolve_lindblad(
-        model.open_liouvillian(), model.open_coefficients(drive_coefficients, params),
+        model.open_liouvillian(), model.open_coefficients(drives.amplitudes, params),
         rho0, t_final, cfg,
         tracked=hilbert.subspace_indices(hilbert.build_subspace(), space),
-        target=dynamics.target_state(space),
+        target=dynamics.target_state(space), reported=drives.errors,
     )
 
 
@@ -125,10 +126,11 @@ def simulate_closed_batch(cells: Sequence[tuple[ModelParams, PulseSet]], t_final
     give; the other cells run on unaffected. Healthy cells get an empty note.
     """
     sub = hilbert.build_subspace()
-    drives = model.CellDrives(model.hamiltonian_terms(sub), cells)
+    drives = model.CellDrives(model.chain_terms(), cells)
     psi0 = np.tile(_initial_state(sub), (len(drives.cells), 1))
     result = dynamics.evolve_schrodinger(drives.operators, drives, psi0, t_final, cfg,
-                                         target=dynamics.target_state(sub))
+                                         target=dynamics.target_state(sub),
+                                         reported=drives.errors)
     return _outcomes(drives, result)
 
 

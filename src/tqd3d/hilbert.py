@@ -9,7 +9,9 @@ Runs use only the part of it reachable from |g0, g0, vac>: reachable_space
 closes a start state under couplings (both ways) and jumps (one way), which
 gives the 8-dim chain for the Hamiltonian alone and 16 states once the
 collapse operators are added. The same closure finds the entries of rho a
-master equation can reach (dynamics.Liouvillian.reachable).
+master equation can reach (dynamics.Liouvillian.reachable). lump refines
+the coordinates of a linear equation into blocks that stay equal, which
+gives the chain's symmetric pairs from |phi_1> (dynamics.evolve_schrodinger).
 
 States are plain complex ndarrays and operators are dense complex matrices;
 the HilbertSpace object carries the basis labels and index maps.
@@ -121,6 +123,42 @@ def closure(links, start) -> np.ndarray:
         reached = np.unique(links[frontier].indices)
         frontier = reached[~seen[reached]]
     return np.flatnonzero(seen)
+
+
+def lump(operators, start) -> tuple[np.ndarray, np.ndarray]:
+    """Block labels of the coordinates and the lumped operators, by partition refinement.
+
+    operators are K dense (n, n) matrices G_k, and start is (cells, n), one
+    start vector per cell. Coordinates i and j share a block when every
+    start has equal values at i and j, and for every G_k and block B the row
+    sums sum_{l in B} G_k[i, l] and G_k[j, l] are equal, compared bit for bit:
+    the coarsest such partition, refined from the start values (Cardelli et
+    al., POPL 2016). A solution of d/dt x = sum_k c_k(t) G_k x from any start
+    then keeps equal values within each block for any coefficients, and the
+    block values y obey the same equation under the lumped operators R_k
+    (K, blocks, blocks), the block sums taken at each block's first row,
+    with x = y[labels]. Blocks are numbered by their first coordinate, and a
+    sum adds a block's columns in ascending order, so a start that tells
+    every coordinate apart gives labels 0..n-1 and R_k = G_k.
+    """
+    ops = np.asarray(operators)
+    n = ops.shape[-1]
+    labels = _first_seen(np.asarray(start).reshape(-1, n).T)
+    while True:
+        order = np.argsort(labels, kind="stable")
+        firsts = np.flatnonzero(np.diff(labels[order], prepend=-1))  # block starts in order
+        sums = np.add.reduceat(ops[..., order], firsts, axis=-1)  # (K, n, blocks)
+        refined = _first_seen(np.column_stack([labels, sums.transpose(1, 0, 2).reshape(n, -1)]))
+        if refined.max() == labels.max():
+            return labels, sums[:, order[firsts]]
+        labels = refined
+
+
+def _first_seen(rows: np.ndarray) -> np.ndarray:
+    """One label per row, equal for rows equal bit for bit, numbered by first appearance."""
+    seen: dict[bytes, int] = {}
+    return np.array([seen.setdefault(row.tobytes(), len(seen))
+                     for row in np.ascontiguousarray(rows)])
 
 
 def reachable_space(space: HilbertSpace, couplings, jumps, start: BasisState) -> HilbertSpace:

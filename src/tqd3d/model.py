@@ -136,14 +136,14 @@ class CellDrives:
     Cell b evolves under H_b(t) = sum_k c[t, b, k] * operators[k], the terms
     of assemble_hamiltonian split into drive_a, drive_a+, drive_b, drive_b+,
     cavity + cavity+ and the excited projector, with coefficients omega_a,
-    conj(omega_a), omega_b, conj(omega_b), g and the detuning of make_h_of_t.
-    A call evaluates the pulses of each distinct PulseSet once at all the
-    given times; exact TQD PulseSets share theta_dot per StirapParams (a cut
-    along delta has one) and take only their own root
-    (dynamics.evolve_schrodinger runs the batch; open runs turn them into
-    open_coefficients). A cell whose pulse synthesis fails gets NaN
-    coefficients from the first failing time on, and its
-    PulseSynthesisError is kept in `errors`.
+    conj(omega_a), omega_b, conj(omega_b), g and the detuning of make_h_of_t
+    (a call). amplitudes gives the same without the conjugates, the form
+    open_coefficients reads. Each call evaluates the pulses of each distinct
+    PulseSet once at all the given times; exact TQD PulseSets share
+    theta_dot per StirapParams (a cut along delta has one) and take only
+    their own root (dynamics.evolve_schrodinger runs the batch). A cell whose
+    pulse synthesis fails gets NaN coefficients from the first failing time
+    on, and its PulseSynthesisError is kept in `errors`.
     """
 
     def __init__(self, terms: HamiltonianTerms,
@@ -158,8 +158,17 @@ class CellDrives:
                                     for p, ps in self.cells]).reshape(-1, 2)
 
     def __call__(self, times: np.ndarray) -> np.ndarray:
-        out = np.empty((len(times), len(self.cells), len(self.operators)), dtype=complex)
-        out[:, :, 4:] = self._constants
+        """(times, cells, 6) coefficients of operators."""
+        return self._columns(times, conjugates=True)
+
+    def amplitudes(self, times: np.ndarray) -> np.ndarray:
+        """(times, cells, 4): omega_a, omega_b, g and the detuning."""
+        return self._columns(times, conjugates=False)
+
+    def _columns(self, times: np.ndarray, conjugates: bool) -> np.ndarray:
+        width = 4 + 2 * conjugates
+        out = np.empty((len(times), len(self.cells), width), dtype=complex)
+        out[:, :, width - 2:] = self._constants
         shared: dict[int, tuple] = {}  # pulses of the PulseSets later cells reuse
         rates: dict[StirapParams, np.ndarray] = {}  # theta_dot of exact TQD PulseSets
         for b, (first, (_, pulse_set)) in enumerate(zip(self._first, self.cells)):
@@ -170,7 +179,8 @@ class CellDrives:
                 columns, error = shared[first]
             else:
                 omega_a, omega_b, error = _cell_amplitudes(pulse_set, times, rates)
-                columns = (omega_a, np.conj(omega_a), omega_b, np.conj(omega_b))
+                columns = ((omega_a, np.conj(omega_a), omega_b, np.conj(omega_b))
+                           if conjugates else (omega_a, omega_b))
                 if b in self._shared:
                     shared[b] = columns, error
             for k, column in enumerate(columns):
@@ -372,6 +382,12 @@ def open_terms() -> HamiltonianTerms:
     return hamiltonian_terms(open_space())
 
 
+@lru_cache(maxsize=None)
+def chain_terms() -> HamiltonianTerms:
+    """hamiltonian_terms on the 8-dim chain, assembled once per process."""
+    return hamiltonian_terms(hilbert.build_subspace())
+
+
 def hermitian_drive_operators(terms: HamiltonianTerms) -> np.ndarray:
     """CellDrives' operators as Hermitian generators, (6, d, d).
 
@@ -401,22 +417,22 @@ def open_liouvillian() -> dynamics.Liouvillian:
                                           dissipators, np.outer(psi0, psi0.conj()))
 
 
-def open_coefficients(drive_coefficients: Callable, params: Sequence[ModelParams]) -> Callable:
+def open_coefficients(drive_amplitudes: Callable, params: Sequence[ModelParams]) -> Callable:
     """Real coefficients of open_liouvillian's operators: the drives', then kappa and gamma.
 
-    drive_coefficients(times) gives a batch's CellDrives coefficients
-    (times, cells, 6); params are the cells' ModelParams, in order. The
+    drive_amplitudes(times) gives a batch's CellDrives.amplitudes
+    (times, cells, 4); params are the cells' ModelParams, in order. The
     drives' become Re omega_a, Im omega_a, Re omega_b, Im omega_b, g and the
     detuning (hermitian_drive_operators).
     """
     rates = np.array([[p.kappa, p.gamma] for p in params], dtype=float).reshape(-1, 2)
 
     def coefficients(times):
-        c = drive_coefficients(times)
+        c = drive_amplitudes(times)
         out = np.empty(c.shape[:-1] + (8,))
-        out[..., 0:4:2] = c[..., 0:4:2].real  # omega_a and omega_b are columns 0 and 2
-        out[..., 1:4:2] = c[..., 0:4:2].imag
-        out[..., 4:6] = c[..., 4:6].real
+        out[..., 0:4:2] = c[..., 0:2].real
+        out[..., 1:4:2] = c[..., 0:2].imag
+        out[..., 4:6] = c[..., 2:4].real
         out[..., 6:] = rates
         return out
 

@@ -58,8 +58,9 @@ class StirapParams:
             object.__setattr__(self, "tau", TAU_FRAC * self.t_f)
         if self.width is None:
             object.__setattr__(self, "width", WIDTH_FRAC * self.t_f)
-        if not (0 < self.omega0 < math.inf and 0 < self.width < math.inf):
-            raise ValueError("omega0 and width must be positive and finite")
+        # the amplitudes divide by width**2, which must neither underflow nor overflow
+        if not (0 < self.omega0 < math.inf and 0 < self.width * self.width < math.inf):
+            raise ValueError("omega0 and width must be positive and finite, and so must width**2")
         if not (self.t_f < math.inf and 0 < self.tau < self.t_f / 2):
             raise ValueError("tau must lie in (0, t_f/2) for a finite t_f")
 

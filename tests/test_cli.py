@@ -415,19 +415,32 @@ def test_step_settings_exit_2_before_work(tmp_path, monkeypatch, capsys, setting
 
 
 _NUMERIC_KEYS = [f.name for f in cli.fields(cli.RunConfig) if f.type in ("float", "int")]
+_TESTED_VALUES = ["nan", "inf", "-inf", "0", "-1", "1e-320", "1e300"]
+# Each command with the step and grid settings that keep it short; the tested
+# key's own setting replaces them.
+_COMMANDS = {
+    "simulate": (["simulate", "--open", "--method", "tqd-fitted"], {"dt": "0.05"}),
+    **{f"sweep-{figure}": (["sweep", "--figure", figure], {
+        "sweep_dt": "0.05", "surface_tf": "40:50:2", "surface_delta": "3:4:2",
+        "robustness_dev": "-0.1:0.1:2", "decoherence_kappa": "0:0.05:2",
+        "decoherence_gamma": "0:0.05:2"}) for figure in ("4b", "4c", "8", "9")},
+}
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1", "1e-320", "1e300"])
-@pytest.mark.parametrize("key", _NUMERIC_KEYS)
-def test_non_finite_setting_gives_no_nan_output(tmp_path, monkeypatch, key, value):
+@pytest.mark.parametrize("key, value, command", [
+    pytest.param(key, value, command,
+                 id=f"{key}-{value}" + ("" if command == "simulate" else f"-{command}"))
+    for command in _COMMANDS for key in _NUMERIC_KEYS for value in _TESTED_VALUES])
+def test_non_finite_setting_gives_no_nan_output(tmp_path, monkeypatch, key, value, command):
     """A run with a non-finite, zero, negative, tiny or huge setting exits 0, 2, 3 or 4.
 
-    Exit 0 means no NaN in any CSV.
+    Exit 0 means no NaN in any CSV. Runs are `simulate --open` and the
+    closed and open sweeps on 2-cell grids.
     """
-    monkeypatch.setenv(cli.ENV_PREFIX + key.upper(), value)
-    if key != "dt":
-        monkeypatch.setenv("TQD3D_DT", "0.05")
-    code = cli.main(["--out", str(tmp_path), "simulate", "--open", "--method", "tqd-fitted"])
+    argv, short = _COMMANDS[command]
+    for name, setting in {**short, key: value}.items():
+        monkeypatch.setenv(cli.ENV_PREFIX + name.upper(), setting)
+    code = cli.main(["--out", str(tmp_path), *argv])
     fields = [field for csv in tmp_path.glob("*.csv")
               for line in csv.read_text().splitlines() if not line.startswith("#")
               for field in line.split(",")]

@@ -101,11 +101,12 @@ def test_closed_run_matches_per_step_hamiltonian_run(subspace, kind):
     run = experiments.simulate_closed(params, pulse_set, cfg)
 
     h_of_t = model.make_h_of_t(model.hamiltonian_terms(subspace), params, pulse_set)
-    fids, pops, _ = _dense_rk4(h_of_t, np.eye(subspace.dim, dtype=complex)[0], params.t_f,
+    fids, pops, psi = _dense_rk4(h_of_t, np.eye(subspace.dim, dtype=complex)[0], params.t_f,
                                cfg, dynamics.target_state(subspace))
     assert run.fidelity.shape == (len(fids),)
     assert np.max(np.abs(run.fidelity - fids)) < 1e-12
     assert np.max(np.abs(run.populations[:, :8] - pops)) < 1e-12
+    assert np.max(np.abs(run.final_state - psi)) < 1e-12
 
 
 def _dense_rk4(h_of_t, psi, t_f, cfg, target):
@@ -134,6 +135,86 @@ def _dense_rk4(h_of_t, psi, t_f, cfg, target):
 def _constant(*values):
     """Coefficients c[t, 0, k] = values[k] of a one-cell run."""
     return lambda times: np.tile(np.array(values, dtype=complex), (len(times), 1, 1))
+
+
+def _unlumped(monkeypatch):
+    """Make evolve_schrodinger integrate every amplitude: one block per coordinate."""
+    monkeypatch.setattr(hilbert, "lump", lambda operators, start: (
+        np.arange(np.shape(start)[-1]), np.asarray(operators)))
+
+
+def test_random_start_runs_unchanged(rng, monkeypatch):
+    # A start that tells every amplitude apart gives one block per coordinate,
+    # so the run is bit for bit the run without lumping.
+    params = ModelParams()
+    drives = model.CellDrives(model.chain_terms(), [
+        (params, experiments.default_pulse_set(kind, params)) for kind in PulseKind])
+    psi0 = rng.normal(size=(3, 8)) + 1j * rng.normal(size=(3, 8))
+    psi0 /= np.linalg.norm(psi0, axis=1, keepdims=True)
+    cfg = IntegratorConfig(dt=0.05)
+    runs = [dynamics.evolve_schrodinger(drives.operators, drives, psi0, 50.0, cfg)]
+    _unlumped(monkeypatch)
+    runs.append(dynamics.evolve_schrodinger(drives.operators, drives, psi0, 50.0, cfg))
+    assert runs[0].metadata["state_shape"] == runs[1].metadata["state_shape"] == (3, 8)
+    for name in ("fidelity", "populations", "final_state"):
+        assert getattr(runs[0], name).tobytes() == getattr(runs[1], name).tobytes()
+
+
+@pytest.mark.parametrize("kind", list(PulseKind), ids=lambda kind: kind.value)
+def test_lumped_chain_keeps_each_pair_equal(kind, monkeypatch):
+    # From |phi_1> the L and R members of each pair are one amplitude: 5 for 8.
+    # Without lumping the run agrees to rounding.
+    params = ModelParams()
+    cfg = IntegratorConfig(dt=0.01)
+    run = experiments.simulate_closed(params, experiments.default_pulse_set(kind, params), cfg)
+    assert run.metadata["state_shape"] == (1, 5)
+    for left, right in [(2, 3), (4, 5), (6, 7)]:
+        assert run.populations[:, left].tobytes() == run.populations[:, right].tobytes()
+        assert run.final_state[left] == run.final_state[right]
+    _unlumped(monkeypatch)
+    full = experiments.simulate_closed(params, experiments.default_pulse_set(kind, params), cfg)
+    assert full.metadata["state_shape"] == (1, 8)
+    assert np.max(np.abs(run.fidelity - full.fidelity)) < 1e-14
+    assert np.max(np.abs(run.final_state - full.final_state)) < 1e-14
+
+
+def _nan_after(t_nan, value=0.35):
+    """Coefficients of one cell: value up to t_nan, NaN after it."""
+    return lambda times: np.where(times > t_nan, np.nan, value)[:, None, None] + 0j
+
+
+def test_coefficients_that_turn_nan_fail_the_cell():
+    psi0 = np.array([1.0, 0.0], dtype=complex)
+    cfg = IntegratorConfig(dt=0.01, record_every=10)
+    with pytest.raises(IntegratorInstabilityError, match="coefficients not finite by t=0.6$"):
+        dynamics.evolve_schrodinger([SIGMA_X], _nan_after(0.5), psi0, 2.0, cfg)
+    batch = np.stack([psi0, psi0])
+
+    def two_cells(times):
+        return np.concatenate([_constant(0.35)(times), _nan_after(0.5)(times)], axis=1)
+
+    result = dynamics.evolve_schrodinger([SIGMA_X], two_cells, batch, 2.0, cfg)
+    assert list(result.metadata["failures"]) == [1]
+    assert np.isnan(result.fidelity[-1, 1]) and np.isfinite(result.fidelity[-1, 0])
+    # a cell whose failure the caller reports gets no second one
+    reported = dynamics.evolve_schrodinger([SIGMA_X], two_cells, batch, 2.0, cfg, reported={1})
+    assert reported.metadata["failures"] == {}
+    assert reported.fidelity.tobytes() == result.fidelity.tobytes()
+    rho0 = np.diag([1.0, 0.0]).astype(complex)
+    liouvillian = dynamics.Liouvillian.reachable([SIGMA_X], [], rho0)
+    with pytest.raises(IntegratorInstabilityError, match="coefficients not finite"):
+        dynamics.evolve_lindblad(liouvillian, _nan_after(0.5), rho0, 2.0, cfg)
+
+
+def test_real_coefficients_run_as_complex():
+    psi0 = np.array([1.0, 0.0], dtype=complex)
+
+    def real(times):
+        return np.full((len(times), 1, 1), 0.35)
+
+    runs = [dynamics.evolve_schrodinger([SIGMA_X], c, psi0, 5.0, IntegratorConfig(dt=0.01))
+            for c in (real, _constant(0.35))]
+    assert runs[0].final_state.tobytes() == runs[1].final_state.tobytes()
 
 
 def test_lindblad_unitary_limit_matches_schrodinger():
@@ -230,8 +311,8 @@ def test_lindblad_hermiticity_and_positivity_metadata(subspace, default_pulses):
     psi0 = space.ket(subspace.basis[0])
     result = dynamics.evolve_lindblad(
         model.open_liouvillian(),
-        model.open_coefficients(model.CellDrives(model.hamiltonian_terms(space), [(params, ps)]),
-                                [params]),
+        model.open_coefficients(
+            model.CellDrives(model.hamiltonian_terms(space), [(params, ps)]).amplitudes, [params]),
         np.outer(psi0, psi0.conj()), 50.0,
         IntegratorConfig(dt=0.01, record_every=500),
         tracked=hilbert.subspace_indices(subspace, space),
@@ -264,7 +345,7 @@ def test_open_batch_rows_do_not_depend_on_the_batch(subspace):
     def run(cells, rho0):
         return dynamics.evolve_lindblad(
             model.open_liouvillian(),
-            model.open_coefficients(lambda times: drives(times)[:, cells], params[cells]),
+            model.open_coefficients(lambda times: drives.amplitudes(times)[:, cells], params[cells]),
             rho0, 10.0, cfg, tracked=hilbert.subspace_indices(subspace, space),
             target=dynamics.target_state(space))
 

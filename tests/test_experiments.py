@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from tqd3d import dynamics, experiments, pulses
+from tqd3d import dynamics, experiments, hilbert, model, pulses
 from tqd3d.dynamics import IntegratorConfig, IntegratorInstabilityError
 from tqd3d.experiments import GridCapError, SweepGrid
 from tqd3d.model import ModelParams
@@ -274,25 +274,34 @@ def _captured(monkeypatch) -> list:
     return results
 
 
-# The step program of 40 closed cells, 17 weights and 8 amplitudes each, per step.
-CUT_PROGRAM_BYTES = dynamics._program_bytes(40 * 17, 40 * 8, 16)
+def _lumped_chain() -> tuple[int, int]:
+    """Weights and amplitudes per cell of a closed batch started in |phi_1> (hilbert.lump)."""
+    _, lumped = hilbert.lump(model.CellDrives(model.chain_terms(), []).operators, np.eye(8)[:1])
+    return np.count_nonzero(lumped), lumped.shape[-1]
+
+
+# The weights of one time and the step program per step of 40 closed cells.
+CUT_WEIGHTS, CUT_AMPLITUDES = (40 * n for n in _lumped_chain())
+CUT_PROGRAM_BYTES = dynamics._program_bytes(CUT_WEIGHTS, CUT_AMPLITUDES, 16)
 
 
 @pytest.mark.parametrize("executor, chunk_bytes, steps", [
-    pytest.param("step loop", dynamics.WEIGHT_CHUNK_BYTES, 6,
+    pytest.param("step loop", dynamics.WEIGHT_CHUNK_BYTES,
+                 dynamics.WEIGHT_CHUNK_BYTES // (2 * CUT_WEIGHTS * 16),
                  id=str(dynamics.WEIGHT_CHUNK_BYTES)),
     pytest.param("step loop", 1, 1, id="1"),
-    pytest.param("step loop", 3 * 40 * 17 * 16, 1, id=str(3 * 40 * 17 * 16)),
+    pytest.param("step loop", 3 * CUT_WEIGHTS * 16, 1, id="weights-of-3-times"),
+    pytest.param("step loop", 3 * 2 * CUT_WEIGHTS * 16, 3, id="loop-3"),
     pytest.param("step program", 1, 1, id="program-1"),
     pytest.param("step program", 3 * CUT_PROGRAM_BYTES, 3, id="program-3"),
 ])
 def test_weight_chunks_do_not_change_a_cell(cut_alone, monkeypatch, executor, chunk_bytes,
                                             steps):
-    # With 17 weights per cell and time, a 40-cell chunk of the step loop
-    # holds 6 of a block's 100 steps by default (12 times), which divide
-    # neither a block nor record_every = 50, and one step for 1 byte or for
-    # the weights of 3 times. The step program runs 1 or 3 steps per call.
-    # Each cell alone runs as a step program of its own.
+    # A step of the step loop takes the weights of 2 times. A 40-cell chunk
+    # holds 10 of a block's 100 steps by default, one step for 1 byte or for
+    # the weights of 3 times, and 3 steps for those of 6 times; 3 divides
+    # neither a block nor record_every = 50. The step program runs 1 or 3
+    # steps per call. Each cell alone runs as a step program of its own.
     cells, cfg, alone = cut_alone
     program = executor == "step program"
     monkeypatch.setattr(dynamics, "PROGRAM_STEP_BYTES", math.inf if program else 0)
@@ -302,6 +311,7 @@ def test_weight_chunks_do_not_change_a_cell(cut_alone, monkeypatch, executor, ch
     whole = experiments.simulate_closed_batch(cells, 50.0, cfg)
     assert whole == alone and not any(note for _, note in whole)
     assert (runs[0].metadata["executor"], runs[0].metadata["chunk_steps"]) == (executor, steps)
+    assert runs[0].metadata["state_shape"] == (40, CUT_AMPLITUDES // 40)
 
 
 def test_empty_batches_run():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tqd3d import hilbert
+from tqd3d import hilbert, model
 from tqd3d.hilbert import BasisState, LevelA, LevelB
 
 
@@ -113,3 +113,33 @@ def test_lowering_operators_nilpotent(full_space):
 def test_invalid_mode_raises(full_space):
     with pytest.raises(ValueError):
         hilbert.annihilation_operator(full_space, "X")
+
+
+def test_lump_of_the_chain_from_phi1_is_the_symmetric_grouping():
+    # |phi_1> under the chain's structure operators: each L/R pair of the
+    # symmetric states psi_1, psi_2, psi_3 is one block, phi_1 and phi_2 are
+    # blocks of their own.
+    operators = model.CellDrives(model.chain_terms(), []).operators
+    labels, lumped = hilbert.lump(operators, np.tile(np.eye(8)[0], (3, 1)))
+    pairs = [np.flatnonzero(model.symmetric_vectors()[name]) for name in ("psi1", "psi2", "psi3")]
+    blocks = [[0], [1]] + [list(pair) for pair in pairs]
+    assert [list(np.flatnonzero(labels == b)) for b in range(labels.max() + 1)] == blocks
+    assert lumped.shape == (6, 5, 5) and np.count_nonzero(lumped) == 10
+    assert np.count_nonzero(operators) == 17
+    for k, op in enumerate(operators):  # block sums taken at each block's first row
+        firsts = [block[0] for block in blocks]
+        sums = np.stack([op[:, block].sum(axis=1) for block in blocks], axis=1)
+        assert np.array_equal(lumped[k], sums[firsts])
+        assert np.array_equal(op @ np.eye(5)[labels], (np.eye(5)[labels] @ lumped[k]))
+
+
+def test_lump_of_a_random_start_is_the_identity(rng):
+    operators = model.CellDrives(model.chain_terms(), []).operators
+    start = rng.normal(size=(2, 8)) + 1j * rng.normal(size=(2, 8))
+    labels, lumped = hilbert.lump(operators, start)
+    assert np.array_equal(labels, np.arange(8))
+    assert lumped.dtype == operators.dtype and np.array_equal(lumped, operators)
+    # one cell that tells phi_3 from phi_4 apart splits their block for the batch
+    start = np.tile(np.eye(8)[0], (2, 1))
+    start[1, [2, 3]] = [0.5, -0.5]
+    assert hilbert.lump(operators, start)[0].max() + 1 == 8

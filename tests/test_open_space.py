@@ -97,7 +97,7 @@ def test_open_run_matches_full_space_run(full_space, subspace, terms80):
     full = dynamics.evolve_lindblad(
         dynamics.Liouvillian.reachable(model.hermitian_drive_operators(terms80),
                                        _unit_dissipators(full_space), rho0),
-        model.open_coefficients(drives, [BENCHMARK]), rho0, BENCHMARK.t_f, cfg,
+        model.open_coefficients(drives.amplitudes, [BENCHMARK]), rho0, BENCHMARK.t_f, cfg,
         tracked=hilbert.subspace_indices(subspace, full_space),
         target=dynamics.target_state(full_space),
     )
