@@ -18,15 +18,15 @@ import hashlib
 import os
 import platform
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 import scipy
 
 from . import __version__, experiments, pulses
-from .dynamics import STEP_CAP, IntegratorConfig, IntegratorInstabilityError, StepCapError
-from .experiments import GridCapError
+from .dynamics import IntegratorConfig, IntegratorInstabilityError, StepCapError, step_count
+from .experiments import CellSettingsError, GridCapError
 from .model import ModelParams
 from .pulses import FittedPulse, GaussianTerm, PulseKind, PulseSynthesisError, StirapParams
 
@@ -154,24 +154,16 @@ def load_config(path: str | None) -> tuple[RunConfig, str]:
         cfg.model_params()
         cfg.stirap_params()
         cfg.fitted_pulse()
-        check_steps(cfg.t_f, cfg.integrator().dt, "dt")
-        check_steps(cfg.t_f, cfg.sweep_integrator().dt, "sweep_dt")
+        for name, integrator in (("dt", cfg.integrator()), ("sweep_dt", cfg.sweep_integrator())):
+            try:
+                step_count(cfg.t_f, integrator.dt)
+            except ValueError as exc:  # a StepCapError stays one
+                raise type(exc)(f"{name}: {exc}") from exc
     except StepCapError:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return cfg, "\n".join(source_lines)
-
-
-def check_steps(t_f: float, dt: float, name: str):
-    """ValueError unless a run to t_f makes at least one step of dt, as dynamics rounds it.
-
-    StepCapError (exit 4) if it makes more than dynamics.STEP_CAP, as dynamics checks it.
-    """
-    if not t_f / dt > 0.5:
-        raise ValueError(f"{name} = {dt:g} makes no step of t_f = {t_f:g}")
-    if not t_f / dt <= STEP_CAP:
-        raise StepCapError(f"{name} = {dt:g} takes more than {STEP_CAP} steps of t_f = {t_f:g}")
 
 
 def check_threads(threads: int, source: str):
@@ -283,44 +275,20 @@ _SURFACES = {  # figure: (output name, plot mode, swept t_f, swept delta)
 }
 
 
-def _checked_axis(name: str, values, build):
-    """values (an array or a scalar) once build(value) has made every cell's settings.
-
-    As in load_config, a value outside the physical domain is a config error
-    and one over the step cap a StepCapError, raised before any cell runs.
-    """
-    for value in np.atleast_1d(values):
-        try:
-            build(float(value))
-        except StepCapError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(f"{name} = {value:g}: {exc}") from exc
-    return values
-
-
 def cmd_sweep(cfg: RunConfig, cfg_text: str, out: Path, figure: str,
               threads: int) -> int:
     if figure in _SURFACES:
         name, mode, sweep_tf, sweep_delta = _SURFACES[figure]
-        t_f = parse_range(cfg.surface_tf) if sweep_tf else cfg.t_f
-        delta = parse_range(cfg.surface_delta) if sweep_delta else cfg.delta
         grid = experiments.run_fidelity_surface(
-            _checked_axis("t_f", t_f, lambda v: (replace(cfg, t_f=v).stirap_params(),
-                                                 check_steps(v, cfg.sweep_dt, "sweep_dt"))),
-            _checked_axis("delta", delta,
-                          lambda v: replace(cfg, delta=v).pulse_set(PulseKind.TQD_EXACT)),
+            parse_range(cfg.surface_tf) if sweep_tf else cfg.t_f,
+            parse_range(cfg.surface_delta) if sweep_delta else cfg.delta,
             omega0=cfg.omega0, tau_frac=cfg.tau_frac, width_frac=cfg.width_frac,
             dt=cfg.sweep_dt, threads=threads,
         )
         plot = {"title": f"Final fidelity ({name})", "mode": mode}
     elif figure == "8":
         grid = experiments.run_robustness_scan(
-            _checked_axis("deviation", parse_range(cfg.robustness_dev),
-                          lambda dev: (experiments.check_deviation(dev),
-                                       check_steps(cfg.t_f * (1 + dev), cfg.sweep_dt,
-                                                   "sweep_dt"))),
-            params=cfg.model_params(),
+            parse_range(cfg.robustness_dev), params=cfg.model_params(),
             cfg=cfg.sweep_integrator(),
             pulse_set=cfg.pulse_set(PulseKind.TQD_FITTED), threads=threads,
         )
@@ -329,10 +297,7 @@ def cmd_sweep(cfg: RunConfig, cfg_text: str, out: Path, figure: str,
                 "labels": experiments.ROBUSTNESS_PARAMETERS}
     elif figure == "9":
         grid = experiments.run_decoherence_surface(
-            _checked_axis("kappa", parse_range(cfg.decoherence_kappa),
-                          lambda kappa: cfg.model_params(kappa=kappa)),
-            _checked_axis("gamma", parse_range(cfg.decoherence_gamma),
-                          lambda gamma: cfg.model_params(gamma=gamma)),
+            parse_range(cfg.decoherence_kappa), parse_range(cfg.decoherence_gamma),
             params=cfg.model_params(), dt=cfg.sweep_dt, threads=threads,
             pulse_set=cfg.pulse_set(PulseKind.TQD_FITTED),
         )
@@ -406,7 +371,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(out)
         raise AssertionError(f"unhandled command {args.command}")
-    except ConfigError as exc:
+    except (ConfigError, CellSettingsError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except PulseSynthesisError as exc:

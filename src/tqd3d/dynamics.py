@@ -147,6 +147,19 @@ def fidelity(state: np.ndarray, target: np.ndarray):
     raise ValueError("state must be vectors shaped like target or square matrices")
 
 
+def step_count(t_f: float, dt: float) -> int:
+    """round(t_f / dt), the RK4 steps of a run to t_f with steps of about dt > 0.
+
+    ValueError if that is no step (t_f / dt at most 0.5, or NaN), StepCapError
+    (a ValueError) if it is more than STEP_CAP (t_f / dt infinite included).
+    """
+    if not t_f / dt > 0.5:  # round(t_f / dt) >= 1, and not NaN
+        raise ValueError(f"t_f = {t_f:g} makes no step of dt = {dt:g}")
+    if not t_f / dt <= STEP_CAP:  # and finite
+        raise StepCapError(f"t_f = {t_f:g} takes more than {STEP_CAP} steps of dt = {dt:g}")
+    return int(round(t_f / dt))
+
+
 def _rk4(
     coefficients: Callable[[np.ndarray], np.ndarray],
     operators,
@@ -189,15 +202,10 @@ def _rk4(
     final_state is unpack(state) at t_f. metadata["integrate_s"] and
     ["record_s"] split the wall time between the steps and the recorded
     points; the clock is read at recorded points only, and ["executor"] and
-    ["chunk_steps"] name the executor and the steps of a chunk. ValueError
-    if t_f is less than half a step, StepCapError (a ValueError) if it is
-    more than STEP_CAP steps.
+    ["chunk_steps"] name the executor and the steps of a chunk. The step
+    count is step_count(t_f, cfg.dt), whose errors are raised before any step.
     """
-    if not t_f / cfg.dt > 0.5:  # round(t_f / dt) >= 1, and not NaN
-        raise ValueError(f"t_f = {t_f:g} makes no step of dt = {cfg.dt:g}")
-    if not t_f / cfg.dt <= STEP_CAP:  # and finite
-        raise StepCapError(f"t_f = {t_f:g} takes more than {STEP_CAP} steps of dt = {cfg.dt:g}")
-    n_steps = int(round(t_f / cfg.dt))
+    n_steps = step_count(t_f, cfg.dt)
     dt = t_f / n_steps  # land exactly on t_f
     every = cfg.record_every
     times, pops, fids = [], [], []

@@ -40,6 +40,10 @@ class GridCapError(ValueError):
     """Requested sweep exceeds the configured cell cap."""
 
 
+class CellSettingsError(ValueError):
+    """A sweep cell whose settings cannot run, named by its axis values."""
+
+
 @dataclass(frozen=True)
 class SweepGrid:
     x_name: str
@@ -161,16 +165,15 @@ def _note(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _run_batches(cells, schedule, simulate, size: int) -> list[tuple[float, str]]:
-    """(F, note) of each cell, by index.
+def _run_batches(cells, simulate, size: int) -> list[tuple[float, str]]:
+    """(F, note) of each cell (params, pulse_set, t_final, cfg), by index.
 
-    Cells with the same schedule(cell) = (t_final, cfg), so the same step
-    schedule, run in batches of up to size through
-    simulate([(params, pulse_set), ...], t_final, cfg).
+    Cells with the same (t_final, cfg), so the same step schedule, run in
+    batches of up to size through simulate([(params, pulse_set), ...], t_final, cfg).
     """
     schedules: dict = {}
     for i, cell in enumerate(cells):
-        schedules.setdefault(schedule(cell), []).append(i)
+        schedules.setdefault(cell[2:], []).append(i)
     results = [None] * len(cells)
     for (t_final, cfg), members in schedules.items():
         for first in range(0, len(members), size):
@@ -182,14 +185,13 @@ def _run_batches(cells, schedule, simulate, size: int) -> list[tuple[float, str]
 
 
 def _run_closed(cells) -> list[tuple[float, str]]:
-    """(F, note) of each closed cell (params, pulse_set, t_final, cfg), by index."""
-    return _run_batches(cells, lambda cell: cell[2:], simulate_closed_batch, BATCH_CELLS)
+    """(F, note) of each closed cell, by index."""
+    return _run_batches(cells, simulate_closed_batch, BATCH_CELLS)
 
 
 def _run_open(cells) -> list[tuple[float, str]]:
-    """(F, note) of each open cell (params, pulse_set, cfg), run to params.t_f, by index."""
-    return _run_batches(cells, lambda cell: (cell[0].t_f, cell[2]), simulate_open_batch,
-                        OPEN_BATCH_CELLS)
+    """(F, note) of each open cell, by index."""
+    return _run_batches(cells, simulate_open_batch, OPEN_BATCH_CELLS)
 
 
 def _run_cells(run, cells: list, threads: int) -> list[tuple[float, str]]:
@@ -207,17 +209,30 @@ def _run_grid(cell, run, axes, fixed: dict, threads: int, provenance: dict) -> S
 
     axes are (column name, cell keyword, values), outermost first. An axis
     given a scalar is held fixed and dropped, so a surface also yields its
-    1-D cuts. Results are placed by index, whatever the thread count.
+    1-D cuts. A cell is (params, pulse_set, t_final, cfg). Every cell is
+    built and its dynamics.step_count checked before any cell runs; a
+    ValueError from either becomes a CellSettingsError naming the cell's
+    axis values, and a StepCapError passes through. Results are placed by
+    index, whatever the thread count.
     """
     swept = [(name, key, np.asarray(v)) for name, key, v in axes if np.ndim(v)]
-    fixed = {**fixed, **{key: v for _, key, v in axes if not np.ndim(v)}}
     shape = tuple(values.size for _, _, values in swept)
     if math.prod(shape) > GRID_CAP:
         raise GridCapError(f"grid exceeds {GRID_CAP} cells")
-    keys = [key for _, key, _ in swept]
-    points = itertools.product(*(values for _, _, values in swept))
-    results = _run_cells(run, [cell(**fixed, **dict(zip(keys, pt))) for pt in points],
-                         threads)
+    keys = [key for _, key, _ in axes]
+    cells = []
+    for pt in itertools.product(*(np.asarray(v) if np.ndim(v) else [v] for _, _, v in axes)):
+        point = dict(zip(keys, pt))
+        try:
+            cells.append(cell(**fixed, **point))
+            dynamics.step_count(cells[-1][2], cells[-1][3].dt)
+        except dynamics.StepCapError:
+            raise
+        except ValueError as exc:
+            named = ", ".join(f"{key} = {v:g}" if isinstance(v, float) else f"{key} = {v}"
+                              for key, v in point.items())
+            raise CellSettingsError(f"{named}: {exc}") from exc
+    results = _run_cells(run, cells, threads)
     index = itertools.product(*(range(n) for n in shape))
     (x_name, _, x_values), *rest = swept
     y_name, _, y_values = rest[0] if rest else (None, None, None)
@@ -279,6 +294,7 @@ def check_deviation(deviation: float):
 
 
 def _robustness_cell(deviation, parameter, params, pulse_set, cfg):
+    check_deviation(deviation)
     run_params, run_pulse, t_final = params, pulse_set, params.t_f
     if parameter == "t_f":
         t_final = params.t_f * (1 + deviation)
@@ -304,14 +320,11 @@ def run_robustness_scan(
     actual system parameter (or, for "amplitude", both Gaussian amplitudes
     jointly) takes the deviated value. Rows are deviations, columns parameters.
     """
-    deviations = np.asarray(deviations, dtype=float)
-    for deviation in deviations:
-        check_deviation(deviation)
     params = params or ModelParams()
     pulse_set = pulse_set or default_pulse_set(PulseKind.TQD_FITTED, params)
     return _run_grid(
         _robustness_cell, _run_closed,
-        [("deviation", "deviation", deviations),
+        [("deviation", "deviation", np.asarray(deviations, dtype=float)),
          ("parameter", "parameter", np.array(ROBUSTNESS_PARAMETERS))],
         {"params": params, "pulse_set": pulse_set, "cfg": cfg},
         threads,
@@ -321,7 +334,8 @@ def run_robustness_scan(
 
 
 def _decoherence_cell(kappa, gamma, params, pulse_set, dt):
-    return replace(params, kappa=kappa, gamma=gamma), pulse_set, IntegratorConfig(dt=dt)
+    return (replace(params, kappa=kappa, gamma=gamma), pulse_set, params.t_f,
+            IntegratorConfig(dt=dt))
 
 
 def run_decoherence_surface(

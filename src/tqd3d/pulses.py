@@ -58,9 +58,12 @@ class StirapParams:
             object.__setattr__(self, "tau", TAU_FRAC * self.t_f)
         if self.width is None:
             object.__setattr__(self, "width", WIDTH_FRAC * self.t_f)
-        # the amplitudes divide by width**2, which must neither underflow nor overflow
-        if not (0 < self.omega0 < math.inf and 0 < self.width * self.width < math.inf):
-            raise ValueError("omega0 and width must be positive and finite, and so must width**2")
+        # the amplitudes divide by width**2 and theta_dot by Omega_A**2 + 2 Omega_B**2,
+        # at most about 5 omega0**2; neither may underflow nor overflow
+        if not (0 < self.omega0 and 0 < 5 * self.omega0 * self.omega0 < math.inf
+                and 0 < self.width * self.width < math.inf):
+            raise ValueError("omega0 must be positive, and 5 omega0**2 and width**2 "
+                             "positive and finite")
         if not (self.t_f < math.inf and 0 < self.tau < self.t_f / 2):
             raise ValueError("tau must lie in (0, t_f/2) for a finite t_f")
 

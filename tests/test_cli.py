@@ -5,11 +5,15 @@ import platform
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 import tqd3d
 from tqd3d import cli, dynamics, experiments
@@ -281,8 +285,12 @@ def test_sweep_provenance_names_pulse_shape(tmp_path, monkeypatch):
     ("TQD3D_KAPPA=-1", ["simulate", "--open"]),
     ("TQD3D_DELTA=0", ["simulate", "--method", "tqd"]),
     ("TQD3D_DELTA=0", ["sweep", "--figure", "8"]),
+    ("TQD3D_OMEGA0=1e160", ["simulate", "--method", "tqd"]),
+    ("TQD3D_OMEGA0=1e300", ["simulate", "--method", "tqd"]),
+    ("TQD3D_OMEGA0=1e300", ["sweep", "--figure", "4b"]),
 ], ids=["negative_delta", "tau_frac", "negative_kappa", "zero_delta_simulate",
-        "zero_delta_sweep_8"])
+        "zero_delta_sweep_8", "omega0_squared_overflows", "omega0_huge",
+        "omega0_huge_sweep_4b"])
 def test_bad_physical_setting_exit_code(tmp_path, monkeypatch, capsys, setting, argv):
     key, _, value = setting.partition("=")
     monkeypatch.setenv(key, value)
@@ -444,5 +452,37 @@ def test_non_finite_setting_gives_no_nan_output(tmp_path, monkeypatch, key, valu
     fields = [field for csv in tmp_path.glob("*.csv")
               for line in csv.read_text().splitlines() if not line.startswith("#")
               for field in line.split(",")]
+    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_INSTABILITY, cli.EXIT_CAP)
+    assert code != cli.EXIT_OK or "nan" not in fields
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep-4b"])
+@settings(max_examples=25, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(key=st.sampled_from(_NUMERIC_KEYS),
+       value=st.one_of(st.floats(), st.integers(-10**6, 10**6)).map(repr))
+def test_drawn_setting_gives_no_nan_output(command, key, value):
+    """As test_non_finite_setting_gives_no_nan_output, for one drawn setting of a numeric key.
+
+    The floats include NaN, +-inf, 0, negative, subnormal and huge values.
+    Draws that pass the configuration checks but take more than 20 000 steps
+    are skipped. The environment is set per draw (the autouse fixture runs
+    once per test).
+    """
+    argv, short = _COMMANDS[command]
+    env = {cli.ENV_PREFIX + name.upper(): setting
+           for name, setting in {**short, key: value}.items()}
+    with mock.patch.dict(os.environ, env), tempfile.TemporaryDirectory() as out:
+        try:
+            cfg, _ = cli.load_config(None)
+        except ValueError:  # a config error or a step cap: no work starts
+            pass
+        else:
+            dt = cfg.dt if command == "simulate" else cfg.sweep_dt
+            assume(dynamics.step_count(cfg.t_f, dt) <= 20_000)
+        code = cli.main(["--out", out, *argv])
+        fields = [field for csv in Path(out).glob("*.csv")
+                  for line in csv.read_text().splitlines() if not line.startswith("#")
+                  for field in line.split(",")]
     assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_INSTABILITY, cli.EXIT_CAP)
     assert code != cli.EXIT_OK or "nan" not in fields

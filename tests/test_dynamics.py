@@ -526,6 +526,21 @@ def test_run_shorter_than_half_a_step_is_rejected():
                                        IntegratorConfig(dt=0.01)).metadata["n_steps"] == 1
 
 
+def test_step_count_edges():
+    assert dynamics.step_count(1.0, 1.0) == 1
+    with pytest.raises(ValueError, match="makes no step") as no_step:
+        dynamics.step_count(0.5, 1.0)  # round(0.5) is 0
+    assert not isinstance(no_step.value, dynamics.StepCapError)
+    assert dynamics.step_count(math.nextafter(0.5, 1.0), 1.0) == 1
+    with pytest.raises(ValueError, match="makes no step"):
+        dynamics.step_count(math.nan, 0.01)
+    assert dynamics.step_count(float(dynamics.STEP_CAP), 1.0) == dynamics.STEP_CAP
+    with pytest.raises(dynamics.StepCapError, match="more than"):
+        dynamics.step_count(float(dynamics.STEP_CAP + 1), 1.0)
+    with pytest.raises(dynamics.StepCapError):  # 50 / 1e-320 overflows to inf
+        dynamics.step_count(50.0, 1e-320)
+
+
 def test_step_program_needs_an_in_place_matvec(monkeypatch):
     """The program reads rows written earlier in the same csr_matvec call; a copy of x fails it."""
     def run():

@@ -109,6 +109,37 @@ def test_robustness_validation():
         experiments.run_robustness_scan(np.array([0.6]))
 
 
+@pytest.fixture
+def no_cell_runs(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a cell ran although a cell of its grid cannot run")
+
+    monkeypatch.setattr(experiments, "_run_cells", no_work)
+
+
+@pytest.mark.parametrize("sweep, message", [
+    (lambda: experiments.run_fidelity_surface(np.array([50.0, -10.0]), 3.6),
+     "t_f = -10, delta = 3.6: t_f must be positive and finite"),
+    (lambda: experiments.run_robustness_scan(np.array([0.0, 0.6])),
+     "deviation = 0.6, parameter = t_f: relative deviation 0.6 outside +-0.5"),
+    (lambda: experiments.run_robustness_scan(np.array([0.0, -0.5]),
+                                             cfg=IntegratorConfig(dt=60.0)),
+     "deviation = -0.5, parameter = t_f: t_f = 25 makes no step of dt = 60"),
+    (lambda: experiments.run_decoherence_surface(np.array([0.0, -0.1]), np.array([0.0])),
+     "kappa = -0.1, gamma = 0: decay rates must be nonnegative and finite"),
+], ids=["negative_tf", "deviation", "tf_deviation_without_a_step", "negative_kappa"])
+def test_cell_that_cannot_run_stops_its_sweep_before_any_cell(no_cell_runs, sweep, message):
+    with pytest.raises(experiments.CellSettingsError) as raised:
+        sweep()
+    assert str(raised.value) == message
+
+
+def test_capped_cell_stops_its_sweep_before_any_cell(no_cell_runs):
+    with pytest.raises(dynamics.StepCapError, match="t_f = 1e\\+09 takes more than") as raised:
+        experiments.run_fidelity_surface(np.array([50.0, 1e9]), 3.6)
+    assert not isinstance(raised.value, experiments.CellSettingsError)
+
+
 def test_decoherence_surface_small_grid():
     grid = experiments.run_decoherence_surface(
         np.array([0.0, 0.02]), np.array([0.0, 0.02]), dt=0.02

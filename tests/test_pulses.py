@@ -34,6 +34,12 @@ def test_invalid_params_rejected():
         StirapParams(omega0=-1.0)
     with pytest.raises(ValueError):
         StirapParams(tau=30.0)
+    # theta_dot divides by Omega_A**2 + 2 Omega_B**2, at most about 5 omega0**2
+    for omega0 in (1e160, 1e300, 1e-170):
+        with pytest.raises(ValueError, match="omega0"):
+            StirapParams(omega0=omega0)
+    rate = pulses.mixing_angle_rate(StirapParams(omega0=1e150), pulses.sample_grid(50.0))
+    assert np.all(np.isfinite(rate))
 
 
 def test_peak_value(default_pulses):
