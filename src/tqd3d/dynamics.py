@@ -17,11 +17,14 @@ pair are equal for all t, the paper's symmetric states, so 5 amplitudes and
 10 weights per cell carry 8 amplitudes and 17 weights; populations,
 fidelity and norm drift are taken on the full psi.  The master
 equation is such a batch with real coefficients: its state is the real
-coordinates of rho on the entries its Liouvillian reaches from rho0
-(Re rho_ii, and Re and Im rho_ij for i < j: 84 numbers for 84 of 256
-entries on the open-system space), and its structure operators are the
-commutators -i[G_k, .] with Hermitian G_k and the dissipators at unit rate,
-as real matrices.  rho is Hermitian by construction.
+coordinates of rho on the entries its Liouvillian reaches from rho0, lumped
+the same way as complex entries before real parts are taken.  A block that
+is its own transpose holds one real number and any other block and its
+transpose hold Re and Im of one value; from |phi_1><phi_1| on the
+open-system space each entry equals its L<->R mirror image, so 44 numbers
+carry 84 of the 256 entries.  Its structure operators are the commutators
+-i[G_k, .] with Hermitian G_k and the dissipators at unit rate, as real
+matrices.  rho is Hermitian by construction.
 
 The per-entry weights c[t, b, k] * value come already multiplied by dt/2,
 built for a chunk of steps at a time, so each right-hand side adds a stage
@@ -37,7 +40,7 @@ as much as its arithmetic.  The step program writes a whole chunk of steps
 as one CSR matrix whose rows are the stages, each row reading only rows
 before it, and runs it as one product written into its own input vector:
 one compiled call per chunk.  Small batches (up to PROGRAM_STEP_BYTES of
-program per step: one to three open cells, up to about 49 closed cells)
+program per step: one to six open cells, up to about 49 closed cells)
 take the program, larger ones the loop, on which the program's constant
 rows cost more than the numpy calls they replace.
 """
@@ -72,12 +75,14 @@ WEIGHT_CHUNK_BYTES = 128 * 1024
 # A batch whose step program (_step_program: data, indices and work vector)
 # takes at most PROGRAM_STEP_BYTES per step runs as step programs of about
 # PROGRAM_BYTES per call, a larger one through the step loop. Per step, with
-# weights prebuilt: one open cell 12-19 -> 4-5 us, three 16-23 -> 12-17 us,
-# four 23-32 -> 31-34 us; 8-amplitude closed cells: one 12 -> 0.6 us, 24
-# cells 27-29 -> 11-12 us, 32 about even, 39 cells 34 -> 39 us; lumped
-# 5-amplitude closed cells: 39 cells 27-28 -> 20-22 us (103 KB per step),
-# 64 cells 32-34 -> 36-38 us. 1 MB per call beat 256 KB, 512 KB and 2 MB
-# from one to 24 cells.
+# weights prebuilt: 84-coordinate open cells: one 12-19 -> 4-5 us, three
+# 16-23 -> 12-17 us, four 23-32 -> 31-34 us; lumped 44-coordinate open cells
+# (20 KB per step): one 11-23 -> 2-4 us, three 17-25 -> 6-10 us, six 22-32 ->
+# 16-24 us, eight about even, twelve 35-41 -> 38-51 us; 8-amplitude closed
+# cells: one 12 -> 0.6 us, 24 cells 27-29 -> 11-12 us, 32 about even, 39
+# cells 34 -> 39 us; lumped 5-amplitude closed cells: 39 cells 27-28 ->
+# 20-22 us (103 KB per step), 64 cells 32-34 -> 36-38 us. 1 MB per call beat
+# 256 KB, 512 KB and 2 MB from one to 24 cells.
 PROGRAM_STEP_BYTES = 128 * 1024
 PROGRAM_BYTES = 1024 * 1024
 THIRD = 1.0 / 3.0
@@ -199,12 +204,16 @@ def _rk4(
     and its IntegratorInstabilityError goes into metadata["failures"], and so
     does one for a cell whose coefficients are no longer finite, unless the
     cell is in reported: the caller reports its failure (model.CellDrives).
-    final_state is unpack(state) at t_f. metadata["integrate_s"] and
-    ["record_s"] split the wall time between the steps and the recorded
-    points; the clock is read at recorded points only, and ["executor"] and
-    ["chunk_steps"] name the executor and the steps of a chunk. The step
-    count is step_count(t_f, cfg.dt), whose errors are raised before any step.
+    final_state is unpack(state) at t_f. metadata["setup_s"] (from entry to
+    the first record: index arrays, executor and the t = 0 weights),
+    ["integrate_s"] and ["record_s"] split the wall time between set-up, the
+    steps and the recorded points; the clock is read at entry and at
+    recorded points only. ["blocks"] counts the coefficients calls, and
+    ["executor"] and ["chunk_steps"] name the executor and the steps of a
+    chunk. The step count is step_count(t_f, cfg.dt), whose errors are
+    raised before any step.
     """
+    entry = time.perf_counter()
     n_steps = step_count(t_f, cfg.dt)
     dt = t_f / n_steps  # land exactly on t_f
     every = cfg.record_every
@@ -231,10 +240,12 @@ def _rk4(
     (w_next,) = weights(coefficients(np.zeros(1)))
     max_drift = integrate_s = 0.0
     clock = time.perf_counter()
+    setup_s = clock - entry
     keep(0, state)
     record_s = time.perf_counter() - clock
     clock += record_s
-    for first in range(0, n_steps, BLOCK_STEPS):
+    starts = range(0, n_steps, BLOCK_STEPS)
+    for first in starts:
         last = min(first + BLOCK_STEPS, n_steps)
         t = np.arange(first, last) * dt
         block = coefficients(np.column_stack([t + dt / 2, t + dt]).ravel())
@@ -278,8 +289,9 @@ def _rk4(
         final_state=unpack(state),
         metadata={f"max_{drift_name}_drift": max_drift, "dt": dt, "n_steps": n_steps,
                   "rhs_evals": 4 * n_steps, "state_shape": state.shape,
-                  "failures": failures, "integrate_s": integrate_s, "record_s": record_s,
-                  "executor": executor, "chunk_steps": chunk},
+                  "failures": failures, "setup_s": setup_s, "integrate_s": integrate_s,
+                  "record_s": record_s, "blocks": 1 + len(starts), "executor": executor,
+                  "chunk_steps": chunk},
     )
 
 
@@ -578,12 +590,17 @@ class Liouvillian:
     """Structure superoperators of a master equation on real coordinates of rho.
 
     entries are the row-major positions i*dim + j of the entries of rho that
-    can be nonzero, ascending. rho is Hermitian, so its values there are
-    fixed by real coordinates x: Re rho_ii for each diagonal entry, and
-    Re rho_ij then Im rho_ij for each entry i < j, in the order of entries.
-    rho's value at entries[e] is x[real_of[e]] + i imag_sign[e] x[imag_of[e]]
-    (imag_sign is 1 above the diagonal, -1 below it and 0 on it).
-    operators[k] is the real matrix of the k-th superoperator on x.
+    can be nonzero, ascending. They fall into blocks of entries that stay
+    equal (hilbert.lump), and transposing the entries of a block gives one
+    block. rho is Hermitian, so its values there are fixed by real
+    coordinates x: one for a block that is its own transpose, whose value is
+    real, and Re then Im of the value for the lower-numbered block of any
+    other pair, in the order of blocks. rho's value at entries[e] is
+    x[real_of[e]] + i imag_sign[e] x[imag_of[e]] (imag_sign is 1 on the
+    lower block of a pair, -1 on its transpose and 0 on a block of its own).
+    Without lumping that is Re rho_ii for each diagonal entry, and Re rho_ij
+    then Im rho_ij for each entry i < j. operators[k] is the real matrix of
+    the k-th superoperator on x.
     """
 
     dim: int
@@ -595,15 +612,19 @@ class Liouvillian:
 
     @classmethod
     def reachable(cls, hamiltonians, dissipators, rho0: np.ndarray) -> "Liouvillian":
-        """-i[H_k, .] for each Hermitian H_k, then each dissipator, on rho0's closed support.
+        """-i[H_k, .] for each Hermitian H_k, then each dissipator, on rho0's lumped support.
 
         dissipators are superoperators on the row-major vec(rho)
         (dissipator_superoperator). A nonzero <i|S|j> of any operator leads
         from entry j to entry i; the support is every entry reachable from
         the nonzero entries of rho0 (hilbert.closure), so it is closed under
-        each operator whatever its coefficient. Built from sparse patterns
-        only. ValueError if the support is not closed under transposition or
-        an operator does not map Hermitian rho to Hermitian rho.
+        each operator whatever its coefficient. Its entries are lumped by
+        hilbert.lump from rho0's values under the operators restricted to
+        them, as complex matrices; only then are real coordinates chosen.
+        From |phi_1><phi_1| on the open-system space that merges each entry
+        with its L<->R mirror: 44 coordinates for 84 entries. ValueError if
+        the support or its blocks are not closed under transposition, or an
+        operator does not map Hermitian rho to Hermitian rho.
         """
         dim = rho0.shape[-1]
         eye = sp.identity(dim, dtype=complex, format="csr")
@@ -612,8 +633,10 @@ class Liouvillian:
         for op in full:
             op.eliminate_zeros()  # a stored zero links no entries
         links = sum(abs(op) for op in full).T  # links[j, i]: entry j feeds entry i
-        start = np.flatnonzero(np.reshape(rho0, (-1, dim * dim)).any(axis=0))
-        entries = hilbert.closure(links, start)
+        values = np.reshape(rho0, (-1, dim * dim))
+        entries = hilbert.closure(links, np.flatnonzero(values.any(axis=0)))
+        full = [op[entries][:, entries] for op in full]
+        labels, _ = hilbert.lump([op.toarray() for op in full], values[:, entries])
 
         rows, cols = np.divmod(entries, dim)
         position = np.full(dim * dim, -1)
@@ -621,22 +644,27 @@ class Liouvillian:
         mirror = position[cols * dim + rows]  # entry j, i of entry i, j
         if np.any(mirror < 0):
             raise ValueError("the Liouvillian's support is not closed under transposition")
-        sign = np.sign(cols - rows)
-        width = sign + 1  # own coordinates: none below the diagonal, 1 on it, 2 above it
+        partner = np.empty(labels.max() + 1, dtype=int)
+        partner[labels] = labels[mirror]  # the block of each block's transpose
+        if np.any(partner[labels] != labels[mirror]):
+            raise ValueError("the Liouvillian's blocks are not closed under transposition")
+        sign = np.sign(partner - np.arange(partner.size))
+        width = sign + 1  # own coordinates: none for the upper block of a pair, else 1 or 2
         first = np.cumsum(width) - width
-        real_of = np.where(sign >= 0, first, first[mirror])
+        real_of = np.where(sign >= 0, first, first[partner])[labels]
+        sign = sign[labels]
         imag_of = real_of + (sign != 0)
 
         # basis @ x are rho's values on entries. dual, basis+ over its column
         # norms, maps them back: x = Re(dual @ values), and Im(dual @ values)
         # is zero exactly when the values are those of a Hermitian rho.
-        shape, at = (entries.size, entries.size), np.arange(entries.size)
+        shape, at = (entries.size, width.sum()), np.arange(entries.size)
         basis = sp.csr_matrix((np.ones(entries.size), (at, real_of)), shape)
         basis += sp.csr_matrix((1j * sign, (at, imag_of)), shape)
         dual = (basis.conj().T / abs(basis).power(2).sum(axis=0).T).tocsr()
         operators = []
         for op in full:
-            real = dual @ op[entries][:, entries] @ basis
+            real = dual @ op @ basis
             if np.max(abs(real.data.imag), initial=0.0) > 1e-12 * np.max(abs(real.data),
                                                                          initial=1.0):
                 raise ValueError("a structure operator does not preserve Hermiticity")
@@ -646,9 +674,9 @@ class Liouvillian:
         return cls(dim, entries, tuple(operators), real_of, imag_of, sign)
 
     def coordinates(self, rho: np.ndarray) -> np.ndarray:
-        """The real coordinates (..., n) of Hermitian rho (..., dim, dim)."""
+        """The real coordinates (..., n) of Hermitian rho (..., dim, dim), equal within blocks."""
         values = np.reshape(rho, np.shape(rho)[:-2] + (self.dim * self.dim,))[..., self.entries]
-        x = np.empty(values.shape)
+        x = np.empty(values.shape[:-1] + (self.imag_of.max() + 1,))
         x[..., self.real_of] = values.real
         x[..., self.imag_of[self.imag_sign > 0]] = values[..., self.imag_sign > 0].imag
         return x
@@ -702,8 +730,9 @@ def evolve_lindblad(
     if (any(hilbert.max_nonhermiticity(c) > 1e-9 for c in cells)
             or np.any(np.abs(np.trace(cells, axis1=1, axis2=2).real - 1.0) > 1e-6)):
         raise ValueError("rho0 must be Hermitian with unit trace")
-    if np.any(np.delete(cells.reshape(len(cells), dim * dim), entries, axis=1)):
-        raise ValueError("rho0 must lie on the Liouvillian's support")
+    x0 = liouvillian.coordinates(cells)
+    if not np.array_equal(liouvillian.density(x0), cells):  # == as in hilbert.lump
+        raise ValueError("rho0 must lie on the Liouvillian's support, equal within its blocks")
     diagonal = liouvillian.real_of[entries // dim == entries % dim]
 
     def real_coefficients(times):
@@ -732,12 +761,13 @@ def evolve_lindblad(
     if target is None:
         target = np.eye(dim, dtype=complex)[0]
     result = _rk4(
-        real_coefficients, liouvillian.operators, liouvillian.coordinates(cells), t_f, cfg,
+        real_coefficients, liouvillian.operators, x0, t_f, cfg,
         target, record=record, drift=drift, drift_name="trace", tol=TRACE_TOL,
         unpack=liouvillian.density, reported=reported,
     )
     result.metadata.update(
-        min_eigenvalue=min_eigenvalue, support=int(entries.size), cells=len(cells),
+        min_eigenvalue=min_eigenvalue, support=int(entries.size), coordinates=x0.shape[1],
+        cells=len(cells),
         positivity_warnings=[f"cell {b}: {text}" if rho.ndim == 3 else text
                              for b, text in warnings])
     return _one_cell(result) if rho.ndim == 2 else result

@@ -11,7 +11,8 @@ gives the 8-dim chain for the Hamiltonian alone and 16 states once the
 collapse operators are added. The same closure finds the entries of rho a
 master equation can reach (dynamics.Liouvillian.reachable). lump refines
 the coordinates of a linear equation into blocks that stay equal, which
-gives the chain's symmetric pairs from |phi_1> (dynamics.evolve_schrodinger).
+gives the chain's symmetric pairs from |phi_1> (dynamics.evolve_schrodinger)
+and, on those entries of rho, the pairs of L<->R mirror images.
 
 States are plain complex ndarrays and operators are dense complex matrices;
 the HilbertSpace object carries the basis labels and index maps.
@@ -131,15 +132,16 @@ def lump(operators, start) -> tuple[np.ndarray, np.ndarray]:
     operators are K dense (n, n) matrices G_k, and start is (cells, n), one
     start vector per cell. Coordinates i and j share a block when every
     start has equal values at i and j, and for every G_k and block B the row
-    sums sum_{l in B} G_k[i, l] and G_k[j, l] are equal, compared bit for bit:
-    the coarsest such partition, refined from the start values (Cardelli et
-    al., POPL 2016). A solution of d/dt x = sum_k c_k(t) G_k x from any start
-    then keeps equal values within each block for any coefficients, and the
-    block values y obey the same equation under the lumped operators R_k
-    (K, blocks, blocks), the block sums taken at each block's first row,
-    with x = y[labels]. Blocks are numbered by their first coordinate, and a
-    sum adds a block's columns in ascending order, so a start that tells
-    every coordinate apart gives labels 0..n-1 and R_k = G_k.
+    sums sum_{l in B} G_k[i, l] and G_k[j, l] are equal, compared bit for bit
+    with -0.0 taken as 0.0: the coarsest such partition, refined from the
+    start values (Cardelli et al., POPL 2016). A solution of
+    d/dt x = sum_k c_k(t) G_k x from any start then keeps equal values within
+    each block for any coefficients, and the block values y obey the same
+    equation under the lumped operators R_k (K, blocks, blocks), the block
+    sums taken at each block's first row, with x = y[labels]. Blocks are
+    numbered by their first coordinate, and a sum adds a block's columns in
+    ascending order, so a start that tells every coordinate apart gives
+    labels 0..n-1 and R_k = G_k.
     """
     ops = np.asarray(operators)
     n = ops.shape[-1]
@@ -155,10 +157,13 @@ def lump(operators, start) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _first_seen(rows: np.ndarray) -> np.ndarray:
-    """One label per row, equal for rows equal bit for bit, numbered by first appearance."""
+    """One label per row, equal for rows equal bit for bit, numbered by first appearance.
+
+    A -0.0 counts as 0.0 (the rows get + 0.0 first), as it does to ==.
+    """
     seen: dict[bytes, int] = {}
     return np.array([seen.setdefault(row.tobytes(), len(seen))
-                     for row in np.ascontiguousarray(rows)])
+                     for row in np.ascontiguousarray(rows + 0.0)])
 
 
 def reachable_space(space: HilbertSpace, couplings, jumps, start: BasisState) -> HilbertSpace:

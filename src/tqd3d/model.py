@@ -406,8 +406,11 @@ def open_liouvillian() -> dynamics.Liouvillian:
     """The master equation on open_space as real structure superoperators.
 
     Operators -i[G_k, .] for the 6 hermitian_drive_operators, then the
-    kappa and gamma dissipators at unit rate, on the entries of rho reachable
-    from |phi_1><phi_1|. Like open_space, the support holds for every rate.
+    kappa and gamma dissipators at unit rate, on the 84 entries of rho
+    reachable from |phi_1><phi_1|, lumped from it: each entry equals its
+    L<->R mirror image, so they take 44 real coordinates. Like open_space,
+    support and blocks hold for every rate; a rho0 that breaks the mirror
+    needs a Liouvillian of its own (dynamics.Liouvillian.reachable).
     """
     space = open_space()
     psi0 = space.ket(hilbert.build_subspace().basis[0])

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -178,6 +179,26 @@ def test_lumped_chain_keeps_each_pair_equal(kind, monkeypatch):
     assert np.max(np.abs(run.final_state - full.final_state)) < 1e-14
 
 
+def test_negative_zero_start_lumps_as_zero():
+    # -0.0 == 0.0: a start with a -0.0 amplitude lumps as the 0.0 start does
+    # and runs bit for bit as it does.
+    params = ModelParams()
+    drives = model.CellDrives(model.chain_terms(), [
+        (params, experiments.default_pulse_set(PulseKind.TQD_EXACT, params))])
+    zero = np.eye(8, dtype=complex)[0]
+    negative = zero.copy()
+    negative[3] = -0.0
+    assert np.signbit(negative[3].real) and zero.tobytes() != negative.tobytes()
+    labels = [hilbert.lump(drives.operators, start[None])[0] for start in (zero, negative)]
+    assert labels[0].tolist() == labels[1].tolist() == [0, 1, 2, 2, 3, 3, 4, 4]
+    cfg = IntegratorConfig(dt=0.05)
+    runs = [dynamics.evolve_schrodinger(drives.operators, drives, start, params.t_f, cfg)
+            for start in (zero, negative)]
+    assert runs[0].metadata["state_shape"] == runs[1].metadata["state_shape"] == (1, 5)
+    for name in ("fidelity", "populations", "final_state"):
+        assert getattr(runs[0], name).tobytes() == getattr(runs[1], name).tobytes()
+
+
 def _nan_after(t_nan, value=0.35):
     """Coefficients of one cell: value up to t_nan, NaN after it."""
     return lambda times: np.where(times > t_nan, np.nan, value)[:, None, None] + 0j
@@ -282,6 +303,9 @@ def test_lindblad_rejects_what_breaks_hermiticity():
     with pytest.raises(ValueError, match="transposition"):  # a coherence without its mirror
         dynamics.Liouvillian.reachable([np.diag([1.0, -1.0])], [],
                                        np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="blocks are not closed under transposition"):
+        # rho_00 = rho_01 lump, and their transposes rho_00, rho_10 are two blocks
+        dynamics.Liouvillian.reachable([np.eye(2)], [], np.array([[0.5, 0.5], [0.3, 0.0]]))
     rabi = dynamics.Liouvillian.reachable([SIGMA_X], [], np.diag([1.0, 0.0]))
     with pytest.raises(ValueError, match="real"):
         dynamics.evolve_lindblad(rabi, _constant(0.35 + 0.1j), np.diag([1.0, 0.0]), 1.0)
@@ -299,6 +323,34 @@ def test_phase_times_in_metadata():
     for result in (closed, open_run):
         assert result.metadata["integrate_s"] >= 0.0
         assert result.metadata["record_s"] >= 0.0
+
+
+def test_setup_and_block_telemetry():
+    # setup_s, integrate_s and record_s split the run's wall time; blocks
+    # counts the coefficients calls: t = 0, then one per BLOCK_STEPS steps.
+    calls = []
+
+    def counted(times):
+        calls.append(len(times))
+        return _constant(0.35)(times)
+
+    rabi = dynamics.Liouvillian.reachable([SIGMA_X], [], np.diag([1.0, 0.0]))
+    for run in (
+        lambda: dynamics.evolve_schrodinger([SIGMA_X], counted, np.array([1.0, 0.0]), 2.5,
+                                            IntegratorConfig(dt=0.01, record_every=30)),
+        lambda: dynamics.evolve_lindblad(rabi, counted, np.diag([1.0, 0.0]), 2.5,
+                                         IntegratorConfig(dt=0.01, record_every=30)),
+    ):
+        calls.clear()
+        start = time.perf_counter()
+        meta = run().metadata
+        wall = time.perf_counter() - start
+        assert meta["n_steps"] == 250
+        assert meta["blocks"] == len(calls) == 1 + math.ceil(250 / dynamics.BLOCK_STEPS) == 4
+        assert calls == [1, 200, 200, 100]  # t + dt/2 and t + dt of each step of a block
+        parts = (meta["setup_s"], meta["integrate_s"], meta["record_s"])
+        assert min(parts) > 0.0 and sum(parts) <= wall
+    assert (meta["support"], meta["coordinates"], meta["state_shape"]) == (4, 4, (1, 4))
 
 
 def test_lindblad_hermiticity_and_positivity_metadata(subspace, default_pulses):
@@ -327,8 +379,8 @@ def test_lindblad_hermiticity_and_positivity_metadata(subspace, default_pulses):
     # cheap telemetry: counts and shapes, nothing per step
     meta = result.metadata
     assert meta["rhs_evals"] == 4 * meta["n_steps"] == 4 * 5000
-    assert meta["state_shape"] == (1, 84)
-    assert (meta["support"], meta["cells"]) == (84, 1)
+    assert meta["state_shape"] == (1, 44)
+    assert (meta["support"], meta["coordinates"], meta["cells"]) == (84, 44, 1)
 
 
 def test_open_batch_rows_do_not_depend_on_the_batch(subspace):
@@ -365,14 +417,20 @@ def test_excitation_decay_monotone_without_pulses(subspace):
     params = ModelParams(kappa=0.05, gamma=0.05)
     space = model.open_space()
     psi0 = space.ket(subspace.basis[2])  # one photon present
+    rho0 = np.outer(psi0, psi0.conj())
     number = hilbert.excited_projector(space)
     for mode in ("L", "R"):
         a = hilbert.annihilation_operator(space, mode)
         number = number + a.conj().T @ a
-    # open_liouvillian's operator order: X_a, Y_a, X_b, Y_b, cavity, detuning, kappa, gamma
+    # open_liouvillian's operators, lumped from |phi_3><phi_3|, which breaks
+    # the L<->R mirror open_liouvillian's coordinates keep: X_a, Y_a, X_b,
+    # Y_b, cavity, detuning, kappa, gamma
+    liouvillian = dynamics.Liouvillian.reachable(
+        model.hermitian_drive_operators(model.open_terms()),
+        [dynamics.dissipator_superoperator(model.collapse_channels(rates, space), space.dim)
+         for rates in (ModelParams(kappa=1.0), ModelParams(gamma=1.0))], rho0)
     result = dynamics.evolve_lindblad(
-        model.open_liouvillian(), _constant(0, 0, 0, 0, 1.0, 3.6, params.kappa, params.gamma),
-        np.outer(psi0, psi0.conj()), 30.0,
+        liouvillian, _constant(0, 0, 0, 0, 1.0, 3.6, params.kappa, params.gamma), rho0, 30.0,
         IntegratorConfig(dt=0.01, record_every=100),
         tracked=np.flatnonzero(np.diag(number).real > 0.5),
         target=dynamics.target_state(space),

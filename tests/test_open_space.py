@@ -7,7 +7,9 @@ and an exponential propagator that shares no code with the RK4 integrator.
 """
 
 import numpy as np
+import pytest
 import scipy.linalg
+from test_dynamics import _dense_rk4
 
 from tqd3d import dynamics, experiments, hilbert, model
 from tqd3d.dynamics import IntegratorConfig
@@ -161,31 +163,50 @@ def _h_blocks(space):
     return blocks
 
 
-def _real_coordinates(entries, dim):
+def _mirror(space):
+    """The index of each basis state's L<->R mirror image: gL <-> gR, eL <-> eR, n_L <-> n_R."""
+    swap = {LevelA.gL: LevelA.gR, LevelA.gR: LevelA.gL, LevelB.gL: LevelB.gR,
+            LevelB.gR: LevelB.gL, LevelB.eL: LevelB.eR, LevelB.eR: LevelB.eL}
+    return np.array([space.index[BasisState(swap.get(s.a, s.a), swap.get(s.b, s.b),
+                                            s.n_right, s.n_left)] for s in space.basis])
+
+
+def _real_coordinates(entries, dim, mirror):
     """(to_values, from_values) between rho's values on entries and its real coordinates.
 
-    The coordinates are Re rho_ii for a diagonal entry, and Re rho_ij then
-    Im rho_ij for an entry i < j, in the order of entries: rho's values are
-    to_values @ x, and x = from_values @ values for a Hermitian rho.
+    rho_ij and its mirror image rho_{mirror[i], mirror[j]} share one value.
+    Taking the pairs in the order of their first entries, a pair that is its
+    own transpose holds a real value, one coordinate; any other pair gets Re
+    then Im of its value, and its transpose gets none. rho's values are
+    to_values @ x, and x = from_values @ values for a Hermitian rho equal on
+    each pair, read at the first entry of a pair and of its transpose.
     """
     where = {int(e): k for k, e in enumerate(entries)}
-    upper = [(i, j) for i, j in (divmod(int(e), dim) for e in entries) if i <= j]
-    n = sum(1 if i == j else 2 for i, j in upper)
-    to_values = np.zeros((len(entries), n), dtype=complex)
-    from_values = np.zeros((n, len(entries)), dtype=complex)
-    c = 0
-    for i, j in upper:
-        ij, ji = where[i * dim + j], where[j * dim + i]
-        if i == j:
-            to_values[ij, c] = from_values[c, ij] = 1.0
-            c += 1
+
+    def pair(i, j):
+        return sorted({where[i * dim + j], where[mirror[i] * dim + mirror[j]]})
+
+    to_columns, from_rows, done = [], [], set()
+    for e in entries:
+        i, j = divmod(int(e), dim)
+        own, flip = pair(i, j), pair(j, i)
+        if own[0] in done:
             continue
-        to_values[[ij, ji], c] = 1.0
-        from_values[c, [ij, ji]] = 0.5
-        to_values[[ij, ji], c + 1] = 1j, -1j
-        from_values[c + 1, [ij, ji]] = -0.5j, 0.5j
-        c += 2
-    return to_values, from_values
+        done.update(own + flip)
+        to_column, from_row = np.zeros((2, len(entries)), dtype=complex)
+        if own == flip:
+            to_column[own] = from_row[own[0]] = 1.0
+            to_columns.append(to_column)
+            from_rows.append(from_row)
+            continue
+        to_column[own + flip] = 1.0
+        from_row[[own[0], flip[0]]] = 0.5
+        to_imag, from_imag = np.zeros((2, len(entries)), dtype=complex)
+        to_imag[own], to_imag[flip] = 1j, -1j
+        from_imag[[own[0], flip[0]]] = -0.5j, 0.5j
+        to_columns += [to_column, to_imag]
+        from_rows += [from_row, from_imag]
+    return np.column_stack(to_columns), np.array(from_rows)
 
 
 def _column_stacked_liouvillian(space):
@@ -207,9 +228,14 @@ def test_liouville_support_closure():
     support = model.open_liouvillian()
     dim = space.dim
     assert support.dim == dim and support.entries.size == 84
-    # 416 complex entries on rho's values; on the real coordinates a value
-    # that links an entry to a pair (Re, Im) links up to two coordinates.
-    assert sum(op.nnz for op in support.operators) == 472
+    # The 84 entries are 44 real coordinates: each entry shares its value
+    # with its L<->R mirror image, and a pair of entries and its transpose
+    # hold Re and Im of one value (one real value for a pair that is its own
+    # transpose). The operators' 536 complex entries on rho's values give 229.
+    to_values, from_values = _real_coordinates(support.entries, dim, _mirror(space))
+    assert to_values.shape == (84, 44)
+    assert [op.shape for op in support.operators] == [(44, 44)] * 8
+    assert sum(op.nnz for op in support.operators) == 229
 
     # Closed under the full 256x256 pattern of every structure operator, built
     # here with dense column-stacked krons, read back in row-major order and
@@ -219,13 +245,15 @@ def test_liouville_support_closure():
     full = _column_stacked_liouvillian(space)
     inside = np.zeros(dim * dim, dtype=bool)
     inside[support.entries] = True
-    to_values, from_values = _real_coordinates(support.entries, dim)
+    on_support = 0
     for op, restricted in zip(full, support.operators):
         op = op[np.ix_(colmajor, colmajor)]
         assert not np.any(op[~inside][:, inside])
+        on_support += np.count_nonzero(op[np.ix_(support.entries, support.entries)])
         real = from_values @ op[np.ix_(support.entries, support.entries)] @ to_values
         assert np.allclose(real.imag, 0.0, rtol=0, atol=1e-15)
         assert np.allclose(restricted.toarray(), real.real, rtol=0, atol=1e-15)
+    assert on_support == 536
 
     # rho stays block-diagonal over the H-connected blocks of the open space.
     blocks = _h_blocks(space)
@@ -244,15 +272,16 @@ def test_liouville_support_closure():
 
 
 def test_real_coordinates_reproduce_liouvillian(rng):
-    """Each real operator acts on a random Hermitian rho as the dense Liouvillian does."""
+    """Each real operator acts on a random Hermitian, mirror-symmetric rho as the dense one does."""
     space = model.open_space()
     support = model.open_liouvillian()
-    dim = space.dim
+    dim, mirror = space.dim, _mirror(space)
     inside = np.zeros(dim * dim, dtype=bool)
     inside[support.entries] = True
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = np.where(inside.reshape(dim, dim), a + a.conj().T, 0.0)
-    to_values, from_values = _real_coordinates(support.entries, dim)
+    rho = 0.5 * (rho + rho[np.ix_(mirror, mirror)])
+    to_values, from_values = _real_coordinates(support.entries, dim, mirror)
     x = (from_values @ rho.ravel()[support.entries]).real
     assert np.array_equal(support.coordinates(rho), x)
     assert np.array_equal(support.density(x), rho)
@@ -328,3 +357,69 @@ def test_rk4_lindblad_matches_liouvillian_exponential():
     assert abs(fid(fine) - rk4.final_fidelity) < f_tol
     assert np.max(np.abs(pops(fine) - rk4.populations[-1, :8])) < p_tol
     assert f_tol < 1e-4 and p_tol < 1e-3  # the exponential run itself has converged
+
+
+@pytest.mark.parametrize("kind", list(PulseKind), ids=lambda kind: kind.value)
+def test_open_run_keeps_each_pair_equal(kind):
+    # From |phi_1> each entry of rho equals its L<->R mirror image for all t,
+    # so the mirror pairs share their coordinates: 44 for 84 entries.
+    space = model.open_space()
+    cfg = IntegratorConfig(dt=0.05)
+    run = experiments.simulate_open(BENCHMARK, experiments.default_pulse_set(kind, BENCHMARK),
+                                    cfg)
+    assert run.metadata["state_shape"] == (1, 44)
+    for left, right in [(2, 3), (4, 5), (6, 7)]:
+        assert run.populations[:, left].tobytes() == run.populations[:, right].tobytes()
+    mirror = _mirror(space)
+    assert run.final_state[np.ix_(mirror, mirror)].tobytes() == run.final_state.tobytes()
+
+
+def test_lumped_open_run_matches_dense_column_stacked_run():
+    """The 44-coordinate run against _dense_rk4 on all 256 entries of the column-stacked vec(rho).
+
+    d/dt vec(rho) = L(t) vec(rho) is _dense_rk4's -i H(t) psi with
+    H(t) = i L(t), L(t) the dense _column_stacked_liouvillian operators
+    weighted by open_coefficients; both integrate the same RK4 steps.
+    """
+    space = model.open_space()
+    dim = space.dim
+    cfg = IntegratorConfig(dt=0.05)
+    pulse_set = experiments.default_pulse_set(PulseKind.TQD_FITTED, BENCHMARK)
+    run = experiments.simulate_open(BENCHMARK, pulse_set, cfg)
+
+    drives = model.CellDrives(model.hamiltonian_terms(space), [(BENCHMARK, pulse_set)])
+    coefficients = model.open_coefficients(drives.amplitudes, [BENCHMARK])
+    operators = np.stack(_column_stacked_liouvillian(space))
+
+    def h_of_t(t):
+        return 1j * np.tensordot(coefficients(np.array([t]))[0, 0], operators, axes=1)
+
+    rho0 = np.zeros((dim, dim), dtype=complex)
+    rho0[0, 0] = 1.0
+    vec0 = rho0.ravel(order="F")
+    _, _, vec = _dense_rk4(h_of_t, vec0, BENCHMARK.t_f, cfg, vec0)  # only its final state
+    rho = vec.reshape(dim, dim, order="F")
+    target = dynamics.target_state(space)
+    assert np.max(np.abs(run.final_state - rho)) < 1e-12
+    assert abs(run.final_fidelity - np.real(target.conj() @ rho @ target)) < 1e-12
+    assert np.max(np.abs(run.populations[-1, :8] - np.diag(rho).real[:8])) < 1e-12
+
+
+def test_start_that_breaks_the_mirror_is_rejected():
+    space = model.open_space()
+    liouvillian = model.open_liouvillian()
+
+    def coefficients(times):
+        return np.zeros((len(times), 1, 8))
+
+    def density(weights):  # a mixture of chain states phi_1, phi_3, phi_4
+        rho = np.zeros((space.dim, space.dim), dtype=complex)
+        rho[[0, 2, 3], [0, 2, 3]] = weights
+        return rho
+
+    for rho0 in (density([0.0, 1.0, 0.0]), density([0.5, 0.3, 0.2])):
+        with pytest.raises(ValueError, match="equal within its blocks"):
+            dynamics.evolve_lindblad(liouvillian, coefficients, rho0, 1.0)
+    run = dynamics.evolve_lindblad(liouvillian, coefficients, density([0.5, 0.25, 0.25]), 1.0,
+                                   IntegratorConfig(dt=0.1))
+    assert np.array_equal(np.diag(run.final_state)[:4].real, [0.5, 0.0, 0.25, 0.25])
