@@ -264,6 +264,10 @@ def cmd_simulate(cfg: RunConfig, cfg_text: str, out: Path, method: str,
         labels=tuple(f"P_phi{i}" for i in range(1, 9)) + ("P_leaked", "F"),
     )
     _write_manifest(out, cfg_text, cfg, [f"{name}.csv"])
+    warnings = result.metadata.get("positivity_warnings")
+    if warnings:
+        print(f"{len(warnings)} positivity warnings, min eigenvalue "
+              f"{result.metadata['min_eigenvalue']:.3g}; first: {warnings[0]}", file=sys.stderr)
     print(f"final_fidelity={result.final_fidelity:.6f}")
     return EXIT_OK
 

@@ -24,12 +24,17 @@ transpose hold Re and Im of one value; from |phi_1><phi_1| on the
 open-system space each entry equals its L<->R mirror image, so 44 numbers
 carry 84 of the 256 entries.  Its structure operators are the commutators
 -i[G_k, .] with Hermitian G_k and the dissipators at unit rate, as real
-matrices.  rho is Hermitian by construction.
+matrices.  rho is Hermitian by construction.  A recorded point keeps a copy
+of the lumped state and its fidelity; the population rows, and for rho the
+positivity check (one eigvalsh over a stack of matrices), come from one
+pass over the kept states after the last step.
 
 The per-entry weights c[t, b, k] * value come already multiplied by dt/2,
-built for a chunk of steps at a time, so each right-hand side adds a stage
-increment (dt/2) k_i to the array it is given, and the last stage adds its
-own to the sum of the others.  The weights of one time are the data of a
+built for a chunk of steps at a time (real ones, the master equation's, as
+one matrix product with one nonzero term per weight; complex ones entry by
+entry), so each right-hand side adds a stage increment (dt/2) k_i to the
+array it is given, and the last stage adds its own to the sum of the
+others.  The weights of one time are the data of a
 block-diagonal (B n, B n) CSR matrix, one block per cell, whose index
 arrays are built once per batch, and scipy's compiled CSR matrix-vector
 product (called directly: at B = 1 the dispatch of a csr_array's `@` costs
@@ -172,7 +177,7 @@ def _rk4(
     t_f: float,
     cfg: IntegratorConfig,
     target: np.ndarray,
-    record: Callable[[float, np.ndarray], np.ndarray],
+    record: Callable[[np.ndarray, np.ndarray], np.ndarray],
     drift: Callable[[np.ndarray], np.ndarray],
     drift_name: str,
     tol: float,
@@ -197,27 +202,32 @@ def _rk4(
     programs (_step_program), a larger one through the step loop
     (_step_loop); both do the same arithmetic, with the same results.
 
-    At every recorded point record(t, unpack(state)) gives the population
-    rows and the fidelity of unpack(state) against target is stored, each
-    with a cell axis after time; drift(state) gives one value per cell, which
-    must stay within tol (NaN is beyond it). A drifting cell continues as NaN
-    and its IntegratorInstabilityError goes into metadata["failures"], and so
-    does one for a cell whose coefficients are no longer finite, unless the
-    cell is in reported: the caller reports its failure (model.CellDrives).
+    At every recorded point drift(state) gives one value per cell, which
+    must stay within tol (NaN is beyond it), a copy of state is kept and the
+    fidelity of unpack(state) against target is stored: one fidelity call
+    per recorded point, made as the point is reached. After the last step
+    the kept states are unpacked in slices of at most PROGRAM_BYTES, and
+    record(times, states) gives the population rows of each slice, states
+    (points, cells, ...) and times the slice's; populations and fidelity
+    carry a cell axis after time. A drifting cell continues as NaN and its
+    IntegratorInstabilityError goes into metadata["failures"], and so does
+    one for a cell whose coefficients are no longer finite, unless the cell
+    is in reported: the caller reports its failure (model.CellDrives).
     final_state is unpack(state) at t_f. metadata["setup_s"] (from entry to
-    the first record: index arrays, executor and the t = 0 weights),
+    the first recorded point: index arrays, executor and the t = 0 weights),
     ["integrate_s"] and ["record_s"] split the wall time between set-up, the
-    steps and the recorded points; the clock is read at entry and at
-    recorded points only. ["blocks"] counts the coefficients calls, and
-    ["executor"] and ["chunk_steps"] name the executor and the steps of a
-    chunk. The step count is step_count(t_f, cfg.dt), whose errors are
-    raised before any step.
+    steps and the recording (the recorded points and the record pass); the
+    clock is read at entry, at recorded points and after the pass only.
+    ["blocks"] counts the coefficients calls, and ["executor"] and
+    ["chunk_steps"] name the executor and the steps of a chunk. The step
+    count is step_count(t_f, cfg.dt), whose errors are raised before any
+    step.
     """
     entry = time.perf_counter()
     n_steps = step_count(t_f, cfg.dt)
     dt = t_f / n_steps  # land exactly on t_f
     every = cfg.record_every
-    times, pops, fids = [], [], []
+    times, kept, fids = [], [], []
     failures: dict[int, IntegratorInstabilityError] = {}
     cells, n = state.shape
     weights, indptr, indices = _batch_csr(operators, cells, dt / 2)
@@ -232,10 +242,9 @@ def _rk4(
         executor, advance = "step loop", _step_loop(indptr, indices)
 
     def keep(step, state):
-        shown = unpack(state)
         times.append(step * dt)
-        pops.append(record(step * dt, shown))
-        fids.append(fidelity(shown, target))
+        fids.append(fidelity(unpack(state), target))
+        kept.append(state.copy())  # the step program's state is its work vector
 
     (w_next,) = weights(coefficients(np.zeros(1)))
     max_drift = integrate_s = 0.0
@@ -282,9 +291,14 @@ def _rk4(
             clock = time.perf_counter()
             record_s += clock - now
 
+    times = np.array(times)
+    points = max(1, PROGRAM_BYTES // max(unpack(kept[0]).nbytes, 1))  # per slice
+    pops = [record(times[i:i + points], unpack(np.array(kept[i:i + points])))
+            for i in range(0, len(times), points)]
+    record_s += time.perf_counter() - clock
     return SimResult(
-        times=np.array(times),
-        populations=np.array(pops),
+        times=times,
+        populations=np.concatenate(pops),
         fidelity=np.array(fids),
         final_state=unpack(state),
         metadata={f"max_{drift_name}_drift": max_drift, "dt": dt, "n_steps": n_steps,
@@ -457,7 +471,11 @@ def _batch_csr(operators, cells: int, scale: float):
     adds c[k] * value_e * x[col_e] to row_e, entries ordered by row,
     operator and column. weights(c) maps c (times, cells, K) to the weights
     c[k_e] * (value_e * scale), (times, cells, E); ValueError for another
-    cells or K.
+    cells or K. Complex weights take c[k_e] and multiply. Real ones are one
+    product c @ S, S (K, E) holding value_e * scale in row k_e: each weight
+    has that one nonzero term, so it is the same product, bit for bit, but
+    for the edges. A -0.0 coefficient gives +0.0, and an infinite one makes
+    every weight of its cell non-finite (inf * 0 is NaN).
 
     Those weights of one time, cell after cell, are the data of one
     block-diagonal (cells * n, cells * n) CSR matrix with the index arrays
@@ -485,14 +503,21 @@ def _batch_csr(operators, cells: int, scale: float):
     if indptr[-1] != values.size * cells or not np.all((indices >= 0) & (indices < size)):
         raise ValueError(f"a batch of {cells} cells overflows 32-bit CSR indices")
     scaled = values * scale
+    k, e = len(parts), values.size
+    spread = None
+    if not np.iscomplexobj(scaled):  # row k_e of spread holds entry e's value, else zeros
+        spread = np.zeros((k, e))
+        spread[ks, np.arange(e)] = scaled
 
     def weights(c):
-        if c.shape[1:] != (cells, len(parts)):  # csr_matvec reads cells * E weights per time
-            raise ValueError(f"coefficients {c.shape[1:]} for {cells} cells of "
-                             f"{len(parts)} operators")
-        w = c.take(ks, axis=2)
-        w *= scaled
-        return w
+        if c.shape[1:] != (cells, k):  # csr_matvec reads cells * E weights per time
+            raise ValueError(f"coefficients {c.shape[1:]} for {cells} cells of {k} operators")
+        if spread is None:
+            w = c.take(ks, axis=2)
+            w *= scaled
+            return w
+        with np.errstate(invalid="ignore"):  # inf * 0: the cell fails as not finite
+            return (c.reshape(-1, k) @ spread).reshape(len(c), cells, e)
 
     return weights, indptr, indices
 
@@ -556,7 +581,7 @@ def evolve_schrodinger(
         lambda times: np.asarray(coefficients(times), dtype=complex), -1j * lumped,
         state[:, firsts], t_f, cfg,
         np.broadcast_to(target, state.shape),
-        record=lambda t, psi: _leaked_row(np.abs(psi) ** 2, tracked),
+        record=lambda times, psi: _leaked_row(np.abs(psi) ** 2, tracked),
         drift=lambda y: np.abs(np.linalg.norm(unpack(y), axis=-1) - 1.0),
         drift_name="norm", tol=NORM_TOL, unpack=unpack, reported=reported,
     )
@@ -720,9 +745,12 @@ def evolve_lindblad(
     coefficients stop being finite while it is not in reported, continues as
     NaN with its error in metadata["failures"]; one run raises it when the
     run ends. Negative eigenvalues beyond POSITIVITY_TOL at recorded points are
-    kept as warnings in the metadata ("cell b: " first in a batch), not
-    fixed up. final_state, populations and fidelity carry a cell axis for a
-    batch only.
+    kept as warnings in the metadata ("cell b: " first in a batch, in the
+    order of time, then cell), not fixed up; metadata["min_eigenvalue"] is
+    the least eigenvalue seen, at most 0. The check is one batched eigvalsh
+    per slice of the record pass (_rk4), over the finite cells' rho: a
+    failed cell is NaN and has no eigenvalues. final_state, populations and
+    fidelity carry a cell axis for a batch only.
     """
     dim, entries = liouvillian.dim, liouvillian.entries
     rho = np.array(rho0, dtype=complex)
@@ -744,16 +772,18 @@ def evolve_lindblad(
     warnings: list[tuple[int, str]] = []  # (cell, text)
     min_eigenvalue = 0.0
 
-    def record(t, rho):
+    def record(times, rho):  # rho (points, cells, dim, dim)
         nonlocal min_eigenvalue
-        finite = np.isfinite(rho.view(float)).all(axis=(1, 2))
-        lam_min = np.linalg.eigvalsh(rho if finite.all() else rho[finite])[:, 0]
+        finite = np.isfinite(rho.view(float)).all(axis=(-2, -1))
+        lam_min = np.linalg.eigvalsh(rho if finite.all() else rho[finite])[..., 0].ravel()
         min_eigenvalue = min(min_eigenvalue, float(np.min(lam_min, initial=0.0)))
         negative = lam_min < -POSITIVITY_TOL
         if negative.any():
-            for b, lam in zip(np.flatnonzero(finite)[negative], lam_min[negative]):
-                warnings.append((b, f"eigenvalue {lam:.2e} < -{POSITIVITY_TOL:.0e} at t={t:.4g}"))
-        return _leaked_row(np.diagonal(rho, axis1=1, axis2=2).real, tracked)
+            point_of, cell_of = np.nonzero(finite)
+            for i, b, lam in zip(point_of[negative], cell_of[negative], lam_min[negative]):
+                warnings.append(
+                    (b, f"eigenvalue {lam:.2e} < -{POSITIVITY_TOL:.0e} at t={times[i]:.4g}"))
+        return _leaked_row(np.diagonal(rho, axis1=-2, axis2=-1).real, tracked)
 
     def drift(state):  # cell by cell, so that no cell's sum depends on its batch
         return np.array([abs(cell[diagonal].sum() - 1.0) for cell in state])

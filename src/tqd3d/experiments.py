@@ -366,12 +366,6 @@ def run_decoherence_surface(
 # output writers
 
 
-def _format(x) -> str:
-    if isinstance(x, float) and np.isnan(x):
-        return "nan"
-    return f"{x:.12g}"
-
-
 def provenance_lines(info: dict) -> list[str]:
     return [f"# {key} = {info[key]}" for key in sorted(info)]
 
@@ -380,7 +374,7 @@ def write_csv(path: Path, header: list[str], rows, provenance: dict | None = Non
     lines = provenance_lines(provenance or {})
     lines.append(",".join(header))
     for row in rows:
-        lines.append(",".join(_format(x) for x in row))
+        lines.append(",".join(map("{:.12g}".format, row)))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -130,6 +130,38 @@ def test_simulate_detects_miscalibrated_amplitude(tmp_path, capsys):
     assert fidelity < 0.95
 
 
+def test_simulate_prints_positivity_warnings(tmp_path, monkeypatch, capsys):
+    # A coarse step at a large kappa takes rho's least eigenvalue to -1.07e-5,
+    # below -POSITIVITY_TOL at five recorded points; the run still succeeds.
+    for key, value in (("DT", "0.3"), ("KAPPA", "2"), ("GAMMA", "0"), ("RECORD_EVERY", "1")):
+        monkeypatch.setenv(f"TQD3D_{key}", value)
+    assert cli.main(["--out", str(tmp_path / "warned"), "simulate", "--open"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "final_fidelity=0.134769\n"
+    assert captured.err == ("5 positivity warnings, min eigenvalue -1.07e-05; first: "
+                            "eigenvalue -1.05e-05 < -1e-05 at t=27.25\n")
+    _, data = read_csv(tmp_path / "warned" / "simulate_tqd-fitted_open.csv")
+    assert data.shape == (168, 11) and np.isfinite(data).all()  # t = 0 and 167 steps
+    for key in ("DT", "KAPPA", "GAMMA", "RECORD_EVERY"):  # the default run warns of nothing
+        monkeypatch.delenv(f"TQD3D_{key}")
+    assert cli.main(["--out", str(tmp_path / "clean"), "simulate", "--open"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_negative_zero_rates_write_the_rows_of_zero_rates(tmp_path, monkeypatch):
+    # A -0.0 coefficient gives +0.0 weights, so no field becomes "-0".
+    monkeypatch.setenv("TQD3D_DT", "0.05")
+    rows = {}
+    for rate in ("0.0", "-0.0"):
+        monkeypatch.setenv("TQD3D_KAPPA", rate)
+        monkeypatch.setenv("TQD3D_GAMMA", rate)
+        assert cli.main(["--out", str(tmp_path / rate), "simulate", "--open"]) == 0
+        text = (tmp_path / rate / "simulate_tqd-fitted_open.csv").read_text()
+        rows[rate] = [line for line in text.splitlines() if not line.startswith("#")]
+    assert rows["-0.0"] == rows["0.0"]
+    assert "-0" not in {field for line in rows["-0.0"] for field in line.split(",")}
+
+
 def test_sweep_figure_4b(tmp_path, monkeypatch):
     monkeypatch.setenv("TQD3D_SURFACE_DELTA", "3:4:3")
     monkeypatch.setenv("TQD3D_SWEEP_DT", "0.02")

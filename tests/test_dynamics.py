@@ -569,6 +569,42 @@ def test_csr_rhs_matches_reduceat_reference(rng, cells):
             assert np.array_equal(alone[0], got[b], equal_nan=True)
 
 
+@pytest.mark.parametrize("cells", [0, 1, 4])
+def test_real_weights_are_the_entrywise_products(rng, cells):
+    """Real weights, one product c @ S, against c[k_e] * (value_e * scale) entry by entry.
+
+    Each weight has one nonzero term, so finite coefficients give those
+    products bit for bit. The edges differ from a per-entry product: a -0.0
+    coefficient gives +0.0, and an infinite one makes every weight of its
+    cell non-finite (inf * 0 is NaN on the other operators' entries).
+    """
+    n, scale = 5, 0.01
+    operators = [rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.5) for _ in range(4)]
+    operators[1] = sp.csr_matrix(operators[1])
+    dense = [np.asarray(sp.csr_matrix(op).todense()) for op in operators]
+    entries = sorted((i, k, j, op[i, j]) for k, op in enumerate(dense)
+                     for i, j in zip(*np.nonzero(op)))
+    weights, _, _ = dynamics._batch_csr(operators, cells, scale)
+    c = rng.normal(size=(3, cells, 4))
+    expected = np.reshape([[[float(c[t, b, k]) * (value * scale) for _, k, _, value in entries]
+                            for b in range(cells)] for t in range(3)], (3, cells, len(entries)))
+
+    w = weights(c)
+    assert w.dtype == float and w.shape == (3, cells, len(entries))
+    assert w.tobytes() == expected.tobytes()
+    if cells < 2:
+        return
+    c[1, 0] = [-0.0, -1.0, -0.0, -2.0]  # products -0.0 and -1.0 * 0.0, summed from 0
+    c[2, 1, 2] = np.inf
+    w = weights(c)
+    negative_zero = [e for e, (_, k, _, _) in enumerate(entries) if k in (0, 2)]
+    assert np.all(w[1, 0, negative_zero] == 0.0)
+    assert not np.signbit(w[1, 0, negative_zero]).any()
+    infinite = np.array([k == 2 for _, k, _, _ in entries])
+    assert np.isinf(w[2, 1, infinite]).all() and np.isnan(w[2, 1, ~infinite]).all()
+    assert w[2, [0, 2, 3]].tobytes() == expected[2, [0, 2, 3]].tobytes()
+
+
 def test_integrator_config_needs_a_finite_positive_step():
     for dt in (math.nan, math.inf, -math.inf, -0.01):
         with pytest.raises(ValueError, match="finite"):

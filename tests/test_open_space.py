@@ -423,3 +423,86 @@ def test_start_that_breaks_the_mirror_is_rejected():
     run = dynamics.evolve_lindblad(liouvillian, coefficients, density([0.5, 0.25, 0.25]), 1.0,
                                    IntegratorConfig(dt=0.1))
     assert np.array_equal(np.diag(run.final_state)[:4].real, [0.5, 0.0, 0.25, 0.25])
+
+
+def _open_batch(cells, cfg, coefficients=None):
+    """evolve_lindblad from |phi_1><phi_1| for (params, pulse_set) cells, as a sweep batch runs.
+
+    coefficients(c, times) may rewrite the cells' open_coefficients c.
+    """
+    space = model.open_space()
+    drives = model.CellDrives(model.open_terms(), cells)
+    base = model.open_coefficients(drives.amplitudes, [params for params, _ in cells])
+    rho0 = np.zeros((len(cells), space.dim, space.dim), dtype=complex)
+    rho0[:, 0, 0] = 1.0
+    return dynamics.evolve_lindblad(
+        model.open_liouvillian(),
+        base if coefficients is None else lambda times: coefficients(base(times), times),
+        rho0, BENCHMARK.t_f, cfg,
+        tracked=hilbert.subspace_indices(hilbert.build_subspace(), space),
+        target=dynamics.target_state(space))
+
+
+# At dt 0.3, kappa 2 and gamma 0, rho's least eigenvalue falls below
+# -POSITIVITY_TOL at five of the 168 points recorded with record_every 1.
+WARNED = ModelParams(kappa=2.0, gamma=0.0)
+
+
+def test_record_pass_matches_the_density_of_each_recorded_point(monkeypatch):
+    """The batched record pass against eigvalsh of the rho that fidelity sees at each point."""
+    fitted = experiments.default_pulse_set(PulseKind.TQD_FITTED)
+    cells = [(WARNED, fitted), (BENCHMARK, fitted), (WARNED, fitted)]
+    shown = []
+    fidelity = dynamics.fidelity
+
+    def capturing(state, target):
+        shown.append(np.array(state))
+        return fidelity(state, target)
+
+    monkeypatch.setattr(dynamics, "fidelity", capturing)
+    run = _open_batch(cells, IntegratorConfig(dt=0.3, record_every=1))
+    rho = np.stack(shown)  # (points, cells, dim, dim)
+    assert rho.shape[:2] == (len(run.times), 3) == (168, 3)
+    assert dynamics.PROGRAM_BYTES // rho[0].nbytes == 85  # recorded in two slices
+
+    least = np.array([[np.linalg.eigvalsh(cell)[0] for cell in point] for point in rho])
+    assert run.metadata["min_eigenvalue"] == min(0.0, least.min())
+    warnings = [f"cell {b}: eigenvalue {least[i, b]:.2e} < -1e-05 at t={t:.4g}"
+                for i, t in enumerate(run.times) for b in range(3)
+                if least[i, b] < -dynamics.POSITIVITY_TOL]
+    assert run.metadata["positivity_warnings"] == warnings
+    assert len(warnings) == 10 and not any(w.startswith("cell 1") for w in warnings)
+    tracked = hilbert.subspace_indices(hilbert.build_subspace(), model.open_space())
+    diagonal = np.diagonal(rho, axis1=-2, axis2=-1).real
+    assert run.populations[..., :-1].tobytes() == diagonal[..., tracked].tobytes()
+
+    # Recording every other step gives the same rows at the times both record.
+    shown.clear()
+    again = _open_batch(cells, IntegratorConfig(dt=0.3, record_every=2))
+    assert again.times.tobytes() == np.append(run.times[::2], run.times[-1]).tobytes()
+    both = np.append(np.arange(0, 168, 2), 167)
+    assert again.populations.tobytes() == run.populations[both].tobytes()
+    assert again.fidelity.tobytes() == run.fidelity[both].tobytes()
+
+
+def test_infinite_coefficient_fails_only_its_cell():
+    # An infinite real coefficient makes every weight of its cell non-finite
+    # (inf * 0 in the product c @ S is NaN), where a per-entry product made
+    # only its own operator's weights infinite. The cell still fails as one
+    # whose coefficients are not finite, and the other cells do not move.
+    fitted = experiments.default_pulse_set(PulseKind.TQD_FITTED)
+    cfg = IntegratorConfig(dt=0.05)
+
+    def broken(c, times):
+        c[times >= 20.0, 1, 7] = np.inf  # cell 1's gamma rate from t = 20
+        return c
+
+    run = _open_batch([(BENCHMARK, fitted)] * 3, cfg, broken)
+    without = _open_batch([(BENCHMARK, fitted)] * 2, cfg)
+    failures = run.metadata["failures"]
+    assert list(failures) == [1]
+    assert str(failures[1]) == "coefficients not finite by t=20"
+    assert np.isnan(np.trace(run.final_state[1])) and np.isnan(run.fidelity[-1, 1])
+    assert run.populations[:, [0, 2]].tobytes() == without.populations.tobytes()
+    assert run.fidelity[:, [0, 2]].tobytes() == without.fidelity.tobytes()
+    assert run.final_state[[0, 2]].tobytes() == without.final_state.tobytes()
