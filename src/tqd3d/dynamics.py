@@ -25,16 +25,19 @@ open-system space each entry equals its L<->R mirror image, so 44 numbers
 carry 84 of the 256 entries.  Its structure operators are the commutators
 -i[G_k, .] with Hermitian G_k and the dissipators at unit rate, as real
 matrices.  rho is Hermitian by construction.  A recorded point keeps a copy
-of the lumped state and its fidelity; the population rows, and for rho the
-positivity check (one eigvalsh over a stack of matrices), come from one
-pass over the kept states after the last step.
+of the lumped state and its fidelity, which for rho reads only rho's block
+on the target's states; the population rows, and for rho the positivity
+check (eigvalsh of rho's diagonal blocks on its support, stacked, one call
+per block size), come from one pass over the kept states after the last
+step.
 
 The per-entry weights c[t, b, k] * value come already multiplied by dt/2,
-built for a chunk of steps at a time (real ones, the master equation's, as
-one matrix product with one nonzero term per weight; complex ones entry by
-entry), so each right-hand side adds a stage increment (dt/2) k_i to the
-array it is given, and the last stage adds its own to the sum of the
-others.  The weights of one time are the data of a
+built for a chunk of steps at a time (complex ones entry by entry, real
+ones, the master equation's, as a matrix product with one nonzero term per
+weight; on the step program real ones are written by such products straight
+into the program), so each right-hand side adds a stage increment
+(dt/2) k_i to the array it is given, and the last stage adds its own to the
+sum of the others.  The weights of one time are the data of a
 block-diagonal (B n, B n) CSR matrix, one block per cell, whose index
 arrays are built once per batch, and scipy's compiled CSR matrix-vector
 product (called directly: at B = 1 the dispatch of a csr_array's `@` costs
@@ -176,7 +179,7 @@ def _rk4(
     state: np.ndarray,
     t_f: float,
     cfg: IntegratorConfig,
-    target: np.ndarray,
+    fidelity_of: Callable[[np.ndarray], np.ndarray],
     record: Callable[[np.ndarray, np.ndarray], np.ndarray],
     drift: Callable[[np.ndarray], np.ndarray],
     drift_name: str,
@@ -187,11 +190,12 @@ def _rk4(
     """Classic fixed-step RK4 from 0 to t_f of d/dt x_b = sum_k c[t, b, k] operators[k] x_b.
 
     state is (cells, n), one row x_b per cell, and coefficients(times) gives c
-    as (times, cells, K). The weights (_batch_csr, scaled by dt/2, so that a
-    right-hand side adds the stage increment (dt/2) d/dt x to the array it
-    is given) are built for t = 0 and then, from one coefficients call per
-    BLOCK_STEPS steps, for the t + dt/2 and t + dt of a chunk of steps at a
-    time; a chunk ends at a recorded point or at the end of a block. With
+    as (times, cells, K); ValueError for another cells or K. The executor
+    takes c of t = 0 and then, from one coefficients call per BLOCK_STEPS
+    steps, those of the t + dt/2 and t + dt of a chunk of steps at a time; a
+    chunk ends at a recorded point or at the end of a block. It turns them
+    into weights (_batch_csr, scaled by dt/2, so that a right-hand side adds
+    the stage increment (dt/2) d/dt x to the array it is given). With
     a_i = (dt/2) k_i a step is state + (a1 + 2 a2 + 2 a3 + a4) * THIRD. The
     sum is collected apart from the state, away from its magnitude, and the
     last stage's product is added to it directly; the equation being linear,
@@ -203,18 +207,20 @@ def _rk4(
     (_step_loop); both do the same arithmetic, with the same results.
 
     At every recorded point drift(state) gives one value per cell, which
-    must stay within tol (NaN is beyond it), a copy of state is kept and the
-    fidelity of unpack(state) against target is stored: one fidelity call
-    per recorded point, made as the point is reached. After the last step
-    the kept states are unpacked in slices of at most PROGRAM_BYTES, and
-    record(times, states) gives the population rows of each slice, states
-    (points, cells, ...) and times the slice's; populations and fidelity
-    carry a cell axis after time. A drifting cell continues as NaN and its
-    IntegratorInstabilityError goes into metadata["failures"], and so does
-    one for a cell whose coefficients are no longer finite, unless the cell
-    is in reported: the caller reports its failure (model.CellDrives).
-    final_state is unpack(state) at t_f. metadata["setup_s"] (from entry to
-    the first recorded point: index arrays, executor and the t = 0 weights),
+    must stay within tol (NaN is beyond it; one max over the cells decides,
+    and only a failure looks at them one by one), a copy of state is kept
+    and fidelity_of(state), one dynamics.fidelity call per recorded point,
+    made as the point is reached, is stored. After the last step the kept
+    states are stacked in slices of at most PROGRAM_BYTES of unpacked state,
+    and record(times, states) gives the population rows of each slice,
+    states (points, cells, n) the kept lumped states and times the slice's;
+    populations and fidelity carry a cell axis after time. A drifting cell
+    continues as NaN and its IntegratorInstabilityError goes into
+    metadata["failures"], and so does one for a cell whose coefficients (its
+    weights) are no longer finite, unless the cell is in reported: the
+    caller reports its failure (model.CellDrives). final_state is
+    unpack(state) at t_f. metadata["setup_s"] (from entry to the first
+    recorded point: index arrays, executor and the t = 0 coefficients),
     ["integrate_s"] and ["record_s"] split the wall time between set-up, the
     steps and the recording (the recorded points and the record pass); the
     clock is read at entry, at recorded points and after the pass only.
@@ -230,23 +236,32 @@ def _rk4(
     times, kept, fids = [], [], []
     failures: dict[int, IntegratorInstabilityError] = {}
     cells, n = state.shape
-    weights, indptr, indices = _batch_csr(operators, cells, dt / 2)
+    weights, spread, indptr, indices = _batch_csr(operators, cells, dt / 2)
+
+    def coefficients_at(times):
+        c = coefficients(times)
+        if c.shape[1:] != (cells, len(operators)):  # csr_matvec reads cells * E weights
+            raise ValueError(f"coefficients {c.shape[1:]} for {cells} cells of "
+                             f"{len(operators)} operators")
+        return c
+
     step_bytes = _program_bytes(indices.size, cells * n, state.itemsize)
     program = step_bytes <= PROGRAM_STEP_BYTES
     budget, per_step = ((PROGRAM_BYTES, step_bytes) if program
                         else (WEIGHT_CHUNK_BYTES, 2 * indices.size * state.itemsize))
     chunk = max(1, min(BLOCK_STEPS, every, budget // max(per_step, 1)))
+    (c_last,) = coefficients_at(np.zeros(1))
     if program:
-        executor, advance = "step program", _step_program(indptr, indices, chunk, state.dtype)
+        executor = "step program"
+        advance = _step_program(indptr, indices, chunk, state.dtype, weights, c_last, spread)
     else:
-        executor, advance = "step loop", _step_loop(indptr, indices)
+        executor, advance = "step loop", _step_loop(indptr, indices, weights, c_last)
 
     def keep(step, state):
         times.append(step * dt)
-        fids.append(fidelity(unpack(state), target))
+        fids.append(fidelity_of(state))
         kept.append(state.copy())  # the step program's state is its work vector
 
-    (w_next,) = weights(coefficients(np.zeros(1)))
     max_drift = integrate_s = 0.0
     clock = time.perf_counter()
     setup_s = clock - entry
@@ -257,26 +272,28 @@ def _rk4(
     for first in starts:
         last = min(first + BLOCK_STEPS, n_steps)
         t = np.arange(first, last) * dt
-        block = coefficients(np.column_stack([t + dt / 2, t + dt]).ravel())
+        block = coefficients_at(np.column_stack([t + dt / 2, t + dt]).ravel())
         step = first
         while step < last:
             stop = min(last, step + chunk, (step // every + 1) * every)
-            w = weights(block[2 * (step - first):2 * (stop - first)])
-            state = advance(state, w_next, w.reshape(stop - step, 2, *w.shape[1:]))
-            w_next = w[-1]
+            c = block[2 * (step - first):2 * (stop - first)]
+            state = advance(state, c)
+            c_last = c[-1]
             step = stop
             if step % every and step < n_steps:
                 continue
             now = time.perf_counter()
             integrate_s += now - clock
             drifts = drift(state)
-            healthy = drifts <= tol  # a NaN drift is not: the state overflowed
-            if healthy.all():
-                max_drift = max(max_drift, float(np.max(drifts, initial=0.0)))
+            worst = drifts.max(initial=0.0)
+            if worst <= tol:  # a NaN drift is not: the state overflowed
+                max_drift = max(max_drift, float(worst))
             else:
+                healthy = drifts <= tol
                 bad = ~healthy
                 bad[list(failures)] = False  # failed already
-                nonfinite = ~np.isfinite(w_next).all(axis=-1)  # the cell's coefficients
+                (w_last,) = weights(c_last[None])
+                nonfinite = ~np.isfinite(w_last).all(axis=-1)  # the cell's coefficients
                 for cell in map(int, np.flatnonzero(bad)):
                     if nonfinite[cell] and cell in reported:
                         continue
@@ -293,7 +310,7 @@ def _rk4(
 
     times = np.array(times)
     points = max(1, PROGRAM_BYTES // max(unpack(kept[0]).nbytes, 1))  # per slice
-    pops = [record(times[i:i + points], unpack(np.array(kept[i:i + points])))
+    pops = [record(times[i:i + points], np.array(kept[i:i + points]))
             for i in range(0, len(times), points)]
     record_s += time.perf_counter() - clock
     return SimResult(
@@ -314,16 +331,21 @@ def _program_bytes(entries: int, size: int, itemsize: int) -> int:
     return (4 * entries + 12 * size) * (itemsize + 4) + 8 * size * itemsize
 
 
-def _step_loop(indptr: np.ndarray, indices: np.ndarray):
-    """advance(state, w0, w): len(w) RK4 steps, a handful of numpy calls each.
+def _step_loop(indptr: np.ndarray, indices: np.ndarray, weights, c0: np.ndarray):
+    """advance(state, c): len(c) // 2 RK4 steps, a handful of numpy calls each.
 
-    w0 are the weights of the first step's t, w[s] those of step s's
-    t + dt/2 and t + dt (_batch_csr, (cells, E) each).
+    c are the coefficients of each step's t + dt/2 and t + dt, interleaved
+    (2 steps, cells, K), and weights (_batch_csr) turns them into the
+    weights of each time. c0 are those of the first call's first t; each
+    call keeps the weights of its last time for the next call's first.
     """
     rhs = _rhs(indptr, indices)
+    (w0,) = weights(c0[None])
 
-    def advance(state, w0, w):
-        for w_half, w_next in w:
+    def advance(state, c):
+        nonlocal w0
+        w = weights(c)
+        for w_half, w_next in w.reshape(len(c) // 2, 2, *w.shape[1:]):
             total = np.zeros(state.shape, state.dtype)
             rhs(w0, state, total)  # a1
             a = np.zeros(state.shape, state.dtype)
@@ -344,8 +366,9 @@ def _step_loop(indptr: np.ndarray, indices: np.ndarray):
     return advance
 
 
-def _step_program(indptr: np.ndarray, indices: np.ndarray, steps: int, dtype):
-    """advance(state, w0, w) as _step_loop's, in one csr_matvec call for up to `steps` steps.
+def _step_program(indptr: np.ndarray, indices: np.ndarray, steps: int, dtype, weights,
+                  c0: np.ndarray, spread: np.ndarray | None):
+    """advance(state, c) as _step_loop's, in one csr_matvec call for up to `steps` steps.
 
     The work vector is x followed by eight segments of N = cells * n per
     step, one row each, with the loop's arithmetic as CSR rows (M is the
@@ -363,6 +386,17 @@ def _step_program(indptr: np.ndarray, indices: np.ndarray, steps: int, dtype):
     arrays are those of one step, shifted by 8N per step, built here once; a
     shorter call runs on their prefix. Per call, the weights go into their
     data slots: w0, wh and wh contiguous, w1 interleaved with T's ones.
+    Without a spread (complex weights) they come from weights(c), and T's
+    go in through one flat index. With one (_batch_csr's, real weights) the
+    coefficients go straight into the slots, with one 2-D product per cell
+    and slot group (one matmul call over the cells) and no weights array:
+    A1 and A2 are c @ spread, B3 a copy of A2, and a cell's T rows, its
+    ones and its w1 together, are [c, 1] @ U with U the constant
+    (K + 1, 4 n + E) matrix whose last row holds the ones. Every slot has
+    one nonzero term, so it holds the weight weights(c) gives, bit for bit,
+    and so do the ones, but for a cell whose coefficients are not finite:
+    inf * 0 makes them NaN too, and the cell fails as it does with weights.
+
     The rows give the loop's numbers for any finite state below half the
     largest float (2 x + 2 A2 can overflow where 2 (x + A2) does not). A
     stage that overflows differs: complex (1+0j) (inf + ib) has a NaN
@@ -400,9 +434,9 @@ def _step_program(indptr: np.ndarray, indices: np.ndarray, steps: int, dtype):
         np.zeros(entries), np.ones(2 * size), t_data, pairs(np.full(size, THIRD), np.ones(size)),
     ]).astype(dtype)
     per_step = data.size
-    a2 = slice(entries + 2 * size, 2 * entries + 2 * size)
-    b3 = slice(2 * entries + 4 * size, 3 * entries + 4 * size)
-    w1 = slots + 3 * entries + 6 * size
+    a2 = entries + 2 * size  # first slot of A2, B3 and T
+    b3 = 2 * entries + 4 * size
+    t0 = 3 * entries + 6 * size
 
     if max(per_step * steps, size + 8 * size * steps) > np.iinfo(np.int32).max:
         raise ValueError(f"a step program of {steps} steps overflows 32-bit CSR indices")
@@ -411,19 +445,53 @@ def _step_program(indptr: np.ndarray, indices: np.ndarray, steps: int, dtype):
     shift = 8 * size * np.arange(steps, dtype=np.int32)
     program_indices = (columns.astype(np.int32) + shift[:, None]).ravel()
     data = np.tile(data, (steps, 1))
+    flat = data.reshape(-1)
     work = np.zeros(size + 8 * size * steps, dtype)
 
-    def advance(state, w0, w):
-        k = len(w)
+    if spread is None:
+        w1 = (slots + t0 + per_step * np.arange(steps)[:, None]).ravel()
+        (w_last,) = weights(c0[None])
+
+        def fill(c, k):
+            nonlocal w_last
+            w = weights(c).reshape(k, 2, entries)
+            data[0, :entries] = w_last.reshape(-1)
+            data[1:k, :entries] = w[:-1, 1]
+            data[:k, a2:a2 + entries] = data[:k, b3:b3 + entries] = w[:, 0]
+            flat[w1[:k * entries]] = w[:, 1].reshape(-1)
+            w_last = w[-1, 1]
+    else:
+        cells, (n_ops, e) = len(c0), spread.shape
+        span = 4 * (size // max(cells, 1)) + e  # a cell's T rows: ones and w1
+        spread_t = np.zeros((n_ops + 1, span))
+        if cells:  # cell 0's T rows, whose layout every cell repeats
+            spread_t[n_ops, ones[:span - e]] = 1.0
+            spread_t[:n_ops, slots[:e]] = spread
+
+        def by_cell(first, width):  # (cells, steps, width) view of each cell's slots
+            return data[:, first:first + cells * width].reshape(
+                steps, cells, width).transpose(1, 0, 2)
+
+        a1_slots, a2_slots, t_slots = by_cell(0, e), by_cell(a2, e), by_cell(t0, span)
+        full = np.ones((cells, steps + 1, n_ops + 1))  # [c, 1]; step 0: the last call's last t
+        full[:, 0, :n_ops] = c0
+
+        def fill(c, k):
+            full[:, 1:k + 1, :n_ops] = c[1::2].transpose(1, 0, 2)
+            with np.errstate(invalid="ignore"):  # inf * 0: the cell fails as not finite
+                np.matmul(full[:, :k, :n_ops], spread, out=a1_slots[:, :k])
+                np.matmul(c[::2].transpose(1, 0, 2), spread, out=a2_slots[:, :k])
+                np.matmul(full[:, 1:k + 1], spread_t, out=t_slots[:, :k])
+            data[:k, b3:b3 + entries] = data[:k, a2:a2 + entries]
+            full[:, 0] = full[:, k]
+
+    def advance(state, c):
+        k = len(c) // 2
         rows = size + 8 * size * k
-        slots_k = data[:k]
-        slots_k[0, :entries] = w0.reshape(-1)
-        slots_k[1:, :entries] = w[:-1, 1].reshape(k - 1, entries)
-        slots_k[:, a2] = slots_k[:, b3] = w[:, 0].reshape(k, entries)
-        slots_k[:, w1] = w[:, 1].reshape(k, entries)
+        fill(c, k)
         work[:size] = state.reshape(-1)
         work[size:rows] = 0
-        csr_matvec(rows, rows, program_indptr, program_indices, data.reshape(-1), work, work)
+        csr_matvec(rows, rows, program_indptr, program_indices, flat, work, work)
         return work[rows - size:rows].reshape(state.shape)
 
     return advance
@@ -465,17 +533,17 @@ def _rhs(indptr: np.ndarray, indices: np.ndarray):
 
 
 def _batch_csr(operators, cells: int, scale: float):
-    """weights, indptr, indices of a batch: d/dt x = sum_k c[t, b, k] operators[k] x per cell.
+    """weights, spread, indptr, indices of a batch: d/dt x = sum_k c[t, b, k] operators[k] x per cell.
 
     operators are K dense or sparse (n, n) matrices. Entry e of operator k
     adds c[k] * value_e * x[col_e] to row_e, entries ordered by row,
     operator and column. weights(c) maps c (times, cells, K) to the weights
-    c[k_e] * (value_e * scale), (times, cells, E); ValueError for another
-    cells or K. Complex weights take c[k_e] and multiply. Real ones are one
-    product c @ S, S (K, E) holding value_e * scale in row k_e: each weight
-    has that one nonzero term, so it is the same product, bit for bit, but
-    for the edges. A -0.0 coefficient gives +0.0, and an infinite one makes
-    every weight of its cell non-finite (inf * 0 is NaN).
+    c[k_e] * (value_e * scale), (times, cells, E). Complex weights take
+    c[k_e] and multiply. Real ones are one product c @ spread, spread
+    (K, E) holding value_e * scale in row k_e (None for complex weights):
+    each weight has that one nonzero term, so it is the same product, bit
+    for bit, but for the edges. A -0.0 coefficient gives +0.0, and an
+    infinite one makes every weight of its cell non-finite (inf * 0 is NaN).
 
     Those weights of one time, cell after cell, are the data of one
     block-diagonal (cells * n, cells * n) CSR matrix with the index arrays
@@ -510,8 +578,6 @@ def _batch_csr(operators, cells: int, scale: float):
         spread[ks, np.arange(e)] = scaled
 
     def weights(c):
-        if c.shape[1:] != (cells, k):  # csr_matvec reads cells * E weights per time
-            raise ValueError(f"coefficients {c.shape[1:]} for {cells} cells of {k} operators")
         if spread is None:
             w = c.take(ks, axis=2)
             w *= scaled
@@ -519,7 +585,7 @@ def _batch_csr(operators, cells: int, scale: float):
         with np.errstate(invalid="ignore"):  # inf * 0: the cell fails as not finite
             return (c.reshape(-1, k) @ spread).reshape(len(c), cells, e)
 
-    return weights, indptr, indices
+    return weights, spread, indptr, indices
 
 
 def _one_cell(result: SimResult) -> SimResult:
@@ -577,11 +643,12 @@ def evolve_schrodinger(
     def unpack(y):
         return y.take(labels, axis=-1)
 
+    target = np.broadcast_to(target, state.shape)
     result = _rk4(
         lambda times: np.asarray(coefficients(times), dtype=complex), -1j * lumped,
         state[:, firsts], t_f, cfg,
-        np.broadcast_to(target, state.shape),
-        record=lambda times, psi: _leaked_row(np.abs(psi) ** 2, tracked),
+        fidelity_of=lambda y: fidelity(unpack(y), target),
+        record=lambda times, y: _leaked_row(np.abs(unpack(y)) ** 2, tracked),
         drift=lambda y: np.abs(np.linalg.norm(unpack(y), axis=-1) - 1.0),
         drift_name="norm", tol=NORM_TOL, unpack=unpack, reported=reported,
     )
@@ -713,6 +780,76 @@ class Liouvillian:
                 np.concatenate([np.ones(self.entries.size), self.imag_sign]),
                 np.concatenate([2 * self.entries, 2 * self.entries + 1]))
 
+    def _reader(self, positions: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """read(x): the floats of rho at positions (...) from its real coordinates x (..., n).
+
+        rho is viewed as floats, Re then Im of each entry: position
+        2 (i dim + j) + 1 is Im rho_ij. read(x) is (..., positions.size), one
+        take, one multiply and one add of 0.0, so each float has the bits
+        density(x) gives it. A position off the support reads x[0] * 0.0 + 0.0,
+        0.0 for finite x.
+        """
+        coordinates, signs, at = self._density_map
+        where = np.full(2 * self.dim * self.dim, -1)
+        where[at] = np.arange(at.size)
+        found = where[np.ravel(positions)]
+        taken = np.where(found >= 0, coordinates[found], 0)
+        signs = np.where(found >= 0, signs[found], 0.0)
+
+        def read(x):
+            values = x.take(taken, axis=-1)
+            values *= signs
+            values += 0.0  # an imaginary part -0.0 is 0.0, as in density
+            return values
+
+        return read
+
+    def _block_reader(self, states: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """read(x): rho's blocks rho[states, states] (..., *states.shape, s) from x (..., n).
+
+        states (..., s) lists the s states of each block; the entries are
+        density(x)'s, bit for bit, read as in _reader.
+        """
+        states = np.asarray(states)
+        entries = states[..., :, None] * self.dim + states[..., None, :]
+        read = self._reader(2 * entries[..., None] + np.arange(2))
+        return lambda x: read(x).view(complex).reshape(x.shape[:-1] + entries.shape)
+
+    @functools.cached_property
+    def _positivity_readers(self):
+        """One _block_reader per block size, largest first, for rho's diagonal blocks.
+
+        rho is block-diagonal: states i and j share a block when the support
+        links them through entries (i, k), (k, l), ... (hilbert.closure). A
+        state off the support is a block of one, reading 0.0. From
+        |phi_1><phi_1| on the open-system space the blocks hold 8, 3, 3, 1 and
+        1 states.
+        """
+        rows, cols = np.divmod(self.entries, self.dim)
+        links = sp.coo_matrix((np.ones(rows.size), (rows, cols)), (self.dim, self.dim))
+        first = np.full(self.dim, -1)  # each state's block, by its first state
+        for state in range(self.dim):
+            if first[state] < 0:
+                first[hilbert.closure(links, [state])] = state
+        blocks = [np.flatnonzero(first == label) for label in np.unique(first)]
+        sizes = sorted({block.size for block in blocks}, reverse=True)
+        return [self._block_reader([block for block in blocks if block.size == size])
+                for size in sizes]
+
+    def least_eigenvalue(self, x: np.ndarray) -> np.ndarray:
+        """Least eigenvalue (...) of each rho from its real coordinates x (..., n).
+
+        The least over rho's diagonal blocks (_positivity_readers), with one
+        stacked eigvalsh per block size larger than one; a block of one state
+        is its own eigenvalue. x must be finite.
+        """
+        least = []
+        for read in self._positivity_readers:
+            blocks = read(x)  # (..., blocks, size, size)
+            least.append(blocks.real[..., 0, 0] if blocks.shape[-1] == 1
+                         else np.linalg.eigvalsh(blocks)[..., 0])
+        return np.concatenate(least, axis=-1).min(axis=-1)
+
     def density(self, x: np.ndarray) -> np.ndarray:
         """rho (..., dim, dim) from its real coordinates x (..., n)."""
         coordinates, signs, positions = self._density_map
@@ -747,10 +884,14 @@ def evolve_lindblad(
     run ends. Negative eigenvalues beyond POSITIVITY_TOL at recorded points are
     kept as warnings in the metadata ("cell b: " first in a batch, in the
     order of time, then cell), not fixed up; metadata["min_eigenvalue"] is
-    the least eigenvalue seen, at most 0. The check is one batched eigvalsh
-    per slice of the record pass (_rk4), over the finite cells' rho: a
-    failed cell is NaN and has no eigenvalues. final_state, populations and
-    fidelity carry a cell axis for a batch only.
+    the least eigenvalue seen, at most 0. The check runs per slice of the
+    record pass (_rk4) on the finite cells' coordinates
+    (Liouvillian.least_eigenvalue: eigvalsh of rho's diagonal blocks): a
+    failed cell is NaN and has no eigenvalues. Each recorded point reads
+    from the coordinates only what it needs: its fidelity rho's block on the
+    target's nonzero states, the populations the diagonal coordinates, and
+    the drift their sum per cell, with the bits the full rho would give.
+    final_state, populations and fidelity carry a cell axis for a batch only.
     """
     dim, entries = liouvillian.dim, liouvillian.entries
     rho = np.array(rho0, dtype=complex)
@@ -761,7 +902,13 @@ def evolve_lindblad(
     x0 = liouvillian.coordinates(cells)
     if not np.array_equal(liouvillian.density(x0), cells):  # == as in hilbert.lump
         raise ValueError("rho0 must lie on the Liouvillian's support, equal within its blocks")
-    diagonal = liouvillian.real_of[entries // dim == entries % dim]
+    on_diagonal = entries // dim == entries % dim
+    diagonal, held = liouvillian.real_of[on_diagonal], entries[on_diagonal] // dim
+
+    def populations(x):  # Re rho_ii, with the bits density gives (-0.0 is 0.0)
+        p = np.zeros(x.shape[:-1] + (dim,))
+        p[..., held] = x.take(diagonal, axis=-1) + 0.0
+        return p
 
     def real_coefficients(times):
         c = coefficients(times)
@@ -772,10 +919,10 @@ def evolve_lindblad(
     warnings: list[tuple[int, str]] = []  # (cell, text)
     min_eigenvalue = 0.0
 
-    def record(times, rho):  # rho (points, cells, dim, dim)
+    def record(times, x):  # x (points, cells, n)
         nonlocal min_eigenvalue
-        finite = np.isfinite(rho.view(float)).all(axis=(-2, -1))
-        lam_min = np.linalg.eigvalsh(rho if finite.all() else rho[finite])[..., 0].ravel()
+        finite = np.isfinite(x).all(axis=-1)
+        lam_min = liouvillian.least_eigenvalue(x if finite.all() else x[finite]).ravel()
         min_eigenvalue = min(min_eigenvalue, float(np.min(lam_min, initial=0.0)))
         negative = lam_min < -POSITIVITY_TOL
         if negative.any():
@@ -783,17 +930,21 @@ def evolve_lindblad(
             for i, b, lam in zip(point_of[negative], cell_of[negative], lam_min[negative]):
                 warnings.append(
                     (b, f"eigenvalue {lam:.2e} < -{POSITIVITY_TOL:.0e} at t={times[i]:.4g}"))
-        return _leaked_row(np.diagonal(rho, axis1=-2, axis2=-1).real, tracked)
+        return _leaked_row(populations(x), tracked)
 
-    def drift(state):  # cell by cell, so that no cell's sum depends on its batch
-        return np.array([abs(cell[diagonal].sum() - 1.0) for cell in state])
+    def drift(x):  # each row summed in C order, as a cell alone would be (_leaked_row)
+        return np.abs(x.take(diagonal, axis=-1).sum(axis=-1) - 1.0)
 
-    if target is None:
-        target = np.eye(dim, dtype=complex)[0]
+    target = np.eye(dim, dtype=complex)[0] if target is None else np.asarray(target)
+    if target.shape != (dim,):
+        raise ValueError(f"dimension mismatch: rho ({dim}, {dim}) vs target {target.shape}")
+    seen = np.flatnonzero(target)  # fidelity reads rho on these states only
+    corner, seen_target = liouvillian._block_reader(seen), target[seen]
     result = _rk4(
         real_coefficients, liouvillian.operators, x0, t_f, cfg,
-        target, record=record, drift=drift, drift_name="trace", tol=TRACE_TOL,
-        unpack=liouvillian.density, reported=reported,
+        fidelity_of=lambda x: fidelity(corner(x), seen_target), record=record,
+        drift=drift, drift_name="trace", tol=TRACE_TOL, unpack=liouvillian.density,
+        reported=reported,
     )
     result.metadata.update(
         min_eigenvalue=min_eigenvalue, support=int(entries.size), coordinates=x0.shape[1],

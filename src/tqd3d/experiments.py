@@ -371,20 +371,18 @@ def provenance_lines(info: dict) -> list[str]:
 
 
 def write_csv(path: Path, header: list[str], rows, provenance: dict | None = None):
+    """Provenance lines, the header and one line of len(header) "%.12g" fields per row."""
     lines = provenance_lines(provenance or {})
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(map("{:.12g}".format, row)))
+    row_format = ",".join(["%.12g"] * len(header))
+    lines.extend(row_format % tuple(row) for row in rows)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_sim_result(path: Path, result: SimResult, provenance: dict | None = None):
     n_tracked = result.populations.shape[1] - 1
     header = ["t*g"] + [f"P_phi{i + 1}" for i in range(n_tracked)] + ["P_leaked", "F"]
-    rows = [
-        [t, *pops, fid]
-        for t, pops, fid in zip(result.times, result.populations, result.fidelity)
-    ]
+    rows = np.column_stack([result.times, result.populations, result.fidelity]).tolist()
     write_csv(path, header, rows, provenance)
 
 

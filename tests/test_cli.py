@@ -424,6 +424,21 @@ def test_import_leaves_out_the_fitter():
     assert proc.stdout.strip() == "False"
 
 
+def test_open_simulate_leaves_out_csgraph(tmp_path):
+    # rho's blocks come from hilbert.closure: importing scipy.sparse.csgraph
+    # for them would add about 11 MB to the peak RSS of an open run.
+    code = ("import sys; from tqd3d import cli; "
+            "code = cli.main(['--out', sys.argv[1], 'simulate', '--open']); "
+            "print(code, 'scipy.sparse.csgraph' in sys.modules)")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", ""),
+           "TQD3D_DT": "0.05"}
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.split()[-2:] == ["0", "False"]
+    assert (tmp_path / "simulate_tqd-fitted_open.csv").exists()
+
+
 @pytest.mark.parametrize("setting, argv, code", [
     ("TQD3D_DT=100", ["simulate"], cli.EXIT_CONFIG),
     ("TQD3D_DT=nan", ["simulate"], cli.EXIT_CONFIG),

@@ -543,7 +543,7 @@ def test_csr_rhs_matches_reduceat_reference(rng, cells):
         x = draw(real, cells, n)
         start = draw(real, cells, n)
 
-        weights, indptr, indices = dynamics._batch_csr(operators, cells, scale)
+        weights, _, indptr, indices = dynamics._batch_csr(operators, cells, scale)
         (w,) = weights(c)
         got = start.copy()
         dynamics._rhs(indptr, indices)(w, x, got)
@@ -562,7 +562,7 @@ def test_csr_rhs_matches_reduceat_reference(rng, cells):
             assert np.isnan(got[nan_cell, touched]).all()
             assert np.isnan(want[nan_cell, touched]).all()
         for b in range(cells):  # a cell alone gets the same bits as in its batch
-            weights, indptr, indices = dynamics._batch_csr(operators, 1, scale)
+            weights, _, indptr, indices = dynamics._batch_csr(operators, 1, scale)
             (w_alone,) = weights(c[:, b:b + 1])
             alone = start[b:b + 1].copy()
             dynamics._rhs(indptr, indices)(w_alone, x[b:b + 1], alone)
@@ -584,7 +584,7 @@ def test_real_weights_are_the_entrywise_products(rng, cells):
     dense = [np.asarray(sp.csr_matrix(op).todense()) for op in operators]
     entries = sorted((i, k, j, op[i, j]) for k, op in enumerate(dense)
                      for i, j in zip(*np.nonzero(op)))
-    weights, _, _ = dynamics._batch_csr(operators, cells, scale)
+    weights, _, _, _ = dynamics._batch_csr(operators, cells, scale)
     c = rng.normal(size=(3, cells, 4))
     expected = np.reshape([[[float(c[t, b, k]) * (value * scale) for _, k, _, value in entries]
                             for b in range(cells)] for t in range(3)], (3, cells, len(entries)))
@@ -603,6 +603,66 @@ def test_real_weights_are_the_entrywise_products(rng, cells):
     infinite = np.array([k == 2 for _, k, _, _ in entries])
     assert np.isinf(w[2, 1, infinite]).all() and np.isnan(w[2, 1, ~infinite]).all()
     assert w[2, [0, 2, 3]].tobytes() == expected[2, [0, 2, 3]].tobytes()
+
+
+@pytest.mark.parametrize("cells", [0, 1, 3, 6])
+def test_real_step_program_writes_the_weights_of_its_coefficients(rng, monkeypatch, cells):
+    """A real step program's data from coefficients against the data its weights give.
+
+    The weights path (no spread, the one complex batches take) puts
+    weights(c) into the program's slots; the real path writes c @ spread and
+    [c, 1] @ U straight in.
+    Each slot has one nonzero term, so every float the program hands
+    csr_matvec is the same, bit for bit: over a 4-step chunk and the
+    one-step chunk after it (whose first A1 row carries the last one's
+    coefficients), a -0.0 coefficient (+0.0 on both paths) and an infinite
+    one. The only difference is the infinite cell's four ones per T row at
+    that step: inf * 0 makes them NaN, where the weights path keeps 1.0.
+    """
+    liouvillian = model.open_liouvillian()
+    operators, n = liouvillian.operators, liouvillian.imag_of.max() + 1
+    weights, spread, indptr, indices = dynamics._batch_csr(operators, cells, 0.01)
+    assert spread is not None
+    c0 = rng.normal(size=(cells, len(operators)))
+    c = rng.normal(size=(10, cells, len(operators)))
+    if cells >= 3:
+        c[1, 1, [0, 3]] = -0.0  # the first full step's drive coefficients of cell 1
+        c[3, 2, 5] = np.inf  # the second full step's of cell 2
+    state = rng.normal(size=(cells, n))
+    real_matvec = dynamics.csr_matvec
+    runs = []
+    for spread_in in (spread, None):  # None: the weights path
+        handed = []
+
+        def capturing(rows, cols, indptr_, indices_, data, x, y):
+            handed.append((data[:indptr_[rows]].copy(), x[:rows].copy()))
+            return real_matvec(rows, cols, indptr_, indices_, data, x, y)
+
+        dynamics._check_in_place()
+        monkeypatch.setattr(dynamics, "csr_matvec", capturing)
+        advance = dynamics._step_program(indptr, indices, 4, float, weights, c0, spread_in)
+        with np.errstate(invalid="ignore", over="ignore"):
+            outputs = [advance(state, c[:8]).copy(), advance(state, c[8:]).copy()]
+        monkeypatch.setattr(dynamics, "csr_matvec", real_matvec)
+        runs.append((handed, outputs))
+
+    (program, program_out), (loaded, loaded_out) = runs
+    assert [d.size for d, _ in program] == [d.size for d, _ in loaded]
+    assert program[1][0].size * 4 == program[0][0].size
+    for (got, _), (want, _) in zip(program, loaded):
+        differ = got.view(np.uint64) != want.view(np.uint64)
+        assert np.isnan(got[differ]).all() and np.all(want[differ] == 1.0)
+        assert differ.sum() == (4 * (indptr.size - 1) // cells if cells >= 3 and
+                                got is program[0][0] else 0)
+    healthy = np.arange(cells) != 2  # both calls start from state: the second is finite
+    assert program_out[1].tobytes() == loaded_out[1].tobytes()
+    assert program_out[0][healthy].tobytes() == loaded_out[0][healthy].tobytes()
+    assert np.isfinite(program_out[0][healthy]).all() and np.isnan(program_out[0][~healthy]).all()
+    if cells >= 3:  # step 1's A1 row holds cell 1's weights of c[1]
+        per_cell = indices.size // cells
+        first = program[0][0].size // 4 + per_cell
+        zeros = first + np.flatnonzero(weights(c[1:2])[0, 1] == 0.0)
+        assert zeros.size and not np.signbit(program[0][0][zeros]).any()
 
 
 def test_integrator_config_needs_a_finite_positive_step():

@@ -178,6 +178,20 @@ def test_write_sim_result(tmp_path, trace):
     assert second_path.read_bytes() == path.read_bytes()
 
 
+def test_write_csv_fields_are_those_of_str_format(tmp_path):
+    # One "%.12g" row format over Python floats writes what "{:.12g}".format
+    # writes field by field, the edges included.
+    values = [math.nan, math.inf, -math.inf, -0.0, 1e-300, 1e300, 7, 0.1 + 0.2,
+              123456789012345.0, 2.5e-7]
+    path = tmp_path / "fields.csv"
+    experiments.write_csv(path, [f"c{i}" for i in range(len(values))],
+                          [values, np.array(values)[::-1], tuple(np.array(values))])
+    rows = path.read_text().splitlines()[-3:]
+    assert rows[0] == "nan,inf,-inf,-0,1e-300,1e+300,7,0.3,1.23456789012e+14,2.5e-07"
+    for row, fields in zip(rows, [values, values[::-1], values]):
+        assert row == ",".join(map("{:.12g}".format, fields))
+
+
 def test_write_sweep_grid_long_format(tmp_path):
     grid = SweepGrid(
         x_name="x", x_values=np.array([1.0, 2.0]),

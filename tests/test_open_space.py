@@ -9,6 +9,8 @@ and an exponential propagator that shares no code with the RK4 integrator.
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+from scipy.sparse.csgraph import connected_components
 from test_dynamics import _dense_rk4
 
 from tqd3d import dynamics, experiments, hilbert, model
@@ -448,24 +450,80 @@ def _open_batch(cells, cfg, coefficients=None):
 WARNED = ModelParams(kappa=2.0, gamma=0.0)
 
 
+def _support_blocks(liouvillian):
+    """The states of each diagonal block of rho on the support: connected components of its pattern."""
+    rows, cols = np.divmod(liouvillian.entries, liouvillian.dim)
+    pattern = scipy.sparse.coo_matrix((np.ones(rows.size), (rows, cols)),
+                                      (liouvillian.dim, liouvillian.dim))
+    count, labels = connected_components(pattern, directed=False)
+    return [np.flatnonzero(labels == label) for label in range(count)]
+
+
+def _least_over_blocks(rho, blocks):
+    """The least eigenvalue of each rho (..., dim, dim): the least over eigvalsh of each block."""
+    return np.min([np.linalg.eigvalsh(rho[..., block[:, None], block])[..., 0]
+                   for block in blocks], axis=0)
+
+
+def test_least_eigenvalue_is_the_least_over_the_support_blocks(rng):
+    """Block by block as the test's own eigvalsh gives it, and within 1e-14 of the full one."""
+    space = model.open_space()
+    liouvillian = model.open_liouvillian()
+    dim, mirror = space.dim, _mirror(space)
+    blocks = _support_blocks(liouvillian)
+    assert sorted(block.size for block in blocks) == [1, 1, 3, 3, 8]
+    inside = np.zeros(dim * dim, dtype=bool)
+    inside[liouvillian.entries] = True
+    a = rng.normal(size=(40, dim, dim)) + 1j * rng.normal(size=(40, dim, dim))
+    rho = np.where(inside.reshape(dim, dim), a + a.conj().swapaxes(-1, -2), 0.0) / (4 * dim)
+    rho = 0.5 * (rho + rho[:, mirror][:, :, mirror])
+    rho[::2] += np.eye(dim) * np.linspace(0.0, 0.5, 20)[:, None, None]  # some definite
+    for block in blocks:
+        if block.size == 1:  # each state of its own is an eigenvalue: here the least
+            rho[1::4, block, block] = -1.0
+    x = liouvillian.coordinates(rho)
+    assert np.array_equal(liouvillian.density(x), rho)
+
+    least = liouvillian.least_eigenvalue(x)
+    assert least.shape == (40,) and (least < 0).any() and (least > 0).any()
+    assert np.all(least[1::4] == -1.0)
+    assert least.tobytes() == _least_over_blocks(rho, blocks).tobytes()
+    assert np.max(np.abs(least - np.linalg.eigvalsh(rho)[:, 0])) <= 1e-14
+    assert liouvillian.least_eigenvalue(x.reshape(4, 10, -1)).tobytes() == least.tobytes()
+
+
 def test_record_pass_matches_the_density_of_each_recorded_point(monkeypatch):
-    """The batched record pass against eigvalsh of the rho that fidelity sees at each point."""
+    """The batched record pass against an oracle from the coordinates of each recorded point.
+
+    The oracle is Liouvillian.density of the lumped states that _rk4 hands
+    record, with eigvalsh block by block (the test's own blocks) for
+    positivity, the full rho's diagonal for the populations and
+    dynamics.fidelity of the full rho for F, which the run takes from rho's
+    block on the target's states.
+    """
     fitted = experiments.default_pulse_set(PulseKind.TQD_FITTED)
     cells = [(WARNED, fitted), (BENCHMARK, fitted), (WARNED, fitted)]
-    shown = []
-    fidelity = dynamics.fidelity
+    handed = []
+    rk4 = dynamics._rk4
 
-    def capturing(state, target):
-        shown.append(np.array(state))
-        return fidelity(state, target)
+    def capturing(*args, record, **kwargs):
+        def kept(times, x):
+            handed.append(x.copy())
+            return record(times, x)
 
-    monkeypatch.setattr(dynamics, "fidelity", capturing)
+        return rk4(*args, record=kept, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_rk4", capturing)
     run = _open_batch(cells, IntegratorConfig(dt=0.3, record_every=1))
-    rho = np.stack(shown)  # (points, cells, dim, dim)
+    assert [len(x) for x in handed] == [85, 83]  # recorded in two slices
+    liouvillian = model.open_liouvillian()
+    rho = liouvillian.density(np.concatenate(handed))  # (points, cells, dim, dim)
     assert rho.shape[:2] == (len(run.times), 3) == (168, 3)
-    assert dynamics.PROGRAM_BYTES // rho[0].nbytes == 85  # recorded in two slices
+    target = dynamics.target_state(model.open_space())
+    assert run.fidelity.tobytes() == dynamics.fidelity(rho, target).tobytes()
 
-    least = np.array([[np.linalg.eigvalsh(cell)[0] for cell in point] for point in rho])
+    least = _least_over_blocks(rho, _support_blocks(liouvillian))
+    assert np.max(np.abs(least - np.linalg.eigvalsh(rho)[..., 0])) <= 1e-14
     assert run.metadata["min_eigenvalue"] == min(0.0, least.min())
     warnings = [f"cell {b}: eigenvalue {least[i, b]:.2e} < -1e-05 at t={t:.4g}"
                 for i, t in enumerate(run.times) for b in range(3)
@@ -477,7 +535,6 @@ def test_record_pass_matches_the_density_of_each_recorded_point(monkeypatch):
     assert run.populations[..., :-1].tobytes() == diagonal[..., tracked].tobytes()
 
     # Recording every other step gives the same rows at the times both record.
-    shown.clear()
     again = _open_batch(cells, IntegratorConfig(dt=0.3, record_every=2))
     assert again.times.tobytes() == np.append(run.times[::2], run.times[-1]).tobytes()
     both = np.append(np.arange(0, 168, 2), 167)
