@@ -48,9 +48,15 @@ as much as its arithmetic.  The step program writes a whole chunk of steps
 as one CSR matrix whose rows are the stages, each row reading only rows
 before it, and runs it as one product written into its own input vector:
 one compiled call per chunk.  Small batches (up to PROGRAM_STEP_BYTES of
-program per step: one to six open cells, up to about 49 closed cells)
-take the program, larger ones the loop, on which the program's constant
-rows cost more than the numpy calls they replace.
+program per step: one to six open cells, seven on TQD or STIRAP drives, up
+to about 49 closed cells) take the program, larger ones the loop, on which
+the program's constant rows cost more than the numpy calls they replace.
+Either executor holds only the structure operators whose coefficients are
+nonzero somewhere at t = 0, and takes the others in again at the first
+block that drives them (_rk4): the paper's TQD pulses fix
+Re omega_a = Im omega_b = 0 and its STIRAP pulses are real and undetuned,
+so an open run at nonzero rates integrates 181 (TQD) or 161 (STIRAP) of
+the Liouvillian's 229 nonzeros per cell, with the bits all 229 give.
 """
 from __future__ import annotations
 
@@ -206,6 +212,16 @@ def _rk4(
     programs (_step_program), a larger one through the step loop
     (_step_loop); both do the same arithmetic, with the same results.
 
+    The executor holds only the operators driven at t = 0: those whose
+    coefficient is nonzero, NaN included, in some cell (_driven). A left-out
+    operator would add +-0.0 * x to a row sum. Every row sum starts from a
+    zeroed array and so never stands at -0.0, and adding +-0.0 to any other
+    value leaves it as it is: for finite states the run is, bit for bit,
+    the one that holds every operator. At each block start the left-out
+    columns are checked over the block; if one is nonzero anywhere in it,
+    the executor is built again, as at set-up, with every operator from that
+    block on, starting from the coefficients of the block's first t.
+
     At every recorded point drift(state) gives one value per cell, which
     must stay within tol (NaN is beyond it; one max over the cells decides,
     and only a failure looks at them one by one), a copy of state is kept
@@ -224,10 +240,11 @@ def _rk4(
     ["integrate_s"] and ["record_s"] split the wall time between set-up, the
     steps and the recording (the recorded points and the record pass); the
     clock is read at entry, at recorded points and after the pass only.
-    ["blocks"] counts the coefficients calls, and ["executor"] and
-    ["chunk_steps"] name the executor and the steps of a chunk. The step
-    count is step_count(t_f, cfg.dt), whose errors are raised before any
-    step.
+    ["blocks"] counts the coefficients calls, ["operators"] the operators
+    held at t_f and ["rebuilds"] the executors built again (0 or 1), and
+    ["executor"] and ["chunk_steps"] name the executor at t_f and the steps
+    of its chunks. The step count is step_count(t_f, cfg.dt), whose errors
+    are raised before any step.
     """
     entry = time.perf_counter()
     n_steps = step_count(t_f, cfg.dt)
@@ -236,7 +253,6 @@ def _rk4(
     times, kept, fids = [], [], []
     failures: dict[int, IntegratorInstabilityError] = {}
     cells, n = state.shape
-    weights, spread, indptr, indices = _batch_csr(operators, cells, dt / 2)
 
     def coefficients_at(times):
         c = coefficients(times)
@@ -245,17 +261,25 @@ def _rk4(
                              f"{len(operators)} operators")
         return c
 
-    step_bytes = _program_bytes(indices.size, cells * n, state.itemsize)
-    program = step_bytes <= PROGRAM_STEP_BYTES
-    budget, per_step = ((PROGRAM_BYTES, step_bytes) if program
-                        else (WEIGHT_CHUNK_BYTES, 2 * indices.size * state.itemsize))
-    chunk = max(1, min(BLOCK_STEPS, every, budget // max(per_step, 1)))
+    def build(driven, c0):
+        """weights, advance, executor and chunk steps of the operators driven, from c0 (all K)."""
+        weights, spread, indptr, indices = _batch_csr(operators, cells, dt / 2, driven)
+        step_bytes = _program_bytes(indices.size, cells * n, state.itemsize)
+        program = step_bytes <= PROGRAM_STEP_BYTES
+        budget, per_step = ((PROGRAM_BYTES, step_bytes) if program
+                            else (WEIGHT_CHUNK_BYTES, 2 * indices.size * state.itemsize))
+        chunk = max(1, min(BLOCK_STEPS, every, budget // max(per_step, 1)))
+        c0 = c0.take(driven, axis=-1)
+        if program:
+            return (weights, _step_program(indptr, indices, chunk, state.dtype, weights, c0,
+                                           spread), "step program", chunk)
+        return weights, _step_loop(indptr, indices, weights, c0), "step loop", chunk
+
     (c_last,) = coefficients_at(np.zeros(1))
-    if program:
-        executor = "step program"
-        advance = _step_program(indptr, indices, chunk, state.dtype, weights, c_last, spread)
-    else:
-        executor, advance = "step loop", _step_loop(indptr, indices, weights, c_last)
+    nonzero = _driven(c_last)
+    driven, left_out = np.flatnonzero(nonzero), np.flatnonzero(~nonzero)
+    weights, advance, executor, chunk = build(driven, c_last)
+    rebuilds = 0
 
     def keep(step, state):
         times.append(step * dt)
@@ -273,12 +297,16 @@ def _rk4(
         last = min(first + BLOCK_STEPS, n_steps)
         t = np.arange(first, last) * dt
         block = coefficients_at(np.column_stack([t + dt / 2, t + dt]).ravel())
+        if left_out.size and _driven(block.take(left_out, axis=-1)).any():
+            driven, left_out, rebuilds = np.arange(len(operators)), left_out[:0], 1
+            weights, advance, executor, chunk = build(driven, c_last)
+        c_last = block[-1]  # every column: the next block's first t
+        if left_out.size:
+            block = block.take(driven, axis=-1)
         step = first
         while step < last:
             stop = min(last, step + chunk, (step // every + 1) * every)
-            c = block[2 * (step - first):2 * (stop - first)]
-            state = advance(state, c)
-            c_last = c[-1]
+            state = advance(state, block[2 * (step - first):2 * (stop - first)])
             step = stop
             if step % every and step < n_steps:
                 continue
@@ -292,7 +320,7 @@ def _rk4(
                 healthy = drifts <= tol
                 bad = ~healthy
                 bad[list(failures)] = False  # failed already
-                (w_last,) = weights(c_last[None])
+                (w_last,) = weights(block[2 * (step - first) - 1:2 * (step - first)])
                 nonfinite = ~np.isfinite(w_last).all(axis=-1)  # the cell's coefficients
                 for cell in map(int, np.flatnonzero(bad)):
                     if nonfinite[cell] and cell in reported:
@@ -322,7 +350,7 @@ def _rk4(
                   "rhs_evals": 4 * n_steps, "state_shape": state.shape,
                   "failures": failures, "setup_s": setup_s, "integrate_s": integrate_s,
                   "record_s": record_s, "blocks": 1 + len(starts), "executor": executor,
-                  "chunk_steps": chunk},
+                  "chunk_steps": chunk, "operators": driven.size, "rebuilds": rebuilds},
     )
 
 
@@ -390,9 +418,10 @@ def _step_program(indptr: np.ndarray, indices: np.ndarray, steps: int, dtype, we
     go in through one flat index. With one (_batch_csr's, real weights) the
     coefficients go straight into the slots, with one 2-D product per cell
     and slot group (one matmul call over the cells) and no weights array:
-    A1 and A2 are c @ spread, B3 a copy of A2, and a cell's T rows, its
-    ones and its w1 together, are [c, 1] @ U with U the constant
-    (K + 1, 4 n + E) matrix whose last row holds the ones. Every slot has
+    A1, A2 and B3 are c @ spread (B3 its own product, which beat a copy of
+    A2), and a cell's T rows, its ones and its w1 together, are [c, 1] @ U
+    with U the constant (K + 1, 4 n + E) matrix whose last row holds the
+    ones. Every slot has
     one nonzero term, so it holds the weight weights(c) gives, bit for bit,
     and so do the ones, but for a cell whose coefficients are not finite:
     inf * 0 makes them NaN too, and the cell fails as it does with weights.
@@ -472,7 +501,8 @@ def _step_program(indptr: np.ndarray, indices: np.ndarray, steps: int, dtype, we
             return data[:, first:first + cells * width].reshape(
                 steps, cells, width).transpose(1, 0, 2)
 
-        a1_slots, a2_slots, t_slots = by_cell(0, e), by_cell(a2, e), by_cell(t0, span)
+        a1_slots, a2_slots, b3_slots = by_cell(0, e), by_cell(a2, e), by_cell(b3, e)
+        t_slots = by_cell(t0, span)
         full = np.ones((cells, steps + 1, n_ops + 1))  # [c, 1]; step 0: the last call's last t
         full[:, 0, :n_ops] = c0
 
@@ -480,9 +510,9 @@ def _step_program(indptr: np.ndarray, indices: np.ndarray, steps: int, dtype, we
             full[:, 1:k + 1, :n_ops] = c[1::2].transpose(1, 0, 2)
             with np.errstate(invalid="ignore"):  # inf * 0: the cell fails as not finite
                 np.matmul(full[:, :k, :n_ops], spread, out=a1_slots[:, :k])
-                np.matmul(c[::2].transpose(1, 0, 2), spread, out=a2_slots[:, :k])
+                for slots in (a2_slots, b3_slots):
+                    np.matmul(c[::2].transpose(1, 0, 2), spread, out=slots[:, :k])
                 np.matmul(full[:, 1:k + 1], spread_t, out=t_slots[:, :k])
-            data[:k, b3:b3 + entries] = data[:k, a2:a2 + entries]
             full[:, 0] = full[:, k]
 
     def advance(state, c):
@@ -532,18 +562,45 @@ def _rhs(indptr: np.ndarray, indices: np.ndarray):
     return functools.partial(csr_matvec, size, size, indptr, indices)
 
 
-def _batch_csr(operators, cells: int, scale: float):
+def _driven(c: np.ndarray) -> np.ndarray:
+    """(K,) bools: is column k of coefficients c (..., K) nonzero, NaN included, in some row.
+
+    A column of +0.0 and -0.0 only is not: its operator's entries add
+    +-0.0 * x to a row sum, which leaves every sum that does not stand at
+    -0.0 as it is.
+    """
+    return (c != 0).reshape(-1, c.shape[-1]).any(axis=0)
+
+
+def _entries(op) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and values of the stored entries of CSR op, or of dense op's nonzeros.
+
+    Row by row, each row in stored or column order: the entries and the
+    order sp.coo_matrix(op) gives.
+    """
+    if sp.issparse(op):
+        op = op.tocsr()
+        return np.repeat(np.arange(op.shape[0]), np.diff(op.indptr)), op.indices, op.data
+    op = np.asarray(op)
+    rows, cols = np.nonzero(op)
+    return rows, cols, op[rows, cols]
+
+
+def _batch_csr(operators, cells: int, scale: float, driven=None):
     """weights, spread, indptr, indices of a batch: d/dt x = sum_k c[t, b, k] operators[k] x per cell.
 
-    operators are K dense or sparse (n, n) matrices. Entry e of operator k
-    adds c[k] * value_e * x[col_e] to row_e, entries ordered by row,
-    operator and column. weights(c) maps c (times, cells, K) to the weights
-    c[k_e] * (value_e * scale), (times, cells, E). Complex weights take
-    c[k_e] and multiply. Real ones are one product c @ spread, spread
-    (K, E) holding value_e * scale in row k_e (None for complex weights):
-    each weight has that one nonzero term, so it is the same product, bit
-    for bit, but for the edges. A -0.0 coefficient gives +0.0, and an
-    infinite one makes every weight of its cell non-finite (inf * 0 is NaN).
+    operators are K dense or CSR (n, n) matrices, of which the batch holds
+    those listed in driven (all by default); c then has one column per
+    driven operator, in that order. Entry e of operator k adds
+    c[k] * value_e * x[col_e] to row_e, entries ordered by row, operator and
+    column. weights(c) maps c (times, cells, K) to the weights
+    c[k_e] * (value_e * scale), (times, cells, E), of the dtype of all
+    operators together. Complex weights take c[k_e] and multiply. Real ones
+    are one product c @ spread, spread (K, E) holding value_e * scale in row
+    k_e (None for complex weights): each weight has that one nonzero term,
+    so it is the same product, bit for bit, but for the edges. A -0.0
+    coefficient gives +0.0, and an infinite one makes every weight of its
+    cell non-finite (inf * 0 is NaN).
 
     Those weights of one time, cell after cell, are the data of one
     block-diagonal (cells * n, cells * n) CSR matrix with the index arrays
@@ -555,12 +612,13 @@ def _batch_csr(operators, cells: int, scale: float):
     one cell a csr_array's `@` spends longer on dispatch than the product
     takes.
     """
-    parts = [sp.coo_matrix(op) for op in operators]
-    n = parts[0].shape[0]
-    rows = np.concatenate([p.row for p in parts])
-    ks = np.concatenate([np.full(p.nnz, k) for k, p in enumerate(parts)])
-    cols = np.concatenate([p.col for p in parts])
-    values = np.concatenate([p.data for p in parts])
+    n = operators[0].shape[0]
+    dtype = np.result_type(*(op.dtype for op in operators))
+    driven = range(len(operators)) if driven is None else driven
+    parts = [_entries(operators[k]) for k in driven]
+    rows, cols, values = (np.concatenate([np.zeros(0, kind)] + [p[i] for p in parts])
+                          for i, kind in enumerate((int, int, dtype)))
+    ks = np.repeat(np.arange(len(parts)), [p[0].size for p in parts])
     order = np.lexsort((cols, ks, rows))
     rows, ks, cols, values = rows[order], ks[order], cols[order], values[order]
     size = cells * n
@@ -583,7 +641,7 @@ def _batch_csr(operators, cells: int, scale: float):
             w *= scaled
             return w
         with np.errstate(invalid="ignore"):  # inf * 0: the cell fails as not finite
-            return (c.reshape(-1, k) @ spread).reshape(len(c), cells, e)
+            return (c.reshape(len(c) * cells, k) @ spread).reshape(len(c), cells, e)
 
     return weights, spread, indptr, indices
 

@@ -139,11 +139,13 @@ class CellDrives:
     conj(omega_a), omega_b, conj(omega_b), g and the detuning of make_h_of_t
     (a call). amplitudes gives the same without the conjugates, the form
     open_coefficients reads. Each call evaluates the pulses of each distinct
-    PulseSet once at all the given times; exact TQD PulseSets share
-    theta_dot per StirapParams (a cut along delta has one) and take only
-    their own root (dynamics.evolve_schrodinger runs the batch). A cell whose
-    pulse synthesis fails gets NaN coefficients from the first failing time
-    on, and its PulseSynthesisError is kept in `errors`.
+    PulseSet once at all the given times. Exact TQD cells share theta_dot
+    per StirapParams (a cut along delta has one) and take their roots as one
+    (times, cells) product, elementwise, so each cell gets the bits of its
+    own pulses.counterdiabatic_amplitudes call (dynamics.evolve_schrodinger
+    runs the batch). A cell whose pulse synthesis fails gets that call's NaN
+    coefficients from the first failing time on, and its PulseSynthesisError
+    is kept in `errors`.
     """
 
     def __init__(self, terms: HamiltonianTerms,
@@ -151,11 +153,9 @@ class CellDrives:
         self.operators = _drive_operators(terms)
         self.cells = list(cells)
         self.errors: dict[int, PulseSynthesisError] = {}
-        first: dict[PulseSet, int] = {}  # each cell's first cell with an equal PulseSet
-        self._first = [first.setdefault(ps, b) for b, (_, ps) in enumerate(self.cells)]
-        self._shared = {f for b, f in enumerate(self._first) if f != b}
         self._constants = np.array([[p.g, _detuning(p, ps)]
                                     for p, ps in self.cells]).reshape(-1, 2)
+        self._deltas = np.array([ps.delta for _, ps in self.cells], dtype=float)
 
     def __call__(self, times: np.ndarray) -> np.ndarray:
         """(times, cells, 6) coefficients of operators."""
@@ -169,40 +169,41 @@ class CellDrives:
         width = 4 + 2 * conjugates
         out = np.empty((len(times), len(self.cells), width), dtype=complex)
         out[:, :, width - 2:] = self._constants
-        shared: dict[int, tuple] = {}  # pulses of the PulseSets later cells reuse
-        rates: dict[StirapParams, np.ndarray] = {}  # theta_dot of exact TQD PulseSets
-        for b, (first, (_, pulse_set)) in enumerate(zip(self._first, self.cells)):
-            if b in self.errors:  # failed in an earlier call
-                out[:, b] = np.nan
+        out[:, list(self.errors)] = np.nan  # failed in an earlier call
+        groups: dict = {}  # exact TQD cells by StirapParams, the others by PulseSet
+        for b, (_, pulse_set) in enumerate(self.cells):
+            if b not in self.errors:
+                exact = pulse_set.kind is PulseKind.TQD_EXACT
+                groups.setdefault(pulse_set.stirap if exact else pulse_set, []).append(b)
+
+        def put(group, omega_a, omega_b):
+            for k, column in enumerate((omega_a, omega_b)):
+                out[:, group, (1 + conjugates) * k] = column
+                if conjugates:
+                    out[:, group, 2 * k + 1] = np.conj(column)
+
+        for key, group in groups.items():
+            if isinstance(key, PulseSet):
+                omega_a, omega_b = key.amplitudes(times)
+                put(group, omega_a[:, None], omega_b[:, None])
                 continue
-            if first in shared:
-                columns, error = shared[first]
-            else:
-                omega_a, omega_b, error = _cell_amplitudes(pulse_set, times, rates)
-                columns = ((omega_a, np.conj(omega_a), omega_b, np.conj(omega_b))
-                           if conjugates else (omega_a, omega_b))
-                if b in self._shared:
-                    shared[b] = columns, error
-            for k, column in enumerate(columns):
-                out[:, b, k] = column
-            if error is not None:
-                self.errors[b] = error
-                out[np.isnan(columns[0]), b] = np.nan  # the whole cell, from that time on
+            # counterdiabatic_amplitudes of every cell at once, elementwise
+            theta_dot = pulses.mixing_angle_rate(key, times)
+            magnitude = theta_dot[:, None] * self._deltas[group]  # delta * theta_dot
+            failing = np.flatnonzero((magnitude > pulses.SIGN_TOL).any(axis=0))
+            magnitude *= -3.0
+            np.sqrt(np.maximum(magnitude, 0.0, out=magnitude), out=magnitude)
+            put(group, -1j * magnitude, magnitude / SQRT2)
+            failed: dict[float, tuple] = {}  # one call and one error per failing PulseSet
+            for j in failing:
+                b = group[j]  # a failing cell: NaN from its first failing time on
+                delta = self._deltas[b]
+                if delta not in failed:
+                    failed[delta] = pulses.counterdiabatic_amplitudes(theta_dot, delta, times)
+                omega_a, omega_b, self.errors[b] = failed[delta]
+                put([b], omega_a[:, None], omega_b[:, None])
+                out[np.isnan(omega_a), b] = np.nan  # the whole cell, from that time on
         return out
-
-
-def _cell_amplitudes(pulse_set: PulseSet, times: np.ndarray, rates: dict):
-    """(omega_a, omega_b, PulseSynthesisError or None), NaN from a failing time on.
-
-    rates caches theta_dot at times per StirapParams for exact TQD pulses,
-    the only ones that can fail.
-    """
-    if pulse_set.kind is not PulseKind.TQD_EXACT:
-        return (*pulse_set.amplitudes(times), None)
-    stirap = pulse_set.stirap
-    if stirap not in rates:
-        rates[stirap] = pulses.mixing_angle_rate(stirap, times)
-    return pulses.counterdiabatic_amplitudes(rates[stirap], pulse_set.delta, times)
 
 
 def _drive_operators(terms: HamiltonianTerms) -> np.ndarray:

@@ -569,6 +569,24 @@ def test_csr_rhs_matches_reduceat_reference(rng, cells):
             assert np.array_equal(alone[0], got[b], equal_nan=True)
 
 
+def test_batch_entries_are_those_of_coo(rng):
+    """_batch_csr reads CSR and dense operators as sp.coo_matrix does; a subset keeps their dtype."""
+    dense = rng.normal(size=(6, 6)) * (rng.random((6, 6)) < 0.5)
+    csr = sp.csr_matrix(dense)
+    csr.data[1] = 0.0  # a stored zero stays an entry
+    csr.indices[:2], csr.data[:2] = csr.indices[1::-1].copy(), csr.data[1::-1].copy()
+    for op in (dense, csr):
+        coo = sp.coo_matrix(op)
+        assert [a.tolist() for a in dynamics._entries(op)] == [coo.row.tolist(),
+                                                               coo.col.tolist(),
+                                                               coo.data.tolist()]
+    operators = [1j * dense, csr, dense]
+    weights, spread, indptr, _ = dynamics._batch_csr(operators, 2, 0.5, [1, 2])
+    (w,) = weights(np.ones((1, 2, 2), dtype=complex))
+    assert spread is None and w.dtype == complex
+    assert indptr[-1] == 2 * (csr.nnz + np.count_nonzero(dense))
+
+
 @pytest.mark.parametrize("cells", [0, 1, 4])
 def test_real_weights_are_the_entrywise_products(rng, cells):
     """Real weights, one product c @ S, against c[k_e] * (value_e * scale) entry by entry.
@@ -722,3 +740,90 @@ def test_step_program_needs_an_in_place_matvec(monkeypatch):
         assert np.array_equal(run().final_state, expected)
     finally:
         dynamics._check_in_place.cache_clear()
+
+
+def _every_operator(monkeypatch):
+    """Make _rk4 hold every operator, driven or not: the run the selection must match."""
+    monkeypatch.setattr(dynamics, "_driven", lambda c: np.ones(c.shape[-1], bool))
+
+
+# Columns for the last operator of the runs below, (times, cells) from times
+# and cells: +-0.0 throughout; 0.0 through the first block of 100 steps
+# (t < 1) and up to t = 1.3, then 0.05; 0.0, but NaN in cell 1 from t = 2.5
+# on; and a run whose every coefficient is multiplied by 0.0 (signs kept).
+UNDRIVEN = {
+    "signed_zero": lambda t, cells: np.where(np.arange(cells) % 2, -0.0, 0.0) + 0 * t[:, None],
+    "driven_later": lambda t, cells: np.where(t[:, None] >= 1.3, 0.05, 0.0) + 0 * np.ones(cells),
+    "nan_later": lambda t, cells: np.where((t[:, None] > 2.5) & (np.arange(cells) == 1),
+                                           np.nan, 0.0),
+    "all_zero": lambda t, cells: np.zeros((t.size, cells)),
+}
+
+
+def _undriven_run(real: bool, case: str, cells: int):
+    """A batch on the open Liouvillian (real) or the chain (complex) whose last column is case's.
+
+    Drives as TQD pulses give them: on the Liouvillian Re omega_a is -0.0
+    and Im omega_b 0.0, so both are left out as well.
+    """
+    cfg = IntegratorConfig(dt=0.01, record_every=50)
+
+    def coefficients(times):
+        t = times[:, None] - 0.2 * np.arange(cells)
+        omega_a, omega_b = -0.6j * np.exp(-((t - 2.0) ** 2)), 0.4 * np.exp(-((t - 1.5) ** 2))
+        if real:
+            c = np.zeros((times.size, cells, 8))
+            c[..., 0], c[..., 1], c[..., 2], c[..., 3] = -0.0, omega_a.imag, omega_b, 0.0
+            c[..., 4:7] = 1.0, 0.5, 0.02
+        else:
+            c = np.zeros((times.size, cells, 6), dtype=complex)
+            c[..., :5] = np.stack([omega_a, omega_a.conj(), omega_b, omega_b, np.ones_like(t)], -1)
+        c[..., -1] = UNDRIVEN[case](times, cells)
+        return c * 0.0 if case == "all_zero" else c
+
+    if real:
+        rho0 = np.tile(experiments._initial_density(), (cells, 1, 1))
+        return dynamics.evolve_lindblad(
+            model.open_liouvillian(), coefficients, rho0, 4.0, cfg,
+            tracked=hilbert.subspace_indices(hilbert.build_subspace(), model.open_space()),
+            target=dynamics.target_state(model.open_space()))
+    psi0 = np.tile(np.eye(8, dtype=complex)[0], (cells, 1))
+    return dynamics.evolve_schrodinger(model.CellDrives(model.chain_terms(), []).operators,
+                                       coefficients, psi0, 4.0, cfg,
+                                       target=dynamics.target_state(hilbert.build_subspace()))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("case, cells", [(case, 3) for case in UNDRIVEN] + [("signed_zero", 0)],
+                         ids=[*UNDRIVEN, "zero_cells"])
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+@pytest.mark.parametrize("threshold", [0, math.inf], ids=["step_loop", "step_program"])
+def test_undriven_operators_change_no_bit(monkeypatch, threshold, real, case, cells):
+    """Leaving out the operators whose coefficients are all zero at t = 0 changes no bit.
+
+    The oracle is the same run holding every operator. An undriven column
+    that turns nonzero (or NaN) later rebuilds the executor with every
+    operator at the start of its block; a NaN cell fails as not finite and
+    leaves the other cells as they are.
+    """
+    monkeypatch.setattr(dynamics, "PROGRAM_STEP_BYTES", threshold)
+    runs = [_undriven_run(real, case, cells)]
+    _every_operator(monkeypatch)
+    runs.append(_undriven_run(real, case, cells))
+    (got, want), k = runs, 8 if real else 6
+    for name in ("times", "fidelity", "populations", "final_state"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    meta, oracle = got.metadata, want.metadata
+    keys = ["max_trace_drift", "min_eigenvalue", "positivity_warnings"] if real else ["max_norm_drift"]
+    assert [meta[key] for key in keys] == [oracle[key] for key in keys]
+    assert {b: str(e) for b, e in meta["failures"].items()} == (
+        {1: "coefficients not finite by t=3"} if case == "nan_later" else {})
+    assert {b: str(e) for b, e in oracle["failures"].items()} == {
+        b: str(e) for b, e in meta["failures"].items()}
+    later = case in ("driven_later", "nan_later")
+    left = 0 if later else k if case == "all_zero" or not cells else 3 if real else 1
+    assert (meta["operators"], meta["rebuilds"]) == (k - left, int(later))
+    assert (oracle["operators"], oracle["rebuilds"]) == (k, 0)
+    if cells:
+        assert meta["executor"] == oracle["executor"] == (
+            "step loop" if threshold == 0 else "step program")

@@ -563,3 +563,24 @@ def test_infinite_coefficient_fails_only_its_cell():
     assert run.populations[:, [0, 2]].tobytes() == without.populations.tobytes()
     assert run.fidelity[:, [0, 2]].tobytes() == without.fidelity.tobytes()
     assert run.final_state[[0, 2]].tobytes() == without.final_state.tobytes()
+
+
+def test_runs_integrate_only_their_driven_operators():
+    # TQD pulses fix Re omega_a = Im omega_b = 0; STIRAP pulses are real and
+    # undetuned. At the defaults kappa = gamma = 0 as well, so their
+    # dissipators are left out too. Of the open Liouvillian's 229 nonzeros a
+    # TQD run at nonzero rates integrates 181, a STIRAP one 161.
+    cfg = IntegratorConfig(dt=0.05)
+    counts = {PulseKind.STIRAP: (5, 3, 5), PulseKind.TQD_EXACT: (6, 4, 6),
+              PulseKind.TQD_FITTED: (6, 4, 6)}  # closed, open at the defaults, open at BENCHMARK
+    for kind, expected in counts.items():
+        runs = [experiments.simulate_closed(ModelParams(), experiments.default_pulse_set(kind),
+                                            cfg)]
+        runs += [experiments.simulate_open(p, experiments.default_pulse_set(kind, p), cfg)
+                 for p in (ModelParams(), BENCHMARK)]
+        assert tuple(run.metadata["operators"] for run in runs) == expected, kind
+        assert [run.metadata["rebuilds"] for run in runs] == [0, 0, 0]
+    operators = model.open_liouvillian().operators
+    assert sum(op.nnz for op in operators) == 229
+    assert sum(operators[k].nnz for k in (1, 2, 4, 5, 6, 7)) == 181
+    assert sum(operators[k].nnz for k in (0, 2, 4, 6, 7)) == 161
