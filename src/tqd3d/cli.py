@@ -131,7 +131,7 @@ def load_config(path: str | None) -> tuple[RunConfig, str]:
     if path is not None:
         try:
             text = Path(path).read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
@@ -176,11 +176,14 @@ def check_threads(threads: int, source: str):
 def parse_range(text: str) -> np.ndarray:
     try:
         lo, hi, n = text.split(":")
-        values = np.linspace(float(lo), float(hi), int(n))
+        lo, hi, n = float(lo), float(hi), int(n)
     except ValueError as exc:
         raise ConfigError(f"bad range {text!r}, expected min:max:count") from exc
-    if values.size < 1:
+    if n < 1:
         raise ConfigError(f"range {text!r} must have a count of at least 1")
+    if n > experiments.GRID_CAP:  # before the values are allocated
+        raise GridCapError(f"range {text!r} exceeds {experiments.GRID_CAP} cells")
+    values = np.linspace(lo, hi, n)
     if values.size > 1 and not np.all(np.diff(values) > 0):
         raise ConfigError(f"range {text!r} must be strictly increasing")
     return values

@@ -89,18 +89,6 @@ def stirap_amplitudes(p: StirapParams, t):
     return omega_a, omega_b
 
 
-def stirap_amplitude_rates(p: StirapParams, t):
-    """Analytic time derivatives (dOmega_A/dt, dOmega_B/dt)."""
-    t = np.asarray(t, dtype=float)
-    late = np.exp(-((t - p.t_f / 2 - p.tau) ** 2) / p.width**2)
-    early = np.exp(-((t - p.t_f / 2 + p.tau) ** 2) / p.width**2)
-    dlate = -2 * (t - p.t_f / 2 - p.tau) / p.width**2 * late
-    dearly = -2 * (t - p.t_f / 2 + p.tau) / p.width**2 * early
-    domega_a = (2 / np.sqrt(5)) * p.omega0 * dlate
-    domega_b = (1 / np.sqrt(5)) * p.omega0 * dlate + p.omega0 * dearly
-    return domega_a, domega_b
-
-
 def rabi_norm(p: StirapParams, t):
     """Omega(t) = sqrt(Omega_A^2 + 2 Omega_B^2)."""
     omega_a, omega_b = stirap_amplitudes(p, t)
@@ -118,8 +106,15 @@ def mixing_angle(p: StirapParams, t):
 
 def mixing_angle_rate(p: StirapParams, t):
     """Analytic theta_dot(t) = sqrt(2)(Omega_A dOmega_B - dOmega_A Omega_B)/Omega^2."""
-    omega_a, omega_b = stirap_amplitudes(p, t)
-    domega_a, domega_b = stirap_amplitude_rates(p, t)
+    t = np.asarray(t, dtype=float)
+    late = np.exp(-((t - p.t_f / 2 - p.tau) ** 2) / p.width**2)
+    early = np.exp(-((t - p.t_f / 2 + p.tau) ** 2) / p.width**2)
+    omega_a = (2 / np.sqrt(5)) * p.omega0 * late
+    omega_b = (1 / np.sqrt(5)) * p.omega0 * late + p.omega0 * early
+    dlate = -2 * (t - p.t_f / 2 - p.tau) / p.width**2 * late
+    dearly = -2 * (t - p.t_f / 2 + p.tau) / p.width**2 * early
+    domega_a = (2 / np.sqrt(5)) * p.omega0 * dlate
+    domega_b = (1 / np.sqrt(5)) * p.omega0 * dlate + p.omega0 * dearly
     norm_sq = omega_a**2 + 2 * omega_b**2
     return SQRT2 * (omega_a * domega_b - domega_a * omega_b) / norm_sq
 

@@ -98,6 +98,14 @@ def test_bad_value_and_missing_file(tmp_path):
                      "--out", str(tmp_path), "pulses"]) == 2
 
 
+def test_config_not_utf8_exit_code(tmp_path, capsys):
+    config = tmp_path / "binary.cfg"
+    config.write_bytes(b"dt = 0.01\n\xff\n")
+    assert cli.main(["--config", str(config), "--out", str(tmp_path), "pulses"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read config {config}") and err.count("\n") == 1
+
+
 def test_parse_range():
     values = cli.parse_range("0:1:5")
     assert np.allclose(values, [0.0, 0.25, 0.5, 0.75, 1.0])
@@ -205,6 +213,19 @@ def test_sweep_grid_cap_exit_code(tmp_path, monkeypatch, capsys):
     code = cli.main(["--out", str(tmp_path), "sweep", "--figure", "4a"])
     assert code == cli.EXIT_CAP
     assert "resource cap" in capsys.readouterr().err
+
+
+def test_sweep_count_over_grid_cap_exits_before_allocating(tmp_path, monkeypatch, capsys):
+    """A count of 1e13 points is refused by the cap, not by an 80 TB linspace."""
+    def no_linspace(*args, **kwargs):
+        raise AssertionError("a range past the grid cap reached np.linspace")
+
+    monkeypatch.setattr(cli.np, "linspace", no_linspace)
+    monkeypatch.setenv("TQD3D_SURFACE_DELTA", "0.5:10:10000000000000")
+    code = cli.main(["--out", str(tmp_path), "sweep", "--figure", "4b"])
+    assert code == cli.EXIT_CAP
+    err = capsys.readouterr().err
+    assert err.startswith("resource cap: ") and err.count("\n") == 1
 
 
 def _simulated_fidelity(out, method) -> float:

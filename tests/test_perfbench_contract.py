@@ -2,7 +2,8 @@
 
 perfbench/progress.py times the strides between recorded points by
 patching dynamics.fidelity, which every evolve_* call must call once per
-recorded point, and perfbench/tracing.py wraps module attributes by name.
+recorded point, perfbench/tracing.py wraps module attributes by name, and
+each workload's set-up code calls the program's builders by name.
 """
 
 from pathlib import Path
@@ -68,3 +69,16 @@ def test_tracing_wraps_and_restores(perfbench):
     assert {"experiments.simulate_closed", "dynamics.evolve_schrodinger"} <= set(tracer.names)
     assert (dynamics.evolve_schrodinger, dynamics.fidelity, experiments.simulate_closed,
             hilbert.build_full_space, model.make_h_of_t) == originals
+
+
+def test_workload_setups_run(monkeypatch):
+    """Each workload's set-up code runs after the imports perfbench/run.py puts before it.
+
+    run.py itself is not imported: it sets the BLAS thread variables in os.environ.
+    """
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    prelude = "import tqd3d.cli\nfrom tqd3d import dynamics, hilbert, model\n"
+    for workload in workloads.WORKLOADS.values():
+        exec(prelude + workload.setup, {})
