@@ -103,6 +103,12 @@ THIRD = 1.0 / 3.0
 # Most RK4 steps one run may take: 400 times the 25 000 of a run at the
 # default dt and t_f, 200 times the 50 000 of verify's half-step run.
 STEP_CAP = 10_000_000
+# Most bytes one cell of a run may keep for its recorded points (kept states,
+# fidelities and population rows), priced per cell so that whether a sweep
+# runs does not depend on how its cells are batched: 64 times the 250 KB of
+# an open run at the defaults, above the 12.4 MB of that run recorded at
+# every step. A batch of cells keeps at most its cells times this.
+RECORD_CAP = 16 * 1024 * 1024
 
 
 class IntegratorInstabilityError(RuntimeError):
@@ -110,7 +116,8 @@ class IntegratorInstabilityError(RuntimeError):
 
 
 class StepCapError(ValueError):
-    """A run of more than STEP_CAP steps (t_f / dt above it, infinite included)."""
+    """A run of more than STEP_CAP steps (t_f / dt above it, infinite included),
+    or one whose recorded points would take more than RECORD_CAP bytes per cell."""
 
 
 @dataclass(frozen=True)
@@ -244,15 +251,23 @@ def _rk4(
     held at t_f and ["rebuilds"] the executors built again (0 or 1), and
     ["executor"] and ["chunk_steps"] name the executor at t_f and the steps
     of its chunks. The step count is step_count(t_f, cfg.dt), whose errors
-    are raised before any step.
+    are raised before any step, and so is a StepCapError for recorded points
+    that would take more than RECORD_CAP bytes per cell: per point, the
+    cell's kept state, a fidelity and a population row (at most one number
+    per unpacked amplitude or diagonal entry, and one for the leak).
     """
     entry = time.perf_counter()
     n_steps = step_count(t_f, cfg.dt)
     dt = t_f / n_steps  # land exactly on t_f
     every = cfg.record_every
+    cells, n = state.shape
+    points = -(-n_steps // every) + 1  # t = 0, every every-th step and t_f
+    per_cell = points * (n * state.itemsize + 8 * (2 + unpack(state[:1]).shape[-1]))
+    if per_cell > RECORD_CAP:
+        raise StepCapError(f"{points} recorded points take {per_cell} bytes per cell, "
+                           f"more than {RECORD_CAP}; raise record_every or dt")
     times, kept, fids = [], [], []
     failures: dict[int, IntegratorInstabilityError] = {}
-    cells, n = state.shape
 
     def coefficients_at(times):
         c = coefficients(times)

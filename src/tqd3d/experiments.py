@@ -3,9 +3,10 @@
 Each runner is a pure function of its inputs and returns plain data; CSV and
 plot-script emission lives in the writer helpers at the bottom.  Sweep cells
 are independent work items with results placed by index.  Cells that share a
-step schedule run as one batch (closed cells as pure states, open cells on
-the Liouville support), whose cells each get the same numbers as in any
-other batch, so re-running a scan (with any thread count) reproduces the
+step schedule run in batches (closed cells as pure states, open cells on the
+Liouville support), cut once per schedule and run largest first, whole, by
+one or more worker processes (_run_cells).  Each cell gets the same numbers
+in any batch, so re-running a scan (with any thread count) reproduces the
 output byte for byte.
 """
 
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
@@ -165,47 +165,44 @@ def _note(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _run_batches(cells, simulate, size: int) -> list[tuple[float, str]]:
+def _run_cells(cells: list, simulate, size: int, threads: int) -> list[tuple[float, str]]:
     """(F, note) of each cell (params, pulse_set, t_final, cfg), by index.
 
-    Cells with the same (t_final, cfg), so the same step schedule, run in
-    batches of up to size through simulate([(params, pulse_set), ...], t_final, cfg).
+    Cells with the same (t_final, cfg), so the same step schedule, are cut
+    once into batches of at most min(size, ceil(len(cells) / threads)), each
+    run as simulate([(params, pulse_set), ...], t_final, cfg). The batches
+    run largest first by steps x cells, in threads worker processes when
+    threads > 1, each of which takes one whole batch at a time.
     """
+    if not cells:
+        return []
+    cut = min(size, -(-len(cells) // threads))
     schedules: dict = {}
     for i, cell in enumerate(cells):
         schedules.setdefault(cell[2:], []).append(i)
+    batches = sorted(((members[first:first + cut], t_final, cfg)
+                      for (t_final, cfg), members in schedules.items()
+                      for first in range(0, len(members), cut)),
+                     key=lambda b: dynamics.step_count(b[1], b[2].dt) * len(b[0]), reverse=True)
+    members, t_finals, cfgs = zip(*batches)
+    work = ([[cells[i][:2] for i in batch] for batch in members], t_finals, cfgs)
+    if threads > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            outcomes = list(pool.map(simulate, *work))
+    else:
+        outcomes = map(simulate, *work)
     results = [None] * len(cells)
-    for (t_final, cfg), members in schedules.items():
-        for first in range(0, len(members), size):
-            batch = members[first:first + size]
-            outcomes = simulate([cells[i][:2] for i in batch], t_final, cfg)
-            for i, outcome in zip(batch, outcomes):
-                results[i] = outcome
+    for batch, outcome in zip(members, outcomes):
+        for i, result in zip(batch, outcome):
+            results[i] = result
     return results
 
 
-def _run_closed(cells) -> list[tuple[float, str]]:
-    """(F, note) of each closed cell, by index."""
-    return _run_batches(cells, simulate_closed_batch, BATCH_CELLS)
-
-
-def _run_open(cells) -> list[tuple[float, str]]:
-    """(F, note) of each open cell, by index."""
-    return _run_batches(cells, simulate_open_batch, OPEN_BATCH_CELLS)
-
-
-def _run_cells(run, cells: list, threads: int) -> list[tuple[float, str]]:
-    """run(cells), split into contiguous chunks over worker processes when threads > 1."""
-    if threads > 1:
-        size = max(1, -(-len(cells) // threads))
-        chunks = [cells[i:i + size] for i in range(0, len(cells), size)]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            return [result for chunk in pool.map(run, chunks) for result in chunk]
-    return run(cells)
-
-
-def _run_grid(cell, run, axes, fixed: dict, threads: int, provenance: dict) -> SweepGrid:
-    """Final fidelities run(cells) of the cells cell(**fixed, **point) over the swept axes.
+def _run_grid(cell, simulate, size: int, axes, fixed: dict, threads: int,
+              provenance: dict) -> SweepGrid:
+    """Final fidelities of the cells cell(**fixed, **point) over the swept axes (_run_cells).
 
     axes are (column name, cell keyword, values), outermost first. An axis
     given a scalar is held fixed and dropped, so a surface also yields its
@@ -232,7 +229,7 @@ def _run_grid(cell, run, axes, fixed: dict, threads: int, provenance: dict) -> S
             named = ", ".join(f"{key} = {v:g}" if isinstance(v, float) else f"{key} = {v}"
                               for key, v in point.items())
             raise CellSettingsError(f"{named}: {exc}") from exc
-    results = _run_cells(run, cells, threads)
+    results = _run_cells(cells, simulate, size, threads)
     index = itertools.product(*(range(n) for n in shape))
     (x_name, _, x_values), *rest = swept
     y_name, _, y_values = rest[0] if rest else (None, None, None)
@@ -275,7 +272,7 @@ def run_fidelity_surface(
     delta is held fixed, giving the 1-D cut along the other axis.
     """
     return _run_grid(
-        _surface_cell, _run_closed,
+        _surface_cell, simulate_closed_batch, BATCH_CELLS,
         [("t_f*g", "t_f", t_f_values), ("delta/g", "delta", delta_values)],
         {"omega0": omega0, "tau_frac": tau_frac, "width_frac": width_frac, "dt": dt},
         threads,
@@ -323,7 +320,7 @@ def run_robustness_scan(
     params = params or ModelParams()
     pulse_set = pulse_set or default_pulse_set(PulseKind.TQD_FITTED, params)
     return _run_grid(
-        _robustness_cell, _run_closed,
+        _robustness_cell, simulate_closed_batch, BATCH_CELLS,
         [("deviation", "deviation", np.asarray(deviations, dtype=float)),
          ("parameter", "parameter", np.array(ROBUSTNESS_PARAMETERS))],
         {"params": params, "pulse_set": pulse_set, "cfg": cfg},
@@ -353,7 +350,7 @@ def run_decoherence_surface(
     params = params or ModelParams()
     pulse_set = pulse_set or default_pulse_set(PulseKind.TQD_FITTED, params)
     return _run_grid(
-        _decoherence_cell, _run_open,
+        _decoherence_cell, simulate_open_batch, OPEN_BATCH_CELLS,
         [("kappa/g", "kappa", kappa_values), ("gamma/g", "gamma", gamma_values)],
         {"params": params, "pulse_set": pulse_set, "dt": dt},
         threads,

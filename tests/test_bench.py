@@ -1,0 +1,97 @@
+"""tools/bench.py's aggregation, on made-up perfbench result.json data (no perfbench run)."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench.py"
+_SPEC = importlib.util.spec_from_file_location("bench", _PATH)
+bench = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench)
+
+BETTER = {"wall_s": "lower", "ok_frac": "higher", "wall_median_s": "lower"}
+
+
+def _write_result(path: Path, wall_s: float, samples: list, ok_frac: float = 1.0,
+                  commit: str = "abc") -> Path:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps({
+        "correct": ok_frac == 1.0, "attempted": 4, "failed": round(4 * (1 - ok_frac)),
+        "metrics": {"wall_s": {"value": wall_s, "unit": "s"},
+                    "setup_s": {"value": 0.25, "unit": "s"},
+                    "peak_rss_mb": {"value": 57.5, "unit": "MB"},
+                    "fidelity_abs_err": {"value": 5e-11, "unit": "1"},
+                    "ok_frac": {"value": ok_frac, "unit": "1"}},
+        "environment": {"nproc": 2, "git_commit": commit},
+        "wall_s_samples": samples,
+    }))
+    return path
+
+
+def test_read_run_adds_the_median_of_the_raw_samples(tmp_path):
+    run = bench.read_run(_write_result(tmp_path / "result.json", 0.05, [0.5, 0.25, 3.0, 0.75]))
+    assert run["metrics"] == {"wall_s": 0.05, "setup_s": 0.25, "peak_rss_mb": 57.5,
+                              "fidelity_abs_err": 5e-11, "ok_frac": 1.0,
+                              "wall_median_s": 0.625}
+    assert (run["correct"], run["attempted"], run["failed"]) == (True, 4, 0)
+    assert run["environment"]["git_commit"] == "abc"
+
+
+def test_quartiles():
+    assert bench.quartiles([4.0, 1.0, 3.0, 2.0, 5.0]) == {"q1": 2.0, "median": 3.0, "q3": 4.0,
+                                                          "n": 5}
+    assert bench.quartiles([7.0]) == {"q1": 7.0, "median": 7.0, "q3": 7.0, "n": 1}
+
+
+def _run(workload, seed, side, wall, ok=1.0):
+    return {"workload": workload, "seed": seed, "side": side,
+            "metrics": {"wall_s": wall, "ok_frac": ok, "wall_median_s": 2 * wall}}
+
+
+def test_summarize_pairs_by_seed():
+    runs = [_run("w", 1, "this", 1.0), _run("w", 1, "against", 2.0),
+            _run("w", 2, "against", 4.0, ok=0.5), _run("w", 2, "this", 2.0),
+            _run("w", 3, "this", 3.0), _run("w", 3, "against", 3.0),
+            _run("v", 1, "this", 5.0)]
+    summary = bench.summarize(runs, BETTER)
+    assert list(summary) == ["w", "v"]
+    w = summary["w"]
+    assert w["this"]["wall_s"] == {"q1": 1.5, "median": 2.0, "q3": 2.5, "n": 3}
+    assert w["against"]["wall_median_s"]["median"] == 6.0
+    assert w["pairs"]["wall_s"] == {"ratios": [0.5, 0.5, 1.0], "this_won": 2,
+                                    "against_won": 0, "pairs": 3}
+    # higher is better: 1.0 against 0.5 is a win for this side, a tie for neither
+    assert w["pairs"]["ok_frac"] == {"ratios": [1.0, 2.0, 1.0], "this_won": 1,
+                                     "against_won": 0, "pairs": 3}
+    assert "pairs" not in summary["v"] and list(summary["v"]) == ["this"]
+
+
+def test_main_alternates_the_trees_and_writes_the_file(tmp_path, monkeypatch):
+    calls = []
+
+    def fake_perfbench(tree, workload, seed, seconds):
+        side = "against" if tree == tmp_path.resolve() else "this"
+        calls.append((seed, workload, side))
+        wall = 0.1 * seed if side == "this" else 0.2 * seed
+        path = tmp_path / "runs" / f"{side}-{workload}-{seed}.json"
+        return bench.read_run(_write_result(path, wall, [wall, 2 * wall], commit=side))
+
+    monkeypatch.setattr(bench, "run_perfbench", fake_perfbench)
+    argv = ["--label", "t", "--seeds", "1", "2", "--seconds", "3",
+            "--against", str(tmp_path), "--out", str(tmp_path)]
+    assert bench.main(argv) == 0
+    spec = json.loads((_PATH.parents[1] / "BENCHMARK.json").read_text())
+    a, b = [w["name"] for w in spec["workloads"]]
+    assert calls == [(1, a, "this"), (1, a, "against"), (1, b, "this"), (1, b, "against"),
+                     (2, a, "against"), (2, a, "this"), (2, b, "against"), (2, b, "this")]
+    out = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert out["environment"] == {"this": {"nproc": 2, "git_commit": "this"},
+                                  "against": {"nproc": 2, "git_commit": "against"}}
+    assert len(out["runs"]) == 8 and "environment" not in out["runs"][0]
+    pairs = out["summary"][a]["pairs"]
+    assert pairs["wall_s"]["ratios"] == [pytest.approx(0.5), pytest.approx(0.5)]
+    assert pairs["wall_median_s"]["this_won"] == 2
+    assert set(out["summary"][b]["this"]) == {"wall_s", "setup_s", "peak_rss_mb",
+                                                "fidelity_abs_err", "ok_frac", "wall_median_s"}

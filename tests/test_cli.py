@@ -302,18 +302,22 @@ def test_threads_validated_before_work(tmp_path, monkeypatch, capsys, threads):
 
 
 def test_sweep_8_threads_match(tmp_path, monkeypatch):
+    # Fig 8 has four schedules; fig 4b has one, cut 20 + 19 at two threads.
     monkeypatch.setenv("TQD3D_ROBUSTNESS_DEV", "-0.1:0.1:3")
     monkeypatch.setenv("TQD3D_SWEEP_DT", "0.05")
-    rows = {}
-    for threads in (1, min(2, os.cpu_count() or 1)):
-        out = tmp_path / str(threads)
-        assert cli.main(["--out", str(out), "sweep", "--figure", "8",
-                         "--threads", str(threads)]) == 0
-        lines = (out / "robustness.csv").read_text().splitlines()
-        rows[threads] = [line for line in lines if not line.startswith("#")]
-    assert rows[1][0] == "deviation,F_t_f,F_g,F_delta,F_amplitude"
-    assert len(rows[1]) == 4
-    assert len(set(map(tuple, rows.values()))) == 1
+    for figure, name, header, count in [
+            ("8", "robustness", "deviation,F_t_f,F_g,F_delta,F_amplitude", 3),
+            ("4b", "fidelity_vs_delta", "delta/g,F", 39)]:
+        rows = {}
+        for threads in (1, min(2, os.cpu_count() or 1)):
+            out = tmp_path / figure / str(threads)
+            assert cli.main(["--out", str(out), "sweep", "--figure", figure,
+                             "--threads", str(threads)]) == 0
+            lines = (out / f"{name}.csv").read_text().splitlines()
+            rows[threads] = [line for line in lines if not line.startswith("#")]
+        assert rows[1][0] == header
+        assert len(rows[1]) == 1 + count
+        assert len(set(map(tuple, rows.values()))) == 1
 
 
 def test_sweep_provenance_names_pulse_shape(tmp_path, monkeypatch):
@@ -437,12 +441,14 @@ def test_sweep_axis_outside_domain_exit_code(tmp_path, monkeypatch, capsys, sett
 
 def test_import_leaves_out_the_fitter():
     # scipy.optimize is a third of the import time; only pulse fitting needs it.
-    code = "import sys, tqd3d.cli; print('scipy.optimize' in sys.modules)"
+    # The process pool takes 5-7 ms more; only a sweep with threads > 1 needs it.
+    modules = ["scipy.optimize", "concurrent.futures.process"]
+    code = f"import sys, tqd3d.cli; print([m in sys.modules for m in {modules!r}])"
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[False, False]"
 
 
 def test_open_simulate_leaves_out_csgraph(tmp_path):
@@ -488,6 +494,35 @@ def test_step_settings_exit_2_before_work(tmp_path, monkeypatch, capsys, setting
     err = capsys.readouterr().err
     prefix = "config error: " if code == cli.EXIT_CONFIG else "resource cap: "
     assert err.startswith(prefix) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["simulate"], ["simulate", "--open"],
+                                  ["sweep", "--figure", "4b"]], ids=["closed", "open", "4b"])
+def test_recorded_memory_cap_exits_4_before_a_step(tmp_path, monkeypatch, capsys, argv):
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step ran despite recorded points over the cap")
+
+    monkeypatch.setattr(dynamics, "RECORD_CAP", 1000)
+    monkeypatch.setattr(dynamics, "_batch_csr", no_step)
+    assert cli.main(["--out", str(tmp_path), *argv]) == cli.EXIT_CAP
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"resource cap: \d+ recorded points take \d+ bytes per cell, "
+                        r"more than 1000; raise record_every or dt\n", err)
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("over", [0, 1], ids=["at", "over"])
+def test_recorded_memory_cap_does_not_depend_on_threads(tmp_path, monkeypatch, capsys, over):
+    # Fig 4b at dt 0.05: 1000 steps, 21 recorded points of 160 bytes per cell
+    # (5 lumped amplitudes, a fidelity, 8 populations and the leak), in one
+    # 39-cell batch at one thread and 20 + 19 at two.
+    monkeypatch.setenv("TQD3D_SWEEP_DT", "0.05")
+    monkeypatch.setattr(dynamics, "RECORD_CAP", 21 * 160 - over)
+    codes = [cli.main(["--out", str(tmp_path / str(threads)), "sweep", "--figure", "4b",
+                       "--threads", str(threads)])
+             for threads in (1, min(2, os.cpu_count() or 1))]
+    assert codes == [cli.EXIT_CAP if over else 0] * 2
+    assert capsys.readouterr().err.count("resource cap:") == 2 * over
 
 
 _NUMERIC_KEYS = [f.name for f in cli.fields(cli.RunConfig) if f.type in ("float", "int")]

@@ -713,6 +713,30 @@ def test_step_count_edges():
         dynamics.step_count(50.0, 1e-320)
 
 
+def test_recorded_memory_is_capped_before_any_step(monkeypatch):
+    # 3 cells of 2 amplitudes, 100 steps recorded at each: per cell 101 points
+    # of 2 complex amplitudes, a fidelity and a row of 2 populations and the
+    # leak, whatever the number of cells.
+    psi0 = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]], dtype=complex)
+    cfg = IntegratorConfig(dt=0.01, record_every=1)
+    held = 101 * (2 * 16 + 8 + 3 * 8)
+
+    def coefficients(times):
+        return np.full((len(times), 3, 1), 0.35, dtype=complex)
+
+    def no_step(times):
+        raise AssertionError("a run over the cap asked for its coefficients")
+
+    monkeypatch.setattr(dynamics, "RECORD_CAP", held)
+    result = dynamics.evolve_schrodinger([SIGMA_X], coefficients, psi0, 1.0, cfg)
+    assert len(result.times) == 101 and result.populations.shape == (101, 3, 3)
+    monkeypatch.setattr(dynamics, "RECORD_CAP", held - 1)
+    for state in (psi0, psi0[0]):  # three cells and one alike
+        with pytest.raises(dynamics.StepCapError, match=f"101 recorded points take {held} "
+                                                        f"bytes per cell, more than {held - 1}"):
+            dynamics.evolve_schrodinger([SIGMA_X], no_step, state, 1.0, cfg)
+
+
 def test_step_program_needs_an_in_place_matvec(monkeypatch):
     """The program reads rows written earlier in the same csr_matvec call; a copy of x fails it."""
     def run():

@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 
@@ -76,6 +77,45 @@ def test_fidelity_surface_threads_match():
     serial = experiments.run_fidelity_surface(tf, dl, dt=0.02, threads=1)
     parallel = experiments.run_fidelity_surface(tf, dl, dt=0.02, threads=2)
     assert np.array_equal(serial.values, parallel.values)
+
+
+def _batch_identities(calls, batch, t_final, cfg):
+    """A stand-in simulate: each cell's own number as F, and its batch as the note.
+
+    calls gets (t_final, cell numbers) of each batch run in this process.
+    """
+    numbers = [i for i, _ in batch]
+    calls.append((t_final, numbers))
+    return [(float(i), f"{t_final:g}: {numbers}") for i in numbers]
+
+
+@pytest.mark.parametrize("threads, size", [(1, 3), (2, 3), (1, 64), (2, 64)])
+def test_run_cells_places_results_by_index(threads, size):
+    # Four schedules of 1-8 cells, whose batches run largest first by steps x
+    # cells: not in the order of their first cells.
+    cfg = IntegratorConfig(dt=1.0)
+    t_finals = [2.0, 9.0, 2.0, 5.0, 9.0, 9.0, 1.0, 9.0, 5.0, 9.0, 2.0, 9.0, 9.0, 9.0]
+    cells = [(i, None, t, cfg) for i, t in enumerate(t_finals)]
+    calls = []
+    results = experiments._run_cells(cells, functools.partial(_batch_identities, calls), size,
+                                     threads)
+    assert [f for f, _ in results] == list(range(len(cells)))
+    cut = min(size, math.ceil(len(cells) / threads))  # 3, 3, 14 and 7 cells
+    batch_of = {}  # each schedule's cells, in order, cut once
+    for t in dict.fromkeys(t_finals):
+        members = [i for i, tf in enumerate(t_finals) if tf == t]
+        for first in range(0, len(members), cut):
+            batch_of.update(dict.fromkeys(members[first:first + cut],
+                                          f"{t:g}: {members[first:first + cut]}"))
+    assert [note for _, note in results] == [batch_of[i] for i in range(len(cells))]
+    if threads == 1:  # the batches ran here, in this order
+        assert sorted(i for _, numbers in calls for i in numbers) == list(range(len(cells)))
+        costs = [t * len(numbers) for t, numbers in calls]
+        assert costs == sorted(costs, reverse=True) and calls[0][0] == 9.0
+
+
+def test_run_cells_of_no_cell():
+    assert experiments._run_cells([], functools.partial(_batch_identities, []), 64, 2) == []
 
 
 def test_grid_cap():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -182,6 +183,16 @@ def test_fitted_pulse_nonnegative_real():
     values = pulse(np.linspace(0.0, 50.0, 1001))
     assert np.all(values >= 0.0)
     assert np.isrealobj(values)
+
+
+@pytest.mark.parametrize("center", [1e300, -1e300])
+def test_far_center_term_reads_zero_without_a_warning(center):
+    # (t - center)**2 overflows to inf, and exp(-inf) = 0 is the term's value.
+    pulse = FittedPulse((GaussianTerm(0.3, center, 5.0), GaussianTerm(0.4, 25.0, 1e-154)))
+    with warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter("error")
+        values = pulse(np.array([0.0, 25.0, 50.0]))
+    assert values.tolist() == [0.0, 0.4, 0.0]
 
 
 def test_fit_recovers_own_model_class():

@@ -1,0 +1,138 @@
+"""Paired benchmark runs: perfbench over workloads and seeds, written to BENCH_<label>.json.
+
+    python3 tools/bench.py --label NAME --seeds 1 2 3 --seconds 10
+    python3 tools/bench.py --label NAME --seeds 1 2 3 --seconds 10 --against OTHER_TREE
+
+For each seed and each workload of BENCHMARK.json it runs
+
+    python3 perfbench/run.py --workload W --seed N --seconds S --trace 0
+
+as a subprocess in this source tree and reads the run's result.json. With
+--against, each run is paired with the same command in the other tree, the
+two taking turns at going first. BENCH_<label>.json holds each side's
+environment block, each run's end-to-end metrics and the median of its raw
+wall_s_samples (as wall_median_s; perfbench's wall_s prices every stride at
+the run's fastest one), and per workload and side the median and quartiles
+of each metric. With --against it also holds, per metric, each pair's ratio
+this / against and how many pairs each side won (a tie counts for neither).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WALL_MEDIAN = "wall_median_s"  # the median of a run's raw wall samples, lower is better
+
+
+def read_run(path: Path) -> dict:
+    """The end-to-end metrics of one perfbench result.json, with its wall median."""
+    result = json.loads(Path(path).read_text())
+    metrics = {name: entry["value"] for name, entry in result["metrics"].items()}
+    metrics[WALL_MEDIAN] = statistics.median(result["wall_s_samples"])
+    return {"correct": result["correct"], "attempted": result["attempted"],
+            "failed": result["failed"], "metrics": metrics,
+            "environment": result["environment"]}
+
+
+def quartiles(values: list[float]) -> dict:
+    """Median and quartiles (inclusive method: within the values' range)."""
+    if len(values) < 2:
+        return {"q1": values[0], "median": values[0], "q3": values[0], "n": len(values)}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "median": median, "q3": q3, "n": len(values)}
+
+
+def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+    """Per workload: each side's quartiles of every metric, and the pairs.
+
+    runs are dicts with workload, seed, side ("this" or "against") and
+    metrics; better maps a metric name to "lower" or "higher". A pair is the
+    two sides' runs of one workload and seed.
+    """
+    summary: dict = {}
+    for workload in dict.fromkeys(run["workload"] for run in runs):
+        mine = [run for run in runs if run["workload"] == workload]
+        sides = {side: {run["seed"]: run["metrics"] for run in mine if run["side"] == side}
+                 for side in dict.fromkeys(run["side"] for run in mine)}
+        entry = {side: {name: quartiles([m[name] for m in by_seed.values()])
+                        for name in better}
+                 for side, by_seed in sides.items()}
+        if {"this", "against"} <= sides.keys():
+            seeds = [s for s in sides["this"] if s in sides["against"]]
+            entry["pairs"] = {name: _pairs([sides["this"][s][name] for s in seeds],
+                                           [sides["against"][s][name] for s in seeds], way)
+                              for name, way in better.items()}
+        summary[workload] = entry
+    return summary
+
+
+def _pairs(this: list[float], against: list[float], better: str) -> dict:
+    sign = 1 if better == "lower" else -1
+    return {
+        "ratios": [b / a if a else None for b, a in zip(this, against)],
+        "this_won": sum(sign * (b - a) < 0 for b, a in zip(this, against)),
+        "against_won": sum(sign * (b - a) > 0 for b, a in zip(this, against)),
+        "pairs": len(this),
+    }
+
+
+def run_perfbench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One perfbench run in tree; a run that exits non-zero stops the bench."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"bench: {' '.join(argv[1:])} exited {proc.returncode}:\n{proc.stderr}")
+    return read_run(tree / ".perfbench_out" / workload / f"seed{seed}-trace0" / "result.json")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
+    parser.add_argument("--seeds", nargs="+", type=int, default=[0])
+    parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--against", type=Path, default=None,
+                        help="another source tree, run alternately with this one")
+    parser.add_argument("--out", type=Path, default=ROOT)
+    args = parser.parse_args(argv)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in spec["workloads"]]
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    better[WALL_MEDIAN] = "lower"
+    trees = {"this": ROOT}
+    if args.against is not None:
+        trees["against"] = args.against.resolve()
+    runs, environment = [], {}
+    for k, seed in enumerate(args.seeds):
+        order = list(trees) if k % 2 == 0 else list(trees)[::-1]
+        for workload, side in ((w, side) for w in workloads for side in order):
+            run = run_perfbench(trees[side], workload, seed, args.seconds)
+            environment.setdefault(side, run.pop("environment"))
+            runs.append({"workload": workload, "seed": seed, "side": side, **run})
+            print(f"{workload} seed {seed} {side}: wall_s {run['metrics']['wall_s']:.4g} s, "
+                  f"wall median {run['metrics'][WALL_MEDIAN]:.4g} s, "
+                  f"{run['failed']} of {run['attempted']} failed", file=sys.stderr, flush=True)
+    path = args.out / f"BENCH_{args.label}.json"
+    path.write_text(json.dumps({
+        "label": args.label,
+        "command": "python3 perfbench/run.py --workload W --seed N --seconds S --trace 0",
+        "seconds": args.seconds,
+        "seeds": args.seeds,
+        "sides": list(trees),
+        "ratio": "this / against",
+        "environment": environment,
+        "runs": runs,
+        "summary": summarize(runs, better),
+    }, indent=1) + "\n")
+    print(path.name)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
