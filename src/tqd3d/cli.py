@@ -290,7 +290,7 @@ def cmd_sweep(cfg: RunConfig, cfg_text: str, out: Path, figure: str,
             parse_range(cfg.surface_tf) if sweep_tf else cfg.t_f,
             parse_range(cfg.surface_delta) if sweep_delta else cfg.delta,
             omega0=cfg.omega0, tau_frac=cfg.tau_frac, width_frac=cfg.width_frac,
-            dt=cfg.sweep_dt, threads=threads,
+            cfg=cfg.sweep_integrator(), threads=threads,
         )
         plot = {"title": f"Final fidelity ({name})", "mode": mode}
     elif figure == "8":
@@ -305,7 +305,7 @@ def cmd_sweep(cfg: RunConfig, cfg_text: str, out: Path, figure: str,
     elif figure == "9":
         grid = experiments.run_decoherence_surface(
             parse_range(cfg.decoherence_kappa), parse_range(cfg.decoherence_gamma),
-            params=cfg.model_params(), dt=cfg.sweep_dt, threads=threads,
+            params=cfg.model_params(), cfg=cfg.sweep_integrator(), threads=threads,
             pulse_set=cfg.pulse_set(PulseKind.TQD_FITTED),
         )
         name = "decoherence_surface"

@@ -250,18 +250,18 @@ def _pulse_provenance(pulse_set: PulseSet) -> dict:
     return info
 
 
-def _surface_cell(t_f, delta, omega0, tau_frac, width_frac, dt):
+def _surface_cell(t_f, delta, omega0, tau_frac, width_frac, cfg):
     params = ModelParams(delta=delta, t_f=t_f)
     stirap = StirapParams.for_duration(t_f, omega0, tau_frac, width_frac)
     ps = PulseSet(PulseKind.TQD_EXACT, stirap, delta=delta)
-    return params, ps, t_f, IntegratorConfig(dt=dt)
+    return params, ps, t_f, cfg
 
 
 def run_fidelity_surface(
     t_f_values: np.ndarray | float,
     delta_values: np.ndarray | float,
     omega0: float = StirapParams.omega0,
-    dt: float = SWEEP_DT,
+    cfg: IntegratorConfig = IntegratorConfig(dt=SWEEP_DT),
     threads: int = 1,
     tau_frac: float = TAU_FRAC,
     width_frac: float = WIDTH_FRAC,
@@ -274,10 +274,10 @@ def run_fidelity_surface(
     return _run_grid(
         _surface_cell, simulate_closed_batch, BATCH_CELLS,
         [("t_f*g", "t_f", t_f_values), ("delta/g", "delta", delta_values)],
-        {"omega0": omega0, "tau_frac": tau_frac, "width_frac": width_frac, "dt": dt},
+        {"omega0": omega0, "tau_frac": tau_frac, "width_frac": width_frac, "cfg": cfg},
         threads,
         provenance={"pulse_kind": PulseKind.TQD_EXACT.value, "omega0": omega0,
-                    "tau_frac": tau_frac, "width_frac": width_frac, "dt": dt},
+                    "tau_frac": tau_frac, "width_frac": width_frac, "dt": cfg.dt},
     )
 
 
@@ -330,16 +330,15 @@ def run_robustness_scan(
     )
 
 
-def _decoherence_cell(kappa, gamma, params, pulse_set, dt):
-    return (replace(params, kappa=kappa, gamma=gamma), pulse_set, params.t_f,
-            IntegratorConfig(dt=dt))
+def _decoherence_cell(kappa, gamma, params, pulse_set, cfg):
+    return replace(params, kappa=kappa, gamma=gamma), pulse_set, params.t_f, cfg
 
 
 def run_decoherence_surface(
     kappa_values: np.ndarray,
     gamma_values: np.ndarray,
     params: ModelParams | None = None,
-    dt: float = SWEEP_DT,
+    cfg: IntegratorConfig = IntegratorConfig(dt=SWEEP_DT),
     threads: int = 1,
     pulse_set: PulseSet | None = None,
 ) -> SweepGrid:
@@ -352,10 +351,10 @@ def run_decoherence_surface(
     return _run_grid(
         _decoherence_cell, simulate_open_batch, OPEN_BATCH_CELLS,
         [("kappa/g", "kappa", kappa_values), ("gamma/g", "gamma", gamma_values)],
-        {"params": params, "pulse_set": pulse_set, "dt": dt},
+        {"params": params, "pulse_set": pulse_set, "cfg": cfg},
         threads,
         provenance={**_pulse_provenance(pulse_set), "delta": params.delta,
-                    "t_f": params.t_f, "dt": dt},
+                    "t_f": params.t_f, "dt": cfg.dt},
     )
 
 

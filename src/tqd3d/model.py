@@ -140,12 +140,12 @@ class CellDrives:
     (a call). amplitudes gives the same without the conjugates, the form
     open_coefficients reads. Each call evaluates the pulses of each distinct
     PulseSet once at all the given times. Exact TQD cells share theta_dot
-    per StirapParams (a cut along delta has one) and take their roots as one
-    (times, cells) product, elementwise, so each cell gets the bits of its
-    own pulses.counterdiabatic_amplitudes call (dynamics.evolve_schrodinger
-    runs the batch). A cell whose pulse synthesis fails gets that call's NaN
-    coefficients from the first failing time on, and its PulseSynthesisError
-    is kept in `errors`.
+    per StirapParams (a cut along delta has one) and take their amplitudes
+    from one pulses.counterdiabatic_amplitudes call on its distinct
+    detunings, the rule's one home (dynamics.evolve_schrodinger runs the
+    batch). A cell whose pulse synthesis fails gets NaN coefficients from the
+    first failing time on, and its PulseSynthesisError, shared by the cells
+    of one detuning, is kept in `errors`.
     """
 
     def __init__(self, terms: HamiltonianTerms,
@@ -155,7 +155,15 @@ class CellDrives:
         self.errors: dict[int, PulseSynthesisError] = {}
         self._constants = np.array([[p.g, _detuning(p, ps)]
                                     for p, ps in self.cells]).reshape(-1, 2)
-        self._deltas = np.array([ps.delta for _, ps in self.cells], dtype=float)
+        groups: dict = {}  # exact TQD cells by StirapParams, the others by PulseSet
+        for b, (_, pulse_set) in enumerate(self.cells):
+            exact = pulse_set.kind is PulseKind.TQD_EXACT
+            groups.setdefault(pulse_set.stirap if exact else pulse_set, []).append(b)
+        self._groups = []  # each with its distinct detunings and each cell's index in them
+        for key, group in groups.items():
+            distinct: dict[float, int] = {}
+            column = [distinct.setdefault(self.cells[b][1].delta, len(distinct)) for b in group]
+            self._groups.append((key, group, list(distinct), column))
 
     def __call__(self, times: np.ndarray) -> np.ndarray:
         """(times, cells, 6) coefficients of operators."""
@@ -169,12 +177,7 @@ class CellDrives:
         width = 4 + 2 * conjugates
         out = np.empty((len(times), len(self.cells), width), dtype=complex)
         out[:, :, width - 2:] = self._constants
-        out[:, list(self.errors)] = np.nan  # failed in an earlier call
-        groups: dict = {}  # exact TQD cells by StirapParams, the others by PulseSet
-        for b, (_, pulse_set) in enumerate(self.cells):
-            if b not in self.errors:
-                exact = pulse_set.kind is PulseKind.TQD_EXACT
-                groups.setdefault(pulse_set.stirap if exact else pulse_set, []).append(b)
+        failed = list(self.errors)  # in an earlier call: NaN at every time
 
         def put(group, omega_a, omega_b):
             for k, column in enumerate((omega_a, omega_b)):
@@ -182,27 +185,21 @@ class CellDrives:
                 if conjugates:
                     out[:, group, 2 * k + 1] = np.conj(column)
 
-        for key, group in groups.items():
+        for key, group, deltas, column in self._groups:
             if isinstance(key, PulseSet):
                 omega_a, omega_b = key.amplitudes(times)
                 put(group, omega_a[:, None], omega_b[:, None])
                 continue
-            # counterdiabatic_amplitudes of every cell at once, elementwise
-            theta_dot = pulses.mixing_angle_rate(key, times)
-            magnitude = theta_dot[:, None] * self._deltas[group]  # delta * theta_dot
-            failing = np.flatnonzero((magnitude > pulses.SIGN_TOL).any(axis=0))
-            magnitude *= -3.0
-            np.sqrt(np.maximum(magnitude, 0.0, out=magnitude), out=magnitude)
-            put(group, -1j * magnitude, magnitude / SQRT2)
-            failed: dict[float, tuple] = {}  # one call and one error per failing PulseSet
-            for j in failing:
-                b = group[j]  # a failing cell: NaN from its first failing time on
-                delta = self._deltas[b]
-                if delta not in failed:
-                    failed[delta] = pulses.counterdiabatic_amplitudes(theta_dot, delta, times)
-                omega_a, omega_b, self.errors[b] = failed[delta]
-                put([b], omega_a[:, None], omega_b[:, None])
-                out[np.isnan(omega_a), b] = np.nan  # the whole cell, from that time on
+            omega_a, omega_b, errors = pulses.counterdiabatic_amplitudes(
+                pulses.mixing_angle_rate(key, times), deltas, times)
+            if len(deltas) < len(group):  # a repeated detuning (else column is 0, 1, ...)
+                omega_a, omega_b = omega_a[:, column], omega_b[:, column]
+            put(group, omega_a, omega_b)
+            for b, k in zip(group, column):
+                if errors[k] is not None:  # NaN from its first failing time on
+                    self.errors.setdefault(b, errors[k])
+                    out[np.isnan(out[:, b, 0]), b] = np.nan  # the whole cell
+        out[:, failed] = np.nan
         return out
 
 

@@ -1,9 +1,9 @@
 """Time-dependent control amplitudes.
 
 Covers the adiabatic (STIRAP) Gaussian pair, the mixing angle theta(t) and its
-analytic rate, the counterdiabatic drive amplitudes synthesized from theta_dot
-on the detuned alternative system, and a two-Gaussian least-squares fit used to
-replace the synthesized waveform with an experimentally simple one.
+analytic rate, the counterdiabatic amplitudes of the detuned system (one rule,
+counterdiabatic_amplitudes, for every caller), and a two-Gaussian least-squares
+fit that replaces them with an experimentally simple waveform.
 
 All rates are in units of the cavity coupling g and times in units of 1/g.
 Functions are vectorized over t.
@@ -23,7 +23,7 @@ SQRT2 = np.sqrt(2.0)
 TAU_FRAC = 0.12
 WIDTH_FRAC = 0.16
 
-# Largest delta*theta_dot that tqd_amplitudes treats as zero rather than a sign clash.
+# Largest delta*theta_dot that counterdiabatic_amplitudes treats as zero, not a sign clash.
 SIGN_TOL = 1e-12
 
 # Levenberg-Marquardt limits of fit_two_gaussians: evaluations per fitted
@@ -129,33 +129,34 @@ def tqd_amplitudes(p: StirapParams, delta: float, t):
     Raises PulseSynthesisError where delta*theta_dot > 0 (see
     counterdiabatic_amplitudes).
     """
-    omega_a_prime, omega_b_prime, error = counterdiabatic_amplitudes(
-        mixing_angle_rate(p, t), delta, t)
+    omega_a_prime, omega_b_prime, (error,) = counterdiabatic_amplitudes(
+        mixing_angle_rate(p, t), [delta], t)
     if error is not None:
         raise error
-    return omega_a_prime, omega_b_prime
+    return omega_a_prime[..., 0], omega_b_prime[..., 0]
 
 
-def counterdiabatic_amplitudes(theta_dot, delta: float, t):
-    """tqd_amplitudes from the mixing-angle rate theta_dot at times t, and its failure.
+def counterdiabatic_amplitudes(theta_dot, deltas, t):
+    """tqd_amplitudes of each detuning from the mixing-angle rate theta_dot at times t.
 
-    The failure is None, or the PulseSynthesisError of the first time in
-    array order (as a call per time would meet it) at which delta*theta_dot
-    exceeds SIGN_TOL; from that time on both amplitudes are NaN.
+    The one home of the rule |Omega_A'|^2 = -3*delta*theta_dot, for single
+    runs and model.CellDrives alike. Returns both amplitudes, shaped
+    t.shape + (len(deltas),), and per detuning None or the PulseSynthesisError
+    of the first time in array order (as a call per time would meet it) at
+    which delta*theta_dot exceeds SIGN_TOL; that column is NaN from then on.
     """
-    product = delta * np.asarray(theta_dot)
-    magnitude = np.sqrt(np.maximum(-3.0 * product, 0.0))
-    failing = np.flatnonzero(product > SIGN_TOL)
-    error = None
-    if failing.size:
-        first = failing[0]
-        bad = float(np.broadcast_to(np.asarray(t, dtype=float), product.shape).flat[first])
-        error = PulseSynthesisError(
-            f"delta*theta_dot > 0 at t={bad:.6g}; cannot take a real amplitude root"
-        )
-        magnitude = np.where(np.arange(product.size).reshape(product.shape) < first,
-                             magnitude, np.nan)
-    return -1j * magnitude, magnitude / SQRT2, error
+    theta_dot, deltas = np.asarray(theta_dot), np.asarray(deltas, dtype=float)
+    times = np.broadcast_to(np.asarray(t, dtype=float), theta_dot.shape).ravel()
+    magnitude = theta_dot[..., None] * deltas  # delta * theta_dot, then the root in place
+    failed = np.logical_or.accumulate((magnitude > SIGN_TOL).reshape(times.size, deltas.size))
+    magnitude *= -3.0
+    np.sqrt(np.maximum(magnitude, 0.0, out=magnitude), out=magnitude)
+    magnitude[failed.reshape(magnitude.shape)] = np.nan
+    firsts = (times.size - np.count_nonzero(failed, axis=0)).tolist()  # times.size if none
+    errors = [None if first == times.size else PulseSynthesisError(
+        f"delta*theta_dot > 0 at t={times[first]:.6g}; cannot take a real amplitude root")
+        for first in firsts]
+    return -1j * magnitude, magnitude / SQRT2, errors
 
 
 @dataclass(frozen=True)

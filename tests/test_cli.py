@@ -276,6 +276,21 @@ def test_sweep_failed_cells_exit_code(tmp_path, monkeypatch, capsys):
     assert data[1, 1] > 0.99
 
 
+def test_sweep_4c_failed_cells_exit_code(tmp_path, monkeypatch, capsys):
+    # Each t_f is a schedule and a StirapParams of its own; delta = -1 clashes
+    # with theta_dot from t = 0 on in every one.
+    monkeypatch.setenv("TQD3D_DELTA", "-1")
+    monkeypatch.setenv("TQD3D_SURFACE_TF", "10:100:3")
+    assert cli.main(["--out", str(tmp_path), "sweep", "--figure", "4c"]) == cli.EXIT_INSTABILITY
+    assert "3 of 3 cells failed" in capsys.readouterr().err
+    text = (tmp_path / "fidelity_vs_tf.csv").read_text()
+    for cell in range(3):
+        assert (f"# cell_{cell}_error = PulseSynthesisError: delta*theta_dot > 0 at t=0; "
+                "cannot take a real amplitude root\n") in text
+    data = read_csv(tmp_path / "fidelity_vs_tf.csv")[1]
+    assert np.array_equal(data[:, 0], [10.0, 55.0, 100.0]) and np.isnan(data[:, 1]).all()
+
+
 def test_sweep_cell_bug_propagates(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("bug in a cell")
@@ -511,18 +526,24 @@ def test_recorded_memory_cap_exits_4_before_a_step(tmp_path, monkeypatch, capsys
     assert not list(tmp_path.glob("*.csv"))
 
 
-@pytest.mark.parametrize("over", [0, 1], ids=["at", "over"])
-def test_recorded_memory_cap_does_not_depend_on_threads(tmp_path, monkeypatch, capsys, over):
+@pytest.mark.parametrize("over, record_every", [(0, None), (1, None), (0, "50"), (0, "25")],
+                         ids=["at", "over", "record_every_50", "record_every_25"])
+def test_recorded_memory_cap_does_not_depend_on_threads(tmp_path, monkeypatch, capsys, over,
+                                                        record_every):
     # Fig 4b at dt 0.05: 1000 steps, 21 recorded points of 160 bytes per cell
     # (5 lumped amplitudes, a fidelity, 8 populations and the leak), in one
-    # 39-cell batch at one thread and 20 + 19 at two.
+    # 39-cell batch at one thread and 20 + 19 at two. Recording every 25th
+    # step keeps 41 points.
     monkeypatch.setenv("TQD3D_SWEEP_DT", "0.05")
+    if record_every:
+        monkeypatch.setenv("TQD3D_RECORD_EVERY", record_every)
     monkeypatch.setattr(dynamics, "RECORD_CAP", 21 * 160 - over)
+    capped = over or record_every == "25"
     codes = [cli.main(["--out", str(tmp_path / str(threads)), "sweep", "--figure", "4b",
                        "--threads", str(threads)])
              for threads in (1, min(2, os.cpu_count() or 1))]
-    assert codes == [cli.EXIT_CAP if over else 0] * 2
-    assert capsys.readouterr().err.count("resource cap:") == 2 * over
+    assert codes == [cli.EXIT_CAP if capped else 0] * 2
+    assert capsys.readouterr().err.count("resource cap:") == 2 * capped
 
 
 _NUMERIC_KEYS = [f.name for f in cli.fields(cli.RunConfig) if f.type in ("float", "int")]

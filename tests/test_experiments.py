@@ -61,7 +61,7 @@ def test_method_comparison_initial_fidelity(comparison):
 
 def test_fidelity_surface_cells():
     grid = experiments.run_fidelity_surface(
-        np.array([5.0, 50.0]), np.array([3.6, 50.0]), dt=0.01
+        np.array([5.0, 50.0]), np.array([3.6, 50.0]), cfg=COARSE
     )
     assert isinstance(grid, SweepGrid)
     assert grid.values.shape == (2, 2)
@@ -74,8 +74,8 @@ def test_fidelity_surface_cells():
 def test_fidelity_surface_threads_match():
     tf = np.array([30.0, 50.0])
     dl = np.array([3.6])
-    serial = experiments.run_fidelity_surface(tf, dl, dt=0.02, threads=1)
-    parallel = experiments.run_fidelity_surface(tf, dl, dt=0.02, threads=2)
+    serial = experiments.run_fidelity_surface(tf, dl, cfg=IntegratorConfig(dt=0.02), threads=1)
+    parallel = experiments.run_fidelity_surface(tf, dl, cfg=IntegratorConfig(dt=0.02), threads=2)
     assert np.array_equal(serial.values, parallel.values)
 
 
@@ -182,7 +182,7 @@ def test_capped_cell_stops_its_sweep_before_any_cell(no_cell_runs):
 
 def test_decoherence_surface_small_grid():
     grid = experiments.run_decoherence_surface(
-        np.array([0.0, 0.02]), np.array([0.0, 0.02]), dt=0.02
+        np.array([0.0, 0.02]), np.array([0.0, 0.02]), cfg=IntegratorConfig(dt=0.02)
     )
     assert grid.values.shape == (2, 2)
     closed = experiments.simulate_closed(
@@ -282,8 +282,9 @@ def test_write_sweep_grid_one_dimensional_annotations(tmp_path):
 
 def test_fidelity_surface_scalar_axis_gives_cut():
     deltas = np.array([3.0, 3.6])
-    cut = experiments.run_fidelity_surface(50.0, deltas, dt=0.05)
-    surface = experiments.run_fidelity_surface(np.array([50.0]), deltas, dt=0.05)
+    cut = experiments.run_fidelity_surface(50.0, deltas, cfg=IntegratorConfig(dt=0.05))
+    surface = experiments.run_fidelity_surface(np.array([50.0]), deltas,
+                                               cfg=IntegratorConfig(dt=0.05))
     assert (cut.x_name, cut.y_name) == ("delta/g", None)
     assert np.array_equal(cut.values, surface.values[0])
 
@@ -300,9 +301,10 @@ def test_batched_cut_matches_single_runs():
     # delta = -1 has no counterdiabatic pulse; delta = 60 at dt 0.05 drifts
     # (norm drift 9.3e5 at t = 2.5); the others are healthy.
     deltas = np.array([-1.0, 2.0, 3.6, 60.0, 5.0])
-    grid = experiments.run_fidelity_surface(50.0, deltas, dt=0.05)
+    cfg = IntegratorConfig(dt=0.05)
+    grid = experiments.run_fidelity_surface(50.0, deltas, cfg=cfg)
     alone = [_closed_cell_alone(*experiments._surface_cell(
-        50.0, d, StirapParams.omega0, pulses.TAU_FRAC, pulses.WIDTH_FRAC, 0.05))
+        50.0, d, StirapParams.omega0, pulses.TAU_FRAC, pulses.WIDTH_FRAC, cfg))
         for d in deltas]
     assert set(grid.annotations) == {(0,), (3,)}
     assert grid.annotations[(0,)].startswith("PulseSynthesisError: ")

@@ -165,6 +165,27 @@ def test_tqd_sign_violation_names_first_time(default_pulses):
         pulses.tqd_amplitudes(default_pulses, -1.0, times)
     assert first is not None and "t=-60" not in first
     assert str(vector.value) == first
+    # One counterdiabatic_amplitudes call on several detunings: each column is
+    # the rule restated here, NaN from its own first failing time on.
+    times = times[::10]  # every 5: delta = -1 fails from t = -40 on
+    with pytest.raises(PulseSynthesisError) as single:
+        pulses.tqd_amplitudes(default_pulses, -1.0, times)
+    deltas = (2.0, 3.6, -1.0, 3.6)
+    theta_dot = pulses.mixing_angle_rate(default_pulses, times)
+    omega_a, omega_b, errors = pulses.counterdiabatic_amplitudes(theta_dot, deltas, times)
+    assert omega_a.shape == omega_b.shape == (times.size, len(deltas))
+    for k, delta in enumerate(deltas):
+        magnitude = np.sqrt(np.maximum(-3.0 * (delta * theta_dot), 0.0))
+        if delta < 0:
+            magnitude[times >= -40.0] = np.nan
+        assert np.array_equal(omega_a[:, k], -1j * magnitude, equal_nan=True)
+        assert np.array_equal(omega_b[:, k], magnitude / SQRT2, equal_nan=True)
+    assert np.isnan(omega_a[:, 2]).sum() == np.isnan(omega_b[:, 2]).sum() == 19
+    assert [error is None for error in errors] == [True, True, False, True]
+    assert str(errors[2]) == str(single.value) and "at t=-40;" in str(errors[2])
+    # Backwards, delta = -1 fails first at t = 50: NaN on to t = -60, where it would not fail.
+    omega_a, _, errors = pulses.counterdiabatic_amplitudes(theta_dot[::-1], deltas, times[::-1])
+    assert np.isnan(omega_a[:, 2]).all() and "at t=50;" in str(errors[2])
 
 
 def test_fitted_pulse_values():
