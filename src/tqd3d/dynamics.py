@@ -9,7 +9,8 @@ coefficients, applied entry by entry, so a cell's numbers do not depend on
 its batch.  The cells of a sweep share a step schedule and run as one batch,
 and a single run is a batch of one; every Schrodinger run, the reduced
 three- and two-level models included, comes as structure operators and
-coefficients (model.CellDrives, model.DETUNED_LAMBDA_OPERATORS).  A
+coefficients (model.drive_operators with model.CellDrives,
+model.DETUNED_LAMBDA_OPERATORS).  A
 Schrodinger run integrates the lumped state: amplitudes that start equal in
 every cell and that every structure operator keeps equal (hilbert.lump)
 are one amplitude.  On the chain from |phi_1> the L and R members of each
@@ -290,66 +291,69 @@ def _rk4(
                                            spread), "step program", chunk)
         return weights, _step_loop(indptr, indices, weights, c0), "step loop", chunk
 
-    (c_last,) = coefficients_at(np.zeros(1))
-    nonzero = _driven(c_last)
-    driven, left_out = np.flatnonzero(nonzero), np.flatnonzero(~nonzero)
-    weights, advance, executor, chunk = build(driven, c_last)
-    rebuilds = 0
-
     def keep(step, state):
         times.append(step * dt)
         fids.append(fidelity_of(state))
         kept.append(state.copy())  # the step program's state is its work vector
 
-    max_drift = integrate_s = 0.0
-    clock = time.perf_counter()
-    setup_s = clock - entry
-    keep(0, state)
-    record_s = time.perf_counter() - clock
-    clock += record_s
-    starts = range(0, n_steps, BLOCK_STEPS)
-    for first in starts:
-        last = min(first + BLOCK_STEPS, n_steps)
-        t = np.arange(first, last) * dt
-        block = coefficients_at(np.column_stack([t + dt / 2, t + dt]).ravel())
-        if left_out.size and _driven(block.take(left_out, axis=-1)).any():
-            driven, left_out, rebuilds = np.arange(len(operators)), left_out[:0], 1
-            weights, advance, executor, chunk = build(driven, c_last)
-        c_last = block[-1]  # every column: the next block's first t
-        if left_out.size:
-            block = block.take(driven, axis=-1)
-        step = first
-        while step < last:
-            stop = min(last, step + chunk, (step // every + 1) * every)
-            state = advance(state, block[2 * (step - first):2 * (stop - first)])
-            step = stop
-            if step % every and step < n_steps:
-                continue
-            now = time.perf_counter()
-            integrate_s += now - clock
-            drifts = drift(state)
-            worst = drifts.max(initial=0.0)
-            if worst <= tol:  # a NaN drift is not: the state overflowed
-                max_drift = max(max_drift, float(worst))
-            else:
-                healthy = drifts <= tol
-                bad = ~healthy
-                bad[list(failures)] = False  # failed already
-                (w_last,) = weights(block[2 * (step - first) - 1:2 * (step - first)])
-                nonfinite = ~np.isfinite(w_last).all(axis=-1)  # the cell's coefficients
-                for cell in map(int, np.flatnonzero(bad)):
-                    if nonfinite[cell] and cell in reported:
-                        continue
-                    t = (step - 1) * dt + dt
-                    failures[cell] = IntegratorInstabilityError(
-                        f"coefficients not finite by t={t:.4g}" if nonfinite[cell] else
-                        f"{drift_name} drift {drifts[cell]:.2e} > {tol:.0e} at t={t:.4g}; "
-                        "reduce dt")
-                    state[cell] = np.nan
-                max_drift = max(max_drift, float(np.max(drifts, initial=0.0, where=healthy)))
-            keep(step, state)
-            clock = time.perf_counter()
-            record_s += clock - now
+    # inf * 0 in a cell's weights (a coefficient no longer finite) is NaN, and
+    # the cell fails as not finite: one scope for the executors and the steps.
+    with np.errstate(invalid="ignore"):
+        (c_last,) = coefficients_at(np.zeros(1))
+        nonzero = _driven(c_last)
+        driven, left_out = np.flatnonzero(nonzero), np.flatnonzero(~nonzero)
+        weights, advance, executor, chunk = build(driven, c_last)
+        rebuilds = 0
+
+        max_drift = integrate_s = 0.0
+        clock = time.perf_counter()
+        setup_s = clock - entry
+        keep(0, state)
+        record_s = time.perf_counter() - clock
+        clock += record_s
+        starts = range(0, n_steps, BLOCK_STEPS)
+        for first in starts:
+            last = min(first + BLOCK_STEPS, n_steps)
+            t = np.arange(first, last) * dt
+            block = coefficients_at(np.column_stack([t + dt / 2, t + dt]).ravel())
+            if left_out.size and _driven(block.take(left_out, axis=-1)).any():
+                driven, left_out, rebuilds = np.arange(len(operators)), left_out[:0], 1
+                weights, advance, executor, chunk = build(driven, c_last)
+            c_last = block[-1]  # every column: the next block's first t
+            if left_out.size:
+                block = block.take(driven, axis=-1)
+            step = first
+            while step < last:
+                stop = min(last, step + chunk, (step // every + 1) * every)
+                state = advance(state, block[2 * (step - first):2 * (stop - first)])
+                step = stop
+                if step % every and step < n_steps:
+                    continue
+                now = time.perf_counter()
+                integrate_s += now - clock
+                drifts = drift(state)
+                worst = drifts.max(initial=0.0)
+                if worst <= tol:  # a NaN drift is not: the state overflowed
+                    max_drift = max(max_drift, float(worst))
+                else:
+                    healthy = drifts <= tol
+                    bad = ~healthy
+                    bad[list(failures)] = False  # failed already
+                    (w_last,) = weights(block[2 * (step - first) - 1:2 * (step - first)])
+                    nonfinite = ~np.isfinite(w_last).all(axis=-1)  # the cell's coefficients
+                    for cell in map(int, np.flatnonzero(bad)):
+                        if nonfinite[cell] and cell in reported:
+                            continue
+                        t = (step - 1) * dt + dt
+                        failures[cell] = IntegratorInstabilityError(
+                            f"coefficients not finite by t={t:.4g}" if nonfinite[cell] else
+                            f"{drift_name} drift {drifts[cell]:.2e} > {tol:.0e} at t={t:.4g}; "
+                            "reduce dt")
+                        state[cell] = np.nan
+                    max_drift = max(max_drift, float(np.max(drifts, initial=0.0, where=healthy)))
+                keep(step, state)
+                clock = time.perf_counter()
+                record_s += clock - now
 
     times = np.array(times)
     points = max(1, PROGRAM_BYTES // max(unpack(kept[0]).nbytes, 1))  # per slice
@@ -523,11 +527,10 @@ def _step_program(indptr: np.ndarray, indices: np.ndarray, steps: int, dtype, we
 
         def fill(c, k):
             full[:, 1:k + 1, :n_ops] = c[1::2].transpose(1, 0, 2)
-            with np.errstate(invalid="ignore"):  # inf * 0: the cell fails as not finite
-                np.matmul(full[:, :k, :n_ops], spread, out=a1_slots[:, :k])
-                for slots in (a2_slots, b3_slots):
-                    np.matmul(c[::2].transpose(1, 0, 2), spread, out=slots[:, :k])
-                np.matmul(full[:, 1:k + 1], spread_t, out=t_slots[:, :k])
+            np.matmul(full[:, :k, :n_ops], spread, out=a1_slots[:, :k])
+            for slots in (a2_slots, b3_slots):
+                np.matmul(c[::2].transpose(1, 0, 2), spread, out=slots[:, :k])
+            np.matmul(full[:, 1:k + 1], spread_t, out=t_slots[:, :k])
             full[:, 0] = full[:, k]
 
     def advance(state, c):
@@ -615,7 +618,7 @@ def _batch_csr(operators, cells: int, scale: float, driven=None):
     k_e (None for complex weights): each weight has that one nonzero term,
     so it is the same product, bit for bit, but for the edges. A -0.0
     coefficient gives +0.0, and an infinite one makes every weight of its
-    cell non-finite (inf * 0 is NaN).
+    cell non-finite (inf * 0 is NaN, silenced by _rk4's np.errstate).
 
     Those weights of one time, cell after cell, are the data of one
     block-diagonal (cells * n, cells * n) CSR matrix with the index arrays
@@ -655,8 +658,7 @@ def _batch_csr(operators, cells: int, scale: float, driven=None):
             w = c.take(ks, axis=2)
             w *= scaled
             return w
-        with np.errstate(invalid="ignore"):  # inf * 0: the cell fails as not finite
-            return (c.reshape(len(c) * cells, k) @ spread).reshape(len(c), cells, e)
+        return (c.reshape(len(c) * cells, k) @ spread).reshape(len(c), cells, e)
 
     return weights, spread, indptr, indices
 
@@ -684,13 +686,14 @@ def evolve_schrodinger(
 
     Cell b evolves under H_b(t) = sum_k c[t, b, k] operators[k]: operators
     are K fixed structure operators (K, d, d), and coefficients(times) gives
-    c as (times, B, K) (model.CellDrives), complex or real, applied entry by
-    entry with no H(t) stored. psi0 (B, d) is a batch of B cells: a cell
-    whose norm drifts beyond NORM_TOL, or whose coefficients stop being
-    finite while it is not in reported (the cells whose failure the caller
-    reports), continues as NaN with its IntegratorInstabilityError in
-    metadata["failures"]. psi0 (d,) runs as a batch of one and gives results
-    without the cell axis; its failure is raised when the run ends.
+    c as (times, B, K) (model.drive_operators and model.CellDrives), complex
+    or real, applied entry by entry with no H(t) stored. psi0 (B, d) is a
+    batch of B cells: a cell whose norm drifts beyond NORM_TOL, or whose
+    coefficients stop being finite while it is not in reported (the cells
+    whose failure the caller reports), continues as NaN with its
+    IntegratorInstabilityError in metadata["failures"]. psi0 (d,) runs as a
+    batch of one and gives results without the cell axis; its failure is
+    raised when the run ends.
 
     The run integrates one amplitude per block of hilbert.lump: amplitudes
     that start equal in every cell and that every operator keeps equal stay

@@ -76,13 +76,10 @@ def simulate_closed(params: ModelParams, pulse_set: PulseSet,
     It runs as a batch of one on simulate_closed_batch's path; a failing
     pulse synthesis or norm drift is raised when the run ends.
     """
-    sub = hilbert.build_subspace()
-    drives = model.CellDrives(model.chain_terms(), [(params, pulse_set)])
-    return _raising(drives, dynamics.evolve_schrodinger(
-        drives.operators, drives, _initial_state(sub),
-        t_final if t_final is not None else params.t_f, cfg, target=dynamics.target_state(sub),
-        reported=drives.errors,
-    ))
+    drives = model.CellDrives([(params, pulse_set)])
+    return _raising(drives, _evolve_closed(
+        drives, _initial_state(hilbert.build_subspace()),
+        t_final if t_final is not None else params.t_f, cfg))
 
 
 def simulate_open(params: ModelParams, pulse_set: PulseSet,
@@ -94,8 +91,8 @@ def simulate_open(params: ModelParams, pulse_set: PulseSet,
     one on the Liouville support (model.open_liouvillian); a failing pulse
     synthesis or trace drift is raised when the run ends.
     """
-    drives = model.CellDrives(model.open_terms(), [(params, pulse_set)])
-    return _raising(drives, _evolve_open(drives, [params], _initial_density(), params.t_f, cfg))
+    drives = model.CellDrives([(params, pulse_set)])
+    return _raising(drives, _evolve_open(drives, _initial_density(), params.t_f, cfg))
 
 
 def _raising(drives: model.CellDrives, result: SimResult) -> SimResult:
@@ -110,10 +107,18 @@ def _initial_density() -> np.ndarray:
     return np.outer(psi0, psi0.conj())
 
 
-def _evolve_open(drives: model.CellDrives, params, rho0, t_final, cfg) -> SimResult:
+def _evolve_closed(drives: model.CellDrives, psi0, t_final, cfg) -> SimResult:
+    return dynamics.evolve_schrodinger(
+        model.drive_operators(model.chain_terms()), drives, psi0, t_final, cfg,
+        target=dynamics.target_state(hilbert.build_subspace()), reported=drives.errors,
+    )
+
+
+def _evolve_open(drives: model.CellDrives, rho0, t_final, cfg) -> SimResult:
     space = model.open_space()
     return dynamics.evolve_lindblad(
-        model.open_liouvillian(), model.open_coefficients(drives.amplitudes, params),
+        model.open_liouvillian(),
+        model.open_coefficients(drives, [params for params, _ in drives.cells]),
         rho0, t_final, cfg,
         tracked=hilbert.subspace_indices(hilbert.build_subspace(), space),
         target=dynamics.target_state(space), reported=drives.errors,
@@ -129,13 +134,9 @@ def simulate_closed_batch(cells: Sequence[tuple[ModelParams, PulseSet]], t_final
     dynamics.NORM_TOL gets NaN and the note simulate_closed's exception would
     give; the other cells run on unaffected. Healthy cells get an empty note.
     """
-    sub = hilbert.build_subspace()
-    drives = model.CellDrives(model.chain_terms(), cells)
-    psi0 = np.tile(_initial_state(sub), (len(drives.cells), 1))
-    result = dynamics.evolve_schrodinger(drives.operators, drives, psi0, t_final, cfg,
-                                         target=dynamics.target_state(sub),
-                                         reported=drives.errors)
-    return _outcomes(drives, result)
+    drives = model.CellDrives(cells)
+    psi0 = np.tile(_initial_state(hilbert.build_subspace()), (len(drives.cells), 1))
+    return _outcomes(drives, _evolve_closed(drives, psi0, t_final, cfg))
 
 
 def simulate_open_batch(cells: Sequence[tuple[ModelParams, PulseSet]], t_final: float,
@@ -147,10 +148,9 @@ def simulate_open_batch(cells: Sequence[tuple[ModelParams, PulseSet]], t_final: 
     drifts beyond dynamics.TRACE_TOL gets NaN and the note simulate_open's
     exception would give; the other cells run on unaffected.
     """
-    drives = model.CellDrives(model.open_terms(), cells)
+    drives = model.CellDrives(cells)
     rho0 = np.tile(_initial_density(), (len(drives.cells), 1, 1))
-    result = _evolve_open(drives, [p for p, _ in drives.cells], rho0, t_final, cfg)
-    return _outcomes(drives, result)
+    return _outcomes(drives, _evolve_open(drives, rho0, t_final, cfg))
 
 
 def _outcomes(drives: model.CellDrives, result: SimResult) -> list[tuple[float, str]]:
@@ -307,7 +307,7 @@ def _robustness_cell(deviation, parameter, params, pulse_set, cfg):
 def run_robustness_scan(
     deviations: np.ndarray,
     params: ModelParams | None = None,
-    cfg: IntegratorConfig = IntegratorConfig(),
+    cfg: IntegratorConfig = IntegratorConfig(dt=SWEEP_DT),
     pulse_set: PulseSet | None = None,
     threads: int = 1,
 ) -> SweepGrid:

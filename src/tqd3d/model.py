@@ -10,9 +10,12 @@ system at three levels of description:
   the fast +-sqrt(3)g sectors;
 * two-level (basis |phi_1>, |psi_3>): after adiabatic elimination of |Psi_d>.
 
-The reduced models of the detuned system come as fixed structure operators
-and coefficients vectorized over times, the form dynamics.evolve_schrodinger
-integrates.
+Each level comes as fixed structure operators and coefficients vectorized
+over times, the form dynamics.evolve_schrodinger integrates: the full model
+as drive_operators(terms) and CellDrives(cells), whose one six-column layout
+closed runs take as it is and open runs through open_coefficients (on
+hermitian_drive_operators), the reduced models of the detuned system as
+DETUNED_LAMBDA_OPERATORS and TWO_LEVEL_OPERATORS with their coefficients.
 
 Also provides the counterdiabatic generator i*theta_dot(|phi_1><psi_3| - h.c.)
 and its numerical cross-check from the instantaneous-eigenvector formula.
@@ -131,26 +134,23 @@ def make_h_of_t(terms: HamiltonianTerms, params: ModelParams, pulse_set: PulseSe
 
 
 class CellDrives:
-    """Time-dependent coefficients of a batch of cells on one space.
+    """Time-dependent coefficients of a batch of cells.
 
-    Cell b evolves under H_b(t) = sum_k c[t, b, k] * operators[k], the terms
-    of assemble_hamiltonian split into drive_a, drive_a+, drive_b, drive_b+,
-    cavity + cavity+ and the excited projector, with coefficients omega_a,
+    Cell b evolves under H_b(t) = sum_k c[t, b, k] * drive_operators(terms)[k],
+    the terms of assemble_hamiltonian, with the coefficients omega_a,
     conj(omega_a), omega_b, conj(omega_b), g and the detuning of make_h_of_t
-    (a call). amplitudes gives the same without the conjugates, the form
-    open_coefficients reads. Each call evaluates the pulses of each distinct
+    (a call): closed runs take them as they are, open runs through
+    open_coefficients. Each call evaluates the pulses of each distinct
     PulseSet once at all the given times. Exact TQD cells share theta_dot
     per StirapParams (a cut along delta has one) and take their amplitudes
     from one pulses.counterdiabatic_amplitudes call on its distinct
-    detunings, the rule's one home (dynamics.evolve_schrodinger runs the
-    batch). A cell whose pulse synthesis fails gets NaN coefficients from the
-    first failing time on, and its PulseSynthesisError, shared by the cells
-    of one detuning, is kept in `errors`.
+    detunings, the rule's one home. A cell whose pulse synthesis fails gets
+    NaN coefficients from the first failing time on, and its
+    PulseSynthesisError, shared by the cells of one detuning, is kept in
+    `errors`.
     """
 
-    def __init__(self, terms: HamiltonianTerms,
-                 cells: Sequence[tuple[ModelParams, PulseSet]]):
-        self.operators = _drive_operators(terms)
+    def __init__(self, cells: Sequence[tuple[ModelParams, PulseSet]]):
         self.cells = list(cells)
         self.errors: dict[int, PulseSynthesisError] = {}
         self._constants = np.array([[p.g, _detuning(p, ps)]
@@ -166,24 +166,15 @@ class CellDrives:
             self._groups.append((key, group, list(distinct), column))
 
     def __call__(self, times: np.ndarray) -> np.ndarray:
-        """(times, cells, 6) coefficients of operators."""
-        return self._columns(times, conjugates=True)
-
-    def amplitudes(self, times: np.ndarray) -> np.ndarray:
-        """(times, cells, 4): omega_a, omega_b, g and the detuning."""
-        return self._columns(times, conjugates=False)
-
-    def _columns(self, times: np.ndarray, conjugates: bool) -> np.ndarray:
-        width = 4 + 2 * conjugates
-        out = np.empty((len(times), len(self.cells), width), dtype=complex)
-        out[:, :, width - 2:] = self._constants
+        """(times, cells, 6) coefficients of drive_operators."""
+        out = np.empty((len(times), len(self.cells), 6), dtype=complex)
+        out[:, :, 4:] = self._constants
         failed = list(self.errors)  # in an earlier call: NaN at every time
 
         def put(group, omega_a, omega_b):
             for k, column in enumerate((omega_a, omega_b)):
-                out[:, group, (1 + conjugates) * k] = column
-                if conjugates:
-                    out[:, group, 2 * k + 1] = np.conj(column)
+                out[:, group, 2 * k] = column
+                out[:, group, 2 * k + 1] = np.conj(column)
 
         for key, group, deltas, column in self._groups:
             if isinstance(key, PulseSet):
@@ -203,8 +194,12 @@ class CellDrives:
         return out
 
 
-def _drive_operators(terms: HamiltonianTerms) -> np.ndarray:
-    """The structure operators of CellDrives, (6, d, d)."""
+def drive_operators(terms: HamiltonianTerms) -> np.ndarray:
+    """The structure operators of CellDrives' coefficients, (6, d, d).
+
+    drive_a, drive_a+, drive_b, drive_b+, cavity + cavity+ and the excited
+    projector.
+    """
     return np.stack([
         terms.drive_a, terms.drive_a.conj().T, terms.drive_b, terms.drive_b.conj().T,
         terms.cavity + terms.cavity.conj().T, terms.excited,
@@ -375,26 +370,20 @@ def open_space() -> HilbertSpace:
 
 
 @lru_cache(maxsize=None)
-def open_terms() -> HamiltonianTerms:
-    """hamiltonian_terms on open_space, assembled once per process."""
-    return hamiltonian_terms(open_space())
-
-
-@lru_cache(maxsize=None)
 def chain_terms() -> HamiltonianTerms:
     """hamiltonian_terms on the 8-dim chain, assembled once per process."""
     return hamiltonian_terms(hilbert.build_subspace())
 
 
 def hermitian_drive_operators(terms: HamiltonianTerms) -> np.ndarray:
-    """CellDrives' operators as Hermitian generators, (6, d, d).
+    """drive_operators as Hermitian generators, (6, d, d).
 
     Each drive D with its adjoint becomes X = D + D+ and Y = i(D - D+), with
     the real coefficients Re omega and Im omega, since
     omega D + conj(omega) D+ = Re omega X + Im omega Y; cavity and excited
     are Hermitian already. open_coefficients gives the coefficients.
     """
-    ops = _drive_operators(terms)
+    ops = drive_operators(terms)
     return np.stack([ops[0] + ops[1], 1j * (ops[0] - ops[1]),
                      ops[2] + ops[3], 1j * (ops[2] - ops[3]), ops[4], ops[5]])
 
@@ -414,26 +403,26 @@ def open_liouvillian() -> dynamics.Liouvillian:
     psi0 = space.ket(hilbert.build_subspace().basis[0])
     dissipators = [dynamics.dissipator_superoperator(collapse_channels(rates, space), space.dim)
                    for rates in (ModelParams(kappa=1.0), ModelParams(gamma=1.0))]
-    return dynamics.Liouvillian.reachable(hermitian_drive_operators(open_terms()),
+    return dynamics.Liouvillian.reachable(hermitian_drive_operators(hamiltonian_terms(space)),
                                           dissipators, np.outer(psi0, psi0.conj()))
 
 
-def open_coefficients(drive_amplitudes: Callable, params: Sequence[ModelParams]) -> Callable:
+def open_coefficients(drives: Callable, params: Sequence[ModelParams]) -> Callable:
     """Real coefficients of open_liouvillian's operators: the drives', then kappa and gamma.
 
-    drive_amplitudes(times) gives a batch's CellDrives.amplitudes
-    (times, cells, 4); params are the cells' ModelParams, in order. The
-    drives' become Re omega_a, Im omega_a, Re omega_b, Im omega_b, g and the
-    detuning (hermitian_drive_operators).
+    drives(times) gives a batch's CellDrives coefficients (times, cells, 6);
+    params are the cells' ModelParams, in order. The drives' become
+    Re omega_a, Im omega_a, Re omega_b, Im omega_b, g and the detuning
+    (hermitian_drive_operators).
     """
     rates = np.array([[p.kappa, p.gamma] for p in params], dtype=float).reshape(-1, 2)
 
     def coefficients(times):
-        c = drive_amplitudes(times)
+        c = drives(times)
         out = np.empty(c.shape[:-1] + (8,))
-        out[..., 0:4:2] = c[..., 0:2].real
-        out[..., 1:4:2] = c[..., 0:2].imag
-        out[..., 4:6] = c[..., 2:4].real
+        out[..., 0:4:2] = c[..., 0:4:2].real
+        out[..., 1:4:2] = c[..., 0:4:2].imag
+        out[..., 4:6] = c[..., 4:6].real
         out[..., 6:] = rates
         return out
 

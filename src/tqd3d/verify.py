@@ -174,7 +174,7 @@ def check_structural_invariants() -> CriterionResult:
     even = [e[0], e[1], sym["psi1"], sym["psi2"], sym["psi3"]]
     odd = [sym["psi1_minus"], sym["psi2_minus"], sym["psi3_minus"]]
     decoupling = max(abs(np.vdot(o, op @ v))
-                     for op in model.CellDrives(model.chain_terms(), []).operators
+                     for op in model.drive_operators(model.chain_terms())
                      for o in odd for v in even)
 
     norm_drift = _closed_run(PulseKind.TQD_EXACT).metadata["max_norm_drift"]

@@ -87,11 +87,43 @@ def test_main_alternates_the_trees_and_writes_the_file(tmp_path, monkeypatch):
     assert calls == [(1, a, "this"), (1, a, "against"), (1, b, "this"), (1, b, "against"),
                      (2, a, "against"), (2, a, "this"), (2, b, "against"), (2, b, "this")]
     out = json.loads((tmp_path / "BENCH_t.json").read_text())
-    assert out["environment"] == {"this": {"nproc": 2, "git_commit": "this"},
-                                  "against": {"nproc": 2, "git_commit": "against"}}
+    assert out["environment"] == {
+        side: {"nproc": 2, "git_commit": side, "source_sha256": bench.source_sha256(tree),
+               "git_dirty": bench.git_dirty(tree)}
+        for side, tree in (("this", bench.ROOT), ("against", tmp_path))}
     assert len(out["runs"]) == 8 and "environment" not in out["runs"][0]
     pairs = out["summary"][a]["pairs"]
     assert pairs["wall_s"]["ratios"] == [pytest.approx(0.5), pytest.approx(0.5)]
     assert pairs["wall_median_s"]["this_won"] == 2
     assert set(out["summary"][b]["this"]) == {"wall_s", "setup_s", "peak_rss_mb",
                                                 "fidelity_abs_err", "ok_frac", "wall_median_s"}
+
+
+def _tree(root: Path, source: bytes) -> Path:
+    """A source tree with BENCHMARK.json, two modules under src/ and a file outside it."""
+    (root / "src" / "pkg").mkdir(parents=True)
+    (root / "src" / "pkg" / "__init__.py").write_bytes(b"")
+    (root / "src" / "pkg" / "model.py").write_bytes(source)
+    (root / "README.md").write_text(str(root))  # differs between trees, not a source
+    (root / "BENCHMARK.json").write_bytes((_PATH.parents[1] / "BENCHMARK.json").read_bytes())
+    return root
+
+
+def test_each_side_names_the_sources_it_ran(tmp_path, monkeypatch):
+    this, other = _tree(tmp_path / "this", b"x = 1\n"), _tree(tmp_path / "other", b"x = 1\n")
+    assert bench.source_sha256(this) == bench.source_sha256(other)
+    (other / "src" / "pkg" / "model.py").write_bytes(b"x = 2\n")  # one byte changed
+    assert bench.source_sha256(this) != bench.source_sha256(other)
+
+    def fake_perfbench(tree, workload, seed, seconds):
+        path = tmp_path / "runs" / f"{tree.name}-{workload}-{seed}.json"
+        return bench.read_run(_write_result(path, 0.1, [0.1], commit="unavailable"))
+
+    monkeypatch.setattr(bench, "run_perfbench", fake_perfbench)
+    monkeypatch.setattr(bench, "ROOT", this)
+    assert bench.main(["--label", "s", "--against", str(other), "--out", str(tmp_path)]) == 0
+    out = json.loads((tmp_path / "BENCH_s.json").read_text())
+    for side, tree in (("this", this), ("against", other)):
+        assert out["environment"][side] == {
+            "nproc": 2, "git_commit": "unavailable", "source_sha256": bench.source_sha256(tree),
+            "git_dirty": "unavailable"}  # neither tree is a git checkout

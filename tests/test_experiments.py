@@ -1,4 +1,5 @@
 import functools
+import inspect
 import math
 import re
 
@@ -142,6 +143,13 @@ def test_robustness_scan():
     # timing and coupling errors bite less than detuning errors at +10%
     worst_insensitive = min(out["t_f"][2], out["g"][2])
     assert worst_insensitive >= out["delta"][2] - 1e-9
+
+
+def test_sweep_runners_default_to_the_sweep_step():
+    # One source for a sweep's step: the README's and the CLI's sweep_dt.
+    for runner in (experiments.run_fidelity_surface, experiments.run_robustness_scan,
+                   experiments.run_decoherence_surface):
+        assert inspect.signature(runner).parameters["cfg"].default.dt == experiments.SWEEP_DT
 
 
 def test_robustness_validation():
@@ -363,7 +371,7 @@ def _captured(monkeypatch) -> list:
 
 def _lumped_chain() -> tuple[int, int]:
     """Weights and amplitudes per cell of a closed batch started in |phi_1> (hilbert.lump)."""
-    _, lumped = hilbert.lump(model.CellDrives(model.chain_terms(), []).operators, np.eye(8)[:1])
+    _, lumped = hilbert.lump(model.drive_operators(model.chain_terms()), np.eye(8)[:1])
     return np.count_nonzero(lumped), lumped.shape[-1]
 
 

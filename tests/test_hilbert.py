@@ -119,7 +119,7 @@ def test_lump_of_the_chain_from_phi1_is_the_symmetric_grouping():
     # |phi_1> under the chain's structure operators: each L/R pair of the
     # symmetric states psi_1, psi_2, psi_3 is one block, phi_1 and phi_2 are
     # blocks of their own.
-    operators = model.CellDrives(model.chain_terms(), []).operators
+    operators = model.drive_operators(model.chain_terms())
     labels, lumped = hilbert.lump(operators, np.tile(np.eye(8)[0], (3, 1)))
     pairs = [np.flatnonzero(model.symmetric_vectors()[name]) for name in ("psi1", "psi2", "psi3")]
     blocks = [[0], [1]] + [list(pair) for pair in pairs]
@@ -134,7 +134,7 @@ def test_lump_of_the_chain_from_phi1_is_the_symmetric_grouping():
 
 
 def test_lump_of_a_random_start_is_the_identity(rng):
-    operators = model.CellDrives(model.chain_terms(), []).operators
+    operators = model.drive_operators(model.chain_terms())
     start = rng.normal(size=(2, 8)) + 1j * rng.normal(size=(2, 8))
     labels, lumped = hilbert.lump(operators, start)
     assert np.array_equal(labels, np.arange(8))

@@ -321,7 +321,7 @@ def test_model_params_validation():
         ModelParams(kappa=-0.1)
 
 
-def test_cell_drives_share_pulse_synthesis(monkeypatch, terms8):
+def test_cell_drives_share_pulse_synthesis(monkeypatch):
     # Cells with equal PulseSets get one amplitudes call per evaluation, and the
     # same coefficients as when each cell has a CellDrives of its own.
     fitted = PulseSet(PulseKind.TQD_FITTED, StirapParams(), delta=3.6,
@@ -330,12 +330,12 @@ def test_cell_drives_share_pulse_synthesis(monkeypatch, terms8):
     cells = [(ModelParams(g=g), fitted) for g in (1.0, 0.9, 1.1)]
     cells += [(ModelParams(delta=-1.0), bad), (ModelParams(delta=-1.0, g=1.2), bad)]
     times = np.linspace(0.0, 50.0, 7)
-    alone = np.concatenate([model.CellDrives(terms8, [cell])(times) for cell in cells], axis=1)
+    alone = np.concatenate([model.CellDrives([cell])(times) for cell in cells], axis=1)
     calls = []
     amplitudes = PulseSet.amplitudes
     monkeypatch.setattr(PulseSet, "amplitudes",
                         lambda self, t: calls.append(self) or amplitudes(self, t))
-    drives = model.CellDrives(terms8, cells)
+    drives = model.CellDrives(cells)
     together = drives(times)
     assert calls == [fitted]  # exact TQD sets take their pulses from theta_dot
     assert np.array_equal(together, alone, equal_nan=True)
@@ -344,21 +344,21 @@ def test_cell_drives_share_pulse_synthesis(monkeypatch, terms8):
     assert set(drives.errors) == {3, 4} and drives.errors[3] is drives.errors[4]
 
 
-def test_cell_drives_share_theta_dot(monkeypatch, terms8):
+def test_cell_drives_share_theta_dot(monkeypatch):
     # Exact-TQD cells that differ only in delta get one theta_dot evaluation per
     # call, the coefficients each cell gets alone, and tqd_amplitudes's note.
     deltas = [2.0, 3.6, -1.0, 3.6, 5.0]
     cells = [(ModelParams(delta=d), PulseSet(PulseKind.TQD_EXACT, StirapParams(), delta=d))
              for d in deltas]
     times = np.linspace(-60.0, 50.0, 23)  # delta = -1 fails from t = -40 on
-    alone = np.concatenate([model.CellDrives(terms8, [cell])(times) for cell in cells], axis=1)
+    alone = np.concatenate([model.CellDrives([cell])(times) for cell in cells], axis=1)
     with pytest.raises(pulses.PulseSynthesisError) as single:
         pulses.tqd_amplitudes(StirapParams(), -1.0, times)
     calls = []
     rate = pulses.mixing_angle_rate
     monkeypatch.setattr(pulses, "mixing_angle_rate",
                         lambda p, t: calls.append(p) or rate(p, t))
-    drives = model.CellDrives(terms8, cells)
+    drives = model.CellDrives(cells)
     together = drives(times)
     assert calls == [StirapParams()]
     assert np.array_equal(together, alone, equal_nan=True)
@@ -369,3 +369,29 @@ def test_cell_drives_share_theta_dot(monkeypatch, terms8):
     assert "at t=-40;" in str(single.value)
     assert np.isnan(drives(times + 110.0)[:, 2]).all()  # a failed cell stays NaN
     assert calls == [StirapParams()] * 2
+
+
+def test_open_coefficients_read_the_closed_layout():
+    # Open runs read CellDrives' one layout: Re and Im of omega_a and omega_b,
+    # the real parts of g and the detuning, then each cell's kappa and gamma,
+    # bit for bit, a failing cell's NaN included.
+    stirap = StirapParams()
+    cells = [
+        (ModelParams(kappa=0.01), PulseSet(PulseKind.STIRAP, stirap)),
+        (ModelParams(g=0.9, gamma=0.02), PulseSet(PulseKind.TQD_FITTED, stirap, delta=3.6,
+                                                  fitted=pulses.default_fitted_pulse())),
+        (ModelParams(kappa=0.03, gamma=0.04), PulseSet(PulseKind.TQD_EXACT, stirap, delta=3.6)),
+        (ModelParams(delta=-1.0, gamma=0.05), PulseSet(PulseKind.TQD_EXACT, stirap, delta=-1.0)),
+    ]
+    params = [p for p, _ in cells]
+    times = np.linspace(-60.0, 50.0, 23)  # delta = -1 fails from t = -40 on
+    c = model.CellDrives(cells)(times)
+    rates = np.broadcast_to([[p.kappa, p.gamma] for p in params], c.shape[:2] + (2,))
+    want = np.concatenate([np.stack([c[..., 0].real, c[..., 0].imag, c[..., 2].real,
+                                     c[..., 2].imag, c[..., 4].real, c[..., 5].real], axis=-1),
+                           rates], axis=-1)
+    got = model.open_coefficients(model.CellDrives(cells), params)(times)
+    assert got.shape == (len(times), 4, 8) and got.dtype == float
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(np.isnan(got[:, 3, [0, 2, 4, 5]]).all(axis=1), times >= -40.0)
+    assert not np.isnan(got[:, :3]).any()

@@ -97,11 +97,11 @@ def test_open_run_matches_full_space_run(full_space, subspace, terms80):
     # The same master equation on the 80-dim product space, support closed there.
     psi0 = full_space.ket(subspace.basis[0])
     rho0 = np.outer(psi0, psi0.conj())
-    drives = model.CellDrives(terms80, [(BENCHMARK, pulse_set)])
     full = dynamics.evolve_lindblad(
         dynamics.Liouvillian.reachable(model.hermitian_drive_operators(terms80),
                                        _unit_dissipators(full_space), rho0),
-        model.open_coefficients(drives.amplitudes, [BENCHMARK]), rho0, BENCHMARK.t_f, cfg,
+        model.open_coefficients(model.CellDrives([(BENCHMARK, pulse_set)]), [BENCHMARK]),
+        rho0, BENCHMARK.t_f, cfg,
         tracked=hilbert.subspace_indices(subspace, full_space),
         target=dynamics.target_state(full_space),
     )
@@ -389,8 +389,8 @@ def test_lumped_open_run_matches_dense_column_stacked_run():
     pulse_set = experiments.default_pulse_set(PulseKind.TQD_FITTED, BENCHMARK)
     run = experiments.simulate_open(BENCHMARK, pulse_set, cfg)
 
-    drives = model.CellDrives(model.hamiltonian_terms(space), [(BENCHMARK, pulse_set)])
-    coefficients = model.open_coefficients(drives.amplitudes, [BENCHMARK])
+    coefficients = model.open_coefficients(model.CellDrives([(BENCHMARK, pulse_set)]),
+                                           [BENCHMARK])
     operators = np.stack(_column_stacked_liouvillian(space))
 
     def h_of_t(t):
@@ -433,8 +433,7 @@ def _open_batch(cells, cfg, coefficients=None):
     coefficients(c, times) may rewrite the cells' open_coefficients c.
     """
     space = model.open_space()
-    drives = model.CellDrives(model.open_terms(), cells)
-    base = model.open_coefficients(drives.amplitudes, [params for params, _ in cells])
+    base = model.open_coefficients(model.CellDrives(cells), [params for params, _ in cells])
     rho0 = np.zeros((len(cells), space.dim, space.dim), dtype=complex)
     rho0[:, 0, 0] = 1.0
     return dynamics.evolve_lindblad(

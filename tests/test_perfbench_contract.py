@@ -33,8 +33,8 @@ def _closed_batch():
     sub = hilbert.build_subspace()
     cells = [(ModelParams(), experiments.default_pulse_set(kind)) for kind in PulseKind]
     psi0 = np.tile(np.eye(sub.dim, dtype=complex)[0], (len(cells), 1))
-    drives = model.CellDrives(model.hamiltonian_terms(sub), cells)
-    return dynamics.evolve_schrodinger(drives.operators, drives, psi0, 50.0, CFG)
+    return dynamics.evolve_schrodinger(model.drive_operators(model.hamiltonian_terms(sub)),
+                                       model.CellDrives(cells), psi0, 50.0, CFG)
 
 
 RUNS = {

@@ -29,12 +29,12 @@ def test_open_run_keeps_a_density_matrix(kappa, gamma, scale, start, duration):
     reference = experiments.default_pulse_set(PulseKind.TQD_FITTED, params)
     pulse_set = replace(reference, fitted=reference.fitted.scaled(scale))
     space = model.open_space()
-    drives = model.CellDrives(model.hamiltonian_terms(space), [(params, pulse_set)])
+    drives = model.CellDrives([(params, pulse_set)])
     rho0 = np.zeros((space.dim, space.dim), dtype=complex)
     rho0[0, 0] = 1.0
     result = dynamics.evolve_lindblad(
         model.open_liouvillian(),
-        model.open_coefficients(lambda times: drives.amplitudes(start + times), [params]), rho0,
+        model.open_coefficients(lambda times: drives(start + times), [params]), rho0,
         duration, IntegratorConfig(dt=0.01, record_every=10),
     )
     rho = result.final_state

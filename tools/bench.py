@@ -13,13 +13,19 @@ two taking turns at going first. BENCH_<label>.json holds each side's
 environment block, each run's end-to-end metrics and the median of its raw
 wall_s_samples (as wall_median_s; perfbench's wall_s prices every stride at
 the run's fastest one), and per workload and side the median and quartiles
-of each metric. With --against it also holds, per metric, each pair's ratio
-this / against and how many pairs each side won (a tie counts for neither).
+of each metric. Each side's environment block also names the sources it
+ran: source_sha256 over the tree's src/**/*.py (perfbench's git_commit
+reads .git/HEAD only, so it names a working tree's parent and reads
+"unavailable" in a copy) and git_dirty, whether tracked files differ from
+that commit ("unavailable" outside a git checkout). With --against it also
+holds, per metric, each pair's ratio this / against and how many pairs each
+side won (a tie counts for neither).
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -82,6 +88,27 @@ def _pairs(this: list[float], against: list[float], better: str) -> dict:
     }
 
 
+def source_sha256(tree: Path) -> str:
+    """SHA-256 over the sorted relative paths and bytes of tree's src/**/*.py."""
+    digest = hashlib.sha256()
+    for name in sorted(path.relative_to(tree).as_posix() for path in tree.glob("src/**/*.py")):
+        data = (tree / name).read_bytes()
+        digest.update(f"{name}\0{len(data)}\0".encode() + data)
+    return digest.hexdigest()
+
+
+def git_dirty(tree: Path):
+    """Whether tree's tracked files differ from its commit, or "unavailable" if not a checkout."""
+    if not (tree / ".git").exists():
+        return "unavailable"
+    try:
+        proc = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"],
+                              cwd=tree, capture_output=True, text=True)
+    except OSError:
+        return "unavailable"
+    return bool(proc.stdout.strip()) if proc.returncode == 0 else "unavailable"
+
+
 def run_perfbench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One perfbench run in tree; a run that exits non-zero stops the bench."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -109,11 +136,13 @@ def main(argv=None) -> int:
     if args.against is not None:
         trees["against"] = args.against.resolve()
     runs, environment = [], {}
+    sources = {side: {"source_sha256": source_sha256(tree), "git_dirty": git_dirty(tree)}
+               for side, tree in trees.items()}
     for k, seed in enumerate(args.seeds):
         order = list(trees) if k % 2 == 0 else list(trees)[::-1]
         for workload, side in ((w, side) for w in workloads for side in order):
             run = run_perfbench(trees[side], workload, seed, args.seconds)
-            environment.setdefault(side, run.pop("environment"))
+            environment.setdefault(side, {**run.pop("environment"), **sources[side]})
             runs.append({"workload": workload, "seed": seed, "side": side, **run})
             print(f"{workload} seed {seed} {side}: wall_s {run['metrics']['wall_s']:.4g} s, "
                   f"wall median {run['metrics'][WALL_MEDIAN]:.4g} s, "
