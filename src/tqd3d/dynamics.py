@@ -65,7 +65,8 @@ import functools
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Container
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 import numpy as np
 import scipy.sparse as sp
@@ -199,7 +200,7 @@ def _rk4(
     drift_name: str,
     tol: float,
     unpack: Callable[[np.ndarray], np.ndarray] = lambda state: state,
-    reported: Container[int] = (),
+    reported: Mapping[int, Exception] = MappingProxyType({}),
 ) -> SimResult:
     """Classic fixed-step RK4 from 0 to t_f of d/dt x_b = sum_k c[t, b, k] operators[k] x_b.
 
@@ -238,11 +239,12 @@ def _rk4(
     states are stacked in slices of at most PROGRAM_BYTES of unpacked state,
     and record(times, states) gives the population rows of each slice,
     states (points, cells, n) the kept lumped states and times the slice's;
-    populations and fidelity carry a cell axis after time. A drifting cell
-    continues as NaN and its IntegratorInstabilityError goes into
-    metadata["failures"], and so does one for a cell whose coefficients (its
-    weights) are no longer finite, unless the cell is in reported: the
-    caller reports its failure (model.CellDrives). final_state is
+    populations and fidelity carry a cell axis after time. A cell fails at
+    the first recorded point beyond tol, continues as NaN and is not checked
+    again; metadata["failures"][cell] is reported[cell] if its last weights
+    are not finite and the caller has an error for it (reported, cell to
+    error, is read as cells fail: model.CellDrives.errors fills as pulses
+    fail), else an IntegratorInstabilityError. final_state is
     unpack(state) at t_f. metadata["setup_s"] (from entry to the first
     recorded point: index arrays, executor and the t = 0 coefficients),
     ["integrate_s"] and ["record_s"] split the wall time between set-up, the
@@ -268,7 +270,7 @@ def _rk4(
         raise StepCapError(f"{points} recorded points take {per_cell} bytes per cell, "
                            f"more than {RECORD_CAP}; raise record_every or dt")
     times, kept, fids = [], [], []
-    failures: dict[int, IntegratorInstabilityError] = {}
+    failures: dict[int, Exception] = {}
 
     def coefficients_at(times):
         c = coefficients(times)
@@ -342,13 +344,13 @@ def _rk4(
                     (w_last,) = weights(block[2 * (step - first) - 1:2 * (step - first)])
                     nonfinite = ~np.isfinite(w_last).all(axis=-1)  # the cell's coefficients
                     for cell in map(int, np.flatnonzero(bad)):
-                        if nonfinite[cell] and cell in reported:
-                            continue
                         t = (step - 1) * dt + dt
-                        failures[cell] = IntegratorInstabilityError(
-                            f"coefficients not finite by t={t:.4g}" if nonfinite[cell] else
-                            f"{drift_name} drift {drifts[cell]:.2e} > {tol:.0e} at t={t:.4g}; "
-                            "reduce dt")
+                        failures[cell] = (
+                            reported[cell] if nonfinite[cell] and cell in reported else
+                            IntegratorInstabilityError(
+                                f"coefficients not finite by t={t:.4g}" if nonfinite[cell] else
+                                f"{drift_name} drift {drifts[cell]:.2e} > {tol:.0e} at "
+                                f"t={t:.4g}; reduce dt"))
                         state[cell] = np.nan
                     max_drift = max(max_drift, float(np.max(drifts, initial=0.0, where=healthy)))
                 keep(step, state)
@@ -664,7 +666,7 @@ def _batch_csr(operators, cells: int, scale: float, driven=None):
 
 
 def _one_cell(result: SimResult) -> SimResult:
-    """The only cell of a batch of one without its cell axis; a drift failure is raised."""
+    """The only cell of a batch of one without its cell axis; its failure is raised."""
     failures = result.metadata["failures"]
     if failures:
         raise failures[0]
@@ -680,7 +682,7 @@ def evolve_schrodinger(
     cfg: IntegratorConfig = IntegratorConfig(),
     tracked: np.ndarray | None = None,
     target: np.ndarray | None = None,
-    reported: Container[int] = (),
+    reported: Mapping[int, Exception] = MappingProxyType({}),
 ) -> SimResult:
     """Integrate i d/dt psi = H(t) psi with classic RK4, for one state or a batch.
 
@@ -689,11 +691,12 @@ def evolve_schrodinger(
     c as (times, B, K) (model.drive_operators and model.CellDrives), complex
     or real, applied entry by entry with no H(t) stored. psi0 (B, d) is a
     batch of B cells: a cell whose norm drifts beyond NORM_TOL, or whose
-    coefficients stop being finite while it is not in reported (the cells
-    whose failure the caller reports), continues as NaN with its
-    IntegratorInstabilityError in metadata["failures"]. psi0 (d,) runs as a
-    batch of one and gives results without the cell axis; its failure is
-    raised when the run ends.
+    coefficients stop being finite, continues as NaN with its first failure
+    in metadata["failures"]: reported[cell] (reported maps cell to the
+    caller's error, as model.CellDrives.errors does) for coefficients no
+    longer finite, else an IntegratorInstabilityError (_rk4). psi0 (d,)
+    runs as a batch of one and gives results without the cell axis; its
+    failure is raised when the run ends.
 
     The run integrates one amplitude per block of hilbert.lump: amplitudes
     that start equal in every cell and that every operator keeps equal stay
@@ -849,33 +852,27 @@ class Liouvillian:
         x[..., self.imag_of[self.imag_sign > 0]] = values[..., self.imag_sign > 0].imag
         return x
 
-    @functools.cached_property
-    def _density_map(self):
-        """Coordinates, signs and positions in rho viewed as floats of rho's Re and Im parts."""
-        return (np.concatenate([self.real_of, self.imag_of]),
-                np.concatenate([np.ones(self.entries.size), self.imag_sign]),
-                np.concatenate([2 * self.entries, 2 * self.entries + 1]))
-
     def _reader(self, positions: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         """read(x): the floats of rho at positions (...) from its real coordinates x (..., n).
 
         rho is viewed as floats, Re then Im of each entry: position
         2 (i dim + j) + 1 is Im rho_ij. read(x) is (..., positions.size), one
-        take, one multiply and one add of 0.0, so each float has the bits
-        density(x) gives it. A position off the support reads x[0] * 0.0 + 0.0,
-        0.0 for finite x.
+        take, one multiply by 1.0 or imag_sign and one add of 0.0, so an
+        imaginary part -0.0 reads 0.0. Every reading of rho, density
+        included, goes through here. A position off the support reads
+        x[0] * 0.0 + 0.0: 0.0 for finite x, NaN for a failed cell's.
         """
-        coordinates, signs, at = self._density_map
-        where = np.full(2 * self.dim * self.dim, -1)
-        where[at] = np.arange(at.size)
-        found = where[np.ravel(positions)]
-        taken = np.where(found >= 0, coordinates[found], 0)
-        signs = np.where(found >= 0, signs[found], 0.0)
+        taken = np.zeros((self.dim * self.dim, 2), dtype=int)
+        signs = np.zeros((self.dim * self.dim, 2))
+        taken[self.entries] = np.column_stack([self.real_of, self.imag_of])
+        signs[self.entries] = np.column_stack([np.ones(self.entries.size), self.imag_sign])
+        at = np.ravel(positions)
+        taken, signs = taken.reshape(-1)[at], signs.reshape(-1)[at]
 
         def read(x):
             values = x.take(taken, axis=-1)
             values *= signs
-            values += 0.0  # an imaginary part -0.0 is 0.0, as in density
+            values += 0.0
             return values
 
         return read
@@ -883,8 +880,8 @@ class Liouvillian:
     def _block_reader(self, states: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         """read(x): rho's blocks rho[states, states] (..., *states.shape, s) from x (..., n).
 
-        states (..., s) lists the s states of each block; the entries are
-        density(x)'s, bit for bit, read as in _reader.
+        states (..., s) lists the s states of each block, whose entries are
+        read as in _reader.
         """
         states = np.asarray(states)
         entries = states[..., :, None] * self.dim + states[..., None, :]
@@ -926,15 +923,14 @@ class Liouvillian:
                          else np.linalg.eigvalsh(blocks)[..., 0])
         return np.concatenate(least, axis=-1).min(axis=-1)
 
-    def density(self, x: np.ndarray) -> np.ndarray:
-        """rho (..., dim, dim) from its real coordinates x (..., n)."""
-        coordinates, signs, positions = self._density_map
-        rho = np.zeros(x.shape[:-1] + (2 * self.dim * self.dim,))
-        values = x.take(coordinates, axis=-1)
-        values *= signs
-        values += 0.0  # an imaginary part -0.0 is 0.0, as in rho's other zeros
-        rho[..., positions] = values
-        return rho.view(complex).reshape(x.shape[:-1] + (self.dim, self.dim))
+    @functools.cached_property
+    def density(self) -> Callable[[np.ndarray], np.ndarray]:
+        """density(x): rho (..., dim, dim) from its real coordinates x (..., n).
+
+        The _block_reader of all dim states, built once per Liouvillian: a
+        build costs several calls on the open-system support.
+        """
+        return self._block_reader(np.arange(self.dim))
 
 
 def evolve_lindblad(
@@ -945,7 +941,7 @@ def evolve_lindblad(
     cfg: IntegratorConfig = IntegratorConfig(),
     tracked: np.ndarray | None = None,
     target: np.ndarray | None = None,
-    reported: Container[int] = (),
+    reported: Mapping[int, Exception] = MappingProxyType({}),
 ) -> SimResult:
     """Integrate d/dt rho = sum_k c[t, b, k] operators[k] rho with RK4, one run or a batch.
 
@@ -955,11 +951,12 @@ def evolve_lindblad(
     (Liouvillian.reachable). coefficients(times) gives c as (times, cells, K),
     real (ValueError for a nonzero imaginary part); rho stays Hermitian by
     construction. A cell whose trace drifts beyond TRACE_TOL, or whose
-    coefficients stop being finite while it is not in reported, continues as
-    NaN with its error in metadata["failures"]; one run raises it when the
-    run ends. Negative eigenvalues beyond POSITIVITY_TOL at recorded points are
-    kept as warnings in the metadata ("cell b: " first in a batch, in the
-    order of time, then cell), not fixed up; metadata["min_eigenvalue"] is
+    coefficients stop being finite, continues as NaN with its first failure
+    in metadata["failures"], reported[cell] or an IntegratorInstabilityError
+    as in evolve_schrodinger; one run raises it when the run ends. Negative
+    eigenvalues beyond POSITIVITY_TOL at recorded points are kept as
+    warnings in the metadata ("cell b: " first in a batch, in the order of
+    time, then cell), not fixed up; metadata["min_eigenvalue"] is
     the least eigenvalue seen, at most 0. The check runs per slice of the
     record pass (_rk4) on the finite cells' coordinates
     (Liouvillian.least_eigenvalue: eigvalsh of rho's diagonal blocks): a
@@ -978,13 +975,8 @@ def evolve_lindblad(
     x0 = liouvillian.coordinates(cells)
     if not np.array_equal(liouvillian.density(x0), cells):  # == as in hilbert.lump
         raise ValueError("rho0 must lie on the Liouvillian's support, equal within its blocks")
-    on_diagonal = entries // dim == entries % dim
-    diagonal, held = liouvillian.real_of[on_diagonal], entries[on_diagonal] // dim
-
-    def populations(x):  # Re rho_ii, with the bits density gives (-0.0 is 0.0)
-        p = np.zeros(x.shape[:-1] + (dim,))
-        p[..., held] = x.take(diagonal, axis=-1) + 0.0
-        return p
+    diagonal = liouvillian.real_of[entries // dim == entries % dim]
+    populations = liouvillian._reader(2 * (dim + 1) * np.arange(dim))  # Re rho_ii
 
     def real_coefficients(times):
         c = coefficients(times)

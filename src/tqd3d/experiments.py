@@ -69,17 +69,14 @@ def _initial_state(space: hilbert.HilbertSpace) -> np.ndarray:
 
 
 def simulate_closed(params: ModelParams, pulse_set: PulseSet,
-                    cfg: IntegratorConfig = IntegratorConfig(),
-                    t_final: float | None = None) -> SimResult:
-    """Pure-state run on the 8-dim subspace.
+                    cfg: IntegratorConfig = IntegratorConfig()) -> SimResult:
+    """Pure-state run on the 8-dim subspace from 0 to params.t_f.
 
-    It runs as a batch of one on simulate_closed_batch's path; a failing
-    pulse synthesis or norm drift is raised when the run ends.
+    It runs as a batch of one on simulate_closed_batch's path; its first
+    failure (pulse synthesis or norm drift) is raised when the run ends.
     """
     drives = model.CellDrives([(params, pulse_set)])
-    return _raising(drives, _evolve_closed(
-        drives, _initial_state(hilbert.build_subspace()),
-        t_final if t_final is not None else params.t_f, cfg))
+    return _evolve_closed(drives, _initial_state(hilbert.build_subspace()), params.t_f, cfg)
 
 
 def simulate_open(params: ModelParams, pulse_set: PulseSet,
@@ -88,18 +85,11 @@ def simulate_open(params: ModelParams, pulse_set: PulseSet,
 
     The couplings and every collapse operator keep rho inside that space, so
     the run equals one on the full 80-dim product space. It runs as a batch of
-    one on the Liouville support (model.open_liouvillian); a failing pulse
-    synthesis or trace drift is raised when the run ends.
+    one on the Liouville support (model.open_liouvillian); its first failure
+    (pulse synthesis or trace drift) is raised when the run ends.
     """
     drives = model.CellDrives([(params, pulse_set)])
-    return _raising(drives, _evolve_open(drives, _initial_density(), params.t_f, cfg))
-
-
-def _raising(drives: model.CellDrives, result: SimResult) -> SimResult:
-    """result of a single run, unless its pulse synthesis failed: then that error."""
-    if drives.errors:
-        raise drives.errors[0]
-    return result
+    return _evolve_open(drives, _initial_density(), params.t_f, cfg)
 
 
 def _initial_density() -> np.ndarray:
@@ -136,7 +126,7 @@ def simulate_closed_batch(cells: Sequence[tuple[ModelParams, PulseSet]], t_final
     """
     drives = model.CellDrives(cells)
     psi0 = np.tile(_initial_state(hilbert.build_subspace()), (len(drives.cells), 1))
-    return _outcomes(drives, _evolve_closed(drives, psi0, t_final, cfg))
+    return _outcomes(_evolve_closed(drives, psi0, t_final, cfg))
 
 
 def simulate_open_batch(cells: Sequence[tuple[ModelParams, PulseSet]], t_final: float,
@@ -150,14 +140,13 @@ def simulate_open_batch(cells: Sequence[tuple[ModelParams, PulseSet]], t_final: 
     """
     drives = model.CellDrives(cells)
     rho0 = np.tile(_initial_density(), (len(drives.cells), 1, 1))
-    return _outcomes(drives, _evolve_open(drives, rho0, t_final, cfg))
+    return _outcomes(_evolve_open(drives, rho0, t_final, cfg))
 
 
-def _outcomes(drives: model.CellDrives, result: SimResult) -> list[tuple[float, str]]:
-    """(F, note) of each cell of a batch; healthy cells get an empty note."""
-    # A cell that drifted became NaN before it could meet a later pulse failure.
-    errors = {**drives.errors, **result.metadata["failures"]}
-    return [(float("nan"), _note(errors[b])) if b in errors else (float(f), "")
+def _outcomes(result: SimResult) -> list[tuple[float, str]]:
+    """(F, note) of each cell of a batch, the note of its first failure or empty."""
+    failures = result.metadata["failures"]
+    return [(float("nan"), _note(failures[b])) if b in failures else (float(f), "")
             for b, f in enumerate(result.fidelity[-1])]
 
 

@@ -147,7 +147,8 @@ class CellDrives:
     detunings, the rule's one home. A cell whose pulse synthesis fails gets
     NaN coefficients from the first failing time on, and its
     PulseSynthesisError, shared by the cells of one detuning, is kept in
-    `errors`.
+    `errors` (cell to error): the `reported` of dynamics.evolve_schrodinger
+    and evolve_lindblad, which record it as the cell's failure.
     """
 
     def __init__(self, cells: Sequence[tuple[ModelParams, PulseSet]]):

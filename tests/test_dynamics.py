@@ -220,14 +220,44 @@ def test_coefficients_that_turn_nan_fail_the_cell():
     result = dynamics.evolve_schrodinger([SIGMA_X], two_cells, batch, 2.0, cfg)
     assert list(result.metadata["failures"]) == [1]
     assert np.isnan(result.fidelity[-1, 1]) and np.isfinite(result.fidelity[-1, 0])
-    # a cell whose failure the caller reports gets no second one
-    reported = dynamics.evolve_schrodinger([SIGMA_X], two_cells, batch, 2.0, cfg, reported={1})
-    assert reported.metadata["failures"] == {}
+    # a cell whose failure the caller reports fails with the caller's error
+    err = pulses.PulseSynthesisError("no pulse")
+    reported = dynamics.evolve_schrodinger([SIGMA_X], two_cells, batch, 2.0, cfg,
+                                           reported={1: err})
+    assert reported.metadata["failures"] == {1: err}
     assert reported.fidelity.tobytes() == result.fidelity.tobytes()
     rho0 = np.diag([1.0, 0.0]).astype(complex)
     liouvillian = dynamics.Liouvillian.reachable([SIGMA_X], [], rho0)
     with pytest.raises(IntegratorInstabilityError, match="coefficients not finite"):
         dynamics.evolve_lindblad(liouvillian, _nan_after(0.5), rho0, 2.0, cfg)
+
+
+def test_reported_error_is_the_first_failure_of_its_cell():
+    psi0 = np.array([1.0, 0.0], dtype=complex)
+    batch = np.stack([psi0, psi0])
+    cfg = IntegratorConfig(dt=0.01, record_every=10)
+    err = pulses.PulseSynthesisError("no pulse")
+
+    def two_cells(value):
+        return lambda times: np.concatenate(
+            [_constant(0.35)(times), _nan_after(0.5, value)(times)], axis=1)
+
+    # coefficients that turn NaN: the caller's error object is the failure
+    run = dynamics.evolve_schrodinger([SIGMA_X], two_cells(0.35), batch, 2.0, cfg,
+                                      reported={1: err})
+    assert list(run.metadata["failures"]) == [1] and run.metadata["failures"][1] is err
+    assert np.isnan(run.fidelity[-1, 1]) and np.isfinite(run.fidelity[-1, 0])
+    # a cell that drifts (10 radians a step) before its coefficients turn NaN keeps its drift
+    drifted = dynamics.evolve_schrodinger([SIGMA_X], two_cells(1e3), batch, 2.0, cfg,
+                                          reported={1: err})
+    (failure,) = drifted.metadata["failures"].values()
+    assert type(failure) is IntegratorInstabilityError
+    assert str(failure).startswith("norm drift") and str(failure).endswith("at t=0.1; reduce dt")
+    # one run raises the caller's error
+    with pytest.raises(pulses.PulseSynthesisError) as raised:
+        dynamics.evolve_schrodinger([SIGMA_X], _nan_after(0.5), psi0, 2.0, cfg,
+                                    reported={0: err})
+    assert raised.value is err
 
 
 def test_real_coefficients_run_as_complex():

@@ -2,6 +2,7 @@ import functools
 import inspect
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -300,7 +301,8 @@ def test_fidelity_surface_scalar_axis_gives_cut():
 def _closed_cell_alone(params, pulse_set, t_final, cfg):
     """One cell as its own simulate_closed run: (F, note) as a sweep reports it."""
     try:
-        return experiments.simulate_closed(params, pulse_set, cfg, t_final).final_fidelity, ""
+        run = experiments.simulate_closed(replace(params, t_f=t_final), pulse_set, cfg)
+        return run.final_fidelity, ""
     except (IntegratorInstabilityError, PulseSynthesisError) as exc:
         return float("nan"), f"{type(exc).__name__}: {exc}"
 
