@@ -84,12 +84,8 @@ class RunConfig:
             GaussianTerm(self.fit_amp2, self.fit_center2, self.fit_width2),
         ))
 
-    def model_params(self, kappa=None, gamma=None) -> ModelParams:
-        return ModelParams(
-            delta=self.delta, t_f=self.t_f,
-            kappa=self.kappa if kappa is None else kappa,
-            gamma=self.gamma if gamma is None else gamma,
-        )
+    def model_params(self) -> ModelParams:
+        return ModelParams(delta=self.delta, t_f=self.t_f, kappa=self.kappa, gamma=self.gamma)
 
     def integrator(self) -> IntegratorConfig:
         return IntegratorConfig(dt=self.dt, record_every=self.record_every)
@@ -207,8 +203,9 @@ def _write_manifest(out: Path, cfg_text: str, cfg: RunConfig, outputs: list[str]
 
 def cmd_pulses(cfg: RunConfig, cfg_text: str, out: Path) -> int:
     p = cfg.stirap_params()
-    fitted = cfg.fitted_pulse()
     times = pulses.sample_grid(cfg.t_f)
+    # first, so a PulseSynthesisError leaves no output behind
+    omega_ap, omega_bp = pulses.tqd_amplitudes(p, cfg.delta, times)
 
     omega_a, omega_b = pulses.stirap_amplitudes(p, times)
     theta = pulses.mixing_angle(p, times)
@@ -219,11 +216,10 @@ def cmd_pulses(cfg: RunConfig, cfg_text: str, out: Path) -> int:
         zip(times, omega_a, omega_b, theta, theta_dot),
         _provenance(cfg, pulse_kind="stirap"),
     )
-    omega_ap, omega_bp = pulses.tqd_amplitudes(p, cfg.delta, times)
     experiments.write_csv(
         out / "tqd_pulses.csv",
         ["t*g", "abs_Omega_A_prime/g", "Omega_B_prime/g", "Omega_B_fitted/g"],
-        zip(times, np.abs(omega_ap), omega_bp, fitted(times)),
+        zip(times, np.abs(omega_ap), omega_bp, cfg.fitted_pulse()(times)),
         _provenance(cfg, pulse_kind="tqd"),
     )
     experiments.write_plot_script(
@@ -249,13 +245,8 @@ _METHODS = {
 def cmd_simulate(cfg: RunConfig, cfg_text: str, out: Path, method: str,
                  open_system: bool) -> int:
     kind = _METHODS[method]
-    pulse_set = cfg.pulse_set(kind)
-    if open_system:
-        params = cfg.model_params()
-        result = experiments.simulate_open(params, pulse_set, cfg.integrator())
-    else:
-        params = cfg.model_params(kappa=0.0, gamma=0.0)
-        result = experiments.simulate_closed(params, pulse_set, cfg.integrator())
+    run = experiments.simulate_open if open_system else experiments.simulate_closed
+    result = run(cfg.model_params(), cfg.pulse_set(kind), cfg.integrator())
     name = f"simulate_{method}_{'open' if open_system else 'closed'}"
     experiments.write_sim_result(
         out / f"{name}.csv", result,

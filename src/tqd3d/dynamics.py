@@ -73,7 +73,7 @@ import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matvec
 
 from . import hilbert
-from .hilbert import HilbertSpace
+from .hilbert import BasisState, HilbertSpace, LevelA, LevelB
 
 
 # Drift allowed at a recorded point before the run raises IntegratorInstabilityError.
@@ -149,10 +149,8 @@ class SimResult:
 
 def target_state(space: HilbertSpace) -> np.ndarray:
     """Equal superposition of |g0,g0,vac>, |gL,gL,vac>, |gR,gR,vac>."""
-    sub = hilbert.build_subspace()
-    vec = np.zeros(sub.dim, dtype=complex)
-    vec[[0, 6, 7]] = 1.0 / np.sqrt(3.0)
-    return hilbert.embed(vec, sub, space)
+    return sum(space.ket(BasisState(a, b, 0, 0)) for a, b in (
+        (LevelA.g0, LevelB.g0), (LevelA.gL, LevelB.gL), (LevelA.gR, LevelB.gR))) / np.sqrt(3.0)
 
 
 def fidelity(state: np.ndarray, target: np.ndarray):

@@ -273,14 +273,9 @@ def run_fidelity_surface(
 ROBUSTNESS_PARAMETERS = ("t_f", "g", "delta", "amplitude")
 
 
-def check_deviation(deviation: float):
-    """A relative robustness deviation must lie within +-0.5."""
+def _robustness_cell(deviation, parameter, params, pulse_set, cfg):
     if abs(deviation) > 0.5:
         raise ValueError(f"relative deviation {deviation:g} outside +-0.5")
-
-
-def _robustness_cell(deviation, parameter, params, pulse_set, cfg):
-    check_deviation(deviation)
     run_params, run_pulse, t_final = params, pulse_set, params.t_f
     if parameter == "t_f":
         t_final = params.t_f * (1 + deviation)
@@ -351,13 +346,10 @@ def run_decoherence_surface(
 # output writers
 
 
-def provenance_lines(info: dict) -> list[str]:
-    return [f"# {key} = {info[key]}" for key in sorted(info)]
-
-
 def write_csv(path: Path, header: list[str], rows, provenance: dict | None = None):
     """Provenance lines, the header and one line of len(header) "%.12g" fields per row."""
-    lines = provenance_lines(provenance or {})
+    provenance = provenance or {}
+    lines = [f"# {key} = {provenance[key]}" for key in sorted(provenance)]
     lines.append(",".join(header))
     row_format = ",".join(["%.12g"] * len(header))
     lines.extend(row_format % tuple(row) for row in rows)

@@ -231,17 +231,6 @@ def excited_projector(space: HilbertSpace) -> np.ndarray:
     return np.diag(diag).astype(complex)
 
 
-def embed(vec: np.ndarray, sub: HilbertSpace, full: HilbertSpace) -> np.ndarray:
-    """Copy amplitudes of a sub-space vector into the matching full-space slots."""
-    out = np.zeros(full.dim, dtype=complex)
-    for j, s in enumerate(sub.basis):
-        i = full.index.get(s)
-        if i is None:
-            raise KeyError(f"basis state {s} missing from target space")
-        out[i] = vec[j]
-    return out
-
-
 def subspace_indices(sub: HilbertSpace, full: HilbertSpace) -> np.ndarray:
     """Positions of the sub-space basis states inside the full space."""
     return np.array([full.index[s] for s in sub.basis])

@@ -47,7 +47,7 @@ class ModelParams:
 
     g: float = 1.0
     delta: float = 3.6
-    t_f: float = 50.0
+    t_f: float = StirapParams.t_f
     kappa: float = 0.0
     gamma: float = 0.0
 
@@ -356,18 +356,15 @@ def collapse_channels(
 
 @lru_cache(maxsize=None)
 def open_space() -> HilbertSpace:
-    """The 16 states reachable from |phi_1> under the couplings and collapse operators.
+    """The 16 states reachable from |phi_1> under drive_operators and the collapse operators.
 
     Every channel counts whatever its rate, so the space is the same for all
     kappa and gamma (including zero).
     """
     full = hilbert.build_full_space()
-    terms = hamiltonian_terms(full)
     jumps = [op for op, _ in collapse_channels(ModelParams(), full)]
-    return hilbert.reachable_space(
-        full, (terms.drive_a, terms.drive_b, terms.cavity), jumps,
-        hilbert.build_subspace().basis[0],
-    )
+    return hilbert.reachable_space(full, drive_operators(hamiltonian_terms(full)), jumps,
+                                   hilbert.build_subspace().basis[0])
 
 
 @lru_cache(maxsize=None)

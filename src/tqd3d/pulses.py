@@ -33,7 +33,8 @@ FIT_GRADIENT_TOL = 1e-10
 
 
 class PulseSynthesisError(ValueError):
-    """Raised when the counterdiabatic amplitude would be imaginary (sign clash)."""
+    """No real counterdiabatic amplitude: delta*theta_dot > 0 (a sign clash), or
+    theta_dot not finite where the pulse pair vanishes (0/0); the CLI exits 2."""
 
 
 class FitError(RuntimeError):
@@ -81,12 +82,17 @@ def stirap_amplitudes(p: StirapParams, t):
     Omega_B adds a 1/sqrt(5) copy of the same Gaussian to a full-amplitude one
     centered at t_f/2 - tau, so the pulses overlap in the counterintuitive order.
     """
+    return _stirap_pair(p, t)[3:]
+
+
+def _stirap_pair(p: StirapParams, t):
+    """t as a float array, the late and early Gaussians, Omega_A and Omega_B."""
     t = np.asarray(t, dtype=float)
     late = np.exp(-((t - p.t_f / 2 - p.tau) ** 2) / p.width**2)
     early = np.exp(-((t - p.t_f / 2 + p.tau) ** 2) / p.width**2)
     omega_a = (2 / np.sqrt(5)) * p.omega0 * late
     omega_b = (1 / np.sqrt(5)) * p.omega0 * late + p.omega0 * early
-    return omega_a, omega_b
+    return t, late, early, omega_a, omega_b
 
 
 def rabi_norm(p: StirapParams, t):
@@ -106,17 +112,14 @@ def mixing_angle(p: StirapParams, t):
 
 def mixing_angle_rate(p: StirapParams, t):
     """Analytic theta_dot(t) = sqrt(2)(Omega_A dOmega_B - dOmega_A Omega_B)/Omega^2."""
-    t = np.asarray(t, dtype=float)
-    late = np.exp(-((t - p.t_f / 2 - p.tau) ** 2) / p.width**2)
-    early = np.exp(-((t - p.t_f / 2 + p.tau) ** 2) / p.width**2)
-    omega_a = (2 / np.sqrt(5)) * p.omega0 * late
-    omega_b = (1 / np.sqrt(5)) * p.omega0 * late + p.omega0 * early
+    t, late, early, omega_a, omega_b = _stirap_pair(p, t)
     dlate = -2 * (t - p.t_f / 2 - p.tau) / p.width**2 * late
     dearly = -2 * (t - p.t_f / 2 + p.tau) / p.width**2 * early
     domega_a = (2 / np.sqrt(5)) * p.omega0 * dlate
     domega_b = (1 / np.sqrt(5)) * p.omega0 * dlate + p.omega0 * dearly
     norm_sq = omega_a**2 + 2 * omega_b**2
-    return SQRT2 * (omega_a * domega_b - domega_a * omega_b) / norm_sq
+    with np.errstate(invalid="ignore", divide="ignore"):  # not finite where the pair vanishes
+        return SQRT2 * (omega_a * domega_b - domega_a * omega_b) / norm_sq
 
 
 def tqd_amplitudes(p: StirapParams, delta: float, t):
@@ -126,8 +129,8 @@ def tqd_amplitudes(p: StirapParams, delta: float, t):
     |Omega_A'|^2 = -3*delta*theta_dot, which requires delta*theta_dot <= 0.
     Omega_B' is taken real and nonnegative; the relative phase is fixed by
     Omega_A' = -i*sqrt(2)*Omega_B' so the Stark shifts cancel as a global phase.
-    Raises PulseSynthesisError where delta*theta_dot > 0 (see
-    counterdiabatic_amplitudes).
+    Raises PulseSynthesisError where delta*theta_dot > 0 or theta_dot is not
+    finite (see counterdiabatic_amplitudes).
     """
     omega_a_prime, omega_b_prime, (error,) = counterdiabatic_amplitudes(
         mixing_angle_rate(p, t), [delta], t)
@@ -143,17 +146,23 @@ def counterdiabatic_amplitudes(theta_dot, deltas, t):
     runs and model.CellDrives alike. Returns both amplitudes, shaped
     t.shape + (len(deltas),), and per detuning None or the PulseSynthesisError
     of the first time in array order (as a call per time would meet it) at
-    which delta*theta_dot exceeds SIGN_TOL; that column is NaN from then on.
+    which delta*theta_dot exceeds SIGN_TOL or theta_dot is not finite (the
+    pulse pair vanishes there, every detuning fails); that column is NaN
+    from then on.
     """
     theta_dot, deltas = np.asarray(theta_dot), np.asarray(deltas, dtype=float)
     times = np.broadcast_to(np.asarray(t, dtype=float), theta_dot.shape).ravel()
+    vanishes = ~np.isfinite(theta_dot.ravel())
     magnitude = theta_dot[..., None] * deltas  # delta * theta_dot, then the root in place
-    failed = np.logical_or.accumulate((magnitude > SIGN_TOL).reshape(times.size, deltas.size))
+    failed = np.logical_or.accumulate(
+        (magnitude > SIGN_TOL).reshape(times.size, deltas.size) | vanishes[:, None])
     magnitude *= -3.0
     np.sqrt(np.maximum(magnitude, 0.0, out=magnitude), out=magnitude)
     magnitude[failed.reshape(magnitude.shape)] = np.nan
     firsts = (times.size - np.count_nonzero(failed, axis=0)).tolist()  # times.size if none
     errors = [None if first == times.size else PulseSynthesisError(
+        f"theta_dot not finite at t={times[first]:.6g}: the pulse pair vanishes there"
+        if vanishes[first] else
         f"delta*theta_dot > 0 at t={times[first]:.6g}; cannot take a real amplitude root")
         for first in firsts]
     return -1j * magnitude, magnitude / SQRT2, errors

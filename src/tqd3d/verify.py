@@ -154,15 +154,13 @@ def _leakage(op: np.ndarray, idx: np.ndarray) -> float:
 
 def check_structural_invariants() -> CriterionResult:
     full = hilbert.build_full_space()
-    terms = model.hamiltonian_terms(full)
     idx = hilbert.subspace_indices(hilbert.build_subspace(), full)
     open_idx = hilbert.subspace_indices(model.open_space(), full)
 
     # H(t) is a combination of the structure operators, so whatever the pulses, the
     # chain and the open-system space are closed under it if they are under each
     # operator; the open-system space must also be closed under every jump.
-    structure = [op for lower in (terms.drive_a, terms.drive_b, terms.cavity)
-                 for op in (lower, lower.conj().T)] + [terms.excited]
+    structure = model.drive_operators(model.hamiltonian_terms(full))
     jumps = [op for op, _ in model.collapse_channels(ModelParams(), full)]
     closure = max([_leakage(op, i) for op in structure for i in (idx, open_idx)]
                   + [_leakage(op, open_idx) for op in jumps])

@@ -89,7 +89,7 @@ def test_main_alternates_the_trees_and_writes_the_file(tmp_path, monkeypatch):
     out = json.loads((tmp_path / "BENCH_t.json").read_text())
     assert out["environment"] == {
         side: {"nproc": 2, "git_commit": side, "source_sha256": bench.source_sha256(tree),
-               "git_dirty": bench.git_dirty(tree)}
+               "src_lines": bench.source_lines(tree), "git_dirty": bench.git_dirty(tree)}
         for side, tree in (("this", bench.ROOT), ("against", tmp_path))}
     assert len(out["runs"]) == 8 and "environment" not in out["runs"][0]
     pairs = out["summary"][a]["pairs"]
@@ -126,4 +126,4 @@ def test_each_side_names_the_sources_it_ran(tmp_path, monkeypatch):
     for side, tree in (("this", this), ("against", other)):
         assert out["environment"][side] == {
             "nproc": 2, "git_commit": "unavailable", "source_sha256": bench.source_sha256(tree),
-            "git_dirty": "unavailable"}  # neither tree is a git checkout
+            "src_lines": 1, "git_dirty": "unavailable"}  # neither tree is a git checkout

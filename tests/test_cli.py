@@ -291,6 +291,40 @@ def test_sweep_4c_failed_cells_exit_code(tmp_path, monkeypatch, capsys):
     assert np.array_equal(data[:, 0], [10.0, 55.0, 100.0]) and np.isnan(data[:, 1]).all()
 
 
+# At width_frac = 0.01 both Gaussians of the pulse pair underflow near t = 0,
+# where theta_dot is 0/0: no counterdiabatic pulse there.
+_VANISHED = "theta_dot not finite at t=0: the pulse pair vanishes there"
+
+
+@pytest.mark.parametrize("setting, argv, message", [
+    ("TQD3D_WIDTH_FRAC=0.01", ["simulate", "--method", "tqd"], _VANISHED),
+    ("TQD3D_WIDTH_FRAC=0.01", ["simulate", "--method", "tqd", "--open"], _VANISHED),
+    ("TQD3D_WIDTH_FRAC=0.01", ["pulses"], _VANISHED),
+    ("TQD3D_DELTA=-1", ["pulses"],
+     "delta*theta_dot > 0 at t=0; cannot take a real amplitude root"),
+], ids=["vanished_closed", "vanished_open", "vanished_pulses", "negative_delta_pulses"])
+def test_no_counterdiabatic_pulse_exits_2_without_output(tmp_path, monkeypatch, capsys,
+                                                         setting, argv, message):
+    key, _, value = setting.partition("=")
+    monkeypatch.setenv(key, value)
+    assert cli.main(["--out", str(tmp_path), *argv]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: no counterdiabatic pulse for these settings: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_vanished_pulse_pair_fails_sweep_cells(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("TQD3D_WIDTH_FRAC", "0.01")
+    monkeypatch.setenv("TQD3D_SURFACE_DELTA", "1:3.6:2")
+    monkeypatch.setenv("TQD3D_SWEEP_DT", "0.05")
+    assert cli.main(["--out", str(tmp_path), "sweep", "--figure", "4b"]) == cli.EXIT_INSTABILITY
+    assert "2 of 2 cells failed" in capsys.readouterr().err
+    text = (tmp_path / "fidelity_vs_delta.csv").read_text()
+    for cell in range(2):
+        assert f"# cell_{cell}_error = PulseSynthesisError: {_VANISHED}\n" in text
+    assert np.isnan(read_csv(tmp_path / "fidelity_vs_delta.csv")[1][:, 1]).all()
+
+
 def test_sweep_cell_bug_propagates(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("bug in a cell")
@@ -398,12 +432,8 @@ def test_simulate_instability_exit_code(tmp_path, monkeypatch, capsys, setting, 
 
     cfg, _ = cli.load_config(None)
     kind = cli._METHODS[method]
-    if open_system:
-        params = cfg.model_params()
-        batch = experiments.simulate_open_batch
-    else:
-        params = cfg.model_params(kappa=0.0, gamma=0.0)
-        batch = experiments.simulate_closed_batch
+    params = cfg.model_params()
+    batch = experiments.simulate_open_batch if open_system else experiments.simulate_closed_batch
     ((f, note),) = batch([(params, cfg.pulse_set(kind))], params.t_f, cfg.integrator())
     assert math.isnan(f)
     assert note == f"IntegratorInstabilityError: {match[1]}"

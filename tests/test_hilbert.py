@@ -34,34 +34,19 @@ def test_duplicate_basis_rejected(subspace):
         hilbert.HilbertSpace(subspace.basis + (subspace.basis[0],))
 
 
-def test_embed_round_trip(subspace, full_space, rng):
-    vec = rng.normal(size=8) + 1j * rng.normal(size=8)
-    vec /= np.linalg.norm(vec)
-    up = hilbert.embed(vec, subspace, full_space)
-    assert np.allclose(up[hilbert.subspace_indices(subspace, full_space)], vec)
-    assert np.isclose(np.linalg.norm(up), 1.0)
-
-
-def test_embed_preserves_inner_products(subspace, full_space, rng):
-    u = rng.normal(size=8) + 1j * rng.normal(size=8)
-    v = rng.normal(size=8) + 1j * rng.normal(size=8)
-    eu = hilbert.embed(u, subspace, full_space)
-    ev = hilbert.embed(v, subspace, full_space)
-    assert np.isclose(np.vdot(eu, ev), np.vdot(u, v))
-
-
-def test_embed_missing_state_raises(subspace, full_space):
-    with pytest.raises(KeyError):
-        hilbert.embed(np.ones(80) / np.sqrt(80), full_space, subspace)
-
-
 def test_embedded_target_amplitudes(subspace, full_space):
     from tqd3d.dynamics import target_state
 
-    vec = target_state(full_space)
-    nonzero = np.flatnonzero(np.abs(vec) > 1e-15)
-    assert len(nonzero) == 3
-    assert np.allclose(vec[nonzero], 1 / np.sqrt(3))
+    # On the chain, the open-system space and the full space: 1/sqrt(3) at the
+    # positions of |g0,g0>, |gL,gL> and |gR,gR>, zero elsewhere, bit for bit.
+    labels = [BasisState(a, b, 0, 0) for a, b in
+              ((LevelA.g0, LevelB.g0), (LevelA.gL, LevelB.gL), (LevelA.gR, LevelB.gR))]
+    for space in (subspace, model.open_space(), full_space):
+        want = np.zeros(space.dim, dtype=complex)
+        want[[space.index[label] for label in labels]] = 1.0 / np.sqrt(3.0)
+        vec = target_state(space)
+        assert vec.dtype == want.dtype and vec.tobytes() == want.tobytes()
+        assert np.count_nonzero(vec) == 3
 
 
 def test_transition_operator_definition(full_space):

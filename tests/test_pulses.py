@@ -186,6 +186,49 @@ def test_tqd_sign_violation_names_first_time(default_pulses):
     # Backwards, delta = -1 fails first at t = 50: NaN on to t = -60, where it would not fail.
     omega_a, _, errors = pulses.counterdiabatic_amplitudes(theta_dot[::-1], deltas, times[::-1])
     assert np.isnan(omega_a[:, 2]).all() and "at t=50;" in str(errors[2])
+    # A theta_dot that is not finite (a vanished pulse pair, 0/0) fails every
+    # detuning from its time on: delta = -1 before its own clash at t = -40.
+    theta_dot[2] = np.nan  # t = -50
+    omega_a, omega_b, errors = pulses.counterdiabatic_amplitudes(theta_dot, deltas, times)
+    for k, delta in enumerate(deltas):
+        magnitude = np.sqrt(np.maximum(-3.0 * (delta * theta_dot), 0.0))
+        magnitude[times >= -50.0] = np.nan
+        assert np.array_equal(omega_a[:, k], -1j * magnitude, equal_nan=True)
+        assert np.array_equal(omega_b[:, k], magnitude / SQRT2, equal_nan=True)
+    assert {str(error) for error in errors} == {
+        "theta_dot not finite at t=-50: the pulse pair vanishes there"}
+    (error,) = pulses.counterdiabatic_amplitudes(np.inf, [3.6], 0.0)[2]
+    assert str(error) == "theta_dot not finite at t=0: the pulse pair vanishes there"
+
+
+def _pair_and_rate(p, t):
+    """Omega_A, Omega_B and theta_dot as separate formulas, restated to pin their bits."""
+    t = np.asarray(t, dtype=float)
+    late = np.exp(-((t - p.t_f / 2 - p.tau) ** 2) / p.width**2)
+    early = np.exp(-((t - p.t_f / 2 + p.tau) ** 2) / p.width**2)
+    omega_a = (2 / np.sqrt(5)) * p.omega0 * late
+    omega_b = (1 / np.sqrt(5)) * p.omega0 * late + p.omega0 * early
+    dlate = -2 * (t - p.t_f / 2 - p.tau) / p.width**2 * late
+    dearly = -2 * (t - p.t_f / 2 + p.tau) / p.width**2 * early
+    domega_a = (2 / np.sqrt(5)) * p.omega0 * dlate
+    domega_b = (1 / np.sqrt(5)) * p.omega0 * dlate + p.omega0 * dearly
+    norm_sq = omega_a**2 + 2 * omega_b**2
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return omega_a, omega_b, SQRT2 * (omega_a * domega_b - domega_a * omega_b) / norm_sq
+
+
+@pytest.mark.parametrize("params", [
+    StirapParams(), StirapParams(omega0=1.3, t_f=20.0, tau=3.0, width=2.5),
+    StirapParams.for_duration(100.0, 0.35, 0.12, 0.01),  # the pair vanishes: NaN rates
+    StirapParams(omega0=1e150)], ids=["default", "short", "narrow", "strong"])
+@pytest.mark.parametrize("t", [np.linspace(-100.0, 200.0, 3001), 0.0, 31.0, np.float64(-7.5)],
+                         ids=["array", "zero", "peak", "numpy-scalar"])
+def test_pair_and_rate_keep_their_bits(params, t):
+    want = _pair_and_rate(params, t)
+    got = (*pulses.stirap_amplitudes(params, t), pulses.mixing_angle_rate(params, t))
+    for g, w in zip(got, want):
+        assert type(g) is type(w) and np.shape(g) == np.shape(w)
+        assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
 
 
 def test_fitted_pulse_values():

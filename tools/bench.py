@@ -16,10 +16,10 @@ the run's fastest one), and per workload and side the median and quartiles
 of each metric. Each side's environment block also names the sources it
 ran: source_sha256 over the tree's src/**/*.py (perfbench's git_commit
 reads .git/HEAD only, so it names a working tree's parent and reads
-"unavailable" in a copy) and git_dirty, whether tracked files differ from
-that commit ("unavailable" outside a git checkout). With --against it also
-holds, per metric, each pair's ratio this / against and how many pairs each
-side won (a tie counts for neither).
+"unavailable" in a copy), src_lines, their line count, and git_dirty,
+whether tracked files differ from that commit ("unavailable" outside a git
+checkout). With --against it also holds, per metric, each pair's ratio
+this / against and how many pairs each side won (a tie counts for neither).
 """
 
 from __future__ import annotations
@@ -97,6 +97,11 @@ def source_sha256(tree: Path) -> str:
     return digest.hexdigest()
 
 
+def source_lines(tree: Path) -> int:
+    """Newlines in tree's src/**/*.py, as wc -l counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in tree.glob("src/**/*.py"))
+
+
 def git_dirty(tree: Path):
     """Whether tree's tracked files differ from its commit, or "unavailable" if not a checkout."""
     if not (tree / ".git").exists():
@@ -136,7 +141,8 @@ def main(argv=None) -> int:
     if args.against is not None:
         trees["against"] = args.against.resolve()
     runs, environment = [], {}
-    sources = {side: {"source_sha256": source_sha256(tree), "git_dirty": git_dirty(tree)}
+    sources = {side: {"source_sha256": source_sha256(tree), "src_lines": source_lines(tree),
+                      "git_dirty": git_dirty(tree)}
                for side, tree in trees.items()}
     for k, seed in enumerate(args.seeds):
         order = list(trees) if k % 2 == 0 else list(trees)[::-1]
