@@ -25,12 +25,12 @@ transpose hold Re and Im of one value; from |phi_1><phi_1| on the
 open-system space each entry equals its L<->R mirror image, so 44 numbers
 carry 84 of the 256 entries.  Its structure operators are the commutators
 -i[G_k, .] with Hermitian G_k and the dissipators at unit rate, as real
-matrices.  rho is Hermitian by construction.  A recorded point keeps a copy
-of the lumped state and its fidelity, which for rho reads only rho's block
-on the target's states; the population rows, and for rho the positivity
-check (eigvalsh of rho's diagonal blocks on its support, stacked, one call
-per block size), come from one pass over the kept states after the last
-step.
+matrices.  rho is Hermitian by construction.  A recorded point keeps its
+time, its fidelity, which for rho reads only rho's block on the target's
+states, and in a single run a copy of the lumped state; the population rows,
+and for rho the positivity check (eigvalsh of rho's diagonal blocks on its
+support, stacked, one call per block size), come from one pass over the kept
+states after the last step, over t_f's alone in a batch (_Observer).
 
 The per-entry weights c[t, b, k] * value come already multiplied by dt/2,
 built for a chunk of steps at a time (complex ones entry by entry, real
@@ -105,10 +105,10 @@ THIRD = 1.0 / 3.0
 # Most RK4 steps one run may take: 400 times the 25 000 of a run at the
 # default dt and t_f, 200 times the 50 000 of verify's half-step run.
 STEP_CAP = 10_000_000
-# Most bytes one cell of a run may keep for its recorded points (kept states,
-# fidelities and population rows), priced per cell so that whether a sweep
-# runs does not depend on how its cells are batched: 64 times the 250 KB of
-# an open run at the defaults, above the 12.4 MB of that run recorded at
+# Most bytes one cell of a run may keep for its recorded points (times,
+# fidelities and, in a single run, states and population rows), per cell so
+# that whether a sweep runs does not depend on its batches: 64 times the 252 KB
+# of an open run at the defaults, above the 12.6 MB of that run recorded at
 # every step. A batch of cells keeps at most its cells times this.
 RECORD_CAP = 16 * 1024 * 1024
 
@@ -137,7 +137,7 @@ class SimResult:
     """Recorded time series from one evolution (a batch adds a cell axis after time)."""
 
     times: np.ndarray
-    populations: np.ndarray  # (n_times, n_tracked + 1); last column = leaked
+    populations: np.ndarray  # (n_times, n_tracked + 1), last = leaked; a batch: t_f's only
     fidelity: np.ndarray
     final_state: np.ndarray  # vector or matrix, with a leading cell axis for a batch
     metadata: dict = field(default_factory=dict)
@@ -186,20 +186,81 @@ def step_count(t_f: float, dt: float) -> int:
     return int(round(t_f / dt))
 
 
-def _rk4(
-    coefficients: Callable[[np.ndarray], np.ndarray],
-    operators,
-    state: np.ndarray,
-    t_f: float,
-    cfg: IntegratorConfig,
-    fidelity_of: Callable[[np.ndarray], np.ndarray],
-    record: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    drift: Callable[[np.ndarray], np.ndarray],
-    drift_name: str,
-    tol: float,
-    unpack: Callable[[np.ndarray], np.ndarray] = lambda state: state,
-    reported: Mapping[int, Exception] = MappingProxyType({}),
-) -> SimResult:
+class _Observer:
+    """What _rk4 reads of one kind of lumped state (cells, n), and what a run keeps of it.
+
+    drift(state) gives one value per cell, named drift_name, within tol;
+    fidelity(state) is a recorded point's one call of the global
+    dynamics.fidelity; record(times, states) gives population rows of states
+    (points, cells, n) and unpack(state) full states. Each recorded point
+    keeps its time and fidelity, and in series (a run of one state) a copy
+    of the state; a batch's record pass reads t_f's state alone.
+    """
+
+    def __init__(self, drift, drift_name, tol, fidelity, unpack, record, reported, series):
+        self.drift, self.drift_name, self.tol = drift, drift_name, tol
+        self.fidelity, self.unpack, self.record = fidelity, unpack, record
+        self.reported, self.series = reported, series
+        self.failures: dict[int, Exception] = {}
+
+    def start(self, points: int, dt: float, state: np.ndarray):
+        """Room for points recorded points of state; StepCapError for more than RECORD_CAP
+        bytes per cell (a row: one number per unpacked entry, one for the leak)."""
+        cells, n = state.shape
+        per_cell = points * (16 + self.series * (
+            n * state.itemsize + 8 * (1 + self.unpack(state[:1]).shape[-1])))
+        if per_cell > RECORD_CAP:
+            raise StepCapError(f"{points} recorded points take {per_cell} bytes per cell, "
+                               f"more than {RECORD_CAP}; raise record_every or dt")
+        self.dt, self.kept, self.max_drift = dt, 0, 0.0
+        self.times, self.fids = np.empty(points), np.empty((points, cells))
+        self.states = np.empty((points, cells, n), state.dtype) if self.series else None
+
+    def check(self, step: int, state: np.ndarray, last_weights: Callable[[], np.ndarray]):
+        """Fail, as NaN from here on, each cell whose drift first goes beyond tol (NaN is), with
+        reported[cell] (read as cells fail: model.CellDrives.errors fills as pulses fail) if
+        its last_weights() are not finite and the caller has it, else an
+        IntegratorInstabilityError. One max decides; a failure looks at each cell."""
+        drifts = self.drift(state)
+        worst = drifts.max(initial=0.0)
+        if worst <= self.tol:  # a NaN drift is not: the state overflowed
+            self.max_drift = max(self.max_drift, float(worst))
+            return
+        healthy = drifts <= self.tol
+        bad = ~healthy
+        bad[list(self.failures)] = False  # failed already
+        nonfinite = ~np.isfinite(last_weights()).all(axis=-1)  # the cell's coefficients
+        t = (step - 1) * self.dt + self.dt
+        for cell in map(int, np.flatnonzero(bad)):
+            self.failures[cell] = (
+                self.reported[cell] if nonfinite[cell] and cell in self.reported else
+                IntegratorInstabilityError(
+                    f"coefficients not finite by t={t:.4g}" if nonfinite[cell] else
+                    f"{self.drift_name} drift {drifts[cell]:.2e} > {self.tol:.0e} at "
+                    f"t={t:.4g}; reduce dt"))
+            state[cell] = np.nan
+        self.max_drift = max(self.max_drift, float(np.max(drifts, initial=0.0, where=healthy)))
+
+    def keep(self, step: int, state: np.ndarray):
+        self.times[self.kept], self.fids[self.kept] = step * self.dt, self.fidelity(state)
+        if self.series:
+            self.states[self.kept] = state  # the step program's state is its work vector
+        self.kept += 1
+
+    def finish(self, state: np.ndarray) -> SimResult:
+        """The run at t_f: the record pass over the kept states, in slices of at most
+        PROGRAM_BYTES unpacked; populations and fidelity carry a cell axis after time."""
+        kept, at = (self.states, self.times) if self.series else (state[None], self.times[-1:])
+        points = max(1, PROGRAM_BYTES // max(self.unpack(kept[0]).nbytes, 1))  # per slice
+        pops = [self.record(at[i:i + points], kept[i:i + points])
+                for i in range(0, len(at), points)]
+        return SimResult(self.times, np.concatenate(pops), self.fids, self.unpack(state),
+                         {f"max_{self.drift_name}_drift": self.max_drift,
+                          "failures": self.failures})
+
+
+def _rk4(coefficients: Callable[[np.ndarray], np.ndarray], operators, state: np.ndarray,
+         t_f: float, cfg: IntegratorConfig, observer: _Observer) -> SimResult:
     """Classic fixed-step RK4 from 0 to t_f of d/dt x_b = sum_k c[t, b, k] operators[k] x_b.
 
     state is (cells, n), one row x_b per cell, and coefficients(times) gives c
@@ -229,21 +290,9 @@ def _rk4(
     the executor is built again, as at set-up, with every operator from that
     block on, starting from the coefficients of the block's first t.
 
-    At every recorded point drift(state) gives one value per cell, which
-    must stay within tol (NaN is beyond it; one max over the cells decides,
-    and only a failure looks at them one by one), a copy of state is kept
-    and fidelity_of(state), one dynamics.fidelity call per recorded point,
-    made as the point is reached, is stored. After the last step the kept
-    states are stacked in slices of at most PROGRAM_BYTES of unpacked state,
-    and record(times, states) gives the population rows of each slice,
-    states (points, cells, n) the kept lumped states and times the slice's;
-    populations and fidelity carry a cell axis after time. A cell fails at
-    the first recorded point beyond tol, continues as NaN and is not checked
-    again; metadata["failures"][cell] is reported[cell] if its last weights
-    are not finite and the caller has an error for it (reported, cell to
-    error, is read as cells fail: model.CellDrives.errors fills as pulses
-    fail), else an IntegratorInstabilityError. final_state is
-    unpack(state) at t_f. metadata["setup_s"] (from entry to the first
+    At every recorded point observer.check tests each cell's drift and
+    observer.keep keeps the point; observer.finish(state) gives the result,
+    to which _rk4 adds metadata["setup_s"] (from entry to the first
     recorded point: index arrays, executor and the t = 0 coefficients),
     ["integrate_s"] and ["record_s"] split the wall time between set-up, the
     steps and the recording (the recorded points and the record pass); the
@@ -252,23 +301,15 @@ def _rk4(
     held at t_f and ["rebuilds"] the executors built again (0 or 1), and
     ["executor"] and ["chunk_steps"] name the executor at t_f and the steps
     of its chunks. The step count is step_count(t_f, cfg.dt), whose errors
-    are raised before any step, and so is a StepCapError for recorded points
-    that would take more than RECORD_CAP bytes per cell: per point, the
-    cell's kept state, a fidelity and a population row (at most one number
-    per unpacked amplitude or diagonal entry, and one for the leak).
+    are raised before any step, and so is observer.start's StepCapError for
+    recorded points over RECORD_CAP bytes per cell.
     """
     entry = time.perf_counter()
     n_steps = step_count(t_f, cfg.dt)
     dt = t_f / n_steps  # land exactly on t_f
     every = cfg.record_every
     cells, n = state.shape
-    points = -(-n_steps // every) + 1  # t = 0, every every-th step and t_f
-    per_cell = points * (n * state.itemsize + 8 * (2 + unpack(state[:1]).shape[-1]))
-    if per_cell > RECORD_CAP:
-        raise StepCapError(f"{points} recorded points take {per_cell} bytes per cell, "
-                           f"more than {RECORD_CAP}; raise record_every or dt")
-    times, kept, fids = [], [], []
-    failures: dict[int, Exception] = {}
+    observer.start(-(-n_steps // every) + 1, dt, state)  # t = 0, every every-th step, t_f
 
     def coefficients_at(times):
         c = coefficients(times)
@@ -291,11 +332,6 @@ def _rk4(
                                            spread), "step program", chunk)
         return weights, _step_loop(indptr, indices, weights, c0), "step loop", chunk
 
-    def keep(step, state):
-        times.append(step * dt)
-        fids.append(fidelity_of(state))
-        kept.append(state.copy())  # the step program's state is its work vector
-
     # inf * 0 in a cell's weights (a coefficient no longer finite) is NaN, and
     # the cell fails as not finite: one scope for the executors and the steps.
     with np.errstate(invalid="ignore"):
@@ -305,10 +341,10 @@ def _rk4(
         weights, advance, executor, chunk = build(driven, c_last)
         rebuilds = 0
 
-        max_drift = integrate_s = 0.0
+        integrate_s = 0.0
         clock = time.perf_counter()
         setup_s = clock - entry
-        keep(0, state)
+        observer.keep(0, state)
         record_s = time.perf_counter() - clock
         clock += record_s
         starts = range(0, n_steps, BLOCK_STEPS)
@@ -331,46 +367,19 @@ def _rk4(
                     continue
                 now = time.perf_counter()
                 integrate_s += now - clock
-                drifts = drift(state)
-                worst = drifts.max(initial=0.0)
-                if worst <= tol:  # a NaN drift is not: the state overflowed
-                    max_drift = max(max_drift, float(worst))
-                else:
-                    healthy = drifts <= tol
-                    bad = ~healthy
-                    bad[list(failures)] = False  # failed already
-                    (w_last,) = weights(block[2 * (step - first) - 1:2 * (step - first)])
-                    nonfinite = ~np.isfinite(w_last).all(axis=-1)  # the cell's coefficients
-                    for cell in map(int, np.flatnonzero(bad)):
-                        t = (step - 1) * dt + dt
-                        failures[cell] = (
-                            reported[cell] if nonfinite[cell] and cell in reported else
-                            IntegratorInstabilityError(
-                                f"coefficients not finite by t={t:.4g}" if nonfinite[cell] else
-                                f"{drift_name} drift {drifts[cell]:.2e} > {tol:.0e} at "
-                                f"t={t:.4g}; reduce dt"))
-                        state[cell] = np.nan
-                    max_drift = max(max_drift, float(np.max(drifts, initial=0.0, where=healthy)))
-                keep(step, state)
+                i = 2 * (step - first)  # the weights of the last t
+                observer.check(step, state, lambda: weights(block[i - 1:i])[0])
+                observer.keep(step, state)
                 clock = time.perf_counter()
                 record_s += clock - now
 
-    times = np.array(times)
-    points = max(1, PROGRAM_BYTES // max(unpack(kept[0]).nbytes, 1))  # per slice
-    pops = [record(times[i:i + points], np.array(kept[i:i + points]))
-            for i in range(0, len(times), points)]
-    record_s += time.perf_counter() - clock
-    return SimResult(
-        times=times,
-        populations=np.concatenate(pops),
-        fidelity=np.array(fids),
-        final_state=unpack(state),
-        metadata={f"max_{drift_name}_drift": max_drift, "dt": dt, "n_steps": n_steps,
-                  "rhs_evals": 4 * n_steps, "state_shape": state.shape,
-                  "failures": failures, "setup_s": setup_s, "integrate_s": integrate_s,
-                  "record_s": record_s, "blocks": 1 + len(starts), "executor": executor,
-                  "chunk_steps": chunk, "operators": driven.size, "rebuilds": rebuilds},
-    )
+    result = observer.finish(state)
+    result.metadata.update(
+        dt=dt, n_steps=n_steps, rhs_evals=4 * n_steps, state_shape=state.shape,
+        setup_s=setup_s, integrate_s=integrate_s, record_s=record_s + time.perf_counter() - clock,
+        blocks=1 + len(starts), executor=executor, chunk_steps=chunk, operators=driven.size,
+        rebuilds=rebuilds)
+    return result
 
 
 def _program_bytes(entries: int, size: int, itemsize: int) -> int:
@@ -692,7 +701,8 @@ def evolve_schrodinger(
     coefficients stop being finite, continues as NaN with its first failure
     in metadata["failures"]: reported[cell] (reported maps cell to the
     caller's error, as model.CellDrives.errors does) for coefficients no
-    longer finite, else an IntegratorInstabilityError (_rk4). psi0 (d,)
+    longer finite, else an IntegratorInstabilityError (_Observer). A batch
+    records populations at t_f only: a sweep returns F there. psi0 (d,)
     runs as a batch of one and gives results without the cell axis; its
     failure is raised when the run ends.
 
@@ -721,14 +731,13 @@ def evolve_schrodinger(
         return y.take(labels, axis=-1)
 
     target = np.broadcast_to(target, state.shape)
-    result = _rk4(
-        lambda times: np.asarray(coefficients(times), dtype=complex), -1j * lumped,
-        state[:, firsts], t_f, cfg,
-        fidelity_of=lambda y: fidelity(unpack(y), target),
+    observer = _Observer(
+        drift=lambda y: np.abs(np.linalg.norm(unpack(y), axis=-1) - 1.0), drift_name="norm",
+        tol=NORM_TOL, fidelity=lambda y: fidelity(unpack(y), target), unpack=unpack,
         record=lambda times, y: _leaked_row(np.abs(unpack(y)) ** 2, tracked),
-        drift=lambda y: np.abs(np.linalg.norm(unpack(y), axis=-1) - 1.0),
-        drift_name="norm", tol=NORM_TOL, unpack=unpack, reported=reported,
-    )
+        reported=reported, series=psi.ndim == 1)
+    result = _rk4(lambda times: np.asarray(coefficients(times), dtype=complex), -1j * lumped,
+                  state[:, firsts], t_f, cfg, observer)
     return _one_cell(result) if psi.ndim == 1 else result
 
 
@@ -952,11 +961,11 @@ def evolve_lindblad(
     coefficients stop being finite, continues as NaN with its first failure
     in metadata["failures"], reported[cell] or an IntegratorInstabilityError
     as in evolve_schrodinger; one run raises it when the run ends. Negative
-    eigenvalues beyond POSITIVITY_TOL at recorded points are kept as
-    warnings in the metadata ("cell b: " first in a batch, in the order of
-    time, then cell), not fixed up; metadata["min_eigenvalue"] is
-    the least eigenvalue seen, at most 0. The check runs per slice of the
-    record pass (_rk4) on the finite cells' coordinates
+    eigenvalues beyond POSITIVITY_TOL where populations are recorded (at t_f
+    in a batch) are warnings in the metadata ("cell b: " first in a batch,
+    in the order of cell), not fixed up; metadata["min_eigenvalue"] is the
+    least eigenvalue seen, at most 0. The check runs per slice of the
+    record pass (_Observer.finish) on the finite cells' coordinates
     (Liouvillian.least_eigenvalue: eigvalsh of rho's diagonal blocks): a
     failed cell is NaN and has no eigenvalues. Each recorded point reads
     from the coordinates only what it needs: its fidelity rho's block on the
@@ -998,20 +1007,17 @@ def evolve_lindblad(
                     (b, f"eigenvalue {lam:.2e} < -{POSITIVITY_TOL:.0e} at t={times[i]:.4g}"))
         return _leaked_row(populations(x), tracked)
 
-    def drift(x):  # each row summed in C order, as a cell alone would be (_leaked_row)
-        return np.abs(x.take(diagonal, axis=-1).sum(axis=-1) - 1.0)
-
     target = np.eye(dim, dtype=complex)[0] if target is None else np.asarray(target)
     if target.shape != (dim,):
         raise ValueError(f"dimension mismatch: rho ({dim}, {dim}) vs target {target.shape}")
     seen = np.flatnonzero(target)  # fidelity reads rho on these states only
     corner, seen_target = liouvillian._block_reader(seen), target[seen]
-    result = _rk4(
-        real_coefficients, liouvillian.operators, x0, t_f, cfg,
-        fidelity_of=lambda x: fidelity(corner(x), seen_target), record=record,
-        drift=drift, drift_name="trace", tol=TRACE_TOL, unpack=liouvillian.density,
-        reported=reported,
-    )
+    observer = _Observer(
+        # each row summed in C order, as a cell alone would be (_leaked_row)
+        drift=lambda x: np.abs(x.take(diagonal, axis=-1).sum(axis=-1) - 1.0),
+        drift_name="trace", tol=TRACE_TOL, fidelity=lambda x: fidelity(corner(x), seen_target),
+        unpack=liouvillian.density, record=record, reported=reported, series=rho.ndim == 2)
+    result = _rk4(real_coefficients, liouvillian.operators, x0, t_f, cfg, observer)
     result.metadata.update(
         min_eigenvalue=min_eigenvalue, support=int(entries.size), coordinates=x0.shape[1],
         cells=len(cells),

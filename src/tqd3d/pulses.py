@@ -33,8 +33,8 @@ FIT_GRADIENT_TOL = 1e-10
 
 
 class PulseSynthesisError(ValueError):
-    """No real counterdiabatic amplitude: delta*theta_dot > 0 (a sign clash), or
-    theta_dot not finite where the pulse pair vanishes (0/0); the CLI exits 2."""
+    """No counterdiabatic pulse: delta*theta_dot > 0 (a sign clash, no real amplitude),
+    or theta or theta_dot 0/0 where the pulse pair vanishes; the CLI exits 2."""
 
 
 class FitError(RuntimeError):
@@ -104,9 +104,13 @@ def rabi_norm(p: StirapParams, t):
 def mixing_angle(p: StirapParams, t):
     """theta(t) = arctan(-Omega_A / (sqrt(2) Omega_B)), in (-pi/2, pi/2).
 
-    Omega_B > 0 everywhere for the Gaussian pair, so arctan is continuous.
+    Omega_B > 0, so arctan is continuous, wherever the pair does not underflow;
+    PulseSynthesisError names the first t (in array order) where it does: 0/0.
     """
-    omega_a, omega_b = stirap_amplitudes(p, t)
+    t, _, _, omega_a, omega_b = _stirap_pair(p, t)
+    if np.any(omega_b == 0):
+        first = np.ravel(t)[np.argmax(np.ravel(omega_b) == 0)]
+        raise PulseSynthesisError(f"theta is 0/0 at t={first:.6g}: the pulse pair vanishes there")
     return np.arctan(-omega_a / (SQRT2 * omega_b))
 
 

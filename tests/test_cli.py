@@ -547,6 +547,8 @@ def test_recorded_memory_cap_exits_4_before_a_step(tmp_path, monkeypatch, capsys
     def no_step(*args, **kwargs):
         raise AssertionError("a step ran despite recorded points over the cap")
 
+    # A fig-4b cell keeps a time and a fidelity at each of its 101 recorded
+    # points: 1616 bytes.
     monkeypatch.setattr(dynamics, "RECORD_CAP", 1000)
     monkeypatch.setattr(dynamics, "_batch_csr", no_step)
     assert cli.main(["--out", str(tmp_path), *argv]) == cli.EXIT_CAP
@@ -560,14 +562,13 @@ def test_recorded_memory_cap_exits_4_before_a_step(tmp_path, monkeypatch, capsys
                          ids=["at", "over", "record_every_50", "record_every_25"])
 def test_recorded_memory_cap_does_not_depend_on_threads(tmp_path, monkeypatch, capsys, over,
                                                         record_every):
-    # Fig 4b at dt 0.05: 1000 steps, 21 recorded points of 160 bytes per cell
-    # (5 lumped amplitudes, a fidelity, 8 populations and the leak), in one
-    # 39-cell batch at one thread and 20 + 19 at two. Recording every 25th
-    # step keeps 41 points.
+    # Fig 4b at dt 0.05: 1000 steps, 21 recorded points of 16 bytes per cell
+    # (a sweep keeps the time and fidelity of each), in one 39-cell batch at
+    # one thread and 20 + 19 at two. Recording every 25th step keeps 41 points.
     monkeypatch.setenv("TQD3D_SWEEP_DT", "0.05")
     if record_every:
         monkeypatch.setenv("TQD3D_RECORD_EVERY", record_every)
-    monkeypatch.setattr(dynamics, "RECORD_CAP", 21 * 160 - over)
+    monkeypatch.setattr(dynamics, "RECORD_CAP", 21 * 16 - over)
     capped = over or record_every == "25"
     codes = [cli.main(["--out", str(tmp_path / str(threads)), "sweep", "--figure", "4b",
                        "--threads", str(threads)])
@@ -581,6 +582,7 @@ _TESTED_VALUES = ["nan", "inf", "-inf", "0", "-1", "1e-320", "1e300"]
 # Each command with the step and grid settings that keep it short; the tested
 # key's own setting replaces them.
 _COMMANDS = {
+    "pulses": (["pulses"], {}),
     "simulate": (["simulate", "--open", "--method", "tqd-fitted"], {"dt": "0.05"}),
     **{f"sweep-{figure}": (["sweep", "--figure", figure], {
         "sweep_dt": "0.05", "surface_tf": "40:50:2", "surface_delta": "3:4:2",
@@ -596,8 +598,8 @@ _COMMANDS = {
 def test_non_finite_setting_gives_no_nan_output(tmp_path, monkeypatch, key, value, command):
     """A run with a non-finite, zero, negative, tiny or huge setting exits 0, 2, 3 or 4.
 
-    Exit 0 means no NaN in any CSV. Runs are `simulate --open` and the
-    closed and open sweeps on 2-cell grids.
+    Exit 0 means no NaN in any CSV. Runs are `pulses`, `simulate --open` and
+    the closed and open sweeps on 2-cell grids.
     """
     argv, short = _COMMANDS[command]
     for name, setting in {**short, key: value}.items():

@@ -321,9 +321,10 @@ def test_positivity_warnings_name_the_cells_of_a_batch():
     one = dynamics.evolve_lindblad(decay, _constant(0.0), rho0, 1.0, cfg)
     text = ["eigenvalue -5.00e-01 < -1e-05 at t=0", "eigenvalue -5.00e-01 < -1e-05 at t=1"]
     assert one.metadata["positivity_warnings"] == text
-    batch = dynamics.evolve_lindblad(decay, lambda times: np.zeros((len(times), 2, 1)),
-                                     np.stack([np.diag([0.5, 0.5]), rho0]), 1.0, cfg)
-    assert batch.metadata["positivity_warnings"] == [f"cell 1: {line}" for line in text]
+    # A batch checks t_f only, where it records populations.
+    batch = dynamics.evolve_lindblad(decay, lambda times: np.zeros((len(times), 3, 1)),
+                                     np.stack([np.diag([0.5, 0.5]), rho0, rho0]), 1.0, cfg)
+    assert batch.metadata["positivity_warnings"] == [f"cell {b}: {text[-1]}" for b in (1, 2)]
 
 
 def test_lindblad_rejects_what_breaks_hermiticity():
@@ -333,6 +334,15 @@ def test_lindblad_rejects_what_breaks_hermiticity():
         dynamics.Liouvillian.reachable([lower], [], rho0)
     with pytest.raises(ValueError, match="Hermiticity"):  # rho -> i rho
         dynamics.Liouvillian.reachable([], [1j * sp.identity(4, format="csr")], rho0)
+    with pytest.raises(ValueError, match="does not preserve Hermiticity"):  # H = i sigma_x
+        dynamics.Liouvillian.reachable([1j * SIGMA_X], [], np.diag([1.0, 0.0]))
+    # The tolerance is relative to the operator's largest entry: an imaginary
+    # part 1e-15 of it passes, one 1e-9 of it does not.
+    (real,) = dynamics.Liouvillian.reachable(
+        [], [(1e6 + 1e-9j) * sp.identity(4, format="csr")], rho0).operators
+    assert np.array_equal(real.toarray(), [[1e6]])  # rho0's one lumped coordinate
+    with pytest.raises(ValueError, match="does not preserve Hermiticity"):
+        dynamics.Liouvillian.reachable([], [(1 + 1e-9j) * sp.identity(4, format="csr")], rho0)
     with pytest.raises(ValueError, match="transposition"):  # a coherence without its mirror
         dynamics.Liouvillian.reachable([np.diag([1.0, -1.0])], [],
                                        np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -434,10 +444,10 @@ def test_open_batch_rows_do_not_depend_on_the_batch(subspace):
             target=dynamics.target_state(space))
 
     batch = run(slice(None), np.tile(rho0, (len(params), 1, 1)))
-    assert batch.populations.shape == (len(batch.times), len(params), 9)
+    assert batch.populations.shape == (1, len(params), 9)  # t_f's row
     for b in (0, 17, 32):
         alone = run(slice(b, b + 1), rho0)
-        assert np.array_equal(batch.populations[:, b], alone.populations)
+        assert np.array_equal(batch.populations[:, b], alone.populations[-1:])
         assert np.array_equal(batch.fidelity[:, b], alone.fidelity)
         assert np.array_equal(batch.final_state[b], alone.final_state)
     with pytest.raises(ValueError, match="33 cells"):  # one cell's coefficients for 33
@@ -506,8 +516,8 @@ def test_batch_matches_single_states_on_open_space(rng):
     psi0 = rng.normal(size=(2, space.dim)) + 1j * rng.normal(size=(2, space.dim))
     psi0 /= np.linalg.norm(psi0, axis=1, keepdims=True)
     cfg = IntegratorConfig(dt=0.01)
-    drives = model.CellDrives(cells)
-    batch = dynamics.evolve_schrodinger(model.drive_operators(terms), drives, psi0, 50.0, cfg)
+    operators = model.drive_operators(terms)
+    batch = dynamics.evolve_schrodinger(operators, model.CellDrives(cells), psi0, 50.0, cfg)
     assert batch.metadata["failures"] == {}
     first = np.eye(space.dim, dtype=complex)[0]  # evolve_schrodinger's default target
     for b, (params, pulse_set) in enumerate(cells):
@@ -516,7 +526,12 @@ def test_batch_matches_single_states_on_open_space(rng):
         assert np.max(np.abs(batch.final_state[b] - final)) < 1e-12
         assert np.max(np.abs(batch.fidelity[:, b] - fids)) < 1e-12
         leaked = np.zeros((len(pops), 1))  # nothing is untracked
-        assert np.max(np.abs(batch.populations[:, b] - np.hstack([pops, leaked]))) < 1e-12
+        rows = np.hstack([pops, leaked])
+        # A batch records t_f's row; the cell alone records every row.
+        assert np.max(np.abs(batch.populations[:, b] - rows[-1:])) < 1e-12
+        alone = dynamics.evolve_schrodinger(operators, model.CellDrives([cells[b]]), psi0[b],
+                                            50.0, cfg)
+        assert np.max(np.abs(alone.populations - rows)) < 1e-12
 
 
 
@@ -747,27 +762,112 @@ def test_step_count_edges():
 
 
 def test_recorded_memory_is_capped_before_any_step(monkeypatch):
-    # 3 cells of 2 amplitudes, 100 steps recorded at each: per cell 101 points
-    # of 2 complex amplitudes, a fidelity and a row of 2 populations and the
-    # leak, whatever the number of cells.
+    # 100 steps recorded at each: 101 points. A run of one state of 2
+    # amplitudes keeps per point its time, its fidelity, the 2 complex
+    # amplitudes and a row of 2 populations and the leak. A batch keeps per
+    # cell, whatever the number of cells, a time and a fidelity per point.
     psi0 = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]], dtype=complex)
     cfg = IntegratorConfig(dt=0.01, record_every=1)
-    held = 101 * (2 * 16 + 8 + 3 * 8)
+    held, per_cell = 101 * (8 + 8 + 2 * 16 + 3 * 8), 101 * 16
 
     def coefficients(times):
-        return np.full((len(times), 3, 1), 0.35, dtype=complex)
+        return np.full((len(times), len(cells), 1), 0.35, dtype=complex)
 
     def no_step(times):
         raise AssertionError("a run over the cap asked for its coefficients")
 
+    cells = psi0[:1]
     monkeypatch.setattr(dynamics, "RECORD_CAP", held)
-    result = dynamics.evolve_schrodinger([SIGMA_X], coefficients, psi0, 1.0, cfg)
-    assert len(result.times) == 101 and result.populations.shape == (101, 3, 3)
+    result = dynamics.evolve_schrodinger([SIGMA_X], coefficients, psi0[0], 1.0, cfg)
+    assert len(result.times) == 101 and result.populations.shape == (101, 3)
     monkeypatch.setattr(dynamics, "RECORD_CAP", held - 1)
-    for state in (psi0, psi0[0]):  # three cells and one alike
-        with pytest.raises(dynamics.StepCapError, match=f"101 recorded points take {held} "
-                                                        f"bytes per cell, more than {held - 1}"):
+    with pytest.raises(dynamics.StepCapError, match=f"101 recorded points take {held} "
+                                                    f"bytes per cell, more than {held - 1}"):
+        dynamics.evolve_schrodinger([SIGMA_X], no_step, psi0[0], 1.0, cfg)
+    # The batch's fidelities and final state are the run's, its one row t_f's.
+    cells = psi0
+    monkeypatch.setattr(dynamics, "RECORD_CAP", per_cell)
+    batch = dynamics.evolve_schrodinger([SIGMA_X], coefficients, psi0, 1.0, cfg)
+    assert batch.fidelity[:, 0].tobytes() == result.fidelity.tobytes()
+    assert batch.populations.shape == (1, 3, 3)
+    assert batch.populations[0, 0].tobytes() == result.populations[-1].tobytes()
+    assert batch.final_state[0].tobytes() == result.final_state.tobytes()
+    monkeypatch.setattr(dynamics, "RECORD_CAP", per_cell - 1)
+    over = f"101 recorded points take {per_cell} bytes per cell, more than {per_cell - 1}"
+    for state in (psi0, psi0[:1]):  # three cells and one alike
+        with pytest.raises(dynamics.StepCapError, match=over):
             dynamics.evolve_schrodinger([SIGMA_X], no_step, state, 1.0, cfg)
+
+
+def test_recorded_points_hold_what_the_cap_prices(monkeypatch):
+    """The arrays a run keeps for its recorded points are the bytes RECORD_CAP prices per cell.
+
+    A batch of one cell, as a sweep batch of one runs, holds 16 bytes a
+    point; a run of one state also its copies of the state and its rows.
+    """
+    cfg = IntegratorConfig(dt=0.01, record_every=1)
+    kept = []
+    finish = dynamics._Observer.finish
+
+    def holding(observer, state):
+        kept.append(observer.times.nbytes + observer.fids.nbytes
+                    + (observer.states.nbytes if observer.series else 0))
+        return finish(observer, state)
+
+    def coefficients(times):
+        return np.full((len(times), 1, 1), 0.35, dtype=complex)
+
+    monkeypatch.setattr(dynamics._Observer, "finish", holding)
+    batch = dynamics.evolve_schrodinger([SIGMA_X], coefficients, np.eye(2)[:1] + 0j, 1.0, cfg)
+    one = dynamics.evolve_schrodinger([SIGMA_X], coefficients, np.eye(2)[0] + 0j, 1.0, cfg)
+    assert kept[0] == 101 * 16
+    assert kept[1] + one.populations.nbytes == 101 * (8 + 8 + 2 * 16 + 3 * 8)
+    assert batch.populations.nbytes == 3 * 8
+
+
+def test_step_program_rejects_32_bit_overflow_before_building(monkeypatch):
+    """A step program of more than 2**31 - 1 entries raises before any step-sized array.
+
+    On a dense 3 x 3 operator a step holds 72 program entries and 24 work
+    rows. At 2**29 steps both overflow, at 2**25 only the entries do.
+    """
+    weights, spread, indptr, indices = dynamics._batch_csr([np.ones((3, 3))], 1, 0.5)
+
+    def step_sized(*args, **kwargs):
+        raise AssertionError("a step-sized array was built")
+
+    monkeypatch.setattr(np, "tile", step_sized)  # the program's first step-sized array
+    for steps in (2**29, 2**25):
+        with pytest.raises(ValueError, match=f"of {steps} steps overflows 32-bit CSR indices"):
+            dynamics._step_program(indptr, indices, steps, float, weights, np.ones((1, 1)),
+                                   spread)
+
+
+def test_rk4_is_fourth_order_on_the_two_level_rotation():
+    """Every recorded point of the exact-TQD two-level run against its closed form.
+
+    Under exact TQD the two-level coupling is i theta_dot (model), so from
+    (1, 0) the state is (cos dtheta, -sin dtheta), dtheta = theta(t) - theta(0)
+    (pulses.mixing_angle). Halving dt must cut the error 16-fold.
+    """
+    p, delta = pulses.StirapParams(), ModelParams().delta
+    drives = model.reduced_drives(model.two_level_coefficients, p, delta)
+    final_errors, point_errors = [], []
+    for dt, final_bound, point_bound in ((0.4, 7.9e-9, 3.8e-8), (0.2, 5.0e-10, 2.4e-9),
+                                         (0.1, 3.1e-11, 1.5e-10)):
+        run = dynamics.evolve_schrodinger(model.TWO_LEVEL_OPERATORS, drives,
+                                          np.array([1.0, 0.0], dtype=complex), p.t_f,
+                                          IntegratorConfig(dt=dt, record_every=1))
+        assert len(run.times) == round(p.t_f / dt) + 1
+        angle = pulses.mixing_angle(p, run.times) - pulses.mixing_angle(p, 0.0)
+        exact = np.column_stack([np.cos(angle), -np.sin(angle)])
+        final_errors.append(np.linalg.norm(run.final_state - exact[-1]))
+        point_errors.append(np.max(np.linalg.norm(
+            np.sqrt(run.populations[:, :2]) - np.abs(exact), axis=-1)))
+        assert final_errors[-1] <= final_bound and point_errors[-1] <= point_bound
+    for errors in (final_errors, point_errors):
+        ratios = np.divide(errors[:-1], errors[1:])
+        assert np.all((15.0 <= ratios) & (ratios <= 17.0)), ratios
 
 
 def test_step_program_needs_an_in_place_matvec(monkeypatch):

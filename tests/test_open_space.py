@@ -492,53 +492,96 @@ def test_least_eigenvalue_is_the_least_over_the_support_blocks(rng):
 
 
 def test_record_pass_matches_the_density_of_each_recorded_point(monkeypatch):
-    """The batched record pass against an oracle from the coordinates of each recorded point.
+    """The record pass of single runs against an oracle from the coordinates of each point.
 
-    The oracle is Liouvillian.density of the lumped states that _rk4 hands
-    record, with eigvalsh block by block (the test's own blocks) for
-    positivity, the full rho's diagonal for the populations and
+    The oracle is Liouvillian.density of the lumped states that _rk4's
+    observer hands record, with eigvalsh block by block (the test's own
+    blocks) for positivity, the full rho's diagonal for the populations and
     dynamics.fidelity of the full rho for F, which the run takes from rho's
     block on the target's states.
     """
     fitted = experiments.default_pulse_set(PulseKind.TQD_FITTED)
-    cells = [(WARNED, fitted), (BENCHMARK, fitted), (WARNED, fitted)]
+    cells = [WARNED, BENCHMARK, WARNED]
     handed = []
     rk4 = dynamics._rk4
 
-    def capturing(*args, record, **kwargs):
+    def capturing(*args):
+        observer = args[-1]
+        record = observer.record
+
         def kept(times, x):
             handed.append(x.copy())
             return record(times, x)
 
-        return rk4(*args, record=kept, **kwargs)
+        observer.record = kept
+        return rk4(*args)
+
+    def runs(record_every):
+        cfg = IntegratorConfig(dt=0.3, record_every=record_every)
+        return [experiments.simulate_open(params, fitted, cfg) for params in cells]
 
     monkeypatch.setattr(dynamics, "_rk4", capturing)
-    run = _open_batch(cells, IntegratorConfig(dt=0.3, record_every=1))
-    assert [len(x) for x in handed] == [85, 83]  # recorded in two slices
+    # A slice holds 85 points of one 16 x 16 complex rho.
+    monkeypatch.setattr(dynamics, "PROGRAM_BYTES", 85 * 16 * 16 * 16)
+    every = runs(1)
+    assert [len(x) for x in handed] == [85, 83] * 3  # each run recorded in two slices
     liouvillian = model.open_liouvillian()
-    rho = liouvillian.density(np.concatenate(handed))  # (points, cells, dim, dim)
-    assert rho.shape[:2] == (len(run.times), 3) == (168, 3)
+    x = np.concatenate(handed).reshape(3, -1, liouvillian.operators[0].shape[0])
+    rho = liouvillian.density(x.swapaxes(0, 1))  # (points, cells, dim, dim)
+    times = every[0].times
+    assert rho.shape[:2] == (len(times), 3) == (168, 3)
     target = dynamics.target_state(model.open_space())
-    assert run.fidelity.tobytes() == dynamics.fidelity(rho, target).tobytes()
-
+    fids = dynamics.fidelity(rho, target)
     least = _least_over_blocks(rho, _support_blocks(liouvillian))
     assert np.max(np.abs(least - np.linalg.eigvalsh(rho)[..., 0])) <= 1e-14
-    assert run.metadata["min_eigenvalue"] == min(0.0, least.min())
-    warnings = [f"cell {b}: eigenvalue {least[i, b]:.2e} < -1e-05 at t={t:.4g}"
-                for i, t in enumerate(run.times) for b in range(3)
-                if least[i, b] < -dynamics.POSITIVITY_TOL]
-    assert run.metadata["positivity_warnings"] == warnings
-    assert len(warnings) == 10 and not any(w.startswith("cell 1") for w in warnings)
     tracked = hilbert.subspace_indices(hilbert.build_subspace(), model.open_space())
     diagonal = np.diagonal(rho, axis1=-2, axis2=-1).real
-    assert run.populations[..., :-1].tobytes() == diagonal[..., tracked].tobytes()
+    for b, run in enumerate(every):
+        assert run.times.tobytes() == times.tobytes()
+        assert run.fidelity.tobytes() == fids[:, b].tobytes()
+        assert run.metadata["min_eigenvalue"] == min(0.0, least[:, b].min())
+        assert run.metadata["positivity_warnings"] == [
+            f"eigenvalue {least[i, b]:.2e} < -1e-05 at t={t:.4g}"
+            for i, t in enumerate(times) if least[i, b] < -dynamics.POSITIVITY_TOL]
+        assert run.populations[:, :-1].tobytes() == diagonal[:, b, tracked].tobytes()
+    warned = [len(run.metadata["positivity_warnings"]) for run in every]
+    assert sum(warned) == 10 and warned[1] == 0
 
     # Recording every other step gives the same rows at the times both record.
-    again = _open_batch(cells, IntegratorConfig(dt=0.3, record_every=2))
-    assert again.times.tobytes() == np.append(run.times[::2], run.times[-1]).tobytes()
     both = np.append(np.arange(0, 168, 2), 167)
-    assert again.populations.tobytes() == run.populations[both].tobytes()
-    assert again.fidelity.tobytes() == run.fidelity[both].tobytes()
+    for run, again in zip(every, runs(2)):
+        assert again.times.tobytes() == np.append(run.times[::2], run.times[-1]).tobytes()
+        assert again.populations.tobytes() == run.populations[both].tobytes()
+        assert again.fidelity.tobytes() == run.fidelity[both].tobytes()
+
+
+def test_a_batch_keeps_every_fidelity_but_only_t_f_rho(monkeypatch):
+    """A batch gives its cells' single-run fidelities and final rho, and t_f's row and check only.
+
+    Its positivity check reads t_f's rho alone: one stacked eigvalsh per
+    block size larger than one (8 and 3 states).
+    """
+    fitted = experiments.default_pulse_set(PulseKind.TQD_FITTED)
+    cells = [(WARNED, fitted), (BENCHMARK, fitted), (WARNED, fitted)]
+    cfg = IntegratorConfig(dt=0.3, record_every=1)
+    runs = [experiments.simulate_open(params, pulse_set, cfg) for params, pulse_set in cells]
+    eigvalsh, calls = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    batch = _open_batch(cells, cfg)
+    assert calls == [(1, 3, 1, 8, 8), (1, 3, 2, 3, 3)]
+    for b, run in enumerate(runs):
+        assert batch.times.tobytes() == run.times.tobytes()
+        assert batch.fidelity[:, b].tobytes() == run.fidelity.tobytes()
+        assert batch.final_state[b].tobytes() == run.final_state.tobytes()
+        assert batch.populations[:, b].tobytes() == run.populations[-1:].tobytes()
+    at_t_f = f"at t={runs[0].times[-1]:.4g}"  # none: the runs' ten lie between t = 27 and 30
+    assert batch.metadata["positivity_warnings"] == [
+        f"cell {b}: {w}" for b, run in enumerate(runs)
+        for w in run.metadata["positivity_warnings"] if w.endswith(at_t_f)]
+    least = eigvalsh(batch.final_state)[:, 0]
+    assert abs(batch.metadata["min_eigenvalue"] - min(0.0, least.min())) <= 1e-14
+    assert batch.metadata["max_trace_drift"] == max(r.metadata["max_trace_drift"] for r in runs)
+    assert batch.metadata["n_steps"] == runs[0].metadata["n_steps"]
 
 
 def test_infinite_coefficient_fails_only_its_cell():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from tqd3d import dynamics, experiments, hilbert, model
-from tqd3d.dynamics import IntegratorConfig
+from tqd3d.dynamics import IntegratorConfig, SimResult
 from tqd3d.model import ModelParams
 from tqd3d.pulses import PulseKind
 
@@ -37,6 +37,10 @@ def _closed_batch():
                                        model.CellDrives(cells), psi0, 50.0, CFG)
 
 
+def _sweep_cells(**rates):
+    return [(ModelParams(**rates), experiments.default_pulse_set(kind)) for kind in PulseKind]
+
+
 RUNS = {
     "closed_single": lambda: experiments.simulate_closed(
         ModelParams(), experiments.default_pulse_set(PulseKind.TQD_EXACT), CFG),
@@ -44,6 +48,10 @@ RUNS = {
     "open": lambda: experiments.simulate_open(
         ModelParams(kappa=0.01, gamma=0.05),
         experiments.default_pulse_set(PulseKind.TQD_FITTED), CFG),
+    # The sweep path keeps no state at recorded points, but still ticks at each.
+    "closed_sweep_batch": lambda: experiments.simulate_closed_batch(_sweep_cells(), 50.0, CFG),
+    "open_sweep_batch": lambda: experiments.simulate_open_batch(
+        _sweep_cells(kappa=0.01, gamma=0.05), 50.0, CFG),
 }
 
 
@@ -54,8 +62,11 @@ def test_each_recorded_point_is_a_progress_tick(perfbench, run):
     ticks = progress.Progress()
     with ticks.iteration():
         result = RUNS[run]()
-    assert len(result.times) == 21
-    assert len(ticks.strides[0]) == len(result.times) - 1
+    if isinstance(result, SimResult):
+        assert len(result.times) == 21
+    else:  # a sweep batch's (F, note) per cell
+        assert len(result) == len(PulseKind)
+    assert len(ticks.strides[0]) == 21 - 1
     assert dynamics.fidelity is fidelity
 
 

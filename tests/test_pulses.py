@@ -231,6 +231,35 @@ def test_pair_and_rate_keep_their_bits(params, t):
         assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
 
 
+@pytest.mark.parametrize("params, vanishes_from", [
+    (StirapParams(), None), (StirapParams(omega0=1.3, t_f=20.0, tau=3.0, width=2.5), 81.3),
+    (StirapParams.for_duration(100.0, 0.35, 0.12, 0.01), 89.3),
+    (StirapParams(omega0=1e150), None)],
+    ids=["default", "short", "narrow", "strong"])
+def test_mixing_angle_keeps_its_bits_and_fails_where_the_pair_vanishes(params, vanishes_from):
+    """theta where Omega_B > 0 is the formula's, bit for bit; where the pair vanishes it raises.
+
+    On t in [30, 200] the short and narrow pairs underflow from t = 81.3 and
+    89.3 on. Any warning would fail the test (RuntimeWarning is an error in
+    this suite).
+    """
+    t = np.linspace(30.0, 200.0, 1701)
+    omega_a, omega_b, _ = _pair_and_rate(params, t)
+    held = omega_b > 0
+    theta = pulses.mixing_angle(params, t[held])
+    assert theta.tobytes() == np.arctan(-omega_a[held] / (SQRT2 * omega_b[held])).tobytes()
+    if vanishes_from is None:
+        assert held.all()
+        return
+    first = t[np.argmin(held)]
+    assert first == pytest.approx(vanishes_from)
+    with pytest.raises(PulseSynthesisError, match=f"^theta is 0/0 at t={first:.6g}: "
+                                                  "the pulse pair vanishes there$"):
+        pulses.mixing_angle(params, t)
+    with pytest.raises(PulseSynthesisError, match=f"^theta is 0/0 at t={first:.6g}: "):
+        pulses.mixing_angle(params, float(first))  # one time, no array
+
+
 def test_fitted_pulse_values():
     pulse = pulses.default_fitted_pulse()
     assert float(pulse(25.68)) == pytest.approx(0.7087999872, abs=1e-8)
