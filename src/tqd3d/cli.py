@@ -8,7 +8,7 @@ TQD3D_<KEY> environment variables.
 
 Exit codes: 0 success, 1 verification failure, 2 config error,
 3 numerical instability (also: failed sweep cells), 4 resource cap exceeded,
-5 i/o error.
+5 i/o error, 70 anything else (a bug, or a sweep worker process that died).
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import hashlib
 import os
 import platform
 import sys
+import traceback
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -40,6 +41,7 @@ EXIT_CONFIG = 2
 EXIT_INSTABILITY = 3
 EXIT_CAP = 4
 EXIT_IO = 5
+EXIT_SOFTWARE = 70  # EX_SOFTWARE of BSD sysexits.h
 
 
 class ConfigError(ValueError):
@@ -385,6 +387,15 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except Exception as exc:  # outside the taxonomy above: a bug, or a worker that died
+        cause = f"{type(exc).__name__}: {exc}"
+        # loaded once a process pool has run, so not imported here
+        pools = sys.modules.get("concurrent.futures.process")
+        if pools is not None and isinstance(exc, pools.BrokenProcessPool):
+            cause = f"a worker process died ({cause})"
+        print(f"internal error: {cause}", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_SOFTWARE
 
 
 if __name__ == "__main__":

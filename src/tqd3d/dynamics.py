@@ -320,7 +320,8 @@ def _rk4(coefficients: Callable[[np.ndarray], np.ndarray], operators, state: np.
 
     def build(driven, c0):
         """weights, advance, executor and chunk steps of the operators driven, from c0 (all K)."""
-        weights, spread, indptr, indices = _batch_csr(operators, cells, dt / 2, driven)
+        weights, spread, indptr, indices = _batch_csr(np.take(operators, driven, axis=0),
+                                                      cells, dt / 2)
         step_bytes = _program_bytes(indices.size, cells * n, state.itemsize)
         program = step_bytes <= PROGRAM_STEP_BYTES
         budget, per_step = ((PROGRAM_BYTES, step_bytes) if program
@@ -495,7 +496,9 @@ def _step_program(indptr: np.ndarray, indices: np.ndarray, steps: int, dtype, we
     b3 = 2 * entries + 4 * size
     t0 = 3 * entries + 6 * size
 
-    if max(per_step * steps, size + 8 * size * steps) > np.iinfo(np.int32).max:
+    # The work vector (size + 8 size per step) is shorter than the data (4 entries
+    # + 12 size per step), so the data's length alone can overflow an index.
+    if per_step * steps > np.iinfo(np.int32).max:
         raise ValueError(f"a step program of {steps} steps overflows 32-bit CSR indices")
     program_indptr = np.concatenate([np.zeros(size, np.int32), np.cumsum(
         np.concatenate([[0], np.tile(lengths, steps)]), dtype=np.int32)])
@@ -599,35 +602,20 @@ def _driven(c: np.ndarray) -> np.ndarray:
     return (c != 0).reshape(-1, c.shape[-1]).any(axis=0)
 
 
-def _entries(op) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows, columns and values of the stored entries of CSR op, or of dense op's nonzeros.
-
-    Row by row, each row in stored or column order: the entries and the
-    order sp.coo_matrix(op) gives.
-    """
-    if sp.issparse(op):
-        op = op.tocsr()
-        return np.repeat(np.arange(op.shape[0]), np.diff(op.indptr)), op.indices, op.data
-    op = np.asarray(op)
-    rows, cols = np.nonzero(op)
-    return rows, cols, op[rows, cols]
-
-
-def _batch_csr(operators, cells: int, scale: float, driven=None):
+def _batch_csr(operators, cells: int, scale: float):
     """weights, spread, indptr, indices of a batch: d/dt x = sum_k c[t, b, k] operators[k] x per cell.
 
-    operators are K dense or CSR (n, n) matrices, of which the batch holds
-    those listed in driven (all by default); c then has one column per
-    driven operator, in that order. Entry e of operator k adds
-    c[k] * value_e * x[col_e] to row_e, entries ordered by row, operator and
-    column. weights(c) maps c (times, cells, K) to the weights
-    c[k_e] * (value_e * scale), (times, cells, E), of the dtype of all
-    operators together. Complex weights take c[k_e] and multiply. Real ones
-    are one product c @ spread, spread (K, E) holding value_e * scale in row
-    k_e (None for complex weights): each weight has that one nonzero term,
-    so it is the same product, bit for bit, but for the edges. A -0.0
-    coefficient gives +0.0, and an infinite one makes every weight of its
-    cell non-finite (inf * 0 is NaN, silenced by _rk4's np.errstate).
+    operators are K dense (n, n) matrices, (K, n, n) as np.asarray gives
+    them. Entry e, a nonzero of operator k, adds c[k] * value_e * x[col_e]
+    to row_e, entries ordered by row, operator and column. weights(c) maps
+    c (times, cells, K) to the weights c[k_e] * (value_e * scale),
+    (times, cells, E), of the operators' dtype. Complex weights take c[k_e]
+    and multiply. Real ones are one product c @ spread, spread (K, E)
+    holding value_e * scale in row k_e (None for complex weights): each
+    weight has that one nonzero term, so it is the same product, bit for
+    bit, but for the edges. A -0.0 coefficient gives +0.0, and an infinite
+    one makes every weight of its cell non-finite (inf * 0 is NaN, silenced
+    by _rk4's np.errstate).
 
     Those weights of one time, cell after cell, are the data of one
     block-diagonal (cells * n, cells * n) CSR matrix with the index arrays
@@ -639,13 +627,10 @@ def _batch_csr(operators, cells: int, scale: float, driven=None):
     one cell a csr_array's `@` spends longer on dispatch than the product
     takes.
     """
-    n = operators[0].shape[0]
-    dtype = np.result_type(*(op.dtype for op in operators))
-    driven = range(len(operators)) if driven is None else driven
-    parts = [_entries(operators[k]) for k in driven]
-    rows, cols, values = (np.concatenate([np.zeros(0, kind)] + [p[i] for p in parts])
-                          for i, kind in enumerate((int, int, dtype)))
-    ks = np.repeat(np.arange(len(parts)), [p[0].size for p in parts])
+    operators = np.asarray(operators)
+    n = operators.shape[-1]
+    ks, rows, cols = np.nonzero(operators)
+    values = operators[ks, rows, cols]
     order = np.lexsort((cols, ks, rows))
     rows, ks, cols, values = rows[order], ks[order], cols[order], values[order]
     size = cells * n
@@ -656,7 +641,7 @@ def _batch_csr(operators, cells: int, scale: float, driven=None):
     if indptr[-1] != values.size * cells or not np.all((indices >= 0) & (indices < size)):
         raise ValueError(f"a batch of {cells} cells overflows 32-bit CSR indices")
     scaled = values * scale
-    k, e = len(parts), values.size
+    k, e = len(operators), values.size
     spread = None
     if not np.iscomplexobj(scaled):  # row k_e of spread holds entry e's value, else zeros
         spread = np.zeros((k, e))
@@ -778,12 +763,12 @@ class Liouvillian:
     lower block of a pair, -1 on its transpose and 0 on a block of its own).
     Without lumping that is Re rho_ii for each diagonal entry, and Re rho_ij
     then Im rho_ij for each entry i < j. operators[k] is the real matrix of
-    the k-th superoperator on x.
+    the k-th superoperator on x, (K, n, n) for K superoperators.
     """
 
     dim: int
     entries: np.ndarray
-    operators: tuple[sp.csr_matrix, ...]
+    operators: np.ndarray
     real_of: np.ndarray
     imag_of: np.ndarray
     imag_sign: np.ndarray
@@ -808,9 +793,8 @@ class Liouvillian:
         eye = sp.identity(dim, dtype=complex, format="csr")
         full = [-1j * (sp.kron(h, eye) - sp.kron(eye, np.transpose(h))) for h in hamiltonians]
         full = [sp.csr_matrix(op) for op in full + list(dissipators)]
-        for op in full:
-            op.eliminate_zeros()  # a stored zero links no entries
-        links = sum(abs(op) for op in full).T  # links[j, i]: entry j feeds entry i
+        # links[j, i]: entry j feeds entry i; a stored zero links no entries
+        links = (sum(abs(op) for op in full) != 0).T.toarray()
         values = np.reshape(rho0, (-1, dim * dim))
         entries = hilbert.closure(links, np.flatnonzero(values.any(axis=0)))
         full = [op[entries][:, entries] for op in full]
@@ -846,10 +830,8 @@ class Liouvillian:
             if np.max(abs(real.data.imag), initial=0.0) > 1e-12 * np.max(abs(real.data),
                                                                          initial=1.0):
                 raise ValueError("a structure operator does not preserve Hermiticity")
-            real = sp.csr_matrix(real.real)
-            real.eliminate_zeros()
-            operators.append(real)
-        return cls(dim, entries, tuple(operators), real_of, imag_of, sign)
+            operators.append(real.real.toarray())
+        return cls(dim, entries, np.stack(operators), real_of, imag_of, sign)
 
     def coordinates(self, rho: np.ndarray) -> np.ndarray:
         """The real coordinates (..., n) of Hermitian rho (..., dim, dim), equal within blocks."""
@@ -905,8 +887,8 @@ class Liouvillian:
         |phi_1><phi_1| on the open-system space the blocks hold 8, 3, 3, 1 and
         1 states.
         """
-        rows, cols = np.divmod(self.entries, self.dim)
-        links = sp.coo_matrix((np.ones(rows.size), (rows, cols)), (self.dim, self.dim))
+        links = np.zeros((self.dim, self.dim), dtype=bool)
+        links[np.divmod(self.entries, self.dim)] = True
         first = np.full(self.dim, -1)  # each state's block, by its first state
         for state in range(self.dim):
             if first[state] < 0:

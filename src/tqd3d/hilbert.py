@@ -26,7 +26,6 @@ from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 
 class LevelA(Enum):
@@ -114,14 +113,14 @@ def build_subspace() -> HilbertSpace:
 def closure(links, start) -> np.ndarray:
     """Ascending indices reachable from the start indices, start included.
 
-    A nonzero links[j, i] (a dense or scipy.sparse matrix) leads from j to i.
+    A nonzero links[j, i] (a dense matrix, read as booleans) leads from j to i.
     """
-    links = sp.csr_matrix(links)
-    seen = np.zeros(links.shape[0], dtype=bool)
+    links = np.asarray(links, dtype=bool)
+    seen = np.zeros(len(links), dtype=bool)
     frontier = np.unique(np.asarray(start, dtype=int))
     while frontier.size:
         seen[frontier] = True
-        reached = np.unique(links[frontier].indices)
+        reached = np.flatnonzero(links[frontier].any(axis=0))
         frontier = reached[~seen[reached]]
     return np.flatnonzero(seen)
 

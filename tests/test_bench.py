@@ -55,7 +55,7 @@ def test_summarize_pairs_by_seed():
             _run("w", 2, "against", 4.0, ok=0.5), _run("w", 2, "this", 2.0),
             _run("w", 3, "this", 3.0), _run("w", 3, "against", 3.0),
             _run("v", 1, "this", 5.0)]
-    summary = bench.summarize(runs, BETTER)
+    summary = bench.summarize(runs, BETTER, {})
     assert list(summary) == ["w", "v"]
     w = summary["w"]
     assert w["this"]["wall_s"] == {"q1": 1.5, "median": 2.0, "q3": 2.5, "n": 3}
@@ -68,7 +68,29 @@ def test_summarize_pairs_by_seed():
     assert "pairs" not in summary["v"] and list(summary["v"]) == ["this"]
 
 
-def test_main_alternates_the_trees_and_writes_the_file(tmp_path, monkeypatch):
+def test_within_bound_compares_medians_in_the_better_direction():
+    # medians: this wall_s 2.5 against 2.0 (25 % worse), ok_frac 0.75 against 1.0
+    runs = [_run("w", seed, "this", wall, ok) for seed, wall, ok in
+            ((1, 1.0, 0.75), (2, 2.5, 0.75), (3, 3.0, 1.0))]
+    runs += [_run("w", seed, "against", wall) for seed, wall in ((1, 2.0), (2, 2.0), (3, 9.0))]
+    runs += [_run("v", 1, "this", 1.0), _run("v", 1, "against", 1.0)]
+    runs += [_run("u", 1, "this", 1.0)]  # one side: no comparison
+    at_edge = {"wall_s": 0.25, "ok_frac": 0.25}
+    summary = bench.summarize(runs, BETTER, at_edge)
+    assert summary["w"]["within_bound"] == {"wall_s": True, "ok_frac": True}
+    assert "within_bound" not in summary["u"]
+    summary = bench.summarize(runs, BETTER, {"wall_s": 0.2, "ok_frac": 0.2})
+    assert summary["w"]["within_bound"] == {"wall_s": False, "ok_frac": False}
+    assert summary["v"]["within_bound"] == {"wall_s": True, "ok_frac": True}
+    assert bench.bound_lines(summary) == ["w: outside the bound: wall_s, ok_frac",
+                                          "v: every metric within its bound"]
+    # better the other way: a lower wall_s is never outside, a higher ok_frac neither
+    better = dict(BETTER, wall_s="higher", ok_frac="lower")
+    assert bench.summarize(runs, better, {"wall_s": 0.0, "ok_frac": 0.0})["w"][
+        "within_bound"] == {"wall_s": True, "ok_frac": True}
+
+
+def test_main_alternates_the_trees_and_writes_the_file(tmp_path, monkeypatch, capsys):
     calls = []
 
     def fake_perfbench(tree, workload, seed, seconds):
@@ -97,6 +119,11 @@ def test_main_alternates_the_trees_and_writes_the_file(tmp_path, monkeypatch):
     assert pairs["wall_median_s"]["this_won"] == 2
     assert set(out["summary"][b]["this"]) == {"wall_s", "setup_s", "peak_rss_mb",
                                                 "fidelity_abs_err", "ok_frac", "wall_median_s"}
+    # every end-to-end metric but wall_median_s has a bound; this side's runs are faster
+    assert out["summary"][a]["within_bound"] == dict.fromkeys(
+        ["wall_s", "setup_s", "peak_rss_mb", "fidelity_abs_err", "ok_frac"], True)
+    assert capsys.readouterr().err.splitlines()[-2:] == [
+        f"{a}: every metric within its bound", f"{b}: every metric within its bound"]
 
 
 def _tree(root: Path, source: bytes) -> Path:

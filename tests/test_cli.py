@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 import os
 import platform
 import re
@@ -325,14 +326,36 @@ def test_vanished_pulse_pair_fails_sweep_cells(tmp_path, monkeypatch, capsys):
     assert np.isnan(read_csv(tmp_path / "fidelity_vs_delta.csv")[1][:, 1]).all()
 
 
-def test_sweep_cell_bug_propagates(tmp_path, monkeypatch):
+def test_sweep_cell_bug_propagates(tmp_path, monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise TypeError("bug in a cell")
 
     monkeypatch.setattr(cli.experiments, "simulate_closed_batch", broken)
     monkeypatch.setenv("TQD3D_SURFACE_DELTA", "3:4:2")
-    with pytest.raises(TypeError, match="bug in a cell"):
-        cli.main(["--out", str(tmp_path), "sweep", "--figure", "4b", "--threads", "1"])
+    code = cli.main(["--out", str(tmp_path), "sweep", "--figure", "4b", "--threads", "1"])
+    assert code == cli.EXIT_SOFTWARE
+    first, *rest = capsys.readouterr().err.splitlines()
+    assert first == "internal error: TypeError: bug in a cell"
+    assert rest[0] == "Traceback (most recent call last):" and "in broken" in "\n".join(rest)
+
+
+def _dies_in_a_worker(*args, **kwargs):
+    """A sweep batch whose worker process dies, as one the out-of-memory killer ends."""
+    if multiprocessing.parent_process() is None:
+        raise AssertionError("the batch ran in the parent process")
+    os._exit(9)
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two worker processes")
+def test_a_dead_sweep_worker_exits_70(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli.experiments, "simulate_closed_batch", _dies_in_a_worker)
+    monkeypatch.setenv("TQD3D_SURFACE_DELTA", "3:4:2")
+    code = cli.main(["--out", str(tmp_path), "sweep", "--figure", "4b", "--threads", "2"])
+    assert code == cli.EXIT_SOFTWARE
+    first, *rest = capsys.readouterr().err.splitlines()
+    assert first.startswith("internal error: a worker process died (BrokenProcessPool: ")
+    assert rest[0] == "Traceback (most recent call last):"
+    assert not list(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize("threads", [0, (os.cpu_count() or 1) + 1])

@@ -19,7 +19,10 @@ reads .git/HEAD only, so it names a working tree's parent and reads
 "unavailable" in a copy), src_lines, their line count, and git_dirty,
 whether tracked files differ from that commit ("unavailable" outside a git
 checkout). With --against it also holds, per metric, each pair's ratio
-this / against and how many pairs each side won (a tie counts for neither).
+this / against and how many pairs each side won (a tie counts for neither),
+and per workload whether each end-to-end metric is within its BENCHMARK.json
+bound (within_bound; wall_median_s has none); a line on stderr names, per
+workload, the metrics outside it.
 """
 
 from __future__ import annotations
@@ -54,12 +57,15 @@ def quartiles(values: list[float]) -> dict:
     return {"q1": q1, "median": median, "q3": q3, "n": len(values)}
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
-    """Per workload: each side's quartiles of every metric, and the pairs.
+def summarize(runs: list[dict], better: dict[str, str], bounds: dict[str, float]) -> dict:
+    """Per workload: each side's quartiles of every metric, the pairs and within_bound.
 
     runs are dicts with workload, seed, side ("this" or "against") and
     metrics; better maps a metric name to "lower" or "higher". A pair is the
-    two sides' runs of one workload and seed.
+    two sides' runs of one workload and seed. bounds maps a metric to its
+    bound: with both sides, within_bound[metric] says whether this side's
+    median is worse than against's by at most bound times against's (worse:
+    above it for "lower", below it for "higher").
     """
     summary: dict = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
@@ -74,8 +80,28 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
             entry["pairs"] = {name: _pairs([sides["this"][s][name] for s in seeds],
                                            [sides["against"][s][name] for s in seeds], way)
                               for name, way in better.items()}
+            entry["within_bound"] = {
+                name: _within(entry["this"][name]["median"], entry["against"][name]["median"],
+                              better[name], bound)
+                for name, bound in bounds.items()}
         summary[workload] = entry
     return summary
+
+
+def bound_lines(summary: dict) -> list[str]:
+    """One line per workload with within_bound, naming the metrics outside their bound."""
+    lines = []
+    for workload, entry in summary.items():
+        if "within_bound" in entry:
+            outside = [name for name, ok in entry["within_bound"].items() if not ok]
+            lines.append(f"{workload}: " + (f"outside the bound: {', '.join(outside)}"
+                                            if outside else "every metric within its bound"))
+    return lines
+
+
+def _within(this: float, against: float, better: str, bound: float) -> bool:
+    worse = this - against if better == "lower" else against - this
+    return worse <= bound * abs(against)
 
 
 def _pairs(this: list[float], against: list[float], better: str) -> dict:
@@ -136,6 +162,7 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     better[WALL_MEDIAN] = "lower"
     trees = {"this": ROOT}
     if args.against is not None:
@@ -153,6 +180,9 @@ def main(argv=None) -> int:
             print(f"{workload} seed {seed} {side}: wall_s {run['metrics']['wall_s']:.4g} s, "
                   f"wall median {run['metrics'][WALL_MEDIAN]:.4g} s, "
                   f"{run['failed']} of {run['attempted']} failed", file=sys.stderr, flush=True)
+    summary = summarize(runs, better, bounds)
+    for line in bound_lines(summary):
+        print(line, file=sys.stderr)
     path = args.out / f"BENCH_{args.label}.json"
     path.write_text(json.dumps({
         "label": args.label,
@@ -163,7 +193,7 @@ def main(argv=None) -> int:
         "ratio": "this / against",
         "environment": environment,
         "runs": runs,
-        "summary": summarize(runs, better),
+        "summary": summary,
     }, indent=1) + "\n")
     print(path.name)
     return 0
