@@ -8,7 +8,8 @@ TQD3D_<KEY> environment variables.
 
 Exit codes: 0 success, 1 verification failure, 2 config error,
 3 numerical instability (also: failed sweep cells), 4 resource cap exceeded,
-5 i/o error, 70 anything else (a bug, or a sweep worker process that died).
+5 i/o error, 70 anything else (a bug, or a sweep worker process that died),
+130 interrupted (SIGINT).
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__, experiments, pulses
 from .dynamics import IntegratorConfig, IntegratorInstabilityError, StepCapError, step_count
@@ -42,6 +42,7 @@ EXIT_INSTABILITY = 3
 EXIT_CAP = 4
 EXIT_IO = 5
 EXIT_SOFTWARE = 70  # EX_SOFTWARE of BSD sysexits.h
+EXIT_INTERRUPT = 130  # 128 + SIGINT, as a shell reports it
 
 
 class ConfigError(ValueError):
@@ -194,6 +195,8 @@ def _provenance(cfg: RunConfig, **extra) -> dict:
 
 
 def _write_manifest(out: Path, cfg_text: str, cfg: RunConfig, outputs: list[str]):
+    import scipy  # about 14 ms, and only the manifest reads it
+
     digest = hashlib.sha256(cfg_text.encode()).hexdigest()
     entries = {"config_sha256": digest, "outputs": ";".join(outputs),
                "tqd3d_version": __version__, "numpy_version": np.__version__,
@@ -387,6 +390,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPT
     except Exception as exc:  # outside the taxonomy above: a bug, or a worker that died
         cause = f"{type(exc).__name__}: {exc}"
         # loaded once a process pool has run, so not imported here

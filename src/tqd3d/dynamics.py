@@ -58,22 +58,54 @@ block that drives them (_rk4): the paper's TQD pulses fix
 Re omega_a = Im omega_b = 0 and its STIRAP pulses are real and undetuned,
 so an open run at nonzero rates integrates 181 (TQD) or 161 (STIRAP) of
 the Liouvillian's 229 nonzeros per cell, with the bits all 229 give.
+The compiled product is loaded from scipy's extension module alone
+(_load_sparsetools): only the open-system builders, dissipator_superoperator
+and Liouvillian.reachable, import scipy.sparse.
 """
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 import time
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Callable, Mapping
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matvec
 
 from . import hilbert
 from .hilbert import BasisState, HilbertSpace, LevelA, LevelB
+
+
+def _load_sparsetools():
+    """scipy's compiled sparse kernels (scipy/sparse/_sparsetools) without importing scipy.sparse.
+
+    The extension needs only numpy, where `import scipy.sparse` costs about
+    160 ms and 15 MB. Loading it adds it to sys.modules; left there, a later
+    `import scipy.sparse` would find it and never set its `_sparsetools`
+    attribute. ImportError, naming the directories searched, if it is not there.
+    """
+    name = "scipy.sparse._sparsetools"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")  # finds scipy without importing it
+    path = [os.path.join(location, "sparse") for location in scipy.submodule_search_locations]
+    spec = importlib.machinery.PathFinder.find_spec(name, path)
+    if spec is None:
+        raise ImportError(f"no {name} in {path}", name=name)
+    try:
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.modules.pop(name, None)
+    return module
+
+
+csr_matvec = _load_sparsetools().csr_matvec
 
 
 # Drift allowed at a recorded point before the run raises IntegratorInstabilityError.
@@ -728,11 +760,13 @@ def evolve_schrodinger(
 
 def dissipator_superoperator(
     channels: list[tuple[np.ndarray, float]], dim: int
-) -> sp.csr_matrix:
+) -> "scipy.sparse.csr_matrix":
     """Sparse superoperator D with D vec(rho) = sum_c rate_c (L rho L+ - {L+L, rho}/2).
 
     Row-major vectorization: vec(A X B) = (A kron B^T) vec(X).
     """
+    import scipy.sparse as sp
+
     total = sp.csr_matrix((dim * dim, dim * dim), dtype=complex)
     eye = sp.identity(dim, dtype=complex, format="csr")
     for op, rate in channels:
@@ -789,6 +823,8 @@ class Liouvillian:
         the support or its blocks are not closed under transposition, or an
         operator does not map Hermitian rho to Hermitian rho.
         """
+        import scipy.sparse as sp
+
         dim = rho0.shape[-1]
         eye = sp.identity(dim, dtype=complex, format="csr")
         full = [-1j * (sp.kron(h, eye) - sp.kron(eye, np.transpose(h))) for h in hamiltonians]

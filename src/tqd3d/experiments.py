@@ -161,7 +161,9 @@ def _run_cells(cells: list, simulate, size: int, threads: int) -> list[tuple[flo
     once into batches of at most min(size, ceil(len(cells) / threads)), each
     run as simulate([(params, pulse_set), ...], t_final, cfg). The batches
     run largest first by steps x cells, in threads worker processes when
-    threads > 1, each of which takes one whole batch at a time.
+    threads > 1, each of which takes one whole batch at a time. An
+    exception, KeyboardInterrupt included, cancels the batches not yet
+    started and waits for the workers to end.
     """
     if not cells:
         return []
@@ -178,8 +180,11 @@ def _run_cells(cells: list, simulate, size: int, threads: int) -> list[tuple[flo
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        pool = ProcessPoolExecutor(max_workers=threads)
+        try:
             outcomes = list(pool.map(simulate, *work))
+        finally:
+            pool.shutdown(cancel_futures=True)
     else:
         outcomes = map(simulate, *work)
     results = [None] * len(cells)

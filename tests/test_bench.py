@@ -124,6 +124,63 @@ def test_main_alternates_the_trees_and_writes_the_file(tmp_path, monkeypatch, ca
         ["wall_s", "setup_s", "peak_rss_mb", "fidelity_abs_err", "ok_frac"], True)
     assert capsys.readouterr().err.splitlines()[-2:] == [
         f"{a}: every metric within its bound", f"{b}: every metric within its bound"]
+    assert "cli" not in out  # --cli-rounds 0 runs no command
+
+
+def test_cli_rounds_alternate_the_trees_and_write_quartiles(tmp_path, monkeypatch):
+    calls = []
+
+    def fake_perfbench(tree, workload, seed, seconds):
+        path = tmp_path / "runs" / f"{tree.name}-{workload}-{seed}.json"
+        return bench.read_run(_write_result(path, 0.1, [0.1]))
+
+    def fake_cli(tree, argv):
+        side = "against" if tree == tmp_path.resolve() else "this"
+        calls.append((" ".join(argv), side))
+        scale = (1.0 if side == "this" else 2.0) * len(calls)
+        return {"wall_s": scale, "cpu_s": 0.5 * scale, "maxrss_mb": 40.0}
+
+    monkeypatch.setattr(bench, "run_perfbench", fake_perfbench)
+    monkeypatch.setattr(bench, "run_cli", fake_cli)
+    assert bench.main(["--label", "c", "--seeds", "1", "--cli-rounds", "3",
+                       "--against", str(tmp_path), "--out", str(tmp_path)]) == 0
+    commands = [" ".join(argv) for argv in bench.CLI_COMMANDS.values()]
+    assert commands == ["pulses", "simulate --method tqd", "simulate --open",
+                        "sweep --figure 4b", "verify"]
+    first, second = ("this", "against"), ("against", "this")
+    assert calls == [(command, side) for order in (first, second, first)
+                     for command in commands for side in order]
+    out = json.loads((tmp_path / "BENCH_c.json").read_text())
+    assert out["cli_rounds"] == 3 and set(out["cli"]) == {"this", "against"}
+    # pulses ran as calls 1, 12 and 21 on this side, verify as 10, 19 and 30 on the other
+    assert out["cli"]["this"]["pulses"] == {
+        "wall_s": bench.quartiles([1.0, 12.0, 21.0]),
+        "cpu_s": bench.quartiles([0.5, 6.0, 10.5]),
+        "maxrss_mb": bench.quartiles([40.0] * 3)}
+    assert out["cli"]["against"]["verify"]["wall_s"]["median"] == 2.0 * 19
+
+
+def _cli_tree(root: Path, body: str) -> Path:
+    (root / "src" / "tqd3d").mkdir(parents=True)
+    (root / "src" / "tqd3d" / "__init__.py").write_text("")
+    (root / "src" / "tqd3d" / "cli.py").write_text(body)
+    return root
+
+
+def test_run_cli_measures_its_child(tmp_path):
+    tree = _cli_tree(tmp_path / "busy", (
+        "import sys, time\n"
+        "assert sys.argv[1] == '--out' and sys.argv[3:] == ['sweep', '--figure', '4b']\n"
+        "data = bytearray(64 << 20)  # 64 MiB, touched\n"
+        "start = time.process_time()\n"
+        "while time.process_time() - start < 0.2:\n"
+        "    pass\n"))
+    run = bench.run_cli(tree, ["sweep", "--figure", "4b"])
+    assert run["wall_s"] >= run["cpu_s"] >= 0.2
+    assert run["maxrss_mb"] > 64
+    failing = _cli_tree(tmp_path / "failing", "import sys\nsys.exit('no such figure')\n")
+    with pytest.raises(SystemExit, match="tqd3d pulses in .* exited 1:\nno such figure"):
+        bench.run_cli(failing, ["pulses"])
 
 
 def _tree(root: Path, source: bytes) -> Path:

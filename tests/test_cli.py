@@ -4,9 +4,11 @@ import multiprocessing
 import os
 import platform
 import re
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -358,6 +360,37 @@ def test_a_dead_sweep_worker_exits_70(tmp_path, monkeypatch, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def _children(pid):
+    return [int(child) for child in Path(f"/proc/{pid}/task/{pid}/children").read_text().split()]
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two worker processes")
+@pytest.mark.skipif(not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
+                    reason="needs /proc/PID/task/TID/children to find the workers")
+def test_sigint_exits_130_and_leaves_no_worker(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.Popen([sys.executable, "-m", "tqd3d.cli", "--out", str(tmp_path),
+                             "sweep", "--figure", "4a", "--threads", "2"], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        deadline = time.monotonic() + 30
+        while len(workers := _children(proc.pid)) < 2 and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert len(workers) == 2, "the sweep started no pool"
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=10)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert (proc.returncode, out, err) == (cli.EXIT_INTERRUPT, "", "interrupted\n")
+    deadline = time.monotonic() + 5
+    while any(Path(f"/proc/{pid}").exists() for pid in workers) and time.monotonic() < deadline:
+        time.sleep(0.02)
+    assert not [pid for pid in workers if Path(f"/proc/{pid}").exists()]
+    assert not list(tmp_path.glob("*.csv"))
+
+
 @pytest.mark.parametrize("threads", [0, (os.cpu_count() or 1) + 1])
 def test_threads_validated_before_work(tmp_path, monkeypatch, capsys, threads):
     def no_work(*args, **kwargs):
@@ -510,13 +543,33 @@ def test_sweep_axis_outside_domain_exit_code(tmp_path, monkeypatch, capsys, sett
 def test_import_leaves_out_the_fitter():
     # scipy.optimize is a third of the import time; only pulse fitting needs it.
     # The process pool takes 5-7 ms more; only a sweep with threads > 1 needs it.
-    modules = ["scipy.optimize", "concurrent.futures.process"]
+    # scipy.sparse takes about 160 ms; dynamics loads only its compiled kernels.
+    # scipy itself is read only for the manifest's version line.
+    modules = ["scipy.optimize", "concurrent.futures.process", "scipy.sparse", "scipy"]
     code = f"import sys, tqd3d.cli; print([m in sys.modules for m in {modules!r}])"
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
-    assert proc.stdout.strip() == "[False, False]"
+    assert proc.stdout.strip() == "[False, False, False, False]"
+
+
+def test_closed_runs_leave_out_scipy_sparse(tmp_path):
+    # Closed runs apply their operators with the kernels alone; only open
+    # runs, verify and pulse fitting build scipy.sparse matrices.
+    code = ("import sys; from tqd3d import cli; "
+            "print(cli.main(['--out', sys.argv[1], 'simulate', '--method', 'tqd']), "
+            "'scipy.sparse' in sys.modules); "
+            "print(cli.main(['--out', sys.argv[1], 'sweep', '--figure', '4b']), "
+            "'scipy.sparse' in sys.modules)")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", ""),
+           "TQD3D_DT": "0.05", "TQD3D_SURFACE_DELTA": "3:4:3"}
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.splitlines()[-2:] == ["0 False", "0 False"]
+    assert (tmp_path / "simulate_tqd_closed.csv").exists()
+    assert len(read_csv(tmp_path / "fidelity_vs_delta.csv")[1]) == 3
 
 
 def test_open_simulate_leaves_out_csgraph(tmp_path):

@@ -1,5 +1,10 @@
+import importlib.machinery
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -920,6 +925,39 @@ def test_step_program_needs_an_in_place_matvec(monkeypatch):
         assert np.array_equal(run().final_state, expected)
     finally:
         dynamics._check_in_place.cache_clear()
+
+
+def test_sparse_kernels_load_before_scipy_sparse():
+    """scipy.sparse imported after dynamics sets its _sparsetools and shares its csr_matvec."""
+    code = ("import numpy as np; from tqd3d import dynamics; import scipy.sparse as sp; "
+            "from scipy.sparse.csgraph import connected_components; "
+            "a = sp.csr_matrix(np.array([[0.0, 2.0], [0.0, 0.0]])); "
+            "print(sp._sparsetools.csr_matvec is dynamics.csr_matvec, a @ np.ones(2), "
+            "connected_components(a)[0])")
+    src = str(Path(dynamics.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert proc.stdout.split() == ["True", "[2.", "0.]", "1"]
+
+
+def test_sparse_kernels_load_alone(monkeypatch):
+    """_load_sparsetools leaves no sys.modules entry and gives the same kernels, or ImportError."""
+    name = "scipy.sparse._sparsetools"
+    monkeypatch.delitem(sys.modules, name, raising=False)
+    assert dynamics._load_sparsetools().csr_matvec is dynamics.csr_matvec
+    assert name not in sys.modules
+    searched = []
+
+    def not_found(fullname, path=None, target=None):
+        searched.extend(path)
+
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", not_found)
+    with pytest.raises(ImportError) as caught:
+        dynamics._load_sparsetools()
+    assert [os.path.basename(path) for path in searched] == ["sparse"]
+    assert searched[0] in str(caught.value) and caught.value.name == name
+    assert name not in sys.modules
 
 
 def _every_operator(monkeypatch):

@@ -23,6 +23,17 @@ this / against and how many pairs each side won (a tie counts for neither),
 and per workload whether each end-to-end metric is within its BENCHMARK.json
 bound (within_bound; wall_median_s has none); a line on stderr names, per
 workload, the metrics outside it.
+
+With --cli-rounds N (default 0: no CLI rows), it also times N rounds of
+each command of CLI_COMMANDS, one subprocess each,
+
+    python3 -m tqd3d.cli --out TMPDIR COMMAND...
+
+with the tree's src/ on PYTHONPATH, the trees taking turns at going first
+as above. os.wait4 gives each child's user + system CPU time and peak RSS.
+BENCH_<label>.json then holds under "cli", per side and command, the
+median and quartiles of wall_s, cpu_s and maxrss_mb. A command that exits
+non-zero stops the bench.
 """
 
 from __future__ import annotations
@@ -30,13 +41,23 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WALL_MEDIAN = "wall_median_s"  # the median of a run's raw wall samples, lower is better
+CLI_COMMANDS = {
+    "pulses": ["pulses"],
+    "simulate-tqd": ["simulate", "--method", "tqd"],
+    "simulate-open": ["simulate", "--open"],
+    "sweep-4b": ["sweep", "--figure", "4b"],
+    "verify": ["verify"],
+}
 
 
 def read_run(path: Path) -> dict:
@@ -150,6 +171,43 @@ def run_perfbench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return read_run(tree / ".perfbench_out" / workload / f"seed{seed}-trace0" / "result.json")
 
 
+def run_cli(tree: Path, argv: list[str]) -> dict:
+    """Wall time, child CPU time and peak RSS of one tqd3d command in tree; non-zero exit stops."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")]))}
+    with tempfile.TemporaryDirectory() as out, open(Path(out) / "stderr", "w+") as err:
+        start = time.perf_counter()
+        child = subprocess.Popen([sys.executable, "-m", "tqd3d.cli", "--out", out, *argv],
+                                 cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=err)
+        _, status, usage = os.wait4(child.pid, 0)
+        wall = time.perf_counter() - start
+        child.returncode = os.waitstatus_to_exitcode(status)  # reaped: Popen must not wait
+        if child.returncode != 0:
+            err.seek(0)
+            sys.exit(f"bench: tqd3d {' '.join(argv)} in {tree} exited {child.returncode}:\n"
+                     f"{err.read()}")
+    return {"wall_s": wall, "cpu_s": usage.ru_utime + usage.ru_stime,
+            "maxrss_mb": usage.ru_maxrss / 1024}  # Linux reports ru_maxrss in KiB
+
+
+def run_cli_rounds(trees: dict, rounds: int) -> dict:
+    """Per side and command, the quartiles of each run_cli metric over alternating rounds."""
+    runs: dict = {side: {name: [] for name in CLI_COMMANDS} for side in trees}
+    for k in range(rounds):
+        order = list(trees) if k % 2 == 0 else list(trees)[::-1]
+        for name, argv in CLI_COMMANDS.items():
+            for side in order:
+                run = run_cli(trees[side], argv)
+                runs[side][name].append(run)
+                print(f"cli {name} round {k} {side}: wall_s {run['wall_s']:.3f} s, "
+                      f"cpu_s {run['cpu_s']:.3f} s, maxrss {run['maxrss_mb']:.1f} MB",
+                      file=sys.stderr, flush=True)
+    return {side: {name: {metric: quartiles([run[metric] for run in rows])
+                          for metric in rows[0]}
+                   for name, rows in by_name.items()}
+            for side, by_name in runs.items()}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
@@ -158,6 +216,8 @@ def main(argv=None) -> int:
     parser.add_argument("--against", type=Path, default=None,
                         help="another source tree, run alternately with this one")
     parser.add_argument("--out", type=Path, default=ROOT)
+    parser.add_argument("--cli-rounds", type=int, default=0,
+                        help="rounds of CLI_COMMANDS per tree, one subprocess each")
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
@@ -183,8 +243,7 @@ def main(argv=None) -> int:
     summary = summarize(runs, better, bounds)
     for line in bound_lines(summary):
         print(line, file=sys.stderr)
-    path = args.out / f"BENCH_{args.label}.json"
-    path.write_text(json.dumps({
+    written = {
         "label": args.label,
         "command": "python3 perfbench/run.py --workload W --seed N --seconds S --trace 0",
         "seconds": args.seconds,
@@ -194,7 +253,13 @@ def main(argv=None) -> int:
         "environment": environment,
         "runs": runs,
         "summary": summary,
-    }, indent=1) + "\n")
+    }
+    if args.cli_rounds > 0:
+        written["cli_command"] = "python3 -m tqd3d.cli --out TMPDIR COMMAND..."
+        written["cli_rounds"] = args.cli_rounds
+        written["cli"] = run_cli_rounds(trees, args.cli_rounds)
+    path = args.out / f"BENCH_{args.label}.json"
+    path.write_text(json.dumps(written, indent=1) + "\n")
     print(path.name)
     return 0
 
