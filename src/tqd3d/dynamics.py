@@ -59,8 +59,10 @@ Re omega_a = Im omega_b = 0 and its STIRAP pulses are real and undetuned,
 so an open run at nonzero rates integrates 181 (TQD) or 161 (STIRAP) of
 the Liouvillian's 229 nonzeros per cell, with the bits all 229 give.
 The compiled product is loaded from scipy's extension module alone
-(_load_sparsetools): only the open-system builders, dissipator_superoperator
-and Liouvillian.reachable, import scipy.sparse.
+(_load_sparsetools), and the open-system superoperators on vec(rho) are
+numpy arrays of their nonzeros (Superoperator), so no run imports
+scipy.sparse: of the commands, only verify's pulse fit loads it, through
+scipy.optimize.
 """
 from __future__ import annotations
 
@@ -73,7 +75,7 @@ import sys
 import time
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -758,28 +760,68 @@ def evolve_schrodinger(
     return _one_cell(result) if psi.ndim == 1 else result
 
 
-def dissipator_superoperator(
-    channels: list[tuple[np.ndarray, float]], dim: int
-) -> "scipy.sparse.csr_matrix":
-    """Sparse superoperator D with D vec(rho) = sum_c rate_c (L rho L+ - {L+L, rho}/2).
+class Superoperator(NamedTuple):
+    """The nonzeros S[rows[e], cols[e]] = values[e] of a superoperator on the row-major vec(rho).
 
-    Row-major vectorization: vec(A X B) = (A kron B^T) vec(X).
+    Each (row, column) appears once, ascending in row then column, as a CSR
+    matrix stores them; no value is zero.
     """
-    import scipy.sparse as sp
 
-    total = sp.csr_matrix((dim * dim, dim * dim), dtype=complex)
-    eye = sp.identity(dim, dtype=complex, format="csr")
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+
+    @property
+    def nnz(self) -> int:
+        return self.values.size
+
+
+def _kron(a: np.ndarray, b: np.ndarray, scale: complex = 1.0):
+    """rows, cols and values of kron(a, b) * scale at the pairs of nonzeros of dense a and b."""
+    a_rows, a_cols = np.nonzero(a)
+    b_rows, b_cols = np.nonzero(b)
+    n = len(b)
+    return ((a_rows[:, None] * n + b_rows).ravel(), (a_cols[:, None] * n + b_cols).ravel(),
+            np.multiply.outer(a[a_rows, a_cols], b[b_rows, b_cols]).ravel() * scale)
+
+
+def _coalesce(parts, size: int) -> Superoperator:
+    """The nonzero sums, per (row, column) of a (size, size) matrix, of parts' (rows, cols, values).
+
+    Each sum starts from 0 and adds its terms in the order of parts, then of
+    their entries, as scipy's sum of sparse matrices a + b + ... does, which
+    also stores no zero sum.
+    """
+    empty = (np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0, complex))
+    rows, cols, values = map(np.concatenate, zip(empty, *parts))
+    keys, at = np.unique(rows * size + cols, return_inverse=True)
+    sums = np.empty(keys.size, complex)
+    sums.real, sums.imag = (np.bincount(at, part, keys.size) for part in (values.real, values.imag))
+    keep = sums != 0
+    return Superoperator(*np.divmod(keys[keep], size), sums[keep])
+
+
+def dissipator_superoperator(channels: list[tuple[np.ndarray, float]], dim: int) -> Superoperator:
+    """Superoperator D with D vec(rho) = sum_c rate_c (L rho L+ - {L+L, rho}/2), its nonzeros.
+
+    Row-major vectorization: vec(A X B) = (A kron B^T) vec(X), so a channel
+    adds rate (L kron conj L - L+L kron I / 2 - I kron (L+L)^T / 2). Each
+    channel's three terms are summed, scaled by its rate, and the channels
+    summed in order (_coalesce), the arithmetic of the same sum of
+    scipy.sparse matrices; a channel of rate 0 adds nothing. Each kron has
+    one entry per pair of nonzeros of its dense dim x dim factors, so no
+    array is dense over dim^4.
+    """
+    eye = np.eye(dim, dtype=complex)
+    terms = []
     for op, rate in channels:
         if rate == 0.0:
             continue
-        lop = sp.csr_matrix(op)
-        ldl = (lop.conj().T @ lop).tocsr()
-        total = total + rate * (
-            sp.kron(lop, lop.conj(), format="csr")
-            - 0.5 * sp.kron(ldl, eye, format="csr")
-            - 0.5 * sp.kron(eye, ldl.T, format="csr")
-        )
-    return total.tocsr()
+        decay = op.conj().T @ op
+        rows, cols, values = _coalesce([_kron(op, op.conj()), _kron(decay, eye, -0.5),
+                                        _kron(eye, decay.T, -0.5)], dim * dim)
+        terms.append((rows, cols, values * rate))
+    return _coalesce(terms, dim * dim)
 
 
 @dataclass(frozen=True)
@@ -811,34 +853,48 @@ class Liouvillian:
     def reachable(cls, hamiltonians, dissipators, rho0: np.ndarray) -> "Liouvillian":
         """-i[H_k, .] for each Hermitian H_k, then each dissipator, on rho0's lumped support.
 
-        dissipators are superoperators on the row-major vec(rho)
-        (dissipator_superoperator). A nonzero <i|S|j> of any operator leads
-        from entry j to entry i; the support is every entry reachable from
-        the nonzero entries of rho0 (hilbert.closure), so it is closed under
-        each operator whatever its coefficient. Its entries are lumped by
-        hilbert.lump from rho0's values under the operators restricted to
-        them, as complex matrices; only then are real coordinates chosen.
-        From |phi_1><phi_1| on the open-system space that merges each entry
-        with its L<->R mirror: 44 coordinates for 84 entries. ValueError if
-        the support or its blocks are not closed under transposition, or an
-        operator does not map Hermitian rho to Hermitian rho.
+        dissipators are Superoperators on the row-major vec(rho)
+        (dissipator_superoperator), and -i[H, .] is one too,
+        -i H kron I + i I kron H^T (_kron, _coalesce). A nonzero <i|S|j> of
+        any operator leads from entry j to entry i; the support is every
+        entry reachable from the nonzero entries of rho0, walked along those
+        links, so it is closed under each operator whatever its coefficient.
+        Each operator restricted to it is a dense complex matrix, (84, 84)
+        from |phi_1><phi_1| on the open-system space or the 80-dim product
+        space; nothing is dense over dim^4. Its entries are lumped by
+        hilbert.lump from rho0's values under those matrices; only then are
+        real coordinates chosen. From |phi_1><phi_1| on the open-system
+        space that merges each entry with its L<->R mirror: 44 coordinates
+        for 84 entries. ValueError if the support or its blocks are not
+        closed under transposition, or an operator does not map Hermitian
+        rho to Hermitian rho.
         """
-        import scipy.sparse as sp
-
         dim = rho0.shape[-1]
-        eye = sp.identity(dim, dtype=complex, format="csr")
-        full = [-1j * (sp.kron(h, eye) - sp.kron(eye, np.transpose(h))) for h in hamiltonians]
-        full = [sp.csr_matrix(op) for op in full + list(dissipators)]
-        # links[j, i]: entry j feeds entry i; a stored zero links no entries
-        links = (sum(abs(op) for op in full) != 0).T.toarray()
-        values = np.reshape(rho0, (-1, dim * dim))
-        entries = hilbert.closure(links, np.flatnonzero(values.any(axis=0)))
-        full = [op[entries][:, entries] for op in full]
-        labels, _ = hilbert.lump([op.toarray() for op in full], values[:, entries])
+        size = dim * dim
+        eye = np.eye(dim, dtype=complex)
+        full = [_coalesce([_kron(h, eye, -1j), _kron(eye, np.transpose(h), 1j)], size)
+                for h in hamiltonians] + list(dissipators)
+        sources = np.concatenate([op.cols for op in full])  # entry cols[e] feeds rows[e]
+        targets = np.concatenate([op.rows for op in full])
+        values = np.reshape(rho0, (-1, size))
+        seen = frontier = values.any(axis=0)
+        while frontier.any():
+            reached = np.zeros(size, dtype=bool)
+            reached[targets[frontier[sources]]] = True
+            frontier = reached & ~seen
+            seen = seen | frontier
+        entries = np.flatnonzero(seen)
+
+        position = np.full(size, -1)
+        position[entries] = np.arange(entries.size)
+        restricted = np.zeros((len(full), entries.size, entries.size), dtype=complex)
+        for k, op in enumerate(full):
+            rows, cols = position[op.rows], position[op.cols]
+            inside = (rows >= 0) & (cols >= 0)
+            restricted[k, rows[inside], cols[inside]] = op.values[inside]
+        labels, _ = hilbert.lump(restricted, values[:, entries])
 
         rows, cols = np.divmod(entries, dim)
-        position = np.full(dim * dim, -1)
-        position[entries] = np.arange(entries.size)
         mirror = position[cols * dim + rows]  # entry j, i of entry i, j
         if np.any(mirror < 0):
             raise ValueError("the Liouvillian's support is not closed under transposition")
@@ -856,18 +912,15 @@ class Liouvillian:
         # basis @ x are rho's values on entries. dual, basis+ over its column
         # norms, maps them back: x = Re(dual @ values), and Im(dual @ values)
         # is zero exactly when the values are those of a Hermitian rho.
-        shape, at = (entries.size, width.sum()), np.arange(entries.size)
-        basis = sp.csr_matrix((np.ones(entries.size), (at, real_of)), shape)
-        basis += sp.csr_matrix((1j * sign, (at, imag_of)), shape)
-        dual = (basis.conj().T / abs(basis).power(2).sum(axis=0).T).tocsr()
-        operators = []
-        for op in full:
-            real = dual @ op @ basis
-            if np.max(abs(real.data.imag), initial=0.0) > 1e-12 * np.max(abs(real.data),
-                                                                         initial=1.0):
-                raise ValueError("a structure operator does not preserve Hermiticity")
-            operators.append(real.real.toarray())
-        return cls(dim, entries, np.stack(operators), real_of, imag_of, sign)
+        at = np.arange(entries.size)
+        basis = np.zeros((entries.size, width.sum()), dtype=complex)
+        basis[at, real_of] = 1.0
+        basis[at, imag_of] += 1j * sign
+        dual = basis.conj().T / (np.abs(basis) ** 2).sum(axis=0)[:, None]
+        real = dual @ restricted @ basis
+        if np.max(abs(real.imag), initial=0.0) > 1e-12 * np.max(abs(real), initial=1.0):
+            raise ValueError("a structure operator does not preserve Hermiticity")
+        return cls(dim, entries, real.real, real_of, imag_of, sign)
 
     def coordinates(self, rho: np.ndarray) -> np.ndarray:
         """The real coordinates (..., n) of Hermitian rho (..., dim, dim), equal within blocks."""

@@ -178,11 +178,21 @@ def _run_cells(cells: list, simulate, size: int, threads: int) -> list[tuple[flo
     members, t_finals, cfgs = zip(*batches)
     work = ([[cells[i][:2] for i in batch] for batch in members], t_finals, cfgs)
     if threads > 1:
+        import signal
         from concurrent.futures import ProcessPoolExecutor
 
         pool = ProcessPoolExecutor(max_workers=threads)
         try:
-            outcomes = list(pool.map(simulate, *work))
+            # SIGINT waits while map forks the workers and starts the pool's
+            # thread: there it was lost in a fork handler (exit 0) or left
+            # the pool unable to shut down (exit 70, workers left running).
+            # The workers and the thread keep it blocked; this thread takes it.
+            held = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
+            try:
+                outcomes = pool.map(simulate, *work)
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, held)
+            outcomes = list(outcomes)
         finally:
             pool.shutdown(cancel_futures=True)
     else:

@@ -145,19 +145,20 @@ def test_cli_rounds_alternate_the_trees_and_write_quartiles(tmp_path, monkeypatc
     assert bench.main(["--label", "c", "--seeds", "1", "--cli-rounds", "3",
                        "--against", str(tmp_path), "--out", str(tmp_path)]) == 0
     commands = [" ".join(argv) for argv in bench.CLI_COMMANDS.values()]
-    assert commands == ["pulses", "simulate --method tqd", "simulate --open",
-                        "sweep --figure 4b", "verify"]
+    assert commands == ["pulses", "simulate --method stirap", "simulate --method tqd",
+                        "simulate --method tqd-fitted", "simulate --open --method tqd-fitted",
+                        "sweep --figure 4b", "sweep --figure 4c", "sweep --figure 8", "verify"]
     first, second = ("this", "against"), ("against", "this")
     assert calls == [(command, side) for order in (first, second, first)
                      for command in commands for side in order]
     out = json.loads((tmp_path / "BENCH_c.json").read_text())
     assert out["cli_rounds"] == 3 and set(out["cli"]) == {"this", "against"}
-    # pulses ran as calls 1, 12 and 21 on this side, verify as 10, 19 and 30 on the other
+    # pulses ran as calls 1, 20 and 37 on this side, verify as 18, 35 and 54 on the other
     assert out["cli"]["this"]["pulses"] == {
-        "wall_s": bench.quartiles([1.0, 12.0, 21.0]),
-        "cpu_s": bench.quartiles([0.5, 6.0, 10.5]),
+        "wall_s": bench.quartiles([1.0, 20.0, 37.0]),
+        "cpu_s": bench.quartiles([0.5, 10.0, 18.5]),
         "maxrss_mb": bench.quartiles([40.0] * 3)}
-    assert out["cli"]["against"]["verify"]["wall_s"]["median"] == 2.0 * 19
+    assert out["cli"]["against"]["verify"]["wall_s"]["median"] == 2.0 * 35
 
 
 def _cli_tree(root: Path, body: str) -> Path:

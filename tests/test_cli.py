@@ -555,8 +555,8 @@ def test_import_leaves_out_the_fitter():
 
 
 def test_closed_runs_leave_out_scipy_sparse(tmp_path):
-    # Closed runs apply their operators with the kernels alone; only open
-    # runs, verify and pulse fitting build scipy.sparse matrices.
+    # Closed runs apply their operators with the kernels alone; of the
+    # commands only verify's pulse fit loads scipy.sparse, through scipy.optimize.
     code = ("import sys; from tqd3d import cli; "
             "print(cli.main(['--out', sys.argv[1], 'simulate', '--method', 'tqd']), "
             "'scipy.sparse' in sys.modules); "
@@ -570,6 +570,24 @@ def test_closed_runs_leave_out_scipy_sparse(tmp_path):
     assert proc.stdout.splitlines()[-2:] == ["0 False", "0 False"]
     assert (tmp_path / "simulate_tqd_closed.csv").exists()
     assert len(read_csv(tmp_path / "fidelity_vs_delta.csv")[1]) == 3
+
+
+def test_open_runs_leave_out_scipy_sparse(tmp_path):
+    # The Liouvillian and its dissipators are built with numpy alone.
+    code = ("import sys; from tqd3d import cli; "
+            "print(cli.main(['--out', sys.argv[1], 'simulate', '--open']), "
+            "'scipy.sparse' in sys.modules); "
+            "print(cli.main(['--out', sys.argv[1], 'sweep', '--figure', '9']), "
+            "'scipy.sparse' in sys.modules)")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", ""),
+           "TQD3D_DT": "0.05", "TQD3D_SWEEP_DT": "0.05",
+           "TQD3D_DECOHERENCE_KAPPA": "0:0.02:2", "TQD3D_DECOHERENCE_GAMMA": "0:0.02:2"}
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.splitlines()[-2:] == ["0 False", "0 False"]
+    assert (tmp_path / "simulate_tqd-fitted_open.csv").exists()
+    assert read_csv(tmp_path / "decoherence_surface.csv")[1].shape == (4, 3)
 
 
 def test_open_simulate_leaves_out_csgraph(tmp_path):

@@ -332,22 +332,27 @@ def test_positivity_warnings_name_the_cells_of_a_batch():
     assert batch.metadata["positivity_warnings"] == [f"cell {b}: {text[-1]}" for b in (1, 2)]
 
 
+def _identity_superoperator(value):
+    """value times the identity on the vec(rho) of a 2x2 rho."""
+    return dynamics.Superoperator(np.arange(4), np.arange(4), np.full(4, value, dtype=complex))
+
+
 def test_lindblad_rejects_what_breaks_hermiticity():
     lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     rho0 = np.full((2, 2), 0.5, dtype=complex)
     with pytest.raises(ValueError, match="Hermiticity"):  # -i[D, .] with D not Hermitian
         dynamics.Liouvillian.reachable([lower], [], rho0)
     with pytest.raises(ValueError, match="Hermiticity"):  # rho -> i rho
-        dynamics.Liouvillian.reachable([], [1j * sp.identity(4, format="csr")], rho0)
+        dynamics.Liouvillian.reachable([], [_identity_superoperator(1j)], rho0)
     with pytest.raises(ValueError, match="does not preserve Hermiticity"):  # H = i sigma_x
         dynamics.Liouvillian.reachable([1j * SIGMA_X], [], np.diag([1.0, 0.0]))
     # The tolerance is relative to the operator's largest entry: an imaginary
     # part 1e-15 of it passes, one 1e-9 of it does not.
     (real,) = dynamics.Liouvillian.reachable(
-        [], [(1e6 + 1e-9j) * sp.identity(4, format="csr")], rho0).operators
+        [], [_identity_superoperator(1e6 + 1e-9j)], rho0).operators
     assert np.array_equal(real, [[1e6]])  # rho0's one lumped coordinate
     with pytest.raises(ValueError, match="does not preserve Hermiticity"):
-        dynamics.Liouvillian.reachable([], [(1 + 1e-9j) * sp.identity(4, format="csr")], rho0)
+        dynamics.Liouvillian.reachable([], [_identity_superoperator(1 + 1e-9j)], rho0)
     with pytest.raises(ValueError, match="transposition"):  # a coherence without its mirror
         dynamics.Liouvillian.reachable([np.diag([1.0, -1.0])], [],
                                        np.array([[0.0, 1.0], [0.0, 0.0]]))

@@ -89,6 +89,43 @@ def _unit_dissipators(space):
             for rates in (ModelParams(kappa=1.0), ModelParams(gamma=1.0))]
 
 
+def _scipy_dissipator(channels, dim):
+    """sum_c rate_c (L kron conj L - L+L kron I / 2 - I kron (L+L)^T / 2) as a scipy CSR matrix.
+
+    The row-major dissipator built from scipy.sparse.kron, an oracle for
+    dynamics.dissipator_superoperator that shares none of its code.
+    """
+    total = scipy.sparse.csr_matrix((dim * dim, dim * dim), dtype=complex)
+    eye = scipy.sparse.identity(dim, dtype=complex, format="csr")
+    for op, rate in channels:
+        if rate == 0.0:
+            continue
+        lop = scipy.sparse.csr_matrix(op)
+        ldl = (lop.conj().T @ lop).tocsr()
+        total = total + rate * (
+            scipy.sparse.kron(lop, lop.conj(), format="csr")
+            - 0.5 * scipy.sparse.kron(ldl, eye, format="csr")
+            - 0.5 * scipy.sparse.kron(eye, ldl.T, format="csr")
+        )
+    return total.tocsr()
+
+
+@pytest.mark.parametrize("rates", [ModelParams(kappa=1.0), ModelParams(gamma=1.0), BENCHMARK],
+                         ids=["kappa", "gamma", "benchmark"])
+@pytest.mark.parametrize("which", ["open_space", "full_space"])
+def test_dissipator_matches_the_scipy_kron_oracle(which, rates, full_space):
+    """Entry for entry and bit for bit: the runs' unit rates, and the benchmark's."""
+    space = model.open_space() if which == "open_space" else full_space
+    channels = model.collapse_channels(rates, space)
+    got = dynamics.dissipator_superoperator(channels, space.dim)
+    want = _scipy_dissipator(channels, space.dim)
+    want.sort_indices()
+    want = want.tocoo()
+    assert got.nnz == want.nnz == np.count_nonzero(want.data) > 0
+    assert np.array_equal(got.rows, want.row) and np.array_equal(got.cols, want.col)
+    assert np.array_equal(got.values.view(np.uint64), want.data.view(np.uint64))
+
+
 def test_open_run_matches_full_space_run(full_space, subspace, terms80):
     cfg = IntegratorConfig(dt=0.01)
     pulse_set = experiments.default_pulse_set(PulseKind.TQD_FITTED, BENCHMARK)
@@ -116,9 +153,11 @@ def test_open_run_matches_full_space_run(full_space, subspace, terms80):
 def test_open_run_matches_per_step_hamiltonian_run(subspace):
     """The support run against RK4 on the dense 16x16 rho with H(t) built at each stage.
 
-    That is the master equation as -i[H(t), rho] plus the sparse dissipator
-    matvec, symmetrized after each step, sharing no right-hand side with the
-    support run; both integrate the same RK4 steps, so they agree to rounding.
+    That is the master equation as -i[H(t), rho] plus
+    sum_c rate_c (L rho L+ - {L+L, rho}/2) straight from the collapse
+    channels, symmetrized after each step, sharing no right-hand side with
+    the support run; both integrate the same RK4 steps, so they agree to
+    rounding.
     """
     space = model.open_space()
     cfg = IntegratorConfig(dt=0.01)
@@ -126,11 +165,14 @@ def test_open_run_matches_per_step_hamiltonian_run(subspace):
     run = experiments.simulate_open(BENCHMARK, pulse_set, cfg)
 
     h_of_t = model.make_h_of_t(model.hamiltonian_terms(space), BENCHMARK, pulse_set)
-    dissipator = dynamics.dissipator_superoperator(model.collapse_channels(BENCHMARK, space),
-                                                   space.dim)
+    channels = [(op, op.conj().T, op.conj().T @ op, rate)
+                for op, rate in model.collapse_channels(BENCHMARK, space)]
 
     def rhs(h, rho):
-        return -1j * (h @ rho - rho @ h) + (dissipator @ rho.ravel()).reshape(rho.shape)
+        out = -1j * (h @ rho - rho @ h)
+        for op, adjoint, decay, rate in channels:
+            out += rate * (op @ rho @ adjoint - 0.5 * (decay @ rho + rho @ decay))
+        return out
 
     rho = np.zeros((space.dim, space.dim), dtype=complex)
     rho[0, 0] = 1.0

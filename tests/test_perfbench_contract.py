@@ -82,6 +82,20 @@ def test_tracing_wraps_and_restores(perfbench):
             hilbert.build_full_space, model.make_h_of_t) == originals
 
 
+def test_tracing_reads_the_dissipators_nnz(perfbench):
+    """tracing records the nnz of each dissipator built; open_liouvillian's cache hides its own."""
+    _, tracing = perfbench
+    space = model.open_space()
+    channels = model.collapse_channels(ModelParams(kappa=1.0), space)
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        dissipator = dynamics.dissipator_superoperator(channels, space.dim)
+    spans = [i for i, name in enumerate(tracer.name_id)
+             if tracer.names[name] == "dynamics.dissipator_superoperator"]
+    assert [tracer.info[i] for i in spans] == [{"nnz": 120}]
+    assert np.count_nonzero(dissipator.values) == 120
+
+
 def test_workload_setups_run(monkeypatch):
     """Each workload's set-up code runs after the imports perfbench/run.py puts before it.
 

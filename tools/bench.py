@@ -51,11 +51,16 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WALL_MEDIAN = "wall_median_s"  # the median of a run's raw wall samples, lower is better
+# Figs 4a and 9 are left out: they take 5-9 s each.
 CLI_COMMANDS = {
     "pulses": ["pulses"],
+    "simulate-stirap": ["simulate", "--method", "stirap"],
     "simulate-tqd": ["simulate", "--method", "tqd"],
-    "simulate-open": ["simulate", "--open"],
+    "simulate-tqd-fitted": ["simulate", "--method", "tqd-fitted"],
+    "simulate-open": ["simulate", "--open", "--method", "tqd-fitted"],  # open-benchmark's
     "sweep-4b": ["sweep", "--figure", "4b"],
+    "sweep-4c": ["sweep", "--figure", "4c"],
+    "sweep-8": ["sweep", "--figure", "8"],
     "verify": ["verify"],
 }
 
