@@ -15,7 +15,6 @@ Exit codes: 0 success, 1 verification failure, 2 config error,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import os
 import platform
 import sys
@@ -30,6 +29,14 @@ from .dynamics import IntegratorConfig, IntegratorInstabilityError, StepCapError
 from .experiments import CellSettingsError, GridCapError
 from .model import ModelParams
 from .pulses import FittedPulse, GaussianTerm, PulseKind, PulseSynthesisError, StirapParams
+
+try:  # CPython's own SHA-256, as random does: hashlib loads OpenSSL (3.6 MB) for one digest
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 _FIT = pulses.default_fitted_pulse().terms
 
@@ -197,7 +204,7 @@ def _provenance(cfg: RunConfig, **extra) -> dict:
 def _write_manifest(out: Path, cfg_text: str, cfg: RunConfig, outputs: list[str]):
     import scipy  # about 14 ms, and only the manifest reads it
 
-    digest = hashlib.sha256(cfg_text.encode()).hexdigest()
+    digest = sha256(cfg_text.encode()).hexdigest()
     entries = {"config_sha256": digest, "outputs": ";".join(outputs),
                "tqd3d_version": __version__, "numpy_version": np.__version__,
                "scipy_version": scipy.__version__,

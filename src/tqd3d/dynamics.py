@@ -390,7 +390,7 @@ def _rk4(coefficients: Callable[[np.ndarray], np.ndarray], operators, state: np.
             if left_out.size and _driven(block.take(left_out, axis=-1)).any():
                 driven, left_out, rebuilds = np.arange(len(operators)), left_out[:0], 1
                 weights, advance, executor, chunk = build(driven, c_last)
-            c_last = block[-1]  # every column: the next block's first t
+            c_last = block[-1].copy()  # every column: the next block's first t (a view keeps block)
             if left_out.size:
                 block = block.take(driven, axis=-1)
             step = first
@@ -407,6 +407,7 @@ def _rk4(coefficients: Callable[[np.ndarray], np.ndarray], operators, state: np.
                 observer.keep(step, state)
                 clock = time.perf_counter()
                 record_s += clock - now
+            del block  # freed before the next block is computed
 
     result = observer.finish(state)
     result.metadata.update(
@@ -982,7 +983,8 @@ class Liouvillian:
         for state in range(self.dim):
             if first[state] < 0:
                 first[hilbert.closure(links, [state])] = state
-        blocks = [np.flatnonzero(first == label) for label in np.unique(first)]
+        labels = np.flatnonzero(first == np.arange(self.dim))  # np.unique imports numpy.ma
+        blocks = [np.flatnonzero(first == label) for label in labels]
         sizes = sorted({block.size for block in blocks}, reverse=True)
         return [self._block_reader([block for block in blocks if block.size == size])
                 for size in sizes]

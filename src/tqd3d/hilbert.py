@@ -117,11 +117,12 @@ def closure(links, start) -> np.ndarray:
     """
     links = np.asarray(links, dtype=bool)
     seen = np.zeros(len(links), dtype=bool)
-    frontier = np.unique(np.asarray(start, dtype=int))
+    seen[np.asarray(start, dtype=int)] = True  # not np.unique, which imports numpy.ma
+    frontier = np.flatnonzero(seen)
     while frontier.size:
-        seen[frontier] = True
         reached = np.flatnonzero(links[frontier].any(axis=0))
         frontier = reached[~seen[reached]]
+        seen[frontier] = True
     return np.flatnonzero(seen)
 
 

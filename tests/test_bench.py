@@ -146,19 +146,20 @@ def test_cli_rounds_alternate_the_trees_and_write_quartiles(tmp_path, monkeypatc
                        "--against", str(tmp_path), "--out", str(tmp_path)]) == 0
     commands = [" ".join(argv) for argv in bench.CLI_COMMANDS.values()]
     assert commands == ["pulses", "simulate --method stirap", "simulate --method tqd",
-                        "simulate --method tqd-fitted", "simulate --open --method tqd-fitted",
+                        "simulate --method tqd-fitted", "simulate --open --method stirap",
+                        "simulate --open --method tqd", "simulate --open --method tqd-fitted",
                         "sweep --figure 4b", "sweep --figure 4c", "sweep --figure 8", "verify"]
     first, second = ("this", "against"), ("against", "this")
     assert calls == [(command, side) for order in (first, second, first)
                      for command in commands for side in order]
     out = json.loads((tmp_path / "BENCH_c.json").read_text())
     assert out["cli_rounds"] == 3 and set(out["cli"]) == {"this", "against"}
-    # pulses ran as calls 1, 20 and 37 on this side, verify as 18, 35 and 54 on the other
+    # pulses ran as calls 1, 24 and 45 on this side, verify as 22, 43 and 66 on the other
     assert out["cli"]["this"]["pulses"] == {
-        "wall_s": bench.quartiles([1.0, 20.0, 37.0]),
-        "cpu_s": bench.quartiles([0.5, 10.0, 18.5]),
+        "wall_s": bench.quartiles([1.0, 24.0, 45.0]),
+        "cpu_s": bench.quartiles([0.5, 12.0, 22.5]),
         "maxrss_mb": bench.quartiles([40.0] * 3)}
-    assert out["cli"]["against"]["verify"]["wall_s"]["median"] == 2.0 * 35
+    assert out["cli"]["against"]["verify"]["wall_s"]["median"] == 2.0 * 43
 
 
 def _cli_tree(root: Path, body: str) -> Path:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import multiprocessing
@@ -71,6 +72,46 @@ def test_manifest_records_versions(tmp_path):
     assert entries["numpy_version"] == np.__version__
     assert entries["scipy_version"] == scipy.__version__
     assert entries["python_version"] == platform.python_version()
+
+
+def _digest_run(tmp_path):
+    """A config file plus one override, the digest hashlib gives of their text, and the env."""
+    config = tmp_path / "run.cfg"
+    config.write_text("t_f = 40.0  # shorter protocol\ndt = 0.01\n")
+    env = {"TQD3D_DELTA": "3.2"}
+    with mock.patch.dict(os.environ, env):
+        _, text = cli.load_config(str(config))
+    assert text == "t_f = 40.0\ndt = 0.01\ndelta = 3.2  # env"
+    return config, hashlib.sha256(text.encode()).hexdigest(), env
+
+
+def _manifest_digest(out):
+    lines = (out / "manifest.txt").read_text().splitlines()
+    return dict(line.split(" = ", 1) for line in lines)["config_sha256"]
+
+
+def test_manifest_digest_is_sha256_of_the_config_text(tmp_path, monkeypatch):
+    config, digest, env = _digest_run(tmp_path)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    assert cli.main(["--config", str(config), "--out", str(tmp_path), "pulses"]) == 0
+    assert _manifest_digest(tmp_path) == digest
+
+
+def test_manifest_digest_through_hashlib(tmp_path):
+    # Without CPython's built-in SHA-256 modules cli falls back on hashlib,
+    # with the same digest.
+    config, digest, env = _digest_run(tmp_path)
+    code = ("import sys; sys.modules['_sha2'] = sys.modules['_sha256'] = None; "
+            "from tqd3d import cli; print('hashlib' in sys.modules); "
+            "sys.exit(cli.main(['--config', sys.argv[1], '--out', sys.argv[2], 'pulses']))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, **env,
+           "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-c", code, str(config), str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout.splitlines()[0] == "True"
+    assert _manifest_digest(tmp_path) == digest
 
 
 def test_config_file_and_env_override(tmp_path, monkeypatch):
@@ -372,7 +413,8 @@ def test_sigint_exits_130_and_leaves_no_worker(tmp_path):
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     proc = subprocess.Popen([sys.executable, "-m", "tqd3d.cli", "--out", str(tmp_path),
                              "sweep", "--figure", "4a", "--threads", "2"], env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            start_new_session=True)  # its own group: the finally ends workers too
     try:
         deadline = time.monotonic() + 30
         while len(workers := _children(proc.pid)) < 2 and time.monotonic() < deadline:
@@ -380,15 +422,19 @@ def test_sigint_exits_130_and_leaves_no_worker(tmp_path):
         assert len(workers) == 2, "the sweep started no pool"
         proc.send_signal(signal.SIGINT)
         out, err = proc.communicate(timeout=10)
+        assert (proc.returncode, out, err) == (cli.EXIT_INTERRUPT, "", "interrupted\n")
+        deadline = time.monotonic() + 5
+        while any(Path(f"/proc/{pid}").exists() for pid in workers) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert not [pid for pid in workers if Path(f"/proc/{pid}").exists()]
+        assert not list(tmp_path.glob("*.csv"))
     finally:
-        proc.kill()
+        # Only after the checks: a worker the CLI left must fail the test, not die here.
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:  # the group has ended
+            pass
         proc.wait()
-    assert (proc.returncode, out, err) == (cli.EXIT_INTERRUPT, "", "interrupted\n")
-    deadline = time.monotonic() + 5
-    while any(Path(f"/proc/{pid}").exists() for pid in workers) and time.monotonic() < deadline:
-        time.sleep(0.02)
-    assert not [pid for pid in workers if Path(f"/proc/{pid}").exists()]
-    assert not list(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize("threads", [0, (os.cpu_count() or 1) + 1])
@@ -545,13 +591,15 @@ def test_import_leaves_out_the_fitter():
     # The process pool takes 5-7 ms more; only a sweep with threads > 1 needs it.
     # scipy.sparse takes about 160 ms; dynamics loads only its compiled kernels.
     # scipy itself is read only for the manifest's version line.
-    modules = ["scipy.optimize", "concurrent.futures.process", "scipy.sparse", "scipy"]
+    # hashlib loads OpenSSL's _hashlib, 3.6 MB, for the manifest's one SHA-256.
+    modules = ["scipy.optimize", "concurrent.futures.process", "scipy.sparse", "scipy",
+               "_hashlib"]
     code = f"import sys, tqd3d.cli; print([m in sys.modules for m in {modules!r}])"
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
-    assert proc.stdout.strip() == "[False, False, False, False]"
+    assert proc.stdout.strip() == "[False, False, False, False, False]"
 
 
 def test_closed_runs_leave_out_scipy_sparse(tmp_path):
@@ -573,19 +621,20 @@ def test_closed_runs_leave_out_scipy_sparse(tmp_path):
 
 
 def test_open_runs_leave_out_scipy_sparse(tmp_path):
-    # The Liouvillian and its dissipators are built with numpy alone.
+    # The Liouvillian and its dissipators are built with numpy alone. numpy.ma
+    # (1.2 MB) stays out too: a bare np.unique imports it.
     code = ("import sys; from tqd3d import cli; "
             "print(cli.main(['--out', sys.argv[1], 'simulate', '--open']), "
-            "'scipy.sparse' in sys.modules); "
+            "'scipy.sparse' in sys.modules, 'numpy.ma' in sys.modules); "
             "print(cli.main(['--out', sys.argv[1], 'sweep', '--figure', '9']), "
-            "'scipy.sparse' in sys.modules)")
+            "'scipy.sparse' in sys.modules, 'numpy.ma' in sys.modules)")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", ""),
            "TQD3D_DT": "0.05", "TQD3D_SWEEP_DT": "0.05",
            "TQD3D_DECOHERENCE_KAPPA": "0:0.02:2", "TQD3D_DECOHERENCE_GAMMA": "0:0.02:2"}
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
-    assert proc.stdout.splitlines()[-2:] == ["0 False", "0 False"]
+    assert proc.stdout.splitlines()[-2:] == ["0 False False", "0 False False"]
     assert (tmp_path / "simulate_tqd-fitted_open.csv").exists()
     assert read_csv(tmp_path / "decoherence_surface.csv")[1].shape == (4, 3)
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -404,6 +405,37 @@ def test_setup_and_block_telemetry():
         parts = (meta["setup_s"], meta["integrate_s"], meta["record_s"])
         assert min(parts) > 0.0 and sum(parts) <= wall
     assert (meta["support"], meta["coordinates"], meta["state_shape"]) == (4, 4, (1, 4))
+
+
+@pytest.mark.parametrize("executor", ["step program", "step loop"])
+def test_each_coefficient_block_is_freed_before_the_next(monkeypatch, executor):
+    # The row kept for the next block's first t is a copy: a view of the
+    # block would hold all of it while the next block is computed. The
+    # closed run leaves its SIGMA_Z column out, so its blocks are also taken.
+    if executor == "step loop":
+        monkeypatch.setattr(dynamics, "PROGRAM_STEP_BYTES", 0)
+    blocks, alive = [], []
+
+    def tracked(values):
+        def coefficients(times):
+            alive.extend(ref for ref in blocks if ref() is not None)
+            c = _constant(*values)(times).copy()  # owns its data, which a view of it keeps
+            if len(times) > 1:  # a block, not the t = 0 call
+                blocks.append(weakref.ref(c))
+            return c
+        return coefficients
+
+    rabi = dynamics.Liouvillian.reachable([SIGMA_X], [], np.diag([1.0, 0.0]))
+    cfg = IntegratorConfig(dt=0.01, record_every=30)
+    for run in (
+        lambda: dynamics.evolve_schrodinger([SIGMA_X, np.diag([1.0, -1.0])], tracked((0.35, 0.0)),
+                                            np.array([1.0, 0.0]), 2.5, cfg),
+        lambda: dynamics.evolve_lindblad(rabi, tracked((0.35,)), np.diag([1.0, 0.0]), 2.5, cfg),
+    ):
+        blocks.clear()
+        meta = run().metadata
+        assert (meta["executor"], meta["blocks"], len(blocks)) == (executor, 4, 3)
+        assert alive == []
 
 
 def test_lindblad_hermiticity_and_positivity_metadata(subspace, default_pulses):

@@ -57,6 +57,8 @@ CLI_COMMANDS = {
     "simulate-stirap": ["simulate", "--method", "stirap"],
     "simulate-tqd": ["simulate", "--method", "tqd"],
     "simulate-tqd-fitted": ["simulate", "--method", "tqd-fitted"],
+    "simulate-open-stirap": ["simulate", "--open", "--method", "stirap"],
+    "simulate-open-tqd": ["simulate", "--open", "--method", "tqd"],
     "simulate-open": ["simulate", "--open", "--method", "tqd-fitted"],  # open-benchmark's
     "sweep-4b": ["sweep", "--figure", "4b"],
     "sweep-4c": ["sweep", "--figure", "4c"],
