@@ -9,8 +9,8 @@ coefficients, applied entry by entry, so a cell's numbers do not depend on
 its batch.  The cells of a sweep share a step schedule and run as one batch,
 and a single run is a batch of one; every Schrodinger run, the reduced
 three- and two-level models included, comes as structure operators and
-coefficients (model.drive_operators with model.CellDrives,
-model.DETUNED_LAMBDA_OPERATORS).  A
+coefficients (model.hamiltonian_terms with model.CellDrives,
+verify.DETUNED_LAMBDA_OPERATORS).  A
 Schrodinger run integrates the lumped state: amplitudes that start equal in
 every cell and that every structure operator keeps equal (hilbert.lump)
 are one amplitude.  On the chain from |phi_1> the L and R members of each
@@ -715,7 +715,7 @@ def evolve_schrodinger(
 
     Cell b evolves under H_b(t) = sum_k c[t, b, k] operators[k]: operators
     are K fixed structure operators (K, d, d), and coefficients(times) gives
-    c as (times, B, K) (model.drive_operators and model.CellDrives), complex
+    c as (times, B, K) (model.hamiltonian_terms and model.CellDrives), complex
     or real, applied entry by entry with no H(t) stored. psi0 (B, d) is a
     batch of B cells: a cell whose norm drifts beyond NORM_TOL, or whose
     coefficients stop being finite, continues as NaN with its first failure
@@ -858,8 +858,9 @@ class Liouvillian:
         (dissipator_superoperator), and -i[H, .] is one too,
         -i H kron I + i I kron H^T (_kron, _coalesce). A nonzero <i|S|j> of
         any operator leads from entry j to entry i; the support is every
-        entry reachable from the nonzero entries of rho0, walked along those
-        links, so it is closed under each operator whatever its coefficient.
+        entry reachable from the nonzero entries of rho0 along those links
+        (hilbert.closure), so it is closed under each operator whatever its
+        coefficient.
         Each operator restricted to it is a dense complex matrix, (84, 84)
         from |phi_1><phi_1| on the open-system space or the 80-dim product
         space; nothing is dense over dim^4. Its entries are lumped by
@@ -878,13 +879,7 @@ class Liouvillian:
         sources = np.concatenate([op.cols for op in full])  # entry cols[e] feeds rows[e]
         targets = np.concatenate([op.rows for op in full])
         values = np.reshape(rho0, (-1, size))
-        seen = frontier = values.any(axis=0)
-        while frontier.any():
-            reached = np.zeros(size, dtype=bool)
-            reached[targets[frontier[sources]]] = True
-            frontier = reached & ~seen
-            seen = seen | frontier
-        entries = np.flatnonzero(seen)
+        entries = hilbert.closure(sources, targets, np.flatnonzero(values.any(axis=0)), size)
 
         position = np.full(size, -1)
         position[entries] = np.arange(entries.size)
@@ -977,12 +972,11 @@ class Liouvillian:
         |phi_1><phi_1| on the open-system space the blocks hold 8, 3, 3, 1 and
         1 states.
         """
-        links = np.zeros((self.dim, self.dim), dtype=bool)
-        links[np.divmod(self.entries, self.dim)] = True
+        rows, cols = np.divmod(self.entries, self.dim)  # entry (i, j) links i to j
         first = np.full(self.dim, -1)  # each state's block, by its first state
         for state in range(self.dim):
             if first[state] < 0:
-                first[hilbert.closure(links, [state])] = state
+                first[hilbert.closure(rows, cols, [state], self.dim)] = state
         labels = np.flatnonzero(first == np.arange(self.dim))  # np.unique imports numpy.ma
         blocks = [np.flatnonzero(first == label) for label in labels]
         sizes = sorted({block.size for block in blocks}, reverse=True)

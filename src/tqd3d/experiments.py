@@ -98,9 +98,10 @@ def _initial_density() -> np.ndarray:
 
 
 def _evolve_closed(drives: model.CellDrives, psi0, t_final, cfg) -> SimResult:
+    chain = hilbert.build_subspace()
     return dynamics.evolve_schrodinger(
-        model.drive_operators(model.chain_terms()), drives, psi0, t_final, cfg,
-        target=dynamics.target_state(hilbert.build_subspace()), reported=drives.errors,
+        model.hamiltonian_terms(chain), drives, psi0, t_final, cfg,
+        target=dynamics.target_state(chain), reported=drives.errors,
     )
 
 

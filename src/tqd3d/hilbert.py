@@ -110,19 +110,19 @@ def build_subspace() -> HilbertSpace:
     return HilbertSpace(_SUBSPACE_LABELS)
 
 
-def closure(links, start) -> np.ndarray:
-    """Ascending indices reachable from the start indices, start included.
+def closure(sources, targets, start, size: int) -> np.ndarray:
+    """Ascending indices of range(size) reachable from the start indices, start included.
 
-    A nonzero links[j, i] (a dense matrix, read as booleans) leads from j to i.
+    Edge e leads from sources[e] to targets[e] (index arrays of one length).
     """
-    links = np.asarray(links, dtype=bool)
-    seen = np.zeros(len(links), dtype=bool)
+    seen = np.zeros(size, dtype=bool)
     seen[np.asarray(start, dtype=int)] = True  # not np.unique, which imports numpy.ma
-    frontier = np.flatnonzero(seen)
-    while frontier.size:
-        reached = np.flatnonzero(links[frontier].any(axis=0))
-        frontier = reached[~seen[reached]]
-        seen[frontier] = True
+    frontier = seen.copy()
+    while frontier.any():
+        reached = np.zeros(size, dtype=bool)
+        reached[targets[frontier[sources]]] = True
+        frontier = reached & ~seen
+        seen |= frontier
     return np.flatnonzero(seen)
 
 
@@ -173,13 +173,13 @@ def reachable_space(space: HilbertSpace, couplings, jumps, start: BasisState) ->
     both ways; of a jump operator it leads from j to i only. Chain states come
     first in phi_1..phi_8 order, then the rest in the order of space.
     """
-    links = np.zeros((space.dim, space.dim), dtype=bool)  # links[j, i]: j leads to i
+    edges = [np.nonzero(op)[::-1] for op in jumps]  # <i|op|j>: from j to i
     for op in couplings:
-        links |= (op != 0) | (op != 0).T
-    for op in jumps:
-        links |= (op != 0).T
+        rows, cols = np.nonzero(op)
+        edges += [(rows, cols), (cols, rows)]
+    sources, targets = (np.concatenate(side) for side in zip(*edges))
     chain = {s: k for k, s in enumerate(_SUBSPACE_LABELS)}
-    order = sorted(closure(links, [space.index[start]]),
+    order = sorted(closure(sources, targets, [space.index[start]], space.dim),
                    key=lambda i: chain.get(space.basis[i], len(chain) + i))
     return HilbertSpace(tuple(space.basis[i] for i in order))
 

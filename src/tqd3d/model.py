@@ -1,24 +1,14 @@
-"""Hamiltonians, basis transforms, and collapse channels.
+"""The full model of the two-atom bimodal-cavity system, as runs integrate it.
 
-Builds the interaction-picture Hamiltonians of the two-atom bimodal-cavity
-system at three levels of description:
-
-* full (on any basis subset: the 8-dim chain, the 16-dim open-system space or
-  all 80 states): laser drives + cavity couplings, resonant or with a common
-  detuning on all excited levels;
-* effective Lambda (3-dim, basis |phi_1>, |Psi_d>, |psi_3>): after dropping
-  the fast +-sqrt(3)g sectors;
-* two-level (basis |phi_1>, |psi_3>): after adiabatic elimination of |Psi_d>.
-
-Each level comes as fixed structure operators and coefficients vectorized
-over times, the form dynamics.evolve_schrodinger integrates: the full model
-as drive_operators(terms) and CellDrives(cells), whose one six-column layout
-closed runs take as it is and open runs through open_coefficients (on
-hermitian_drive_operators), the reduced models of the detuned system as
-DETUNED_LAMBDA_OPERATORS and TWO_LEVEL_OPERATORS with their coefficients.
-
-Also provides the counterdiabatic generator i*theta_dot(|phi_1><psi_3| - h.c.)
-and its numerical cross-check from the instantaneous-eigenvector formula.
+H(t) = omega_a D_A + omega_b D_B + g C + h.c. + delta P_e on any basis
+subset (the 8-dim chain, the 16-dim open-system space or all 80 states),
+resonant under STIRAP pulses and detuned by delta on every excited level
+under TQD pulses, comes as six fixed structure operators
+(hamiltonian_terms(space)) and coefficients vectorized over times
+(CellDrives(cells)), the form dynamics.evolve_schrodinger integrates:
+closed runs take that one six-column layout as it is, open runs through
+open_coefficients on hermitian_drive_operators. The collapse channels,
+the open-system space and its Liouvillian complete the master equation.
 """
 
 from __future__ import annotations
@@ -32,13 +22,7 @@ import numpy as np
 
 from . import dynamics, hilbert, pulses
 from .hilbert import HilbertSpace, LevelA, LevelB
-from .pulses import SQRT2, PulseKind, PulseSet, PulseSynthesisError, StirapParams
-
-SQRT3 = np.sqrt(3.0)
-
-# Largest |omega_b' - i*omega_a'/sqrt(2)|, relative to max(|omega_a'|, 1), that
-# two_level_coefficients accepts as the phase lock.
-PHASE_TOL = 1e-9
+from .pulses import PulseKind, PulseSet, PulseSynthesisError, StirapParams
 
 
 @dataclass(frozen=True)
@@ -62,27 +46,19 @@ class ModelParams:
             raise ValueError("decay rates must be nonnegative and finite")
 
 
-@dataclass(frozen=True)
-class HamiltonianTerms:
-    """Lowering-part structure matrices; H(t) is assembled from these.
+@lru_cache(maxsize=None)
+def hamiltonian_terms(space: HilbertSpace) -> np.ndarray:
+    """The six structure operators of H(t) on space, (6, d, d), built once per space.
 
-    drive_a:   |g0><e0| on atom A
-    drive_b:   sum_i |g_i><e_i| on atom B
-    cavity:    sum_i a_i (|e0><g_i|_A + |e_i><g0|_B), without the g factor
-    excited:   projector on all excited levels (detuning term)
+    D_A, D_A+, D_B, D_B+, C + C+ and P_e, for the CellDrives coefficients
+    omega_a, conj(omega_a), omega_b, conj(omega_b), g and the detuning:
+    D_A = |g0><e0| on atom A, D_B = sum_i |g_i><e_i| on atom B,
+    C = sum_i a_i (|e0><g_i|_A + |e_i><g0|_B) and P_e the projector on all
+    excited levels. Operator products pass through states outside a
+    subspace, so the operators are built in the full space and restricted by
+    basis lookup (which also follows any reordering of the full space) before
+    they are stacked. The cached array is shared, so it is read-only.
     """
-
-    space: HilbertSpace
-    drive_a: np.ndarray
-    drive_b: np.ndarray
-    cavity: np.ndarray
-    excited: np.ndarray
-
-
-def hamiltonian_terms(space: HilbertSpace) -> HamiltonianTerms:
-    # Operator products pass through states outside a subspace, so the structure
-    # matrices are always assembled in the full space and restricted by basis
-    # lookup (which also follows any reordering of the full space).
     full = hilbert.build_full_space()
     drive_a = hilbert.transition_operator(full, LevelA.e0, LevelA.g0)
     drive_b = hilbert.transition_operator(
@@ -93,54 +69,23 @@ def hamiltonian_terms(space: HilbertSpace) -> HamiltonianTerms:
         a_op = hilbert.annihilation_operator(full, mode)
         cavity += a_op @ hilbert.transition_operator(full, lvl_a, LevelA.e0)
         cavity += a_op @ hilbert.transition_operator(full, LevelB.g0, lvl_b)
-    excited = hilbert.excited_projector(full)
     idx = hilbert.subspace_indices(space, full)
     sel = np.ix_(idx, idx)
-    return HamiltonianTerms(
-        space=space,
-        drive_a=drive_a[sel],
-        drive_b=drive_b[sel],
-        cavity=cavity[sel],
-        excited=excited[sel],
-    )
-
-
-def assemble_hamiltonian(
-    terms: HamiltonianTerms,
-    omega_a: complex,
-    omega_b: complex,
-    g: float = 1.0,
-    delta: float = 0.0,
-) -> np.ndarray:
-    """H = omega_a*Da + omega_b*Db + g*C + h.c. + delta*P_excited."""
-    lower = omega_a * terms.drive_a + omega_b * terms.drive_b + g * terms.cavity
-    return lower + lower.conj().T + delta * terms.excited
-
-
-def make_h_of_t(terms: HamiltonianTerms, params: ModelParams, pulse_set: PulseSet) -> Callable:
-    """Callable t -> H(t) for the full model matching the pulse kind.
-
-    STIRAP pulses get the resonant Hamiltonian; TQD pulses get the detuned one.
-    """
-    detuning = _detuning(params, pulse_set)
-
-    def h_of_t(t):
-        omega_a, omega_b = pulse_set.amplitudes(t)
-        return assemble_hamiltonian(
-            terms, complex(omega_a), complex(omega_b), g=params.g, delta=detuning
-        )
-
-    return h_of_t
+    drive_a, drive_b, cavity, excited = (op[sel] for op in (
+        drive_a, drive_b, cavity, hilbert.excited_projector(full)))
+    terms = np.stack([drive_a, drive_a.conj().T, drive_b, drive_b.conj().T,
+                      cavity + cavity.conj().T, excited])
+    terms.flags.writeable = False
+    return terms
 
 
 class CellDrives:
     """Time-dependent coefficients of a batch of cells.
 
-    Cell b evolves under H_b(t) = sum_k c[t, b, k] * drive_operators(terms)[k],
-    the terms of assemble_hamiltonian, with the coefficients omega_a,
-    conj(omega_a), omega_b, conj(omega_b), g and the detuning of make_h_of_t
-    (a call): closed runs take them as they are, open runs through
-    open_coefficients. Each call evaluates the pulses of each distinct
+    Cell b evolves under H_b(t) = sum_k c[t, b, k] * hamiltonian_terms(space)[k],
+    with the coefficients omega_a, conj(omega_a), omega_b, conj(omega_b), g
+    and the detuning, zero under STIRAP pulses: closed runs take them as
+    they are, open runs through open_coefficients. Each call evaluates the pulses of each distinct
     PulseSet once at all the given times. Exact TQD cells share theta_dot
     per StirapParams (a cut along delta has one) and take their amplitudes
     from one pulses.counterdiabatic_amplitudes call on its distinct
@@ -167,7 +112,7 @@ class CellDrives:
             self._groups.append((key, group, list(distinct), column))
 
     def __call__(self, times: np.ndarray) -> np.ndarray:
-        """(times, cells, 6) coefficients of drive_operators."""
+        """(times, cells, 6) coefficients of hamiltonian_terms."""
         out = np.empty((len(times), len(self.cells), 6), dtype=complex)
         out[:, :, 4:] = self._constants
         failed = list(self.errors)  # in an earlier call: NaN at every time
@@ -195,139 +140,20 @@ class CellDrives:
         return out
 
 
-def drive_operators(terms: HamiltonianTerms) -> np.ndarray:
-    """The structure operators of CellDrives' coefficients, (6, d, d).
+def make_h_of_t(terms: np.ndarray, params: ModelParams, pulse_set: PulseSet) -> Callable:
+    """Callable t -> H(t) = sum_k c_k(t) terms[k] of one cell, terms a hamiltonian_terms stack.
 
-    drive_a, drive_a+, drive_b, drive_b+, cavity + cavity+ and the excited
-    projector.
+    c_k are the cell's CellDrives coefficients. No run calls it: it is kept
+    only because perfbench/tracing.py patches it by name, and goes when
+    that tracer reads the runs' own telemetry instead.
     """
-    return np.stack([
-        terms.drive_a, terms.drive_a.conj().T, terms.drive_b, terms.drive_b.conj().T,
-        terms.cavity + terms.cavity.conj().T, terms.excited,
-    ])
+    drives = CellDrives([(params, pulse_set)])
+    return lambda t: np.tensordot(drives(np.array([t], dtype=float))[0, 0], terms, axes=1)
 
 
 def _detuning(params: ModelParams, pulse_set: PulseSet) -> float:
     """STIRAP pulses drive the resonant model; TQD pulses the detuned one."""
     return 0.0 if pulse_set.kind is PulseKind.STIRAP else params.delta
-
-
-def symmetric_vectors() -> dict[str, np.ndarray]:
-    """Even/odd combinations of the degenerate L/R pairs (8-dim vectors)."""
-    e = np.eye(8, dtype=complex)
-    out = {
-        "psi1": (e[2] + e[3]) / SQRT2,
-        "psi2": (e[4] + e[5]) / SQRT2,
-        "psi3": (e[6] + e[7]) / SQRT2,
-        "psi1_minus": (e[2] - e[3]) / SQRT2,
-        "psi2_minus": (e[4] - e[5]) / SQRT2,
-        "psi3_minus": (e[6] - e[7]) / SQRT2,
-    }
-    return out
-
-
-def h_effective_lambda(omega_a: float, omega_b: float) -> np.ndarray:
-    """3-dim effective Hamiltonian on (|phi_1>, |Psi_d>, |psi_3>)."""
-    h = np.zeros((3, 3), dtype=complex)
-    h[0, 1] = omega_a / SQRT3
-    h[1, 2] = -SQRT2 * omega_b / SQRT3
-    return h + h.conj().T
-
-
-# Structure operators of the reduced models of the detuned system: H(t) is
-# sum_k c[k] operators[k] with the coefficients c of detuned_lambda_coefficients
-# and two_level_coefficients: the matrix units E_01, E_10, E_12, E_21, E_11
-# and E_01, E_10 (E_ij is row i*d + j of the d*d identity, reshaped).
-DETUNED_LAMBDA_OPERATORS = np.eye(9, dtype=complex).reshape(9, 3, 3)[[1, 3, 5, 7, 4]]
-TWO_LEVEL_OPERATORS = np.eye(4, dtype=complex).reshape(4, 2, 2)[[1, 2]]
-
-
-def detuned_lambda_coefficients(omega_a_prime, omega_b_prime, delta: float) -> np.ndarray:
-    """(..., 5) coefficients of the 3-dim effective Hamiltonian of the detuned system.
-
-    On (|phi_1>, |Psi_d>, |psi_3>), with DETUNED_LAMBDA_OPERATORS:
-    omega_a'/sqrt(3), its conjugate, -sqrt(2)*omega_b'/sqrt(3), its
-    conjugate, and delta on |Psi_d>; the amplitudes are arrays over times.
-    """
-    a = np.asarray(omega_a_prime, dtype=complex) / SQRT3
-    b = -SQRT2 * np.asarray(omega_b_prime, dtype=complex) / SQRT3
-    return np.stack([a, a.conj(), b, b.conj(), np.full(a.shape, delta, dtype=complex)], axis=-1)
-
-
-def two_level_coefficients(omega_a_prime, omega_b_prime, delta: float) -> np.ndarray:
-    """(..., 2) coefficients of the 2-dim Hamiltonian after eliminating |Psi_d>.
-
-    On (|phi_1>, |psi_3>), with TWO_LEVEL_OPERATORS: the coupling
-    i*omega_a'^2/(3*delta) and its conjugate. Requires the phase lock
-    omega_b' = i*omega_a'/sqrt(2) at every time, which makes both Stark
-    shifts equal (dropped as a global phase) and the coupling purely
-    counterdiabatic; ValueError if any time breaks it.
-    """
-    omega_a = np.asarray(omega_a_prime, dtype=complex)
-    scale = np.maximum(np.abs(omega_a), 1.0)
-    if np.any(np.abs(omega_b_prime - 1j * omega_a / SQRT2) > PHASE_TOL * scale):
-        raise ValueError(
-            "amplitudes violate the phase lock omega_b' = i*omega_a'/sqrt(2)"
-        )
-    coupling = 1j * omega_a**2 / (3.0 * delta)
-    return np.stack([coupling, coupling.conj()], axis=-1)
-
-
-def reduced_drives(coefficients: Callable, p: StirapParams, delta: float) -> Callable:
-    """times -> (times, 1, K): one cell of a reduced model under the exact TQD pulses.
-
-    coefficients is detuned_lambda_coefficients or two_level_coefficients;
-    each call takes one pulses.tqd_amplitudes call for all its times.
-    """
-    return lambda times: coefficients(*pulses.tqd_amplitudes(p, delta, times), delta)[:, None]
-
-
-def h_counterdiabatic(theta_dot: float) -> np.ndarray:
-    """3-dim counterdiabatic generator i*theta_dot(|phi_1><psi_3| - |psi_3><phi_1|)."""
-    h = np.zeros((3, 3), dtype=complex)
-    h[0, 2] = 1j * theta_dot
-    h[2, 0] = -1j * theta_dot
-    return h
-
-
-class EigenvectorContinuityError(RuntimeError):
-    """Raised when the finite-difference step is too coarse for smooth gauge fixing."""
-
-
-def berry_counterdiabatic_numeric(
-    p: StirapParams | Callable, t: float, h_step: float | None = None
-) -> np.ndarray:
-    """Counterdiabatic generator from i*sum_k |d_t n_k><n_k| by central differences.
-
-    Eigenvectors come from numerical diagonalization with the smooth gauge fixed
-    by a positive overlap between adjacent times.  p is either StirapParams or
-    a callable t -> (omega_a, omega_b).
-    """
-    amplitudes = p if callable(p) else (lambda tt: pulses.stirap_amplitudes(p, tt))
-    if h_step is None:
-        if callable(p):
-            raise ValueError("h_step is required when passing a bare amplitude callable")
-        h_step = 1e-5 * p.t_f
-
-    def eig_at(tt):
-        omega_a, omega_b = amplitudes(tt)
-        vals, vecs = np.linalg.eigh(h_effective_lambda(float(omega_a), float(omega_b)))
-        return vecs  # columns sorted by ascending eigenvalue
-
-    center = eig_at(t)
-    before = eig_at(t - h_step)
-    after = eig_at(t + h_step)
-    for mat in (before, after):
-        for k in range(3):
-            overlap = np.vdot(center[:, k], mat[:, k])
-            if abs(overlap) < 0.9:
-                raise EigenvectorContinuityError(
-                    f"eigenvector overlap {abs(overlap):.3f} < 0.9 at t={t:.6g}; "
-                    "reduce h_step"
-                )
-            mat[:, k] *= np.sign(overlap.real) if overlap.real != 0 else 1.0
-    deriv = (after - before) / (2.0 * h_step)
-    return 1j * deriv @ center.conj().T
 
 
 def collapse_channels(
@@ -356,34 +182,28 @@ def collapse_channels(
 
 @lru_cache(maxsize=None)
 def open_space() -> HilbertSpace:
-    """The 16 states reachable from |phi_1> under drive_operators and the collapse operators.
+    """The 16 states reachable from |phi_1> under hamiltonian_terms and the collapse operators.
 
     Every channel counts whatever its rate, so the space is the same for all
-    kappa and gamma (including zero).
+    kappa and gamma (including zero). The full space's hamiltonian_terms it
+    reads stays cached, 614 KB.
     """
     full = hilbert.build_full_space()
     jumps = [op for op, _ in collapse_channels(ModelParams(), full)]
-    return hilbert.reachable_space(full, drive_operators(hamiltonian_terms(full)), jumps,
+    return hilbert.reachable_space(full, hamiltonian_terms(full), jumps,
                                    hilbert.build_subspace().basis[0])
 
 
-@lru_cache(maxsize=None)
-def chain_terms() -> HamiltonianTerms:
-    """hamiltonian_terms on the 8-dim chain, assembled once per process."""
-    return hamiltonian_terms(hilbert.build_subspace())
-
-
-def hermitian_drive_operators(terms: HamiltonianTerms) -> np.ndarray:
-    """drive_operators as Hermitian generators, (6, d, d).
+def hermitian_drive_operators(terms: np.ndarray) -> np.ndarray:
+    """A hamiltonian_terms stack as Hermitian generators, (6, d, d).
 
     Each drive D with its adjoint becomes X = D + D+ and Y = i(D - D+), with
     the real coefficients Re omega and Im omega, since
     omega D + conj(omega) D+ = Re omega X + Im omega Y; cavity and excited
     are Hermitian already. open_coefficients gives the coefficients.
     """
-    ops = drive_operators(terms)
-    return np.stack([ops[0] + ops[1], 1j * (ops[0] - ops[1]),
-                     ops[2] + ops[3], 1j * (ops[2] - ops[3]), ops[4], ops[5]])
+    return np.stack([terms[0] + terms[1], 1j * (terms[0] - terms[1]),
+                     terms[2] + terms[3], 1j * (terms[2] - terms[3]), terms[4], terms[5]])
 
 
 @lru_cache(maxsize=None)

@@ -4,7 +4,10 @@ Each criterion re-measures a headline quantity (benchmark fidelity, pulse
 boundary values, oracle agreements, structural invariants) and compares it
 against a fixed tolerance.  Used by the CLI `verify` command and by the
 acceptance test module.  Expensive simulations are shared across criteria
-via module-level caches.
+via module-level caches.  The oracles the criteria compare against live
+here too: the symmetric L/R states, the reduced three- and two-level models
+of the detuned system, and the counterdiabatic generator with its
+numerical cross-check from the instantaneous eigenvectors.
 """
 
 from __future__ import annotations
@@ -13,13 +16,20 @@ import json
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
 from . import dynamics, experiments, hilbert, model, pulses
 from .dynamics import IntegratorConfig
 from .model import ModelParams
-from .pulses import PulseKind, StirapParams
+from .pulses import SQRT2, PulseKind, StirapParams
+
+SQRT3 = np.sqrt(3.0)
+
+# Largest |omega_b' - i*omega_a'/sqrt(2)|, relative to max(|omega_a'|, 1), that
+# two_level_coefficients accepts as the phase lock.
+PHASE_TOL = 1e-9
 
 
 @dataclass
@@ -56,6 +66,128 @@ def _open_run(kappa: float, gamma: float):
     return experiments.simulate_open(
         params, experiments.default_pulse_set(PulseKind.TQD_FITTED, params)
     )
+
+
+# Oracles: the symmetric states, the reduced models of the detuned system and
+# the counterdiabatic generator with its eigenvector cross-check.
+
+
+def symmetric_vectors() -> dict[str, np.ndarray]:
+    """Even/odd combinations of the degenerate L/R pairs (8-dim vectors)."""
+    e = np.eye(8, dtype=complex)
+    out = {
+        "psi1": (e[2] + e[3]) / SQRT2,
+        "psi2": (e[4] + e[5]) / SQRT2,
+        "psi3": (e[6] + e[7]) / SQRT2,
+        "psi1_minus": (e[2] - e[3]) / SQRT2,
+        "psi2_minus": (e[4] - e[5]) / SQRT2,
+        "psi3_minus": (e[6] - e[7]) / SQRT2,
+    }
+    return out
+
+
+def h_effective_lambda(omega_a: float, omega_b: float) -> np.ndarray:
+    """3-dim effective Hamiltonian on (|phi_1>, |Psi_d>, |psi_3>)."""
+    h = np.zeros((3, 3), dtype=complex)
+    h[0, 1] = omega_a / SQRT3
+    h[1, 2] = -SQRT2 * omega_b / SQRT3
+    return h + h.conj().T
+
+
+# Structure operators of the reduced models of the detuned system: H(t) is
+# sum_k c[k] operators[k] with the coefficients c of detuned_lambda_coefficients
+# and two_level_coefficients: the matrix units E_01, E_10, E_12, E_21, E_11
+# and E_01, E_10 (E_ij is row i*d + j of the d*d identity, reshaped).
+DETUNED_LAMBDA_OPERATORS = np.eye(9, dtype=complex).reshape(9, 3, 3)[[1, 3, 5, 7, 4]]
+TWO_LEVEL_OPERATORS = np.eye(4, dtype=complex).reshape(4, 2, 2)[[1, 2]]
+
+
+def detuned_lambda_coefficients(omega_a_prime, omega_b_prime, delta: float) -> np.ndarray:
+    """(..., 5) coefficients of the 3-dim effective Hamiltonian of the detuned system.
+
+    On (|phi_1>, |Psi_d>, |psi_3>), with DETUNED_LAMBDA_OPERATORS:
+    omega_a'/sqrt(3), its conjugate, -sqrt(2)*omega_b'/sqrt(3), its
+    conjugate, and delta on |Psi_d>; the amplitudes are arrays over times.
+    """
+    a = np.asarray(omega_a_prime, dtype=complex) / SQRT3
+    b = -SQRT2 * np.asarray(omega_b_prime, dtype=complex) / SQRT3
+    return np.stack([a, a.conj(), b, b.conj(), np.full(a.shape, delta, dtype=complex)], axis=-1)
+
+
+def two_level_coefficients(omega_a_prime, omega_b_prime, delta: float) -> np.ndarray:
+    """(..., 2) coefficients of the 2-dim Hamiltonian after eliminating |Psi_d>.
+
+    On (|phi_1>, |psi_3>), with TWO_LEVEL_OPERATORS: the coupling
+    i*omega_a'^2/(3*delta) and its conjugate. Requires the phase lock
+    omega_b' = i*omega_a'/sqrt(2) at every time, which makes both Stark
+    shifts equal (dropped as a global phase) and the coupling purely
+    counterdiabatic; ValueError if any time breaks it.
+    """
+    omega_a = np.asarray(omega_a_prime, dtype=complex)
+    scale = np.maximum(np.abs(omega_a), 1.0)
+    if np.any(np.abs(omega_b_prime - 1j * omega_a / SQRT2) > PHASE_TOL * scale):
+        raise ValueError(
+            "amplitudes violate the phase lock omega_b' = i*omega_a'/sqrt(2)"
+        )
+    coupling = 1j * omega_a**2 / (3.0 * delta)
+    return np.stack([coupling, coupling.conj()], axis=-1)
+
+
+def reduced_drives(coefficients: Callable, p: StirapParams, delta: float) -> Callable:
+    """times -> (times, 1, K): one cell of a reduced model under the exact TQD pulses.
+
+    coefficients is detuned_lambda_coefficients or two_level_coefficients;
+    each call takes one pulses.tqd_amplitudes call for all its times.
+    """
+    return lambda times: coefficients(*pulses.tqd_amplitudes(p, delta, times), delta)[:, None]
+
+
+def h_counterdiabatic(theta_dot: float) -> np.ndarray:
+    """3-dim counterdiabatic generator i*theta_dot(|phi_1><psi_3| - |psi_3><phi_1|)."""
+    h = np.zeros((3, 3), dtype=complex)
+    h[0, 2] = 1j * theta_dot
+    h[2, 0] = -1j * theta_dot
+    return h
+
+
+class EigenvectorContinuityError(RuntimeError):
+    """Raised when the finite-difference step is too coarse for smooth gauge fixing."""
+
+
+def berry_counterdiabatic_numeric(
+    p: StirapParams | Callable, t: float, h_step: float | None = None
+) -> np.ndarray:
+    """Counterdiabatic generator from i*sum_k |d_t n_k><n_k| by central differences.
+
+    Eigenvectors come from numerical diagonalization with the smooth gauge fixed
+    by a positive overlap between adjacent times.  p is either StirapParams or
+    a callable t -> (omega_a, omega_b).
+    """
+    amplitudes = p if callable(p) else (lambda tt: pulses.stirap_amplitudes(p, tt))
+    if h_step is None:
+        if callable(p):
+            raise ValueError("h_step is required when passing a bare amplitude callable")
+        h_step = 1e-5 * p.t_f
+
+    def eig_at(tt):
+        omega_a, omega_b = amplitudes(tt)
+        vals, vecs = np.linalg.eigh(h_effective_lambda(float(omega_a), float(omega_b)))
+        return vecs  # columns sorted by ascending eigenvalue
+
+    center = eig_at(t)
+    before = eig_at(t - h_step)
+    after = eig_at(t + h_step)
+    for mat in (before, after):
+        for k in range(3):
+            overlap = np.vdot(center[:, k], mat[:, k])
+            if abs(overlap) < 0.9:
+                raise EigenvectorContinuityError(
+                    f"eigenvector overlap {abs(overlap):.3f} < 0.9 at t={t:.6g}; "
+                    "reduce h_step"
+                )
+            mat[:, k] *= np.sign(overlap.real) if overlap.real != 0 else 1.0
+    deriv = (after - before) / (2.0 * h_step)
+    return 1j * deriv @ center.conj().T
 
 
 def check_physical_benchmark() -> CriterionResult:
@@ -112,15 +244,15 @@ def check_oracle_equivalence() -> CriterionResult:
     times = rng.uniform(0.01 * p.t_f, 0.99 * p.t_f, 50)
     cd_gap = max(
         float(np.max(np.abs(
-            model.berry_counterdiabatic_numeric(p, t)
-            - model.h_counterdiabatic(float(pulses.mixing_angle_rate(p, t)))
+            berry_counterdiabatic_numeric(p, t)
+            - h_counterdiabatic(float(pulses.mixing_angle_rate(p, t)))
         )))
         for t in times
     )
     eig_gap = 0.0
     for t in rng.uniform(0.0, p.t_f, 100):
         omega_a, omega_b = pulses.stirap_amplitudes(p, t)
-        vals = np.linalg.eigvalsh(model.h_effective_lambda(float(omega_a), float(omega_b)))
+        vals = np.linalg.eigvalsh(h_effective_lambda(float(omega_a), float(omega_b)))
         lam = float(pulses.rabi_norm(p, t)) / np.sqrt(3.0)
         eig_gap = max(eig_gap, float(np.max(np.abs(vals - np.array([-lam, 0.0, lam])))))
     return CriterionResult(
@@ -160,19 +292,19 @@ def check_structural_invariants() -> CriterionResult:
     # H(t) is a combination of the structure operators, so whatever the pulses, the
     # chain and the open-system space are closed under it if they are under each
     # operator; the open-system space must also be closed under every jump.
-    structure = model.drive_operators(model.hamiltonian_terms(full))
+    structure = model.hamiltonian_terms(full)
     jumps = [op for op, _ in model.collapse_channels(ModelParams(), full)]
     closure = max([_leakage(op, i) for op in structure for i in (idx, open_idx)]
                   + [_leakage(op, open_idx) for op in jumps])
 
     # Likewise the odd L/R sector decouples from the even one under every H(t) of
     # the chain if it does under each operator that the chain's runs integrate.
-    sym = model.symmetric_vectors()
+    sym = symmetric_vectors()
     e = np.eye(8)
     even = [e[0], e[1], sym["psi1"], sym["psi2"], sym["psi3"]]
     odd = [sym["psi1_minus"], sym["psi2_minus"], sym["psi3_minus"]]
     decoupling = max(abs(np.vdot(o, op @ v))
-                     for op in model.drive_operators(model.chain_terms())
+                     for op in model.hamiltonian_terms(hilbert.build_subspace())
                      for o in odd for v in even)
 
     norm_drift = _closed_run(PulseKind.TQD_EXACT).metadata["max_norm_drift"]
@@ -206,14 +338,14 @@ def check_model_hierarchy() -> CriterionResult:
     target2 = np.array([1.0, np.sqrt(2.0)]) / np.sqrt(3.0)
 
     def final_fidelity(operators, coefficients, psi0, target):
-        drives = model.reduced_drives(coefficients, p, params.delta)
+        drives = reduced_drives(coefficients, p, params.delta)
         return dynamics.evolve_schrodinger(
             operators, drives, np.array(psi0, dtype=complex), p.t_f, cfg, target=target
         ).final_fidelity
 
-    f3 = final_fidelity(model.DETUNED_LAMBDA_OPERATORS, model.detuned_lambda_coefficients,
+    f3 = final_fidelity(DETUNED_LAMBDA_OPERATORS, detuned_lambda_coefficients,
                         [1, 0, 0], target3)
-    f2 = final_fidelity(model.TWO_LEVEL_OPERATORS, model.two_level_coefficients,
+    f2 = final_fidelity(TWO_LEVEL_OPERATORS, two_level_coefficients,
                         [1, 0], target2)
     spread = max(f_full, f3, f2) - min(f_full, f3, f2)
     return CriterionResult(

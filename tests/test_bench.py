@@ -153,13 +153,35 @@ def test_cli_rounds_alternate_the_trees_and_write_quartiles(tmp_path, monkeypatc
     assert calls == [(command, side) for order in (first, second, first)
                      for command in commands for side in order]
     out = json.loads((tmp_path / "BENCH_c.json").read_text())
-    assert out["cli_rounds"] == 3 and set(out["cli"]) == {"this", "against"}
+    assert out["cli_rounds"] == 3 and set(out["cli"]) == {"thread_variables", "this", "against"}
     # pulses ran as calls 1, 24 and 45 on this side, verify as 22, 43 and 66 on the other
     assert out["cli"]["this"]["pulses"] == {
         "wall_s": bench.quartiles([1.0, 24.0, 45.0]),
         "cpu_s": bench.quartiles([0.5, 12.0, 22.5]),
         "maxrss_mb": bench.quartiles([40.0] * 3)}
     assert out["cli"]["against"]["verify"]["wall_s"]["median"] == 2.0 * 43
+
+
+def test_cli_rounds_record_the_blas_threads_their_commands_inherit(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    seen = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": "unset"}
+    # The child checks what it inherited, so a recorded value is one the commands ran with.
+    tree = _cli_tree(tmp_path / "tree", (
+        "import os, sys\n"
+        f"want = {seen!r}\n"
+        "got = {name: os.environ.get(name, 'unset') for name in want}\n"
+        "sys.exit(0 if got == want else f'inherited {got}')\n"))
+    monkeypatch.setattr(bench, "CLI_COMMANDS", {"pulses": ["pulses"]})
+    monkeypatch.setattr(bench, "run_perfbench", lambda tree, workload, seed, seconds:
+                        bench.read_run(_write_result(tmp_path / f"{workload}.json", 0.1, [0.1])))
+    monkeypatch.setattr(bench, "ROOT", tree)
+    (tree / "BENCHMARK.json").write_bytes((_PATH.parents[1] / "BENCHMARK.json").read_bytes())
+    assert bench.main(["--label", "b", "--cli-rounds", "1", "--out", str(tmp_path)]) == 0
+    out = json.loads((tmp_path / "BENCH_b.json").read_text())
+    assert out["cli"]["thread_variables"] == seen
+    assert list(out["cli"]["this"]) == ["pulses"]
 
 
 def _cli_tree(root: Path, body: str) -> Path:

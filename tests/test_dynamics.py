@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from conftest import h_of_t, structure_terms
 
-from tqd3d import dynamics, experiments, hilbert, model, pulses
+from tqd3d import dynamics, experiments, hilbert, model, pulses, verify
 from tqd3d.dynamics import IntegratorConfig, IntegratorInstabilityError
 from tqd3d.model import ModelParams
 from tqd3d.pulses import PulseKind
@@ -65,13 +66,13 @@ def test_instability_detected():
         )
 
 
-def test_population_rows_and_fidelity_range(default_pulses, default_params, terms8):
+def test_population_rows_and_fidelity_range(default_pulses, default_params, subspace):
     ps = pulses.PulseSet(PulseKind.TQD_EXACT, default_pulses, delta=3.6)
     drives = model.CellDrives([(default_params, ps)])
     psi0 = np.zeros(8, dtype=complex)
     psi0[0] = 1.0
     result = dynamics.evolve_schrodinger(
-        model.drive_operators(terms8), drives, psi0, 50.0, IntegratorConfig(dt=0.01),
+        model.hamiltonian_terms(subspace), drives, psi0, 50.0, IntegratorConfig(dt=0.01),
         target=dynamics.target_state(hilbert.build_subspace()),
     )
     sums = result.populations.sum(axis=1)
@@ -80,14 +81,13 @@ def test_population_rows_and_fidelity_range(default_pulses, default_params, term
     assert result.final_fidelity > 0.99
 
 
-def test_subspace_confinement_full_space(terms80, subspace, full_space, default_pulses,
-                                         default_params):
+def test_subspace_confinement_full_space(subspace, full_space, default_pulses, default_params):
     # pure-state run on the 80-dim space stays inside the embedded chain subspace
     ps = pulses.PulseSet(PulseKind.TQD_EXACT, default_pulses, delta=3.6)
     drives = model.CellDrives([(default_params, ps)])
     psi0 = full_space.ket(subspace.basis[0])
     result = dynamics.evolve_schrodinger(
-        model.drive_operators(terms80), drives, psi0, 50.0,
+        model.hamiltonian_terms(full_space), drives, psi0, 50.0,
         IntegratorConfig(dt=0.01, record_every=500),
         tracked=hilbert.subspace_indices(subspace, full_space),
         target=dynamics.target_state(full_space),
@@ -108,8 +108,8 @@ def test_closed_run_matches_per_step_hamiltonian_run(subspace, kind):
     pulse_set = experiments.default_pulse_set(kind, params)
     run = experiments.simulate_closed(params, pulse_set, cfg)
 
-    h_of_t = model.make_h_of_t(model.hamiltonian_terms(subspace), params, pulse_set)
-    fids, pops, psi = _dense_rk4(h_of_t, np.eye(subspace.dim, dtype=complex)[0], params.t_f,
+    hamiltonian = h_of_t(structure_terms(subspace), params, pulse_set)
+    fids, pops, psi = _dense_rk4(hamiltonian, np.eye(subspace.dim, dtype=complex)[0], params.t_f,
                                cfg, dynamics.target_state(subspace))
     assert run.fidelity.shape == (len(fids),)
     assert np.max(np.abs(run.fidelity - fids)) < 1e-12
@@ -157,7 +157,7 @@ def test_random_start_runs_unchanged(rng, monkeypatch):
     params = ModelParams()
     drives = model.CellDrives([
         (params, experiments.default_pulse_set(kind, params)) for kind in PulseKind])
-    operators = model.drive_operators(model.chain_terms())
+    operators = model.hamiltonian_terms(hilbert.build_subspace())
     psi0 = rng.normal(size=(3, 8)) + 1j * rng.normal(size=(3, 8))
     psi0 /= np.linalg.norm(psi0, axis=1, keepdims=True)
     cfg = IntegratorConfig(dt=0.05)
@@ -193,7 +193,7 @@ def test_negative_zero_start_lumps_as_zero():
     params = ModelParams()
     drives = model.CellDrives([
         (params, experiments.default_pulse_set(PulseKind.TQD_EXACT, params))])
-    operators = model.drive_operators(model.chain_terms())
+    operators = model.hamiltonian_terms(hilbert.build_subspace())
     zero = np.eye(8, dtype=complex)[0]
     negative = zero.copy()
     negative[3] = -0.0
@@ -369,7 +369,7 @@ def test_phase_times_in_metadata():
     drives = model.CellDrives([(ModelParams(), pulses.PulseSet(PulseKind.STIRAP,
                                                              pulses.StirapParams()))])
     closed = dynamics.evolve_schrodinger(
-        model.drive_operators(model.hamiltonian_terms(hilbert.build_subspace())), drives,
+        model.hamiltonian_terms(hilbert.build_subspace()), drives,
         np.eye(8, dtype=complex)[0], 1.0, IntegratorConfig(dt=0.01, record_every=10))
     rabi = dynamics.Liouvillian.reachable([SIGMA_X], [], np.diag([1.0, 0.0]))
     open_run = dynamics.evolve_lindblad(rabi, _constant(0.35), np.diag([1.0, 0.0]), 1.0,
@@ -542,7 +542,7 @@ def test_target_state(subspace):
     assert pops[6] == pytest.approx(1 / 3)
     assert pops[7] == pytest.approx(1 / 3)
     # equivalent form via the symmetric vector psi_3
-    sym = model.symmetric_vectors()
+    sym = verify.symmetric_vectors()
     e = np.eye(8)
     alt = (e[0] + math.sqrt(2.0) * sym["psi3"]) / math.sqrt(3.0)
     assert dynamics.fidelity(alt.astype(complex), target) == pytest.approx(1.0)
@@ -551,19 +551,19 @@ def test_target_state(subspace):
 def test_batch_matches_single_states_on_open_space(rng):
     # Two of the 16 states have no coupling at all, so their rows of H are empty.
     space = model.open_space()
-    terms = model.hamiltonian_terms(space)
+    terms = structure_terms(space)
     cells = [(ModelParams(), pulses.PulseSet(PulseKind.STIRAP, pulses.StirapParams())),
              (ModelParams(g=1.1), pulses.PulseSet(PulseKind.TQD_EXACT, pulses.StirapParams(),
                                                   delta=3.6))]
     psi0 = rng.normal(size=(2, space.dim)) + 1j * rng.normal(size=(2, space.dim))
     psi0 /= np.linalg.norm(psi0, axis=1, keepdims=True)
     cfg = IntegratorConfig(dt=0.01)
-    operators = model.drive_operators(terms)
+    operators = model.hamiltonian_terms(space)
     batch = dynamics.evolve_schrodinger(operators, model.CellDrives(cells), psi0, 50.0, cfg)
     assert batch.metadata["failures"] == {}
     first = np.eye(space.dim, dtype=complex)[0]  # evolve_schrodinger's default target
     for b, (params, pulse_set) in enumerate(cells):
-        fids, pops, final = _dense_rk4(model.make_h_of_t(terms, params, pulse_set), psi0[b],
+        fids, pops, final = _dense_rk4(h_of_t(terms, params, pulse_set), psi0[b],
                                        50.0, cfg, first)
         assert np.max(np.abs(batch.final_state[b] - final)) < 1e-12
         assert np.max(np.abs(batch.fidelity[:, b] - fids)) < 1e-12
@@ -886,16 +886,16 @@ def test_step_program_rejects_32_bit_overflow_before_building(monkeypatch):
 def test_rk4_is_fourth_order_on_the_two_level_rotation():
     """Every recorded point of the exact-TQD two-level run against its closed form.
 
-    Under exact TQD the two-level coupling is i theta_dot (model), so from
+    Under exact TQD the two-level coupling is i theta_dot (verify), so from
     (1, 0) the state is (cos dtheta, -sin dtheta), dtheta = theta(t) - theta(0)
     (pulses.mixing_angle). Halving dt must cut the error 16-fold.
     """
     p, delta = pulses.StirapParams(), ModelParams().delta
-    drives = model.reduced_drives(model.two_level_coefficients, p, delta)
+    drives = verify.reduced_drives(verify.two_level_coefficients, p, delta)
     final_errors, point_errors = [], []
     for dt, final_bound, point_bound in ((0.4, 7.9e-9, 3.8e-8), (0.2, 5.0e-10, 2.4e-9),
                                          (0.1, 3.1e-11, 1.5e-10)):
-        run = dynamics.evolve_schrodinger(model.TWO_LEVEL_OPERATORS, drives,
+        run = dynamics.evolve_schrodinger(verify.TWO_LEVEL_OPERATORS, drives,
                                           np.array([1.0, 0.0], dtype=complex), p.t_f,
                                           IntegratorConfig(dt=dt, record_every=1))
         assert len(run.times) == round(p.t_f / dt) + 1
@@ -1043,7 +1043,7 @@ def _undriven_run(real: bool, case: str, cells: int):
             tracked=hilbert.subspace_indices(hilbert.build_subspace(), model.open_space()),
             target=dynamics.target_state(model.open_space()))
     psi0 = np.tile(np.eye(8, dtype=complex)[0], (cells, 1))
-    return dynamics.evolve_schrodinger(model.drive_operators(model.chain_terms()),
+    return dynamics.evolve_schrodinger(model.hamiltonian_terms(hilbert.build_subspace()),
                                        coefficients, psi0, 4.0, cfg,
                                        target=dynamics.target_state(hilbert.build_subspace()))
 

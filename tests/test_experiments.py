@@ -373,7 +373,7 @@ def _captured(monkeypatch) -> list:
 
 def _lumped_chain() -> tuple[int, int]:
     """Weights and amplitudes per cell of a closed batch started in |phi_1> (hilbert.lump)."""
-    _, lumped = hilbert.lump(model.drive_operators(model.chain_terms()), np.eye(8)[:1])
+    _, lumped = hilbert.lump(model.hamiltonian_terms(hilbert.build_subspace()), np.eye(8)[:1])
     return np.count_nonzero(lumped), lumped.shape[-1]
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tqd3d import hilbert, model
+from tqd3d import hilbert, model, verify
 from tqd3d.hilbert import BasisState, LevelA, LevelB
 
 
@@ -104,9 +104,9 @@ def test_lump_of_the_chain_from_phi1_is_the_symmetric_grouping():
     # |phi_1> under the chain's structure operators: each L/R pair of the
     # symmetric states psi_1, psi_2, psi_3 is one block, phi_1 and phi_2 are
     # blocks of their own.
-    operators = model.drive_operators(model.chain_terms())
+    operators = model.hamiltonian_terms(hilbert.build_subspace())
     labels, lumped = hilbert.lump(operators, np.tile(np.eye(8)[0], (3, 1)))
-    pairs = [np.flatnonzero(model.symmetric_vectors()[name]) for name in ("psi1", "psi2", "psi3")]
+    pairs = [np.flatnonzero(verify.symmetric_vectors()[name]) for name in ("psi1", "psi2", "psi3")]
     blocks = [[0], [1]] + [list(pair) for pair in pairs]
     assert [list(np.flatnonzero(labels == b)) for b in range(labels.max() + 1)] == blocks
     assert lumped.shape == (6, 5, 5) and np.count_nonzero(lumped) == 10
@@ -119,7 +119,7 @@ def test_lump_of_the_chain_from_phi1_is_the_symmetric_grouping():
 
 
 def test_lump_of_a_random_start_is_the_identity(rng):
-    operators = model.drive_operators(model.chain_terms())
+    operators = model.hamiltonian_terms(hilbert.build_subspace())
     start = rng.normal(size=(2, 8)) + 1j * rng.normal(size=(2, 8))
     labels, lumped = hilbert.lump(operators, start)
     assert np.array_equal(labels, np.arange(8))

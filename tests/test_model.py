@@ -3,8 +3,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from conftest import h_of_t, hamiltonian, structure_stack, structure_terms
 
-from tqd3d import dynamics, hilbert, model, pulses
+from tqd3d import dynamics, experiments, hilbert, model, pulses, verify
 from tqd3d.model import ModelParams
 from tqd3d.pulses import PulseKind, PulseSet, StirapParams
 
@@ -24,25 +25,25 @@ def reference_subspace_matrix(omega_a, omega_b, g=1.0):
 
 def h_stirap(terms, params, p):
     """t -> H(t) of the resonant model under the adiabatic Gaussian pair."""
-    return model.make_h_of_t(terms, params, PulseSet(PulseKind.STIRAP, p))
+    return h_of_t(terms, params, PulseSet(PulseKind.STIRAP, p))
 
 
 def detuned_lambda(omega_a, omega_b, delta):
     """The 3-dim detuned Hamiltonian: its coefficients contracted with its structure operators."""
-    c = model.detuned_lambda_coefficients(omega_a, omega_b, delta)
-    return np.tensordot(c, model.DETUNED_LAMBDA_OPERATORS, axes=1)
+    c = verify.detuned_lambda_coefficients(omega_a, omega_b, delta)
+    return np.tensordot(c, verify.DETUNED_LAMBDA_OPERATORS, axes=1)
 
 
 def two_level(omega_a, omega_b, delta):
     """The 2-dim Hamiltonian: its coefficients contracted with its structure operators."""
-    return np.tensordot(model.two_level_coefficients(omega_a, omega_b, delta),
-                        model.TWO_LEVEL_OPERATORS, axes=1)
+    return np.tensordot(verify.two_level_coefficients(omega_a, omega_b, delta),
+                        verify.TWO_LEVEL_OPERATORS, axes=1)
 
 
 def bright_dark_vectors() -> dict[str, np.ndarray]:
     """Dark and bright combinations of |phi_2> and |psi_2> with |psi_1| (8-dim)."""
     e = np.eye(8, dtype=complex)
-    sym = model.symmetric_vectors()
+    sym = verify.symmetric_vectors()
     dark = (e[1] - SQRT2 * sym["psi2"]) / SQRT3
     plus = (SQRT2 * e[1] + SQRT3 * sym["psi1"] + sym["psi2"]) / np.sqrt(6.0)
     minus = (SQRT2 * e[1] - SQRT3 * sym["psi1"] + sym["psi2"]) / np.sqrt(6.0)
@@ -89,7 +90,7 @@ def test_resonant_couplings(terms8, default_params, default_pulses):
 
 
 def test_resonant_zero_pulse_structure(terms8, default_params):
-    h = model.assemble_hamiltonian(terms8, 0.0, 0.0, g=1.0)
+    h = hamiltonian(terms8, 0.0, 0.0, g=1.0)
     assert np.count_nonzero(h) == 8  # four g couplings plus adjoints
 
 
@@ -103,19 +104,41 @@ def test_full_space_projection_consistent(
     assert np.allclose(h80[np.ix_(idx, idx)], h8)
 
 
-def test_terms_follow_basis_order(terms80, full_space, rng):
+def test_terms_follow_basis_order(full_space, rng):
     # A reordered 80-state space gets the canonical terms reordered the same way.
     perm = rng.permutation(full_space.dim)
     permuted = hilbert.HilbertSpace(tuple(full_space.basis[i] for i in perm))
     terms = model.hamiltonian_terms(permuted)
-    for name in ("drive_a", "drive_b", "cavity", "excited"):
-        assert np.array_equal(getattr(terms, name), getattr(terms80, name)[np.ix_(perm, perm)])
+    assert np.array_equal(terms, model.hamiltonian_terms(full_space)[:, perm[:, None], perm])
+
+
+@pytest.mark.parametrize("which", ["chain", "open_space", "full_space"])
+def test_hamiltonian_terms_match_the_test_builder(which):
+    """The runs' stack equals the tests' own, bit for bit, signed zeros included."""
+    space = {"chain": hilbert.build_subspace, "open_space": model.open_space,
+             "full_space": hilbert.build_full_space}[which]()
+    terms = model.hamiltonian_terms(space)
+    assert terms.shape == (6, space.dim, space.dim)
+    assert terms.tobytes() == structure_stack(structure_terms(space)).tobytes()
+    # built once per space, and shared read-only
+    assert model.hamiltonian_terms(type(space)(space.basis)) is terms
+    assert not terms.flags.writeable
+
+
+@pytest.mark.parametrize("kind", list(PulseKind), ids=lambda kind: kind.value)
+def test_make_h_of_t_is_the_hamiltonian_of_the_pulses(kind, subspace, terms8):
+    params = ModelParams()
+    pulse_set = experiments.default_pulse_set(kind, params)
+    h = model.make_h_of_t(model.hamiltonian_terms(subspace), params, pulse_set)
+    want = h_of_t(terms8, params, pulse_set)
+    for t in (0.0, 12.5, 23.1, 40.0):
+        assert np.allclose(h(t), want(t), rtol=0, atol=1e-14)
 
 
 def test_detuned_diagonal_and_phase(terms8, default_pulses):
     t = 20.0
     omega_a, omega_b = pulses.tqd_amplitudes(default_pulses, 3.6, t)
-    h = model.assemble_hamiltonian(terms8, complex(omega_a), complex(omega_b),
+    h = hamiltonian(terms8, complex(omega_a), complex(omega_b),
                                    g=1.0, delta=3.6)
     assert h[1, 1] == pytest.approx(3.6)  # phi_2 carries an excited level
     assert h[4, 4] == pytest.approx(3.6)  # phi_5 too
@@ -128,13 +151,13 @@ def test_detuned_diagonal_and_phase(terms8, default_pulses):
 def test_detuned_hermitian_random_times(terms80, default_pulses, rng):
     for t in rng.uniform(0.0, 50.0, 100):
         omega_a, omega_b = pulses.tqd_amplitudes(default_pulses, 3.6, t)
-        h = model.assemble_hamiltonian(terms80, complex(omega_a), complex(omega_b),
+        h = hamiltonian(terms80, complex(omega_a), complex(omega_b),
                                        g=1.0, delta=3.6)
         assert hilbert.max_nonhermiticity(h) < 1e-12
 
 
 def test_symmetric_vectors():
-    sym = model.symmetric_vectors()
+    sym = verify.symmetric_vectors()
     e = np.eye(8)
     assert np.allclose(sym["psi3"], (e[6] + e[7]) / SQRT2)
     assert np.allclose(sym["psi1_minus"], (e[2] - e[3]) / SQRT2)
@@ -142,7 +165,7 @@ def test_symmetric_vectors():
 
 def test_bright_dark_vectors():
     vecs = bright_dark_vectors()
-    sym = model.symmetric_vectors()
+    sym = verify.symmetric_vectors()
     e = np.eye(8)
     assert np.allclose(vecs["dark"], (e[1] - SQRT2 * sym["psi2"]) / SQRT3)
     for a in ("dark", "plus", "minus"):
@@ -152,7 +175,7 @@ def test_bright_dark_vectors():
 
 
 def test_odd_sector_decoupled(terms8, default_params, default_pulses):
-    sym = model.symmetric_vectors()
+    sym = verify.symmetric_vectors()
     e = np.eye(8)
     even = [e[0], e[1], sym["psi1"], sym["psi2"], sym["psi3"]]
     odd = [sym["psi1_minus"], sym["psi2_minus"], sym["psi3_minus"]]
@@ -166,7 +189,7 @@ def test_odd_sector_decoupled(terms8, default_params, default_pulses):
 def test_bright_sector_block(terms8, default_params, default_pulses):
     # conjugating by the dark/bright frame exposes the +-sqrt(3)g static block
     vecs = bright_dark_vectors()
-    h = model.assemble_hamiltonian(terms8, 0.0, 0.0, g=1.0)
+    h = hamiltonian(terms8, 0.0, 0.0, g=1.0)
     assert np.vdot(vecs["plus"], h @ vecs["plus"]) == pytest.approx(SQRT3)
     assert np.vdot(vecs["minus"], h @ vecs["minus"]) == pytest.approx(-SQRT3)
     assert np.vdot(vecs["dark"], h @ vecs["dark"]) == pytest.approx(0.0, abs=1e-14)
@@ -175,21 +198,21 @@ def test_bright_sector_block(terms8, default_params, default_pulses):
 def test_effective_lambda_eigenvalues(default_pulses, rng):
     for t in rng.uniform(0.0, 50.0, 100):
         omega_a, omega_b = pulses.stirap_amplitudes(default_pulses, t)
-        vals = np.linalg.eigvalsh(model.h_effective_lambda(float(omega_a), float(omega_b)))
+        vals = np.linalg.eigvalsh(verify.h_effective_lambda(float(omega_a), float(omega_b)))
         lam = float(pulses.rabi_norm(default_pulses, t)) / SQRT3
         assert np.max(np.abs(vals - np.array([-lam, 0.0, lam]))) < 1e-10
 
 
 def test_effective_lambda_equal_amplitudes():
     omega0 = 0.35
-    vals = np.linalg.eigvalsh(model.h_effective_lambda(omega0, omega0))
+    vals = np.linalg.eigvalsh(verify.h_effective_lambda(omega0, omega0))
     assert np.allclose(vals, [-omega0, 0.0, omega0], atol=1e-14)
 
 
 def test_eigensystem_identity(default_pulses, rng):
     for t in rng.uniform(0.0, 50.0, 100):
         omega_a, omega_b = pulses.stirap_amplitudes(default_pulses, t)
-        h = model.h_effective_lambda(float(omega_a), float(omega_b))
+        h = verify.h_effective_lambda(float(omega_a), float(omega_b))
         es = effective_eigensystem(default_pulses, t)
         assert es.values[1] == 0.0
         for k in range(3):
@@ -239,9 +262,9 @@ def test_two_level_phase_violation():
 
 def test_two_level_propagator_is_rotation(default_pulses):
     cfg = dynamics.IntegratorConfig(dt=0.005)
-    h2 = model.reduced_drives(model.two_level_coefficients, default_pulses, 3.6)
+    h2 = verify.reduced_drives(verify.two_level_coefficients, default_pulses, 3.6)
     result = dynamics.evolve_schrodinger(
-        model.TWO_LEVEL_OPERATORS, h2, np.array([1.0, 0.0], dtype=complex), 50.0, cfg,
+        verify.TWO_LEVEL_OPERATORS, h2, np.array([1.0, 0.0], dtype=complex), 50.0, cfg,
         target=np.array([1.0, SQRT2]) / SQRT3,
     )
     theta_span = float(
@@ -253,29 +276,29 @@ def test_two_level_propagator_is_rotation(default_pulses):
 
 
 def test_counterdiabatic_closed_form():
-    h = model.h_counterdiabatic(-0.07)
+    h = verify.h_counterdiabatic(-0.07)
     assert h[0, 2] == pytest.approx(-0.07j)
     assert np.allclose(h, h.conj().T)
     assert np.allclose(np.linalg.eigvalsh(h), [-0.07, 0.0, 0.07])
-    assert np.allclose(model.h_counterdiabatic(0.0), 0.0)
+    assert np.allclose(verify.h_counterdiabatic(0.0), 0.0)
 
 
 def test_berry_formula_matches_closed_form(default_pulses, rng):
     for t in rng.uniform(0.5, 49.5, 50):
         theta_dot = float(pulses.mixing_angle_rate(default_pulses, t))
-        numeric = model.berry_counterdiabatic_numeric(default_pulses, t)
-        assert np.max(np.abs(numeric - model.h_counterdiabatic(theta_dot))) < 1e-6
+        numeric = verify.berry_counterdiabatic_numeric(default_pulses, t)
+        assert np.max(np.abs(numeric - verify.h_counterdiabatic(theta_dot))) < 1e-6
         assert hilbert.max_nonhermiticity(numeric) < 1e-9
 
 
 def test_berry_formula_constant_pulses():
-    numeric = model.berry_counterdiabatic_numeric(lambda t: (0.2, 0.3), 10.0, h_step=1e-4)
+    numeric = verify.berry_counterdiabatic_numeric(lambda t: (0.2, 0.3), 10.0, h_step=1e-4)
     assert np.max(np.abs(numeric)) < 1e-9
 
 
 def test_berry_requires_step_for_callable():
     with pytest.raises(ValueError):
-        model.berry_counterdiabatic_numeric(lambda t: (0.2, 0.3), 10.0)
+        verify.berry_counterdiabatic_numeric(lambda t: (0.2, 0.3), 10.0)
 
 
 def test_collapse_channels(full_space):
@@ -307,7 +330,7 @@ def test_subspace_closure(terms80, subspace, full_space, default_params, default
         omega_a, omega_b = pulses.tqd_amplitudes(default_pulses, 3.6, t)
         for h in (
             h_stirap(terms80, default_params, default_pulses)(t),
-            model.assemble_hamiltonian(terms80, complex(omega_a), complex(omega_b),
+            hamiltonian(terms80, complex(omega_a), complex(omega_b),
                                        g=1.0, delta=3.6),
         ):
             leakage = h[~inside][:, idx]

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+from conftest import h_of_t, structure_terms
 from scipy.sparse.csgraph import connected_components
 from test_dynamics import _dense_rk4
 
@@ -61,19 +62,17 @@ def test_reachable_space_jumps_are_one_way():
     assert hilbert.reachable_space(space, [lower], [], space.basis[0]).dim == 2
 
 
-def test_open_space_operators_are_restrictions(full_space, terms80):
+def test_open_space_operators_are_restrictions(full_space):
     space = model.open_space()
     idx = hilbert.subspace_indices(space, full_space)
     sel = np.ix_(idx, idx)
     outside = np.ones(full_space.dim, dtype=bool)
     outside[idx] = False
 
-    terms16 = model.hamiltonian_terms(space)
-    for name in ("drive_a", "drive_b", "cavity", "excited"):
-        op80 = getattr(terms80, name)
-        assert np.array_equal(getattr(terms16, name), op80[sel])
-        for op in (op80, op80.conj().T):
-            assert not np.any(op[outside][:, idx])
+    terms80 = model.hamiltonian_terms(full_space)  # D_A, D_A+, D_B, D_B+, C + C+, P_e
+    assert np.array_equal(model.hamiltonian_terms(space), terms80[:, idx[:, None], idx])
+    for op in terms80:
+        assert not np.any(op[outside][:, idx])
 
     params = ModelParams(kappa=0.01, gamma=0.05)
     for (op16, r16), (op80, r80) in zip(model.collapse_channels(params, space),
@@ -126,7 +125,7 @@ def test_dissipator_matches_the_scipy_kron_oracle(which, rates, full_space):
     assert np.array_equal(got.values.view(np.uint64), want.data.view(np.uint64))
 
 
-def test_open_run_matches_full_space_run(full_space, subspace, terms80):
+def test_open_run_matches_full_space_run(full_space, subspace):
     cfg = IntegratorConfig(dt=0.01)
     pulse_set = experiments.default_pulse_set(PulseKind.TQD_FITTED, BENCHMARK)
     reduced = experiments.simulate_open(BENCHMARK, pulse_set, cfg)
@@ -135,7 +134,8 @@ def test_open_run_matches_full_space_run(full_space, subspace, terms80):
     psi0 = full_space.ket(subspace.basis[0])
     rho0 = np.outer(psi0, psi0.conj())
     full = dynamics.evolve_lindblad(
-        dynamics.Liouvillian.reachable(model.hermitian_drive_operators(terms80),
+        dynamics.Liouvillian.reachable(model.hermitian_drive_operators(
+                                           model.hamiltonian_terms(full_space)),
                                        _unit_dissipators(full_space), rho0),
         model.open_coefficients(model.CellDrives([(BENCHMARK, pulse_set)]), [BENCHMARK]),
         rho0, BENCHMARK.t_f, cfg,
@@ -157,22 +157,24 @@ def test_open_run_matches_per_step_hamiltonian_run(subspace):
     sum_c rate_c (L rho L+ - {L+L, rho}/2) straight from the collapse
     channels, symmetrized after each step, sharing no right-hand side with
     the support run; both integrate the same RK4 steps, so they agree to
-    rounding.
+    rounding. With the jumps J_c = sqrt(rate_c) L_c stacked, each stage takes
+    G rho + rho G+ + sum_c J_c rho J_c+ in one batched product, for
+    G = -i H - sum_c J_c+ J_c / 2.
     """
     space = model.open_space()
     cfg = IntegratorConfig(dt=0.01)
     pulse_set = experiments.default_pulse_set(PulseKind.TQD_FITTED, BENCHMARK)
     run = experiments.simulate_open(BENCHMARK, pulse_set, cfg)
 
-    h_of_t = model.make_h_of_t(model.hamiltonian_terms(space), BENCHMARK, pulse_set)
-    channels = [(op, op.conj().T, op.conj().T @ op, rate)
-                for op, rate in model.collapse_channels(BENCHMARK, space)]
+    hamiltonian = h_of_t(structure_terms(space), BENCHMARK, pulse_set)
+    jumps = np.stack([np.sqrt(rate) * op
+                      for op, rate in model.collapse_channels(BENCHMARK, space)])  # (11, 16, 16)
+    adjoints = jumps.conj().transpose(0, 2, 1)
+    decay = 0.5 * (adjoints @ jumps).sum(axis=0)
 
     def rhs(h, rho):
-        out = -1j * (h @ rho - rho @ h)
-        for op, adjoint, decay, rate in channels:
-            out += rate * (op @ rho @ adjoint - 0.5 * (decay @ rho + rho @ decay))
-        return out
+        g = -1j * h - decay
+        return g @ rho + rho @ g.conj().T + (jumps @ rho @ adjoints).sum(axis=0)
 
     rho = np.zeros((space.dim, space.dim), dtype=complex)
     rho[0, 0] = 1.0
@@ -182,7 +184,7 @@ def test_open_run_matches_per_step_hamiltonian_run(subspace):
         if step % cfg.record_every == 0:
             fids.append(np.real(target.conj() @ rho @ target))
             pops.append(np.real(np.diag(rho))[:8])
-        h0, h_half, h1 = (h_of_t(step * dt + s) for s in (0.0, dt / 2, dt))
+        h0, h_half, h1 = (hamiltonian(step * dt + s) for s in (0.0, dt / 2, dt))
         k1 = rhs(h0, rho)
         k2 = rhs(h_half, rho + 0.5 * dt * k1)
         k3 = rhs(h_half, rho + 0.5 * dt * k2)
@@ -195,16 +197,9 @@ def test_open_run_matches_per_step_hamiltonian_run(subspace):
 
 def _h_blocks(space):
     """Connected components of the open space under the Hamiltonian terms, in space order."""
-    terms = model.hamiltonian_terms(space)
-    links = sum(np.abs(op) + np.abs(op.T) for op in
-                (terms.drive_a, terms.drive_b, terms.cavity, terms.excited))
-    blocks, seen = [], set()
-    for i in range(space.dim):
-        if i not in seen:
-            block = hilbert.closure(links, [i])
-            seen.update(block.tolist())
-            blocks.append(block)
-    return blocks
+    links = sum(np.abs(op) + np.abs(op.T) for op in structure_terms(space))
+    count, labels = connected_components(scipy.sparse.csr_matrix(links), directed=False)
+    return [np.flatnonzero(labels == label) for label in range(count)]
 
 
 def _mirror(space):
@@ -256,11 +251,15 @@ def _real_coordinates(entries, dim, mirror):
 def _column_stacked_liouvillian(space):
     """The open Liouvillian's operators as dense superoperators on the column-stacked vec(rho).
 
-    -i[G, .] for each of model.hermitian_drive_operators, then the kappa and
-    gamma dissipators at unit rate, built without dynamics.
+    -i[G, .] for each Hermitian generator of model.hermitian_drive_operators,
+    here from the tests' own terms, then the kappa and gamma dissipators at
+    unit rate, built without dynamics.
     """
     eye = np.eye(space.dim)
-    drives = model.hermitian_drive_operators(model.hamiltonian_terms(space))
+    t = structure_terms(space)
+    drives = [t.drive_a + t.drive_a.conj().T, 1j * (t.drive_a - t.drive_a.conj().T),
+              t.drive_b + t.drive_b.conj().T, 1j * (t.drive_b - t.drive_b.conj().T),
+              t.cavity + t.cavity.conj().T, t.excited]
     full = [-1j * (np.kron(eye, op) - np.kron(op.T, eye)) for op in drives]
     full += [_column_stacked_dissipator(model.collapse_channels(rates, space), space.dim)
              for rates in (ModelParams(kappa=1.0), ModelParams(gamma=1.0))]
@@ -382,12 +381,12 @@ def test_rk4_lindblad_matches_liouvillian_exponential():
     pulse_set = experiments.default_pulse_set(PulseKind.TQD_FITTED, BENCHMARK)
     rk4 = experiments.simulate_open(BENCHMARK, pulse_set, IntegratorConfig(dt=0.01))
 
-    h_of_t = model.make_h_of_t(model.hamiltonian_terms(space), BENCHMARK, pulse_set)
+    hamiltonian = h_of_t(structure_terms(space), BENCHMARK, pulse_set)
     channels = model.collapse_channels(BENCHMARK, space)
     rho0 = np.zeros((space.dim, space.dim), dtype=complex)
     rho0[0, 0] = 1.0
     target = dynamics.target_state(space)
-    coarse, fine = (_midpoint_exponential(h_of_t, channels, rho0, BENCHMARK.t_f, n)
+    coarse, fine = (_midpoint_exponential(hamiltonian, channels, rho0, BENCHMARK.t_f, n)
                     for n in (80, 160))
 
     def fid(rho):

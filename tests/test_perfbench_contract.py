@@ -33,8 +33,8 @@ def _closed_batch():
     sub = hilbert.build_subspace()
     cells = [(ModelParams(), experiments.default_pulse_set(kind)) for kind in PulseKind]
     psi0 = np.tile(np.eye(sub.dim, dtype=complex)[0], (len(cells), 1))
-    return dynamics.evolve_schrodinger(model.drive_operators(model.hamiltonian_terms(sub)),
-                                       model.CellDrives(cells), psi0, 50.0, CFG)
+    return dynamics.evolve_schrodinger(model.hamiltonian_terms(sub), model.CellDrives(cells),
+                                       psi0, 50.0, CFG)
 
 
 def _sweep_cells(**rates):
@@ -70,14 +70,25 @@ def test_each_recorded_point_is_a_progress_tick(perfbench, run):
     assert dynamics.fidelity is fidelity
 
 
-def test_tracing_wraps_and_restores(perfbench):
+# The spans each run must leave: its entry point, where tracing wraps one, and its integrator.
+TRACED = {
+    "closed_single": {"experiments.simulate_closed", "dynamics.evolve_schrodinger"},
+    "closed_batch": {"model.hamiltonian_terms", "dynamics.evolve_schrodinger"},
+    "open": {"experiments.simulate_open", "dynamics.evolve_lindblad"},
+    "closed_sweep_batch": {"dynamics.evolve_schrodinger"},
+    "open_sweep_batch": {"dynamics.evolve_lindblad"},
+}
+
+
+@pytest.mark.parametrize("run", RUNS)
+def test_tracing_wraps_and_restores(perfbench, run):
     _, tracing = perfbench
     originals = (dynamics.evolve_schrodinger, dynamics.fidelity, experiments.simulate_closed,
                  hilbert.build_full_space, model.make_h_of_t)
     tracer = tracing.Tracer()
     with tracing.instrument(tracer):
-        RUNS["closed_single"]()
-    assert {"experiments.simulate_closed", "dynamics.evolve_schrodinger"} <= set(tracer.names)
+        RUNS[run]()
+    assert TRACED[run] <= set(tracer.names)
     assert (dynamics.evolve_schrodinger, dynamics.fidelity, experiments.simulate_closed,
             hilbert.build_full_space, model.make_h_of_t) == originals
 

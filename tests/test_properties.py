@@ -8,6 +8,7 @@ leads out of the 16-state open-system space.
 from dataclasses import replace
 
 import numpy as np
+from conftest import h_of_t, hamiltonian
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -51,9 +52,8 @@ def test_open_space_closed_under_full_operators(full_space, terms80, kind, t, om
                                                 omega_b, delta):
     inside = np.zeros(full_space.dim, dtype=bool)
     inside[hilbert.subspace_indices(model.open_space(), full_space)] = True
-    pulsed = model.make_h_of_t(terms80, ModelParams(), experiments.default_pulse_set(kind))
-    ops = [pulsed(t),
-           model.assemble_hamiltonian(terms80, omega_a, omega_b, g=1.0, delta=delta)]
+    pulsed = h_of_t(terms80, ModelParams(), experiments.default_pulse_set(kind))
+    ops = [pulsed(t), hamiltonian(terms80, omega_a, omega_b, g=1.0, delta=delta)]
     ops += [op for op, _ in model.collapse_channels(ModelParams(), full_space)]
     for op in ops:
         assert not np.any(op[~inside][:, inside])

@@ -32,7 +32,9 @@ each command of CLI_COMMANDS, one subprocess each,
 with the tree's src/ on PYTHONPATH, the trees taking turns at going first
 as above. os.wait4 gives each child's user + system CPU time and peak RSS.
 BENCH_<label>.json then holds under "cli", per side and command, the
-median and quartiles of wall_s, cpu_s and maxrss_mb. A command that exits
+median and quartiles of wall_s, cpu_s and maxrss_mb, and under
+"cli"/"thread_variables" the BLAS thread variables the commands inherited
+(THREAD_VARIABLES, "unset" for one that is absent). A command that exits
 non-zero stops the bench.
 """
 
@@ -65,6 +67,8 @@ CLI_COMMANDS = {
     "sweep-8": ["sweep", "--figure", "8"],
     "verify": ["verify"],
 }
+# What a CLI child inherits; perfbench runs set their own.
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def read_run(path: Path) -> dict:
@@ -264,7 +268,9 @@ def main(argv=None) -> int:
     if args.cli_rounds > 0:
         written["cli_command"] = "python3 -m tqd3d.cli --out TMPDIR COMMAND..."
         written["cli_rounds"] = args.cli_rounds
-        written["cli"] = run_cli_rounds(trees, args.cli_rounds)
+        written["cli"] = {"thread_variables": {name: os.environ.get(name, "unset")
+                                               for name in THREAD_VARIABLES},
+                          **run_cli_rounds(trees, args.cli_rounds)}
     path = args.out / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(written, indent=1) + "\n")
     print(path.name)
