@@ -777,52 +777,141 @@ class Superoperator(NamedTuple):
         return self.values.size
 
 
-def _kron(a: np.ndarray, b: np.ndarray, scale: complex = 1.0):
-    """rows, cols and values of kron(a, b) * scale at the pairs of nonzeros of dense a and b."""
-    a_rows, a_cols = np.nonzero(a)
-    b_rows, b_cols = np.nonzero(b)
-    n = len(b)
-    return ((a_rows[:, None] * n + b_rows).ravel(), (a_cols[:, None] * n + b_cols).ravel(),
-            np.multiply.outer(a[a_rows, a_cols], b[b_rows, b_cols]).ravel() * scale)
+def _index_type(size: int) -> np.dtype:
+    """The narrowest unsigned integer type that holds every index in range(size)."""
+    return np.min_scalar_type(max(size - 1, 0))
 
 
-def _coalesce(parts, size: int) -> Superoperator:
-    """The nonzero sums, per (row, column) of a (size, size) matrix, of parts' (rows, cols, values).
+def _nonzeros(op: np.ndarray, index_type: np.dtype):
+    """rows, cols (of index_type) and values of the nonzeros of dense op, row by row."""
+    rows, cols = np.nonzero(op)
+    return rows.astype(index_type), cols.astype(index_type), op[rows, cols]
 
-    Each sum starts from 0 and adds its terms in the order of parts, then of
-    their entries, as scipy's sum of sparse matrices a + b + ... does, which
-    also stores no zero sum.
+
+def _kron(a, b, dim: int, scale: complex):
+    """rows, cols and values of kron(a, b) * scale, a and b given by their nonzeros, b dim x dim.
+
+    Either factor may be a stack of operators' nonzeros; the indices keep
+    the factors' type, which must hold the product's.
     """
-    empty = (np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0, complex))
-    rows, cols, values = map(np.concatenate, zip(empty, *parts))
-    keys, at = np.unique(rows * size + cols, return_inverse=True)
-    sums = np.empty(keys.size, complex)
-    sums.real, sums.imag = (np.bincount(at, part, keys.size) for part in (values.real, values.imag))
-    keep = sums != 0
-    return Superoperator(*np.divmod(keys[keep], size), sums[keep])
+    (a_rows, a_cols, a_values), (b_rows, b_cols, b_values) = a, b
+    values = np.multiply.outer(a_values, b_values).ravel()
+    values *= scale
+    return (a_rows[:, None] * dim + b_rows).ravel(), (a_cols[:, None] * dim + b_cols).ravel(), values
+
+
+def _pairs(groups: np.ndarray, size: int):
+    """left, right: every ordered pair of positions in one group, groups ascending in range(size).
+
+    Pairs come by left, then right, both ascending.
+    """
+    per_group = np.bincount(groups, minlength=size)
+    counts = per_group[groups]
+    left = np.repeat(np.arange(groups.size), counts)
+    starts = np.cumsum(counts) - counts  # where each left's run of pairs starts
+    right = (np.cumsum(per_group) - per_group)[groups[left]] + np.arange(left.size) - np.repeat(
+        starts, counts)
+    return left, right
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b, each part rounded from two rounded products, as scipy's compiled sparse product.
+
+    numpy's complex multiply may fuse a multiply and an add in its vector
+    loop and not in the loop's remainder, and so may a BLAS product.
+    """
+    product = np.empty(np.broadcast(a, b).shape, complex)
+    product.real = a.real * b.real - a.imag * b.imag
+    product.imag = a.real * b.imag + a.imag * b.real
+    return product
+
+
+def _coalesce(parts, channel: np.ndarray, rates, size: int) -> Superoperator:
+    """sum_c rates[c] (sum of channel c's terms) of a (size, size) matrix, its nonzeros.
+
+    parts are (rows, cols, values) of terms, taken in order; channel[e] is
+    the channel of the e-th term, ascending. The arithmetic is scipy's for
+    rate_1 (a + b + ...) + rate_2 (...) + ... of sparse matrices: per (row,
+    column), a channel's sum starts from 0 and adds its terms in array
+    order, is scaled by its rate, and the channels' sums add up from 0 in
+    order; no zero sum is stored. (scipy drops a channel's zero sum before
+    scaling; that sum, scaled by a finite rate, is +0.0 or -0.0 and changes
+    no bit of a sum that starts from 0.) One stable sort by row, then column,
+    keeps that order of the terms of each (row, column), and np.bincount adds
+    them in it: a least significant digit sort of two stable argsorts, radix
+    sorts on indices of 8 or 16 bits (_index_type).
+    """
+    empty = (np.empty(0, _index_type(size)),) * 2 + (np.empty(0, complex),)
+    rows, cols, values = (np.concatenate(side) for side in zip(empty, *parts))
+    order = np.argsort(cols, kind="stable")
+    order = order[np.argsort(rows[order], kind="stable")]
+    rows, cols, channel = rows[order], cols[order], channel[order]
+    entry = np.ones(rows.size, dtype=bool)  # the first term of each (row, column)
+    entry[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    term = entry.copy()  # the first term of each channel's sum there
+    term[1:] |= channel[1:] != channel[:-1]
+    firsts = np.flatnonzero(term)
+    labels = np.cumsum(term)
+    labels -= 1
+    sums = _sums(labels, values.real[order], values.imag[order], firsts.size)
+    sums *= np.asarray(rates)[channel[firsts]]
+    labels = np.cumsum(entry[firsts])
+    labels -= 1
+    at = np.flatnonzero(entry)
+    totals = _sums(labels, sums.real, sums.imag, at.size)
+    keep = np.flatnonzero(totals != 0)
+    at = at[keep]
+    return Superoperator(rows[at].astype(np.intp), cols[at].astype(np.intp), totals[keep])
+
+
+def _sums(labels: np.ndarray, real: np.ndarray, imag: np.ndarray, size: int) -> np.ndarray:
+    """Per label in range(size), the complex sum from 0 of its values, in array order."""
+    sums = np.empty(size, complex)
+    sums.real = np.bincount(labels, real, size)
+    sums.imag = np.bincount(labels, imag, size)
+    return sums
 
 
 def dissipator_superoperator(channels: list[tuple[np.ndarray, float]], dim: int) -> Superoperator:
     """Superoperator D with D vec(rho) = sum_c rate_c (L rho L+ - {L+L, rho}/2), its nonzeros.
 
     Row-major vectorization: vec(A X B) = (A kron B^T) vec(X), so a channel
-    adds rate (L kron conj L - L+L kron I / 2 - I kron (L+L)^T / 2). Each
-    channel's three terms are summed, scaled by its rate, and the channels
-    summed in order (_coalesce), the arithmetic of the same sum of
-    scipy.sparse matrices; a channel of rate 0 adds nothing. Each kron has
-    one entry per pair of nonzeros of its dense dim x dim factors, so no
-    array is dense over dim^4.
+    adds rate (L kron conj L - L+L kron I / 2 - I kron (L+L)^T / 2). As
+    scipy's sparse product sums it, (L+L)[i, j] = sum_k L[k, j] conj(L[k, i])
+    adds the products (_product) of two nonzeros of one row k from 0 in
+    ascending k. Each channel's three terms are summed, scaled by its rate,
+    and the channels summed in order (_coalesce): the arithmetic of the same
+    sum of scipy.sparse matrices, for finite rates; a channel of rate 0 adds
+    nothing. L+L is built for all channels at once; the nonzeros of each L
+    are read once, I's come from arange, and each kron has one entry per
+    pair of nonzeros of its factors, so no array is dense over dim^4.
     """
-    eye = np.eye(dim, dtype=complex)
-    terms = []
-    for op, rate in channels:
-        if rate == 0.0:
-            continue
-        decay = op.conj().T @ op
-        rows, cols, values = _coalesce([_kron(op, op.conj()), _kron(decay, eye, -0.5),
-                                        _kron(eye, decay.T, -0.5)], dim * dim)
-        terms.append((rows, cols, values * rate))
-    return _coalesce(terms, dim * dim)
+    channels = [(op, rate) for op, rate in channels if rate != 0.0]
+    count, index_type = len(channels), _index_type(dim * dim)
+    jumps = [_nonzeros(op, index_type) for op, _ in channels]
+    lengths = np.array([values.size for _, _, values in jumps], dtype=np.intp)
+    empty = (np.empty(0, index_type),) * 2 + (np.empty(0, complex),)
+    rows, cols, values = (np.concatenate(side) for side in zip(empty, *jumps))
+    channel = np.arange(count, dtype=_index_type(count)).repeat(lengths)
+
+    # L+L of every channel at once, channel c's row i as row c dim + i
+    left, right = _pairs(channel.astype(np.intp) * dim + rows, count * dim)  # in one row k
+    decay = _coalesce([(channel[left].astype(_index_type(count * dim)) * dim + cols[left],
+                        cols[right], _product(values[right], values[left].conj()))],
+                      np.zeros(left.size, np.uint8), [1.0], count * dim)
+    bounds = np.searchsorted(decay.rows, np.arange(count + 1) * dim)  # per channel
+    decay = (decay.rows % dim).astype(index_type), decay.cols.astype(index_type), decay.values
+    eye = (np.arange(dim, dtype=index_type),) * 2 + (np.ones(dim, dtype=complex),)
+    parts = []
+    for c, jump in enumerate(jumps):
+        own = tuple(side[bounds[c]:bounds[c + 1]] for side in decay)
+        # numpy's complex multiply rounds by its loop, so L kron conj L takes the
+        # shape of scipy's kron: one outer product per channel
+        parts += [_kron(jump, jump[:2] + (jump[2].conj(),), dim, 1.0),
+                  _kron(own, eye, dim, -0.5), _kron(eye, own[1::-1] + own[2:], dim, -0.5)]
+    lengths = np.array([values.size for _, _, values in parts], dtype=np.intp)
+    channel = np.arange(count, dtype=_index_type(count)).repeat(3).repeat(lengths)
+    return _coalesce(parts, channel, [rate for _, rate in channels], dim * dim)
 
 
 @dataclass(frozen=True)
@@ -873,9 +962,15 @@ class Liouvillian:
         """
         dim = rho0.shape[-1]
         size = dim * dim
-        eye = np.eye(dim, dtype=complex)
-        full = [_coalesce([_kron(h, eye, -1j), _kron(eye, np.transpose(h), 1j)], size)
-                for h in hamiltonians] + list(dissipators)
+        index_type = _index_type(size)
+        eye = (np.arange(dim, dtype=index_type),) * 2 + (np.ones(dim, dtype=complex),)
+        full = []
+        for h in hamiltonians:
+            rows, cols, values = _nonzeros(h, index_type)
+            parts = [_kron((rows, cols, values), eye, dim, -1j),
+                     _kron(eye, (cols, rows, values), dim, 1j)]  # H^T's nonzeros
+            full.append(_coalesce(parts, np.zeros(2 * dim * values.size, np.uint8), [1.0], size))
+        full += dissipators
         sources = np.concatenate([op.cols for op in full])  # entry cols[e] feeds rows[e]
         targets = np.concatenate([op.rows for op in full])
         values = np.reshape(rho0, (-1, size))
@@ -916,7 +1011,7 @@ class Liouvillian:
         real = dual @ restricted @ basis
         if np.max(abs(real.imag), initial=0.0) > 1e-12 * np.max(abs(real), initial=1.0):
             raise ValueError("a structure operator does not preserve Hermiticity")
-        return cls(dim, entries, real.real, real_of, imag_of, sign)
+        return cls(dim, entries, real.real.copy(), real_of, imag_of, sign)
 
     def coordinates(self, rho: np.ndarray) -> np.ndarray:
         """The real coordinates (..., n) of Hermitian rho (..., dim, dim), equal within blocks."""

@@ -14,14 +14,22 @@ the coordinates of a linear equation into blocks that stay equal, which
 gives the chain's symmetric pairs from |phi_1> (dynamics.evolve_schrodinger)
 and, on those entries of rho, the pairs of L<->R mirror images.
 
-States are plain complex ndarrays and operators are dense complex matrices;
-the HilbertSpace object carries the basis labels and index maps.
+States are plain complex ndarrays. An operator is an index map first: each
+basis state's code is its index among the 80 product states, its levels and
+photon numbers the digits of a mixed-radix number, and hop gives the
+(rows, cols) of a product of level flips and photon losses on any space by
+arithmetic on those codes, looked up in the space's code-to-index map.
+transition_operator, annihilation_operator and excited_projector are dense
+complex matrices built from those maps; the HilbertSpace object carries the
+basis labels, their codes and the index maps.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from enum import Enum
 from typing import NamedTuple
 
@@ -60,9 +68,16 @@ class BasisState(NamedTuple):
     n_right: int
 
 
+# The digits of a basis state's code, most significant first, with their radices.
+_RADICES = {"a": len(LevelA), "b": len(LevelB), "n_left": 2, "n_right": 2}
+_STRIDES = {field: math.prod(list(_RADICES.values())[k + 1:])
+            for k, field in enumerate(_RADICES)}
+_PRODUCT_DIM = math.prod(_RADICES.values())
+
+
 @dataclass(frozen=True)
 class HilbertSpace:
-    """Ordered basis of BasisStates with an inverse index map."""
+    """Ordered basis of BasisStates with an inverse index map, and codes for hop (cached)."""
 
     basis: tuple[BasisState, ...]
 
@@ -80,6 +95,23 @@ class HilbertSpace:
         v = np.zeros(self.dim, dtype=complex)
         v[self.index[state]] = 1.0
         return v
+
+    @cached_property
+    def codes(self) -> np.ndarray:
+        """Each basis state's index among the 80 product states, as build_full_space orders them."""
+        digits = np.array([(s.a.value, s.b.value, s.n_left, s.n_right) for s in self.basis],
+                          dtype=np.intp).reshape(-1, len(_STRIDES))
+        codes = digits @ np.array(list(_STRIDES.values()))
+        codes.flags.writeable = False
+        return codes
+
+    @cached_property
+    def lookup(self) -> np.ndarray:
+        """Index in this basis of each of the 80 codes, -1 for a state not in it."""
+        lookup = np.full(_PRODUCT_DIM, -1, dtype=np.intp)
+        lookup[self.codes] = np.arange(self.dim)
+        lookup.flags.writeable = False
+        return lookup
 
 
 def build_full_space() -> HilbertSpace:
@@ -169,13 +201,14 @@ def _first_seen(rows: np.ndarray) -> np.ndarray:
 def reachable_space(space: HilbertSpace, couplings, jumps, start: BasisState) -> HilbertSpace:
     """Basis states of space reachable from start.
 
-    A nonzero entry <i|op|j> of a coupling (Hamiltonian term) links i and j
-    both ways; of a jump operator it leads from j to i only. Chain states come
-    first in phi_1..phi_8 order, then the rest in the order of space.
+    couplings and jumps are (rows, cols) index pairs of the nonzeros <i|op|j>
+    of operators on space (hop, or np.nonzero of a dense one). A coupling's
+    (Hamiltonian term's) links i and j both ways; a jump operator's leads
+    from j to i only. Chain states come first in phi_1..phi_8 order, then
+    the rest in the order of space.
     """
-    edges = [np.nonzero(op)[::-1] for op in jumps]  # <i|op|j>: from j to i
-    for op in couplings:
-        rows, cols = np.nonzero(op)
+    edges = [(cols, rows) for rows, cols in jumps]  # <i|op|j>: from j to i
+    for rows, cols in couplings:
         edges += [(rows, cols), (cols, rows)]
     sources, targets = (np.concatenate(side) for side in zip(*edges))
     chain = {s: k for k, s in enumerate(_SUBSPACE_LABELS)}
@@ -184,39 +217,71 @@ def reachable_space(space: HilbertSpace, couplings, jumps, start: BasisState) ->
     return HilbertSpace(tuple(space.basis[i] for i in order))
 
 
+def hop(space: HilbertSpace, *moves) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of the nonzeros, each 1, of a product of level flips and photon losses.
+
+    A move is a (from_level, to_level) pair of one atom's levels,
+    |to><from| on that atom and identity on everything else, or a mode "L"
+    or "R", the annihilation of its photon on the {0,1} truncated Fock
+    space. The first move acts first. Each move is arithmetic on the codes
+    (HilbertSpace.codes), so a product passes through states outside space
+    as it does in the product space, and only the final state is looked up
+    in space. cols ascend. ValueError for levels of two atoms or an unknown
+    mode.
+    """
+    cols, codes = np.arange(space.dim), space.codes
+    for move in moves:
+        field, source, target = _digit_change(move)
+        keep = _digits(codes, field) == source
+        cols, codes = cols[keep], codes[keep] + (target - source) * _STRIDES[field]
+    rows = space.lookup[codes]
+    inside = rows >= 0
+    return rows[inside], cols[inside]
+
+
+def _digits(codes: np.ndarray, field: str) -> np.ndarray:
+    """The field's digit (a level's value or a photon number) of each code."""
+    return codes // _STRIDES[field] % _RADICES[field]
+
+
+def _digit_change(move) -> tuple[str, int, int]:
+    """The field of a hop move and the digit it takes from and to."""
+    if not isinstance(move, tuple):
+        if move not in ("L", "R"):
+            raise ValueError(f"mode must be 'L' or 'R', got {move!r}")
+        return ("n_left" if move == "L" else "n_right"), 1, 0
+    from_level, to_level = move
+    atom = {LevelA: "a", LevelB: "b"}.get(type(from_level))
+    if atom is None or type(to_level) is not type(from_level):
+        raise ValueError(f"levels {from_level}, {to_level} do not belong to one atom")
+    return atom, from_level.value, to_level.value
+
+
+def dense_operator(space: HilbertSpace, indices) -> np.ndarray:
+    """The complex (dim, dim) matrix with 1 at the (rows, cols) pairs indices (hop), else 0."""
+    op = np.zeros((space.dim, space.dim), dtype=complex)
+    op[indices] = 1.0
+    return op
+
+
 def transition_operator(space: HilbertSpace, from_level, to_level) -> np.ndarray:
     """|to><from| on the atom both levels belong to, identity on everything else.
 
     LevelA levels act on atom A and LevelB levels on atom B.
     """
-    atom = {LevelA: "a", LevelB: "b"}.get(type(from_level))
-    if atom is None or type(to_level) is not type(from_level):
-        raise ValueError(f"levels {from_level}, {to_level} do not belong to one atom")
-
-    op = np.zeros((space.dim, space.dim), dtype=complex)
-    for j, s in enumerate(space.basis):
-        if getattr(s, atom) is not from_level:
-            continue
-        i = space.index.get(s._replace(**{atom: to_level}))
-        if i is not None:
-            op[i, j] = 1.0
-    return op
+    return dense_operator(space, hop(space, (from_level, to_level)))
 
 
 def annihilation_operator(space: HilbertSpace, mode: str) -> np.ndarray:
     """Photon annihilation for mode "L" or "R" on the {0,1} truncated Fock space."""
-    if mode not in ("L", "R"):
-        raise ValueError(f"mode must be 'L' or 'R', got {mode!r}")
-    op = np.zeros((space.dim, space.dim), dtype=complex)
-    for j, s in enumerate(space.basis):
-        n = s.n_left if mode == "L" else s.n_right
-        if n != 1:
-            continue
-        dst = s._replace(n_left=0) if mode == "L" else s._replace(n_right=0)
-        i = space.index.get(dst)
-        if i is not None:
-            op[i, j] = 1.0
-    return op
+    return dense_operator(space, hop(space, mode))
+
+
+def excited_counts(space: HilbertSpace) -> np.ndarray:
+    """The excited atoms (0.0, 1.0 or 2.0) of each basis state: excited_projector's diagonal."""
+    excited_a = np.array([float(level in EXCITED_A) for level in LevelA])
+    excited_b = np.array([float(level in EXCITED_B) for level in LevelB])
+    return excited_a[_digits(space.codes, "a")] + excited_b[_digits(space.codes, "b")]
 
 
 def excited_projector(space: HilbertSpace) -> np.ndarray:
@@ -225,10 +290,7 @@ def excited_projector(space: HilbertSpace) -> np.ndarray:
     Diagonal counts excited atoms (0, 1 or 2), so this is the detuning term
     and, together with the photon numbers, the total excitation counter.
     """
-    diag = np.array(
-        [float(s.a in EXCITED_A) + float(s.b in EXCITED_B) for s in space.basis]
-    )
-    return np.diag(diag).astype(complex)
+    return np.diag(excited_counts(space)).astype(complex)
 
 
 def subspace_indices(sub: HilbertSpace, full: HilbertSpace) -> np.ndarray:

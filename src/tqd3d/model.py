@@ -46,6 +46,15 @@ class ModelParams:
             raise ValueError("decay rates must be nonnegative and finite")
 
 
+# The lowering operators of H(t), each a sum of hilbert.hop products given
+# by their moves: D_A = |g0><e0| on atom A, D_B = sum_i |g_i><e_i| on atom B
+# and C = sum_i a_i (|e0><g_i|_A + |e_i><g0|_B).
+_DRIVE_A = [[(LevelA.e0, LevelA.g0)]]
+_DRIVE_B = [[(LevelB.eL, LevelB.gL)], [(LevelB.eR, LevelB.gR)]]
+_CAVITY = [[(LevelA.gL, LevelA.e0), "L"], [(LevelB.g0, LevelB.eL), "L"],
+           [(LevelA.gR, LevelA.e0), "R"], [(LevelB.g0, LevelB.eR), "R"]]
+
+
 @lru_cache(maxsize=None)
 def hamiltonian_terms(space: HilbertSpace) -> np.ndarray:
     """The six structure operators of H(t) on space, (6, d, d), built once per space.
@@ -54,27 +63,22 @@ def hamiltonian_terms(space: HilbertSpace) -> np.ndarray:
     omega_a, conj(omega_a), omega_b, conj(omega_b), g and the detuning:
     D_A = |g0><e0| on atom A, D_B = sum_i |g_i><e_i| on atom B,
     C = sum_i a_i (|e0><g_i|_A + |e_i><g0|_B) and P_e the projector on all
-    excited levels. Operator products pass through states outside a
-    subspace, so the operators are built in the full space and restricted by
-    basis lookup (which also follows any reordering of the full space) before
-    they are stacked. The cached array is shared, so it is read-only.
+    excited levels. Each product is a hilbert.hop index map, which passes
+    through states outside a subspace as the product does in the full space
+    and follows any order of space's basis, so the operators are written
+    straight at space's size. Their bits are those of the dense sums and
+    adjoints: D+ = D.conj().T has -0.0 imaginary parts. The cached array is
+    shared, so it is read-only.
     """
-    full = hilbert.build_full_space()
-    drive_a = hilbert.transition_operator(full, LevelA.e0, LevelA.g0)
-    drive_b = hilbert.transition_operator(
-        full, LevelB.eL, LevelB.gL
-    ) + hilbert.transition_operator(full, LevelB.eR, LevelB.gR)
-    cavity = np.zeros((full.dim, full.dim), dtype=complex)
-    for lvl_a, lvl_b, mode in ((LevelA.gL, LevelB.eL, "L"), (LevelA.gR, LevelB.eR, "R")):
-        a_op = hilbert.annihilation_operator(full, mode)
-        cavity += a_op @ hilbert.transition_operator(full, lvl_a, LevelA.e0)
-        cavity += a_op @ hilbert.transition_operator(full, LevelB.g0, lvl_b)
-    idx = hilbert.subspace_indices(space, full)
-    sel = np.ix_(idx, idx)
-    drive_a, drive_b, cavity, excited = (op[sel] for op in (
-        drive_a, drive_b, cavity, hilbert.excited_projector(full)))
-    terms = np.stack([drive_a, drive_a.conj().T, drive_b, drive_b.conj().T,
-                      cavity + cavity.conj().T, excited])
+    terms = np.zeros((6, space.dim, space.dim), dtype=complex)
+    terms.imag[[1, 3]] = -0.0
+    for k, adjoint, lowering in ((0, 1, _DRIVE_A), (2, 3, _DRIVE_B), (4, 4, _CAVITY)):
+        for moves in lowering:
+            rows, cols = hilbert.hop(space, *moves)  # no (row, col) twice in one product
+            terms.real[k, rows, cols] += 1.0
+            terms.real[adjoint, cols, rows] += 1.0
+    at = np.arange(space.dim)
+    terms.real[5, at, at] = hilbert.excited_counts(space)
     terms.flags.writeable = False
     return terms
 
@@ -156,6 +160,15 @@ def _detuning(params: ModelParams, pulse_set: PulseSet) -> float:
     return 0.0 if pulse_set.kind is PulseKind.STIRAP else params.delta
 
 
+# The collapse operators as hilbert.hop moves, with their rates' names:
+# photon leakage from either mode, spontaneous emission on each
+# excited->ground branch.
+_CHANNELS = [("L", "kappa"), ("R", "kappa")] + [
+    ((e_lvl, g_lvl), "gamma") for excited, ground in ((hilbert.EXCITED_A, hilbert.GROUND_A),
+                                                      (hilbert.EXCITED_B, hilbert.GROUND_B))
+    for e_lvl in excited for g_lvl in ground]
+
+
 def collapse_channels(
     params: ModelParams, space: HilbertSpace
 ) -> list[tuple[np.ndarray, float]]:
@@ -164,20 +177,9 @@ def collapse_channels(
     Two photon channels at rate kappa, and one channel per excited->ground
     branch at rate gamma/2 (3 for atom A, 6 for atom B).
     """
-    channels = [
-        (hilbert.annihilation_operator(space, "L"), params.kappa),
-        (hilbert.annihilation_operator(space, "R"), params.kappa),
-    ]
-    for g_lvl in hilbert.GROUND_A:
-        channels.append(
-            (hilbert.transition_operator(space, LevelA.e0, g_lvl), params.gamma / 2)
-        )
-    for e_lvl in hilbert.EXCITED_B:
-        for g_lvl in hilbert.GROUND_B:
-            channels.append(
-                (hilbert.transition_operator(space, e_lvl, g_lvl), params.gamma / 2)
-            )
-    return channels
+    rates = {"kappa": params.kappa, "gamma": params.gamma / 2}
+    return [(hilbert.dense_operator(space, hilbert.hop(space, move)), rates[rate])
+            for move, rate in _CHANNELS]
 
 
 @lru_cache(maxsize=None)
@@ -185,13 +187,13 @@ def open_space() -> HilbertSpace:
     """The 16 states reachable from |phi_1> under hamiltonian_terms and the collapse operators.
 
     Every channel counts whatever its rate, so the space is the same for all
-    kappa and gamma (including zero). The full space's hamiltonian_terms it
-    reads stays cached, 614 KB.
+    kappa and gamma (including zero). Its links are the hilbert.hop index
+    maps of the Hamiltonian's products and of the jumps, on the 80 states.
     """
     full = hilbert.build_full_space()
-    jumps = [op for op, _ in collapse_channels(ModelParams(), full)]
-    return hilbert.reachable_space(full, hamiltonian_terms(full), jumps,
-                                   hilbert.build_subspace().basis[0])
+    couplings = [hilbert.hop(full, *moves) for moves in _DRIVE_A + _DRIVE_B + _CAVITY]
+    jumps = [hilbert.hop(full, move) for move, _ in _CHANNELS]
+    return hilbert.reachable_space(full, couplings, jumps, hilbert.build_subspace().basis[0])
 
 
 def hermitian_drive_operators(terms: np.ndarray) -> np.ndarray:

@@ -18,24 +18,61 @@ class Terms(NamedTuple):
     excited: np.ndarray
 
 
+def transition_operator(space, from_level, to_level) -> np.ndarray:
+    """|to><from| on the atom of both levels, identity elsewhere: one basis state at a time.
+
+    The tests' own builder, a loop over the basis with dictionary lookups,
+    apart from hilbert's index maps.
+    """
+    atom = {LevelA: "a", LevelB: "b"}[type(from_level)]
+    op = np.zeros((space.dim, space.dim), dtype=complex)
+    for j, s in enumerate(space.basis):
+        if getattr(s, atom) is not from_level:
+            continue
+        i = space.index.get(s._replace(**{atom: to_level}))
+        if i is not None:
+            op[i, j] = 1.0
+    return op
+
+
+def annihilation_operator(space, mode: str) -> np.ndarray:
+    """Photon annihilation for mode "L" or "R" on the {0,1} Fock space, state by state."""
+    field = {"L": "n_left", "R": "n_right"}[mode]
+    op = np.zeros((space.dim, space.dim), dtype=complex)
+    for j, s in enumerate(space.basis):
+        if getattr(s, field) != 1:
+            continue
+        i = space.index.get(s._replace(**{field: 0}))
+        if i is not None:
+            op[i, j] = 1.0
+    return op
+
+
+def excited_projector(space) -> np.ndarray:
+    """|e0><e0|_A + |eL><eL|_B + |eR><eR|_B, state by state: the excited atoms on the diagonal."""
+    diag = np.array([float(s.a in hilbert.EXCITED_A) + float(s.b in hilbert.EXCITED_B)
+                     for s in space.basis])
+    return np.diag(diag).astype(complex)
+
+
 def structure_terms(space) -> Terms:
-    """The tests' own H(t) terms on space, built apart from tqd3d.model.
+    """The tests' own H(t) terms on space, built apart from tqd3d.model and hilbert's index maps.
 
     D_A = |g0><e0| on atom A, D_B = sum_i |g_i><e_i| on atom B and
-    C = sum_i a_i (|e0><g_i|_A + |e_i><g0|_B). The products in C pass
-    through states outside a subspace, so every term is built on the 80
-    states and restricted to space by basis lookup.
+    C = sum_i a_i (|e0><g_i|_A + |e_i><g0|_B), from the loop builders
+    above. The products in C pass through states outside a subspace, so
+    every term is built on the 80 states and restricted to space by basis
+    lookup.
     """
     full = hilbert.build_full_space()
 
     def flip(from_level, to_level):
-        return hilbert.transition_operator(full, from_level, to_level)
+        return transition_operator(full, from_level, to_level)
 
-    cavity = sum(hilbert.annihilation_operator(full, mode) @ (flip(g_a, LevelA.e0)
-                                                              + flip(LevelB.g0, e_b))
+    cavity = sum(annihilation_operator(full, mode) @ (flip(g_a, LevelA.e0) + flip(LevelB.g0, e_b))
                  for mode, g_a, e_b in (("L", LevelA.gL, LevelB.eL), ("R", LevelA.gR, LevelB.eR)))
     terms = (flip(LevelA.e0, LevelA.g0), flip(LevelB.eL, LevelB.gL) + flip(LevelB.eR, LevelB.gR),
-             cavity, hilbert.excited_projector(full))
+             cavity, excited_projector(full))
     idx = hilbert.subspace_indices(space, full)
     return Terms(*(op[np.ix_(idx, idx)] for op in terms))
 

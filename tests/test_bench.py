@@ -140,8 +140,14 @@ def test_cli_rounds_alternate_the_trees_and_write_quartiles(tmp_path, monkeypatc
         scale = (1.0 if side == "this" else 2.0) * len(calls)
         return {"wall_s": scale, "cpu_s": 0.5 * scale, "maxrss_mb": 40.0}
 
+    def fake_setup(tree, call):
+        side = "against" if tree == tmp_path.resolve() else "this"
+        calls.append((call, side))
+        return len(calls) / 1000
+
     monkeypatch.setattr(bench, "run_perfbench", fake_perfbench)
     monkeypatch.setattr(bench, "run_cli", fake_cli)
+    monkeypatch.setattr(bench, "run_setup", fake_setup)
     assert bench.main(["--label", "c", "--seeds", "1", "--cli-rounds", "3",
                        "--against", str(tmp_path), "--out", str(tmp_path)]) == 0
     commands = [" ".join(argv) for argv in bench.CLI_COMMANDS.values()]
@@ -149,17 +155,30 @@ def test_cli_rounds_alternate_the_trees_and_write_quartiles(tmp_path, monkeypatc
                         "simulate --method tqd-fitted", "simulate --open --method stirap",
                         "simulate --open --method tqd", "simulate --open --method tqd-fitted",
                         "sweep --figure 4b", "sweep --figure 4c", "sweep --figure 8", "verify"]
+    setups = list(bench.SETUP_CALLS.values())
+    assert setups == ["model.open_liouvillian()",
+                      "model.hamiltonian_terms(hilbert.build_subspace())"]
     first, second = ("this", "against"), ("against", "this")
     assert calls == [(command, side) for order in (first, second, first)
-                     for command in commands for side in order]
+                     for command in commands + setups for side in order]
     out = json.loads((tmp_path / "BENCH_c.json").read_text())
     assert out["cli_rounds"] == 3 and set(out["cli"]) == {"thread_variables", "this", "against"}
-    # pulses ran as calls 1, 24 and 45 on this side, verify as 22, 43 and 66 on the other
+    # pulses ran as calls 1, 28 and 53 on this side, verify as 22, 47 and 74 on the other
     assert out["cli"]["this"]["pulses"] == {
-        "wall_s": bench.quartiles([1.0, 24.0, 45.0]),
-        "cpu_s": bench.quartiles([0.5, 12.0, 22.5]),
+        "wall_s": bench.quartiles([1.0, 28.0, 53.0]),
+        "cpu_s": bench.quartiles([0.5, 14.0, 26.5]),
         "maxrss_mb": bench.quartiles([40.0] * 3)}
-    assert out["cli"]["against"]["verify"]["wall_s"]["median"] == 2.0 * 43
+    assert out["cli"]["against"]["verify"]["wall_s"]["median"] == 2.0 * 47
+    # the set-up calls follow each round's commands: the open Liouvillian as calls
+    # 23, 50 and 75 on this side, the chain's terms as 26, 51 and 78 on the other
+    assert set(out["setup"]) == {"this", "against"}
+    assert set(out["setup"]["this"]) == {"open_liouvillian", "chain_terms"}
+    assert out["setup"]["this"]["open_liouvillian"] == {
+        "min": 0.023, **bench.quartiles([0.023, 0.05, 0.075])}
+    assert out["setup"]["against"]["chain_terms"] == {
+        "min": 0.026, **bench.quartiles([0.026, 0.051, 0.078])}
+    assert set(out["setup"]["against"]["chain_terms"]) == {"min", "q1", "median", "q3", "n"}
+    assert "{call}" not in out["setup_command"] and "import tqd3d.cli" in out["setup_command"]
 
 
 def test_cli_rounds_record_the_blas_threads_their_commands_inherit(tmp_path, monkeypatch):
@@ -174,6 +193,7 @@ def test_cli_rounds_record_the_blas_threads_their_commands_inherit(tmp_path, mon
         "got = {name: os.environ.get(name, 'unset') for name in want}\n"
         "sys.exit(0 if got == want else f'inherited {got}')\n"))
     monkeypatch.setattr(bench, "CLI_COMMANDS", {"pulses": ["pulses"]})
+    monkeypatch.setattr(bench, "SETUP_CALLS", {})
     monkeypatch.setattr(bench, "run_perfbench", lambda tree, workload, seed, seconds:
                         bench.read_run(_write_result(tmp_path / f"{workload}.json", 0.1, [0.1])))
     monkeypatch.setattr(bench, "ROOT", tree)
@@ -205,6 +225,21 @@ def test_run_cli_measures_its_child(tmp_path):
     failing = _cli_tree(tmp_path / "failing", "import sys\nsys.exit('no such figure')\n")
     with pytest.raises(SystemExit, match="tqd3d pulses in .* exited 1:\nno such figure"):
         bench.run_cli(failing, ["pulses"])
+
+
+def test_run_setup_times_the_call_after_the_import_with_blas_on_one_thread(tmp_path):
+    tree = _cli_tree(tmp_path / "tree", "import time\ntime.sleep(0.3)  # a slow import\n")
+    (tree / "src" / "tqd3d" / "hilbert.py").write_text("")
+    (tree / "src" / "tqd3d" / "model.py").write_text(
+        "import os, time\n"
+        "def build(seconds):\n"
+        "    assert all(os.environ[name] == '1' for name in "
+        f"{bench.THREAD_VARIABLES!r})\n"
+        "    time.sleep(seconds)\n")
+    seconds = bench.run_setup(tree, "model.build(0.05)")
+    assert 0.05 <= seconds < 0.3  # the call, not the import
+    with pytest.raises(SystemExit, match="set-up model.missing\\(\\) in .* exited 1"):
+        bench.run_setup(tree, "model.missing()")
 
 
 def _tree(root: Path, source: bytes) -> Path:

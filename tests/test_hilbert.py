@@ -1,8 +1,43 @@
+import itertools
+import random
+
+import conftest
 import numpy as np
 import pytest
 
 from tqd3d import hilbert, model, verify
 from tqd3d.hilbert import BasisState, LevelA, LevelB
+
+
+def _shuffled_subset():
+    """Every third product state, in a shuffled order: gaps and no canonical order."""
+    basis = list(hilbert.build_full_space().basis[::3])
+    random.Random(7).shuffle(basis)
+    return hilbert.HilbertSpace(tuple(basis))
+
+
+SPACES = {"full": hilbert.build_full_space, "chain": hilbert.build_subspace,
+          "open": model.open_space, "shuffled": _shuffled_subset}
+
+
+@pytest.mark.parametrize("which", SPACES)
+def test_index_map_builders_match_the_basis_loops(which):
+    """hilbert's operators from index maps, bit for bit the tests' state-by-state loops."""
+    space = SPACES[which]()
+    pairs = [pair for levels in (LevelA, LevelB) for pair in itertools.product(levels, repeat=2)]
+    assert len(pairs) == 4 * 4 + 5 * 5
+    for from_level, to_level in pairs:
+        got = hilbert.transition_operator(space, from_level, to_level)
+        want = conftest.transition_operator(space, from_level, to_level)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (from_level, to_level)
+    for mode in ("L", "R"):
+        got = hilbert.annihilation_operator(space, mode)
+        assert got.tobytes() == conftest.annihilation_operator(space, mode).tobytes(), mode
+    assert hilbert.excited_projector(space).tobytes() == conftest.excited_projector(space).tobytes()
+    with pytest.raises(ValueError, match="do not belong to one atom"):
+        hilbert.transition_operator(space, LevelA.e0, LevelB.g0)
+    with pytest.raises(ValueError, match="mode must be"):
+        hilbert.annihilation_operator(space, "X")
 
 
 def test_full_space_dimension(full_space):

@@ -1,5 +1,10 @@
 import math
+import os
+import random
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,17 +117,44 @@ def test_terms_follow_basis_order(full_space, rng):
     assert np.array_equal(terms, model.hamiltonian_terms(full_space)[:, perm[:, None], perm])
 
 
-@pytest.mark.parametrize("which", ["chain", "open_space", "full_space"])
+def _shuffled_open_space():
+    """The open-system space with eight more product states, in a shuffled order."""
+    full = hilbert.build_full_space().basis
+    basis = list(model.open_space().basis) + [s for s in full[1::9] if s not in
+                                               model.open_space().basis][:8]
+    random.Random(3).shuffle(basis)
+    return hilbert.HilbertSpace(tuple(basis))
+
+
+@pytest.mark.parametrize("which", ["chain", "open_space", "full_space", "shuffled"])
 def test_hamiltonian_terms_match_the_test_builder(which):
     """The runs' stack equals the tests' own, bit for bit, signed zeros included."""
     space = {"chain": hilbert.build_subspace, "open_space": model.open_space,
-             "full_space": hilbert.build_full_space}[which]()
+             "full_space": hilbert.build_full_space, "shuffled": _shuffled_open_space}[which]()
     terms = model.hamiltonian_terms(space)
     assert terms.shape == (6, space.dim, space.dim)
     assert terms.tobytes() == structure_stack(structure_terms(space)).tobytes()
     # built once per space, and shared read-only
     assert model.hamiltonian_terms(type(space)(space.basis)) is terms
     assert not terms.flags.writeable
+
+
+def test_run_set_up_builds_no_80_dim_matrix():
+    """In a fresh process, the chain's terms and the open space allocate under one 80 x 80 matrix.
+
+    A real 80 x 80 array is 51 200 bytes; tracemalloc's peak over each call
+    counts every allocation alive at once, numpy's included.
+    """
+    code = ("import tracemalloc; from tqd3d import hilbert, model; tracemalloc.start(); "
+            "model.hamiltonian_terms(hilbert.build_subspace()); "
+            "chain = tracemalloc.get_traced_memory()[1]; tracemalloc.reset_peak(); "
+            "model.open_space(); print(chain, tracemalloc.get_traced_memory()[1])")
+    src = str(Path(model.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    chain, open_space = map(int, proc.stdout.split())
+    assert chain < 80 * 80 * 8 and open_space < 80 * 80 * 8, (chain, open_space)
 
 
 @pytest.mark.parametrize("kind", list(PulseKind), ids=lambda kind: kind.value)

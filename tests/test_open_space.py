@@ -24,21 +24,21 @@ BENCHMARK = ModelParams(kappa=experiments.BENCHMARK_KAPPA,
                         gamma=experiments.BENCHMARK_GAMMA)
 
 
-def _coupling_ops(terms):
-    return (terms.drive_a, terms.drive_b, terms.cavity)
+def _coupling_edges(terms):
+    return [np.nonzero(op) for op in (terms.drive_a, terms.drive_b, terms.cavity)]
 
 
-def _jump_ops(space):
-    return [op for op, _ in model.collapse_channels(ModelParams(), space)]
+def _jump_edges(space):
+    return [np.nonzero(op) for op, _ in model.collapse_channels(ModelParams(), space)]
 
 
 def test_reachable_space_closures(full_space, subspace, terms80):
     start = BasisState(LevelA.g0, LevelB.g0, 0, 0)
-    coherent = hilbert.reachable_space(full_space, _coupling_ops(terms80), [], start)
+    coherent = hilbert.reachable_space(full_space, _coupling_edges(terms80), [], start)
     assert coherent.basis == subspace.basis  # the chain, in phi_1..phi_8 order
 
-    space = hilbert.reachable_space(full_space, _coupling_ops(terms80),
-                                    _jump_ops(full_space), start)
+    space = hilbert.reachable_space(full_space, _coupling_edges(terms80),
+                                    _jump_edges(full_space), start)
     jump_reached = {
         BasisState(LevelA.gL, LevelB.g0, 0, 0), BasisState(LevelA.gR, LevelB.g0, 0, 0),
         BasisState(LevelA.gL, LevelB.gR, 0, 0), BasisState(LevelA.gR, LevelB.gL, 0, 0),
@@ -55,7 +55,7 @@ def test_reachable_space_closures(full_space, subspace, terms80):
 def test_reachable_space_jumps_are_one_way():
     space = hilbert.HilbertSpace(tuple(
         BasisState(LevelA.g0, LevelB.g0, nl, 0) for nl in (0, 1)))
-    lower = hilbert.annihilation_operator(space, "L")
+    lower = np.nonzero(hilbert.annihilation_operator(space, "L"))
     down = hilbert.reachable_space(space, [], [lower], space.basis[1])
     up = hilbert.reachable_space(space, [], [lower], space.basis[0])
     assert down.dim == 2 and up.basis == (space.basis[0],)
@@ -109,15 +109,41 @@ def _scipy_dissipator(channels, dim):
     return total.tocsr()
 
 
-@pytest.mark.parametrize("rates", [ModelParams(kappa=1.0), ModelParams(gamma=1.0), BENCHMARK],
-                         ids=["kappa", "gamma", "benchmark"])
-@pytest.mark.parametrize("which", ["open_space", "full_space"])
+def _random_channels(dim):
+    """Partial permutations with unit-modulus complex values, on dim states.
+
+    Their supports overlap (every L+L kron I meets the diagonal), their rates
+    differ, one rate is 0 and the last channel repeats the second: where the
+    order of the channels' sums decides the bits.
+    """
+    rng = np.random.default_rng(dim)
+    channels = []
+    for rate in (0.7, 1.3, 0.0, 2.9):
+        size = rng.integers(1, dim + 1)
+        op = np.zeros((dim, dim), dtype=complex)
+        op[rng.permutation(dim)[:size], rng.permutation(dim)[:size]] = np.exp(
+            2j * np.pi * rng.random(size))
+        channels.append((op, rate))
+    return channels + [channels[1]]
+
+
+ORACLE_CASES = [pytest.param(which, rates, id=f"{which}-{name}")
+                for which in ("full_space", "open_space")
+                for name, rates in (("benchmark", BENCHMARK), ("gamma", ModelParams(gamma=1.0)),
+                                    ("kappa", ModelParams(kappa=1.0)))]
+ORACLE_CASES += [pytest.param(dim, None, id=f"random-dim{dim}") for dim in range(2, 10)]
+
+
+@pytest.mark.parametrize("which, rates", ORACLE_CASES)
 def test_dissipator_matches_the_scipy_kron_oracle(which, rates, full_space):
-    """Entry for entry and bit for bit: the runs' unit rates, and the benchmark's."""
-    space = model.open_space() if which == "open_space" else full_space
-    channels = model.collapse_channels(rates, space)
-    got = dynamics.dissipator_superoperator(channels, space.dim)
-    want = _scipy_dissipator(channels, space.dim)
+    """Entry for entry and bit for bit: the runs' unit rates, the benchmark's, random channels."""
+    if rates is None:
+        channels, dim = _random_channels(which), which
+    else:
+        space = model.open_space() if which == "open_space" else full_space
+        channels, dim = model.collapse_channels(rates, space), space.dim
+    got = dynamics.dissipator_superoperator(channels, dim)
+    want = _scipy_dissipator(channels, dim)
     want.sort_indices()
     want = want.tocoo()
     assert got.nnz == want.nnz == np.count_nonzero(want.data) > 0
@@ -328,6 +354,9 @@ def test_real_coordinates_reproduce_liouvillian(rng):
     x = (from_values @ rho.ravel()[support.entries]).real
     assert np.array_equal(support.coordinates(rho), x)
     assert np.array_equal(support.density(x), rho)
+    # a real array of its own, not a view that keeps the complex product alive
+    assert support.operators.flags.c_contiguous and support.operators.base is None
+    assert support.operators.dtype == np.float64
     for op, real in zip(_column_stacked_liouvillian(space), support.operators):
         want = (op @ rho.ravel(order="F")).reshape(dim, dim, order="F")
         got = np.zeros(dim * dim, dtype=complex)

@@ -36,6 +36,15 @@ median and quartiles of wall_s, cpu_s and maxrss_mb, and under
 "cli"/"thread_variables" the BLAS thread variables the commands inherited
 (THREAD_VARIABLES, "unset" for one that is absent). A command that exits
 non-zero stops the bench.
+
+Each round also times, per side and the trees taking turns as above, one
+fresh interpreter per SETUP_CALLS entry with BLAS on one thread (every
+THREAD_VARIABLES set to 1): the seconds of the call alone, after
+`import tqd3d.cli`. That is the set-up a real `simulate --open` (the open
+Liouvillian) or closed run (the chain's structure operators) pays, where
+perfbench's setup_s also prices the import and its own 80-dim snippet.
+BENCH_<label>.json holds under "setup", per side and call, their minimum,
+median and quartiles.
 """
 
 from __future__ import annotations
@@ -69,6 +78,12 @@ CLI_COMMANDS = {
 }
 # What a CLI child inherits; perfbench runs set their own.
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+SETUP_CALLS = {
+    "open_liouvillian": "model.open_liouvillian()",
+    "chain_terms": "model.hamiltonian_terms(hilbert.build_subspace())",
+}
+SETUP_CODE = ("import time\nimport tqd3d.cli\nfrom tqd3d import hilbert, model\n"
+              "start = time.perf_counter()\n{call}\nprint(time.perf_counter() - start)\n")
 
 
 def read_run(path: Path) -> dict:
@@ -201,9 +216,26 @@ def run_cli(tree: Path, argv: list[str]) -> dict:
             "maxrss_mb": usage.ru_maxrss / 1024}  # Linux reports ru_maxrss in KiB
 
 
-def run_cli_rounds(trees: dict, rounds: int) -> dict:
-    """Per side and command, the quartiles of each run_cli metric over alternating rounds."""
+def run_setup(tree: Path, call: str) -> float:
+    """Seconds of one SETUP_CALLS call in a fresh interpreter of tree, after the import."""
+    env = {**os.environ, **dict.fromkeys(THREAD_VARIABLES, "1"),
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(tree / "src"),
+                                                        os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", SETUP_CODE.format(call=call)], cwd=tree,
+                          env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"bench: set-up {call} in {tree} exited {proc.returncode}:\n{proc.stderr}")
+    return float(proc.stdout)
+
+
+def run_cli_rounds(trees: dict, rounds: int) -> tuple[dict, dict]:
+    """Per side, the quartiles of each command's run_cli metrics and of each set-up call.
+
+    Each round runs every command, then every set-up call, the sides taking
+    turns at going first.
+    """
     runs: dict = {side: {name: [] for name in CLI_COMMANDS} for side in trees}
+    setups: dict = {side: {name: [] for name in SETUP_CALLS} for side in trees}
     for k in range(rounds):
         order = list(trees) if k % 2 == 0 else list(trees)[::-1]
         for name, argv in CLI_COMMANDS.items():
@@ -213,10 +245,20 @@ def run_cli_rounds(trees: dict, rounds: int) -> dict:
                 print(f"cli {name} round {k} {side}: wall_s {run['wall_s']:.3f} s, "
                       f"cpu_s {run['cpu_s']:.3f} s, maxrss {run['maxrss_mb']:.1f} MB",
                       file=sys.stderr, flush=True)
-    return {side: {name: {metric: quartiles([run[metric] for run in rows])
-                          for metric in rows[0]}
-                   for name, rows in by_name.items()}
-            for side, by_name in runs.items()}
+        for name, call in SETUP_CALLS.items():
+            for side in order:
+                seconds = run_setup(trees[side], call)
+                setups[side][name].append(seconds)
+                print(f"setup {name} round {k} {side}: {seconds * 1e3:.2f} ms",
+                      file=sys.stderr, flush=True)
+    cli = {side: {name: {metric: quartiles([run[metric] for run in rows])
+                         for metric in rows[0]}
+                  for name, rows in by_name.items()}
+           for side, by_name in runs.items()}
+    setup = {side: {name: {"min": min(samples), **quartiles(samples)}
+                    for name, samples in by_name.items()}
+             for side, by_name in setups.items()}
+    return cli, setup
 
 
 def main(argv=None) -> int:
@@ -268,9 +310,11 @@ def main(argv=None) -> int:
     if args.cli_rounds > 0:
         written["cli_command"] = "python3 -m tqd3d.cli --out TMPDIR COMMAND..."
         written["cli_rounds"] = args.cli_rounds
+        cli, setup = run_cli_rounds(trees, args.cli_rounds)
         written["cli"] = {"thread_variables": {name: os.environ.get(name, "unset")
-                                               for name in THREAD_VARIABLES},
-                          **run_cli_rounds(trees, args.cli_rounds)}
+                                               for name in THREAD_VARIABLES}, **cli}
+        written["setup_command"] = SETUP_CODE.format(call="CALL")
+        written["setup"] = setup
     path = args.out / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(written, indent=1) + "\n")
     print(path.name)
