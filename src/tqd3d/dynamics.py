@@ -800,20 +800,6 @@ def _kron(a, b, dim: int, scale: complex):
     return (a_rows[:, None] * dim + b_rows).ravel(), (a_cols[:, None] * dim + b_cols).ravel(), values
 
 
-def _pairs(groups: np.ndarray, size: int):
-    """left, right: every ordered pair of positions in one group, groups ascending in range(size).
-
-    Pairs come by left, then right, both ascending.
-    """
-    per_group = np.bincount(groups, minlength=size)
-    counts = per_group[groups]
-    left = np.repeat(np.arange(groups.size), counts)
-    starts = np.cumsum(counts) - counts  # where each left's run of pairs starts
-    right = (np.cumsum(per_group) - per_group)[groups[left]] + np.arange(left.size) - np.repeat(
-        starts, counts)
-    return left, right
-
-
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a * b, each part rounded from two rounded products, as scipy's compiled sparse product.
 
@@ -875,42 +861,36 @@ def _sums(labels: np.ndarray, real: np.ndarray, imag: np.ndarray, size: int) -> 
 def dissipator_superoperator(channels: list[tuple[np.ndarray, float]], dim: int) -> Superoperator:
     """Superoperator D with D vec(rho) = sum_c rate_c (L rho L+ - {L+L, rho}/2), its nonzeros.
 
-    Row-major vectorization: vec(A X B) = (A kron B^T) vec(X), so a channel
-    adds rate (L kron conj L - L+L kron I / 2 - I kron (L+L)^T / 2). As
-    scipy's sparse product sums it, (L+L)[i, j] = sum_k L[k, j] conj(L[k, i])
-    adds the products (_product) of two nonzeros of one row k from 0 in
-    ascending k. Each channel's three terms are summed, scaled by its rate,
-    and the channels summed in order (_coalesce): the arithmetic of the same
-    sum of scipy.sparse matrices, for finite rates; a channel of rate 0 adds
-    nothing. L+L is built for all channels at once; the nonzeros of each L
-    are read once, I's come from arange, and each kron has one entry per
+    Every L is a quantum jump: at most one nonzero per row, else ValueError.
+    Then L+L is diagonal, and as scipy's sparse product sums it, (L+L)[j, j]
+    = sum_k L[k, j] conj(L[k, j]) adds the products (_product) from 0 in
+    ascending k; a zero sum is not stored. Row-major vectorization:
+    vec(A X B) = (A kron B^T) vec(X), so a channel adds rate (L kron conj L
+    - L+L kron I / 2 - I kron (L+L)^T / 2). Each channel's three terms are
+    summed, scaled by its rate, and the channels summed in order
+    (_coalesce): the arithmetic of the same sum of scipy.sparse matrices,
+    for finite rates; a channel of rate 0 adds nothing. The nonzeros of each
+    L are read once, I's come from arange, and each kron has one entry per
     pair of nonzeros of its factors, so no array is dense over dim^4.
     """
     channels = [(op, rate) for op, rate in channels if rate != 0.0]
-    count, index_type = len(channels), _index_type(dim * dim)
-    jumps = [_nonzeros(op, index_type) for op, _ in channels]
-    lengths = np.array([values.size for _, _, values in jumps], dtype=np.intp)
-    empty = (np.empty(0, index_type),) * 2 + (np.empty(0, complex),)
-    rows, cols, values = (np.concatenate(side) for side in zip(empty, *jumps))
-    channel = np.arange(count, dtype=_index_type(count)).repeat(lengths)
-
-    # L+L of every channel at once, channel c's row i as row c dim + i
-    left, right = _pairs(channel.astype(np.intp) * dim + rows, count * dim)  # in one row k
-    decay = _coalesce([(channel[left].astype(_index_type(count * dim)) * dim + cols[left],
-                        cols[right], _product(values[right], values[left].conj()))],
-                      np.zeros(left.size, np.uint8), [1.0], count * dim)
-    bounds = np.searchsorted(decay.rows, np.arange(count + 1) * dim)  # per channel
-    decay = (decay.rows % dim).astype(index_type), decay.cols.astype(index_type), decay.values
+    index_type = _index_type(dim * dim)
     eye = (np.arange(dim, dtype=index_type),) * 2 + (np.ones(dim, dtype=complex),)
     parts = []
-    for c, jump in enumerate(jumps):
-        own = tuple(side[bounds[c]:bounds[c + 1]] for side in decay)
+    for op, _ in channels:
+        jump = rows, cols, values = _nonzeros(op, index_type)
+        if np.any(rows[1:] == rows[:-1]):  # np.nonzero's rows ascend
+            raise ValueError("a collapse operator has more than one nonzero in a row")
+        product = _product(values, values.conj())
+        diagonal = _sums(cols, product.real, product.imag, dim)  # in ascending k per column
+        at = np.flatnonzero(diagonal).astype(index_type)
+        own = at, at, diagonal[at]
         # numpy's complex multiply rounds by its loop, so L kron conj L takes the
         # shape of scipy's kron: one outer product per channel
-        parts += [_kron(jump, jump[:2] + (jump[2].conj(),), dim, 1.0),
-                  _kron(own, eye, dim, -0.5), _kron(eye, own[1::-1] + own[2:], dim, -0.5)]
+        parts += [_kron(jump, (rows, cols, values.conj()), dim, 1.0),
+                  _kron(own, eye, dim, -0.5), _kron(eye, own, dim, -0.5)]
     lengths = np.array([values.size for _, _, values in parts], dtype=np.intp)
-    channel = np.arange(count, dtype=_index_type(count)).repeat(3).repeat(lengths)
+    channel = np.arange(len(channels), dtype=_index_type(len(channels))).repeat(3).repeat(lengths)
     return _coalesce(parts, channel, [rate for _, rate in channels], dim * dim)
 
 
@@ -1149,7 +1129,7 @@ def evolve_lindblad(
 
     def real_coefficients(times):
         c = coefficients(times)
-        if np.iscomplexobj(c) and np.any(np.abs(c.imag) > 0):
+        if np.iscomplexobj(c) and np.any(c.imag != 0):  # NaN too
             raise ValueError("master-equation coefficients must be real")
         return c.real
 

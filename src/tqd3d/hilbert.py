@@ -18,10 +18,10 @@ States are plain complex ndarrays. An operator is an index map first: each
 basis state's code is its index among the 80 product states, its levels and
 photon numbers the digits of a mixed-radix number, and hop gives the
 (rows, cols) of a product of level flips and photon losses on any space by
-arithmetic on those codes, looked up in the space's code-to-index map.
-transition_operator, annihilation_operator and excited_projector are dense
-complex matrices built from those maps; the HilbertSpace object carries the
-basis labels, their codes and the index maps.
+arithmetic on those codes, looked up in the space's code-to-index map, and
+dense_operator turns such a map into a complex matrix. excited_counts gives
+the excited atoms of each state; the HilbertSpace object carries the basis
+labels, their codes and the index maps.
 """
 
 from __future__ import annotations
@@ -264,33 +264,15 @@ def dense_operator(space: HilbertSpace, indices) -> np.ndarray:
     return op
 
 
-def transition_operator(space: HilbertSpace, from_level, to_level) -> np.ndarray:
-    """|to><from| on the atom both levels belong to, identity on everything else.
-
-    LevelA levels act on atom A and LevelB levels on atom B.
-    """
-    return dense_operator(space, hop(space, (from_level, to_level)))
-
-
-def annihilation_operator(space: HilbertSpace, mode: str) -> np.ndarray:
-    """Photon annihilation for mode "L" or "R" on the {0,1} truncated Fock space."""
-    return dense_operator(space, hop(space, mode))
-
-
 def excited_counts(space: HilbertSpace) -> np.ndarray:
-    """The excited atoms (0.0, 1.0 or 2.0) of each basis state: excited_projector's diagonal."""
+    """The excited atoms (0.0, 1.0 or 2.0) of each basis state.
+
+    The diagonal of |e0><e0|_A + |eL><eL|_B + |eR><eR|_B: the detuning term
+    and, together with the photon numbers, the total excitation counter.
+    """
     excited_a = np.array([float(level in EXCITED_A) for level in LevelA])
     excited_b = np.array([float(level in EXCITED_B) for level in LevelB])
     return excited_a[_digits(space.codes, "a")] + excited_b[_digits(space.codes, "b")]
-
-
-def excited_projector(space: HilbertSpace) -> np.ndarray:
-    """Sum of excited-level projectors |e0><e0|_A + |eL><eL|_B + |eR><eR|_B.
-
-    Diagonal counts excited atoms (0, 1 or 2), so this is the detuning term
-    and, together with the photon numbers, the total excitation counter.
-    """
-    return np.diag(excited_counts(space)).astype(complex)
 
 
 def subspace_indices(sub: HilbertSpace, full: HilbertSpace) -> np.ndarray:

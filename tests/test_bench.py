@@ -154,7 +154,11 @@ def test_cli_rounds_alternate_the_trees_and_write_quartiles(tmp_path, monkeypatc
     assert commands == ["pulses", "simulate --method stirap", "simulate --method tqd",
                         "simulate --method tqd-fitted", "simulate --open --method stirap",
                         "simulate --open --method tqd", "simulate --open --method tqd-fitted",
-                        "sweep --figure 4b", "sweep --figure 4c", "sweep --figure 8", "verify"]
+                        "sweep --figure 4a --threads 1", "sweep --figure 4a --threads 2",
+                        "sweep --figure 4b", "sweep --figure 4b --threads 2",
+                        "sweep --figure 4c", "sweep --figure 4c --threads 2",
+                        "sweep --figure 8", "sweep --figure 8 --threads 2",
+                        "sweep --figure 9 --threads 1", "sweep --figure 9 --threads 2", "verify"]
     setups = list(bench.SETUP_CALLS.values())
     assert setups == ["model.open_liouvillian()",
                       "model.hamiltonian_terms(hilbert.build_subspace())"]
@@ -163,20 +167,20 @@ def test_cli_rounds_alternate_the_trees_and_write_quartiles(tmp_path, monkeypatc
                      for command in commands + setups for side in order]
     out = json.loads((tmp_path / "BENCH_c.json").read_text())
     assert out["cli_rounds"] == 3 and set(out["cli"]) == {"thread_variables", "this", "against"}
-    # pulses ran as calls 1, 28 and 53 on this side, verify as 22, 47 and 74 on the other
+    # pulses ran as calls 1, 42 and 81 on this side, verify as 36, 75 and 116 on the other
     assert out["cli"]["this"]["pulses"] == {
-        "wall_s": bench.quartiles([1.0, 28.0, 53.0]),
-        "cpu_s": bench.quartiles([0.5, 14.0, 26.5]),
+        "wall_s": bench.quartiles([1.0, 42.0, 81.0]),
+        "cpu_s": bench.quartiles([0.5, 21.0, 40.5]),
         "maxrss_mb": bench.quartiles([40.0] * 3)}
-    assert out["cli"]["against"]["verify"]["wall_s"]["median"] == 2.0 * 47
+    assert out["cli"]["against"]["verify"]["wall_s"]["median"] == 2.0 * 75
     # the set-up calls follow each round's commands: the open Liouvillian as calls
-    # 23, 50 and 75 on this side, the chain's terms as 26, 51 and 78 on the other
+    # 37, 78 and 117 on this side, the chain's terms as 40, 79 and 120 on the other
     assert set(out["setup"]) == {"this", "against"}
     assert set(out["setup"]["this"]) == {"open_liouvillian", "chain_terms"}
     assert out["setup"]["this"]["open_liouvillian"] == {
-        "min": 0.023, **bench.quartiles([0.023, 0.05, 0.075])}
+        "min": 0.037, **bench.quartiles([0.037, 0.078, 0.117])}
     assert out["setup"]["against"]["chain_terms"] == {
-        "min": 0.026, **bench.quartiles([0.026, 0.051, 0.078])}
+        "min": 0.04, **bench.quartiles([0.04, 0.079, 0.12])}
     assert set(out["setup"]["against"]["chain_terms"]) == {"min", "q1", "median", "q3", "n"}
     assert "{call}" not in out["setup_command"] and "import tqd3d.cli" in out["setup_command"]
 

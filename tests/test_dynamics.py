@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from conftest import h_of_t, structure_terms
+from conftest import annihilation_operator, excited_projector, h_of_t, structure_terms
 
 from tqd3d import dynamics, experiments, hilbert, model, pulses, verify
 from tqd3d.dynamics import IntegratorConfig, IntegratorInstabilityError
@@ -363,6 +363,8 @@ def test_lindblad_rejects_what_breaks_hermiticity():
     rabi = dynamics.Liouvillian.reachable([SIGMA_X], [], np.diag([1.0, 0.0]))
     with pytest.raises(ValueError, match="real"):
         dynamics.evolve_lindblad(rabi, _constant(0.35 + 0.1j), np.diag([1.0, 0.0]), 1.0)
+    with pytest.raises(ValueError, match="real"):  # a NaN imaginary part is not 0 either
+        dynamics.evolve_lindblad(rabi, _constant(complex(1.0, np.nan)), np.diag([1.0, 0.0]), 1.0)
 
 
 def test_phase_times_in_metadata():
@@ -502,9 +504,9 @@ def test_excitation_decay_monotone_without_pulses(subspace):
     space = model.open_space()
     psi0 = space.ket(subspace.basis[2])  # one photon present
     rho0 = np.outer(psi0, psi0.conj())
-    number = hilbert.excited_projector(space)
+    number = excited_projector(space)
     for mode in ("L", "R"):
-        a = hilbert.annihilation_operator(space, mode)
+        a = annihilation_operator(space, mode)
         number = number + a.conj().T @ a
     # open_liouvillian's operators, lumped from |phi_3><phi_3|, which breaks
     # the L<->R mirror open_liouvillian's coordinates keep: X_a, Y_a, X_b,

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import h_of_t, hamiltonian, structure_stack, structure_terms
+from conftest import (annihilation_operator, excited_projector, h_of_t, hamiltonian, structure_stack,
+                      structure_terms)
 
 from tqd3d import dynamics, experiments, hilbert, model, pulses, verify
 from tqd3d.model import ModelParams
@@ -341,9 +342,9 @@ def test_collapse_channels(full_space):
     assert rates == pytest.approx([0.01, 0.01] + [0.025] * 9)
 
     # every channel lowers the total excitation number by one: [N, L] = -L
-    number = hilbert.excited_projector(full_space)
+    number = excited_projector(full_space)
     for mode in ("L", "R"):
-        a = hilbert.annihilation_operator(full_space, mode)
+        a = annihilation_operator(full_space, mode)
         number = number + a.conj().T @ a
     for op, _ in channels:
         assert np.allclose(number @ op - op @ number, -op)

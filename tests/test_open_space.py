@@ -55,7 +55,7 @@ def test_reachable_space_closures(full_space, subspace, terms80):
 def test_reachable_space_jumps_are_one_way():
     space = hilbert.HilbertSpace(tuple(
         BasisState(LevelA.g0, LevelB.g0, nl, 0) for nl in (0, 1)))
-    lower = np.nonzero(hilbert.annihilation_operator(space, "L"))
+    lower = hilbert.hop(space, "L")
     down = hilbert.reachable_space(space, [], [lower], space.basis[1])
     up = hilbert.reachable_space(space, [], [lower], space.basis[0])
     assert down.dim == 2 and up.basis == (space.basis[0],)
@@ -149,6 +149,14 @@ def test_dissipator_matches_the_scipy_kron_oracle(which, rates, full_space):
     assert got.nnz == want.nnz == np.count_nonzero(want.data) > 0
     assert np.array_equal(got.rows, want.row) and np.array_equal(got.cols, want.col)
     assert np.array_equal(got.values.view(np.uint64), want.data.view(np.uint64))
+
+
+def test_dissipator_rejects_a_channel_with_two_nonzeros_in_a_row():
+    """Only jumps, whose L+L is diagonal: |0><1| + |0><2| on 3 states is refused."""
+    op = np.zeros((3, 3), dtype=complex)
+    op[0, 1] = op[0, 2] = 1.0
+    with pytest.raises(ValueError, match="more than one nonzero in a row"):
+        dynamics.dissipator_superoperator([(op, 1.0)], 3)
 
 
 def test_open_run_matches_full_space_run(full_space, subspace):

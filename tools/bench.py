@@ -30,7 +30,8 @@ each command of CLI_COMMANDS, one subprocess each,
     python3 -m tqd3d.cli --out TMPDIR COMMAND...
 
 with the tree's src/ on PYTHONPATH, the trees taking turns at going first
-as above. os.wait4 gives each child's user + system CPU time and peak RSS.
+as above. The --threads 2 sweeps need two cores. os.wait4 gives each
+child's user + system CPU time and peak RSS.
 BENCH_<label>.json then holds under "cli", per side and command, the
 median and quartiles of wall_s, cpu_s and maxrss_mb, and under
 "cli"/"thread_variables" the BLAS thread variables the commands inherited
@@ -71,9 +72,16 @@ CLI_COMMANDS = {
     "simulate-open-stirap": ["simulate", "--open", "--method", "stirap"],
     "simulate-open-tqd": ["simulate", "--open", "--method", "tqd"],
     "simulate-open": ["simulate", "--open", "--method", "tqd-fitted"],  # open-benchmark's
-    "sweep-4b": ["sweep", "--figure", "4b"],
+    "sweep-4a": ["sweep", "--figure", "4a", "--threads", "1"],
+    "sweep-4a-threads-2": ["sweep", "--figure", "4a", "--threads", "2"],
+    "sweep-4b": ["sweep", "--figure", "4b"],  # config threads: 1
+    "sweep-4b-threads-2": ["sweep", "--figure", "4b", "--threads", "2"],
     "sweep-4c": ["sweep", "--figure", "4c"],
+    "sweep-4c-threads-2": ["sweep", "--figure", "4c", "--threads", "2"],
     "sweep-8": ["sweep", "--figure", "8"],
+    "sweep-8-threads-2": ["sweep", "--figure", "8", "--threads", "2"],
+    "sweep-9": ["sweep", "--figure", "9", "--threads", "1"],
+    "sweep-9-threads-2": ["sweep", "--figure", "9", "--threads", "2"],
     "verify": ["verify"],
 }
 # What a CLI child inherits; perfbench runs set their own.
