@@ -53,11 +53,12 @@ program per step: one to six open cells, seven on TQD or STIRAP drives, up
 to about 49 closed cells) take the program, larger ones the loop, on which
 the program's constant rows cost more than the numpy calls they replace.
 Either executor holds only the structure operators whose coefficients are
-nonzero somewhere at t = 0, and takes the others in again at the first
-block that drives them (_rk4): the paper's TQD pulses fix
-Re omega_a = Im omega_b = 0 and its STIRAP pulses are real and undetuned,
-so an open run at nonzero rates integrates 181 (TQD) or 161 (STIRAP) of
-the Liouvillian's 229 nonzeros per cell, with the bits all 229 give.
+nonzero somewhere at t = 0, reading their columns of each block in place,
+and takes the others in again at the first block that drives them (_rk4):
+the paper's TQD pulses fix Re omega_a = Im omega_b = 0 and its STIRAP
+pulses are real and undetuned, so a closed run holds 4 (TQD) or 3 (STIRAP)
+of its 6 operators and an open run at nonzero rates integrates 181 or 161
+of the Liouvillian's 229 nonzeros per cell, with the bits all 229 give.
 The compiled product is loaded from scipy's extension module alone
 (_load_sparsetools), and the open-system superoperators on vec(rho) are
 numpy arrays of their nonzeros (Superoperator), so no run imports
@@ -319,10 +320,11 @@ def _rk4(coefficients: Callable[[np.ndarray], np.ndarray], operators, state: np.
     operator would add +-0.0 * x to a row sum. Every row sum starts from a
     zeroed array and so never stands at -0.0, and adding +-0.0 to any other
     value leaves it as it is: for finite states the run is, bit for bit,
-    the one that holds every operator. At each block start the left-out
-    columns are checked over the block; if one is nonzero anywhere in it,
-    the executor is built again, as at set-up, with every operator from that
-    block on, starting from the coefficients of the block's first t.
+    the one that holds every operator. Each block is read in place, every
+    column kept (_batch_csr). At each block start the left-out columns are
+    checked over the block; if one is nonzero anywhere in it, NaN included,
+    the executor is built again, as at set-up, with every operator from
+    that block on, starting from the coefficients of the block's first t.
 
     At every recorded point observer.check tests each cell's drift and
     observer.keep keeps the point; observer.finish(state) gives the result,
@@ -354,14 +356,12 @@ def _rk4(coefficients: Callable[[np.ndarray], np.ndarray], operators, state: np.
 
     def build(driven, c0):
         """weights, advance, executor and chunk steps of the operators driven, from c0 (all K)."""
-        weights, spread, indptr, indices = _batch_csr(np.take(operators, driven, axis=0),
-                                                      cells, dt / 2)
+        weights, spread, indptr, indices = _batch_csr(operators, cells, dt / 2, driven)
         step_bytes = _program_bytes(indices.size, cells * n, state.itemsize)
         program = step_bytes <= PROGRAM_STEP_BYTES
         budget, per_step = ((PROGRAM_BYTES, step_bytes) if program
                             else (WEIGHT_CHUNK_BYTES, 2 * indices.size * state.itemsize))
         chunk = max(1, min(BLOCK_STEPS, every, budget // max(per_step, 1)))
-        c0 = c0.take(driven, axis=-1)
         if program:
             return (weights, _step_program(indptr, indices, chunk, state.dtype, weights, c0,
                                            spread), "step program", chunk)
@@ -387,12 +387,10 @@ def _rk4(coefficients: Callable[[np.ndarray], np.ndarray], operators, state: np.
             last = min(first + BLOCK_STEPS, n_steps)
             t = np.arange(first, last) * dt
             block = coefficients_at(np.column_stack([t + dt / 2, t + dt]).ravel())
-            if left_out.size and _driven(block.take(left_out, axis=-1)).any():
+            if left_out.size and block.take(left_out, axis=-1).any():  # NaN too, not +-0.0
                 driven, left_out, rebuilds = np.arange(len(operators)), left_out[:0], 1
                 weights, advance, executor, chunk = build(driven, c_last)
-            c_last = block[-1].copy()  # every column: the next block's first t (a view keeps block)
-            if left_out.size:
-                block = block.take(driven, axis=-1)
+            c_last = block[-1].copy()  # the next block's first t (a view keeps block)
             step = first
             while step < last:
                 stop = min(last, step + chunk, (step // every + 1) * every)
@@ -637,20 +635,22 @@ def _driven(c: np.ndarray) -> np.ndarray:
     return (c != 0).reshape(-1, c.shape[-1]).any(axis=0)
 
 
-def _batch_csr(operators, cells: int, scale: float):
+def _batch_csr(operators, cells: int, scale: float, driven):
     """weights, spread, indptr, indices of a batch: d/dt x = sum_k c[t, b, k] operators[k] x per cell.
 
     operators are K dense (n, n) matrices, (K, n, n) as np.asarray gives
-    them. Entry e, a nonzero of operator k, adds c[k] * value_e * x[col_e]
-    to row_e, entries ordered by row, operator and column. weights(c) maps
-    c (times, cells, K) to the weights c[k_e] * (value_e * scale),
-    (times, cells, E), of the operators' dtype. Complex weights take c[k_e]
-    and multiply. Real ones are one product c @ spread, spread (K, E)
-    holding value_e * scale in row k_e (None for complex weights): each
-    weight has that one nonzero term, so it is the same product, bit for
-    bit, but for the edges. A -0.0 coefficient gives +0.0, and an infinite
-    one makes every weight of its cell non-finite (inf * 0 is NaN, silenced
-    by _rk4's np.errstate).
+    them, of which those at the indices driven are taken in. Entry e, a
+    nonzero of a driven operator k, adds c[k] * value_e * x[col_e] to row_e,
+    entries ordered by row, operator and column. weights(c) maps c
+    (times, cells, K), every operator's column, to the weights
+    c[k_e] * (value_e * scale), (times, cells, E), of the operators' dtype.
+    Complex weights take c[k_e] and multiply. Real ones are one product
+    c @ spread, spread (K, E) holding value_e * scale in row k_e, zeros
+    elsewhere (all zeros for a left-out operator; None for complex
+    weights): each weight has that one nonzero term, so it is the same
+    product, bit for bit, but for the edges. A -0.0 coefficient gives +0.0,
+    and an infinite one makes every weight of its cell non-finite (inf * 0
+    is NaN, silenced by _rk4's np.errstate).
 
     Those weights of one time, cell after cell, are the data of one
     block-diagonal (cells * n, cells * n) CSR matrix with the index arrays
@@ -664,7 +664,8 @@ def _batch_csr(operators, cells: int, scale: float):
     """
     operators = np.asarray(operators)
     n = operators.shape[-1]
-    ks, rows, cols = np.nonzero(operators)
+    ks, rows, cols = np.nonzero(operators[driven])
+    ks = np.asarray(driven, dtype=np.intp)[ks]  # each entry's index among all K
     values = operators[ks, rows, cols]
     order = np.lexsort((cols, ks, rows))
     rows, ks, cols, values = rows[order], ks[order], cols[order], values[order]
@@ -1118,8 +1119,9 @@ def evolve_lindblad(
     dim, entries = liouvillian.dim, liouvillian.entries
     rho = np.array(rho0, dtype=complex)
     cells = rho.reshape(-1, dim, dim)
-    if (any(hilbert.max_nonhermiticity(c) > 1e-9 for c in cells)
-            or np.any(np.abs(np.trace(cells, axis1=1, axis2=2).real - 1.0) > 1e-6)):
+    if (not np.isfinite(cells).all()  # first: inf - inf would warn below
+            or not all(hilbert.max_nonhermiticity(c) <= 1e-9 for c in cells)
+            or not np.all(np.abs(np.trace(cells, axis1=1, axis2=2).real - 1.0) <= 1e-6)):
         raise ValueError("rho0 must be Hermitian with unit trace")
     x0 = liouvillian.coordinates(cells)
     if not np.array_equal(liouvillian.density(x0), cells):  # == as in hilbert.lump

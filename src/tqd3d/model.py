@@ -3,11 +3,11 @@
 H(t) = omega_a D_A + omega_b D_B + g C + h.c. + delta P_e on any basis
 subset (the 8-dim chain, the 16-dim open-system space or all 80 states),
 resonant under STIRAP pulses and detuned by delta on every excited level
-under TQD pulses, comes as six fixed structure operators
-(hamiltonian_terms(space)) and coefficients vectorized over times
+under TQD pulses, comes as six fixed Hermitian structure operators
+(hamiltonian_terms(space)) and real coefficients vectorized over times
 (CellDrives(cells)), the form dynamics.evolve_schrodinger integrates:
-closed runs take that one six-column layout as it is, open runs through
-open_coefficients on hermitian_drive_operators. The collapse channels,
+closed and open runs take that one six-column layout, open runs through
+open_coefficients, which appends the decay rates. The collapse channels,
 the open-system space and its Liouvillian complete the master equation.
 """
 
@@ -57,26 +57,30 @@ _CAVITY = [[(LevelA.gL, LevelA.e0), "L"], [(LevelB.g0, LevelB.eL), "L"],
 
 @lru_cache(maxsize=None)
 def hamiltonian_terms(space: HilbertSpace) -> np.ndarray:
-    """The six structure operators of H(t) on space, (6, d, d), built once per space.
+    """The six Hermitian structure operators of H(t) on space, (6, d, d), built once per space.
 
-    D_A, D_A+, D_B, D_B+, C + C+ and P_e, for the CellDrives coefficients
-    omega_a, conj(omega_a), omega_b, conj(omega_b), g and the detuning:
-    D_A = |g0><e0| on atom A, D_B = sum_i |g_i><e_i| on atom B,
-    C = sum_i a_i (|e0><g_i|_A + |e_i><g0|_B) and P_e the projector on all
-    excited levels. Each product is a hilbert.hop index map, which passes
-    through states outside a subspace as the product does in the full space
-    and follows any order of space's basis, so the operators are written
-    straight at space's size. Their bits are those of the dense sums and
-    adjoints: D+ = D.conj().T has -0.0 imaginary parts. The cached array is
-    shared, so it is read-only.
+    X_A, Y_A, X_B, Y_B, C + C+ and P_e, for the CellDrives coefficients
+    Re omega_a, Im omega_a, Re omega_b, Im omega_b, g and the detuning: each
+    drive D with its adjoint is X = D + D+ and Y = i(D - D+), since
+    omega D + conj(omega) D+ = Re omega X + Im omega Y, for
+    D_A = |g0><e0| on atom A and D_B = sum_i |g_i><e_i| on atom B;
+    C = sum_i a_i (|e0><g_i|_A + |e_i><g0|_B) and P_e is the projector on
+    all excited levels. Each product is a hilbert.hop index map, which
+    passes through states outside a subspace as the product does in the
+    full space and follows any order of space's basis, so the operators are
+    written straight at space's size: X has 1.0 at each (row, col) of D and
+    at its transpose, Y has +1j and -1j there. The cached array is shared,
+    so it is read-only.
     """
     terms = np.zeros((6, space.dim, space.dim), dtype=complex)
-    terms.imag[[1, 3]] = -0.0
-    for k, adjoint, lowering in ((0, 1, _DRIVE_A), (2, 3, _DRIVE_B), (4, 4, _CAVITY)):
+    for k, lowering in ((0, _DRIVE_A), (2, _DRIVE_B), (4, _CAVITY)):
         for moves in lowering:
             rows, cols = hilbert.hop(space, *moves)  # no (row, col) twice in one product
             terms.real[k, rows, cols] += 1.0
-            terms.real[adjoint, cols, rows] += 1.0
+            terms.real[k, cols, rows] += 1.0
+            if k < 4:
+                terms.imag[k + 1, rows, cols] += 1.0
+                terms.imag[k + 1, cols, rows] -= 1.0
     at = np.arange(space.dim)
     terms.real[5, at, at] = hilbert.excited_counts(space)
     terms.flags.writeable = False
@@ -87,14 +91,17 @@ class CellDrives:
     """Time-dependent coefficients of a batch of cells.
 
     Cell b evolves under H_b(t) = sum_k c[t, b, k] * hamiltonian_terms(space)[k],
-    with the coefficients omega_a, conj(omega_a), omega_b, conj(omega_b), g
+    with the coefficients Re omega_a, Im omega_a, Re omega_b, Im omega_b, g
     and the detuning, zero under STIRAP pulses: closed runs take them as
-    they are, open runs through open_coefficients. Each call evaluates the pulses of each distinct
-    PulseSet once at all the given times. Exact TQD cells share theta_dot
-    per StirapParams (a cut along delta has one) and take their amplitudes
-    from one pulses.counterdiabatic_amplitudes call on its distinct
-    detunings, the rule's one home. A cell whose pulse synthesis fails gets
-    NaN coefficients from the first failing time on, and its
+    they are, open runs through open_coefficients. They are real, but the
+    block is complex with +0.0 imaginary parts, so that a closed run's
+    weights stay one in-place complex multiply (numpy's float-times-complex
+    multiply is several times slower). Each call evaluates the pulses of
+    each distinct PulseSet once at all the given times. Exact TQD cells
+    share theta_dot per StirapParams (a cut along delta has one) and take
+    their amplitudes from one pulses.counterdiabatic_amplitudes call on its
+    distinct detunings, the rule's one home. A cell whose pulse synthesis
+    fails gets NaN coefficients from the first failing time on, and its
     PulseSynthesisError, shared by the cells of one detuning, is kept in
     `errors` (cell to error): the `reported` of dynamics.evolve_schrodinger
     and evolve_lindblad, which record it as the cell's failure.
@@ -123,8 +130,8 @@ class CellDrives:
 
         def put(group, omega_a, omega_b):
             for k, column in enumerate((omega_a, omega_b)):
-                out[:, group, 2 * k] = column
-                out[:, group, 2 * k + 1] = np.conj(column)
+                out[:, group, 2 * k] = column.real
+                out[:, group, 2 * k + 1] = column.imag
 
         for key, group, deltas, column in self._groups:
             if isinstance(key, PulseSet):
@@ -196,23 +203,11 @@ def open_space() -> HilbertSpace:
     return hilbert.reachable_space(full, couplings, jumps, hilbert.build_subspace().basis[0])
 
 
-def hermitian_drive_operators(terms: np.ndarray) -> np.ndarray:
-    """A hamiltonian_terms stack as Hermitian generators, (6, d, d).
-
-    Each drive D with its adjoint becomes X = D + D+ and Y = i(D - D+), with
-    the real coefficients Re omega and Im omega, since
-    omega D + conj(omega) D+ = Re omega X + Im omega Y; cavity and excited
-    are Hermitian already. open_coefficients gives the coefficients.
-    """
-    return np.stack([terms[0] + terms[1], 1j * (terms[0] - terms[1]),
-                     terms[2] + terms[3], 1j * (terms[2] - terms[3]), terms[4], terms[5]])
-
-
 @lru_cache(maxsize=None)
 def open_liouvillian() -> dynamics.Liouvillian:
     """The master equation on open_space as real structure superoperators.
 
-    Operators -i[G_k, .] for the 6 hermitian_drive_operators, then the
+    Operators -i[G_k, .] for the 6 hamiltonian_terms, then the
     kappa and gamma dissipators at unit rate, on the 84 entries of rho
     reachable from |phi_1><phi_1|, lumped from it: each entry equals its
     L<->R mirror image, so they take 44 real coordinates. Like open_space,
@@ -223,27 +218,21 @@ def open_liouvillian() -> dynamics.Liouvillian:
     psi0 = space.ket(hilbert.build_subspace().basis[0])
     dissipators = [dynamics.dissipator_superoperator(collapse_channels(rates, space), space.dim)
                    for rates in (ModelParams(kappa=1.0), ModelParams(gamma=1.0))]
-    return dynamics.Liouvillian.reachable(hermitian_drive_operators(hamiltonian_terms(space)),
-                                          dissipators, np.outer(psi0, psi0.conj()))
+    return dynamics.Liouvillian.reachable(hamiltonian_terms(space), dissipators,
+                                          np.outer(psi0, psi0.conj()))
 
 
 def open_coefficients(drives: Callable, params: Sequence[ModelParams]) -> Callable:
     """Real coefficients of open_liouvillian's operators: the drives', then kappa and gamma.
 
-    drives(times) gives a batch's CellDrives coefficients (times, cells, 6);
-    params are the cells' ModelParams, in order. The drives' become
-    Re omega_a, Im omega_a, Re omega_b, Im omega_b, g and the detuning
-    (hermitian_drive_operators).
+    drives(times) gives a batch's CellDrives coefficients (times, cells, 6),
+    whose real parts are those of the six hamiltonian_terms; params are the
+    cells' ModelParams, in order.
     """
     rates = np.array([[p.kappa, p.gamma] for p in params], dtype=float).reshape(-1, 2)
 
     def coefficients(times):
         c = drives(times)
-        out = np.empty(c.shape[:-1] + (8,))
-        out[..., 0:4:2] = c[..., 0:4:2].real
-        out[..., 1:4:2] = c[..., 0:4:2].imag
-        out[..., 4:6] = c[..., 4:6].real
-        out[..., 6:] = rates
-        return out
+        return np.concatenate([c.real, np.broadcast_to(rates, c.shape[:-1] + (2,))], axis=-1)
 
     return coefficients

@@ -78,9 +78,15 @@ def structure_terms(space) -> Terms:
 
 
 def structure_stack(terms: Terms) -> np.ndarray:
-    """The six operators runs integrate, (6, d, d): D_A, D_A+, D_B, D_B+, C + C+, P_e."""
-    return np.stack([terms.drive_a, terms.drive_a.conj().T, terms.drive_b,
-                     terms.drive_b.conj().T, terms.cavity + terms.cavity.conj().T, terms.excited])
+    """The six Hermitian operators runs integrate, (6, d, d): X_A, Y_A, X_B, Y_B, C + C+, P_e.
+
+    X = D + D+ and Y = i(D - D+) for each drive D, with Y as iD - iD+, whose
+    real parts are +0.0 (i(D - D+) is -0.0 where D+ has its ones).
+    """
+    hermitian = []
+    for d in (terms.drive_a, terms.drive_b):
+        hermitian += [d + d.conj().T, 1j * d - 1j * d.conj().T]
+    return np.stack(hermitian + [terms.cavity + terms.cavity.conj().T, terms.excited])
 
 
 def hamiltonian(terms: Terms, omega_a, omega_b, g=1.0, delta=0.0) -> np.ndarray:

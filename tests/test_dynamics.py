@@ -316,6 +316,14 @@ def test_lindblad_invalid_rho0():
         dynamics.evolve_lindblad(decay, _constant(1.0), np.diag([2.0, 0.0]), 1.0)
     with pytest.raises(ValueError):  # a coherence outside the support
         dynamics.evolve_lindblad(decay, _constant(1.0), np.full((2, 2), 0.5), 1.0)
+    # Not finite: NaN is not above a tolerance, and inf - inf warns; both are refused first.
+    liouvillian = model.open_liouvillian()
+    nan = np.zeros((liouvillian.dim, liouvillian.dim), dtype=complex)
+    nan[0, 0] = np.nan
+    inf = np.diag([np.inf] + [0.0] * (liouvillian.dim - 1)).astype(complex)
+    for rho0 in (nan, inf):
+        with pytest.raises(ValueError, match="Hermitian with unit trace"):
+            dynamics.evolve_lindblad(liouvillian, _constant(*[0.0] * 8), rho0, 1.0)
 
 
 def test_positivity_warnings_name_the_cells_of_a_batch():
@@ -512,7 +520,7 @@ def test_excitation_decay_monotone_without_pulses(subspace):
     # the L<->R mirror open_liouvillian's coordinates keep: X_a, Y_a, X_b,
     # Y_b, cavity, detuning, kappa, gamma
     liouvillian = dynamics.Liouvillian.reachable(
-        model.hermitian_drive_operators(model.hamiltonian_terms(space)),
+        model.hamiltonian_terms(space),
         [dynamics.dissipator_superoperator(model.collapse_channels(rates, space), space.dim)
          for rates in (ModelParams(kappa=1.0), ModelParams(gamma=1.0))], rho0)
     result = dynamics.evolve_lindblad(
@@ -634,7 +642,7 @@ def test_csr_rhs_matches_reduceat_reference(rng, cells):
         x = draw(real, cells, n)
         start = draw(real, cells, n)
 
-        weights, _, indptr, indices = dynamics._batch_csr(operators, cells, scale)
+        weights, _, indptr, indices = dynamics._batch_csr(operators, cells, scale, range(3))
         (w,) = weights(c)
         got = start.copy()
         dynamics._rhs(indptr, indices)(w, x, got)
@@ -653,7 +661,7 @@ def test_csr_rhs_matches_reduceat_reference(rng, cells):
             assert np.isnan(got[nan_cell, touched]).all()
             assert np.isnan(want[nan_cell, touched]).all()
         for b in range(cells):  # a cell alone gets the same bits as in its batch
-            weights, _, indptr, indices = dynamics._batch_csr(operators, 1, scale)
+            weights, _, indptr, indices = dynamics._batch_csr(operators, 1, scale, range(3))
             (w_alone,) = weights(c[:, b:b + 1])
             alone = start[b:b + 1].copy()
             dynamics._rhs(indptr, indices)(w_alone, x[b:b + 1], alone)
@@ -661,19 +669,18 @@ def test_csr_rhs_matches_reduceat_reference(rng, cells):
 
 
 def test_batch_entries_are_those_of_coo(rng):
-    """_batch_csr reads a dense operator's entries as sp.coo_matrix does; driven rows keep
-    the dtype of the whole stack, as _rk4 takes them."""
+    """_batch_csr reads a dense operator's entries as sp.coo_matrix does; driven operators keep
+    the dtype of the whole stack, and their weights read every column, as _rk4 hands them."""
     dense = rng.normal(size=(6, 6)) * (rng.random((6, 6)) < 0.5)
     dense[0, 1] = -0.0  # a signed zero is no entry
     coo = sp.coo_matrix(dense)
-    weights, spread, indptr, indices = dynamics._batch_csr([dense], 1, 1.0)
+    weights, spread, indptr, indices = dynamics._batch_csr([dense], 1, 1.0, [0])
     (w,) = weights(np.ones((1, 1, 1)))
     assert [np.repeat(np.arange(6), np.diff(indptr)).tolist(), indices.tolist(),
             w[0].tolist()] == [coo.row.tolist(), coo.col.tolist(), coo.data.tolist()]
     operators = np.asarray([1j * dense, dense, dense])
-    weights, spread, indptr, _ = dynamics._batch_csr(np.take(operators, [1, 2], axis=0),
-                                                     2, 0.5)
-    (w,) = weights(np.ones((1, 2, 2), dtype=complex))
+    weights, spread, indptr, _ = dynamics._batch_csr(operators, 2, 0.5, [1, 2])
+    (w,) = weights(np.ones((1, 2, 3), dtype=complex))
     assert spread is None and w.dtype == complex
     assert indptr[-1] == 2 * 2 * np.count_nonzero(dense)  # 2 cells of 2 operators
 
@@ -691,7 +698,7 @@ def test_real_weights_are_the_entrywise_products(rng, cells):
     operators = [rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.5) for _ in range(4)]
     entries = sorted((i, k, j, op[i, j]) for k, op in enumerate(operators)
                      for i, j in zip(*np.nonzero(op)))
-    weights, _, _, _ = dynamics._batch_csr(operators, cells, scale)
+    weights, _, _, _ = dynamics._batch_csr(operators, cells, scale, range(4))
     c = rng.normal(size=(3, cells, 4))
     expected = np.reshape([[[float(c[t, b, k]) * (value * scale) for _, k, _, value in entries]
                             for b in range(cells)] for t in range(3)], (3, cells, len(entries)))
@@ -729,7 +736,8 @@ def test_real_step_program_writes_the_weights_of_its_coefficients(rng, monkeypat
     """
     liouvillian = model.open_liouvillian()
     operators, n = liouvillian.operators, liouvillian.imag_of.max() + 1
-    weights, spread, indptr, indices = dynamics._batch_csr(operators, cells, 0.01)
+    weights, spread, indptr, indices = dynamics._batch_csr(operators, cells, 0.01,
+                                                           range(len(operators)))
     assert spread is not None
     c0 = rng.normal(size=(cells, len(operators)))
     c = rng.normal(size=(10, cells, len(operators)))
@@ -873,7 +881,7 @@ def test_step_program_rejects_32_bit_overflow_before_building(monkeypatch):
     On a dense 3 x 3 operator a step holds 72 program entries and 24 work
     rows. At 2**29 steps both overflow, at 2**25 only the entries do.
     """
-    weights, spread, indptr, indices = dynamics._batch_csr([np.ones((3, 3))], 1, 0.5)
+    weights, spread, indptr, indices = dynamics._batch_csr([np.ones((3, 3))], 1, 0.5, [0])
 
     def step_sized(*args, **kwargs):
         raise AssertionError("a step-sized array was built")
@@ -1020,21 +1028,19 @@ UNDRIVEN = {
 def _undriven_run(real: bool, case: str, cells: int):
     """A batch on the open Liouvillian (real) or the chain (complex) whose last column is case's.
 
-    Drives as TQD pulses give them: on the Liouvillian Re omega_a is -0.0
-    and Im omega_b 0.0, so both are left out as well.
+    Drives as TQD pulses give them: Re omega_a is -0.0 and Im omega_b 0.0,
+    so both are left out as well.
     """
     cfg = IntegratorConfig(dt=0.01, record_every=50)
 
     def coefficients(times):
         t = times[:, None] - 0.2 * np.arange(cells)
         omega_a, omega_b = -0.6j * np.exp(-((t - 2.0) ** 2)), 0.4 * np.exp(-((t - 1.5) ** 2))
+        c = np.zeros((times.size, cells, 8 if real else 6), dtype=float if real else complex)
+        c[..., 0], c[..., 1], c[..., 2], c[..., 3], c[..., 4] = (
+            -0.0, omega_a.imag, omega_b, 0.0, 1.0)
         if real:
-            c = np.zeros((times.size, cells, 8))
-            c[..., 0], c[..., 1], c[..., 2], c[..., 3] = -0.0, omega_a.imag, omega_b, 0.0
-            c[..., 4:7] = 1.0, 0.5, 0.02
-        else:
-            c = np.zeros((times.size, cells, 6), dtype=complex)
-            c[..., :5] = np.stack([omega_a, omega_a.conj(), omega_b, omega_b, np.ones_like(t)], -1)
+            c[..., 5:7] = 0.5, 0.02
         c[..., -1] = UNDRIVEN[case](times, cells)
         return c * 0.0 if case == "all_zero" else c
 
@@ -1078,9 +1084,87 @@ def test_undriven_operators_change_no_bit(monkeypatch, threshold, real, case, ce
     assert {b: str(e) for b, e in oracle["failures"].items()} == {
         b: str(e) for b, e in meta["failures"].items()}
     later = case in ("driven_later", "nan_later")
-    left = 0 if later else k if case == "all_zero" or not cells else 3 if real else 1
+    left = 0 if later else k if case == "all_zero" or not cells else 3
     assert (meta["operators"], meta["rebuilds"]) == (k - left, int(later))
     assert (oracle["operators"], oracle["rebuilds"]) == (k, 0)
     if cells:
         assert meta["executor"] == oracle["executor"] == (
             "step loop" if threshold == 0 else "step program")
+
+
+def _handed_blocks(monkeypatch) -> list:
+    """The coefficients c (2 steps, cells, K) each executor is handed from here on, in order."""
+    handed = []
+    for name in ("_step_loop", "_step_program"):
+        def building(*args, build=getattr(dynamics, name)):
+            advance = build(*args)
+
+            def advancing(state, c):
+                handed.append(c)
+                return advance(state, c)
+
+            return advancing
+
+        monkeypatch.setattr(dynamics, name, building)
+    return handed
+
+
+@pytest.mark.parametrize("threshold", [0, math.inf], ids=["step_loop", "step_program"])
+def test_executors_read_the_coefficient_blocks_in_place(monkeypatch, threshold):
+    """An open TQD run (2 of 8 operators left out) and a closed TQD batch (2 of 6) hand their
+    executors slices of the very arrays coefficients returned, every column kept."""
+    monkeypatch.setattr(dynamics, "PROGRAM_STEP_BYTES", threshold)
+    cfg = IntegratorConfig(dt=0.05)
+    params = ModelParams(kappa=0.01, gamma=0.02)
+    cells = [(params, pulses.PulseSet(PulseKind.TQD_EXACT, pulses.StirapParams(),
+                                      delta=params.delta))] * 3
+    returned = []
+
+    def returning(coefficients):
+        def wrapped(times):
+            returned.append(coefficients(times))
+            return returned[-1]
+        return wrapped
+
+    handed = _handed_blocks(monkeypatch)
+    open_run = dynamics.evolve_lindblad(
+        model.open_liouvillian(), returning(model.open_coefficients(
+            model.CellDrives(cells[:1]), [params])),
+        experiments._initial_density(), 10.0, cfg)
+    psi0 = np.tile(np.eye(8, dtype=complex)[0], (3, 1))
+    closed = dynamics.evolve_schrodinger(model.hamiltonian_terms(hilbert.build_subspace()),
+                                         returning(model.CellDrives(cells)), psi0, 10.0, cfg)
+    assert len(handed) >= 2 * 2 and len(returned) == 2 * 3  # t = 0 and two blocks each
+    for c in handed:
+        assert c.shape[-1] in (8, 6)
+        assert any(np.shares_memory(c, block) for block in returned)
+    assert [(run.metadata["operators"], run.metadata["rebuilds"])
+            for run in (open_run, closed)] == [(6, 0), (4, 0)]
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+def test_driven_weights_are_those_of_the_full_set(rng, real):
+    """_batch_csr over the driven operators gives the full set's weights at their entries, bit for bit.
+
+    Both take c with every operator's column; the left-out columns are
+    +-0.0, as _rk4 keeps them. A real batch's spread keeps one row per
+    operator, all zeros for a left-out one.
+    """
+    n, cells, scale, driven = 6, 3, 0.01, [1, 2, 4]
+    operators = [rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.4) for _ in range(5)]
+    c = rng.normal(size=(4, cells, 5))
+    if not real:
+        operators = [op * (0.3 - 1j) for op in operators]
+        c = c + 1j * rng.normal(size=c.shape)
+    c[..., 0], c[..., 3] = -0.0, 0.0
+    entries = sorted((i, k, j) for k, op in enumerate(operators) for i, j in zip(*np.nonzero(op)))
+    kept = [e for e, (_, k, _) in enumerate(entries) if k in driven]
+    full_weights, _, _, full_indices = dynamics._batch_csr(operators, cells, scale, range(5))
+    weights, spread, indptr, indices = dynamics._batch_csr(operators, cells, scale, driven)
+    assert weights(c).tobytes() == full_weights(c)[..., kept].tobytes()
+    assert np.array_equal(indices, full_indices.reshape(cells, -1)[:, kept].ravel())
+    assert indptr[-1] == cells * len(kept)
+    if real:
+        assert spread.shape == (5, len(kept)) and not spread[[0, 3]].any()
+    else:
+        assert spread is None

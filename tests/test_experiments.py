@@ -372,9 +372,13 @@ def _captured(monkeypatch) -> list:
 
 
 def _lumped_chain() -> tuple[int, int]:
-    """Weights and amplitudes per cell of a closed batch started in |phi_1> (hilbert.lump)."""
+    """Weights and amplitudes per cell of a closed TQD batch started in |phi_1> (hilbert.lump).
+
+    The weights are the entries of the operators TQD pulses drive: Y_A, X_B,
+    C + C+ and P_e (Re omega_a = Im omega_b = 0).
+    """
     _, lumped = hilbert.lump(model.hamiltonian_terms(hilbert.build_subspace()), np.eye(8)[:1])
-    return np.count_nonzero(lumped), lumped.shape[-1]
+    return np.count_nonzero(lumped[[1, 2, 4, 5]]), lumped.shape[-1]
 
 
 # The weights of one time and the step program per step of 40 closed cells.

@@ -150,8 +150,12 @@ def test_lump_of_the_chain_from_phi1_is_the_symmetric_grouping():
     pairs = [np.flatnonzero(verify.symmetric_vectors()[name]) for name in ("psi1", "psi2", "psi3")]
     blocks = [[0], [1]] + [list(pair) for pair in pairs]
     assert [list(np.flatnonzero(labels == b)) for b in range(labels.max() + 1)] == blocks
-    assert lumped.shape == (6, 5, 5) and np.count_nonzero(lumped) == 10
-    assert np.count_nonzero(operators) == 17
+    assert lumped.shape == (6, 5, 5) and np.count_nonzero(lumped) == 14
+    assert np.count_nonzero(operators) == 23
+    # the operators a TQD run holds (Y_A, X_B, C + C+, P_e), then a STIRAP run's
+    assert np.count_nonzero(lumped[[1, 2, 4, 5]]) == 10
+    assert np.count_nonzero(operators[[1, 2, 4, 5]]) == 17
+    assert np.count_nonzero(lumped[[0, 2, 4]]) == 8
     for k, op in enumerate(operators):  # block sums taken at each block's first row
         firsts = [block[0] for block in blocks]
         sums = np.stack([op[:, block].sum(axis=1) for block in blocks], axis=1)

@@ -429,8 +429,9 @@ def test_cell_drives_share_theta_dot(monkeypatch):
 
 def test_open_coefficients_read_the_closed_layout():
     # Open runs read CellDrives' one layout: Re and Im of omega_a and omega_b,
-    # the real parts of g and the detuning, then each cell's kappa and gamma,
-    # bit for bit, a failing cell's NaN included.
+    # g and the detuning, the real parts of a complex block whose imaginary
+    # parts are +0.0, then each cell's kappa and gamma, bit for bit, a
+    # failing cell's NaN included.
     stirap = StirapParams()
     cells = [
         (ModelParams(kappa=0.01), PulseSet(PulseKind.STIRAP, stirap)),
@@ -442,10 +443,14 @@ def test_open_coefficients_read_the_closed_layout():
     params = [p for p, _ in cells]
     times = np.linspace(-60.0, 50.0, 23)  # delta = -1 fails from t = -40 on
     c = model.CellDrives(cells)(times)
+    assert c.dtype == complex and c.imag.tobytes() == np.zeros(c.shape).tobytes()
+    omega_a, omega_b = zip(*(pulse_set.amplitudes(times) for _, pulse_set in cells[:2]))
+    assert c[:, :2, 0].real.tobytes() == np.real(omega_a).T.tobytes()
+    assert c[:, :2, 1].real.tobytes() == np.imag(omega_a).T.tobytes()
+    assert c[:, :2, 2].real.tobytes() == np.real(omega_b).T.tobytes()
+    assert c[:, :2, 3].real.tobytes() == np.imag(omega_b).T.tobytes()
     rates = np.broadcast_to([[p.kappa, p.gamma] for p in params], c.shape[:2] + (2,))
-    want = np.concatenate([np.stack([c[..., 0].real, c[..., 0].imag, c[..., 2].real,
-                                     c[..., 2].imag, c[..., 4].real, c[..., 5].real], axis=-1),
-                           rates], axis=-1)
+    want = np.concatenate([c.real, rates], axis=-1)
     got = model.open_coefficients(model.CellDrives(cells), params)(times)
     assert got.shape == (len(times), 4, 8) and got.dtype == float
     assert got.tobytes() == want.tobytes()

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
-from conftest import h_of_t, structure_terms
+from conftest import h_of_t, structure_stack, structure_terms
 from scipy.sparse.csgraph import connected_components
 from test_dynamics import _dense_rk4
 
@@ -69,7 +69,7 @@ def test_open_space_operators_are_restrictions(full_space):
     outside = np.ones(full_space.dim, dtype=bool)
     outside[idx] = False
 
-    terms80 = model.hamiltonian_terms(full_space)  # D_A, D_A+, D_B, D_B+, C + C+, P_e
+    terms80 = model.hamiltonian_terms(full_space)  # X_A, Y_A, X_B, Y_B, C + C+, P_e
     assert np.array_equal(model.hamiltonian_terms(space), terms80[:, idx[:, None], idx])
     for op in terms80:
         assert not np.any(op[outside][:, idx])
@@ -168,8 +168,7 @@ def test_open_run_matches_full_space_run(full_space, subspace):
     psi0 = full_space.ket(subspace.basis[0])
     rho0 = np.outer(psi0, psi0.conj())
     full = dynamics.evolve_lindblad(
-        dynamics.Liouvillian.reachable(model.hermitian_drive_operators(
-                                           model.hamiltonian_terms(full_space)),
+        dynamics.Liouvillian.reachable(model.hamiltonian_terms(full_space),
                                        _unit_dissipators(full_space), rho0),
         model.open_coefficients(model.CellDrives([(BENCHMARK, pulse_set)]), [BENCHMARK]),
         rho0, BENCHMARK.t_f, cfg,
@@ -285,16 +284,13 @@ def _real_coordinates(entries, dim, mirror):
 def _column_stacked_liouvillian(space):
     """The open Liouvillian's operators as dense superoperators on the column-stacked vec(rho).
 
-    -i[G, .] for each Hermitian generator of model.hermitian_drive_operators,
-    here from the tests' own terms, then the kappa and gamma dissipators at
-    unit rate, built without dynamics.
+    -i[G, .] for each Hermitian generator of model.hamiltonian_terms, here
+    from the tests' own terms (structure_stack), then the kappa and gamma
+    dissipators at unit rate, built without dynamics.
     """
     eye = np.eye(space.dim)
-    t = structure_terms(space)
-    drives = [t.drive_a + t.drive_a.conj().T, 1j * (t.drive_a - t.drive_a.conj().T),
-              t.drive_b + t.drive_b.conj().T, 1j * (t.drive_b - t.drive_b.conj().T),
-              t.cavity + t.cavity.conj().T, t.excited]
-    full = [-1j * (np.kron(eye, op) - np.kron(op.T, eye)) for op in drives]
+    full = [-1j * (np.kron(eye, op) - np.kron(op.T, eye))
+            for op in structure_stack(structure_terms(space))]
     full += [_column_stacked_dissipator(model.collapse_channels(rates, space), space.dim)
              for rates in (ModelParams(kappa=1.0), ModelParams(gamma=1.0))]
     return full
@@ -687,12 +683,13 @@ def test_infinite_coefficient_fails_only_its_cell():
 
 def test_runs_integrate_only_their_driven_operators():
     # TQD pulses fix Re omega_a = Im omega_b = 0; STIRAP pulses are real and
-    # undetuned. At the defaults kappa = gamma = 0 as well, so their
+    # undetuned. Closed and open runs read one layout, so both leave those
+    # columns out. At the defaults kappa = gamma = 0 as well, so their
     # dissipators are left out too. Of the open Liouvillian's 229 nonzeros a
     # TQD run at nonzero rates integrates 181, a STIRAP one 161.
     cfg = IntegratorConfig(dt=0.05)
-    counts = {PulseKind.STIRAP: (5, 3, 5), PulseKind.TQD_EXACT: (6, 4, 6),
-              PulseKind.TQD_FITTED: (6, 4, 6)}  # closed, open at the defaults, open at BENCHMARK
+    counts = {PulseKind.STIRAP: (3, 3, 5), PulseKind.TQD_EXACT: (4, 4, 6),
+              PulseKind.TQD_FITTED: (4, 4, 6)}  # closed, open at the defaults, open at BENCHMARK
     for kind, expected in counts.items():
         runs = [experiments.simulate_closed(ModelParams(), experiments.default_pulse_set(kind),
                                             cfg)]

@@ -63,7 +63,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WALL_MEDIAN = "wall_median_s"  # the median of a run's raw wall samples, lower is better
-# Figs 4a and 9 are left out: they take 5-9 s each.
+# Every command of the ROADMAP Baseline's CLI rows; figs 4a and 9 take several seconds each.
 CLI_COMMANDS = {
     "pulses": ["pulses"],
     "simulate-stirap": ["simulate", "--method", "stirap"],
