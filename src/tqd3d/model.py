@@ -95,11 +95,11 @@ class CellDrives:
     and the detuning, zero under STIRAP pulses: closed runs take them as
     they are, open runs through open_coefficients. They are real, but the
     block is complex with +0.0 imaginary parts, so that a closed run's
-    weights stay one in-place complex multiply (numpy's float-times-complex
-    multiply is several times slower). Each call evaluates the pulses of
-    each distinct PulseSet once at all the given times. Exact TQD cells
-    share theta_dot per StirapParams (a cut along delta has one) and take
-    their amplitudes from one pulses.counterdiabatic_amplitudes call on its
+    weights stay one in-place complex multiply, faster than numpy's
+    float-times-complex one. Each call evaluates the pulses of each
+    distinct PulseSet once at all the given times. Exact TQD cells share
+    theta_dot per StirapParams (a cut along delta has one) and take their
+    amplitudes from one pulses.counterdiabatic_amplitudes call on its
     distinct detunings, the rule's one home. A cell whose pulse synthesis
     fails gets NaN coefficients from the first failing time on, and its
     PulseSynthesisError, shared by the cells of one detuning, is kept in

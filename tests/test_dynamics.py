@@ -1144,7 +1144,7 @@ def test_executors_read_the_coefficient_blocks_in_place(monkeypatch, threshold):
 
 @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
 def test_driven_weights_are_those_of_the_full_set(rng, real):
-    """_batch_csr over the driven operators gives the full set's weights at their entries, bit for bit.
+    """_batch_csr over the driven operators gives, bit for bit, the full set's weights there.
 
     Both take c with every operator's column; the left-out columns are
     +-0.0, as _rk4 keeps them. A real batch's spread keeps one row per
