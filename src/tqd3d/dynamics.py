@@ -8,9 +8,9 @@ sum_k c[t, b, k] G_k, fixed structure operators G_k with per-cell
 coefficients, applied entry by entry, so a cell's numbers do not depend on
 its batch.  The cells of a sweep share a step schedule and run as one batch,
 and a single run is a batch of one; every Schrodinger run, the reduced
-three- and two-level models included, comes as structure operators and
-coefficients (model.hamiltonian_terms with model.CellDrives,
-verify.DETUNED_LAMBDA_OPERATORS).  A
+three- and two-level models included, comes as Hermitian structure operators
+and real coefficients (model.hamiltonian_terms with model.CellDrives,
+verify.DETUNED_LAMBDA_OPERATORS with verify.detuned_lambda_coefficients).  A
 Schrodinger run integrates the lumped state: amplitudes that start equal in
 every cell and that every structure operator keeps equal (hilbert.lump)
 are one amplitude.  On the chain from |phi_1> the L and R members of each
@@ -57,8 +57,9 @@ nonzero somewhere at t = 0, reading their columns of each block in place,
 and takes the others in again at the first block that drives them (_rk4):
 the paper's TQD pulses fix Re omega_a = Im omega_b = 0 and its STIRAP
 pulses are real and undetuned, so a closed run holds 4 (TQD) or 3 (STIRAP)
-of its 6 operators and an open run at nonzero rates integrates 181 or 161
-of the Liouvillian's 229 nonzeros per cell, with the bits all 229 give.
+of its 6 operators, the reduced TQD runs 3 of 5 and 1 of 2, and an open run
+at nonzero rates integrates 181 or 161 of the Liouvillian's 229 nonzeros per
+cell, with the bits all 229 give.
 The compiled product is loaded from scipy's extension module alone
 (_load_sparsetools), and the open-system superoperators on vec(rho) are
 numpy arrays of their nonzeros (Superoperator), so no run imports
@@ -251,11 +252,11 @@ class _Observer:
         self.times, self.fids = np.empty(points), np.empty((points, cells))
         self.states = np.empty((points, cells, n), state.dtype) if self.series else None
 
-    def check(self, step: int, state: np.ndarray, last_weights: Callable[[], np.ndarray]):
+    def check(self, step: int, state: np.ndarray, c: np.ndarray):
         """Fail, as NaN from here on, each cell whose drift first goes beyond tol (NaN is), with
         reported[cell] (read as cells fail: model.CellDrives.errors fills as pulses fail) if
-        its last_weights() are not finite and the caller has it, else an
-        IntegratorInstabilityError. One max decides; a failure looks at each cell."""
+        its coefficients c (cells, K) of the last t are not finite and the caller has it,
+        else an IntegratorInstabilityError. One max decides; a failure looks at each cell."""
         drifts = self.drift(state)
         worst = drifts.max(initial=0.0)
         if worst <= self.tol:  # a NaN drift is not: the state overflowed
@@ -264,7 +265,7 @@ class _Observer:
         healthy = drifts <= self.tol
         bad = ~healthy
         bad[list(self.failures)] = False  # failed already
-        nonfinite = ~np.isfinite(last_weights()).all(axis=-1)  # the cell's coefficients
+        nonfinite = ~np.isfinite(c).all(-1)
         t = (step - 1) * self.dt + self.dt
         for cell in map(int, np.flatnonzero(bad)):
             self.failures[cell] = (
@@ -326,19 +327,20 @@ def _rk4(coefficients: Callable[[np.ndarray], np.ndarray], operators, state: np.
     the executor is built again, as at set-up, with every operator from
     that block on, starting from the coefficients of the block's first t.
 
-    At every recorded point observer.check tests each cell's drift and
-    observer.keep keeps the point; observer.finish(state) gives the result,
-    to which _rk4 adds metadata["setup_s"] (from entry to the first
-    recorded point: index arrays, executor and the t = 0 coefficients),
-    ["integrate_s"] and ["record_s"] split the wall time between set-up, the
-    steps and the recording (the recorded points and the record pass); the
-    clock is read at entry, at recorded points and after the pass only.
-    ["blocks"] counts the coefficients calls, ["operators"] the operators
-    held at t_f and ["rebuilds"] the executors built again (0 or 1), and
-    ["executor"] and ["chunk_steps"] name the executor at t_f and the steps
-    of its chunks. The step count is step_count(t_f, cfg.dt), whose errors
-    are raised before any step, and so is observer.start's StepCapError for
-    recorded points over RECORD_CAP bytes per cell.
+    At every recorded point observer.check tests each cell's drift and a
+    failing cell's coefficients of the last t (all K: a left-out one is +-0.0
+    in its block). observer.keep keeps the point; observer.finish(state)
+    gives the result, to which _rk4 adds metadata["setup_s"] (from entry to
+    the first recorded point: index arrays, executor and the t = 0
+    coefficients), ["integrate_s"] and ["record_s"] split the wall time
+    between set-up, the steps and the recording (the recorded points and the
+    record pass); the clock is read at entry, at recorded points and after
+    the pass only. ["blocks"] counts the coefficients calls, ["operators"]
+    the operators held at t_f and ["rebuilds"] the executors built again (0
+    or 1), and ["executor"] and ["chunk_steps"] name the executor at t_f and
+    the steps of its chunks. The step count is step_count(t_f, cfg.dt), whose
+    errors are raised before any step, and so is observer.start's
+    StepCapError for recorded points over RECORD_CAP bytes per cell.
     """
     entry = time.perf_counter()
     n_steps = step_count(t_f, cfg.dt)
@@ -355,7 +357,7 @@ def _rk4(coefficients: Callable[[np.ndarray], np.ndarray], operators, state: np.
         return c
 
     def build(driven, c0):
-        """weights, advance, executor and chunk steps of the operators driven, from c0 (all K)."""
+        """advance, executor and chunk steps of the operators driven, from c0 (all K)."""
         weights, spread, indptr, indices = _batch_csr(operators, cells, dt / 2, driven)
         step_bytes = _program_bytes(indices.size, cells * n, state.itemsize)
         program = step_bytes <= PROGRAM_STEP_BYTES
@@ -363,17 +365,16 @@ def _rk4(coefficients: Callable[[np.ndarray], np.ndarray], operators, state: np.
                             else (WEIGHT_CHUNK_BYTES, 2 * indices.size * state.itemsize))
         chunk = max(1, min(BLOCK_STEPS, every, budget // max(per_step, 1)))
         if program:
-            return (weights, _step_program(indptr, indices, chunk, state.dtype, weights, c0,
-                                           spread), "step program", chunk)
-        return weights, _step_loop(indptr, indices, weights, c0), "step loop", chunk
+            return (_step_program(indptr, indices, chunk, state.dtype, weights, c0, spread),
+                    "step program", chunk)
+        return _step_loop(indptr, indices, weights, c0), "step loop", chunk
 
-    # inf * 0 in a cell's weights (a coefficient no longer finite) is NaN, and
-    # the cell fails as not finite: one scope for the executors and the steps.
-    with np.errstate(invalid="ignore"):
+    # overflow and inf * 0 warn nothing: such a cell fails by its drift or coefficients
+    with np.errstate(invalid="ignore", over="ignore"):
         (c_last,) = coefficients_at(np.zeros(1))
         nonzero = _driven(c_last)
         driven, left_out = np.flatnonzero(nonzero), np.flatnonzero(~nonzero)
-        weights, advance, executor, chunk = build(driven, c_last)
+        advance, executor, chunk = build(driven, c_last)
         rebuilds = 0
 
         integrate_s = 0.0
@@ -389,7 +390,7 @@ def _rk4(coefficients: Callable[[np.ndarray], np.ndarray], operators, state: np.
             block = coefficients_at(np.column_stack([t + dt / 2, t + dt]).ravel())
             if left_out.size and block.take(left_out, axis=-1).any():  # NaN too, not +-0.0
                 driven, left_out, rebuilds = np.arange(len(operators)), left_out[:0], 1
-                weights, advance, executor, chunk = build(driven, c_last)
+                advance, executor, chunk = build(driven, c_last)
             c_last = block[-1].copy()  # the next block's first t (a view keeps block)
             step = first
             while step < last:
@@ -400,8 +401,7 @@ def _rk4(coefficients: Callable[[np.ndarray], np.ndarray], operators, state: np.
                     continue
                 now = time.perf_counter()
                 integrate_s += now - clock
-                i = 2 * (step - first)  # the weights of the last t
-                observer.check(step, state, lambda: weights(block[i - 1:i])[0])
+                observer.check(step, state, block[2 * (step - first) - 1])  # the last t
                 observer.keep(step, state)
                 clock = time.perf_counter()
                 record_s += clock - now

@@ -1,12 +1,12 @@
 """Quantitative acceptance checks for the whole pipeline.
 
 Each criterion re-measures a headline quantity (benchmark fidelity, pulse
-boundary values, oracle agreements, structural invariants) and compares it
-against a fixed tolerance.  Used by the CLI `verify` command and by the
-acceptance test module.  Expensive simulations are shared across criteria
-via module-level caches.  The oracles the criteria compare against live
-here too: the symmetric L/R states, the reduced three- and two-level models
-of the detuned system, and the counterdiabatic generator with its
+boundary values, oracle agreements, structural invariants) against a fixed
+tolerance, for the CLI `verify` command and the acceptance tests; expensive
+runs are shared through module-level caches.  The oracles live here too:
+the symmetric L/R states, the reduced three- and two-level models of the
+detuned system and the counterdiabatic generator, in the layout of
+model.hamiltonian_terms (Hermitian operators, real coefficients), and its
 numerical cross-check from the instantaneous eigenvectors.
 """
 
@@ -86,39 +86,46 @@ def symmetric_vectors() -> dict[str, np.ndarray]:
     return out
 
 
+def _generators(dim: int, couplings, diagonal=()) -> np.ndarray:
+    """X_ij = E_ij + E_ji and Y_ij = i(E_ij - E_ji) of each coupling (i, j), then E_ii of each i.
+
+    E_ij = |i><j|: c E_ij + h.c. is Re c X_ij + Im c Y_ij, model.hamiltonian_terms' layout.
+    """
+    e = np.eye(dim * dim, dtype=complex).reshape(dim, dim, dim, dim)  # e[i, j] = E_ij
+    pairs = [(e[i, j] + e[j, i], 1j * e[i, j] - 1j * e[j, i]) for i, j in couplings]
+    return np.array([op for pair in pairs for op in pair] + [e[i, i] for i in diagonal])
+
+
+# The reduced models of the detuned system: H(t) is sum_k c[k] operators[k] with the real
+# coefficients of detuned_lambda_coefficients on (|phi_1>, |Psi_d>, |psi_3>), X_01, Y_01,
+# X_12, Y_12 and E_11, and of two_level_coefficients on (|phi_1>, |psi_3>), X_01 and Y_01.
+DETUNED_LAMBDA_OPERATORS = _generators(3, [(0, 1), (1, 2)], [1])
+TWO_LEVEL_OPERATORS = _generators(2, [(0, 1)])
+
+
 def h_effective_lambda(omega_a: float, omega_b: float) -> np.ndarray:
-    """3-dim effective Hamiltonian on (|phi_1>, |Psi_d>, |psi_3>)."""
-    h = np.zeros((3, 3), dtype=complex)
-    h[0, 1] = omega_a / SQRT3
-    h[1, 2] = -SQRT2 * omega_b / SQRT3
-    return h + h.conj().T
-
-
-# Structure operators of the reduced models of the detuned system: H(t) is
-# sum_k c[k] operators[k] with the coefficients c of detuned_lambda_coefficients
-# and two_level_coefficients: the matrix units E_01, E_10, E_12, E_21, E_11
-# and E_01, E_10 (E_ij is row i*d + j of the d*d identity, reshaped).
-DETUNED_LAMBDA_OPERATORS = np.eye(9, dtype=complex).reshape(9, 3, 3)[[1, 3, 5, 7, 4]]
-TWO_LEVEL_OPERATORS = np.eye(4, dtype=complex).reshape(4, 2, 2)[[1, 2]]
+    """3-dim effective Hamiltonian on (|phi_1>, |Psi_d>, |psi_3>) of the resonant system."""
+    return np.tensordot(detuned_lambda_coefficients(omega_a, omega_b, 0.0),
+                        DETUNED_LAMBDA_OPERATORS, axes=1)
 
 
 def detuned_lambda_coefficients(omega_a_prime, omega_b_prime, delta: float) -> np.ndarray:
-    """(..., 5) coefficients of the 3-dim effective Hamiltonian of the detuned system.
+    """(..., 5) real coefficients of the 3-dim effective Hamiltonian of the detuned system.
 
-    On (|phi_1>, |Psi_d>, |psi_3>), with DETUNED_LAMBDA_OPERATORS:
-    omega_a'/sqrt(3), its conjugate, -sqrt(2)*omega_b'/sqrt(3), its
-    conjugate, and delta on |Psi_d>; the amplitudes are arrays over times.
+    With DETUNED_LAMBDA_OPERATORS: Re and Im of omega_a'/sqrt(3) and of
+    -sqrt(2)*omega_b'/sqrt(3), then delta on |Psi_d>; the amplitudes are
+    arrays over times.
     """
     a = np.asarray(omega_a_prime, dtype=complex) / SQRT3
     b = -SQRT2 * np.asarray(omega_b_prime, dtype=complex) / SQRT3
-    return np.stack([a, a.conj(), b, b.conj(), np.full(a.shape, delta, dtype=complex)], axis=-1)
+    return np.stack([a.real, a.imag, b.real, b.imag, np.full(a.shape, float(delta))], axis=-1)
 
 
 def two_level_coefficients(omega_a_prime, omega_b_prime, delta: float) -> np.ndarray:
-    """(..., 2) coefficients of the 2-dim Hamiltonian after eliminating |Psi_d>.
+    """(..., 2) real coefficients of the 2-dim Hamiltonian after eliminating |Psi_d>.
 
-    On (|phi_1>, |psi_3>), with TWO_LEVEL_OPERATORS: the coupling
-    i*omega_a'^2/(3*delta) and its conjugate. Requires the phase lock
+    With TWO_LEVEL_OPERATORS: Re and Im of the coupling
+    i*omega_a'^2/(3*delta). Requires the phase lock
     omega_b' = i*omega_a'/sqrt(2) at every time, which makes both Stark
     shifts equal (dropped as a global phase) and the coupling purely
     counterdiabatic; ValueError if any time breaks it.
@@ -126,11 +133,9 @@ def two_level_coefficients(omega_a_prime, omega_b_prime, delta: float) -> np.nda
     omega_a = np.asarray(omega_a_prime, dtype=complex)
     scale = np.maximum(np.abs(omega_a), 1.0)
     if np.any(np.abs(omega_b_prime - 1j * omega_a / SQRT2) > PHASE_TOL * scale):
-        raise ValueError(
-            "amplitudes violate the phase lock omega_b' = i*omega_a'/sqrt(2)"
-        )
+        raise ValueError("amplitudes violate the phase lock omega_b' = i*omega_a'/sqrt(2)")
     coupling = 1j * omega_a**2 / (3.0 * delta)
-    return np.stack([coupling, coupling.conj()], axis=-1)
+    return np.stack([coupling.real, coupling.imag], axis=-1)
 
 
 def reduced_drives(coefficients: Callable, p: StirapParams, delta: float) -> Callable:
@@ -143,11 +148,8 @@ def reduced_drives(coefficients: Callable, p: StirapParams, delta: float) -> Cal
 
 
 def h_counterdiabatic(theta_dot: float) -> np.ndarray:
-    """3-dim counterdiabatic generator i*theta_dot(|phi_1><psi_3| - |psi_3><phi_1|)."""
-    h = np.zeros((3, 3), dtype=complex)
-    h[0, 2] = 1j * theta_dot
-    h[2, 0] = -1j * theta_dot
-    return h
+    """3-dim counterdiabatic generator i*theta_dot(|phi_1><psi_3| - h.c.) = theta_dot Y_02."""
+    return theta_dot * _generators(3, [(0, 2)])[1]
 
 
 class EigenvectorContinuityError(RuntimeError):
@@ -343,10 +345,8 @@ def check_model_hierarchy() -> CriterionResult:
             operators, drives, np.array(psi0, dtype=complex), p.t_f, cfg, target=target
         ).final_fidelity
 
-    f3 = final_fidelity(DETUNED_LAMBDA_OPERATORS, detuned_lambda_coefficients,
-                        [1, 0, 0], target3)
-    f2 = final_fidelity(TWO_LEVEL_OPERATORS, two_level_coefficients,
-                        [1, 0], target2)
+    f3 = final_fidelity(DETUNED_LAMBDA_OPERATORS, detuned_lambda_coefficients, [1, 0, 0], target3)
+    f2 = final_fidelity(TWO_LEVEL_OPERATORS, two_level_coefficients, [1, 0], target2)
     spread = max(f_full, f3, f2) - min(f_full, f3, f2)
     return CriterionResult(
         "model-hierarchy",

@@ -508,20 +508,28 @@ def test_bad_physical_setting_exit_code(tmp_path, monkeypatch, capsys, setting, 
     assert err.startswith("config error: ") and err.count("\n") == 1
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
-@pytest.mark.parametrize("setting, method, open_system, message", [
+@pytest.mark.parametrize("settings, method, open_system, message", [
     ("TQD3D_DELTA=60", "tqd", False,
      r"norm drift 9\.30e\+05 > 1e-06 at t=2\.5; reduce dt"),
     ("TQD3D_KAPPA=60", "tqd-fitted", True,
      r"trace drift (?P<drift>\S+) > 1e-04 at t=10; reduce dt"),
-], ids=["closed", "open"])
-def test_simulate_instability_exit_code(tmp_path, monkeypatch, capsys, setting, method,
+    ("TQD3D_DELTA=1000", "tqd", False,
+     r"norm drift inf > 1e-06 at t=2\.5; reduce dt"),
+    ("TQD3D_DELTA=1e308 TQD3D_DT=5", "tqd-fitted", False,
+     r"norm drift nan > 1e-06 at t=50; reduce dt"),
+], ids=["closed", "open", "norm_overflows", "weights_overflow"])
+def test_simulate_instability_exit_code(tmp_path, monkeypatch, capsys, settings, method,
                                         open_system, message):
-    """A single run that drifts exits 3 with the note its cell gets in a sweep."""
-    key, _, value = setting.partition("=")
-    monkeypatch.setenv(key, value)
+    """A single run that drifts exits 3 with the note its cell gets in a sweep.
+
+    Its one stderr line is that note: an overflow in the run warns nothing,
+    and finite coefficients whose weights overflow are a drift, not
+    coefficients that are not finite.
+    """
     monkeypatch.setenv("TQD3D_DT", "0.05")
+    for setting in settings.split():
+        key, _, value = setting.partition("=")
+        monkeypatch.setenv(key, value)
     argv = ["simulate", "--method", method, "--open" if open_system else "--closed"]
     assert cli.main(["--out", str(tmp_path), *argv]) == cli.EXIT_INSTABILITY
     err = capsys.readouterr().err

@@ -238,6 +238,28 @@ def test_coefficients_that_turn_nan_fail_the_cell():
         dynamics.evolve_lindblad(liouvillian, _nan_after(0.5), rho0, 2.0, cfg)
 
 
+@pytest.mark.parametrize("threshold", [0, math.inf], ids=["step_loop", "step_program"])
+def test_finite_coefficients_whose_weights_overflow_are_a_drift(monkeypatch, threshold):
+    """A cell is judged by its coefficients: 1e308 * dt/2 overflows its weights, not them.
+
+    The cell fails by its drift, silently on the way (a warning would raise
+    here), and not with the caller's error, which is for coefficients that
+    are not finite.
+    """
+    monkeypatch.setattr(dynamics, "PROGRAM_STEP_BYTES", threshold)
+    cfg, huge = IntegratorConfig(dt=4.0), _constant(1e308)
+    reported = {0: pulses.PulseSynthesisError("no pulse")}
+    psi0 = np.array([1.0, 0.0], dtype=complex)
+    with pytest.raises(IntegratorInstabilityError,
+                       match=r"^norm drift nan > 1e-06 at t=8; reduce dt$"):
+        dynamics.evolve_schrodinger([SIGMA_X], huge, psi0, 8.0, cfg, reported=reported)
+    rho0 = np.diag([1.0, 0.0]).astype(complex)
+    liouvillian = dynamics.Liouvillian.reachable([SIGMA_X], [], rho0)
+    with pytest.raises(IntegratorInstabilityError,
+                       match=r"^trace drift nan > 1e-04 at t=8; reduce dt$"):
+        dynamics.evolve_lindblad(liouvillian, huge, rho0, 8.0, cfg, reported=reported)
+
+
 def test_reported_error_is_the_first_failure_of_its_cell():
     psi0 = np.array([1.0, 0.0], dtype=complex)
     batch = np.stack([psi0, psi0])
@@ -1056,7 +1078,6 @@ def _undriven_run(real: bool, case: str, cells: int):
                                        target=dynamics.target_state(hilbert.build_subspace()))
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("case, cells", [(case, 3) for case in UNDRIVEN] + [("signed_zero", 0)],
                          ids=[*UNDRIVEN, "zero_cells"])
 @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])

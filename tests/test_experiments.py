@@ -450,8 +450,6 @@ def _open_cell_alone(params, pulse_set, cfg):
         return float("nan"), f"{type(exc).__name__}: {exc}"
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
 def test_open_batch_size_does_not_change_a_cell():
     # Fig-9 cells; kappa = 60 at dt 0.05 leaves RK4's stability region and
     # drifts at t = 10 (the drift's digits are rounding on entries near
@@ -493,8 +491,6 @@ def test_open_batch_pulse_failure_is_per_cell():
     assert healthy == "" and f_good == _open_cell_alone(*cells[1], cfg)[0]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("threshold", [0, math.inf], ids=["step_loop", "step_program"])
 def test_batch_size_tests_hold_for_each_executor(monkeypatch, threshold):
     # Every batch, split and single cell of the two tests on one executor.
@@ -503,8 +499,6 @@ def test_batch_size_tests_hold_for_each_executor(monkeypatch, threshold):
     test_open_batch_size_does_not_change_a_cell()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
 def test_step_program_matches_step_loop(monkeypatch):
     # Closed: a failed pulse synthesis (delta = -1), a drift (60), a norm that
     # overflows while the state is finite (1000: "norm drift inf") and a state

@@ -293,6 +293,27 @@ def test_two_level_phase_violation():
         two_level(0.5, 0.5 / SQRT2, 3.6)  # real pair breaks the phase lock
 
 
+@pytest.mark.parametrize("operators, coefficients, psi0, held", [
+    (verify.DETUNED_LAMBDA_OPERATORS, verify.detuned_lambda_coefficients, [1, 0, 0], 3),
+    (verify.TWO_LEVEL_OPERATORS, verify.two_level_coefficients, [1, 0], 1),
+], ids=["three_level", "two_level"])
+def test_reduced_tqd_runs_hold_their_driven_generators(default_pulses, operators, coefficients,
+                                                       psi0, held):
+    """The reduced models take hamiltonian_terms' layout: Hermitian operators, real coefficients.
+
+    Under exact TQD omega_a' is imaginary and omega_b' real, so Re omega_a',
+    Im omega_b' and the real part of the two-level coupling are +-0.0 and a
+    run holds 3 of 5 and 1 of 2 operators.
+    """
+    assert all(np.array_equal(op, op.conj().T) for op in operators)
+    drives = verify.reduced_drives(coefficients, default_pulses, 3.6)
+    c = drives(np.linspace(0.0, 50.0, 11))
+    assert c.dtype == np.float64 and c.shape == (11, 1, len(operators))
+    run = dynamics.evolve_schrodinger(operators, drives, np.array(psi0, dtype=complex), 50.0,
+                                      dynamics.IntegratorConfig(dt=0.05))
+    assert (run.metadata["operators"], run.metadata["rebuilds"]) == (held, 0)
+
+
 def test_two_level_propagator_is_rotation(default_pulses):
     cfg = dynamics.IntegratorConfig(dt=0.005)
     h2 = verify.reduced_drives(verify.two_level_coefficients, default_pulses, 3.6)
