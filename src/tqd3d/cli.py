@@ -117,6 +117,8 @@ _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 def _coerce(key: str, value: str):
     kind = _FIELD_TYPES[key]
+    if not value.isprintable():  # a newline would break the CSV's '#' block and the manifest
+        raise ConfigError(f"bad value for {key!r}: {value!r}")
     try:
         if kind == "int":
             return int(value)

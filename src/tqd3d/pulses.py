@@ -228,13 +228,13 @@ def fit_two_gaussians(times: np.ndarray, values: np.ndarray) -> tuple[FittedPuls
     0.16*span and half that, amplitudes each half the sampled peak. Returns the
     fitted pulse and the rms residual.
     """
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if times.size < 50 or not (np.isfinite(times).all() and np.isfinite(values).all()):
+        raise ValueError("need at least 50 finite samples")
     # Imported here: scipy.optimize is a third of the import time of tqd3d.cli.
     from scipy.optimize import least_squares
 
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if times.size < 50:
-        raise ValueError("need at least 50 samples")
     span = times.max() - times.min()
     mid = 0.5 * (times.max() + times.min())
     peak = float(values.max())

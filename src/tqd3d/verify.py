@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from typing import Callable
 
@@ -34,7 +34,7 @@ PHASE_TOL = 1e-9
 
 @dataclass
 class CriterionResult:
-    cid: str
+    id: str
     description: str
     passed: bool
     measured: dict = field(default_factory=dict)
@@ -50,7 +50,7 @@ class CriterionResult:
         status = "PASS" if self.passed else "FAIL"
         vals = ", ".join(f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}"
                          for k, v in self.measured.items())
-        return f"{status} {self.cid}: {self.description} [{vals}; tolerance: {self.tolerance}]"
+        return f"{status} {self.id}: {self.description} [{vals}; tolerance: {self.tolerance}]"
 
 
 @lru_cache(maxsize=None)
@@ -153,26 +153,20 @@ def h_counterdiabatic(theta_dot: float) -> np.ndarray:
 
 
 class EigenvectorContinuityError(RuntimeError):
-    """Raised when the finite-difference step is too coarse for smooth gauge fixing."""
+    """Raised when an eigenvector turns by more than the gauge fixing can follow in one step."""
 
 
-def berry_counterdiabatic_numeric(
-    p: StirapParams | Callable, t: float, h_step: float | None = None
-) -> np.ndarray:
+def berry_counterdiabatic_numeric(p: StirapParams, t: float) -> np.ndarray:
     """Counterdiabatic generator from i*sum_k |d_t n_k><n_k| by central differences.
 
-    Eigenvectors come from numerical diagonalization with the smooth gauge fixed
-    by a positive overlap between adjacent times.  p is either StirapParams or
-    a callable t -> (omega_a, omega_b).
+    Eigenvectors come from numerical diagonalization of the STIRAP pulses' H at
+    t and t +- 1e-5*t_f, with the smooth gauge fixed by a positive overlap
+    between adjacent times.
     """
-    amplitudes = p if callable(p) else (lambda tt: pulses.stirap_amplitudes(p, tt))
-    if h_step is None:
-        if callable(p):
-            raise ValueError("h_step is required when passing a bare amplitude callable")
-        h_step = 1e-5 * p.t_f
+    h_step = 1e-5 * p.t_f
 
     def eig_at(tt):
-        omega_a, omega_b = amplitudes(tt)
+        omega_a, omega_b = pulses.stirap_amplitudes(p, tt)
         vals, vecs = np.linalg.eigh(h_effective_lambda(float(omega_a), float(omega_b)))
         return vecs  # columns sorted by ascending eigenvalue
 
@@ -184,35 +178,30 @@ def berry_counterdiabatic_numeric(
             overlap = np.vdot(center[:, k], mat[:, k])
             if abs(overlap) < 0.9:
                 raise EigenvectorContinuityError(
-                    f"eigenvector overlap {abs(overlap):.3f} < 0.9 at t={t:.6g}; "
-                    "reduce h_step"
+                    f"eigenvector overlap {abs(overlap):.3f} < 0.9 at t={t:.6g} "
+                    "over the central-difference step"
                 )
             mat[:, k] *= np.sign(overlap.real) if overlap.real != 0 else 1.0
     deriv = (after - before) / (2.0 * h_step)
     return 1j * deriv @ center.conj().T
 
 
+def _open_point(cid: str, description: str, kappa: float, gamma: float,
+                want: float, tol: float) -> CriterionResult:
+    """Open-system fidelity at (kappa, gamma) within tol of want."""
+    f = _open_run(kappa, gamma).final_fidelity
+    return CriterionResult(cid, description, abs(f - want) <= tol, {"final_fidelity": f},
+                           f"{want:g} +- {tol:g}")
+
+
 def check_physical_benchmark() -> CriterionResult:
-    result = _open_run(experiments.BENCHMARK_KAPPA, experiments.BENCHMARK_GAMMA)
-    f = result.final_fidelity
-    return CriterionResult(
-        "benchmark",
-        "open-system fidelity at the predicted cavity-QED rates",
-        abs(f - 0.991) <= 0.005,
-        {"final_fidelity": f},
-        "0.991 +- 0.005",
-    )
+    return _open_point("benchmark", "open-system fidelity at the predicted cavity-QED rates",
+                       experiments.BENCHMARK_KAPPA, experiments.BENCHMARK_GAMMA, 0.991, 0.005)
 
 
 def check_decoherence_point() -> CriterionResult:
-    f = _open_run(0.01, 0.05).final_fidelity
-    return CriterionResult(
-        "decoherence-point",
-        "open-system fidelity at kappa=0.01g, gamma=0.05g",
-        abs(f - 0.97) <= 0.01,
-        {"final_fidelity": f},
-        "0.97 +- 0.01",
-    )
+    return _open_point("decoherence-point", "open-system fidelity at kappa=0.01g, gamma=0.05g",
+                       0.01, 0.05, 0.97, 0.01)
 
 
 def check_closed_tqd() -> CriterionResult:
@@ -255,7 +244,7 @@ def check_oracle_equivalence() -> CriterionResult:
     for t in rng.uniform(0.0, p.t_f, 100):
         omega_a, omega_b = pulses.stirap_amplitudes(p, t)
         vals = np.linalg.eigvalsh(h_effective_lambda(float(omega_a), float(omega_b)))
-        lam = float(pulses.rabi_norm(p, t)) / np.sqrt(3.0)
+        lam = float(pulses.rabi_norm(p, t)) / SQRT3
         eig_gap = max(eig_gap, float(np.max(np.abs(vals - np.array([-lam, 0.0, lam])))))
     return CriterionResult(
         "oracle-equivalence",
@@ -269,7 +258,7 @@ def check_oracle_equivalence() -> CriterionResult:
 def check_boundary_conditions() -> CriterionResult:
     p = StirapParams()
     theta0 = abs(float(pulses.mixing_angle(p, 0.0)))
-    theta_f = abs(float(pulses.mixing_angle(p, p.t_f)) + np.arctan(np.sqrt(2.0)))
+    theta_f = abs(float(pulses.mixing_angle(p, p.t_f)) + np.arctan(SQRT2))
     return CriterionResult(
         "boundary-conditions",
         "mixing angle endpoints 0 and -arctan(sqrt(2))",
@@ -336,8 +325,8 @@ def check_model_hierarchy() -> CriterionResult:
     cfg = IntegratorConfig()
     f_full = _closed_run(PulseKind.TQD_EXACT).final_fidelity
 
-    target3 = np.array([1.0, 0.0, np.sqrt(2.0)]) / np.sqrt(3.0)
-    target2 = np.array([1.0, np.sqrt(2.0)]) / np.sqrt(3.0)
+    target3 = np.array([1.0, 0.0, SQRT2]) / SQRT3
+    target2 = np.array([1.0, SQRT2]) / SQRT3
 
     def final_fidelity(operators, coefficients, psi0, target):
         drives = reduced_drives(coefficients, p, params.delta)
@@ -403,18 +392,5 @@ def run_all() -> list[CriterionResult]:
 
 
 def report_json(results: list[CriterionResult]) -> str:
-    payload = {
-        "passed": all(r.passed for r in results),
-        "criteria": [
-            {
-                "id": r.cid,
-                "description": r.description,
-                "passed": r.passed,
-                "measured": r.measured,
-                "tolerance": r.tolerance,
-                "wall_s": r.wall_s,
-            }
-            for r in results
-        ],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
+    return json.dumps({"passed": all(r.passed for r in results),
+                       "criteria": [asdict(r) for r in results]}, indent=2, sort_keys=True)

@@ -150,6 +150,18 @@ def test_config_not_utf8_exit_code(tmp_path, capsys):
     assert err.startswith(f"config error: cannot read config {config}") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("key, value", [("SURFACE_TF", "10:100:46\n1,2,3"),
+                                        ("DT", "0.002\n"), ("DELTA", "1\t")])
+def test_non_printable_config_value_exits_2_without_output(tmp_path, monkeypatch, capsys,
+                                                           key, value):
+    # A newline would write a bare line into the CSV's '#' block and the manifest.
+    monkeypatch.setenv(f"TQD3D_{key}", value)
+    out = tmp_path / "out"
+    assert cli.main(["--out", str(out), "simulate", "--method", "tqd"]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: bad value for {key.lower()!r}")
+    assert not out.exists()
+
+
 def test_parse_range():
     values = cli.parse_range("0:1:5")
     assert np.allclose(values, [0.0, 0.25, 0.5, 0.75, 1.0])

@@ -345,16 +345,6 @@ def test_berry_formula_matches_closed_form(default_pulses, rng):
         assert hilbert.max_nonhermiticity(numeric) < 1e-9
 
 
-def test_berry_formula_constant_pulses():
-    numeric = verify.berry_counterdiabatic_numeric(lambda t: (0.2, 0.3), 10.0, h_step=1e-4)
-    assert np.max(np.abs(numeric)) < 1e-9
-
-
-def test_berry_requires_step_for_callable():
-    with pytest.raises(ValueError):
-        verify.berry_counterdiabatic_numeric(lambda t: (0.2, 0.3), 10.0)
-
-
 def test_collapse_channels(full_space):
     params = ModelParams(kappa=0.01, gamma=0.05)
     channels = model.collapse_channels(params, full_space)

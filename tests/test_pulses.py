@@ -319,6 +319,25 @@ def test_fit_needs_enough_samples():
         pulses.fit_two_gaussians(np.linspace(0, 50, 10), np.zeros(10))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["times", "values"])
+def test_fit_needs_finite_samples(bad, where):
+    samples = {"times": pulses.sample_grid(50.0, 101), "values": np.zeros(101)}
+    samples[where][7] = bad
+    with pytest.raises(ValueError, match="finite"):
+        pulses.fit_two_gaussians(samples["times"], samples["values"])
+
+
+def test_fit_that_runs_out_of_evaluations_raises_fit_error(default_pulses, monkeypatch):
+    # Converged, this fit reads rms 0.00347 (verify's fit-recovery); six evaluations stop short.
+    monkeypatch.setattr(pulses, "FIT_MAX_ITER", 1)
+    t = pulses.sample_grid(50.0, 501)
+    _, exact = pulses.tqd_amplitudes(default_pulses, 3.6, t)
+    with pytest.raises(pulses.FitError) as caught:
+        pulses.fit_two_gaussians(t, exact)
+    assert math.isfinite(caught.value.best_rms) and caught.value.best_rms > 0.00347
+
+
 def test_pulse_set_invariants(default_pulses):
     with pytest.raises(ValueError):
         PulseSet(PulseKind.TQD_EXACT, default_pulses, delta=0.0)
