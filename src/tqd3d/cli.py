@@ -19,7 +19,7 @@ import os
 import platform
 import sys
 import traceback
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -198,21 +198,17 @@ def parse_range(text: str) -> np.ndarray:
 
 
 def _provenance(cfg: RunConfig, **extra) -> dict:
-    info = {f.name: getattr(cfg, f.name) for f in fields(RunConfig)}
-    info.update(extra)
-    return info
+    return {**asdict(cfg), **extra}
 
 
 def _write_manifest(out: Path, cfg_text: str, cfg: RunConfig, outputs: list[str]):
     import scipy  # about 14 ms, and only the manifest reads it
 
     digest = sha256(cfg_text.encode()).hexdigest()
-    entries = {"config_sha256": digest, "outputs": ";".join(outputs),
-               "tqd3d_version": __version__, "numpy_version": np.__version__,
-               "scipy_version": scipy.__version__,
-               "python_version": platform.python_version()}
-    entries.update({f.name: getattr(cfg, f.name) for f in fields(RunConfig)})
-    experiments.write_manifest(out / "manifest.txt", entries)
+    experiments.write_manifest(out / "manifest.txt", _provenance(
+        cfg, config_sha256=digest, outputs=";".join(outputs), tqd3d_version=__version__,
+        numpy_version=np.__version__, scipy_version=scipy.__version__,
+        python_version=platform.python_version()))
 
 
 def cmd_pulses(cfg: RunConfig, cfg_text: str, out: Path) -> int:
@@ -237,11 +233,11 @@ def cmd_pulses(cfg: RunConfig, cfg_text: str, out: Path) -> int:
         _provenance(cfg, pulse_kind="tqd"),
     )
     experiments.write_plot_script(
-        out / "stirap_pulses.gp", "stirap_pulses.csv", "Adiabatic pulse pair",
+        out / "stirap_pulses.gp", "Adiabatic pulse pair",
         columns=(1, 2, 3), labels=("Omega_A", "Omega_B"),
     )
     experiments.write_plot_script(
-        out / "tqd_pulses.gp", "tqd_pulses.csv", "Counterdiabatic pulses",
+        out / "tqd_pulses.gp", "Counterdiabatic pulses",
         columns=(1, 2, 3, 4), labels=("|Omega_A'|", "Omega_B'", "Omega_B''"),
     )
     _write_manifest(out, cfg_text, cfg,
@@ -249,27 +245,18 @@ def cmd_pulses(cfg: RunConfig, cfg_text: str, out: Path) -> int:
     return EXIT_OK
 
 
-_METHODS = {
-    "stirap": PulseKind.STIRAP,
-    "tqd": PulseKind.TQD_EXACT,
-    "tqd-fitted": PulseKind.TQD_FITTED,
-}
-
-
 def cmd_simulate(cfg: RunConfig, cfg_text: str, out: Path, method: str,
                  open_system: bool) -> int:
-    kind = _METHODS[method]
     run = experiments.simulate_open if open_system else experiments.simulate_closed
-    result = run(cfg.model_params(), cfg.pulse_set(kind), cfg.integrator())
+    result = run(cfg.model_params(), cfg.pulse_set(PulseKind(method)), cfg.integrator())
     name = f"simulate_{method}_{'open' if open_system else 'closed'}"
-    experiments.write_sim_result(
+    header = experiments.write_sim_result(
         out / f"{name}.csv", result,
         _provenance(cfg, method=method, open_system=open_system),
     )
     experiments.write_plot_script(
-        out / f"{name}.gp", f"{name}.csv", f"Populations and fidelity ({method})",
-        columns=tuple(range(1, 12)),
-        labels=tuple(f"P_phi{i}" for i in range(1, 9)) + ("P_leaked", "F"),
+        out / f"{name}.gp", f"Populations and fidelity ({method})",
+        columns=tuple(range(1, len(header) + 1)), labels=tuple(header[1:]),
     )
     _write_manifest(out, cfg_text, cfg, [f"{name}.csv"])
     warnings = result.metadata.get("positivity_warnings")
@@ -318,7 +305,7 @@ def cmd_sweep(cfg: RunConfig, cfg_text: str, out: Path, figure: str,
     else:
         raise ConfigError(f"unknown figure {figure!r}")
     experiments.write_sweep_grid(out / f"{name}.csv", grid)
-    experiments.write_plot_script(out / f"{name}.gp", f"{name}.csv", **plot)
+    experiments.write_plot_script(out / f"{name}.gp", **plot)
     _write_manifest(out, cfg_text, cfg, [f"{name}.csv"])
     if grid.annotations:
         failed = sorted(grid.annotations.items())
@@ -351,7 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("pulses", help="export sampled control waveforms")
 
     sim = sub.add_parser("simulate", help="run one evolution")
-    sim.add_argument("--method", choices=sorted(_METHODS), default="tqd-fitted")
+    sim.add_argument("--method", choices=sorted(kind.value for kind in PulseKind),
+                     default="tqd-fitted")
     group = sim.add_mutually_exclusive_group()
     group.add_argument("--open", dest="open_system", action="store_true")
     group.add_argument("--closed", dest="open_system", action="store_false")

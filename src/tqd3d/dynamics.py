@@ -300,12 +300,14 @@ def _rk4(coefficients: Callable[[np.ndarray], np.ndarray], operators, state: np.
     """Classic fixed-step RK4 from 0 to t_f of d/dt x_b = sum_k c[t, b, k] operators[k] x_b.
 
     state is (cells, n), one row x_b per cell, and coefficients(times) gives c
-    as (times, cells, K); ValueError for another cells or K. The executor
-    takes c of t = 0 and then, from one coefficients call per BLOCK_STEPS
-    steps, those of the t + dt/2 and t + dt of a chunk of steps at a time; a
-    chunk ends at a recorded point or at the end of a block. It turns them
-    into weights (_batch_csr, scaled by dt/2, so that a right-hand side adds
-    the stage increment (dt/2) d/dt x to the array it is given). With
+    as (times, cells, K); ValueError for another cells or K. A complex state
+    takes c cast to complex, a real one c's real part: ValueError for a
+    nonzero imaginary part, NaN included. The executor takes c of t = 0 and
+    then, from one coefficients call per BLOCK_STEPS steps, those of the
+    t + dt/2 and t + dt of a chunk of steps at a time; a chunk ends at a
+    recorded point or at the end of a block. It turns them into weights
+    (_batch_csr, scaled by dt/2, so that a right-hand side adds the stage
+    increment (dt/2) d/dt x to the array it is given). With
     a_i = (dt/2) k_i a step is state + (a1 + 2 a2 + 2 a3 + a4) * THIRD. The
     sum is collected apart from the state, away from its magnitude, and the
     last stage's product is added to it directly; the equation being linear,
@@ -347,10 +349,14 @@ def _rk4(coefficients: Callable[[np.ndarray], np.ndarray], operators, state: np.
     dt = t_f / n_steps  # land exactly on t_f
     every = cfg.record_every
     cells, n = state.shape
+    real = not np.iscomplexobj(state)
     observer.start(-(-n_steps // every) + 1, dt, state)  # t = 0, every every-th step, t_f
 
     def coefficients_at(times):
         c = coefficients(times)
+        if real and np.iscomplexobj(c) and np.any(c.imag != 0):  # NaN too
+            raise ValueError("master-equation coefficients must be real")
+        c = c.real if real else np.asarray(c, dtype=complex)
         if c.shape[1:] != (cells, len(operators)):  # csr_matvec reads cells * E weights
             raise ValueError(f"coefficients {c.shape[1:]} for {cells} cells of "
                              f"{len(operators)} operators")
@@ -757,8 +763,7 @@ def evolve_schrodinger(
         tol=NORM_TOL, fidelity=lambda y: fidelity(unpack(y), target), unpack=unpack,
         record=lambda times, y: _leaked_row(np.abs(unpack(y)) ** 2, tracked),
         reported=reported, series=psi.ndim == 1)
-    result = _rk4(lambda times: np.asarray(coefficients(times), dtype=complex), -1j * lumped,
-                  state[:, firsts], t_f, cfg, observer)
+    result = _rk4(coefficients, -1j * lumped, state[:, firsts], t_f, cfg, observer)
     return _one_cell(result) if psi.ndim == 1 else result
 
 
@@ -1129,12 +1134,6 @@ def evolve_lindblad(
     diagonal = liouvillian.real_of[entries // dim == entries % dim]
     populations = liouvillian._reader(2 * (dim + 1) * np.arange(dim))  # Re rho_ii
 
-    def real_coefficients(times):
-        c = coefficients(times)
-        if np.iscomplexobj(c) and np.any(c.imag != 0):  # NaN too
-            raise ValueError("master-equation coefficients must be real")
-        return c.real
-
     warnings: list[tuple[int, str]] = []  # (cell, text)
     min_eigenvalue = 0.0
 
@@ -1161,7 +1160,7 @@ def evolve_lindblad(
         drift=lambda x: np.abs(x.take(diagonal, axis=-1).sum(axis=-1) - 1.0),
         drift_name="trace", tol=TRACE_TOL, fidelity=lambda x: fidelity(corner(x), seen_target),
         unpack=liouvillian.density, record=record, reported=reported, series=rho.ndim == 2)
-    result = _rk4(real_coefficients, liouvillian.operators, x0, t_f, cfg, observer)
+    result = _rk4(coefficients, liouvillian.operators, x0, t_f, cfg, observer)
     result.metadata.update(
         min_eigenvalue=min_eigenvalue, support=int(entries.size), coordinates=x0.shape[1],
         cells=len(cells),

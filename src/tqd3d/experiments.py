@@ -63,11 +63,6 @@ def default_pulse_set(kind: PulseKind, params: ModelParams | None = None) -> Pul
                     fitted=fitted)
 
 
-def _initial_state(space: hilbert.HilbertSpace) -> np.ndarray:
-    sub = hilbert.build_subspace()
-    return space.ket(sub.basis[0])
-
-
 def simulate_closed(params: ModelParams, pulse_set: PulseSet,
                     cfg: IntegratorConfig = IntegratorConfig()) -> SimResult:
     """Pure-state run on the 8-dim subspace from 0 to params.t_f.
@@ -75,8 +70,7 @@ def simulate_closed(params: ModelParams, pulse_set: PulseSet,
     It runs as a batch of one on simulate_closed_batch's path; its first
     failure (pulse synthesis or norm drift) is raised when the run ends.
     """
-    drives = model.CellDrives([(params, pulse_set)])
-    return _evolve_closed(drives, _initial_state(hilbert.build_subspace()), params.t_f, cfg)
+    return _evolve_closed(model.CellDrives([(params, pulse_set)]), params.t_f, cfg)
 
 
 def simulate_open(params: ModelParams, pulse_set: PulseSet,
@@ -88,29 +82,28 @@ def simulate_open(params: ModelParams, pulse_set: PulseSet,
     one on the Liouville support (model.open_liouvillian); its first failure
     (pulse synthesis or trace drift) is raised when the run ends.
     """
-    drives = model.CellDrives([(params, pulse_set)])
-    return _evolve_open(drives, _initial_density(), params.t_f, cfg)
+    return _evolve_open(model.CellDrives([(params, pulse_set)]), params.t_f, cfg)
 
 
-def _initial_density() -> np.ndarray:
-    psi0 = _initial_state(model.open_space())
-    return np.outer(psi0, psi0.conj())
-
-
-def _evolve_closed(drives: model.CellDrives, psi0, t_final, cfg) -> SimResult:
+def _evolve_closed(drives: model.CellDrives, t_final, cfg, batch=False) -> SimResult:
+    """The closed run of drives from |phi_1>: one run, or with batch one start per cell."""
     chain = hilbert.build_subspace()
+    psi0 = model.initial_state(chain)
     return dynamics.evolve_schrodinger(
-        model.hamiltonian_terms(chain), drives, psi0, t_final, cfg,
+        model.hamiltonian_terms(chain), drives,
+        np.tile(psi0, (len(drives.cells), 1)) if batch else psi0, t_final, cfg,
         target=dynamics.target_state(chain), reported=drives.errors,
     )
 
 
-def _evolve_open(drives: model.CellDrives, rho0, t_final, cfg) -> SimResult:
+def _evolve_open(drives: model.CellDrives, t_final, cfg, batch=False) -> SimResult:
+    """The open run of drives from |phi_1><phi_1|, as _evolve_closed's."""
     space = model.open_space()
+    rho0 = model.initial_state(space, density=True)
     return dynamics.evolve_lindblad(
         model.open_liouvillian(),
         model.open_coefficients(drives, [params for params, _ in drives.cells]),
-        rho0, t_final, cfg,
+        np.tile(rho0, (len(drives.cells), 1, 1)) if batch else rho0, t_final, cfg,
         tracked=hilbert.subspace_indices(hilbert.build_subspace(), space),
         target=dynamics.target_state(space), reported=drives.errors,
     )
@@ -125,9 +118,7 @@ def simulate_closed_batch(cells: Sequence[tuple[ModelParams, PulseSet]], t_final
     dynamics.NORM_TOL gets NaN and the note simulate_closed's exception would
     give; the other cells run on unaffected. Healthy cells get an empty note.
     """
-    drives = model.CellDrives(cells)
-    psi0 = np.tile(_initial_state(hilbert.build_subspace()), (len(drives.cells), 1))
-    return _outcomes(_evolve_closed(drives, psi0, t_final, cfg))
+    return _outcomes(_evolve_closed(model.CellDrives(cells), t_final, cfg, batch=True))
 
 
 def simulate_open_batch(cells: Sequence[tuple[ModelParams, PulseSet]], t_final: float,
@@ -139,9 +130,7 @@ def simulate_open_batch(cells: Sequence[tuple[ModelParams, PulseSet]], t_final: 
     drifts beyond dynamics.TRACE_TOL gets NaN and the note simulate_open's
     exception would give; the other cells run on unaffected.
     """
-    drives = model.CellDrives(cells)
-    rho0 = np.tile(_initial_density(), (len(drives.cells), 1, 1))
-    return _outcomes(_evolve_open(drives, rho0, t_final, cfg))
+    return _outcomes(_evolve_open(model.CellDrives(cells), t_final, cfg, batch=True))
 
 
 def _outcomes(result: SimResult) -> list[tuple[float, str]]:
@@ -246,15 +235,6 @@ def _run_grid(cell, simulate, size: int, axes, fixed: dict, threads: int,
     )
 
 
-def _pulse_provenance(pulse_set: PulseSet) -> dict:
-    """Pulse kind plus, for a fitted pulse, its terms under their config-key names."""
-    info = {"pulse_kind": pulse_set.kind.value}
-    for k, term in enumerate(pulse_set.fitted.terms if pulse_set.fitted else (), start=1):
-        info.update({f"fit_amp{k}": term.amplitude, f"fit_center{k}": term.center,
-                     f"fit_width{k}": term.width})
-    return info
-
-
 def _surface_cell(t_f, delta, omega0, tau_frac, width_frac, cfg):
     params = ModelParams(delta=delta, t_f=t_f)
     stirap = StirapParams.for_duration(t_f, omega0, tau_frac, width_frac)
@@ -284,6 +264,25 @@ def run_fidelity_surface(
         provenance={"pulse_kind": PulseKind.TQD_EXACT.value, "omega0": omega0,
                     "tau_frac": tau_frac, "width_frac": width_frac, "dt": cfg.dt},
     )
+
+
+def _pulse_scan(cell, simulate, size: int, axes, params: ModelParams | None,
+                cfg: IntegratorConfig, pulse_set: PulseSet | None, threads: int) -> SweepGrid:
+    """_run_grid of cell(**point, params, pulse_set, cfg) over axes, for one designed pulse.
+
+    params default to ModelParams() and pulse_set to the reference fitted
+    pulse; the provenance names the pulse kind, a fitted pulse's terms under
+    their config-key names, delta, t_f and dt.
+    """
+    params = params or ModelParams()
+    pulse_set = pulse_set or default_pulse_set(PulseKind.TQD_FITTED, params)
+    provenance = {"pulse_kind": pulse_set.kind.value, "delta": params.delta,
+                  "t_f": params.t_f, "dt": cfg.dt}
+    for k, term in enumerate(pulse_set.fitted.terms if pulse_set.fitted else (), start=1):
+        provenance.update({f"fit_amp{k}": term.amplitude, f"fit_center{k}": term.center,
+                           f"fit_width{k}": term.width})
+    return _run_grid(cell, simulate, size, axes,
+                     {"params": params, "pulse_set": pulse_set, "cfg": cfg}, threads, provenance)
 
 
 ROBUSTNESS_PARAMETERS = ("t_f", "g", "delta", "amplitude")
@@ -317,17 +316,11 @@ def run_robustness_scan(
     actual system parameter (or, for "amplitude", both Gaussian amplitudes
     jointly) takes the deviated value. Rows are deviations, columns parameters.
     """
-    params = params or ModelParams()
-    pulse_set = pulse_set or default_pulse_set(PulseKind.TQD_FITTED, params)
-    return _run_grid(
+    return _pulse_scan(
         _robustness_cell, simulate_closed_batch, BATCH_CELLS,
         [("deviation", "deviation", np.asarray(deviations, dtype=float)),
          ("parameter", "parameter", np.array(ROBUSTNESS_PARAMETERS))],
-        {"params": params, "pulse_set": pulse_set, "cfg": cfg},
-        threads,
-        provenance={**_pulse_provenance(pulse_set), "delta": params.delta,
-                    "t_f": params.t_f, "dt": cfg.dt},
-    )
+        params, cfg, pulse_set, threads)
 
 
 def _decoherence_cell(kappa, gamma, params, pulse_set, cfg):
@@ -346,16 +339,10 @@ def run_decoherence_surface(
 
     pulse_set defaults to the reference fitted pulse.
     """
-    params = params or ModelParams()
-    pulse_set = pulse_set or default_pulse_set(PulseKind.TQD_FITTED, params)
-    return _run_grid(
+    return _pulse_scan(
         _decoherence_cell, simulate_open_batch, OPEN_BATCH_CELLS,
         [("kappa/g", "kappa", kappa_values), ("gamma/g", "gamma", gamma_values)],
-        {"params": params, "pulse_set": pulse_set, "cfg": cfg},
-        threads,
-        provenance={**_pulse_provenance(pulse_set), "delta": params.delta,
-                    "t_f": params.t_f, "dt": cfg.dt},
-    )
+        params, cfg, pulse_set, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -372,11 +359,13 @@ def write_csv(path: Path, header: list[str], rows, provenance: dict | None = Non
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_sim_result(path: Path, result: SimResult, provenance: dict | None = None):
+def write_sim_result(path: Path, result: SimResult, provenance: dict | None = None) -> list[str]:
+    """write_csv of t, the populations and F at each recorded point; returns the header."""
     n_tracked = result.populations.shape[1] - 1
     header = ["t*g"] + [f"P_phi{i + 1}" for i in range(n_tracked)] + ["P_leaked", "F"]
     rows = np.column_stack([result.times, result.populations, result.fidelity]).tolist()
     write_csv(path, header, rows, provenance)
+    return header
 
 
 def write_sweep_grid(path: Path, grid: SweepGrid):
@@ -400,9 +389,10 @@ def write_sweep_grid(path: Path, grid: SweepGrid):
     write_csv(path, header, rows, prov)
 
 
-def write_plot_script(path: Path, csv_name: str, title: str, mode: str = "lines",
+def write_plot_script(path: Path, title: str, mode: str = "lines",
                       columns: tuple[int, ...] = (1, 2), labels: tuple[str, ...] = ()):
-    """Minimal gnuplot script next to a CSV."""
+    """Minimal gnuplot script of the CSV beside it, which has path's name with ".csv"."""
+    csv_name = Path(path).with_suffix(".csv").name
     lines = [
         "set datafile separator ','",
         f"set title '{title}'",

@@ -189,6 +189,12 @@ def collapse_channels(
             for move, rate in _CHANNELS]
 
 
+def initial_state(space: HilbertSpace, density: bool = False) -> np.ndarray:
+    """|phi_1> on space, where every run starts, or with density |phi_1><phi_1|."""
+    psi = space.ket(hilbert.build_subspace().basis[0])
+    return np.outer(psi, psi.conj()) if density else psi
+
+
 @lru_cache(maxsize=None)
 def open_space() -> HilbertSpace:
     """The 16 states reachable from |phi_1> under hamiltonian_terms and the collapse operators.
@@ -215,11 +221,10 @@ def open_liouvillian() -> dynamics.Liouvillian:
     needs a Liouvillian of its own (dynamics.Liouvillian.reachable).
     """
     space = open_space()
-    psi0 = space.ket(hilbert.build_subspace().basis[0])
     dissipators = [dynamics.dissipator_superoperator(collapse_channels(rates, space), space.dim)
                    for rates in (ModelParams(kappa=1.0), ModelParams(gamma=1.0))]
     return dynamics.Liouvillian.reachable(hamiltonian_terms(space), dissipators,
-                                          np.outer(psi0, psi0.conj()))
+                                          initial_state(space, density=True))
 
 
 def open_coefficients(drives: Callable, params: Sequence[ModelParams]) -> Callable:

@@ -1,12 +1,36 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
+import tqd3d
 from tqd3d import hilbert
 from tqd3d.hilbert import LevelA, LevelB
 from tqd3d.model import ModelParams
 from tqd3d.pulses import PulseKind, StirapParams
+
+
+def fresh_python(*args: str, env: dict | None = None, timeout: float = 60, popen: bool = False):
+    """python args... in a fresh interpreter that imports this tqd3d, with env over os.environ.
+
+    The tqd3d package's src/ comes first on PYTHONPATH. The run goes to its
+    end, its output captured as text, a non-zero exit raising
+    CalledProcessError; with popen it is only started, as a Popen in a
+    session of its own with stdout and stderr piped.
+    """
+    src = str(Path(tqd3d.__file__).resolve().parents[1])
+    environ = {**os.environ, **(env or {}),
+               "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    argv = [sys.executable, *args]
+    if popen:
+        return subprocess.Popen(argv, env=environ, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True, start_new_session=True)
+    return subprocess.run(argv, env=environ, capture_output=True, text=True, timeout=timeout,
+                          check=True)
 
 
 class Terms(NamedTuple):

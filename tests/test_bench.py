@@ -138,7 +138,7 @@ def test_cli_rounds_alternate_the_trees_and_write_quartiles(tmp_path, monkeypatc
         side = "against" if tree == tmp_path.resolve() else "this"
         calls.append((" ".join(argv), side))
         scale = (1.0 if side == "this" else 2.0) * len(calls)
-        return {"wall_s": scale, "cpu_s": 0.5 * scale, "maxrss_mb": 40.0}
+        return {"wall_s": scale, "cpu_s": 0.5 * scale, "maxrss_mb": 40.0, "outputs": {}}
 
     def fake_setup(tree, call):
         side = "against" if tree == tmp_path.resolve() else "this"
@@ -148,6 +148,7 @@ def test_cli_rounds_alternate_the_trees_and_write_quartiles(tmp_path, monkeypatc
     monkeypatch.setattr(bench, "run_perfbench", fake_perfbench)
     monkeypatch.setattr(bench, "run_cli", fake_cli)
     monkeypatch.setattr(bench, "run_setup", fake_setup)
+    monkeypatch.setattr(bench, "FAILURE_COMMANDS", {})
     assert bench.main(["--label", "c", "--seeds", "1", "--cli-rounds", "3",
                        "--against", str(tmp_path), "--out", str(tmp_path)]) == 0
     commands = [" ".join(argv) for argv in bench.CLI_COMMANDS.values()]
@@ -166,7 +167,8 @@ def test_cli_rounds_alternate_the_trees_and_write_quartiles(tmp_path, monkeypatc
     assert calls == [(command, side) for order in (first, second, first)
                      for command in commands + setups for side in order]
     out = json.loads((tmp_path / "BENCH_c.json").read_text())
-    assert out["cli_rounds"] == 3 and set(out["cli"]) == {"thread_variables", "this", "against"}
+    assert out["cli_rounds"] == 3
+    assert set(out["cli"]) == {"thread_variables", "this", "against", "outputs"}
     # pulses ran as calls 1, 42 and 81 on this side, verify as 36, 75 and 116 on the other
     assert out["cli"]["this"]["pulses"] == {
         "wall_s": bench.quartiles([1.0, 42.0, 81.0]),
@@ -198,6 +200,7 @@ def test_cli_rounds_record_the_blas_threads_their_commands_inherit(tmp_path, mon
         "sys.exit(0 if got == want else f'inherited {got}')\n"))
     monkeypatch.setattr(bench, "CLI_COMMANDS", {"pulses": ["pulses"]})
     monkeypatch.setattr(bench, "SETUP_CALLS", {})
+    monkeypatch.setattr(bench, "FAILURE_COMMANDS", {})
     monkeypatch.setattr(bench, "run_perfbench", lambda tree, workload, seed, seconds:
                         bench.read_run(_write_result(tmp_path / f"{workload}.json", 0.1, [0.1])))
     monkeypatch.setattr(bench, "ROOT", tree)
@@ -274,3 +277,65 @@ def test_each_side_names_the_sources_it_ran(tmp_path, monkeypatch):
         assert out["environment"][side] == {
             "nproc": 2, "git_commit": "unavailable", "source_sha256": bench.source_sha256(tree),
             "src_lines": 1, "git_dirty": "unavailable"}  # neither tree is a git checkout
+
+
+# A stand-in CLI: a CSV per command with F from the tree's own FIELD, a verify report
+# with a fresh timing, fixed stdout and stderr, and the exit code of FAKE_EXIT.
+_FAKE_CLI = """import json, os, sys, time
+from pathlib import Path
+out, argv = Path(sys.argv[2]), sys.argv[3:]
+name = "_".join(argv).replace("-", "")
+if argv == ["verify"]:
+    report = {"passed": True, "criteria": [{"id": "x", "wall_s": time.perf_counter()}]}
+    (out / "verify_report.json").write_text(json.dumps(report))
+(out / f"{name}.csv").write_text("t,F\\n50,%s\\n" % FIELD.get(name, "0.999986"))
+print("final_fidelity=0.999986")
+print("done", file=sys.stderr)
+sys.exit(int(os.environ.get("FAKE_EXIT", "0")))
+"""
+
+
+def test_output_digest_leaves_out_the_verify_timings(tmp_path):
+    report = tmp_path / "verify_report.json"
+    digests = []
+    for wall_s, value in ((0.5, 1.0), (0.25, 1.0), (0.5, 2.0)):
+        report.write_text(json.dumps({"criteria": [{"id": "x", "measured": {"f": value},
+                                                    "wall_s": wall_s}], "passed": True}))
+        digests.append(bench.output_digest(report))
+    assert digests[0] == digests[1] != digests[2]
+    other = tmp_path / "other.json"
+    other.write_bytes(report.read_bytes())  # the timings count in any other file
+    assert bench.output_digest(other) != digests[2]
+
+
+def test_run_cli_records_the_exit_code_and_digests_of_every_output(tmp_path):
+    tree = _cli_tree(tmp_path / "tree", "FIELD = {}\n" + _FAKE_CLI)
+    run = bench.run_cli(tree, ["sweep", "--figure", "4b"], {"FAKE_EXIT": "3"}, expect=3)
+    assert set(run["outputs"]) == {"exit_code", "stdout", "stderr", "out/sweep_figure_4b.csv"}
+    assert run["outputs"]["exit_code"] == 3
+    assert run["outputs"]["stdout"] == bench.hashlib.sha256(b"final_fidelity=0.999986\n").hexdigest()
+    with pytest.raises(SystemExit, match="FAKE_EXIT=2 tqd3d pulses in .* exited 2 \\(not 3\\)"):
+        bench.run_cli(tree, ["pulses"], {"FAKE_EXIT": "2"}, expect=3)
+
+
+def test_cli_outputs_flag_one_printed_digit_in_one_command_and_no_other(tmp_path, monkeypatch):
+    this = _cli_tree(tmp_path / "this", "FIELD = {}\n" + _FAKE_CLI)
+    other = _cli_tree(tmp_path / "other", "FIELD = {'sweep_figure_4b': '0.999987'}\n" + _FAKE_CLI)
+    (this / "BENCHMARK.json").write_bytes((_PATH.parents[1] / "BENCHMARK.json").read_bytes())
+    assert not set(bench.FAILURE_COMMANDS) & set(bench.CLI_COMMANDS)
+    monkeypatch.setattr(bench, "ROOT", this)
+    monkeypatch.setattr(bench, "CLI_COMMANDS", {name: bench.CLI_COMMANDS[name]
+                                                for name in ("pulses", "sweep-4b", "verify")})
+    monkeypatch.setattr(bench, "FAILURE_COMMANDS",
+                        {"fail-sweep-9": ({"FAKE_EXIT": "3"}, ["sweep", "--figure", "9"], 3)})
+    monkeypatch.setattr(bench, "SETUP_CALLS", {})
+    monkeypatch.setattr(bench, "run_perfbench", lambda tree, workload, seed, seconds:
+                        bench.read_run(_write_result(tmp_path / f"{workload}.json", 0.1, [0.1])))
+    assert bench.main(["--label", "o", "--cli-rounds", "2", "--against", str(other),
+                       "--out", str(tmp_path)]) == 0
+    outputs = json.loads((tmp_path / "BENCH_o.json").read_text())["cli"]["outputs"]
+    agree = {"this": True, "against": True}  # the verify timings differ in every run
+    same = {"identical": True, "differ": [], "rounds_agree": agree}
+    assert outputs == {"pulses": same, "verify": same, "fail-sweep-9": same,
+                       "sweep-4b": {"identical": False, "differ": ["out/sweep_figure_4b.csv"],
+                                    "rounds_agree": agree}}

@@ -6,7 +6,6 @@ import os
 import platform
 import re
 import signal
-import subprocess
 import sys
 import tempfile
 import time
@@ -16,11 +15,13 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy
+from conftest import fresh_python
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import tqd3d
 from tqd3d import cli, dynamics, experiments
+from tqd3d.pulses import PulseKind
 
 
 @pytest.fixture(autouse=True)
@@ -105,11 +106,7 @@ def test_manifest_digest_through_hashlib(tmp_path):
     code = ("import sys; sys.modules['_sha2'] = sys.modules['_sha256'] = None; "
             "from tqd3d import cli; print('hashlib' in sys.modules); "
             "sys.exit(cli.main(['--config', sys.argv[1], '--out', sys.argv[2], 'pulses']))")
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, **env,
-           "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    proc = subprocess.run([sys.executable, "-c", code, str(config), str(tmp_path)], env=env,
-                          capture_output=True, text=True, timeout=60, check=True)
+    proc = fresh_python("-c", code, str(config), str(tmp_path), env=env)
     assert proc.stdout.splitlines()[0] == "True"
     assert _manifest_digest(tmp_path) == digest
 
@@ -421,12 +418,9 @@ def _children(pid):
 @pytest.mark.skipif(not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
                     reason="needs /proc/PID/task/TID/children to find the workers")
 def test_sigint_exits_130_and_leaves_no_worker(tmp_path):
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    proc = subprocess.Popen([sys.executable, "-m", "tqd3d.cli", "--out", str(tmp_path),
-                             "sweep", "--figure", "4a", "--threads", "2"], env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-                            start_new_session=True)  # its own group: the finally ends workers too
+    # in a session of its own, so the finally ends its workers too
+    proc = fresh_python("-m", "tqd3d.cli", "--out", str(tmp_path), "sweep", "--figure", "4a",
+                        "--threads", "2", popen=True)
     try:
         deadline = time.monotonic() + 30
         while len(workers := _children(proc.pid)) < 2 and time.monotonic() < deadline:
@@ -553,10 +547,10 @@ def test_simulate_instability_exit_code(tmp_path, monkeypatch, capsys, settings,
         assert math.isfinite(drift) and drift > dynamics.TRACE_TOL
 
     cfg, _ = cli.load_config(None)
-    kind = cli._METHODS[method]
     params = cfg.model_params()
     batch = experiments.simulate_open_batch if open_system else experiments.simulate_closed_batch
-    ((f, note),) = batch([(params, cfg.pulse_set(kind))], params.t_f, cfg.integrator())
+    ((f, note),) = batch([(params, cfg.pulse_set(PulseKind(method)))], params.t_f,
+                         cfg.integrator())
     assert math.isnan(f)
     assert note == f"IntegratorInstabilityError: {match[1]}"
 
@@ -606,72 +600,54 @@ def test_sweep_axis_outside_domain_exit_code(tmp_path, monkeypatch, capsys, sett
     assert err.startswith("config error: ") and err.count("\n") == 1
 
 
-def test_import_leaves_out_the_fitter():
+# Each probe runs its commands in one fresh interpreter and checks, after the import and
+# after each command, that none of its modules is loaded; then that each output file
+# exists, and for a sweep that its CSV has the rows and columns its settings give.
+_PROBES = {
     # scipy.optimize is a third of the import time; only pulse fitting needs it.
     # The process pool takes 5-7 ms more; only a sweep with threads > 1 needs it.
     # scipy.sparse takes about 160 ms; dynamics loads only its compiled kernels.
     # scipy itself is read only for the manifest's version line.
     # hashlib loads OpenSSL's _hashlib, 3.6 MB, for the manifest's one SHA-256.
-    modules = ["scipy.optimize", "concurrent.futures.process", "scipy.sparse", "scipy",
-               "_hashlib"]
-    code = f"import sys, tqd3d.cli; print([m in sys.modules for m in {modules!r}])"
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60, check=True)
-    assert proc.stdout.strip() == "[False, False, False, False, False]"
-
-
-def test_closed_runs_leave_out_scipy_sparse(tmp_path):
+    "import_leaves_out_the_fitter": (
+        [], {}, ["scipy.optimize", "concurrent.futures.process", "scipy.sparse", "scipy",
+                 "_hashlib"], {}),
     # Closed runs apply their operators with the kernels alone; of the
     # commands only verify's pulse fit loads scipy.sparse, through scipy.optimize.
-    code = ("import sys; from tqd3d import cli; "
-            "print(cli.main(['--out', sys.argv[1], 'simulate', '--method', 'tqd']), "
-            "'scipy.sparse' in sys.modules); "
-            "print(cli.main(['--out', sys.argv[1], 'sweep', '--figure', '4b']), "
-            "'scipy.sparse' in sys.modules)")
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", ""),
-           "TQD3D_DT": "0.05", "TQD3D_SURFACE_DELTA": "3:4:3"}
-    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
-                          capture_output=True, text=True, timeout=120, check=True)
-    assert proc.stdout.splitlines()[-2:] == ["0 False", "0 False"]
-    assert (tmp_path / "simulate_tqd_closed.csv").exists()
-    assert len(read_csv(tmp_path / "fidelity_vs_delta.csv")[1]) == 3
-
-
-def test_open_runs_leave_out_scipy_sparse(tmp_path):
+    "closed_runs_leave_out_scipy_sparse": (
+        [["simulate", "--method", "tqd"], ["sweep", "--figure", "4b"]],
+        {"TQD3D_DT": "0.05", "TQD3D_SURFACE_DELTA": "3:4:3"}, ["scipy.sparse"],
+        {"simulate_tqd_closed.csv": None, "fidelity_vs_delta.csv": (3, 2)}),
     # The Liouvillian and its dissipators are built with numpy alone. numpy.ma
     # (1.2 MB) stays out too: a bare np.unique imports it.
-    code = ("import sys; from tqd3d import cli; "
-            "print(cli.main(['--out', sys.argv[1], 'simulate', '--open']), "
-            "'scipy.sparse' in sys.modules, 'numpy.ma' in sys.modules); "
-            "print(cli.main(['--out', sys.argv[1], 'sweep', '--figure', '9']), "
-            "'scipy.sparse' in sys.modules, 'numpy.ma' in sys.modules)")
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", ""),
-           "TQD3D_DT": "0.05", "TQD3D_SWEEP_DT": "0.05",
-           "TQD3D_DECOHERENCE_KAPPA": "0:0.02:2", "TQD3D_DECOHERENCE_GAMMA": "0:0.02:2"}
-    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
-                          capture_output=True, text=True, timeout=120, check=True)
-    assert proc.stdout.splitlines()[-2:] == ["0 False False", "0 False False"]
-    assert (tmp_path / "simulate_tqd-fitted_open.csv").exists()
-    assert read_csv(tmp_path / "decoherence_surface.csv")[1].shape == (4, 3)
-
-
-def test_open_simulate_leaves_out_csgraph(tmp_path):
+    "open_runs_leave_out_scipy_sparse": (
+        [["simulate", "--open"], ["sweep", "--figure", "9"]],
+        {"TQD3D_DT": "0.05", "TQD3D_SWEEP_DT": "0.05",
+         "TQD3D_DECOHERENCE_KAPPA": "0:0.02:2", "TQD3D_DECOHERENCE_GAMMA": "0:0.02:2"},
+        ["scipy.sparse", "numpy.ma"],
+        {"simulate_tqd-fitted_open.csv": None, "decoherence_surface.csv": (4, 3)}),
     # rho's blocks come from hilbert.closure: importing scipy.sparse.csgraph
     # for them would add about 11 MB to the peak RSS of an open run.
-    code = ("import sys; from tqd3d import cli; "
-            "code = cli.main(['--out', sys.argv[1], 'simulate', '--open']); "
-            "print(code, 'scipy.sparse.csgraph' in sys.modules)")
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", ""),
-           "TQD3D_DT": "0.05"}
-    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
-                          capture_output=True, text=True, timeout=120, check=True)
-    assert proc.stdout.split()[-2:] == ["0", "False"]
-    assert (tmp_path / "simulate_tqd-fitted_open.csv").exists()
+    "open_simulate_leaves_out_csgraph": (
+        [["simulate", "--open"]], {"TQD3D_DT": "0.05"}, ["scipy.sparse.csgraph"],
+        {"simulate_tqd-fitted_open.csv": None}),
+}
+
+
+@pytest.mark.parametrize("commands, env, modules, outputs", _PROBES.values(), ids=_PROBES)
+def test_fresh_interpreter_leaves_out(tmp_path, commands, env, modules, outputs):
+    code = ("import sys, tqd3d.cli\n"
+            f"print('probe', 0, *[m in sys.modules for m in {modules!r}])\n"
+            f"for argv in {commands!r}:\n"
+            "    code = tqd3d.cli.main(['--out', sys.argv[1], *argv])\n"
+            f"    print('probe', code, *[m in sys.modules for m in {modules!r}])\n")
+    proc = fresh_python("-c", code, str(tmp_path), env=env, timeout=120)
+    probes = [line for line in proc.stdout.splitlines() if line.startswith("probe ")]
+    assert probes == [" ".join(["probe", "0"] + ["False"] * len(modules))] * (1 + len(commands))
+    for name, shape in outputs.items():
+        assert (tmp_path / name).exists()
+        if shape is not None:
+            assert read_csv(tmp_path / name)[1].shape == shape
 
 
 @pytest.mark.parametrize("setting, argv, code", [

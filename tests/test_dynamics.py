@@ -1,16 +1,15 @@
 import importlib.machinery
 import math
 import os
-import subprocess
 import sys
 import time
 import weakref
-from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from conftest import annihilation_operator, excited_projector, h_of_t, structure_terms
+from conftest import (annihilation_operator, excited_projector, fresh_python, h_of_t,
+                      structure_terms)
 
 from tqd3d import dynamics, experiments, hilbert, model, pulses, verify
 from tqd3d.dynamics import IntegratorConfig, IntegratorInstabilityError
@@ -236,6 +235,53 @@ def test_coefficients_that_turn_nan_fail_the_cell():
     liouvillian = dynamics.Liouvillian.reachable([SIGMA_X], [], rho0)
     with pytest.raises(IntegratorInstabilityError, match="coefficients not finite"):
         dynamics.evolve_lindblad(liouvillian, _nan_after(0.5), rho0, 2.0, cfg)
+
+
+def _open_fitted_run(coefficients=None, cfg=IntegratorConfig(dt=0.05)):
+    """An open run of the reference fitted pulse to t = 5, with coefficients(c) of its own."""
+    params = ModelParams(kappa=0.01, gamma=0.02)
+    drives = model.open_coefficients(model.CellDrives(
+        [(params, experiments.default_pulse_set(PulseKind.TQD_FITTED, params))]), [params])
+    return dynamics.evolve_lindblad(
+        model.open_liouvillian(), lambda times: (coefficients or (lambda c: c))(drives(times)),
+        model.initial_state(model.open_space(), density=True), 5.0, cfg)
+
+
+def _with_imaginary(part):
+    """The real coefficients with part added as the imaginary part of the second drive column."""
+    def coefficients(c):
+        c = c.astype(complex)
+        c[..., 1] += 1j * part
+        return c
+    return coefficients
+
+
+@pytest.mark.parametrize("part", [1e-300, np.nan], ids=["nonzero", "nan"])
+def test_open_run_rejects_an_imaginary_coefficient_before_any_step(monkeypatch, part):
+    def no_executor(*args, **kwargs):
+        raise AssertionError("an executor was built")
+
+    monkeypatch.setattr(dynamics, "_batch_csr", no_executor)
+    with pytest.raises(ValueError, match="^master-equation coefficients must be real$"):
+        _open_fitted_run(_with_imaginary(part))
+
+
+def test_open_run_takes_zero_imaginary_parts_bit_for_bit():
+    real, complex_zero = _open_fitted_run(), _open_fitted_run(_with_imaginary(0.0))
+    for field in ("final_state", "populations", "fidelity"):
+        assert getattr(real, field).tobytes() == getattr(complex_zero, field).tobytes()
+
+
+def test_closed_run_casts_real_coefficients_bit_for_bit():
+    params = ModelParams()
+    drives = model.CellDrives([(params, experiments.default_pulse_set(PulseKind.TQD_FITTED))])
+    assert not np.iscomplexobj(drives(np.zeros(1)).real)
+    runs = [dynamics.evolve_schrodinger(
+        model.hamiltonian_terms(hilbert.build_subspace()), coefficients, np.eye(8)[0], 5.0,
+        IntegratorConfig(dt=0.05)) for coefficients in (
+            lambda times: drives(times).real, lambda times: drives(times).real.astype(complex))]
+    for field in ("final_state", "populations", "fidelity"):
+        assert getattr(runs[0], field).tobytes() == getattr(runs[1], field).tobytes()
 
 
 @pytest.mark.parametrize("threshold", [0, math.inf], ids=["step_loop", "step_program"])
@@ -1003,10 +1049,7 @@ def test_sparse_kernels_load_before_scipy_sparse():
             "a = sp.csr_matrix(np.array([[0.0, 2.0], [0.0, 0.0]])); "
             "print(sp._sparsetools.csr_matvec is dynamics.csr_matvec, a @ np.ones(2), "
             "connected_components(a)[0])")
-    src = str(Path(dynamics.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60, check=True)
+    proc = fresh_python("-c", code)
     assert proc.stdout.split() == ["True", "[2.", "0.]", "1"]
 
 
@@ -1067,7 +1110,8 @@ def _undriven_run(real: bool, case: str, cells: int):
         return c * 0.0 if case == "all_zero" else c
 
     if real:
-        rho0 = np.tile(experiments._initial_density(), (cells, 1, 1))
+        rho0 = np.tile(model.initial_state(model.open_space(), density=True),
+                       (cells, 1, 1))
         return dynamics.evolve_lindblad(
             model.open_liouvillian(), coefficients, rho0, 4.0, cfg,
             tracked=hilbert.subspace_indices(hilbert.build_subspace(), model.open_space()),
@@ -1151,7 +1195,7 @@ def test_executors_read_the_coefficient_blocks_in_place(monkeypatch, threshold):
     open_run = dynamics.evolve_lindblad(
         model.open_liouvillian(), returning(model.open_coefficients(
             model.CellDrives(cells[:1]), [params])),
-        experiments._initial_density(), 10.0, cfg)
+        model.initial_state(model.open_space(), density=True), 10.0, cfg)
     psi0 = np.tile(np.eye(8, dtype=complex)[0], (3, 1))
     closed = dynamics.evolve_schrodinger(model.hamiltonian_terms(hilbert.build_subspace()),
                                          returning(model.CellDrives(cells)), psi0, 10.0, cfg)

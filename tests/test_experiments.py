@@ -258,15 +258,14 @@ def test_write_sweep_grid_long_format(tmp_path):
 
 
 def test_write_plot_scripts(tmp_path):
-    line_path = tmp_path / "lines.gp"
-    experiments.write_plot_script(line_path, "data.csv", "demo",
-                                  columns=(1, 2, 3), labels=("a", "b"))
+    line_path = tmp_path / "data.gp"
+    experiments.write_plot_script(line_path, "demo", columns=(1, 2, 3), labels=("a", "b"))
     text = line_path.read_text()
     assert "set datafile separator ','" in text
-    assert "using 1:2 with lines title 'a'" in text
-    assert "using 1:3 with lines title 'b'" in text
-    map_path = tmp_path / "map.gp"
-    experiments.write_plot_script(map_path, "grid.csv", "demo", mode="map")
+    assert "'data.csv' using 1:2 with lines title 'a'" in text
+    assert "'data.csv' using 1:3 with lines title 'b'" in text
+    map_path = tmp_path / "grid.gp"
+    experiments.write_plot_script(map_path, "demo", mode="map")
     assert "splot 'grid.csv' using 1:2:3" in map_path.read_text()
 
 

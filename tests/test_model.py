@@ -1,15 +1,11 @@
 import math
-import os
 import random
-import subprocess
-import sys
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import (annihilation_operator, excited_projector, h_of_t, hamiltonian, structure_stack,
-                      structure_terms)
+from conftest import (annihilation_operator, excited_projector, fresh_python, h_of_t, hamiltonian,
+                      structure_stack, structure_terms)
 
 from tqd3d import dynamics, experiments, hilbert, model, pulses, verify
 from tqd3d.model import ModelParams
@@ -150,10 +146,7 @@ def test_run_set_up_builds_no_80_dim_matrix():
             "model.hamiltonian_terms(hilbert.build_subspace()); "
             "chain = tracemalloc.get_traced_memory()[1]; tracemalloc.reset_peak(); "
             "model.open_space(); print(chain, tracemalloc.get_traced_memory()[1])")
-    src = str(Path(model.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60, check=True)
+    proc = fresh_python("-c", code)
     chain, open_space = map(int, proc.stdout.split())
     assert chain < 80 * 80 * 8 and open_space < 80 * 80 * 8, (chain, open_space)
 

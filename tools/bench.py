@@ -36,7 +36,15 @@ BENCH_<label>.json then holds under "cli", per side and command, the
 median and quartiles of wall_s, cpu_s and maxrss_mb, and under
 "cli"/"thread_variables" the BLAS thread variables the commands inherited
 (THREAD_VARIABLES, "unset" for one that is absent). A command that exits
-non-zero stops the bench.
+non-zero stops the bench. Each round then runs, untimed, every
+FAILURE_COMMANDS entry once per side: a command with its TQD3D_ settings,
+which must exit with its expected code. Every run, timed or not, records
+its exit code and the SHA-256 of its stdout, its stderr and each file under
+--out (output_digest: verify_report.json without its wall_s fields).
+"cli"/"outputs" holds per command whether the two sides gave the same
+record in their first round (identical), what differs ("exit_code",
+"stdout", "stderr" or "out/NAME"), and per side whether every round gave
+the record of its first (rounds_agree).
 
 Each round also times, per side and the trees taking turns as above, one
 fresh interpreter per SETUP_CALLS entry with BLAS on one thread (every
@@ -84,6 +92,21 @@ CLI_COMMANDS = {
     "sweep-9-threads-2": ["sweep", "--figure", "9", "--threads", "2"],
     "verify": ["verify"],
 }
+# Failing runs, untimed: (settings, command, expected exit code). Instability, a pulse with
+# no real root, an overflowing norm, sign-clash cells, the grid cap, positivity warnings.
+FAILURE_COMMANDS = {
+    "fail-simulate-dt": ({"TQD3D_DT": "0.5"}, ["simulate", "--method", "tqd"], 3),
+    "fail-simulate-delta": ({"TQD3D_DELTA": "-3.6"}, ["simulate", "--method", "tqd"], 2),
+    "fail-simulate-overflow": ({"TQD3D_DELTA": "1000", "TQD3D_DT": "0.05"},
+                               ["simulate", "--method", "tqd"], 3),
+    "fail-sweep-4b-sign": ({"TQD3D_SURFACE_DELTA": "-2.25:2.25:10"},
+                           ["sweep", "--figure", "4b"], 3),
+    "fail-sweep-4a-cap": ({"TQD3D_SURFACE_TF": "10:100:201",
+                           "TQD3D_SURFACE_DELTA": "0.5:10:201"}, ["sweep", "--figure", "4a"], 4),
+    "warn-simulate-open-dt": ({"TQD3D_DT": "0.5"},
+                              ["simulate", "--open", "--method", "tqd-fitted"], 0),
+}
+TIMED = ("wall_s", "cpu_s", "maxrss_mb")
 # What a CLI child inherits; perfbench runs set their own.
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SETUP_CALLS = {
@@ -205,23 +228,63 @@ def run_perfbench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return read_run(tree / ".perfbench_out" / workload / f"seed{seed}-trace0" / "result.json")
 
 
-def run_cli(tree: Path, argv: list[str]) -> dict:
-    """Wall time, child CPU time and peak RSS of one tqd3d command in tree; non-zero exit stops."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+def _without_wall_s(value):
+    if isinstance(value, dict):
+        return {key: _without_wall_s(v) for key, v in value.items() if key != "wall_s"}
+    if isinstance(value, list):
+        return [_without_wall_s(v) for v in value]
+    return value
+
+
+def output_digest(path: Path) -> str:
+    """SHA-256 of an output file; verify_report.json's wall_s timings are left out first."""
+    data = path.read_bytes()
+    if path.name == "verify_report.json":
+        data = json.dumps(_without_wall_s(json.loads(data)), sort_keys=True).encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_cli(tree: Path, argv: list[str], settings: dict | None = None, expect: int = 0) -> dict:
+    """One tqd3d command in tree, with settings added to its environment.
+
+    Gives its wall time, child CPU time and peak RSS (TIMED), and under
+    "outputs" its exit code and the digests of its stdout, stderr and each
+    file under --out. An exit code other than expect stops the bench.
+    """
+    env = {**os.environ, **(settings or {}), "PYTHONPATH": os.pathsep.join(
         filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")]))}
-    with tempfile.TemporaryDirectory() as out, open(Path(out) / "stderr", "w+") as err:
-        start = time.perf_counter()
-        child = subprocess.Popen([sys.executable, "-m", "tqd3d.cli", "--out", out, *argv],
-                                 cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=err)
-        _, status, usage = os.wait4(child.pid, 0)
-        wall = time.perf_counter() - start
-        child.returncode = os.waitstatus_to_exitcode(status)  # reaped: Popen must not wait
-        if child.returncode != 0:
-            err.seek(0)
-            sys.exit(f"bench: tqd3d {' '.join(argv)} in {tree} exited {child.returncode}:\n"
-                     f"{err.read()}")
+    with tempfile.TemporaryDirectory() as tmp:
+        out, streams = Path(tmp) / "out", {name: Path(tmp) / name for name in ("stdout", "stderr")}
+        out.mkdir()
+        with open(streams["stdout"], "w") as stdout, open(streams["stderr"], "w") as stderr:
+            start = time.perf_counter()
+            child = subprocess.Popen([sys.executable, "-m", "tqd3d.cli", "--out", str(out), *argv],
+                                     cwd=tree, env=env, stdout=stdout, stderr=stderr)
+            _, status, usage = os.wait4(child.pid, 0)
+            wall = time.perf_counter() - start
+        code = child.returncode = os.waitstatus_to_exitcode(status)  # reaped: Popen must not wait
+        if code != expect:
+            given = "".join(f"{key}={value} " for key, value in (settings or {}).items())
+            sys.exit(f"bench: {given}tqd3d {' '.join(argv)} in {tree} exited {code}"
+                     f"{f' (not {expect})' if expect else ''}:\n{streams['stderr'].read_text()}")
+        files = {**streams, **{f"out/{path.relative_to(out).as_posix()}": path
+                               for path in sorted(out.rglob("*")) if path.is_file()}}
+        outputs = {"exit_code": code, **{name: output_digest(path) for name, path in files.items()}}
     return {"wall_s": wall, "cpu_s": usage.ru_utime + usage.ru_stime,
-            "maxrss_mb": usage.ru_maxrss / 1024}  # Linux reports ru_maxrss in KiB
+            "maxrss_mb": usage.ru_maxrss / 1024,  # Linux reports ru_maxrss in KiB
+            "outputs": outputs}
+
+
+def compare_outputs(records: dict) -> dict:
+    """identical, differ and rounds_agree of one command from records[side], one per round."""
+    entry: dict = {"rounds_agree": {side: all(r == rounds[0] for r in rounds)
+                                    for side, rounds in records.items()}}
+    if {"this", "against"} <= records.keys():
+        this, against = records["this"][0], records["against"][0]
+        differ = sorted(key for key in this.keys() | against.keys()
+                        if this.get(key) != against.get(key))
+        entry = {"identical": not differ, "differ": differ, **entry}
+    return entry
 
 
 def run_setup(tree: Path, call: str) -> float:
@@ -236,13 +299,16 @@ def run_setup(tree: Path, call: str) -> float:
     return float(proc.stdout)
 
 
-def run_cli_rounds(trees: dict, rounds: int) -> tuple[dict, dict]:
-    """Per side, the quartiles of each command's run_cli metrics and of each set-up call.
+def run_cli_rounds(trees: dict, rounds: int) -> tuple[dict, dict, dict]:
+    """Per side, the quartiles of each command's TIMED metrics and of each set-up call,
+    and per command and failure command its compare_outputs.
 
-    Each round runs every command, then every set-up call, the sides taking
-    turns at going first.
+    Each round runs every command, then every failure command, then every
+    set-up call, the sides taking turns at going first.
     """
     runs: dict = {side: {name: [] for name in CLI_COMMANDS} for side in trees}
+    records: dict = {name: {side: [] for side in trees} for name in {**CLI_COMMANDS,
+                                                                     **FAILURE_COMMANDS}}
     setups: dict = {side: {name: [] for name in SETUP_CALLS} for side in trees}
     for k in range(rounds):
         order = list(trees) if k % 2 == 0 else list(trees)[::-1]
@@ -250,23 +316,26 @@ def run_cli_rounds(trees: dict, rounds: int) -> tuple[dict, dict]:
             for side in order:
                 run = run_cli(trees[side], argv)
                 runs[side][name].append(run)
+                records[name][side].append(run["outputs"])
                 print(f"cli {name} round {k} {side}: wall_s {run['wall_s']:.3f} s, "
                       f"cpu_s {run['cpu_s']:.3f} s, maxrss {run['maxrss_mb']:.1f} MB",
                       file=sys.stderr, flush=True)
+        for name, (settings, argv, expect) in FAILURE_COMMANDS.items():
+            for side in order:
+                records[name][side].append(run_cli(trees[side], argv, settings, expect)["outputs"])
         for name, call in SETUP_CALLS.items():
             for side in order:
                 seconds = run_setup(trees[side], call)
                 setups[side][name].append(seconds)
                 print(f"setup {name} round {k} {side}: {seconds * 1e3:.2f} ms",
                       file=sys.stderr, flush=True)
-    cli = {side: {name: {metric: quartiles([run[metric] for run in rows])
-                         for metric in rows[0]}
+    cli = {side: {name: {metric: quartiles([run[metric] for run in rows]) for metric in TIMED}
                   for name, rows in by_name.items()}
            for side, by_name in runs.items()}
     setup = {side: {name: {"min": min(samples), **quartiles(samples)}
                     for name, samples in by_name.items()}
              for side, by_name in setups.items()}
-    return cli, setup
+    return cli, setup, {name: compare_outputs(by_side) for name, by_side in records.items()}
 
 
 def main(argv=None) -> int:
@@ -318,9 +387,14 @@ def main(argv=None) -> int:
     if args.cli_rounds > 0:
         written["cli_command"] = "python3 -m tqd3d.cli --out TMPDIR COMMAND..."
         written["cli_rounds"] = args.cli_rounds
-        cli, setup = run_cli_rounds(trees, args.cli_rounds)
+        cli, setup, outputs = run_cli_rounds(trees, args.cli_rounds)
         written["cli"] = {"thread_variables": {name: os.environ.get(name, "unset")
-                                               for name in THREAD_VARIABLES}, **cli}
+                                               for name in THREAD_VARIABLES},
+                          **cli, "outputs": outputs}
+        differ = [name for name, entry in outputs.items()
+                  if not entry.get("identical", True) or not all(entry["rounds_agree"].values())]
+        print(f"cli outputs: {'differ in ' + ', '.join(differ) if differ else 'identical'}",
+              file=sys.stderr)
         written["setup_command"] = SETUP_CODE.format(call="CALL")
         written["setup"] = setup
     path = args.out / f"BENCH_{args.label}.json"
