@@ -215,11 +215,12 @@ def step_count(t_f: float, dt: float) -> int:
     ValueError if that is no step (t_f / dt at most 0.5, or NaN), StepCapError
     (a ValueError) if it is more than STEP_CAP (t_f / dt infinite included).
     """
-    if not t_f / dt > 0.5:  # round(t_f / dt) >= 1, and not NaN
+    steps = float(t_f) / float(dt)  # overflows to inf, where numpy floats would warn
+    if not steps > 0.5:  # round(t_f / dt) >= 1, and not NaN
         raise ValueError(f"t_f = {t_f:g} makes no step of dt = {dt:g}")
-    if not t_f / dt <= STEP_CAP:  # and finite
+    if not steps <= STEP_CAP:  # and finite
         raise StepCapError(f"t_f = {t_f:g} takes more than {STEP_CAP} steps of dt = {dt:g}")
-    return int(round(t_f / dt))
+    return int(round(steps))
 
 
 class _Observer:

@@ -201,10 +201,11 @@ def _run_grid(cell, simulate, size: int, axes, fixed: dict, threads: int,
     axes are (column name, cell keyword, values), outermost first. An axis
     given a scalar is held fixed and dropped, so a surface also yields its
     1-D cuts. A cell is (params, pulse_set, t_final, cfg). Every cell is
-    built and its dynamics.step_count checked before any cell runs; a
-    ValueError from either becomes a CellSettingsError naming the cell's
-    axis values, and a StepCapError passes through. Results are placed by
-    index, whatever the thread count.
+    built and its dynamics.step_count checked before any cell runs, the one
+    pricing of a sweep's steps; a ValueError from either becomes a
+    CellSettingsError naming the cell's axis values, and a StepCapError
+    stays one, named alike. Results are placed by index, whatever the thread
+    count.
     """
     swept = [(name, key, np.asarray(v)) for name, key, v in axes if np.ndim(v)]
     shape = tuple(values.size for _, _, values in swept)
@@ -217,12 +218,12 @@ def _run_grid(cell, simulate, size: int, axes, fixed: dict, threads: int,
         try:
             cells.append(cell(**fixed, **point))
             dynamics.step_count(cells[-1][2], cells[-1][3].dt)
-        except dynamics.StepCapError:
-            raise
         except ValueError as exc:
             named = ", ".join(f"{key} = {v:g}" if isinstance(v, float) else f"{key} = {v}"
                               for key, v in point.items())
-            raise CellSettingsError(f"{named}: {exc}") from exc
+            capped = isinstance(exc, dynamics.StepCapError)
+            raise (dynamics.StepCapError if capped else CellSettingsError)(
+                f"{named}: {exc}") from exc
     results = _run_cells(cells, simulate, size, threads)
     index = itertools.product(*(range(n) for n in shape))
     (x_name, _, x_values), *rest = swept

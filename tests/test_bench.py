@@ -60,12 +60,46 @@ def test_summarize_pairs_by_seed():
     w = summary["w"]
     assert w["this"]["wall_s"] == {"q1": 1.5, "median": 2.0, "q3": 2.5, "n": 3}
     assert w["against"]["wall_median_s"]["median"] == 6.0
-    assert w["pairs"]["wall_s"] == {"ratios": [0.5, 0.5, 1.0], "this_won": 2,
-                                    "against_won": 0, "pairs": 3}
+    assert w["pairs"]["wall_s"] == {
+        "ratios": [0.5, 0.5, 1.0], "ratio_quartiles": {"q1": 0.5, "median": 0.5, "q3": 0.75,
+                                                       "n": 3},
+        "this_won": 2, "against_won": 0, "pairs": 3, "sign_test_p": 0.5,
+        "claim_rule_met": False}
     # higher is better: 1.0 against 0.5 is a win for this side, a tie for neither
-    assert w["pairs"]["ok_frac"] == {"ratios": [1.0, 2.0, 1.0], "this_won": 1,
-                                     "against_won": 0, "pairs": 3}
+    assert w["pairs"]["ok_frac"] == {
+        "ratios": [1.0, 2.0, 1.0], "ratio_quartiles": {"q1": 1.0, "median": 1.0, "q3": 1.5,
+                                                       "n": 3},
+        "this_won": 1, "against_won": 0, "pairs": 3, "sign_test_p": 1.0,
+        "claim_rule_met": False}
     assert "pairs" not in summary["v"] and list(summary["v"]) == ["this"]
+
+
+def test_pairs_give_the_sign_test_ratio_quartiles_and_the_claim_rule():
+    # against: 2.0 on every seed (interquartile range 0). "all" wins 10 of 10,
+    # "six" wins 6 and loses 4, "tie" wins 9 and ties 1.
+    this = {"all": [1.0] * 10, "six": [1.0] * 6 + [3.0] * 4, "tie": [1.0] * 9 + [2.0]}
+    runs = [_run(w, seed, "this", wall) for w, walls in this.items()
+            for seed, wall in enumerate(walls)]
+    runs += [_run(w, seed, "against", 2.0) for w in this for seed in range(10)]
+    summary = bench.summarize(runs, BETTER, {})
+    pairs = {w: summary[w]["pairs"]["wall_s"] for w in this}
+    assert {w: (p["this_won"], p["against_won"]) for w, p in pairs.items()} == {
+        "all": (10, 0), "six": (6, 4), "tie": (9, 0)}
+    assert {w: p["sign_test_p"] for w, p in pairs.items()} == {
+        "all": 0.001953125, "six": 0.75390625, "tie": 0.00390625}
+    assert {w: p["claim_rule_met"] for w, p in pairs.items()} == {
+        "all": True, "six": False, "tie": True}
+    assert pairs["six"]["ratio_quartiles"] == {"q1": 0.5, "median": 0.5, "q3": 1.5, "n": 10}
+    # every ratio and the sign test the same, but a spread against side: no claim
+    spread = [_run("w", seed, "against", 2.0 + seed) for seed in range(10)]
+    spread += [_run("w", seed, "this", 1.0 + seed) for seed in range(10)]
+    pair = bench.summarize(spread, BETTER, {})["w"]["pairs"]["wall_s"]
+    assert (pair["this_won"], pair["sign_test_p"], pair["claim_rule_met"]) == (
+        10, 0.001953125, False)
+    # ok_frac ties on every pair: none untied, p = 1
+    assert summary["all"]["pairs"]["ok_frac"]["sign_test_p"] == 1.0
+    assert [bench.sign_test(won, lost) for won, lost in ((0, 0), (5, 5), (0, 10))] == [
+        1.0, 1.0, 0.001953125]
 
 
 def test_within_bound_compares_medians_in_the_better_direction():

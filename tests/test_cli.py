@@ -655,13 +655,15 @@ def test_fresh_interpreter_leaves_out(tmp_path, commands, env, modules, outputs)
     ("TQD3D_DT=nan", ["simulate"], cli.EXIT_CONFIG),
     ("TQD3D_DT=inf", ["simulate"], cli.EXIT_CONFIG),
     ("TQD3D_RECORD_EVERY=0", ["simulate"], cli.EXIT_CONFIG),
+    ("TQD3D_SWEEP_DT=100", ["sweep", "--figure", "4a"], cli.EXIT_CONFIG),
     ("TQD3D_SWEEP_DT=100", ["sweep", "--figure", "4b"], cli.EXIT_CONFIG),
     ("TQD3D_SWEEP_DT=30", ["sweep", "--figure", "4c"], cli.EXIT_CONFIG),  # the swept t_f = 10
     ("TQD3D_SWEEP_DT=60", ["sweep", "--figure", "8"], cli.EXIT_CONFIG),  # deviation -0.5: t_f 25
     ("TQD3D_DT=1e-320", ["simulate"], cli.EXIT_CAP),  # t_f / dt overflows to inf
     ("TQD3D_SWEEP_DT=1e-320", ["sweep", "--figure", "4b"], cli.EXIT_CAP),
     ("TQD3D_SURFACE_TF=10:1e9:2", ["sweep", "--figure", "4c"], cli.EXIT_CAP),  # 1e11 steps
-], ids=["dt_100", "dt_nan", "dt_inf", "record_every_0", "sweep_dt_100", "swept_tf",
+], ids=["dt_100", "dt_nan", "dt_inf", "record_every_0", "sweep_dt_100_4a", "sweep_dt_100",
+        "swept_tf",
         "tf_deviation", "dt_subnormal_cap", "sweep_dt_subnormal_cap", "swept_tf_cap"])
 def test_step_settings_exit_2_before_work(tmp_path, monkeypatch, capsys, setting, argv, code):
     """A step setting that cannot run exits 2, one over dynamics.STEP_CAP exits 4."""
@@ -678,6 +680,28 @@ def test_step_settings_exit_2_before_work(tmp_path, monkeypatch, capsys, setting
     err = capsys.readouterr().err
     prefix = "config error: " if code == cli.EXIT_CONFIG else "resource cap: "
     assert err.startswith(prefix) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("settings, argv, outputs", [
+    ({"DT": "1e-300"}, ["verify"], ["verify_report.json"]),
+    ({"DT": "1e-300"}, ["pulses"], ["stirap_pulses.csv", "tqd_pulses.csv"]),
+    ({"T_F": "1e6", "SURFACE_TF": "40:50:2", "SURFACE_DELTA": "3:4:2"},
+     ["sweep", "--figure", "4a"], ["fidelity_surface.csv"]),
+    ({"SWEEP_DT": "1e-9", "DT": "0.05"}, ["simulate", "--method", "tqd"],
+     ["simulate_tqd_closed.csv"]),
+], ids=["verify_dt", "pulses_dt", "4a_t_f", "simulate_sweep_dt"])
+def test_command_not_refused_on_steps_it_does_not_take(tmp_path, monkeypatch, settings, argv,
+                                                       outputs):
+    """A step setting that would cap or stop another command's run does not stop this one."""
+    for key, value in settings.items():
+        monkeypatch.setenv(cli.ENV_PREFIX + key, value)
+    assert cli.main(["--out", str(tmp_path), *argv]) == cli.EXIT_OK
+    for name in outputs:
+        assert (tmp_path / name).stat().st_size > 0
+        if name.endswith(".csv"):
+            assert (tmp_path / name).with_suffix(".gp").exists()
+    if argv != ["verify"]:
+        assert f"outputs = {';'.join(outputs)}" in (tmp_path / "manifest.txt").read_text()
 
 
 @pytest.mark.parametrize("argv", [["simulate"], ["simulate", "--open"],
@@ -768,13 +792,13 @@ def test_drawn_setting_gives_no_nan_output(command, key, value):
     env = {cli.ENV_PREFIX + name.upper(): setting
            for name, setting in {**short, key: value}.items()}
     with mock.patch.dict(os.environ, env), tempfile.TemporaryDirectory() as out:
-        try:
+        try:  # the command's own step, which it prices before any work
             cfg, _ = cli.load_config(None)
+            steps = dynamics.step_count(cfg.t_f, cfg.dt if command == "simulate" else cfg.sweep_dt)
         except ValueError:  # a config error or a step cap: no work starts
             pass
         else:
-            dt = cfg.dt if command == "simulate" else cfg.sweep_dt
-            assume(dynamics.step_count(cfg.t_f, dt) <= 20_000)
+            assume(steps <= 20_000)
         code = cli.main(["--out", out, *argv])
         fields = [field for csv in Path(out).glob("*.csv")
                   for line in csv.read_text().splitlines() if not line.startswith("#")

@@ -879,6 +879,16 @@ def test_step_count_edges():
         dynamics.step_count(50.0, 1e-320)
 
 
+def test_step_count_of_a_numpy_t_f_caps_without_a_warning():
+    # A swept t_f is a numpy float, whose t_f / dt would warn of the overflow;
+    # the suite raises RuntimeWarnings as errors, so any warning fails here.
+    with pytest.raises(dynamics.StepCapError, match="more than"):
+        dynamics.step_count(np.float64(50.0), 1e-320)
+    with pytest.raises(dynamics.StepCapError, match="t_f = 10, delta = 3.6: t_f = 10 takes"):
+        experiments.run_fidelity_surface(np.array([10.0, 20.0]), 3.6,
+                                         cfg=IntegratorConfig(dt=1e-320))
+
+
 def test_recorded_memory_is_capped_before_any_step(monkeypatch):
     # 100 steps recorded at each: 101 points. A run of one state of 2
     # amplitudes keeps per point its time, its fidelity, the 2 complex

@@ -19,10 +19,14 @@ reads .git/HEAD only, so it names a working tree's parent and reads
 "unavailable" in a copy), src_lines, their line count, and git_dirty,
 whether tracked files differ from that commit ("unavailable" outside a git
 checkout). With --against it also holds, per metric, each pair's ratio
-this / against and how many pairs each side won (a tie counts for neither),
-and per workload whether each end-to-end metric is within its BENCHMARK.json
-bound (within_bound; wall_median_s has none); a line on stderr names, per
-workload, the metrics outside it.
+this / against and their quartiles, how many pairs each side won (a tie
+counts for neither), the exact two-sided sign test over the untied pairs
+(sign_test_p), and whether a gain could be claimed (claim_rule_met: this
+side won at least 9 of 10 pairs, and its median is better than against's
+by more than against's interquartile range); and per workload whether each
+end-to-end metric is within its BENCHMARK.json bound (within_bound;
+wall_median_s has none); a line on stderr names, per workload, the metrics
+outside it.
 
 With --cli-rounds N (default 0: no CLI rows), it also times N rounds of
 each command of CLI_COMMANDS, one subprocess each,
@@ -61,6 +65,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -140,8 +145,10 @@ def summarize(runs: list[dict], better: dict[str, str], bounds: dict[str, float]
 
     runs are dicts with workload, seed, side ("this" or "against") and
     metrics; better maps a metric name to "lower" or "higher". A pair is the
-    two sides' runs of one workload and seed. bounds maps a metric to its
-    bound: with both sides, within_bound[metric] says whether this side's
+    two sides' runs of one workload and seed; pairs[metric] holds their
+    ratios and quartiles, the wins, sign_test_p and claim_rule_met, which
+    reads medians and quartiles of the paired runs. bounds maps a metric to
+    its bound: with both sides, within_bound[metric] says whether this side's
     median is worse than against's by at most bound times against's (worse:
     above it for "lower", below it for "higher").
     """
@@ -182,13 +189,28 @@ def _within(this: float, against: float, better: str, bound: float) -> bool:
     return worse <= bound * abs(against)
 
 
+def sign_test(won: int, lost: int) -> float:
+    """Exact two-sided sign-test p-value of won against lost untied pairs (1 with none)."""
+    tail = sum(math.comb(won + lost, k) for k in range(min(won, lost) + 1))
+    return min(1.0, 2 * tail / 2 ** (won + lost))
+
+
 def _pairs(this: list[float], against: list[float], better: str) -> dict:
     sign = 1 if better == "lower" else -1
+    ratios = [b / a if a else None for b, a in zip(this, against)]
+    known = [ratio for ratio in ratios if ratio is not None]
+    won = sum(sign * (b - a) < 0 for b, a in zip(this, against))
+    lost = sum(sign * (b - a) > 0 for b, a in zip(this, against))
+    mine, theirs = quartiles(this), quartiles(against)
+    gain = sign * (theirs["median"] - mine["median"])
     return {
-        "ratios": [b / a if a else None for b, a in zip(this, against)],
-        "this_won": sum(sign * (b - a) < 0 for b, a in zip(this, against)),
-        "against_won": sum(sign * (b - a) > 0 for b, a in zip(this, against)),
+        "ratios": ratios,
+        "ratio_quartiles": quartiles(known) if known else None,
+        "this_won": won,
+        "against_won": lost,
         "pairs": len(this),
+        "sign_test_p": sign_test(won, lost),
+        "claim_rule_met": 10 * won >= 9 * len(this) and gain > theirs["q3"] - theirs["q1"],
     }
 
 
